@@ -198,10 +198,10 @@ fn main() {
                     );
                 }
                 if matches!(protocol, Protocol::MvMtSnapshot | Protocol::MtSharded) {
-                    // The sharded scheduler's admissions go through the
-                    // batched SIMD probe whether or not the order cache
-                    // memoizes the verdicts — `--nocache` must not
-                    // silently fall back to scalar one-at-a-time compares.
+                    // The sharded scheduler's batched SIMD lanes — the
+                    // restart prewarm and the MV chain walk — run whether
+                    // or not the order cache memoizes their verdicts:
+                    // `--nocache` must not silently switch them off.
                     assert!(
                         r.metrics.batched_compares > 0,
                         "{} issued no batched SIMD compares",

@@ -97,7 +97,7 @@ use crate::sync::{RwLockReadGuard, RwLockWriteGuard};
 
 use mdts_model::{ItemId, OpKind, Operation, TxId};
 use mdts_trace::event::{
-    scalar_cost, tree_cost, AccessOutcome, Change, EncodedChanges, RejectRule, SetEdgeOutcome,
+    scalar_cost, tree_cost, AccessOutcome, EncodedChanges, RejectRule, SetEdgeOutcome,
 };
 use mdts_trace::{TraceEvent, TraceSink};
 use mdts_vector::{
@@ -232,12 +232,20 @@ pub struct SharedMtScheduler {
     cache: OrderCache,
     counters: AtomicKthCounters,
     /// Per-column running maximum over every *saturated* commit stamp
-    /// published by [`stamp_commit`](Self::stamp_commit). Snapshot readers
+    /// published by [`stamp_commit`](Self::stamp_commit) — and by nothing
+    /// else. It starts at `T₀`'s stamp `⟨0, *, …⟩`: 0 in column 0, where
+    /// every holder's element is at least that, and `i64::MIN` (no stamp
+    /// has an element there yet) elsewhere — so a scheduler that never
+    /// stamps (the single-version engine, the sequential-equivalence
+    /// oracle) chooses exactly the paper's values. Snapshot readers
     /// define their own elements strictly above these maxima, which orders
     /// every reader after every version published before the reader's
     /// element was defined — the monotonicity that makes seq-watermark
-    /// version GC sound (DESIGN.md §8). `SeqCst`, matching the MV store's
-    /// install/registry counters the soundness argument chains through.
+    /// version GC sound (DESIGN.md §8). Update transactions floor their
+    /// open non-last elements on it too (`Set`'s `RightUndefined` arm),
+    /// so committed history never refuses a fresh transaction. `SeqCst`,
+    /// matching the MV store's install/registry counters the soundness
+    /// argument chains through.
     col_max: Box<[AtomicI64]>,
     /// Batched-compare counters (ISSUE 8).
     batched: BatchedCounters,
@@ -300,7 +308,8 @@ impl SharedMtScheduler {
             rows,
             cache: OrderCache::new(),
             counters: AtomicKthCounters::new(),
-            col_max: (0..k).map(|_| AtomicI64::new(0)).collect(),
+            // T₀'s stamp ⟨0, *, …⟩ is published from the start.
+            col_max: (0..k).map(|m| AtomicI64::new(if m == 0 { 0 } else { i64::MIN })).collect(),
             batched: BatchedCounters::default(),
             trace: TraceSink::disabled(),
         }
@@ -620,8 +629,9 @@ impl SharedMtScheduler {
     /// `i` can never later be decided below a transaction whose commit
     /// stamp was published before the element was defined — the snapshot
     /// readers' invariant behind chain-walk termination at the GC pivot
-    /// (DESIGN.md §8). Without `boost` the ordinary minimal values are
-    /// used.
+    /// (DESIGN.md §8). Without `boost` only an open non-last element
+    /// defined against a holder (`RightUndefined`) is floored that way;
+    /// the `=` case and the last column keep the paper's minimal values.
     fn set_less_with(&self, j: TxId, i: TxId, boost: bool) -> SetOutcome {
         if j == i {
             return SetOutcome::Ok; // line 15
@@ -695,7 +705,10 @@ impl SharedMtScheduler {
                     (None, SetOutcome::Refused { at: k - 1 })
                 }
                 CmpResult::EqualUndefined { at } => {
-                    let floor = if boost { self.col_max[at].load(Ordering::SeqCst) } else { 0 };
+                    // `j` takes 1 below, so the boosted side needs a
+                    // floor of at least 0 even before the first stamp.
+                    let floor =
+                        if boost { self.col_max[at].load(Ordering::SeqCst).max(0) } else { 0 };
                     if at == k - 1 {
                         let (a, b) = if boost {
                             let a = self.counters.fresh_upper();
@@ -720,9 +733,17 @@ impl SharedMtScheduler {
                     (Some(CmpResult::Less { at }), SetOutcome::Ok)
                 }
                 CmpResult::RightUndefined { at } => {
-                    // TS(i, at) undefined; TS(j, at) defined.
+                    // TS(i, at) undefined; TS(j, at) defined. Any value
+                    // above TS(j, at) encodes the order — the element was
+                    // open, so no decision at or after this column has
+                    // involved `i` yet — and choosing it above the
+                    // published commit stamps as well leaves `i` below no
+                    // writer that committed before this define, so
+                    // committed history cannot refuse `i` later. The last
+                    // column's counter draws are globally fresh already,
+                    // so only the boosted readers floor it.
                     let mut bound = vec_of(&gj, j).get(at).expect("defined by case");
-                    if boost {
+                    if boost || at < k - 1 {
                         bound = bound.max(self.col_max[at].load(Ordering::SeqCst));
                     }
                     let value = if at == k - 1 {
@@ -822,9 +843,12 @@ impl SharedMtScheduler {
         }
     }
 
-    /// ISSUE 8: the order-cache-miss batch. Compares the probe
-    /// transaction `tx` against the full holder set of an item in one
-    /// batched SIMD call and bulk-fills the decided verdicts into the
+    /// ISSUE 8: the order-cache-miss batch, run by the admission prewarm
+    /// ([`warm_probes`](Self::warm_probes)) only — an access does not
+    /// probe: a fresh transaction's order against the holders is open by
+    /// construction, so the probe memoized nothing there. Compares the
+    /// probe transaction `tx` against the full holder set of an item in
+    /// one batched SIMD call and bulk-fills the decided verdicts into the
     /// order cache, so the `Set` calls that follow are answered lock-free
     /// from the memo table instead of taking one row-pair lock per
     /// holder. Holders whose order is already memoized are skipped; with
@@ -886,8 +910,8 @@ impl SharedMtScheduler {
     /// pairs that land on the same item shard under a single shard-lock
     /// acquisition so each `RT`/`WT` flat-table region — and the order-
     /// cache lines it feeds — is touched once per admission batch instead
-    /// of once per transaction. Each probe runs through the same fused
-    /// one-vs-many compare lane as the access-path miss probe
+    /// of once per transaction. Each probe runs through the fused
+    /// one-vs-many compare lane
     /// ([`batched_order_probe`](Self::batched_order_probe)) and bulk-fills
     /// the order cache with whatever it decides.
     ///
@@ -980,7 +1004,6 @@ impl SharedMtScheduler {
         let pair = s.pair(local);
         let HolderPair { rt, wt } = pair;
         let (larger, smaller) = self.pick(pair);
-        self.batched_order_probe(tx, pair);
         match self.order_after_holders(tx, larger, smaller) {
             Ok(()) => {
                 self.emit_access(tx, item, OpKind::Read, rt, wt, AccessOutcome::Granted);
@@ -1044,7 +1067,6 @@ impl SharedMtScheduler {
         let pair = s.pair(local);
         let HolderPair { rt, wt } = pair;
         let (larger, smaller) = self.pick(pair);
-        self.batched_order_probe(tx, pair);
         match self.order_after_holders(tx, larger, smaller) {
             Ok(()) => {
                 self.emit_access(tx, item, OpKind::Write, rt, wt, AccessOutcome::Granted);
@@ -1134,23 +1156,26 @@ impl SharedMtScheduler {
         let slot = self.slot_expect(tx);
         let mut row = slot.write();
         let v = vec_of_mut(&mut row, tx);
-        let mut changes: Vec<Change> = Vec::new();
-        for m in 0..k {
-            if !v.is_defined(m) {
-                let value = if m == k - 1 { self.counters.fresh_upper() } else { 0 };
-                v.define(m, value);
-                changes.push((tx, m, value));
+        if v.defined_count() < k {
+            let last = if v.is_defined(k - 1) { 0 } else { self.counters.fresh_upper() };
+            let fill = |m: usize| if m == k - 1 { last } else { 0 };
+            // The change list exists only for a sink: built inside the
+            // closure, from the still-open columns, before they are filled.
+            self.trace.emit(|| TraceEvent::StampFill {
+                tx,
+                changes: (0..k).filter(|&m| !v.is_defined(m)).map(|m| (tx, m, fill(m))).collect(),
+            });
+            for m in 0..k {
+                if !v.is_defined(m) {
+                    v.define(m, fill(m));
+                }
             }
         }
         for m in 0..k {
             let value = v.get(m).expect("saturated above");
             self.col_max[m].fetch_max(value, Ordering::SeqCst);
         }
-        let stamp = v.clone();
-        if !changes.is_empty() {
-            self.trace.emit(|| TraceEvent::StampFill { tx, changes: changes.into() });
-        }
-        stamp
+        v.clone()
     }
 
     /// Schedules a snapshot (read-only transaction) read of `item` — the
@@ -1671,6 +1696,58 @@ mod tests {
             s.order(TxId(2), TxId(1)),
             "fresh incarnation is unordered; the stale T1 < T2 must not refuse"
         );
+    }
+
+    /// Commit-aware `Set`: a serial stream of stamped transfers — begin,
+    /// R, R, W, W, `stamp_commit`, `commit`, next — is never rejected.
+    /// Every holder a fresh transaction meets has committed, so its
+    /// elements sit at or below the published column maxima the fresh
+    /// transaction's first element is chosen above. With the paper's
+    /// minimal `TS(j,m) + 1` the second read is refused whenever its
+    /// holder committed after the first read's.
+    #[test]
+    fn serial_stamped_transfers_are_never_rejected() {
+        for k in [2, 3, 4] {
+            let opts = MtOptions { starvation_flush: true, ..MtOptions::new(k) };
+            let s = SharedMtScheduler::new(opts);
+            let mut rng = StdRng::seed_from_u64(0x5E71A1 + k as u64);
+            for id in 1..=5_000u32 {
+                let tx = TxId(id);
+                let src = ItemId(rng.gen_range(0u32..300));
+                let dst = ItemId((src.0 + rng.gen_range(1u32..300)) % 300);
+                s.begin(tx);
+                for (n, d) in [s.read(tx, src), s.read(tx, dst), s.write(tx, src), s.write(tx, dst)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    assert!(d.is_accept(), "k = {k}: access {n} of {tx} ({src}, {dst}): {d:?}");
+                }
+                s.stamp_commit(tx);
+                s.commit(tx);
+            }
+        }
+    }
+
+    /// The commit floor is inert until a stamp is published: against a
+    /// holder whose element is negative (`LeftUndefined` defines
+    /// `bound − 1`), an unstamped scheduler still defines the paper's
+    /// `bound + 1` — not a value above some initial floor of 0. This is
+    /// what keeps `sequential_equivalence*` an exact oracle.
+    #[test]
+    fn unstamped_scheduler_defines_the_papers_value_above_a_negative_holder() {
+        let s = SharedMtScheduler::with_k(3);
+        assert!(s.write(TxId(1), ItemId(0)).is_accept());
+        assert!(s.write(TxId(2), ItemId(1)).is_accept());
+        assert!(s.write(TxId(2), ItemId(0)).is_accept()); // T1 = <1,1,*>, T2 = <1,2,*>
+        assert!(s.write(TxId(3), ItemId(2)).is_accept());
+        assert!(s.read(TxId(1), ItemId(2)).is_accept()); // T3 = <1,0,*>
+        assert!(s.write(TxId(4), ItemId(3)).is_accept());
+        assert!(s.write(TxId(4), ItemId(4)).is_accept());
+        assert!(s.read(TxId(3), ItemId(3)).is_accept()); // T4 below T3
+        assert_eq!(s.ts(TxId(4)).unwrap(), TsVec::from_elems(&[Some(1), Some(-1), None]));
+        assert!(s.write(TxId(5), ItemId(5)).is_accept()); // T5 = <1,*,*>
+        assert!(s.write(TxId(5), ItemId(4)).is_accept()); // after WT = T4
+        assert_eq!(s.ts(TxId(5)).unwrap(), TsVec::from_elems(&[Some(1), Some(0), None]));
     }
 
     fn run_both(log: &Log, opts: MtOptions) {

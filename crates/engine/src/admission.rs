@@ -54,8 +54,8 @@ use crate::cc::ConcurrentCc;
 
 /// Maximum declared first-access items carried inline in a staging slot.
 /// Larger footprints are truncated — the prewarm is a cache warm-up, not
-/// a correctness requirement, so dropping the tail only costs a probe on
-/// the access path.
+/// a correctness requirement, so dropping the tail only costs a row-lock
+/// compare on the access path.
 pub const ADMIT_FOOTPRINT: usize = 4;
 
 /// Hard bound of the staging queue. An arrival finding the queue at
@@ -292,7 +292,7 @@ impl Admission {
         // Prewarm the caller's own footprint only on a restart: the
         // hint-defined first element (III-D-4) is what makes the probed
         // compares decidable, so a fresh batch-of-one would probe for
-        // nothing the access path does not already do.
+        // nothing: its orders are all still open.
         if prev.is_some() && !footprint.is_empty() {
             pairs.clear();
             pairs.extend(footprint.iter().map(|&item| (item, id)));

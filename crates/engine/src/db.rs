@@ -523,9 +523,8 @@ impl<V: Clone + Send + 'static> Database<V> {
     /// probe lane during admission (ISSUE 10): the batch touches each
     /// `RT`/`WT` table region once and bulk-fills the order cache, so
     /// the accesses that follow are answered from the memo table. The
-    /// footprint is advisory — accesses outside it are simply probed on
-    /// the access path as before, and over-declaring only costs wasted
-    /// probes.
+    /// footprint is advisory — accesses outside it simply compare under
+    /// the row locks, and over-declaring only costs wasted probes.
     pub fn run_with_footprint<T>(
         &self,
         max_restarts: usize,
@@ -733,7 +732,7 @@ impl<V: Clone + Send + Sync + 'static> SnapshotTx<'_, V> {
                         .unwrap_or(TxId::VIRTUAL);
                     TraceEvent::VersionRead { tx: id, item, writer }
                 });
-                shard.get(&item).cloned()
+                shard.get(item).cloned()
             }
             SnapshotRead::Older => {
                 // Decided below one of the current holders — protected
@@ -781,7 +780,7 @@ impl<V: Clone + Send + Sync + 'static> SnapshotTx<'_, V> {
                     // outranking holder is a reader, or a writer whose
                     // write was Thomas-ignored), so the base value is
                     // the one below every transaction.
-                    let base = shard.get(&item).cloned();
+                    let base = shard.get(item).cloned();
                     shared.trace.emit(|| TraceEvent::VersionRead {
                         tx: id,
                         item,
@@ -960,7 +959,7 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                 let shard = self.shared.store.lock_shard(shard_idx);
                 let v = self.shared.cc.read(self.id, item);
                 if matches!(v, Verdict::Granted | Verdict::Ignored) {
-                    let stored = shard.get(&item).cloned();
+                    let stored = shard.get(item).cloned();
                     drop(shard);
                     if !self.epoch_ok() {
                         return Err(Aborted);
@@ -1120,9 +1119,6 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                         .binary_search(&shard_idx)
                         .expect("shard of a write-set item was locked");
                     if let Some((mv, stamp)) = &mv_stamp {
-                        // The pre-apply store value seeds the chain floor
-                        // on first install (attributed to T₀).
-                        let pre = guards[slot].get(&item).cloned();
                         let id = self.id;
                         let trace = &self.shared.trace;
                         mv.store.install_with(
@@ -1130,7 +1126,10 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                             id,
                             stamp.clone(),
                             Some(value.clone()),
-                            || pre,
+                            // The pre-apply store value seeds the chain
+                            // floor (attributed to T₀) — read from the
+                            // held guard on a chain's first install only.
+                            || guards[slot].get(item).cloned(),
                             |_seq| trace.emit(|| TraceEvent::VersionInstall { writer: id, item }),
                         );
                     }

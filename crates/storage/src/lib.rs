@@ -17,9 +17,10 @@
 //!   Reed-style version chains so readers can be served a consistent older
 //!   version instead of aborting.
 //! * **Sharded value state**: [`ShardedStore`] stripes the single-version
-//!   store over independently locked shards so the engine's reads and
-//!   commits on disjoint items proceed in parallel instead of funnelling
-//!   through one global mutex.
+//!   store over independently locked shards — each a flat table indexed
+//!   by the item id's high bits — so the engine's reads and commits on
+//!   disjoint items proceed in parallel instead of funnelling through one
+//!   global mutex.
 //! * **Durability** (ISSUE 9): [`wal`] is a binary redo log with
 //!   per-record CRC framing, monotone LSNs and epoch (group-commit)
 //!   frames; [`recovery`] replays every sealed epoch back into a
@@ -43,7 +44,7 @@ pub use mvstore::{
     DEFAULT_PRUNE_THRESHOLD, MV_CHAIN_LEN_BUCKETS,
 };
 pub use recovery::{recover, recover_with, replay_threads, Recovered, RecoveryReport};
-pub use sharded::{ShardGuard, ShardedStore, DEFAULT_STORE_SHARDS};
+pub use sharded::{Shard, ShardGuard, ShardedStore, DEFAULT_STORE_SHARDS};
 pub use store::Store;
 pub use twophase::WriteBuffer;
 pub use undo::{Savepoint, UndoLog};

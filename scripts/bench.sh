@@ -24,9 +24,9 @@
 #   scripts/bench.sh --smoke   CI-sized: exp19 --quick --json validated for
 #                              the schema stamp, the read-heavy MV lane
 #                              (snapshot transactions actually served), the
-#                              same sweep under --nocache (every admission
-#                              takes the batched-SIMD order probe; exp19
-#                              asserts batched_compares > 0 there), the
+#                              same sweep under --nocache (every compare
+#                              walks the vectors; exp19 asserts the
+#                              batched lanes still ran there), the
 #                              bench_compare --json SIMD lanes (schema +
 #                              lane presence), and exp18 --json, plus
 #                              criterion build checks. The durability
@@ -45,8 +45,15 @@
 #                              --telemetry-strict, timeseries_check
 #                              validates it (schema, dense window indices,
 #                              counter recomposition) and certifies the
-#                              stall-detector regression fixtures. Only a
-#                              temp file is written.
+#                              stall-detector regression fixtures. The
+#                              repo's benchmark runs too: exp22_costmodel
+#                              --smoke (all five workloads, untraced and
+#                              traced, every output check), then a
+#                              host-independent count gate — one client
+#                              on transfer_uniform_1t must finish with
+#                              counts.aborts == 0 and counts.restarts == 0
+#                              (nothing is concurrent, so nothing may be
+#                              refused). Only temp files are written.
 #   scripts/bench.sh --telemetry
 #                              full run as above, additionally passing
 #                              --telemetry to exp19 so the window stream
@@ -130,13 +137,25 @@ if [[ "${1:-}" == "--smoke" ]]; then
     fi
     echo "== bench smoke: exp19 --telemetry (windowed sampler, strict stall gate) =="
     ts_file=$(mktemp /tmp/mdts_timeseries.XXXXXX.jsonl)
-    trap 'rm -f "$ts_file"' EXIT
+    dir22=$(mktemp -d /tmp/mdts_exp22.XXXXXX)
+    trap 'rm -rf "$ts_file" "$dir22"' EXIT
     cargo run --release -q -p mdts-bench --bin exp19_scaling -- \
         --quick --telemetry "$ts_file" --telemetry-strict > /dev/null
     echo "== bench smoke: timeseries_check (schema + recomposition) =="
     cargo run --release -q -p mdts-bench --bin timeseries_check -- "$ts_file"
     echo "== bench smoke: stall-detector regression fixtures =="
     cargo run --release -q -p mdts-bench --bin timeseries_check -- --stall-fixture
+    echo "== bench smoke: exp22_costmodel --smoke (the repo's benchmark: every workload, every check) =="
+    cargo run --release -q -p mdts-bench --bin exp22_costmodel -- --smoke
+    echo "== bench smoke: exp22 count gate (one client: no abort, no restart) =="
+    doc22="$dir22/doc.json"
+    cargo run --release -q -p mdts-bench --bin exp22_costmodel -- \
+        --workload transfer_uniform_1t --seconds 1 --trace 0 --out "$doc22" > /dev/null
+    if ! grep -qE '"counts":\{"commits":[1-9][0-9]*,"aborts":0,"restarts":0,' "$doc22"; then
+        echo "bench smoke: transfer_uniform_1t aborted or restarted at zero concurrency:" >&2
+        grep -oE '"counts":\{"commits":[0-9]+,"aborts":[0-9]+,"restarts":[0-9]+' "$doc22" >&2 || true
+        exit 1
+    fi
     echo "== bench smoke: criterion targets compile =="
     cargo bench -p mdts-bench --bench bench_scaling --no-run
     cargo bench -p mdts-bench --bench bench_compare --no-run

@@ -136,7 +136,7 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
     // inside the already-materialized chunk 0).
     let mut n = 0usize;
     let count = allocations(|| {
-        while id < 1000 {
+        while id < 980 {
             id = round(&s, id, n);
             n += 1;
         }
@@ -164,6 +164,21 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
         id += 1;
     }
     let (stamp, stamp_writer) = (stamps[0].clone(), writers[0]);
+    // The MV commit itself: a write → `stamp_commit` → `commit` round
+    // saturates the open columns and publishes the column maxima without
+    // touching the heap — the fill's change list is built only for an
+    // attached trace sink.
+    let stamping = allocations(|| {
+        for n in 0..16usize {
+            let w = TxId(id);
+            s.begin(w);
+            assert!(s.write(w, item(n * 67)).is_accept());
+            std::hint::black_box(s.stamp_commit(w));
+            s.commit(w);
+            id += 1;
+        }
+    });
+    assert_eq!(stamping, 0, "stamp_commit must not allocate for k = {INLINE_K}");
     // Warm the thread-local batch scratch through the chain-walk path
     // before the window opens (ISSUE 8: the batched newest-below-reader
     // scan shares the admission path's scratch).
