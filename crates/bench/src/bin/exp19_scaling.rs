@@ -107,9 +107,8 @@ fn main() {
     let json = json_mode();
     let quick = std::env::args().any(|a| a == "--quick");
     // `--nocache` switches the sharded lanes' write-once order cache off:
-    // every admission walks the vectors, so the batched SIMD probe path
-    // (ISSUE 8) carries the whole comparison load — the configuration the
-    // bench.sh smoke step pins down.
+    // every access walks the vectors — the configuration the bench.sh
+    // smoke step pins down.
     let nocache = std::env::args().any(|a| a == "--nocache");
     // `--durable` adds the ISSUE 9 group-commit lane: the same mix with
     // every commit acknowledged only after its WAL epoch is fsynced.
@@ -197,11 +196,11 @@ fn main() {
                         "multiversion lane never served a snapshot transaction"
                     );
                 }
-                if matches!(protocol, Protocol::MvMtSnapshot | Protocol::MtSharded) {
-                    // The sharded scheduler's batched SIMD lanes — the
-                    // restart prewarm and the MV chain walk — run whether
-                    // or not the order cache memoizes their verdicts:
-                    // `--nocache` must not silently switch them off.
+                if protocol == Protocol::MvMtSnapshot {
+                    // The sharded scheduler's batched SIMD lane — the MV
+                    // chain walk — runs whether or not the order cache
+                    // memoizes its verdicts: `--nocache` must not silently
+                    // switch it off.
                     assert!(
                         r.metrics.batched_compares > 0,
                         "{} issued no batched SIMD compares",

@@ -11,9 +11,8 @@
 //!   container the partitioned replay cannot beat the serial loop, and
 //!   pretending otherwise would just institutionalize a flaky gate. The
 //!   measured wall times and the host CPU count are recorded either way.
-//! * **certified restart** — a durable MV-MT(k) bank runs its transfers
-//!   through the **batched admission pipeline** (declared footprints,
-//!   fenced id blocks, shard-grouped prewarm), is shut down, and the log
+//! * **certified restart** — a durable MV-MT(k) bank runs concurrent
+//!   transfers, is shut down, and the log
 //!   is recovered serially and in parallel: both recoveries must agree
 //!   bit for bit, contain every acknowledged commit, and the journaled
 //!   decision trace must certify the restart through the Definition-6
@@ -33,7 +32,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use mdts_bench::{json_mode, metrics_document, print_table, Table};
-use mdts_engine::{AdmissionConfig, Database, DurabilityConfig, ShardedMtCc, TxError};
+use mdts_engine::{Database, DurabilityConfig, ShardedMtCc, TxError};
 use mdts_model::{ItemId, TxId};
 use mdts_storage::wal::{encode_commit, encode_epoch_begin, encode_epoch_seal};
 use mdts_storage::{recover_with, Recovered, WalWriter};
@@ -156,14 +155,13 @@ fn replay_lane(smoke: bool, table: &mut Table, runs: &mut Vec<MetricsRegistry>) 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One transfer through the batched admission pipeline (the footprint
-/// feeds the shard-grouped prewarm); returns the acknowledged id.
+/// One transfer; returns the acknowledged id.
 fn transfer(db: &Database<i64>, rng: &mut StdRng) -> Result<Option<u32>, TxError> {
     let from = rng.gen_range(0..ACCOUNTS);
     let to = (from + 1 + rng.gen_range(0..ACCOUNTS - 1)) % ACCOUNTS;
     let (from, to) = (ItemId(from), ItemId(to));
     let id = std::cell::Cell::new(0u32);
-    match db.run_with_footprint(2_000, &[from, to], |tx| {
+    match db.run(2_000, |tx| {
         id.set(tx.id().0);
         let x = tx.read(from)?.unwrap_or(0);
         let y = tx.read(to)?.unwrap_or(0);
@@ -187,21 +185,18 @@ fn open_durable(
     let config = DurabilityConfig::new(dir.join("wal.log"))
         .journal(dir.join("journal.jsonl"))
         .checkpoint_every(checkpoint_every);
-    let (mut db, recovered) = Database::with_store_multiversion_durable(
+    Database::with_store_multiversion_durable(
         cc,
         mdts_storage::Store::with_items(ACCOUNTS, INITIAL),
         TraceSink::to(&buffer),
         &config,
-    )?;
-    db.configure_admission(Some(AdmissionConfig::default()));
-    Ok((db, recovered))
+    )
 }
 
 fn certified_restart_lane(smoke: bool, table: &mut Table, runs: &mut Vec<MetricsRegistry>) {
     let txns = if smoke { 40 } else { 300 };
     let dir = scratch("certify");
     let acked = Mutex::new(BTreeSet::new());
-    let admitted;
     {
         let (db, fresh) = open_durable(&dir, 0).expect("open durable bank");
         assert!(fresh.committed.is_empty(), "lane started on a stale log");
@@ -219,9 +214,6 @@ fn certified_restart_lane(smoke: bool, table: &mut Table, runs: &mut Vec<Metrics
             }
         });
         assert!(db.sync(), "all acknowledged epochs must be durable");
-        admitted = db.admission_stats();
-        assert!(admitted.batches > 0, "the admission pipeline never formed a batch");
-        assert!(admitted.prewarm_pairs > 0, "declared footprints never prewarmed");
     }
     let acked = acked.into_inner().unwrap();
     assert!(!acked.is_empty());
@@ -258,7 +250,7 @@ fn certified_restart_lane(smoke: bool, table: &mut Table, runs: &mut Vec<Metrics
         parallel.report.sealed_epochs.to_string(),
         acked.len().to_string(),
         "-".into(),
-        format!("{} batches", admitted.batches),
+        format!("{THREADS} clients"),
         "certified".into(),
     ]);
     runs.push(
@@ -266,8 +258,6 @@ fn certified_restart_lane(smoke: bool, table: &mut Table, runs: &mut Vec<Metrics
             .label("lane", "certified-restart")
             .counter("acked_commits", acked.len() as u64)
             .counter("recovered_commits", parallel.committed.len() as u64)
-            .counter("admit_batches", admitted.batches)
-            .counter("admit_prewarm_pairs", admitted.prewarm_pairs)
             .counter("audit_violations", verdict.violations.len() as u64),
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -345,7 +335,7 @@ fn main() {
          an *identity-preserving* optimization — every thread count rebuilds the\n\
          same store, committed set and high-water marks, and the speedup gate\n\
          arms only when the host has the cores to honor it. The restart lane\n\
-         drives the bank through the epoch-batched admission pipeline and then\n\
+         drives the bank from concurrent clients and then\n\
          certifies the recovered state against the journaled decision trace;\n\
          the truncation lane shows the checkpoint rotation holding recovery\n\
          work at the checkpoint interval instead of the log's lifetime."

@@ -25,25 +25,33 @@
 //!
 //! The spine covers the whole `u32` id space (the last chunk is merely
 //! never fully resident on real workloads); `ensure_slot` materializes a
-//! chunk on first touch with a CAS, and losers free their allocation.
+//! chunk on first touch under the table's grow lock, so concurrent
+//! `begin`s at a doubling point build the chunk once — the large chunks
+//! are hundreds of MiB, and a second, discarded copy was resident memory
+//! the process never gave back.
 
 use std::sync::PoisonError;
 
-use mdts_vector::TsVec;
+use mdts_vector::{CachePadded, TsVec};
 
 use crate::sync::{
-    AtomicBool, AtomicI64, AtomicPtr, AtomicU32, AtomicUsize, Ordering, RwLock, RwLockReadGuard,
-    RwLockWriteGuard,
+    AtomicBool, AtomicI64, AtomicPtr, AtomicU32, AtomicUsize, Mutex, Ordering, RwLock,
+    RwLockReadGuard, RwLockWriteGuard,
 };
 
 /// Slots in the first chunk; chunk `b` holds `BASE << b` slots.
 #[cfg(not(loom))]
 const BASE: usize = 1024;
 /// Under loom a chunk is two slots, so a model touching indices 0 and 2
-/// exercises chunk materialization (including the CAS-loser free path)
-/// without registering a thousand model objects.
+/// exercises chunk materialization without registering a thousand model
+/// objects.
 #[cfg(loom)]
 const BASE: usize = 2;
+
+/// Granularity of the inspection watermark ([`RowTable::high`]): a power
+/// of two, so concurrent `begin`s write the mark once per this many ids
+/// instead of once each.
+const HIGH_STEP: usize = 64;
 
 /// Chunks in the spine. `BASE * (2^BUCKETS − 1) > u32::MAX`, so every
 /// possible transaction id has a slot.
@@ -69,6 +77,8 @@ pub struct RowSlot {
 
 impl RowSlot {
     fn new() -> Self {
+        #[cfg(test)]
+        tests::SLOTS_BUILT.with(|n| n.set(n.get() + 1));
         RowSlot {
             row: RwLock::new(None),
             refs: AtomicU32::new(0),
@@ -148,10 +158,18 @@ impl RowSlot {
 /// The lock-free-addressable row table. See the module docs.
 pub struct RowTable {
     spine: [AtomicPtr<RowSlot>; BUCKETS],
-    /// Exclusive upper bound of slot indices ever materialized — bounds
-    /// the inspection scans; correctness never depends on it.
-    high: AtomicUsize,
+    /// Serializes chunk materialization; taken only when a spine entry
+    /// was observed null, never on the addressing path.
+    grow: Mutex<()>,
+    /// An exclusive upper bound (rounded up to `HIGH_STEP`) of the slot
+    /// indices ever materialized — bounds the inspection scans;
+    /// correctness never depends on it. `begin`s raise it, so it sits
+    /// apart from the read-mostly spine.
+    high: CachePadded<AtomicUsize>,
 }
+
+// The high-water mark starts a cache line of its own, past the spine.
+const _: () = assert!(std::mem::offset_of!(RowTable, high).is_multiple_of(128));
 
 impl std::fmt::Debug for RowTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -172,7 +190,8 @@ impl RowTable {
     pub fn new() -> Self {
         RowTable {
             spine: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-            high: AtomicUsize::new(0),
+            grow: Mutex::new(()),
+            high: CachePadded(AtomicUsize::new(0)),
         }
     }
 
@@ -180,11 +199,11 @@ impl RowTable {
     ///
     /// Ordering contract (audited in PR 4, checked by
     /// `rowtable_chunk_publication` in tests/loom_models.rs): the spine
-    /// load must be Acquire to pair with the Release side of the
-    /// publishing CAS in [`ensure_slot`](Self::ensure_slot) — it
-    /// synchronizes-with the publication, so the chunk's initialized
-    /// slot contents (written before the CAS) are visible before any
-    /// access through the returned reference.
+    /// load must be Acquire to pair with the Release publishing store in
+    /// [`ensure_slot`](Self::ensure_slot) — it synchronizes-with the
+    /// publication, so the chunk's initialized slot contents (written
+    /// before the store) are visible before any access through the
+    /// returned reference.
     pub fn slot(&self, idx: usize) -> Option<&RowSlot> {
         let (b, _, off) = locate(idx);
         let chunk = self.spine[b].load(Ordering::Acquire);
@@ -203,35 +222,39 @@ impl RowTable {
         assert!(b < BUCKETS, "slot index {idx} beyond table capacity");
         let mut chunk = self.spine[b].load(Ordering::Acquire);
         if chunk.is_null() {
-            let fresh: Box<[RowSlot]> = (0..len).map(|_| RowSlot::new()).collect();
-            let ptr = Box::into_raw(fresh) as *mut RowSlot;
-            // Publication CAS: the success ordering must include Release
-            // so the freshly initialized slots above happen-before any
-            // Acquire spine load that observes `ptr`; the Acquire half
-            // (and the failure ordering) pair with the *winner's*
-            // Release when we lose, making the winner's initialization
-            // visible before we hand out references into its chunk.
-            match self.spine[b].compare_exchange(
-                std::ptr::null_mut(),
-                ptr,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => chunk = ptr,
-                Err(winner) => {
-                    // SAFETY: the CAS failed, so `ptr` was never published
-                    // and we still own the allocation.
-                    drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len)) });
-                    chunk = winner;
-                }
-            }
+            chunk = self.materialize(b, len);
         }
-        self.high.fetch_max(idx + 1, Ordering::Relaxed);
+        // Ids are issued in ascending order and the mark rises in steps
+        // of `HIGH_STEP`, so nearly every call finds it already past
+        // `idx`: load first, write only to raise it.
+        if self.high.load(Ordering::Relaxed) <= idx {
+            self.high.fetch_max((idx | (HIGH_STEP - 1)) + 1, Ordering::Relaxed);
+        }
         // SAFETY: as in `slot`.
         unsafe { &*chunk.add(off) }
     }
 
-    /// Exclusive upper bound of ever-materialized slot indices.
+    /// Builds and publishes chunk `b` unless another thread got there
+    /// first. The re-check under the grow lock is what makes the chunk be
+    /// built once: a thread that lost the race to the lock finds the
+    /// winner's pointer (the lock orders the winner's store before the
+    /// re-check) and allocates nothing. The store is `Release` for the
+    /// lock-free Acquire loads in [`slot`](Self::slot) and on
+    /// `ensure_slot`'s fast path.
+    #[cold]
+    fn materialize(&self, b: usize, len: usize) -> *mut RowSlot {
+        let _grow = self.grow.lock().unwrap_or_else(PoisonError::into_inner);
+        let chunk = self.spine[b].load(Ordering::Acquire);
+        if !chunk.is_null() {
+            return chunk;
+        }
+        let fresh: Box<[RowSlot]> = (0..len).map(|_| RowSlot::new()).collect();
+        let ptr = Box::into_raw(fresh) as *mut RowSlot;
+        self.spine[b].store(ptr, Ordering::Release);
+        ptr
+    }
+
+    /// An exclusive upper bound of ever-materialized slot indices.
     pub fn high(&self) -> usize {
         self.high.load(Ordering::Relaxed)
     }
@@ -260,7 +283,7 @@ impl Drop for RowTable {
         for (b, cell) in self.spine.iter().enumerate() {
             // `&mut self` already guarantees exclusive access; the load
             // is Acquire (not `get_mut`, which the loom shim cannot
-            // offer) so the publishing CAS is visible even when the
+            // offer) so the publishing store is visible even when the
             // drop happens on a thread that never touched the spine.
             let ptr = cell.load(Ordering::Acquire);
             if !ptr.is_null() {
@@ -274,7 +297,14 @@ impl Drop for RowTable {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
+
+    thread_local! {
+        /// `RowSlot::new` calls made by this thread.
+        pub(super) static SLOTS_BUILT: Cell<usize> = const { Cell::new(0) };
+    }
 
     #[test]
     fn locate_covers_chunk_boundaries() {
@@ -296,7 +326,7 @@ mod tests {
         *t.ensure_slot(5).write() = Some(TsVec::undefined(2));
         let b = t.ensure_slot(5) as *const RowSlot;
         assert_eq!(a, b, "a slot address never changes");
-        assert_eq!(t.high(), 6);
+        assert!((6..=HIGH_STEP).contains(&t.high()));
         assert_eq!(t.iter_slots().filter(|(_, s)| s.read().is_some()).count(), 1);
     }
 
@@ -339,23 +369,21 @@ mod tests {
         assert_eq!(slot.take_hint(), None);
     }
 
-    /// Satellite (PR 4): the two `Box::from_raw` paths — the CAS-loser
-    /// free in `ensure_slot` and the spine teardown in `Drop` — must not
-    /// free memory another thread can still reach. Threads race chunk
-    /// materialization (so some lose the CAS and free their allocation)
-    /// while others hold `with_ts`-style read borrows into slots of the
-    /// *same contested chunk* and write through them; the table drops
-    /// only after every borrow ends. Run under `cargo miri test` (the CI
-    /// miri lane does) to prove the absence of use-after-free rather
-    /// than just the absence of a crash.
+    /// The spine teardown in `Drop` is the table's one `Box::from_raw`:
+    /// it must not free memory another thread can still reach. Threads
+    /// race chunk materialization (one builds under the grow lock, the
+    /// rest find its pointer) while others hold `with_ts`-style read
+    /// borrows into slots of the *same contested chunk* and write through
+    /// them; the table drops only after every borrow ends. Run under
+    /// `cargo miri test` (the CI miri lane does) to prove the absence of
+    /// use-after-free rather than just the absence of a crash.
     #[test]
     fn retire_paths_never_free_reachable_memory() {
         for _ in 0..8 {
             let t = RowTable::new();
             std::thread::scope(|scope| {
-                // Racers: all try to materialize the same second chunk;
-                // exactly one CAS wins, the rest free their fresh boxes
-                // while winners' slots are already in use.
+                // Racers: all try to materialize the same second chunk
+                // while the builder's slots are already in use.
                 for i in 0..4 {
                     let t = &t;
                     scope.spawn(move || {
@@ -380,6 +408,35 @@ mod tests {
             });
             // `t` drops here: the spine teardown `Box::from_raw` runs
             // with no outstanding borrows.
+        }
+    }
+
+    /// Eight `begin`s arriving together at a doubling point build the new
+    /// chunk once: across all racers `RowSlot::new` runs exactly
+    /// `BASE << b` times, however the race for the grow lock resolves.
+    #[test]
+    fn racing_threads_build_a_fresh_chunk_exactly_once() {
+        let b = if cfg!(miri) { 1 } else { 3 };
+        let first = ((1usize << b) - 1) * BASE;
+        assert_eq!(locate(first), (b, BASE << b, 0));
+        for _ in 0..8 {
+            let t = RowTable::new();
+            let gate = std::sync::Barrier::new(8);
+            let built: usize = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..8)
+                    .map(|i| {
+                        let (t, gate) = (&t, &gate);
+                        scope.spawn(move || {
+                            gate.wait();
+                            t.ensure_slot(first + i);
+                            SLOTS_BUILT.with(Cell::get)
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|h| h.join().unwrap()).sum()
+            });
+            assert_eq!(built, BASE << b, "a racing begin built a second copy of the chunk");
+            assert_eq!(t.resident_chunks(), 1);
         }
     }
 

@@ -101,7 +101,8 @@ use mdts_trace::event::{
 };
 use mdts_trace::{TraceEvent, TraceSink};
 use mdts_vector::{
-    AtomicKthCounters, BatchScratch, CmpResult, OrderCache, OrderCacheStats, SimdComparator, TsVec,
+    AtomicKthCounters, BatchScratch, CachePadded, CmpResult, OrderCache, OrderCacheStats,
+    SimdComparator, Striped, TsVec,
 };
 
 use crate::mtk::{Decision, MtOptions, Reject};
@@ -196,7 +197,7 @@ pub struct BatchedCompareStats {
     pub size_buckets: [u64; BATCH_SIZE_BUCKETS],
 }
 
-/// Atomic backing of [`BatchedCompareStats`].
+/// Atomic backing of [`BatchedCompareStats`]: one stripe's cells.
 #[derive(Debug, Default)]
 struct BatchedCounters {
     probe_batches: AtomicU64,
@@ -208,8 +209,8 @@ struct BatchedCounters {
 std::thread_local! {
     /// Reusable scratch for the batched comparator: per thread,
     /// warmed by the first batch, allocation-free afterwards (the
-    /// zero-alloc gate in tests/alloc_zero.rs covers both batched
-    /// paths). `const`-initialized so first touch performs no lazy
+    /// zero-alloc gate in tests/alloc_zero.rs covers the chain-walk
+    /// scan). `const`-initialized so first touch performs no lazy
     /// registration either.
     static BATCH_SCRATCH: RefCell<BatchScratch> = const { RefCell::new(BatchScratch::new()) };
 }
@@ -230,7 +231,9 @@ pub struct SharedMtScheduler {
     rows: RowTable,
     /// Memoized decided comparisons (see the module docs).
     cache: OrderCache,
-    counters: AtomicKthCounters,
+    /// Drawn from by every commit stamp, so on a line of its own — the
+    /// fields around it are read on every access and never written.
+    counters: CachePadded<AtomicKthCounters>,
     /// Per-column running maximum over every *saturated* commit stamp
     /// published by [`stamp_commit`](Self::stamp_commit) — and by nothing
     /// else. It starts at `T₀`'s stamp `⟨0, *, …⟩`: 0 in column 0, where
@@ -245,13 +248,22 @@ pub struct SharedMtScheduler {
     /// open non-last elements on it too (`Set`'s `RightUndefined` arm),
     /// so committed history never refuses a fresh transaction. `SeqCst`,
     /// matching the MV store's install/registry counters the soundness
-    /// argument chains through.
-    col_max: Box<[AtomicI64]>,
-    /// Batched-compare counters (ISSUE 8).
-    batched: BatchedCounters,
+    /// argument chains through. One cache line per column: a commit that
+    /// raises one column leaves the others' readers undisturbed.
+    col_max: Box<[CachePadded<AtomicI64>]>,
+    /// Batched-compare counters (ISSUE 8), per-thread cells summed on
+    /// read.
+    batched: Striped<BatchedCounters>,
     /// Decision-trace sink (disabled by default; see `mdts-trace`).
     trace: TraceSink,
 }
+
+// The k-th-column counters start a cache line of their own, and adjacent
+// `col_max` columns never share one.
+const _: () = {
+    assert!(std::mem::offset_of!(SharedMtScheduler, counters).is_multiple_of(128));
+    assert!(std::mem::size_of::<CachePadded<AtomicI64>>().is_multiple_of(128));
+};
 
 /// Default number of item shards (power of two).
 pub const DEFAULT_SHARDS: usize = 64;
@@ -307,10 +319,12 @@ impl SharedMtScheduler {
             shards,
             rows,
             cache: OrderCache::new(),
-            counters: AtomicKthCounters::new(),
+            counters: CachePadded(AtomicKthCounters::new()),
             // T₀'s stamp ⟨0, *, …⟩ is published from the start.
-            col_max: (0..k).map(|m| AtomicI64::new(if m == 0 { 0 } else { i64::MIN })).collect(),
-            batched: BatchedCounters::default(),
+            col_max: (0..k)
+                .map(|m| CachePadded(AtomicI64::new(if m == 0 { 0 } else { i64::MIN })))
+                .collect(),
+            batched: Striped::default(),
             trace: TraceSink::disabled(),
         }
     }
@@ -350,12 +364,14 @@ impl SharedMtScheduler {
 
     /// Counters of the batched SIMD compare paths (ISSUE 8).
     pub fn batched_compare_stats(&self) -> BatchedCompareStats {
-        let b = &self.batched;
+        let sum = |f: &dyn Fn(&BatchedCounters) -> &AtomicU64| {
+            self.batched.sum(|b| f(b).load(Ordering::Relaxed))
+        };
         BatchedCompareStats {
-            probe_batches: b.probe_batches.load(Ordering::Relaxed),
-            chain_batches: b.chain_batches.load(Ordering::Relaxed),
-            candidates: b.candidates.load(Ordering::Relaxed),
-            size_buckets: std::array::from_fn(|i| b.size_buckets[i].load(Ordering::Relaxed)),
+            probe_batches: sum(&|b| &b.probe_batches),
+            chain_batches: sum(&|b| &b.chain_batches),
+            candidates: sum(&|b| &b.candidates),
+            size_buckets: std::array::from_fn(|i| sum(&|b| &b.size_buckets[i])),
         }
     }
 
@@ -363,7 +379,7 @@ impl SharedMtScheduler {
     #[inline]
     fn note_batch(&self, chain: bool, n: usize) {
         debug_assert!(n >= 1);
-        let b = &self.batched;
+        let b = self.batched.mine();
         if chain {
             b.chain_batches.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -843,8 +859,8 @@ impl SharedMtScheduler {
         }
     }
 
-    /// ISSUE 8: the order-cache-miss batch, run by the admission prewarm
-    /// ([`warm_probes`](Self::warm_probes)) only — an access does not
+    /// ISSUE 8: the order-cache-miss batch, run by
+    /// [`warm_probes`](Self::warm_probes) only — an access does not
     /// probe: a fresh transaction's order against the holders is open by
     /// construction, so the probe memoized nothing there. Compares the
     /// probe transaction `tx` against the full holder set of an item in
@@ -905,12 +921,13 @@ impl SharedMtScheduler {
         }
     }
 
-    /// ISSUE 10: admission prewarm. Probes each `(item, tx)` pair's
-    /// Definition-6 order against the item's current holders, grouping
-    /// pairs that land on the same item shard under a single shard-lock
-    /// acquisition so each `RT`/`WT` flat-table region — and the order-
-    /// cache lines it feeds — is touched once per admission batch instead
-    /// of once per transaction. Each probe runs through the fused
+    /// Footprint prewarm. The engine no longer calls it (PR 22 removed
+    /// the admission queue whose batches it served: every batch on the
+    /// benchmark's lanes was a singleton); it stays for callers that
+    /// replay the scheduler layer on its own. Probes each `(item, tx)`
+    /// pair's Definition-6 order against the item's current holders,
+    /// grouping pairs that land on the same item shard under a single
+    /// shard-lock acquisition. Each probe runs through the fused
     /// one-vs-many compare lane
     /// ([`batched_order_probe`](Self::batched_order_probe)) and bulk-fills
     /// the order cache with whatever it decides.
@@ -919,8 +936,9 @@ impl SharedMtScheduler {
     /// orders enter the cache, undecided ones stay open, and no holder or
     /// vector element is written. The decisions taken by later
     /// [`read`](Self::read)/[`write`](Self::write) calls are therefore
-    /// identical with or without the warm-up — the admission-oracle
-    /// proptest in the engine crate pins this decision-for-decision.
+    /// identical with or without the warm-up — the
+    /// `warm_probes_change_no_decision` proptest pins this
+    /// decision-for-decision.
     ///
     /// `pairs` is reordered in place (grouped by owning shard); the caller
     /// owns the buffer so the steady state stays allocation-free. Pairs
@@ -1173,7 +1191,13 @@ impl SharedMtScheduler {
         }
         for m in 0..k {
             let value = v.get(m).expect("saturated above");
-            self.col_max[m].fetch_max(value, Ordering::SeqCst);
+            // The maximum is monotone, so a load that already covers
+            // `value` stands for the `fetch_max` in the SeqCst order and
+            // the column's line stays shared; only a rising column is
+            // written.
+            if self.col_max[m].load(Ordering::SeqCst) < value {
+                self.col_max[m].fetch_max(value, Ordering::SeqCst);
+            }
         }
         v.clone()
     }
@@ -1812,6 +1836,38 @@ mod tests {
         #[test]
         fn sequential_equivalence_cache_off(log in arb_log(), k in 1usize..6) {
             run_both(&log, MtOptions { order_cache: false, ..MtOptions::new(k) });
+        }
+
+        /// [`SharedMtScheduler::warm_probes`] is a memoization warm-up
+        /// only: probing every access's items first changes no decision
+        /// and no vector, aborted transactions included.
+        #[test]
+        fn warm_probes_change_no_decision(log in arb_log(), k in 2usize..5) {
+            let opts = MtOptions {
+                thomas_write_rule: true,
+                starvation_flush: true,
+                ..MtOptions::new(k)
+            };
+            let (plain, warmed) = (SharedMtScheduler::new(opts), SharedMtScheduler::new(opts));
+            let mut dead = std::collections::HashSet::new();
+            for op in log.ops().iter().filter(|op| !op.tx.is_virtual()) {
+                if dead.contains(&op.tx) {
+                    continue;
+                }
+                warmed.begin(op.tx);
+                let mut pairs: Vec<_> = op.items().iter().map(|&item| (item, op.tx)).collect();
+                warmed.warm_probes(&mut pairs);
+                let d = plain.process(op);
+                prop_assert_eq!(&d, &warmed.process(op), "decision differs at {:?} of {}", op, &log);
+                if !d.is_accept() {
+                    plain.abort(op.tx);
+                    warmed.abort(op.tx);
+                    dead.insert(op.tx);
+                }
+            }
+            for tx in log.transactions() {
+                prop_assert_eq!(plain.ts(tx), warmed.ts(tx), "vectors differ for {} on {}", tx, &log);
+            }
         }
     }
 

@@ -13,8 +13,8 @@
 #[cfg(loom)]
 pub use loom::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 #[cfg(loom)]
-pub use loom::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use loom::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 #[cfg(not(loom))]
 pub use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 #[cfg(not(loom))]
-pub use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+pub use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};

@@ -622,17 +622,6 @@ pub trait ConcurrentCc: Send + Sync {
     /// The transaction aborted; release its resources.
     fn aborted(&self, tx: TxId);
 
-    /// Admission prewarm (ISSUE 10): probe the Definition-6 orders of
-    /// each `(item, tx)` pair against the item's current holders so the
-    /// access path that follows is answered from the order cache. Purely
-    /// a memoization warm-up — implementations must not change any
-    /// scheduling decision (the admission-oracle proptest pins this).
-    /// `pairs` may be reordered in place. Default: no-op, for protocols
-    /// without a shared probe lane.
-    fn warm_probes(&self, pairs: &mut [(ItemId, TxId)]) {
-        let _ = pairs;
-    }
-
     /// Abort-all epoch counter. Protocols that can demand an abort of
     /// every active transaction (the composite's all-subprotocols-stopped
     /// rule) bump this *before* returning the fencing verdict, inside
@@ -863,10 +852,6 @@ impl ConcurrentCc for ShardedMtCc {
 
     fn aborted(&self, tx: TxId) {
         self.sched.abort(tx);
-    }
-
-    fn warm_probes(&self, pairs: &mut [(ItemId, TxId)]) {
-        self.sched.warm_probes(pairs);
     }
 
     fn order_cache_stats(&self) -> Option<OrderCacheStats> {

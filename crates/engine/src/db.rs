@@ -21,7 +21,13 @@
 //! * **Blocking** (2PL) parks on a wake-sequence condvar: waiters sample
 //!   the sequence before asking for the lock and sleep only while it is
 //!   unchanged, so a release between decision and sleep is never lost.
-//! * **Ids, epochs and the logical clock** are plain atomics.
+//! * **Admission is serial and shares one word**: a transaction takes its
+//!   id with one `fetch_add` on a counter that has a cache line to itself
+//!   and registers with the protocol on its own thread. Everything else a
+//!   transaction writes on account of the engine — counters, the logical
+//!   clock, latency buckets — is a per-thread cell summed on read
+//!   (`mdts-engine::metrics`), so two clients that never conflict meet
+//!   only inside the protocol.
 //! * **Durability** (optional, see [`crate::DurabilityConfig`]) frames
 //!   every committed write set into a group-commit write-ahead log: the
 //!   commit applies in memory first, and `run` acknowledges only after
@@ -31,23 +37,25 @@
 //! sequence → WAL epoch buffer. Nothing sleeps while holding a store
 //! shard.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::any::Any;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use mdts_core::{SharedMtScheduler, SnapshotRead};
 use mdts_model::{ItemId, OpKind, TxId};
 use mdts_storage::{
-    recover, ConcurrentMvStore, CrashPoint, Recovered, ShardedStore, Store, WalValue,
-    DEFAULT_STORE_SHARDS,
+    recover, ConcurrentMvStore, CrashPoint, Recovered, Shard, ShardGuard, ShardedStore, Store,
+    WalValue, DEFAULT_STORE_SHARDS,
 };
 use mdts_trace::{AbortReason, StallRule, TraceEvent, TraceSink};
+use mdts_vector::CachePadded;
 
-use crate::admission::{Admission, AdmissionConfig};
 use crate::cc::{
     CommitDecision, ConcurrencyControl, ConcurrentCc, SerializedCc, ShardedMtCc, Verdict,
 };
 use crate::durability::{Durability, DurabilityConfig, CHECKPOINT_TX};
-use crate::metrics::{EngineGauges, Metrics, MetricsSnapshot, Phase};
+use crate::metrics::{EngineGauges, MetricCells, Metrics, MetricsSnapshot, Phase};
 
 /// Terminal failure of [`Database::run`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -99,12 +107,12 @@ struct Shared<V> {
     /// `Some` when the database serves read-only snapshot transactions
     /// from version chains (see [`Database::run_read_only`]).
     mv: Option<MvState<V>>,
-    next_tx: AtomicU32,
-    /// Logical clock: one tick per granted access and per applied commit.
-    /// Commit latency is measured in these ticks (deterministic per
-    /// interleaving, no wall clock).
-    clock: AtomicU64,
+    /// Last transaction id issued. Every admission writes it, so it has
+    /// a cache line to itself: the read-mostly fields around it (`cc`,
+    /// `store`, `mv`) stay in every client's cache.
+    next_tx: CachePadded<AtomicU32>,
     wake: WakeSeq,
+    /// Counters and the logical clock ([`Metrics::now`]).
     metrics: Metrics,
     name: &'static str,
     /// Engine-level decision trace (begin/abort/block/wake edges);
@@ -115,11 +123,10 @@ struct Shared<V> {
     /// log and acknowledged only once fsynced (see
     /// [`Database::with_store_concurrent_durable`]).
     durability: Option<Durability<V>>,
-    /// `Some` when admission is epoch-batched through the staging queue
-    /// (ISSUE 10, on by default; `MDTS_ADMIT_MODE=off` restores the
-    /// serial admission path).
-    admission: Option<Admission>,
 }
+
+// The id counter starts a cache line of its own.
+const _: () = assert!(std::mem::offset_of!(Shared<i64>, next_tx).is_multiple_of(128));
 
 impl<V> Shared<V> {
     fn wake_all(&self) {
@@ -178,19 +185,33 @@ impl<V: Clone + Send + 'static> Database<V> {
         trace: TraceSink,
     ) -> Self {
         let name = cc.name();
+        let store = ShardedStore::from_store(store, DEFAULT_STORE_SHARDS);
+        Database::assemble(store, cc, None, name, trace, (0, 0), None)
+    }
+
+    /// The one place a `Shared` is put together. `resume` is the
+    /// `(last transaction id, logical clock)` pair a recovered log left
+    /// behind — zeros for a fresh database.
+    fn assemble(
+        store: ShardedStore<V>,
+        cc: Box<dyn ConcurrentCc>,
+        mv: Option<MvState<V>>,
+        name: &'static str,
+        trace: TraceSink,
+        resume: (u32, u64),
+        durability: Option<Durability<V>>,
+    ) -> Self {
         Database {
             shared: Arc::new(Shared {
-                store: ShardedStore::from_store(store, DEFAULT_STORE_SHARDS),
+                store,
                 cc,
-                mv: None,
-                next_tx: AtomicU32::new(0),
-                clock: AtomicU64::new(0),
+                mv,
+                next_tx: CachePadded(AtomicU32::new(resume.0)),
                 wake: WakeSeq::default(),
-                metrics: Metrics::default(),
+                metrics: Metrics::starting_at(resume.1),
                 name,
                 trace,
-                durability: None,
-                admission: AdmissionConfig::from_env().map(Admission::new),
+                durability,
             }),
         }
     }
@@ -222,22 +243,9 @@ impl<V: Clone + Send + 'static> Database<V> {
     where
         V: Sync,
     {
-        let sched = cc.scheduler_arc();
-        Database {
-            shared: Arc::new(Shared {
-                store: ShardedStore::from_store(store, DEFAULT_STORE_SHARDS),
-                cc: Box::new(cc),
-                mv: Some(MvState { store: ConcurrentMvStore::new(), sched }),
-                next_tx: AtomicU32::new(0),
-                clock: AtomicU64::new(0),
-                wake: WakeSeq::default(),
-                metrics: Metrics::default(),
-                name: "MV-MT(k)",
-                trace,
-                durability: None,
-                admission: AdmissionConfig::from_env().map(Admission::new),
-            }),
-        }
+        let mv = MvState { store: ConcurrentMvStore::new(), sched: cc.scheduler_arc() };
+        let store = ShardedStore::from_store(store, DEFAULT_STORE_SHARDS);
+        Database::assemble(store, Box::new(cc), Some(mv), "MV-MT(k)", trace, (0, 0), None)
     }
 
     /// Database with a pre-populated store, a natively concurrent
@@ -261,23 +269,9 @@ impl<V: Clone + Send + 'static> Database<V> {
     where
         V: WalValue + Send,
     {
-        let (shared, recovered) = durable_parts(store, &trace, config)?;
+        let ((store, resume, durability), recovered) = durable_parts(store, &trace, config)?;
         let name = cc.name();
-        let db = Database {
-            shared: Arc::new(Shared {
-                store: shared.0,
-                cc,
-                mv: None,
-                next_tx: shared.1,
-                clock: shared.2,
-                wake: WakeSeq::default(),
-                metrics: Metrics::default(),
-                name,
-                trace,
-                durability: Some(shared.3),
-                admission: AdmissionConfig::from_env().map(Admission::new),
-            }),
-        };
+        let db = Database::assemble(store, cc, None, name, trace, resume, Some(durability));
         db.install_wal_checkpoint();
         Ok((db, recovered))
     }
@@ -294,23 +288,17 @@ impl<V: Clone + Send + 'static> Database<V> {
     where
         V: WalValue + Send,
     {
-        let (shared, recovered) = durable_parts(store, &trace, config)?;
-        let sched = cc.scheduler_arc();
-        let db = Database {
-            shared: Arc::new(Shared {
-                store: shared.0,
-                cc: Box::new(cc),
-                mv: Some(MvState { store: ConcurrentMvStore::new(), sched }),
-                next_tx: shared.1,
-                clock: shared.2,
-                wake: WakeSeq::default(),
-                metrics: Metrics::default(),
-                name: "MV-MT(k)",
-                trace,
-                durability: Some(shared.3),
-                admission: AdmissionConfig::from_env().map(Admission::new),
-            }),
-        };
+        let ((store, resume, durability), recovered) = durable_parts(store, &trace, config)?;
+        let mv = MvState { store: ConcurrentMvStore::new(), sched: cc.scheduler_arc() };
+        let db = Database::assemble(
+            store,
+            Box::new(cc),
+            Some(mv),
+            "MV-MT(k)",
+            trace,
+            resume,
+            Some(durability),
+        );
         db.install_wal_checkpoint();
         Ok((db, recovered))
     }
@@ -318,10 +306,9 @@ impl<V: Clone + Send + 'static> Database<V> {
     /// Hands the group-commit daemon its checkpoint snapshot encoder (a
     /// no-op without durability). The closure captures the store's own
     /// [`ShardedStore::shard_handle`] rather than any reference to
-    /// `Shared`, so it never entangles the engine's reference counts —
-    /// [`Database::configure_admission`]'s `Arc::get_mut` still sees an
-    /// unshared allocation, and a rotation racing database teardown
-    /// snapshots a still-valid store instead of a dangling engine.
+    /// `Shared`, so it never entangles the engine's reference counts — a
+    /// rotation racing database teardown snapshots a still-valid store
+    /// instead of a dangling engine.
     fn install_wal_checkpoint(&self)
     where
         V: WalValue,
@@ -454,36 +441,7 @@ impl<V: Clone + Send + 'static> Database<V> {
             g.wal_checkpoints = checkpoints;
             g.wal_truncations = truncations;
         }
-        if let Some(adm) = &self.shared.admission {
-            let s = adm.stats();
-            g.admit_batches = s.batches;
-            g.admit_batched_txns = s.batched_txns;
-            g.admit_parked = s.parked;
-            g.admit_max_batch = s.max_batch;
-            g.admit_prewarm_pairs = s.prewarm_pairs;
-            g.admit_queue_depth = s.queue_depth;
-        }
         g
-    }
-
-    /// Replaces the admission pipeline (ISSUE 10): `Some` installs a
-    /// staging queue with the given knobs, `None` restores the serial
-    /// admission path. Call before the database is shared across threads
-    /// — the oracle tests use this to compare batched and serial
-    /// admission without relying on the environment.
-    ///
-    /// # Panics
-    /// Panics if the database handle has already been cloned.
-    pub fn configure_admission(&mut self, config: Option<AdmissionConfig>) {
-        let shared = Arc::get_mut(&mut self.shared)
-            .expect("configure_admission before sharing the database");
-        shared.admission = config.map(Admission::new);
-    }
-
-    /// Admission-pipeline counters (zeros when admission batching is
-    /// disabled).
-    pub fn admission_stats(&self) -> crate::admission::AdmissionStats {
-        self.shared.admission.as_ref().map(Admission::stats).unwrap_or_default()
     }
 
     /// Turns wall-time phase-span timing on or off (off by default; when
@@ -509,80 +467,71 @@ impl<V: Clone + Send + 'static> Database<V> {
     /// Runs `body` as a transaction, retrying on abort up to
     /// `max_restarts` times. The closure reads and writes through the
     /// [`Tx`] handle and must propagate [`Aborted`] with `?`.
+    ///
+    /// The transaction's workspace is this thread's recycled
+    /// [`TxScratch`]: once a thread has run one transaction of a given
+    /// shape, `run` allocates nothing.
     pub fn run<T>(
         &self,
         max_restarts: usize,
         body: impl FnMut(&mut Tx<'_, V>) -> Result<T, Aborted>,
     ) -> Result<T, TxError> {
-        self.run_with_footprint(max_restarts, &[], body)
+        let mut scratch = take_scratch::<V>();
+        let result = self.run_attempts(max_restarts, &mut scratch, body);
+        SPARE_SCRATCH.set(Some(scratch));
+        result
     }
 
-    /// Like [`run`](Self::run), with the transaction's expected
-    /// first-access items declared up front. On a batched-admission
-    /// database the footprint is prewarmed through the shard-grouped
-    /// probe lane during admission (ISSUE 10): the batch touches each
-    /// `RT`/`WT` table region once and bulk-fills the order cache, so
-    /// the accesses that follow are answered from the memo table. The
-    /// footprint is advisory — accesses outside it simply compare under
-    /// the row locks, and over-declaring only costs wasted probes.
+    /// [`run`](Self::run); the declared footprint is ignored. It fed the
+    /// batched admission queue's prewarm, removed in PR 22 because every
+    /// batch it formed on a measured lane was a singleton; the signature
+    /// stays for callers that still declare one (the frozen benchmark
+    /// harness does).
     pub fn run_with_footprint<T>(
         &self,
         max_restarts: usize,
-        footprint: &[ItemId],
+        _footprint: &[ItemId],
+        body: impl FnMut(&mut Tx<'_, V>) -> Result<T, Aborted>,
+    ) -> Result<T, TxError> {
+        self.run(max_restarts, body)
+    }
+
+    /// The retry loop of [`run`](Self::run), over a caller-owned
+    /// workspace: a restarted incarnation re-fills the buffers its
+    /// predecessor already grew, so a restart storm does not churn the
+    /// allocator.
+    fn run_attempts<T>(
+        &self,
+        max_restarts: usize,
+        scratch: &mut TxScratch<V>,
         mut body: impl FnMut(&mut Tx<'_, V>) -> Result<T, Aborted>,
     ) -> Result<T, TxError> {
         let shared = &*self.shared;
-        let start_tick = shared.clock.load(Ordering::Relaxed);
+        let cells = shared.metrics.cells();
+        let start_tick = shared.metrics.now();
         let mut prev: Option<TxId> = None;
-        // One workspace for the whole retry loop: a restarted incarnation
-        // re-fills the buffers its predecessor already grew, so a restart
-        // storm does not churn the allocator.
-        let mut scratch = TxScratch::default();
-        // Backoff escalation is tracked separately from the attempt count:
-        // an admission that parked in the staging queue was already
-        // staggered by the queue wait, so it resets the escalation
-        // instead of compounding it (the double-penalty fix, ISSUE 10).
-        let mut backoff_attempt = 0usize;
-        let mut parked_last = false;
         for attempt in 0..=max_restarts {
             let span = shared.metrics.phases.start();
-            let id = match &shared.admission {
-                Some(adm) => {
-                    let (id, parked) = adm.admit(
-                        shared.cc.as_ref(),
-                        &shared.next_tx,
-                        &shared.trace,
-                        prev,
-                        footprint,
-                        &mut scratch.pairs,
-                    );
-                    if parked {
-                        backoff_attempt = 0;
-                    }
-                    parked_last = parked;
-                    id
-                }
-                None => {
-                    let id = TxId(shared.next_tx.fetch_add(1, Ordering::Relaxed) + 1);
-                    shared.trace.emit(|| TraceEvent::Begin { tx: id });
-                    match prev {
-                        Some(p) => shared.cc.begin_restarted(id, p),
-                        None => shared.cc.begin(id),
-                    }
-                    id
-                }
-            };
+            let id = TxId(shared.next_tx.fetch_add(1, Ordering::Relaxed) + 1);
+            shared.trace.emit(|| TraceEvent::Begin { tx: id });
+            match prev {
+                Some(p) => shared.cc.begin_restarted(id, p),
+                None => shared.cc.begin(id),
+            }
             shared.metrics.phases.record_since(Phase::Admission, span);
             let epoch = shared.cc.epoch();
-            let mut tx = Tx { shared, id, epoch, scratch: std::mem::take(&mut scratch) };
+            // A body may hand back `Aborted` without a failing call having
+            // cleaned up: never let one incarnation's writes reach the next.
+            scratch.writes.clear();
+            let mut tx = Tx { shared, cells, id, epoch, scratch: &mut *scratch };
             if let Ok(value) = body(&mut tx) {
                 let span = shared.metrics.phases.start();
                 let outcome = tx.commit();
                 shared.metrics.phases.record_since(Phase::Commit, span);
                 if let CommitOutcome::Committed { wal_epoch } = outcome {
-                    Metrics::bump(&shared.metrics.commits);
-                    let end_tick = shared.clock.load(Ordering::Relaxed);
-                    shared.metrics.latency.record(end_tick.saturating_sub(start_tick));
+                    Metrics::bump(&cells.commits);
+                    let end_tick = shared.metrics.now();
+                    cells.latency.record(end_tick.saturating_sub(start_tick));
                     let durable = match wal_epoch {
                         None => true,
                         Some(epoch) => {
@@ -600,31 +549,19 @@ impl<V: Clone + Send + 'static> Database<V> {
                     // Applied in memory but never acknowledged: surface
                     // the uncertainty instead of retrying — a retry
                     // would apply the transaction twice.
-                    Metrics::bump(&shared.metrics.wal_unacked);
+                    Metrics::bump(&cells.wal_unacked);
                     return Err(TxError::DurabilityUnknown);
                 }
             }
-            // The failing call already cleaned up this incarnation; take the
-            // (cleared) buffers back for the next one.
-            scratch = std::mem::take(&mut tx.scratch);
             prev = Some(id);
             if attempt < max_restarts {
-                Metrics::bump(&shared.metrics.restarts);
+                Metrics::bump(&cells.restarts);
                 let span = shared.metrics.phases.start();
-                if parked_last {
-                    // This incarnation already waited its turn in the
-                    // staging queue; sleeping the jittered backoff on top
-                    // would penalize it twice. Yield and re-admit — the
-                    // queue itself staggers the retry.
-                    std::thread::yield_now();
-                } else {
-                    restart_backoff(backoff_attempt, id.0);
-                }
-                backoff_attempt += 1;
+                restart_backoff(attempt, id.0);
                 shared.metrics.phases.record_since(Phase::Backoff, span);
             }
         }
-        Metrics::bump(&shared.metrics.gave_up);
+        Metrics::bump(&cells.gave_up);
         shared.trace.emit(|| TraceEvent::GaveUp {
             tx: prev.expect("at least one attempt ran"),
             restarts: max_restarts as u64,
@@ -652,7 +589,8 @@ impl<V: Clone + Send + 'static> Database<V> {
     {
         let shared = &*self.shared;
         let mv = shared.mv.as_ref().expect("snapshot transactions need the multiversion path");
-        let start_tick = shared.clock.load(Ordering::Relaxed);
+        let cells = shared.metrics.cells();
+        let start_tick = shared.metrics.now();
         let id = TxId(shared.next_tx.fetch_add(1, Ordering::Relaxed) + 1);
         shared.trace.emit(|| TraceEvent::Begin { tx: id });
         // Allocate the reader's row up front so the reads themselves
@@ -665,15 +603,15 @@ impl<V: Clone + Send + 'static> Database<V> {
         // ticket is what keeps pruning away from every version this
         // reader may still descend to.
         let guard = mv.store.begin_snapshot();
-        let mut tx = SnapshotTx { shared, mv, id, _guard: guard };
+        let mut tx = SnapshotTx { shared, mv, cells, id, _guard: guard };
         let out = body(&mut tx);
         let span = shared.metrics.phases.start();
         mv.sched.commit(id);
         shared.metrics.phases.record_since(Phase::Commit, span);
-        Metrics::bump(&shared.metrics.snapshot_txns);
-        Metrics::bump(&shared.metrics.commits);
-        let end_tick = shared.clock.load(Ordering::Relaxed);
-        shared.metrics.latency.record(end_tick.saturating_sub(start_tick));
+        Metrics::bump(&cells.snapshot_txns);
+        Metrics::bump(&cells.commits);
+        let end_tick = shared.metrics.now();
+        cells.latency.record(end_tick.saturating_sub(start_tick));
         shared.trace.emit(|| TraceEvent::Commit { tx: id });
         out
     }
@@ -686,6 +624,7 @@ impl<V: Clone + Send + 'static> Database<V> {
 pub struct SnapshotTx<'a, V> {
     shared: &'a Shared<V>,
     mv: &'a MvState<V>,
+    cells: &'a MetricCells,
     id: TxId,
     _guard: mdts_storage::SnapshotGuard<'a>,
 }
@@ -705,8 +644,8 @@ impl<V: Clone + Send + Sync + 'static> SnapshotTx<'_, V> {
         let shared = self.shared;
         let id = self.id;
         let sched = &self.mv.sched;
-        Metrics::bump(&shared.metrics.snapshot_reads);
-        shared.clock.fetch_add(1, Ordering::Relaxed);
+        Metrics::bump(&self.cells.snapshot_reads);
+        self.cells.tick();
         // Pin the item's store shard first (the engine's read lock
         // order). Commits hold every write-set shard across validate +
         // install + apply, so under the shard lock the `RT`/`WT`
@@ -818,14 +757,15 @@ fn restart_backoff(attempt: usize, id_salt: u32) {
 /// Recover + checkpoint + daemon start, shared by the durable
 /// constructors: replay any sealed epochs at `config.wal_path` over
 /// `store`, start a fresh log whose first epoch checkpoints the merged
-/// state under [`crate::durability::CHECKPOINT_TX`], and seed the id and
-/// clock counters so recovered history stays monotone.
+/// state under [`crate::durability::CHECKPOINT_TX`], and hand back the
+/// `(last id, clock)` pair the counters resume from so recovered history
+/// stays monotone.
 #[allow(clippy::type_complexity)]
 fn durable_parts<V: Clone + Send + WalValue>(
     mut store: Store<V>,
     trace: &TraceSink,
     config: &DurabilityConfig,
-) -> std::io::Result<((ShardedStore<V>, AtomicU32, AtomicU64, Durability<V>), Recovered<V>)> {
+) -> std::io::Result<((ShardedStore<V>, (u32, u64), Durability<V>), Recovered<V>)> {
     let recovered = recover::<V>(&config.wal_path)?;
     for (item, value) in recovered.store.iter() {
         store.set(item, value.clone());
@@ -837,8 +777,7 @@ fn durable_parts<V: Clone + Send + WalValue>(
     Ok((
         (
             ShardedStore::from_store(store, DEFAULT_STORE_SHARDS),
-            AtomicU32::new(recovered.max_tx),
-            AtomicU64::new(recovered.last_lsn),
+            (recovered.max_tx, recovered.last_lsn),
             durability,
         ),
         recovered,
@@ -856,8 +795,9 @@ enum CommitOutcome {
 }
 
 /// Reusable transaction-local buffers, recycled across restart attempts
-/// by [`Database::run`]: after the first incarnation grows them, retries
-/// of the same workload run allocation-free in the engine layer.
+/// and — through [`SPARE_SCRATCH`] — across [`Database::run`] calls: after
+/// a thread's first transaction grows them, the engine layer runs
+/// allocation-free.
 struct TxScratch<V> {
     /// Deferred-write workspace (last write per item wins); applied at
     /// commit, cleared on abort.
@@ -866,18 +806,58 @@ struct TxScratch<V> {
     items: Vec<ItemId>,
     /// Commit-time store-shard indices (sorted, deduped).
     shard_idxs: Vec<usize>,
-    /// Admission prewarm `(item, tx)` pairs (ISSUE 10), recycled across
-    /// restart attempts like the rest of the workspace.
-    pairs: Vec<(ItemId, TxId)>,
 }
 
 impl<V> Default for TxScratch<V> {
     fn default() -> Self {
-        TxScratch {
-            writes: Vec::new(),
-            items: Vec::new(),
-            shard_idxs: Vec::new(),
-            pairs: Vec::new(),
+        TxScratch { writes: Vec::new(), items: Vec::new(), shard_idxs: Vec::new() }
+    }
+}
+
+thread_local! {
+    /// The workspace this thread's last [`Database::run`] finished with.
+    /// Type-erased because a thread-local cannot be generic over `V`; a
+    /// thread alternating between value types re-allocates on each switch.
+    static SPARE_SCRATCH: Cell<Option<Box<dyn Any>>> = const { Cell::new(None) };
+}
+
+/// This thread's spare workspace, or a fresh one when there is none of
+/// this type — the first call on a thread, or a `run` nested inside
+/// another's body (the outer call holds the spare).
+fn take_scratch<V: 'static>() -> Box<TxScratch<V>> {
+    SPARE_SCRATCH.take().and_then(|spare| spare.downcast().ok()).unwrap_or_default()
+}
+
+/// Write-set sizes up to this many store shards lock without allocating.
+const INLINE_SHARDS: usize = 4;
+
+/// The store-shard guards a commit holds, in the order of
+/// `TxScratch::shard_idxs`: the first [`INLINE_SHARDS`] inline, the rest
+/// on the heap.
+struct HeldShards<'a, V> {
+    inline: [Option<ShardGuard<'a, V>>; INLINE_SHARDS],
+    spill: Vec<ShardGuard<'a, V>>,
+}
+
+impl<'a, V: Clone> HeldShards<'a, V> {
+    /// Locks `idxs` (ascending — the deadlock-freedom order) in turn.
+    fn lock(store: &'a ShardedStore<V>, idxs: &[usize]) -> Self {
+        let mut held = HeldShards { inline: Default::default(), spill: Vec::new() };
+        for (slot, &idx) in idxs.iter().enumerate() {
+            let guard = store.lock_shard(idx);
+            match held.inline.get_mut(slot) {
+                Some(cell) => *cell = Some(guard),
+                None => held.spill.push(guard),
+            }
+        }
+        held
+    }
+
+    /// The shard locked for position `slot` of the index list.
+    fn shard(&mut self, slot: usize) -> &mut Shard<V> {
+        match self.inline.get_mut(slot) {
+            Some(cell) => cell.as_mut().expect("slot below the locked count"),
+            None => &mut self.spill[slot - INLINE_SHARDS],
         }
     }
 }
@@ -885,9 +865,11 @@ impl<V> Default for TxScratch<V> {
 /// A live transaction handle.
 pub struct Tx<'a, V> {
     shared: &'a Shared<V>,
+    /// The running thread's metric cells (looked up once per `run`).
+    cells: &'a MetricCells,
     id: TxId,
     epoch: u64,
-    scratch: TxScratch<V>,
+    scratch: &'a mut TxScratch<V>,
 }
 
 impl<V: Clone + Send + 'static> Tx<'_, V> {
@@ -896,21 +878,17 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         self.id
     }
 
-    fn tick(&self) {
-        self.shared.clock.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Parks on the wake sequence and charges the wait: its duration in
     /// logical ticks goes to the always-on `block_wait_ticks` histogram
-    /// (two relaxed loads), its wall time to the `BlockWait` phase span
+    /// (two clock readings), its wall time to the `BlockWait` phase span
     /// when timing is enabled.
     fn blocked_wait(&self, seen: u64) {
-        let t0 = self.shared.clock.load(Ordering::Relaxed);
+        let t0 = self.shared.metrics.now();
         let span = self.shared.metrics.phases.start();
         self.shared.wake.wait_past(seen);
         self.shared.metrics.phases.record_since(Phase::BlockWait, span);
-        let t1 = self.shared.clock.load(Ordering::Relaxed);
-        self.shared.metrics.block_wait_ticks.record(t1.saturating_sub(t0));
+        let t1 = self.shared.metrics.now();
+        self.cells.block_wait_ticks.record(t1.saturating_sub(t0));
     }
 
     /// Abort bookkeeping for this incarnation, attributed to `reason`
@@ -919,11 +897,11 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
     fn cleanup(&mut self, reason: AbortReason) {
         self.scratch.writes.clear();
         self.shared.cc.aborted(self.id);
-        Metrics::bump(&self.shared.metrics.aborts);
+        Metrics::bump(&self.cells.aborts);
         Metrics::bump(match reason {
-            AbortReason::AccessRejected => &self.shared.metrics.access_aborts,
-            AbortReason::ValidationRejected => &self.shared.metrics.validation_aborts,
-            AbortReason::Epoch => &self.shared.metrics.epoch_aborts,
+            AbortReason::AccessRejected => &self.cells.access_aborts,
+            AbortReason::ValidationRejected => &self.cells.validation_aborts,
+            AbortReason::Epoch => &self.cells.epoch_aborts,
         });
         let tx = self.id;
         self.shared.trace.emit(|| TraceEvent::EngineAbort { tx, reason });
@@ -964,9 +942,9 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                     if !self.epoch_ok() {
                         return Err(Aborted);
                     }
-                    Metrics::bump(&self.shared.metrics.reads);
-                    self.shared.metrics.bump_shard(shard_idx);
-                    self.tick();
+                    Metrics::bump(&self.cells.reads);
+                    self.cells.bump_shard(shard_idx);
+                    self.cells.tick();
                     let own = self
                         .scratch
                         .writes
@@ -980,7 +958,7 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
             };
             match verdict {
                 Verdict::Blocked => {
-                    Metrics::bump(&self.shared.metrics.blocked_waits);
+                    Metrics::bump(&self.cells.blocked_waits);
                     let tx = self.id;
                     self.shared.trace.emit(|| TraceEvent::Blocked {
                         tx,
@@ -1017,8 +995,8 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                     if !self.epoch_ok() {
                         return Err(Aborted);
                     }
-                    Metrics::bump(&self.shared.metrics.writes);
-                    self.tick();
+                    Metrics::bump(&self.cells.writes);
+                    self.cells.tick();
                     match self.scratch.writes.iter_mut().find(|(i, _)| *i == item) {
                         Some(slot) => slot.1 = value,
                         None => self.scratch.writes.push((item, value)),
@@ -1026,11 +1004,11 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                     return Ok(());
                 }
                 Verdict::Ignored => {
-                    Metrics::bump(&self.shared.metrics.ignored_writes);
+                    Metrics::bump(&self.cells.ignored_writes);
                     return Ok(());
                 }
                 Verdict::Blocked => {
-                    Metrics::bump(&self.shared.metrics.blocked_waits);
+                    Metrics::bump(&self.cells.blocked_waits);
                     let tx = self.id;
                     self.shared.trace.emit(|| TraceEvent::Blocked {
                         tx,
@@ -1074,8 +1052,7 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         // Hold every write-set shard across validate + apply: the commit
         // is atomic against any reader (readers hold their item's shard
         // across grant + fetch) — visible entirely or not at all.
-        let mut guards: Vec<_> =
-            self.scratch.shard_idxs.iter().map(|&i| self.shared.store.lock_shard(i)).collect();
+        let mut guards = HeldShards::lock(&self.shared.store, &self.scratch.shard_idxs);
         match self.shared.cc.validate_commit(self.id, &self.scratch.items) {
             CommitDecision::Commit { skip } => {
                 if self.shared.cc.epoch() != self.epoch {
@@ -1109,7 +1086,7 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                 };
                 for (item, value) in self.scratch.writes.drain(..) {
                     if skip.contains(&item) {
-                        Metrics::bump(&self.shared.metrics.ignored_writes);
+                        Metrics::bump(&self.cells.ignored_writes);
                         continue;
                     }
                     let shard_idx = self.shared.store.shard_index(item);
@@ -1129,14 +1106,14 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                             // The pre-apply store value seeds the chain
                             // floor (attributed to T₀) — read from the
                             // held guard on a chain's first install only.
-                            || guards[slot].get(item).cloned(),
+                            || guards.shard(slot).get(item).cloned(),
                             |_seq| trace.emit(|| TraceEvent::VersionInstall { writer: id, item }),
                         );
                     }
-                    guards[slot].insert(item, value);
-                    self.shared.metrics.bump_shard(shard_idx);
+                    guards.shard(slot).insert(item, value);
+                    self.cells.bump_shard(shard_idx);
                 }
-                self.tick();
+                self.cells.tick();
                 drop(guards);
                 self.shared.cc.committed(self.id);
                 if wal_epoch.is_none() {

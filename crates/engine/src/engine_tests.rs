@@ -264,7 +264,7 @@ fn one_client_transfers_never_abort_or_restart() {
     for _ in 0..20_000 {
         let src = ItemId(rng.gen_range(0..accounts));
         let dst = ItemId((src.0 + rng.gen_range(1..accounts)) % accounts);
-        db.run_with_footprint(cfg.max_restarts, &[src, dst], |tx| {
+        db.run(cfg.max_restarts, |tx| {
             let a = tx.read(src)?.unwrap_or(0);
             let b = tx.read(dst)?.unwrap_or(0);
             tx.write(src, a - 1)?;
@@ -679,117 +679,125 @@ mod mv_props {
 }
 
 // ---------------------------------------------------------------------
-// batched admission ≡ serial admission (ISSUE 10, satellite 3)
+// striped counters: exact once quiescent, monotone while sampled
 // ---------------------------------------------------------------------
 
-mod admission_props {
+mod striped_metrics {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
     use mdts_model::ItemId;
-    use mdts_storage::Store;
-    use proptest::prelude::*;
 
-    use crate::admission::{AdmissionConfig, ADMIT_FOOTPRINT};
-    use crate::cc::ShardedMtCc;
-    use crate::db::{Database, TxError};
+    use crate::db::Database;
+    use crate::metrics::MetricsSnapshot;
+    use crate::workload::{bank_database_multiversion, BankConfig};
 
-    const ITEMS: u32 = 4;
+    const ACCOUNTS: u32 = 64;
 
-    /// One transaction: items read, then items written (deduped).
-    #[derive(Clone, Debug)]
-    struct TxSpec {
-        reads: Vec<u32>,
-        writes: Vec<u32>,
-    }
-
-    fn arb_schedule() -> impl Strategy<Value = Vec<TxSpec>> {
-        proptest::collection::vec(
-            (proptest::collection::vec(0..ITEMS, 0..3), proptest::collection::vec(0..ITEMS, 0..3))
-                .prop_map(|(mut reads, mut writes)| {
-                    reads.sort_unstable();
-                    reads.dedup();
-                    writes.sort_unstable();
-                    writes.dedup();
-                    TxSpec { reads, writes }
-                }),
-            1..24,
-        )
-    }
-
-    /// Every transaction's observable outcome: the values it read on its
-    /// committed incarnation, or the terminal error.
-    #[allow(clippy::type_complexity)]
-    fn drive(db: &Database<i64>, schedule: &[TxSpec]) -> Vec<Result<Vec<i64>, TxError>> {
-        schedule
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let footprint: Vec<ItemId> = spec
-                    .reads
-                    .iter()
-                    .chain(spec.writes.iter())
-                    .take(ADMIT_FOOTPRINT)
-                    .map(|&x| ItemId(x))
-                    .collect();
-                let value = i as i64 + 1;
-                db.run_with_footprint(4, &footprint, |tx| {
-                    let mut got = Vec::new();
-                    for &item in &spec.reads {
-                        got.push(tx.read(ItemId(item))?.unwrap_or(-1));
-                    }
-                    for &item in &spec.writes {
-                        tx.write(ItemId(item), value)?;
-                    }
-                    Ok(got)
-                })
-            })
-            .collect()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// The staging queue is decision-neutral: driving the same
-        /// schedule through a serial-admission database and a
-        /// batched-admission one (where prewarm probes run ahead of the
-        /// transaction body) must grant and reject identically —
-        /// outcome for outcome, read for read, abort for abort — and
-        /// leave identical stores. Prewarm only memoizes *decided*
-        /// compares, so it can never flip an ordering decision.
-        #[test]
-        fn batched_admission_matches_serial_decision_for_decision(
-            schedule in arb_schedule(),
-            k in 2usize..5,
-            batch_max in 1usize..5,
-        ) {
-            let mut serial: Database<i64> = Database::with_store_concurrent(
-                Box::new(ShardedMtCc::new(k)),
-                Store::with_items(ITEMS, 0),
-            );
-            serial.configure_admission(None);
-            let mut batched: Database<i64> = Database::with_store_concurrent(
-                Box::new(ShardedMtCc::new(k)),
-                Store::with_items(ITEMS, 0),
-            );
-            batched.configure_admission(Some(AdmissionConfig { batch_max }));
-
-            let got_serial = drive(&serial, &schedule);
-            let got_batched = drive(&batched, &schedule);
-            prop_assert_eq!(&got_serial, &got_batched,
-                "admission paths diverged on {:?}", &schedule);
-
-            let ms = serial.metrics();
-            let mb = batched.metrics();
-            prop_assert_eq!(ms.commits, mb.commits);
-            prop_assert_eq!(ms.aborts, mb.aborts);
-            prop_assert_eq!(ms.access_aborts, mb.access_aborts);
-            prop_assert_eq!(ms.validation_aborts, mb.validation_aborts);
-            prop_assert_eq!(serial.snapshot(), batched.snapshot());
-
-            // The batched path really ran through the staging queue …
-            let stats = batched.admission_stats();
-            prop_assert!(stats.batches >= schedule.len() as u64);
-            // … and the serial database never touched it.
-            prop_assert_eq!(serial.admission_stats().batches, 0);
+    /// `n` transfers walking the accounts from `first`; returns how many
+    /// were acknowledged.
+    fn transfers(db: &Database<i64>, first: u32, n: u32) -> u64 {
+        let mut acked = 0;
+        for i in 0..n {
+            let src = ItemId((first + i) % ACCOUNTS);
+            let dst = ItemId((first + i + 1 + i % 7) % ACCOUNTS);
+            let done = db.run(10_000, |tx| {
+                let a = tx.read(src)?.unwrap_or(0);
+                let b = tx.read(dst)?.unwrap_or(0);
+                tx.write(src, a - 1)?;
+                tx.write(dst, b + 1)
+            });
+            acked += u64::from(done.is_ok());
         }
+        acked
+    }
+
+    fn bank() -> Database<i64> {
+        bank_database_multiversion(3, &BankConfig { accounts: ACCOUNTS, ..Default::default() })
+    }
+
+    /// Sixteen threads — as many as there are stripes — each count into
+    /// their own cells; summed after the join, the program's commits are
+    /// exactly the transactions the clients saw acknowledged, and every
+    /// derived count agrees with them.
+    #[test]
+    fn commits_equal_acknowledged_at_16_threads() {
+        let db = bank();
+        let acked: u64 = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..16u32)
+                .map(|t| {
+                    let db = db.clone();
+                    scope.spawn(move || transfers(&db, t * 4, 400))
+                })
+                .collect();
+            clients.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        let m = db.metrics();
+        assert_eq!(m.commits, acked);
+        assert_eq!(m.commits + m.gave_up, 16 * 400);
+        assert_eq!(m.latency.count, m.commits, "one latency sample per commit");
+        assert_eq!(m.aborts, m.access_aborts + m.validation_aborts + m.epoch_aborts);
+        assert_eq!(m.restarts + m.gave_up, m.aborts, "every abort restarts or gives up");
+        assert!(m.reads >= 2 * m.commits && m.writes >= 2 * m.commits);
+        assert_eq!(
+            m.shard_accesses.iter().sum::<u64>(),
+            m.reads + 2 * m.commits - m.ignored_writes
+        );
+        let total: i64 = db.snapshot().values().sum();
+        assert_eq!(total, i64::from(ACCOUNTS) * BankConfig::default().initial_balance);
+    }
+
+    /// Every cumulative component of `cur`, against `prev`.
+    fn assert_monotone(prev: &MetricsSnapshot, cur: &MetricsSnapshot) {
+        let pairs = [
+            (prev.commits, cur.commits),
+            (prev.aborts, cur.aborts),
+            (prev.restarts, cur.restarts),
+            (prev.reads, cur.reads),
+            (prev.writes, cur.writes),
+            (prev.access_aborts, cur.access_aborts),
+            (prev.validation_aborts, cur.validation_aborts),
+            (prev.order_cache_hits, cur.order_cache_hits),
+            (prev.order_cache_misses, cur.order_cache_misses),
+            (prev.latency.count, cur.latency.count),
+        ];
+        assert!(pairs.iter().all(|(p, c)| p <= c), "a counter went backwards: {pairs:?}");
+        assert!(prev.latency.buckets.iter().zip(&cur.latency.buckets).all(|(p, c)| p <= c));
+        assert!(prev.shard_accesses.iter().zip(&cur.shard_accesses).all(|(p, c)| p <= c));
+    }
+
+    /// A sampler reading while four clients write: each cell only grows,
+    /// so successive snapshots are component-wise monotone, and the last
+    /// one — taken after the join — is exact.
+    #[test]
+    fn a_samplers_successive_snapshots_are_monotone() {
+        let db = bank();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..4u32)
+                .map(|t| {
+                    let db = db.clone();
+                    scope.spawn(move || transfers(&db, t * 16, 2_000))
+                })
+                .collect();
+            let sampler = scope.spawn(|| {
+                let mut prev = db.metrics();
+                let mut samples = 0u32;
+                while !done.load(Ordering::Acquire) {
+                    let cur = db.metrics();
+                    assert_monotone(&prev, &cur);
+                    prev = cur;
+                    samples += 1;
+                }
+                (prev, samples)
+            });
+            let acked: u64 = clients.into_iter().map(|h| h.join().unwrap()).sum();
+            done.store(true, Ordering::Release);
+            let (last_sampled, samples) = sampler.join().unwrap();
+            let last = db.metrics();
+            assert!(samples > 0);
+            assert_monotone(&last_sampled, &last);
+            assert_eq!(last.commits, acked);
+        });
     }
 }
 

@@ -48,7 +48,6 @@
 //! epochs and an auditor can certify the recovered state against the
 //! persisted decision-trace journal.
 
-pub mod admission;
 pub mod cc;
 pub mod db;
 pub mod durability;
@@ -57,7 +56,6 @@ pub(crate) mod sync;
 pub mod wakeseq;
 pub mod workload;
 
-pub use admission::{Admission, AdmissionConfig, AdmissionStats, ADMIT_FOOTPRINT};
 pub use cc::{
     BasicToCc, CommitDecision, CompositeCc, ConcurrencyControl, ConcurrentCc, IntervalCc, MtCc,
     MvToCc, OccCc, SchedulerGauges, SerializedCc, ShardedMtCc, TwoPlCc, Verdict,

@@ -4,22 +4,40 @@
 //! subtractable into per-window deltas for the telemetry layer, and
 //! exportable as an `mdts-trace` [`MetricsRegistry`] (the experiment
 //! binaries' `--json` document).
+//!
+//! Everything a transaction writes here — the counters, the logical
+//! clock, the histograms' buckets — is a per-thread cell
+//! ([`mdts_vector::Striped`]), `Relaxed` and summed on read: two clients
+//! that never conflict write no common cache line on account of being
+//! counted.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use mdts_core::BATCH_SIZE_BUCKETS;
 use mdts_storage::{MvStoreStats, MV_CHAIN_LEN_BUCKETS};
 use mdts_trace::{HistogramExport, Json, MetricsRegistry};
+use mdts_vector::Striped;
 
 /// Number of per-shard access counters (accesses are striped by store
 /// shard index modulo this, matching the store's default shard count).
 pub const SHARD_SLOTS: usize = 64;
 
-/// Shared counters, updated by all client threads.
+/// `N` zeroed `Relaxed` counters (arrays this long have no `Default`).
 #[derive(Debug)]
-pub(crate) struct Metrics {
+pub(crate) struct Counters<const N: usize>([AtomicU64; N]);
+
+impl<const N: usize> Default for Counters<N> {
+    fn default() -> Self {
+        Counters(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+}
+
+/// One thread's share of the engine counters (one stripe of
+/// [`Metrics`]): every field is written by the transactions running on
+/// that thread and read only by a sampler.
+#[derive(Debug, Default)]
+pub(crate) struct MetricCells {
     pub commits: AtomicU64,
     pub aborts: AtomicU64,
     pub restarts: AtomicU64,
@@ -44,82 +62,91 @@ pub(crate) struct Metrics {
     /// never arrived (the WAL halted mid-wait): reported as
     /// `TxError::DurabilityUnknown`, never retried.
     pub wal_unacked: AtomicU64,
+    /// This thread's share of the logical clock (see [`Metrics::now`]).
+    clock: AtomicU64,
     pub latency: LatencyHistogram,
     /// Blocked-wait *durations* in logical ticks (one sample per
     /// `blocked_waits` event), not just the event count.
     pub block_wait_ticks: LatencyHistogram,
     /// Granted accesses per store shard (reads at fetch, writes at apply).
-    pub shard_accesses: [AtomicU64; SHARD_SLOTS],
+    shard_accesses: Counters<SHARD_SLOTS>,
+}
+
+impl MetricCells {
+    pub(crate) fn bump_shard(&self, shard: usize) {
+        self.shard_accesses.0[shard % SHARD_SLOTS].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Advances the logical clock by one tick.
+    pub(crate) fn tick(&self) {
+        self.clock.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Shared counters, updated by all client threads — each through its own
+/// stripe of cells.
+#[derive(Debug, Default)]
+pub(crate) struct Metrics {
+    cells: Striped<MetricCells>,
     /// Wall-time phase spans (zero-cost until enabled).
     pub phases: PhaseTimers,
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            commits: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            ignored_writes: AtomicU64::new(0),
-            blocked_waits: AtomicU64::new(0),
-            access_aborts: AtomicU64::new(0),
-            validation_aborts: AtomicU64::new(0),
-            epoch_aborts: AtomicU64::new(0),
-            gave_up: AtomicU64::new(0),
-            snapshot_txns: AtomicU64::new(0),
-            snapshot_reads: AtomicU64::new(0),
-            wal_unacked: AtomicU64::new(0),
-            latency: LatencyHistogram::default(),
-            block_wait_ticks: LatencyHistogram::default(),
-            shard_accesses: [0u64; SHARD_SLOTS].map(AtomicU64::new),
-            phases: PhaseTimers::default(),
-        }
-    }
-}
-
 impl Metrics {
+    /// Counters whose logical clock starts at `clock` (a recovered
+    /// database resumes from its log's last sequence number).
+    pub(crate) fn starting_at(clock: u64) -> Self {
+        let metrics = Metrics::default();
+        metrics.cells().clock.store(clock, Ordering::Relaxed);
+        metrics
+    }
+
+    /// The calling thread's cells.
+    #[inline]
+    pub(crate) fn cells(&self) -> &MetricCells {
+        self.cells.mine()
+    }
+
     pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn bump_shard(&self, shard: usize) {
-        self.shard_accesses[shard % SHARD_SLOTS].fetch_add(1, Ordering::Relaxed);
+    /// The logical clock: one tick per granted access and per applied
+    /// commit, engine-wide. Commit latency is measured in these ticks
+    /// (deterministic per interleaving, no wall clock). Each thread ticks
+    /// its own cell, so a reading is a sum over the stripes — monotone,
+    /// and exact whenever no other thread is mid-tick.
+    pub(crate) fn now(&self) -> u64 {
+        self.cells.sum(|c| c.clock.load(Ordering::Relaxed))
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let mut shard_accesses = [0u64; SHARD_SLOTS];
-        for (out, c) in shard_accesses.iter_mut().zip(&self.shard_accesses) {
-            *out = c.load(Ordering::Relaxed);
-        }
+        let sum = |f: &dyn Fn(&MetricCells) -> &AtomicU64| {
+            self.cells.sum(|c| f(c).load(Ordering::Relaxed))
+        };
+        let histogram = |f: fn(&MetricCells) -> &LatencyHistogram| {
+            LatencySnapshot::from_buckets(std::array::from_fn(|b| sum(&|c| &f(c).buckets.0[b])))
+        };
         MetricsSnapshot {
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            ignored_writes: self.ignored_writes.load(Ordering::Relaxed),
-            blocked_waits: self.blocked_waits.load(Ordering::Relaxed),
-            access_aborts: self.access_aborts.load(Ordering::Relaxed),
-            validation_aborts: self.validation_aborts.load(Ordering::Relaxed),
-            epoch_aborts: self.epoch_aborts.load(Ordering::Relaxed),
-            gave_up: self.gave_up.load(Ordering::Relaxed),
-            snapshot_txns: self.snapshot_txns.load(Ordering::Relaxed),
-            snapshot_reads: self.snapshot_reads.load(Ordering::Relaxed),
-            order_cache_hits: 0,
-            order_cache_misses: 0,
-            batched_compares: 0,
-            order_cache_bulk_fills: 0,
-            wal_commits: 0,
-            wal_fsyncs: 0,
-            wal_bytes: 0,
-            wal_unacked: self.wal_unacked.load(Ordering::Relaxed),
-            latency: self.latency.snapshot(),
-            block_wait: self.block_wait_ticks.snapshot(),
-            shard_accesses,
+            commits: sum(&|c| &c.commits),
+            aborts: sum(&|c| &c.aborts),
+            restarts: sum(&|c| &c.restarts),
+            reads: sum(&|c| &c.reads),
+            writes: sum(&|c| &c.writes),
+            ignored_writes: sum(&|c| &c.ignored_writes),
+            blocked_waits: sum(&|c| &c.blocked_waits),
+            access_aborts: sum(&|c| &c.access_aborts),
+            validation_aborts: sum(&|c| &c.validation_aborts),
+            epoch_aborts: sum(&|c| &c.epoch_aborts),
+            gave_up: sum(&|c| &c.gave_up),
+            snapshot_txns: sum(&|c| &c.snapshot_txns),
+            snapshot_reads: sum(&|c| &c.snapshot_reads),
+            wal_unacked: sum(&|c| &c.wal_unacked),
+            latency: histogram(|c| &c.latency),
+            block_wait: histogram(|c| &c.block_wait_ticks),
+            shard_accesses: std::array::from_fn(|i| sum(&|c| &c.shard_accesses.0[i])),
             phases: self.phases.snapshot(),
-            gauges: EngineGauges::default(),
+            ..MetricsSnapshot::default()
         }
     }
 }
@@ -170,53 +197,18 @@ impl Phase {
     }
 }
 
-/// Stripes for the per-phase running totals; threads hash onto stripes so
-/// concurrent `record` calls don't share a cache line (same idiom as
-/// `shard_accesses`).
-const PHASE_STRIPES: usize = 16;
-
-thread_local! {
-    /// This thread's stripe index, assigned round-robin on first use.
-    /// Const-initialized: reading it never allocates or locks.
-    static PHASE_STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// Round-robin stripe assignment source.
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-fn phase_stripe() -> usize {
-    PHASE_STRIPE.with(|cell| {
-        let mut s = cell.get();
-        if s == usize::MAX {
-            s = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % PHASE_STRIPES;
-            cell.set(s);
-        }
-        s
-    })
-}
-
 /// Lock-free wall-time phase spans. Always compiled in; when disabled
 /// (the default) [`PhaseTimers::start`] returns `None` without reading
 /// the clock, so the hot path pays one relaxed load per span. Recording
 /// is a handful of relaxed `fetch_add`s into striped cells and a
 /// fixed-size histogram — no locks, no allocation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PhaseTimers {
     enabled: AtomicBool,
-    /// Running total nanoseconds per phase, striped by thread.
-    total_ns: [[AtomicU64; PHASE_STRIPES]; PHASE_COUNT],
+    /// Running total nanoseconds per phase, one cell block per thread.
+    total_ns: Striped<[AtomicU64; PHASE_COUNT]>,
     /// Span-duration histograms, in nanoseconds.
     spans: [LatencyHistogram; PHASE_COUNT],
-}
-
-impl Default for PhaseTimers {
-    fn default() -> Self {
-        PhaseTimers {
-            enabled: AtomicBool::new(false),
-            total_ns: std::array::from_fn(|_| [0u64; PHASE_STRIPES].map(AtomicU64::new)),
-            spans: std::array::from_fn(|_| LatencyHistogram::default()),
-        }
-    }
 }
 
 impl PhaseTimers {
@@ -252,7 +244,7 @@ impl PhaseTimers {
     /// Records a span duration directly (testing and replay).
     pub fn record_ns(&self, phase: Phase, ns: u64) {
         let p = phase as usize;
-        self.total_ns[p][phase_stripe()].fetch_add(ns, Ordering::Relaxed);
+        self.total_ns.mine()[p].fetch_add(ns, Ordering::Relaxed);
         self.spans[p].record(ns);
     }
 
@@ -260,7 +252,7 @@ impl PhaseTimers {
     pub fn snapshot(&self) -> PhaseSnapshot {
         let mut out = PhaseSnapshot { enabled: self.enabled(), ..PhaseSnapshot::default() };
         for p in 0..PHASE_COUNT {
-            out.total_ns[p] = self.total_ns[p].iter().map(|c| c.load(Ordering::Relaxed)).sum();
+            out.total_ns[p] = self.total_ns.sum(|c| c[p].load(Ordering::Relaxed));
             out.spans[p] = self.spans[p].snapshot();
         }
         out
@@ -347,19 +339,18 @@ pub struct EngineGauges {
     pub wal_checkpoints: u64,
     /// WAL prefix truncations performed after those checkpoints.
     pub wal_truncations: u64,
-    /// Admission batches issued (fenced id blocks, including every
-    /// batch-of-one fast path; 0 with admission batching off).
+    /// Always 0: the batched admission queue these four counted was
+    /// removed in PR 22 (admission is one id `fetch_add` and a scheduler
+    /// `begin` on the caller's thread). The fields stay because the
+    /// frozen benchmark harness reads them — its `admission.*` metrics
+    /// are the count gate that the queue is gone.
     pub admit_batches: u64,
-    /// Transactions admitted through those batches.
+    /// Always 0 (see `admit_batches`).
     pub admit_batched_txns: u64,
-    /// Admissions that parked in the staging queue.
+    /// Always 0 (see `admit_batches`).
     pub admit_parked: u64,
-    /// High-water admission batch size.
-    pub admit_max_batch: u64,
-    /// `(item, tx)` pairs prewarmed through the shard-grouped probe.
+    /// Always 0 (see `admit_batches`).
     pub admit_prewarm_pairs: u64,
-    /// Staged admission requests at sample time (occupancy).
-    pub admit_queue_depth: u64,
 }
 
 impl EngineGauges {
@@ -389,26 +380,20 @@ pub const LATENCY_BUCKETS: usize = 64;
 /// Buckets are powers of two (bucket `b` holds latencies in
 /// `[2^(b-1), 2^b)`), recorded with one relaxed `fetch_add` — no lock on
 /// the commit path.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct LatencyHistogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram { buckets: [0u64; LATENCY_BUCKETS].map(AtomicU64::new) }
-    }
+    buckets: Counters<LATENCY_BUCKETS>,
 }
 
 impl LatencyHistogram {
     pub(crate) fn record(&self, ticks: u64) {
         let idx = (u64::BITS - ticks.leading_zeros()) as usize;
-        self.buckets[idx.min(LATENCY_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        self.buckets.0[idx.min(LATENCY_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn snapshot(&self) -> LatencySnapshot {
         let mut buckets = [0u64; LATENCY_BUCKETS];
-        for (out, b) in buckets.iter_mut().zip(&self.buckets) {
+        for (out, b) in buckets.iter_mut().zip(&self.buckets.0) {
             *out = b.load(Ordering::Relaxed);
         }
         LatencySnapshot::from_buckets(buckets)
@@ -776,17 +761,6 @@ impl MetricsSnapshot {
                 ("truncations".to_string(), g.wal_truncations),
             ],
         );
-        reg = reg.breakdown(
-            "admission",
-            vec![
-                ("batches".to_string(), g.admit_batches),
-                ("batched_txns".to_string(), g.admit_batched_txns),
-                ("parked".to_string(), g.admit_parked),
-                ("max_batch".to_string(), g.admit_max_batch),
-                ("prewarm_pairs".to_string(), g.admit_prewarm_pairs),
-                ("queue_depth".to_string(), g.admit_queue_depth),
-            ],
-        );
         let entries: Vec<(String, u64)> = self
             .shard_accesses
             .iter()
@@ -951,14 +925,15 @@ mod tests {
     #[test]
     fn snapshot_delta_subtracts_counters_and_keeps_gauges() {
         let m = Metrics::default();
-        Metrics::bump(&m.commits);
-        Metrics::bump(&m.commits);
-        m.latency.record(3);
-        m.block_wait_ticks.record(9);
+        let cells = m.cells();
+        Metrics::bump(&cells.commits);
+        Metrics::bump(&cells.commits);
+        cells.latency.record(3);
+        cells.block_wait_ticks.record(9);
         let prev = m.snapshot();
-        Metrics::bump(&m.commits);
-        Metrics::bump(&m.aborts);
-        m.latency.record(700);
+        Metrics::bump(&cells.commits);
+        Metrics::bump(&cells.aborts);
+        cells.latency.record(700);
         let mut cur = m.snapshot();
         cur.gauges.mv_versions = 5;
         let d = cur.delta(&prev);

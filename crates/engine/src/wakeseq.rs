@@ -5,6 +5,8 @@
 
 use std::sync::PoisonError;
 
+use mdts_vector::CachePadded;
+
 use crate::sync::{AtomicU64, Condvar, Mutex, Ordering};
 
 /// Wake-sequence eventcount: blocked transactions wait for the sequence
@@ -29,13 +31,25 @@ use crate::sync::{AtomicU64, Condvar, Mutex, Ordering};
 /// order, so the bumper sees it, takes the gate (serializing with the
 /// waiter being either not-yet-asleep — then the waiter re-reads the new
 /// `seq` under the gate — or parked in `wait`) and notifies.
+///
+/// Placement: `seq` is written by every commit and abort and sits alone
+/// on its cache line; `waiters`, which every bump *reads* and only a
+/// blocking transaction writes, is on the next one with the gate.
 #[derive(Default)]
 pub struct WakeSeq {
-    seq: AtomicU64,
+    seq: CachePadded<AtomicU64>,
     waiters: AtomicU64,
     gate: Mutex<()>,
     cond: Condvar,
 }
+
+// `seq` starts a cache line of its own; `waiters` is on a later one.
+const _: () = {
+    assert!(std::mem::offset_of!(WakeSeq, seq).is_multiple_of(128));
+    assert!(
+        std::mem::offset_of!(WakeSeq, waiters) / 128 != std::mem::offset_of!(WakeSeq, seq) / 128
+    );
+};
 
 impl WakeSeq {
     /// The current sequence value. Sample it *before* the attempt whose

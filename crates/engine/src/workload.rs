@@ -50,8 +50,8 @@ pub struct BankConfig {
     /// RNG seed (per-thread streams derived from it).
     pub seed: u64,
     /// Whether the sharded scheduler's write-once order cache is enabled
-    /// (multiversion runs only). Off forces every admission to walk the
-    /// vectors — the configuration the batched-SIMD bench lanes measure.
+    /// (multiversion runs only). Off forces every access to walk the
+    /// vectors — the configuration exp19's `--nocache` lanes measure.
     pub order_cache: bool,
 }
 
@@ -251,12 +251,7 @@ fn run_bank_mix_on(db: Database<i64>, cfg: &BankConfig) -> BankReport {
                         while dst == src {
                             dst = zipf.sample(&mut rng);
                         }
-                        // The transfer's items are known up front, so the
-                        // footprint is declared: on a batched-admission
-                        // database the admission batch prewarms both
-                        // accounts' order probes shard by shard
-                        // (ISSUE 10); everywhere else it is ignored.
-                        db.run_with_footprint(cfg.max_restarts, &[src, dst], |tx| {
+                        db.run(cfg.max_restarts, |tx| {
                             let a = tx.read(src)?.unwrap_or(0);
                             let b = tx.read(dst)?.unwrap_or(0);
                             for i in 0..cfg.think {

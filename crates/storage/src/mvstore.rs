@@ -104,7 +104,7 @@ impl<V: Clone> MultiVersionStore<V> {
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-use mdts_vector::TsVec;
+use mdts_vector::{CachePadded, TsVec};
 
 /// One version in a concurrent chain. Unlike the sequential
 /// [`Version`], ordering is *positional*: chains append in the writers'
@@ -187,14 +187,23 @@ pub struct ConcurrentMvStore<V> {
     shard_bits: u32,
     mask: u32,
     /// Monotone install ticket source. Incremented under the chain-shard
-    /// write lock, so tickets are monotone along every chain.
-    install_seq: AtomicU64,
+    /// write lock, so tickets are monotone along every chain. Every
+    /// install writes it, so it has a cache line to itself — the fields
+    /// around it are read on every access and never written.
+    install_seq: CachePadded<AtomicU64>,
     /// Active snapshot registry: `0` = free, else `begin_seq + 1`.
     snapshots: Box<[AtomicU64]>,
     prune_threshold: usize,
-    /// Versions reclaimed by pruning (stat).
-    pruned: AtomicU64,
+    /// Versions reclaimed by pruning (stat), likewise on its own line.
+    pruned: CachePadded<AtomicU64>,
 }
+
+// The install ticket and the prune count each start a cache line of their
+// own.
+const _: () = {
+    assert!(std::mem::offset_of!(ConcurrentMvStore<u64>, install_seq).is_multiple_of(128));
+    assert!(std::mem::offset_of!(ConcurrentMvStore<u64>, pruned).is_multiple_of(128));
+};
 
 impl<V: Clone> ConcurrentMvStore<V> {
     /// Store with the default shard count and prune threshold.
@@ -213,10 +222,10 @@ impl<V: Clone> ConcurrentMvStore<V> {
             shards: table,
             shard_bits: shards.trailing_zeros(),
             mask: (shards - 1) as u32,
-            install_seq: AtomicU64::new(0),
+            install_seq: CachePadded(AtomicU64::new(0)),
             snapshots: (0..SNAPSHOT_SLOTS).map(|_| AtomicU64::new(0)).collect(),
             prune_threshold: DEFAULT_PRUNE_THRESHOLD,
-            pruned: AtomicU64::new(0),
+            pruned: CachePadded(AtomicU64::new(0)),
         }
     }
 

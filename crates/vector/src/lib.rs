@@ -29,13 +29,16 @@
 //! * [`interval_view`] — the Section VI-A reading of a vector as a shrinking
 //!   timestamp interval;
 //! * [`OrderCache`] — a concurrent memo table for *decided* strict orders,
-//!   sound because elements are write-once (see `ordercache` module docs).
+//!   sound because elements are write-once (see `ordercache` module docs);
+//! * [`CachePadded`] and [`Striped`] — placement for the words every
+//!   transaction writes (see the `stripe` module docs).
 
 pub mod compare;
 pub mod counters;
 pub mod interval;
 pub mod ordercache;
 pub mod simd;
+pub mod stripe;
 pub(crate) mod sync;
 pub mod tsvec;
 
@@ -44,6 +47,7 @@ pub use counters::{AtomicKthCounters, KthCounters};
 pub use interval::interval_view;
 pub use ordercache::{OrderCache, OrderCacheStats};
 pub use simd::{simd_tier, BatchScratch, SimdComparator, SimdTier};
+pub use stripe::{CachePadded, Striped};
 pub use tsvec::{TsVec, INLINE_K};
 
 #[cfg(test)]

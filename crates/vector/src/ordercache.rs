@@ -60,7 +60,10 @@
 //!
 //! [`TsVec::define`]: crate::TsVec::define
 
+use std::sync::atomic::AtomicU64 as StatCell;
+
 use crate::compare::CmpResult;
+use crate::stripe::{CachePadded, Striped};
 use crate::sync::{fence, AtomicU64, Ordering};
 
 /// Direct-mapped slot count (power of two). The cache holds at most this
@@ -152,12 +155,26 @@ impl OrderCacheStats {
 #[derive(Debug)]
 pub struct OrderCache {
     slots: Box<[Slot]>,
-    epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    invalidations: AtomicU64,
-    bulk_inserts: AtomicU64,
+    /// Alone on its line: every probe loads it, and only an invalidation
+    /// writes it, so the probing threads keep it in shared state.
+    epoch: CachePadded<AtomicU64>,
+    /// Per-thread probe/insert counts, summed by [`stats`](Self::stats)
+    /// — a probe writes no line another thread's probe writes.
+    counts: Striped<Counts>,
+    invalidations: StatCell,
+}
+
+// The epoch starts a cache line of its own.
+const _: () = assert!(std::mem::offset_of!(OrderCache, epoch).is_multiple_of(128));
+
+/// One stripe of the traffic counters. Plain statistics (`Relaxed`, they
+/// publish nothing), so they stay on `std` atomics under `cfg(loom)`.
+#[derive(Debug, Default)]
+struct Counts {
+    hits: StatCell,
+    misses: StatCell,
+    inserts: StatCell,
+    bulk_inserts: StatCell,
 }
 
 impl Default for OrderCache {
@@ -180,12 +197,9 @@ impl OrderCache {
     pub fn new() -> Self {
         OrderCache {
             slots: (0..SLOTS).map(|_| Slot::empty()).collect(),
-            epoch: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            bulk_inserts: AtomicU64::new(0),
+            epoch: CachePadded(AtomicU64::new(0)),
+            counts: Striped::default(),
+            invalidations: StatCell::new(0),
         }
     }
 
@@ -257,7 +271,7 @@ impl OrderCache {
 
         let (stored_epoch, at, lo_less) = unpack(payload);
         if consistent && stored_key == key && stored_epoch == epoch {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counts.mine().hits.fetch_add(1, Ordering::Relaxed);
             let at = at as usize;
             Some(if lo_less != swapped {
                 CmpResult::Less { at }
@@ -265,7 +279,7 @@ impl OrderCache {
                 CmpResult::Greater { at }
             })
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.counts.mine().misses.fetch_add(1, Ordering::Relaxed);
             None
         }
     }
@@ -326,7 +340,7 @@ impl OrderCache {
         slot.key.store(key, Ordering::Relaxed);
         slot.payload.store(payload, Ordering::Relaxed);
         slot.version.store(v + 2, Ordering::Release);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.counts.mine().inserts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Bulk fill from one batched compare (ISSUE 8): stores every decided
@@ -349,7 +363,7 @@ impl OrderCache {
             }
         }
         if offered > 0 {
-            self.bulk_inserts.fetch_add(offered, Ordering::Relaxed);
+            self.counts.mine().bulk_inserts.fetch_add(offered, Ordering::Relaxed);
         }
     }
 
@@ -363,12 +377,13 @@ impl OrderCache {
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> OrderCacheStats {
+        let sum = |f: fn(&Counts) -> &StatCell| self.counts.sum(|c| f(c).load(Ordering::Relaxed));
         OrderCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
+            hits: sum(|c| &c.hits),
+            misses: sum(|c| &c.misses),
+            inserts: sum(|c| &c.inserts),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            bulk_inserts: self.bulk_inserts.load(Ordering::Relaxed),
+            bulk_inserts: sum(|c| &c.bulk_inserts),
         }
     }
 

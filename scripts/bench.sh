@@ -14,10 +14,7 @@
 #                              group-commit lane (exp19 --durable) to
 #                              BENCH_pr9.json, the crash-recovery
 #                              matrix (exp20) to BENCH_pr9_exp20.json,
-#                              the batched-admission durable sweep
-#                              (exp19 --durable with the ISSUE 10
-#                              admission pipeline on by default) to
-#                              BENCH_pr10.json, and the parallel-replay /
+#                              and the parallel-replay /
 #                              certified-restart / truncation matrix
 #                              (exp21) to BENCH_pr10_exp21.json
 #                              (all schema mdts-metrics/v1).
@@ -26,7 +23,7 @@
 #                              (snapshot transactions actually served), the
 #                              same sweep under --nocache (every compare
 #                              walks the vectors; exp19 asserts the
-#                              batched lanes still ran there), the
+#                              batched chain-walk lane still ran there), the
 #                              bench_compare --json SIMD lanes (schema +
 #                              lane presence), and exp18 --json, plus
 #                              criterion build checks. The durability
@@ -34,12 +31,10 @@
 #                              (group-commit WAL lane with cold recovery)
 #                              and exp20 --smoke (crash matrix: every
 #                              injection site plus SIGKILL, recovery, and
-#                              auditor certification). The exp19 document
-#                              must carry non-zero admission batches
-#                              (the ISSUE 10 staging queue is on by
-#                              default), and exp21 --smoke runs the
-#                              parallel-replay identity, certified
-#                              restart, and checkpoint-truncation lanes.
+#                              auditor certification), and exp21 --smoke
+#                              runs the parallel-replay identity,
+#                              certified restart, and
+#                              checkpoint-truncation lanes.
 #                              The telemetry lane always runs: exp19 emits
 #                              an mdts-timeseries/v1 file under
 #                              --telemetry-strict, timeseries_check
@@ -53,7 +48,12 @@
 #                              on transfer_uniform_1t must finish with
 #                              counts.aborts == 0 and counts.restarts == 0
 #                              (nothing is concurrent, so nothing may be
-#                              refused). Only temp files are written.
+#                              refused), and two clients on a traced
+#                              transfer_uniform_2t must report
+#                              admission.parked_frac == 0 and
+#                              admission.batches_per_txn == 0 (admission
+#                              is serial: no queue, nobody parks). Only
+#                              temp files are written.
 #   scripts/bench.sh --telemetry
 #                              full run as above, additionally passing
 #                              --telemetry to exp19 so the window stream
@@ -71,7 +71,6 @@ OUT_TS=BENCH_pr6_timeseries.jsonl
 OUT8=BENCH_pr8.json
 OUT9=BENCH_pr9.json
 OUT9_20=BENCH_pr9_exp20.json
-OUT10=BENCH_pr10.json
 OUT10_21=BENCH_pr10_exp21.json
 
 if [[ "${1:-}" == "--smoke" ]]; then
@@ -95,7 +94,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
         echo "bench smoke: read-heavy sweep is missing the MV snapshot lane" >&2
         exit 1
     fi
-    echo "== bench smoke: exp19 --quick --json --nocache (batched order probes on every admission) =="
+    echo "== bench smoke: exp19 --quick --json --nocache (every compare walks the vectors) =="
     doc_nc=$(cargo run --release -q -p mdts-bench --bin exp19_scaling -- --quick --json --nocache)
     if [[ "$doc_nc" != *'"order_cache":"off"'* ]]; then
         echo "bench smoke: --nocache document is missing the cache-off label" >&2
@@ -115,14 +114,6 @@ if [[ "${1:-}" == "--smoke" ]]; then
     doc_dur=$(cargo run --release -q -p mdts-bench --bin exp19_scaling -- --quick --durable --json)
     if [[ "$doc_dur" != *'"sweep":"durable group commit'* ]]; then
         echo "bench smoke: --durable document is missing the group-commit sweep" >&2
-        exit 1
-    fi
-    # The batched admission pipeline is on by default, so the exp19
-    # document must carry a populated admission breakdown — at least one
-    # lane with a non-zero batch count, or the staging queue silently
-    # fell back to the serial path.
-    if ! grep -qE '"admission":\{"batches":[1-9]' <<<"$doc"; then
-        echo "bench smoke: exp19 document has no admission batches (pipeline inert?)" >&2
         exit 1
     fi
     echo "== bench smoke: exp20 --smoke (crash matrix: injection sites + SIGKILL + auditor) =="
@@ -156,6 +147,16 @@ if [[ "${1:-}" == "--smoke" ]]; then
         grep -oE '"counts":\{"commits":[0-9]+,"aborts":[0-9]+,"restarts":[0-9]+' "$doc22" >&2 || true
         exit 1
     fi
+    echo "== bench smoke: exp22 count gate (two clients: no admission queue, nobody parks) =="
+    line22=$(cargo run --release -q -p mdts-bench --bin exp22_costmodel -- \
+        --workload transfer_uniform_2t --seconds 1 --trace 1 | tail -n 1)
+    for metric in admission.parked_frac admission.batches_per_txn; do
+        if [[ "$line22" != *"\"$metric\":{\"value\":0,"* ]]; then
+            echo "bench smoke: transfer_uniform_2t reports a non-zero $metric:" >&2
+            grep -oE "\"$metric\":\{[^}]*\}" <<<"$line22" >&2 || true
+            exit 1
+        fi
+    done
     echo "== bench smoke: criterion targets compile =="
     cargo bench -p mdts-bench --bench bench_scaling --no-run
     cargo bench -p mdts-bench --bench bench_compare --no-run
@@ -202,12 +203,6 @@ echo "== exp20 (crash-recovery matrix + auditor certification) --json -> $OUT9_2
 cargo run --release -q -p mdts-bench --bin exp20_recovery -- --json > "$OUT9_20"
 grep -q "$SCHEMA" "$OUT9_20"
 echo "bench: wrote $OUT9_20"
-
-echo "== exp19 --durable (batched admission on by default) --json -> $OUT10 =="
-cargo run --release -q -p mdts-bench --bin exp19_scaling -- --durable --json > "$OUT10"
-grep -q "$SCHEMA" "$OUT10"
-grep -qE '"admission":\{"batches":[1-9]' "$OUT10"
-echo "bench: wrote $OUT10"
 
 echo "== exp21 (parallel replay + certified restart + truncation) --json -> $OUT10_21 =="
 cargo run --release -q -p mdts-bench --bin exp21_replay -- --json > "$OUT10_21"

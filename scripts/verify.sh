@@ -34,9 +34,17 @@ cargo test --workspace -q
 
 # The zero-allocation gate runs inside the workspace suite too (it is a
 # root-package integration test), but an explicit release-mode pass keeps
-# the assertion meaningful under the optimizer as well.
+# the assertion meaningful under the optimizer as well: the scheduler
+# paths, and a warmed Database::run transfer and run_read_only scan.
 echo "== alloc-regression gate (release) =="
 cargo test --release -q --test alloc_zero
+
+# Likewise the placement tests: a chunk raced by eight begins is built
+# once, and striped cells sum exactly. (The cache-line layout of every
+# de-shared word is a `const` assertion: the build above checked it.)
+echo "== single-construction + striped-cell tests (release) =="
+cargo test --release -q -p mdts-core racing_threads_build_a_fresh_chunk_exactly_once
+cargo test --release -q -p mdts-vector stripe
 
 if [[ "$FULL" -eq 1 ]]; then
   echo "== expout fixtures (regenerate every expout/*.txt, fail on diff) =="

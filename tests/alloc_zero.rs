@@ -8,8 +8,8 @@
 //!
 //! The whole scenario lives in ONE `#[test]`, and the counter is
 //! **per-thread**: every measured path below runs entirely on the
-//! calling thread (the scheduler, the admission leader path, and the
-//! WAL framing never delegate allocation to another thread), so a
+//! calling thread (the scheduler, the engine's `run`/`run_read_only`, and
+//! the WAL framing never delegate allocation to another thread), so a
 //! thread-local count is exactly as strong a gate — and it is immune to
 //! the one background thread that does exist, libtest's harness thread,
 //! which lazily initializes its result-channel receiver context (two
@@ -181,7 +181,7 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
     assert_eq!(stamping, 0, "stamp_commit must not allocate for k = {INLINE_K}");
     // Warm the thread-local batch scratch through the chain-walk path
     // before the window opens (ISSUE 8: the batched newest-below-reader
-    // scan shares the admission path's scratch).
+    // scan runs on a per-thread scratch).
     {
         let reader = TxId(id);
         s.begin(reader);
@@ -263,67 +263,57 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
         assert_eq!(framing, 0, "framing a commit into a warmed epoch buffer must not allocate");
     }
 
-    // The epoch-batched admission fast path (ISSUE 10). Uncontended, a
-    // client is its own leader: queue-flag check, fenced id fetch-add,
-    // scheduler begin, and — on a restart — the shard-grouped footprint
-    // prewarm through the batched probe lane. With the thread-local
-    // admission cell, the caller's pair scratch, the probe lane's batch
-    // scratch, and the row/shard tables all warmed, whole
-    // admit → access → abort → re-admit(+prewarm) → commit rounds must
-    // not allocate.
+    // The engine's own path (PR 22). `Database::run` used to make four
+    // allocations per committed transfer: the workspace's three buffers
+    // were rebuilt on every call, and the commit collected its shard
+    // guards into a `Vec`. The workspace is now this thread's recycled
+    // scratch and the guards are held inline, so warmed `run` transfers —
+    // admission, two reads, two writes, commit-time validation, stamp,
+    // two version installs, apply — and warmed `run_read_only` scans must
+    // not touch the heap at all. 64 accounts keep every version chain at
+    // its pruned steady-state capacity after the warm-up.
     {
-        use std::sync::atomic::AtomicU32;
+        use mdts::engine::{bank_database_multiversion, BankConfig};
 
-        use mdts::engine::{Admission, AdmissionConfig, ConcurrentCc, ShardedMtCc};
-        use mdts::trace::TraceSink;
-
-        let mut opts = MtOptions::new(INLINE_K);
-        opts.starvation_flush = true;
-        let cc = ShardedMtCc::with_options(opts);
-        let adm = Admission::new(AdmissionConfig { batch_max: 8 });
-        let next = AtomicU32::new(0);
-        let trace = TraceSink::disabled();
-        let mut pairs: Vec<(ItemId, TxId)> = Vec::new();
-        let footprint = [item(0), item(67), item(134)];
-
-        // One round of the measured shape: a fresh admission, an access,
-        // an abort, then the restarted re-admission that prewarms the
-        // declared footprint, and a commit.
-        let admit_round = |pairs: &mut Vec<(ItemId, TxId)>| {
-            let (a, parked) = adm.admit(&cc, &next, &trace, None, &footprint, pairs);
-            assert!(!parked, "an uncontended admission must lead its own batch");
-            let _ = cc.read(a, footprint[0]);
-            cc.aborted(a);
-            let (b, parked) = adm.admit(&cc, &next, &trace, Some(a), &footprint, pairs);
-            assert!(!parked);
-            let _ = cc.read(b, footprint[0]);
-            let _ = cc.read(b, footprint[1]);
-            cc.committed(b);
-        };
-
-        // Warmup: materialize the shard tables and row chunk 0 with a
-        // scan, then warm the admission cell, the pair scratch, and the
-        // probe lane's batch scratch with a stretch of rounds.
-        let (scan, _) = adm.admit(&cc, &next, &trace, None, &[], &mut pairs);
-        for n in 0..ITEMS {
-            let _ = cc.read(scan, item(n));
-        }
-        cc.committed(scan);
-        for _ in 0..50 {
-            admit_round(&mut pairs);
-        }
-
-        let admission = allocations(|| {
-            for _ in 0..200 {
-                admit_round(&mut pairs);
+        const ACCOUNTS: u32 = 64;
+        let cfg = BankConfig { accounts: ACCOUNTS, ..BankConfig::default() };
+        let db = bank_database_multiversion(3, &cfg);
+        let transfer = |n: u32| {
+            let (src, dst) = (ItemId(n % ACCOUNTS), ItemId((n * 7 + 1) % ACCOUNTS));
+            if src == dst {
+                return;
             }
-        });
-        assert_eq!(
-            admission, 0,
-            "the warmed admission fast path (including restart prewarm) must not allocate"
-        );
-        let stats = adm.stats();
-        assert!(stats.batches > 0 && stats.prewarm_pairs > 0, "the prewarm lane must have run");
+            db.run(8, |tx| {
+                let a = tx.read(src)?.unwrap_or(0);
+                let b = tx.read(dst)?.unwrap_or(0);
+                tx.write(src, a - 1)?;
+                tx.write(dst, b + 1)
+            })
+            .expect("an uncontended transfer commits");
+        };
+        let scan = |n: u32| {
+            db.run_read_only(|tx| {
+                for i in 0..8 {
+                    std::hint::black_box(tx.read(ItemId((n + i * 9) % ACCOUNTS)));
+                }
+            })
+        };
+        // Transaction ids 1..=1023 live in row chunk 0; the two windows
+        // and their warm-up stay inside it.
+        for n in 0..300 {
+            transfer(n);
+            if n % 4 == 0 {
+                scan(n);
+            }
+        }
+        let before = db.metrics();
+        let transfers = allocations(|| (300..500).for_each(transfer));
+        assert_eq!(transfers, 0, "a warmed Database::run transfer must not allocate");
+        let scans = allocations(|| (0..100).for_each(scan));
+        assert_eq!(scans, 0, "a warmed Database::run_read_only scan must not allocate");
+        let m = db.metrics();
+        assert!(m.commits - before.commits >= 290, "the windows must have committed their work");
+        assert_eq!((m.aborts, m.restarts), (0, 0));
     }
 
     // Sanity check that the counter actually observes the scheduler: one

@@ -18,9 +18,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mdts::core::MtOptions;
-use mdts::engine::{
-    AdmissionConfig, BasicToCc, CompositeCc, Database, MtCc, ShardedMtCc, TwoPlCc, TxError,
-};
+use mdts::engine::{BasicToCc, CompositeCc, Database, MtCc, ShardedMtCc, TwoPlCc, TxError};
 use mdts::model::{ItemId, Zipf};
 use mdts::storage::Store;
 use mdts::trace::{audit, TraceBuffer, TraceSink};
@@ -136,18 +134,15 @@ fn stress_with_audit(
                         dst = zipf.sample(&mut rng);
                     }
                     // Only the committed attempt's values escape `run`, so
-                    // restarted attempts never contribute edges. The
-                    // declared footprint feeds the admission prewarm on a
-                    // batched database and is ignored everywhere else.
-                    let committed: Result<(i64, i64), TxError> =
-                        db.run_with_footprint(MAX_RESTARTS, &[src, dst], |tx| {
-                            let a = tx.read(src)?.unwrap_or(0);
-                            let b = tx.read(dst)?.unwrap_or(0);
-                            std::thread::sleep(Duration::from_micros(5));
-                            tx.write(src, a - 1)?;
-                            tx.write(dst, b + 1)?;
-                            Ok((a, b))
-                        });
+                    // restarted attempts never contribute edges.
+                    let committed: Result<(i64, i64), TxError> = db.run(MAX_RESTARTS, |tx| {
+                        let a = tx.read(src)?.unwrap_or(0);
+                        let b = tx.read(dst)?.unwrap_or(0);
+                        std::thread::sleep(Duration::from_micros(5));
+                        tx.write(src, a - 1)?;
+                        tx.write(dst, b + 1)?;
+                        Ok((a, b))
+                    });
                     if let Ok((a, b)) = committed {
                         mine.push((src, a, a - 1));
                         mine.push((dst, b, b + 1));
@@ -220,27 +215,6 @@ fn sharded_mtk_survives_zipf_hotspot_8_threads() {
 fn sharded_mtk_survives_zipf_hotspot_16_threads() {
     let (db, buffer) = traced_sharded(3);
     stress_with_audit("MT(3)-sharded/16t", db, 16, Some((buffer, 3, CacheExpectation::Hits)));
-}
-
-/// The same 16-thread hotspot forced through the epoch-batched admission
-/// pipeline (ISSUE 10): timestamps are assigned in fenced batches,
-/// footprints prewarm the order cache shard by shard, and the auditor
-/// must still certify every decision. The staging queue has to see real
-/// traffic — batches, parked followers, prewarmed pairs — or the test is
-/// vacuously running the serial path.
-#[test]
-fn batched_admission_survives_zipf_hotspot_16_threads() {
-    let (mut db, buffer) = traced_sharded(3);
-    db.configure_admission(Some(AdmissionConfig { batch_max: 8 }));
-    let handle = db.clone();
-    stress_with_audit("MT(3)-sharded-admit/16t", db, 16, Some((buffer, 3, CacheExpectation::Hits)));
-    let stats = handle.admission_stats();
-    assert!(stats.batches > 0, "no admission batch formed");
-    assert!(
-        stats.batched_txns >= stats.batches,
-        "every batch admits at least its leader's transaction"
-    );
-    assert!(stats.prewarm_pairs > 0, "declared footprints never reached the prewarm lane");
 }
 
 /// The same hotspot with the order cache switched off: every comparison

@@ -159,14 +159,17 @@ fn seqlock_unfenced_writer_is_torn() {
 // Row table
 // ---------------------------------------------------------------------------
 
-/// Chunk publish vs. read vs. retire: two threads race to materialize
-/// the same chunk (one wins the CAS, the loser frees its allocation —
-/// the `Box::from_raw` retire path) while both immediately use slots of
-/// the contested chunk through their returned references. Every
-/// interleaving must agree on one chunk address, and rows written
-/// through one reference must be visible through the other. Under
-/// `cfg(loom)` `BASE = 2`, so index 2 is the first slot of the *second*
-/// chunk — materialized inside the model, not at construction.
+/// Chunk publish vs. read: two threads race to materialize the same
+/// chunk — both may find the spine entry null, one builds and publishes
+/// (a Release store under the grow lock), the other re-checks under the
+/// lock and must find that pointer rather than build a second chunk —
+/// while both immediately use slots of the contested chunk through their
+/// returned references. Every interleaving must agree on one chunk
+/// address, and rows written through one reference must be visible
+/// through the other; the lock-free Acquire load of a third party
+/// (`slot`, `resident_chunks`) must see an initialized chunk or none.
+/// Under `cfg(loom)` `BASE = 2`, so index 2 is the first slot of the
+/// *second* chunk — materialized inside the model, not at construction.
 #[test]
 fn loom_rowtable_chunk_publication() {
     model2(|| {
@@ -180,8 +183,13 @@ fn loom_rowtable_chunk_publication() {
         });
 
         let addr_here = table.ensure_slot(2) as *const _ as usize;
+        if let Some(slot) = table.slot(3) {
+            // The neighbouring slot of a published chunk is initialized.
+            assert_eq!(slot.refs().load(SeqCst), 0);
+        }
         let addr_there = racer.join().unwrap();
         assert_eq!(addr_here, addr_there, "two chunks published for one index");
+        assert_eq!(table.resident_chunks(), 1);
 
         let row = table.ensure_slot(2).read();
         assert!(row.is_some(), "joined writer's row must be visible");
