@@ -286,7 +286,7 @@ mod json_report {
     //! The `--json` lane: direct `Instant`-timed medians (no criterion
     //! output parsing) rendered as an `mdts-metrics/v1` document, so the
     //! acceptance ratios land in a machine-checkable artifact
-    //! (BENCH_pr8.json).
+    //! (`scripts/bench.sh` writes it to `target/bench/bench_compare.json`).
 
     use std::time::Instant;
 

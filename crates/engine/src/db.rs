@@ -69,6 +69,10 @@ pub enum TxError {
     /// is **not** retried — a retry would apply it twice; after a
     /// restart it may or may not be recovered.
     DurabilityUnknown,
+    /// The database has issued every transaction id it has (they stop
+    /// 2¹⁶ short of `u32::MAX`); nothing was run. Every later call fails
+    /// the same way — ids never wrap around to `T₀`.
+    IdsExhausted,
 }
 
 impl std::fmt::Display for TxError {
@@ -78,6 +82,7 @@ impl std::fmt::Display for TxError {
             TxError::DurabilityUnknown => {
                 write!(f, "committed in memory but the write-ahead log halted unacknowledged")
             }
+            TxError::IdsExhausted => write!(f, "transaction ids exhausted"),
         }
     }
 }
@@ -128,7 +133,25 @@ struct Shared<V> {
 // The id counter starts a cache line of its own.
 const _: () = assert!(std::mem::offset_of!(Shared<i64>, next_tx).is_multiple_of(128));
 
+/// Transaction ids are issued strictly below this bound, 2¹⁶ short of
+/// where the `u32` counter would wrap to `T₀`'s id: every refused
+/// admission still adds one to the counter before pinning it back, and
+/// the headroom is what those in-flight additions can use up — far more
+/// than a host has threads.
+const TX_ID_LIMIT: u32 = u32::MAX - (1 << 16);
+
 impl<V> Shared<V> {
+    /// The next transaction id, or `None` once they are used up.
+    #[inline]
+    fn next_id(&self) -> Option<TxId> {
+        let last = self.next_tx.fetch_add(1, Ordering::Relaxed);
+        if last < TX_ID_LIMIT - 1 {
+            return Some(TxId(last + 1));
+        }
+        self.next_tx.store(TX_ID_LIMIT - 1, Ordering::Relaxed);
+        None
+    }
+
     fn wake_all(&self) {
         let seq = self.wake.bump();
         self.trace.emit(|| TraceEvent::Wake { seq });
@@ -398,7 +421,6 @@ impl<V: Clone + Send + 'static> Database<V> {
         if let Some(stats) = self.shared.cc.order_cache_stats() {
             snap.order_cache_hits = stats.hits;
             snap.order_cache_misses = stats.misses;
-            snap.order_cache_bulk_fills = stats.bulk_inserts;
         }
         if let Some(stats) = self.shared.cc.batched_compare_stats() {
             snap.batched_compares = stats.candidates;
@@ -430,7 +452,6 @@ impl<V: Clone + Send + 'static> Database<V> {
             g.order_cache_epoch_flushes = stats.invalidations;
         }
         if let Some(stats) = self.shared.cc.batched_compare_stats() {
-            g.batched_probe_batches = stats.probe_batches;
             g.batched_chain_batches = stats.chain_batches;
             g.batched_size_buckets = stats.size_buckets;
         }
@@ -512,7 +533,7 @@ impl<V: Clone + Send + 'static> Database<V> {
         let mut prev: Option<TxId> = None;
         for attempt in 0..=max_restarts {
             let span = shared.metrics.phases.start();
-            let id = TxId(shared.next_tx.fetch_add(1, Ordering::Relaxed) + 1);
+            let id = shared.next_id().ok_or(TxError::IdsExhausted)?;
             shared.trace.emit(|| TraceEvent::Begin { tx: id });
             match prev {
                 Some(p) => shared.cc.begin_restarted(id, p),
@@ -582,7 +603,9 @@ impl<V: Clone + Send + 'static> Database<V> {
     ///
     /// # Panics
     /// Panics if the database was not built with the multiversion path
-    /// (see [`Database::new_multiversion`]).
+    /// (see [`Database::new_multiversion`]), or with
+    /// [`TxError::IdsExhausted`]'s message once the transaction ids are
+    /// used up.
     pub fn run_read_only<T>(&self, body: impl FnOnce(&mut SnapshotTx<'_, V>) -> T) -> T
     where
         V: Sync,
@@ -591,7 +614,7 @@ impl<V: Clone + Send + 'static> Database<V> {
         let mv = shared.mv.as_ref().expect("snapshot transactions need the multiversion path");
         let cells = shared.metrics.cells();
         let start_tick = shared.metrics.now();
-        let id = TxId(shared.next_tx.fetch_add(1, Ordering::Relaxed) + 1);
+        let id = shared.next_id().unwrap_or_else(|| panic!("{}", TxError::IdsExhausted));
         shared.trace.emit(|| TraceEvent::Begin { tx: id });
         // Allocate the reader's row up front so the reads themselves
         // stay allocation-free.
@@ -1134,5 +1157,62 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                 CommitOutcome::Aborted
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A database resumed 3 ids below the limit commits two transfers, then
+    /// refuses every admission with a typed error: no id wraps around to
+    /// `T₀`'s, and a refused call moves no money.
+    #[test]
+    fn id_exhaustion_is_fail_stop() {
+        // Basic TO keys its state by id in maps, so ids near `u32::MAX` cost
+        // nothing (the MT(k) row tables are indexed by id).
+        let db: Database<i64> = Database::assemble(
+            ShardedStore::from_store(Store::with_items(2, 50), DEFAULT_STORE_SHARDS),
+            Box::new(SerializedCc::new(Box::new(crate::cc::BasicToCc::new(true)))),
+            None,
+            "TO(1)",
+            TraceSink::disabled(),
+            (TX_ID_LIMIT - 3, 0),
+            None,
+        );
+        let transfer = || {
+            db.run(0, |tx| {
+                let (a, b) = (tx.read(ItemId(0))?.unwrap_or(0), tx.read(ItemId(1))?.unwrap_or(0));
+                tx.write(ItemId(0), a - 1)?;
+                tx.write(ItemId(1), b + 1)?;
+                Ok(tx.id().0)
+            })
+        };
+        assert_eq!(transfer(), Ok(TX_ID_LIMIT - 2));
+        assert_eq!(transfer(), Ok(TX_ID_LIMIT - 1));
+        assert_eq!(transfer(), Err(TxError::IdsExhausted));
+        assert_eq!(transfer(), Err(TxError::IdsExhausted));
+        assert_eq!(db.metrics().commits, 2);
+        assert_eq!(db.snapshot().into_values().collect::<Vec<_>>(), [48, 52]);
+    }
+
+    /// A snapshot transaction has no error to return, so at the limit it
+    /// panics — before it asks the scheduler for a row, which is why an
+    /// MT(k) database (row table indexed by id) can stand at the limit here.
+    #[test]
+    #[should_panic(expected = "transaction ids exhausted")]
+    fn run_read_only_panics_at_the_id_limit() {
+        let cc = ShardedMtCc::new(3);
+        let mv = MvState { store: ConcurrentMvStore::new(), sched: cc.scheduler_arc() };
+        let db: Database<i64> = Database::assemble(
+            ShardedStore::from_store(Store::with_items(2, 50), DEFAULT_STORE_SHARDS),
+            Box::new(cc),
+            Some(mv),
+            "MV-MT(k)",
+            TraceSink::disabled(),
+            (TX_ID_LIMIT - 1, 0),
+            None,
+        );
+        db.run_read_only(|tx| tx.read(ItemId(0)));
     }
 }

@@ -322,8 +322,8 @@ pub struct EngineGauges {
     pub sched_row_chunks: u64,
     /// Order-cache epoch flushes (cumulative invalidation count).
     pub order_cache_epoch_flushes: u64,
-    /// Batched SIMD compares issued on the order-cache-miss probe path
-    /// (cumulative batch count, sampled from the scheduler).
+    /// Always 0: the prewarm probe that issued these batches is gone. The
+    /// frozen benchmark harness still reads the field.
     pub batched_probe_batches: u64,
     /// Batched SIMD compares issued on the MV chain-walk path.
     pub batched_chain_batches: u64,
@@ -521,12 +521,9 @@ pub struct MetricsSnapshot {
     /// Comparisons that missed the order cache and walked the vectors.
     pub order_cache_misses: u64,
     /// Candidate vectors compared through the batched SIMD one-vs-many
-    /// path (order-cache-miss probes plus MV chain scans; sampled from
-    /// the protocol like the order-cache figures).
+    /// path (MV chain scans; sampled from the protocol like the
+    /// order-cache figures).
     pub batched_compares: u64,
-    /// Decided verdicts bulk-filled into the order cache by batched
-    /// probes.
-    pub order_cache_bulk_fills: u64,
     /// Commit records framed into the write-ahead log (0 without
     /// durability; sampled from the group-commit core, like the
     /// order-cache figures).
@@ -570,7 +567,6 @@ impl Default for MetricsSnapshot {
             order_cache_hits: 0,
             order_cache_misses: 0,
             batched_compares: 0,
-            order_cache_bulk_fills: 0,
             wal_commits: 0,
             wal_fsyncs: 0,
             wal_bytes: 0,
@@ -623,9 +619,6 @@ impl MetricsSnapshot {
             order_cache_hits: self.order_cache_hits.saturating_sub(prev.order_cache_hits),
             order_cache_misses: self.order_cache_misses.saturating_sub(prev.order_cache_misses),
             batched_compares: self.batched_compares.saturating_sub(prev.batched_compares),
-            order_cache_bulk_fills: self
-                .order_cache_bulk_fills
-                .saturating_sub(prev.order_cache_bulk_fills),
             wal_commits: self.wal_commits.saturating_sub(prev.wal_commits),
             wal_fsyncs: self.wal_fsyncs.saturating_sub(prev.wal_fsyncs),
             wal_bytes: self.wal_bytes.saturating_sub(prev.wal_bytes),
@@ -659,7 +652,6 @@ impl MetricsSnapshot {
             .counter("order_cache_hits", self.order_cache_hits)
             .counter("order_cache_misses", self.order_cache_misses)
             .counter("batched_compares", self.batched_compares)
-            .counter("order_cache_bulk_fills", self.order_cache_bulk_fills)
             .counter("wal_commits", self.wal_commits)
             .counter("wal_fsyncs", self.wal_fsyncs)
             .counter("wal_bytes", self.wal_bytes)
@@ -741,10 +733,7 @@ impl MetricsSnapshot {
                 ("order_cache_epoch_flushes".to_string(), g.order_cache_epoch_flushes),
             ],
         );
-        let mut batched = vec![
-            ("probe_batches".to_string(), g.batched_probe_batches),
-            ("chain_batches".to_string(), g.batched_chain_batches),
-        ];
+        let mut batched = vec![("chain_batches".to_string(), g.batched_chain_batches)];
         batched.extend(
             g.batched_size_buckets
                 .iter()

@@ -24,9 +24,7 @@
 //! * **Durability** (ISSUE 9): [`wal`] is a binary redo log with
 //!   per-record CRC framing, monotone LSNs and epoch (group-commit)
 //!   frames; [`recovery`] replays every sealed epoch back into a
-//!   [`Store`], discarding torn and unsealed tails — optionally
-//!   partitioning the sealed epochs across a scoped thread pool
-//!   ([`recover_with`]) with a deterministic last-writer merge.
+//!   [`Store`], discarding torn and unsealed tails.
 //!
 //! Values are generic (`Clone`); the engine instantiates with `i64` for
 //! the bank-style examples and benchmarks.
@@ -43,7 +41,7 @@ pub use mvstore::{
     ConcurrentMvStore, MultiVersionStore, MvStoreStats, MvVersion, SnapshotGuard, Version,
     DEFAULT_PRUNE_THRESHOLD, MV_CHAIN_LEN_BUCKETS,
 };
-pub use recovery::{recover, recover_with, replay_threads, Recovered, RecoveryReport};
+pub use recovery::{recover, Recovered, RecoveryReport};
 pub use sharded::{Shard, ShardGuard, ShardedStore, DEFAULT_STORE_SHARDS};
 pub use store::Store;
 pub use twophase::WriteBuffer;

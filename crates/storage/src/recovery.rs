@@ -15,23 +15,11 @@
 //! whose writes were never staged would previously vanish into
 //! `WriteBuffer::apply`'s silent no-op (the ISSUE 9 satellite bugfix).
 //!
-//! **Parallel replay (ISSUE 10).** Sealed epochs are independent up to
-//! per-item last-writer order, so [`recover_with`] partitions them
-//! round-robin across a scoped thread pool: each worker replays its
-//! epochs — in global epoch order, LSN order within each epoch — into a
-//! private store while recording, per item, the `(epoch position, LSN)`
-//! key of the item's last writer in that partition. The merge then takes
-//! each item's value from the worker holding the globally maximal key.
-//! The result is deterministic (independent of thread scheduling) and
-//! bit-identical to the serial replay: per item, serial replay keeps the
-//! write with the maximal `(epoch, LSN)` key, each partition preserves
-//! that order internally, and the merge maximizes across partitions.
-//! The structural pass (sealing, dedup, monotonicity, the committed set
-//! and all report counters) stays single-threaded and byte-order
-//! deterministic. `MDTS_REPLAY_THREADS` overrides the default thread
-//! count ([`replay_threads`]).
+//! Replay is one serial loop: partitioning the sealed epochs over a
+//! thread pool with a last-writer merge measured 0.87 × of it on the
+//! bench host (DESIGN.md §10), so there is no pool.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
 
@@ -58,8 +46,6 @@ pub struct RecoveryReport {
     /// Whether replay stopped at a structurally malformed record run
     /// (seal/commit mismatch, stray record) before the end of the scan.
     pub malformed: bool,
-    /// Worker threads the replay phase actually used (1 = serial).
-    pub replay_threads: u64,
     /// What the byte-level scan saw (torn tail included).
     pub scan: ScanReport,
 }
@@ -83,41 +69,9 @@ pub struct Recovered<V> {
     pub report: RecoveryReport,
 }
 
-/// One sealed epoch's commits, LSN-sorted, ready to replay.
-struct SealedEpoch<V> {
-    #[allow(clippy::type_complexity)]
-    commits: Vec<(u64, TxId, Vec<(mdts_model::ItemId, V)>)>,
-}
-
-/// The replay thread count recovery uses by default: the
-/// `MDTS_REPLAY_THREADS` environment variable if set (clamped to at
-/// least 1), otherwise the machine's available parallelism.
-pub fn replay_threads() -> usize {
-    std::env::var("MDTS_REPLAY_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .max(1)
-}
-
-/// Scans `path` and replays every sealed epoch into a fresh store,
-/// using [`replay_threads`] replay workers.
-pub fn recover<V: WalValue + Clone + Send>(path: &Path) -> io::Result<Recovered<V>> {
-    recover_with(path, replay_threads())
-}
-
-/// Scans `path` and replays every sealed epoch into a fresh store with
-/// at most `threads` replay workers.
-///
-/// The structural pass — sealing, epoch monotonicity, LSN dedup, the
-/// committed set and every report counter — is single-threaded and
-/// independent of `threads`; only the store rebuild is partitioned.
-/// The recovered state is bit-identical for every thread count
-/// (`threads <= 1` runs the plain serial loop).
-pub fn recover_with<V: WalValue + Clone + Send>(
-    path: &Path,
-    threads: usize,
-) -> io::Result<Recovered<V>> {
+/// Scans `path` and replays every sealed epoch, in log order, into a
+/// fresh store.
+pub fn recover<V: WalValue + Clone>(path: &Path) -> io::Result<Recovered<V>> {
     let (records, scan) = wal::scan::<V>(path)?;
     let mut out = Recovered {
         store: Store::new(),
@@ -128,8 +82,6 @@ pub fn recover_with<V: WalValue + Clone + Send>(
         report: RecoveryReport { scan, ..RecoveryReport::default() },
     };
 
-    // ── plan: one structural pass over the scanned records ────────────
-    let mut plan: Vec<SealedEpoch<V>> = Vec::new();
     // The open (begun, not yet sealed) epoch's buffered commits.
     #[allow(clippy::type_complexity)]
     let mut open: Option<(u64, Vec<(u64, TxId, Vec<(mdts_model::ItemId, V)>)>)> = None;
@@ -179,14 +131,27 @@ pub fn recover_with<V: WalValue + Clone + Send>(
                     break;
                 }
                 pending.sort_unstable_by_key(|&(lsn, _, _)| lsn);
-                for &(lsn, tx, _) in &pending {
+                for (lsn, tx, writes) in pending {
                     out.committed.insert(tx);
                     out.last_lsn = out.last_lsn.max(lsn);
                     out.report.replayed_commits += 1;
+                    if !writes.is_empty() {
+                        // Stage-then-apply through the two-phase write
+                        // buffer; the apply must find the staged workspace
+                        // (satellite bugfix: a silent no-op here would
+                        // lose the whole commit).
+                        let mut wb = WriteBuffer::new();
+                        for (item, value) in writes {
+                            wb.write(tx, item, value);
+                        }
+                        assert!(
+                            wb.apply(tx, &mut out.store),
+                            "replay of {tx:?} found no staged write buffer"
+                        );
+                    }
                 }
                 out.last_epoch = Some(epoch);
                 out.report.sealed_epochs += 1;
-                plan.push(SealedEpoch { commits: pending });
             }
         }
     }
@@ -194,87 +159,7 @@ pub fn recover_with<V: WalValue + Clone + Send>(
         out.report.dropped_commits += pending.len() as u64;
         out.report.unsealed_tail = true;
     }
-
-    // ── replay: rebuild the store from the sealed plan ────────────────
-    let workers = threads.max(1).min(plan.len().max(1));
-    out.report.replay_threads = workers as u64;
-    if workers <= 1 {
-        for epoch in plan {
-            replay_epoch(epoch, &mut out.store);
-        }
-    } else {
-        // Round-robin the sealed epochs into per-worker partitions by
-        // value: each worker owns its epochs outright (only `V: Send`
-        // needed) and records, per item, the `(epoch position, LSN)`
-        // key of the partition's last writer.
-        let mut parts: Vec<Vec<(usize, SealedEpoch<V>)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (pos, epoch) in plan.into_iter().enumerate() {
-            parts[pos % workers].push((pos, epoch));
-        }
-        #[allow(clippy::type_complexity)]
-        let built: Vec<(Store<V>, HashMap<mdts_model::ItemId, (usize, u64)>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = parts
-                    .into_iter()
-                    .map(|part| {
-                        scope.spawn(move || {
-                            let mut store = Store::new();
-                            let mut last: HashMap<mdts_model::ItemId, (usize, u64)> =
-                                HashMap::new();
-                            for (pos, epoch) in part {
-                                for &(lsn, _, ref writes) in &epoch.commits {
-                                    for &(item, _) in writes {
-                                        last.insert(item, (pos, lsn));
-                                    }
-                                }
-                                replay_epoch(epoch, &mut store);
-                            }
-                            (store, last)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("replay worker panicked")).collect()
-            });
-        // Deterministic merge: per item, the worker holding the globally
-        // maximal (epoch position, LSN) key supplies the value — exactly
-        // the write serial replay would have kept.
-        let mut winner: HashMap<mdts_model::ItemId, (usize, u64, usize)> = HashMap::new();
-        for (w, (_, last)) in built.iter().enumerate() {
-            for (&item, &(pos, lsn)) in last {
-                let key = (pos, lsn, w);
-                winner
-                    .entry(item)
-                    .and_modify(|best| {
-                        if key > *best {
-                            *best = key;
-                        }
-                    })
-                    .or_insert(key);
-            }
-        }
-        for (item, (_, _, w)) in winner {
-            let value = built[w].0.get(item).expect("winning worker lost its own write");
-            out.store.set(item, value.clone());
-        }
-    }
     Ok(out)
-}
-
-/// Replays one sealed epoch's LSN-ordered commits into `store`.
-fn replay_epoch<V: WalValue + Clone>(epoch: SealedEpoch<V>, store: &mut Store<V>) {
-    for (_, tx, writes) in epoch.commits {
-        if !writes.is_empty() {
-            // Stage-then-apply through the two-phase write buffer; the
-            // apply must find the staged workspace (satellite bugfix: a
-            // silent no-op here would lose the whole commit).
-            let mut wb = WriteBuffer::new();
-            for (item, value) in writes {
-                wb.write(tx, item, value);
-            }
-            assert!(wb.apply(tx, store), "replay of {tx:?} found no staged write buffer");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -382,57 +267,6 @@ mod tests {
         let r = recover::<i64>(&path).unwrap();
         assert_eq!(r.store.get(ItemId(5)), Some(&10));
         assert_eq!(r.report.sealed_epochs, 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    #[allow(clippy::type_complexity)]
-    fn parallel_replay_matches_serial_bit_for_bit() {
-        let path = tmp("parallel.log");
-        let mut w = WalWriter::create(&path).unwrap();
-        // Overlapping item sets across many epochs so last-writer-wins
-        // actually crosses partition boundaries.
-        let mut lsn = 0u64;
-        let mut tx = 1u32;
-        for epoch in 0..13u64 {
-            let mut commits: Vec<(u64, u32, Vec<(u32, i64)>)> = Vec::new();
-            for c in 0..3u32 {
-                let item = (epoch as u32 * 3 + c) % 7;
-                commits.push((lsn, tx, vec![(item, (epoch as i64) * 100 + c as i64)]));
-                lsn += 1;
-                tx += 1;
-            }
-            let borrowed: Vec<(u64, u32, &[(u32, i64)])> =
-                commits.iter().map(|(l, t, ws)| (*l, *t, ws.as_slice())).collect();
-            let (frames, seal) = epoch_frames(epoch, &borrowed);
-            assert!(w.append_epoch(&frames, seal).unwrap());
-        }
-        let serial = recover_with::<i64>(&path, 1).unwrap();
-        assert_eq!(serial.report.replay_threads, 1);
-        for threads in [2usize, 4, 8] {
-            let par = recover_with::<i64>(&path, threads).unwrap();
-            assert_eq!(par.report.replay_threads as usize, threads.min(13));
-            assert_eq!(par.committed, serial.committed);
-            assert_eq!(par.last_epoch, serial.last_epoch);
-            assert_eq!(par.last_lsn, serial.last_lsn);
-            assert_eq!(par.max_tx, serial.max_tx);
-            assert_eq!(par.store.len(), serial.store.len());
-            for (item, value) in serial.store.iter() {
-                assert_eq!(par.store.get(item), Some(value), "{item:?} diverged at {threads}t");
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn replay_thread_count_is_capped_by_sealed_epochs() {
-        let path = tmp("capped.log");
-        let mut w = WalWriter::create(&path).unwrap();
-        let (f0, s0) = epoch_frames(0, &[(0, 1, &[(5, 10)])]);
-        assert!(w.append_epoch(&f0, s0).unwrap());
-        let r = recover_with::<i64>(&path, 16).unwrap();
-        assert_eq!(r.report.replay_threads, 1, "one epoch never warrants a pool");
-        assert_eq!(r.store.get(ItemId(5)), Some(&10));
         std::fs::remove_file(&path).ok();
     }
 
@@ -668,30 +502,6 @@ mod prop_tests {
             prop_assert_eq!(r.store.len(), store.len());
             for (item, value) in &store {
                 prop_assert_eq!(r.store.get(*item), Some(value));
-            }
-        }
-
-        /// Replay is thread-count invariant: for any generated log and
-        /// any worker count the recovered state — store, committed set,
-        /// high-water marks — matches the serial replay exactly.
-        #[test]
-        fn parallel_replay_is_thread_count_invariant(
-            spec in arb_spec(),
-            threads in 2usize..6,
-        ) {
-            let path = tmp("parallel");
-            std::fs::write(&path, &spec.bytes).unwrap();
-            let serial = recover_with::<i64>(&path, 1).unwrap();
-            let par = recover_with::<i64>(&path, threads).unwrap();
-            std::fs::remove_file(&path).ok();
-
-            prop_assert_eq!(&par.committed, &serial.committed);
-            prop_assert_eq!(par.last_epoch, serial.last_epoch);
-            prop_assert_eq!(par.last_lsn, serial.last_lsn);
-            prop_assert_eq!(par.max_tx, serial.max_tx);
-            prop_assert_eq!(par.store.len(), serial.store.len());
-            for (item, value) in serial.store.iter() {
-                prop_assert_eq!(par.store.get(item), Some(value));
             }
         }
 

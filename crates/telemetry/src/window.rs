@@ -93,7 +93,6 @@ fn counters_json(s: &MetricsSnapshot) -> Json {
         ("order_cache_hits", Json::U64(s.order_cache_hits)),
         ("order_cache_misses", Json::U64(s.order_cache_misses)),
         ("batched_compares", Json::U64(s.batched_compares)),
-        ("order_cache_bulk_fills", Json::U64(s.order_cache_bulk_fills)),
         ("wal_commits", Json::U64(s.wal_commits)),
         ("wal_fsyncs", Json::U64(s.wal_fsyncs)),
         ("wal_bytes", Json::U64(s.wal_bytes)),
@@ -169,7 +168,6 @@ impl TimeSeries {
                     ("sched_live_rows", Json::U64(g.sched_live_rows)),
                     ("sched_row_chunks", Json::U64(g.sched_row_chunks)),
                     ("order_cache_epoch_flushes", Json::U64(g.order_cache_epoch_flushes)),
-                    ("batched_probe_batches", Json::U64(g.batched_probe_batches)),
                     ("batched_chain_batches", Json::U64(g.batched_chain_batches)),
                     (
                         "batched_size_buckets",
@@ -265,7 +263,6 @@ impl TimeSeries {
             acc.order_cache_hits += d.order_cache_hits;
             acc.order_cache_misses += d.order_cache_misses;
             acc.batched_compares += d.batched_compares;
-            acc.order_cache_bulk_fills += d.order_cache_bulk_fills;
             acc.wal_commits += d.wal_commits;
             acc.wal_fsyncs += d.wal_fsyncs;
             acc.wal_bytes += d.wal_bytes;

@@ -23,9 +23,11 @@
 //! * [`TreeComparator`] — the five-phase simulated vector-processor
 //!   comparison of Figs. 6–7, O(log k) parallel steps;
 //! * [`SimdComparator`] and [`BatchScratch`] — the data-parallel
-//!   Definition 6 kernels (AVX2/SSE2 with a bit-identical scalar
-//!   fallback) and the batched one-vs-many compare used on the
-//!   order-cache miss and MV chain-walk paths;
+//!   Definition 6 kernels (AVX-512/AVX2/SSE2 with a bit-identical scalar
+//!   fallback): the single compare is the wide-k subject of Figs. 6–7
+//!   (exp06, `bench_compare`), the batched one-vs-many compare serves
+//!   the engine's MV chain walk. Per-pair compares on the engine path
+//!   are the scalar [`TsVec::compare`];
 //! * [`interval_view`] — the Section VI-A reading of a vector as a shrinking
 //!   timestamp interval;
 //! * [`OrderCache`] — a concurrent memo table for *decided* strict orders,

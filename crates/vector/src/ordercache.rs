@@ -132,9 +132,6 @@ pub struct OrderCacheStats {
     pub inserts: u64,
     /// Epoch bumps ([`OrderCache::invalidate_all`]).
     pub invalidations: u64,
-    /// Decided verdicts offered through [`OrderCache::insert_bulk`] —
-    /// batched-compare results filled in one call (ISSUE 8).
-    pub bulk_inserts: u64,
 }
 
 impl OrderCacheStats {
@@ -174,7 +171,6 @@ struct Counts {
     hits: StatCell,
     misses: StatCell,
     inserts: StatCell,
-    bulk_inserts: StatCell,
 }
 
 impl Default for OrderCache {
@@ -343,30 +339,6 @@ impl OrderCache {
         self.counts.mine().inserts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Bulk fill from one batched compare (ISSUE 8): stores every decided
-    /// verdict of probe `a` against the candidates in `pairs`, under the
-    /// single `observed_epoch` sampled before the batch read any vector.
-    /// Each verdict goes through the same seqlock [`insert`](Self::insert)
-    /// (undecided results skipped, stale epochs and contended slots
-    /// dropped); on top of the per-entry `inserts` count, the decided
-    /// verdicts offered here tick the `bulk_inserts` stat so the fill
-    /// traffic of the batched paths is visible separately.
-    pub fn insert_bulk<I>(&self, observed_epoch: u64, a: u32, pairs: I)
-    where
-        I: IntoIterator<Item = (u32, CmpResult)>,
-    {
-        let mut offered = 0u64;
-        for (b, result) in pairs {
-            if matches!(result, CmpResult::Less { .. } | CmpResult::Greater { .. }) {
-                offered += 1;
-                self.insert(observed_epoch, a, b, result);
-            }
-        }
-        if offered > 0 {
-            self.counts.mine().bulk_inserts.fetch_add(offered, Ordering::Relaxed);
-        }
-    }
-
     /// Invalidates every entry by bumping the epoch. Required after any
     /// vector *overwrite*: the III-D-4 starvation flush, or reuse of a
     /// reclaimed transaction id.
@@ -383,7 +355,6 @@ impl OrderCache {
             misses: sum(|c| &c.misses),
             inserts: sum(|c| &c.inserts),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            bulk_inserts: sum(|c| &c.bulk_inserts),
         }
     }
 

@@ -12,9 +12,8 @@
 //!   per instruction (AVX2) or two (SSE2), instead of the scalar
 //!   element-at-a-time loop.
 //! * [`BatchScratch::compare_one_vs_many`] — one probe against many
-//!   candidates, the exact shape of an order-cache miss at a hot item
-//!   (probe vs. all current holders) and of an MV snapshot chain walk
-//!   (reader vs. every version stamp). The pass is candidate-major: the
+//!   candidates, the exact shape of an MV snapshot chain walk (reader
+//!   vs. every version stamp). The pass is candidate-major: the
 //!   probe's raw parts and the dimension check are hoisted out of the
 //!   loop, each candidate gets one fused full-width scan, and software
 //!   prefetch of the next candidate's spilled storage hides the pointer
@@ -33,10 +32,13 @@
 //! intrinsics) every path falls back to a scalar kernel that is
 //! bit-identical by construction — the SIMD kernels only accelerate the
 //! "first differing lane" search, they never change which position
-//! decides. The environment variable `MDTS_SIMD` (`scalar` | `sse2` |
-//! `avx2`, read once) pins the tier for A/B runs and for exercising the
-//! non-AVX2 kernels on AVX2 hardware (the no-AVX2 CI leg sets
-//! `MDTS_SIMD=sse2`).
+//! decides. The tier is what the CPU reports; the unit and property tests
+//! drive every tier the CPU supports, not only the one dispatch picks.
+//!
+//! The engine's per-pair compares do not come through here: at k = 3 the
+//! one-word scalar [`TsVec::compare`] (6.9 ns) beats this dispatch
+//! (11.5 ns). The single compare is for wide k (exp06, `bench_compare`:
+//! Figs. 6–7); the batched one is the engine's MV chain walk.
 //!
 //! The reported `ops` count keeps the naive-scan semantics of
 //! [`ScalarComparator`] — deciding index + 1, or `k` for `Identical` — so
@@ -77,7 +79,7 @@ fn scan_ops(r: CmpResult, k: usize) -> usize {
 /// Resolved kernel tier, cached after the first query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SimdTier {
-    /// Scalar fallback: non-x86_64, Miri, or `MDTS_SIMD=scalar`.
+    /// Scalar fallback: non-x86_64 or Miri.
     Scalar,
     /// SSE2 (baseline on every x86_64): two `i64` lanes per instruction.
     Sse2,
@@ -108,26 +110,20 @@ mod x86 {
         }
     }
 
+    /// The x86 tiers in ascending order, each with whether this CPU runs
+    /// it — the one detection ladder (dispatch takes the last supported
+    /// entry, the tests walk all of them).
+    pub fn ladder() -> [(SimdTier, bool); 3] {
+        [
+            (SimdTier::Sse2, true),
+            (SimdTier::Avx2, std::is_x86_feature_detected!("avx2")),
+            (SimdTier::Avx512, std::is_x86_feature_detected!("avx512f")),
+        ]
+    }
+
     #[cold]
     fn detect() -> SimdTier {
-        let avx512 = std::is_x86_feature_detected!("avx512f");
-        let avx2 = std::is_x86_feature_detected!("avx2");
-        let best = if avx512 {
-            SimdTier::Avx512
-        } else if avx2 {
-            SimdTier::Avx2
-        } else {
-            SimdTier::Sse2
-        };
-        // A pin above what the hardware supports degrades to the best
-        // available tier rather than faulting on unsupported instructions;
-        // a pin below it is honored exactly (that's the A/B use case).
-        let tier = match std::env::var("MDTS_SIMD").as_deref() {
-            Ok("scalar") => SimdTier::Scalar,
-            Ok("sse2") => SimdTier::Sse2,
-            Ok("avx2") if avx2 => SimdTier::Avx2,
-            _ => best,
-        };
+        let tier = ladder().iter().rev().find(|t| t.1).map_or(SimdTier::Sse2, |t| t.0);
         let code = match tier {
             SimdTier::Scalar => 1,
             SimdTier::Sse2 => 2,
@@ -476,6 +472,34 @@ fn compare_parts(
     compare_parts_inner(k, av, da, bv, db, first_diff_scalar)
 }
 
+/// The batched candidate loop on the given tier: the counterpart of
+/// [`compare_parts`] for [`batch_inner`], one feature-dispatched call
+/// for the whole batch.
+#[inline]
+fn batch_parts<'a>(
+    tier: SimdTier,
+    k: usize,
+    pv: &[i64],
+    pd: &[u64],
+    candidate: impl Fn(usize) -> &'a TsVec,
+    out: &mut [CmpResult],
+) {
+    // SAFETY: the tier was detected (the `#[target_feature]` callee
+    // contract — the batch wrappers do no unchecked accesses).
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    unsafe {
+        match tier {
+            SimdTier::Avx512 => return x86::batch_avx512(k, pv, pd, candidate, out),
+            SimdTier::Avx2 => return x86::batch_avx2(k, pv, pd, candidate, out),
+            SimdTier::Sse2 => return x86::batch_sse2(k, pv, pd, candidate, out),
+            SimdTier::Scalar => {}
+        }
+    }
+    let _ = tier;
+    // SAFETY: batch_inner is unsafe only as a target_feature callee.
+    unsafe { batch_inner(k, pv, pd, candidate, out, first_diff_scalar) };
+}
+
 /// The data-parallel Definition 6 comparator. Result *and* deciding index
 /// are bit-identical to [`ScalarComparator`] on every input — the SIMD
 /// kernels only accelerate the first-differing-lane search.
@@ -677,29 +701,7 @@ impl BatchScratch {
             self.decisions.reserve(n.max(64));
         }
         self.decisions.resize(n, CmpResult::Identical);
-        // SAFETY: the tier was detected (the `#[target_feature]` callee
-        // contract — the batch wrappers do no unchecked accesses).
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        unsafe {
-            match tier {
-                SimdTier::Avx512 => {
-                    x86::batch_avx512(k, pv, pd, candidate, &mut self.decisions);
-                    return &self.decisions;
-                }
-                SimdTier::Avx2 => {
-                    x86::batch_avx2(k, pv, pd, candidate, &mut self.decisions);
-                    return &self.decisions;
-                }
-                SimdTier::Sse2 => {
-                    x86::batch_sse2(k, pv, pd, candidate, &mut self.decisions);
-                    return &self.decisions;
-                }
-                SimdTier::Scalar => {}
-            }
-        }
-        let _ = tier;
-        // SAFETY: batch_inner is unsafe only as a target_feature callee.
-        unsafe { batch_inner(k, pv, pd, candidate, &mut self.decisions, first_diff_scalar) };
+        batch_parts(tier, k, pv, pd, candidate, &mut self.decisions);
         &self.decisions
     }
 
@@ -708,6 +710,41 @@ impl BatchScratch {
     /// [`compare_one_vs_many`]: BatchScratch::compare_one_vs_many
     pub fn compare_slice(&mut self, probe: &TsVec, candidates: &[TsVec]) -> &[CmpResult] {
         self.compare_one_vs_many(probe, candidates.len(), |c| &candidates[c])
+    }
+}
+
+/// The kernels of one named tier, for tests: dispatch only ever runs the
+/// best tier the CPU reports, so the equivalence tests drive each
+/// supported tier through [`compare_parts`] / [`batch_parts`] here.
+#[cfg(test)]
+pub(crate) mod on_tier {
+    use super::*;
+
+    /// Every tier this CPU can run, scalar first.
+    pub(crate) fn supported() -> Vec<SimdTier> {
+        let mut tiers = vec![SimdTier::Scalar];
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        tiers.extend(x86::ladder().iter().filter(|t| t.1).map(|t| t.0));
+        tiers
+    }
+
+    /// [`SimdComparator::compare_counted`] on `tier`.
+    pub(crate) fn compare_counted(tier: SimdTier, a: &TsVec, b: &TsVec) -> (CmpResult, usize) {
+        assert!(supported().contains(&tier), "{tier:?} is not supported by this CPU");
+        assert_eq!(a.k(), b.k());
+        let (av, da, bv, db) =
+            (a.values_raw(), a.defined_words(), b.values_raw(), b.defined_words());
+        let r = compare_parts(tier, a.k(), av, da, bv, db);
+        (r, scan_ops(r, a.k()))
+    }
+
+    /// [`BatchScratch::compare_slice`] on `tier`.
+    pub(crate) fn compare_slice(tier: SimdTier, probe: &TsVec, cands: &[TsVec]) -> Vec<CmpResult> {
+        assert!(supported().contains(&tier), "{tier:?} is not supported by this CPU");
+        let mut out = vec![CmpResult::Identical; cands.len()];
+        let (pv, pd) = (probe.values_raw(), probe.defined_words());
+        batch_parts(tier, probe.k(), pv, pd, |c| &cands[c], &mut out);
+        out
     }
 }
 
@@ -725,10 +762,11 @@ mod tests {
         let ti = v(&[Some(2), Some(1), None]);
         let tj = v(&[Some(2), None, None]);
         for (a, b) in [(&ti, &tj), (&tj, &ti), (&ti, &ti)] {
-            assert_eq!(
-                SimdComparator::compare_counted(a, b),
-                ScalarComparator::compare_counted(a, b)
-            );
+            let want = ScalarComparator::compare_counted(a, b);
+            assert_eq!(SimdComparator::compare_counted(a, b), want);
+            for tier in on_tier::supported() {
+                assert_eq!(on_tier::compare_counted(tier, a, b), want, "{tier:?}");
+            }
         }
         assert_eq!(SimdComparator::compare(&ti, &tj), CmpResult::RightUndefined { at: 1 });
     }
@@ -753,11 +791,19 @@ mod tests {
                     eb[p] = db;
                     let a = TsVec::from_elems(&ea);
                     let b = TsVec::from_elems(&eb);
+                    let want = ScalarComparator::compare_counted(&a, &b);
                     assert_eq!(
                         SimdComparator::compare_counted(&a, &b),
-                        ScalarComparator::compare_counted(&a, &b),
+                        want,
                         "k={k} p={p} {da:?}/{db:?}"
                     );
+                    for tier in on_tier::supported() {
+                        assert_eq!(
+                            on_tier::compare_counted(tier, &a, &b),
+                            want,
+                            "{tier:?} k={k} p={p} {da:?}/{db:?}"
+                        );
+                    }
                 }
             }
             let full = TsVec::from_elems(&(0..k).map(|m| Some(m as i64)).collect::<Vec<_>>());
@@ -765,6 +811,13 @@ mod tests {
                 SimdComparator::compare_counted(&full, &full.clone()),
                 (CmpResult::Identical, k)
             );
+            for tier in on_tier::supported() {
+                assert_eq!(
+                    on_tier::compare_counted(tier, &full, &full.clone()),
+                    (CmpResult::Identical, k),
+                    "{tier:?}"
+                );
+            }
         }
     }
 
@@ -780,11 +833,13 @@ mod tests {
             v(&[Some(1), Some(2), None, Some(9)]),
         ];
         let mut scratch = BatchScratch::new();
+        let want: Vec<CmpResult> =
+            cands.iter().map(|c| ScalarComparator::compare(&probe, c)).collect();
         for _ in 0..2 {
-            let got = scratch.compare_slice(&probe, &cands).to_vec();
-            let want: Vec<CmpResult> =
-                cands.iter().map(|c| ScalarComparator::compare(&probe, c)).collect();
-            assert_eq!(got, want);
+            assert_eq!(scratch.compare_slice(&probe, &cands), want);
+        }
+        for tier in on_tier::supported() {
+            assert_eq!(on_tier::compare_slice(tier, &probe, &cands), want, "{tier:?}");
         }
     }
 
@@ -813,6 +868,9 @@ mod tests {
         for (i, c) in cands.iter().enumerate() {
             assert_eq!(got[i], ScalarComparator::compare(&probe, c), "candidate {i}");
         }
+        for tier in on_tier::supported() {
+            assert_eq!(on_tier::compare_slice(tier, &probe, &cands), got, "{tier:?}");
+        }
     }
 
     #[test]
@@ -831,6 +889,9 @@ mod tests {
         let got = scratch.compare_slice(&probe, &cands).to_vec();
         for (i, c) in cands.iter().enumerate() {
             assert_eq!(got[i], ScalarComparator::compare(&probe, c), "candidate {i}");
+        }
+        for tier in on_tier::supported() {
+            assert_eq!(on_tier::compare_slice(tier, &probe, &cands), got, "{tier:?}");
         }
     }
 
@@ -862,7 +923,6 @@ mod tests {
     fn tier_is_detected_and_stable() {
         let t = simd_tier();
         assert_eq!(simd_tier(), t);
-        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-        assert_eq!(t, SimdTier::Scalar);
+        assert_eq!(on_tier::supported().last(), Some(&t), "dispatch picks the best tier");
     }
 }

@@ -9,15 +9,15 @@
 //! [`BatchScratch::compare_one_vs_many`] path returns exactly the
 //! sequential per-candidate decisions.
 //!
-//! These run on whatever kernel tier the host dispatches to; the CI matrix
-//! runs them once with AVX2 forced on at compile time and once with
-//! `MDTS_SIMD=sse2`, so both x86 kernels and the scalar fallback stay
-//! bit-identical.
+//! Each property holds for the dispatched entry point *and* for every
+//! kernel tier the CPU supports ([`on_tier`]: scalar, SSE2, AVX2,
+//! AVX-512), so the tiers dispatch never picks on this host stay
+//! bit-identical too.
 
 use proptest::prelude::*;
 
 use crate::compare::{CmpResult, ScalarComparator};
-use crate::simd::{BatchScratch, SimdComparator};
+use crate::simd::{on_tier, BatchScratch, SimdComparator};
 use crate::tsvec::TsVec;
 
 /// Every k the issue names: the full small range, plus the 64-element
@@ -77,6 +77,10 @@ proptest! {
             for (x, y) in [(&a, &b), (&a, &sb), (&sa, &b), (&sa, &sb), (&b, &a), (&a, &a)] {
                 let want = ScalarComparator::compare_counted(x, y);
                 prop_assert_eq!(SimdComparator::compare_counted(x, y), want, "k = {}", k);
+                for tier in on_tier::supported() {
+                    let got = on_tier::compare_counted(tier, x, y);
+                    prop_assert_eq!(got, want, "{:?}, k = {}", tier, k);
+                }
             }
         }
     }
@@ -112,6 +116,10 @@ proptest! {
                 let want = ScalarComparator::compare(&probe, c);
                 prop_assert_eq!(got[i], want, "k = {}, candidate {}", k, i);
                 prop_assert_eq!(SimdComparator::compare(&probe, c), want, "k = {}", k);
+            }
+            for tier in on_tier::supported() {
+                let on = on_tier::compare_slice(tier, &probe, &cands);
+                prop_assert_eq!(&on, &got, "{:?}, k = {}", tier, k);
             }
         }
     }

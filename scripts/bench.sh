@@ -1,77 +1,38 @@
 #!/usr/bin/env bash
-# Benchmark driver for the engine-scaling experiment.
+# Benchmark driver.
 #
-#   scripts/bench.sh           full run: the criterion engine_scaling group
-#                              (sharded vs serialized vs cache-off) and the
-#                              vector-compare groups (Figs. 6–7 plus the
-#                              small-k inline/spilled/boxed sweep), then the
-#                              full exp19 sweep (including the read-heavy
-#                              MV serving-path lane) under --json, written
-#                              to BENCH_pr6.json, the exp18 acceptance
-#                              grid to BENCH_pr6_exp18.json, the SIMD
-#                              comparator acceptance lanes (bench_compare
-#                              --json) to BENCH_pr8.json, the durable
-#                              group-commit lane (exp19 --durable) to
-#                              BENCH_pr9.json, the crash-recovery
-#                              matrix (exp20) to BENCH_pr9_exp20.json,
-#                              and the parallel-replay /
-#                              certified-restart / truncation matrix
-#                              (exp21) to BENCH_pr10_exp21.json
-#                              (all schema mdts-metrics/v1).
-#   scripts/bench.sh --smoke   CI-sized: exp19 --quick --json validated for
-#                              the schema stamp, the read-heavy MV lane
-#                              (snapshot transactions actually served), the
-#                              same sweep under --nocache (every compare
-#                              walks the vectors; exp19 asserts the
-#                              batched chain-walk lane still ran there), the
-#                              bench_compare --json SIMD lanes (schema +
-#                              lane presence), and exp18 --json, plus
-#                              criterion build checks. The durability
-#                              smoke runs too: exp19 --quick --durable
-#                              (group-commit WAL lane with cold recovery)
-#                              and exp20 --smoke (crash matrix: every
-#                              injection site plus SIGKILL, recovery, and
-#                              auditor certification), and exp21 --smoke
-#                              runs the parallel-replay identity,
-#                              certified restart, and
-#                              checkpoint-truncation lanes.
-#                              The telemetry lane always runs: exp19 emits
-#                              an mdts-timeseries/v1 file under
-#                              --telemetry-strict, timeseries_check
-#                              validates it (schema, dense window indices,
-#                              counter recomposition) and certifies the
-#                              stall-detector regression fixtures. The
-#                              repo's benchmark runs too: exp22_costmodel
-#                              --smoke (all five workloads, untraced and
-#                              traced, every output check), then a
-#                              host-independent count gate — one client
-#                              on transfer_uniform_1t must finish with
-#                              counts.aborts == 0 and counts.restarts == 0
-#                              (nothing is concurrent, so nothing may be
-#                              refused), and two clients on a traced
-#                              transfer_uniform_2t must report
-#                              admission.parked_frac == 0 and
-#                              admission.batches_per_txn == 0 (admission
-#                              is serial: no queue, nobody parks). Only
-#                              temp files are written.
-#   scripts/bench.sh --telemetry
-#                              full run as above, additionally passing
-#                              --telemetry to exp19 so the window stream
-#                              lands in BENCH_pr6_timeseries.jsonl
-#                              (validated before the script exits).
+#   scripts/bench.sh              full run: the criterion groups
+#                                 (engine_scaling, vector compare), then one
+#                                 mdts-metrics/v1 document per experiment
+#                                 under target/bench/: exp19.json,
+#                                 exp18.json, bench_compare.json,
+#                                 exp19_durable.json, exp20.json, exp21.json
+#   scripts/bench.sh --telemetry  the same, plus exp19's window stream in
+#                                 target/bench/exp19_timeseries.jsonl
+#                                 (validated before the script exits)
+#   scripts/bench.sh --smoke      CI-sized: every experiment's quick lane
+#                                 with its document checked for schema and
+#                                 lanes (exp19 also under --nocache, where
+#                                 every compare walks the vectors), the
+#                                 durability lanes (exp19
+#                                 --durable, exp20, exp21), the telemetry
+#                                 stream and stall fixtures, exp22_costmodel
+#                                 --smoke, and two host-independent exp22
+#                                 count gates — one client on
+#                                 transfer_uniform_1t: counts.aborts and
+#                                 counts.restarts are 0; two clients on a
+#                                 traced transfer_uniform_2t:
+#                                 admission.parked_frac and
+#                                 admission.batches_per_txn are 0. Only
+#                                 temp files are written.
 #
 # Run from the repo root (or anywhere — the script cd's home first).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SCHEMA='mdts-metrics/v1'
-OUT=BENCH_pr6.json
-OUT18=BENCH_pr6_exp18.json
-OUT_TS=BENCH_pr6_timeseries.jsonl
-OUT8=BENCH_pr8.json
-OUT9=BENCH_pr9.json
-OUT9_20=BENCH_pr9_exp20.json
-OUT10_21=BENCH_pr10_exp21.json
+OUT_DIR=target/bench
+OUT_TS=$OUT_DIR/exp19_timeseries.jsonl
 
 if [[ "${1:-}" == "--smoke" ]]; then
     echo "== bench smoke: exp19 --quick --json (scaling + read-heavy MV lane) =="
@@ -118,7 +79,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
     fi
     echo "== bench smoke: exp20 --smoke (crash matrix: injection sites + SIGKILL + auditor) =="
     cargo run --release -q -p mdts-bench --bin exp20_recovery -- --smoke
-    echo "== bench smoke: exp21 --smoke (parallel replay identity + certified restart + truncation) =="
+    echo "== bench smoke: exp21 --smoke (certified restart + truncation) =="
     cargo run --release -q -p mdts-bench --bin exp21_replay -- --smoke
     echo "== bench smoke: exp18 --json =="
     doc18=$(cargo run --release -q -p mdts-bench --bin exp18_multiversion -- --json)
@@ -164,6 +125,18 @@ if [[ "${1:-}" == "--smoke" ]]; then
     exit 0
 fi
 
+mkdir -p "$OUT_DIR"
+
+# write_doc <experiment> <command...>: the command's stdout is the
+# experiment's mdts-metrics/v1 document.
+write_doc() {
+    local out="$OUT_DIR/$1.json"
+    shift
+    "$@" > "$out"
+    grep -q "$SCHEMA" "$out"
+    echo "bench: wrote $out"
+}
+
 TELEMETRY_ARGS=()
 if [[ "${1:-}" == "--telemetry" ]]; then
     TELEMETRY_ARGS=(--telemetry "$OUT_TS")
@@ -175,36 +148,24 @@ cargo bench -p mdts-bench --bench bench_scaling
 echo "== criterion: vector compare (Figs. 6-7 + small-k representation sweep) =="
 cargo bench -p mdts-bench --bench bench_compare
 
-echo "== exp19 (full sweep incl. read-heavy MV lane) --json -> $OUT =="
-cargo run --release -q -p mdts-bench --bin exp19_scaling -- --json "${TELEMETRY_ARGS[@]}" > "$OUT"
-grep -q "$SCHEMA" "$OUT"
-echo "bench: wrote $OUT"
+echo "== exp19 (full sweep incl. read-heavy MV lane) =="
+write_doc exp19 cargo run --release -q -p mdts-bench --bin exp19_scaling -- --json "${TELEMETRY_ARGS[@]}"
 if [[ ${#TELEMETRY_ARGS[@]} -gt 0 ]]; then
     cargo run --release -q -p mdts-bench --bin timeseries_check -- "$OUT_TS"
     echo "bench: wrote $OUT_TS"
 fi
 
-echo "== exp18 (MV acceptance grid) --json -> $OUT18 =="
-cargo run --release -q -p mdts-bench --bin exp18_multiversion -- --json > "$OUT18"
-grep -q "$SCHEMA" "$OUT18"
-echo "bench: wrote $OUT18"
+echo "== exp18 (MV acceptance grid) =="
+write_doc exp18 cargo run --release -q -p mdts-bench --bin exp18_multiversion -- --json
 
-echo "== bench_compare --json (SIMD acceptance lanes) -> $OUT8 =="
-cargo bench -q -p mdts-bench --bench bench_compare -- --json > "$OUT8"
-grep -q "$SCHEMA" "$OUT8"
-echo "bench: wrote $OUT8"
+echo "== bench_compare (SIMD acceptance lanes) =="
+write_doc bench_compare cargo bench -q -p mdts-bench --bench bench_compare -- --json
 
-echo "== exp19 --durable (group-commit WAL lane + oversubscribed acceptance) --json -> $OUT9 =="
-cargo run --release -q -p mdts-bench --bin exp19_scaling -- --durable --json > "$OUT9"
-grep -q "$SCHEMA" "$OUT9"
-echo "bench: wrote $OUT9"
+echo "== exp19 --durable (group-commit WAL lane + oversubscribed acceptance) =="
+write_doc exp19_durable cargo run --release -q -p mdts-bench --bin exp19_scaling -- --durable --json
 
-echo "== exp20 (crash-recovery matrix + auditor certification) --json -> $OUT9_20 =="
-cargo run --release -q -p mdts-bench --bin exp20_recovery -- --json > "$OUT9_20"
-grep -q "$SCHEMA" "$OUT9_20"
-echo "bench: wrote $OUT9_20"
+echo "== exp20 (crash-recovery matrix + auditor certification) =="
+write_doc exp20 cargo run --release -q -p mdts-bench --bin exp20_recovery -- --json
 
-echo "== exp21 (parallel replay + certified restart + truncation) --json -> $OUT10_21 =="
-cargo run --release -q -p mdts-bench --bin exp21_replay -- --json > "$OUT10_21"
-grep -q "$SCHEMA" "$OUT10_21"
-echo "bench: wrote $OUT10_21"
+echo "== exp21 (certified restart + truncation) =="
+write_doc exp21 cargo run --release -q -p mdts-bench --bin exp21_replay -- --json
