@@ -6,8 +6,10 @@
 //! golden test.
 
 use mdts_bench::{print_table, replay_with_snapshots, Table};
-use mdts_core::{MtOptions, MtScheduler, SetEvent};
+use mdts_core::MtScheduler;
 use mdts_model::{Log, TxId};
+use mdts_trace::event::SetEdgeOutcome;
+use mdts_trace::{TraceBuffer, TraceEvent, TraceSink};
 
 fn main() {
     println!("== exp03: Fig. 3 / Table I — Example 2 ==\n");
@@ -15,7 +17,9 @@ fn main() {
     println!("log L = {log}  (k = 2)\n");
 
     let txns = [TxId(0), TxId(1), TxId(2), TxId(3)];
-    let mut s = MtScheduler::new(MtOptions { record_events: true, ..MtOptions::new(2) });
+    let journal = TraceBuffer::journal();
+    let mut s = MtScheduler::with_k(2);
+    s.attach_trace(TraceSink::to(&journal));
     let snaps = replay_with_snapshots(&mut s, &log, &txns);
 
     let mut table = Table::new(&["op", "TS(0)", "TS(1)", "TS(2)", "TS(3)"]);
@@ -29,8 +33,8 @@ fn main() {
     print_table(&table);
 
     println!("\ndependency edges in establishment order (Table I's a–e):");
-    for ev in s.events() {
-        if let SetEvent::Encoded { from, to, changes } = ev {
+    for ev in journal.snapshot().events() {
+        if let TraceEvent::SetEdge { from, to, outcome: SetEdgeOutcome::Encoded { changes } } = ev {
             let cells: Vec<String> = changes
                 .iter()
                 .map(|(t, col, v)| format!("TS({},{}) := {}", t.0, col + 1, v))

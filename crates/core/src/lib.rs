@@ -25,7 +25,9 @@
 //!   optional refinements ([`MtOptions`]): the Thomas write rule
 //!   (III-D-6c), the starvation-avoidance flush (III-D-4), the relaxed
 //!   reader rule (noted after Theorem 3), and the hot-item right-end
-//!   encoding (III-D-5).
+//!   encoding (III-D-5). It and [`SharedMtScheduler`] are the two
+//!   instantiations of one statement of Algorithm 1 (the private `algo1`
+//!   module: `Set`'s element choice and the access rule).
 //! * [`NaiveComposite`] and [`SharedPrefixComposite`] — MT(k\*) both as the
 //!   specification (k independent subprotocols) and as Algorithm 2's
 //!   shared PREFIX/LASTCOL implementation; Theorem 5 says they coincide,
@@ -41,6 +43,7 @@
 //!
 //! [`OrderCache`]: mdts_vector::OrderCache
 
+mod algo1;
 pub mod composite;
 pub mod mtk;
 pub mod mvmt;
@@ -51,7 +54,7 @@ pub mod sync;
 pub mod table;
 
 pub use composite::{NaiveComposite, SharedPrefixComposite};
-pub use mtk::{Decision, HotEncoding, MtOptions, MtScheduler, Reject, SetEvent};
+pub use mtk::{Decision, HotEncoding, MtOptions, MtScheduler, Reject};
 pub use mvmt::MvMtScheduler;
 pub use recognize::{recognize, to_k, to_k_star, LogScheduler, Recognition};
 pub use rowtable::{RowSlot, RowTable};

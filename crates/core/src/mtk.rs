@@ -1,17 +1,22 @@
-//! Algorithm 1 — the protocol MT(k).
+//! Algorithm 1 — the protocol MT(k), as the sequential oracle.
 //!
 //! The scheduler keeps the timestamp table of Fig. 2 and, for each arriving
-//! operation by `T_i` on item `x`:
+//! operation by `T_i` on item `x`, runs the access rule of the `algo1`
+//! module:
 //!
 //! 1. picks `j` — the *larger* of `RT(x)` and `WT(x)` under the vector
-//!    order (lines 5–6; the two are always comparable, see the invariant
-//!    note on [`MtScheduler::pick`]);
+//!    order (lines 5–6);
 //! 2. calls `Set(j, i)` to check or encode the dependency `T_j → T_i`
 //!    (procedure `Set`, lines 15–20);
 //! 3. on success updates `RT(x)`/`WT(x)` and accepts; a read that cannot be
 //!    ordered after the latest *reader* may still proceed if it is ordered
 //!    after the latest *writer* (lines 9–10); otherwise the transaction
 //!    must abort.
+//!
+//! What is this scheduler's own is the state around the rule: one
+//! `&mut self` table, the per-transaction footprint an abort rolls back,
+//! the shielded `RT` slots that rollback must not touch, and the access
+//! counts behind the III-D-5 hot-item trigger.
 //!
 //! Optional refinements from the paper are behind [`MtOptions`]:
 //! the Thomas write rule (III-D-6c), the starvation-avoidance flush
@@ -21,12 +26,11 @@
 use std::collections::HashMap;
 
 use mdts_model::{ItemId, OpKind, Operation, TxId};
-use mdts_trace::event::{
-    scalar_cost, tree_cost, AccessOutcome, EncodedChanges, RejectRule, SetEdgeOutcome,
-};
-use mdts_trace::{TraceBuffer, TraceEvent, TraceSink};
+use mdts_trace::event::{scalar_cost, tree_cost, AccessOutcome};
+use mdts_trace::{TraceEvent, TraceSink};
 use mdts_vector::{CmpResult, OrderCache, OrderCacheStats, TsVec};
 
+use crate::algo1::{self, Encoding};
 use crate::table::TimestampTable;
 
 /// Hot-item encoding configuration (Section III-D-5).
@@ -77,12 +81,6 @@ pub struct MtOptions {
     /// (the III-D-4 in-place flush, reuse of a reclaimed id, raw table
     /// access). On by default.
     pub order_cache: bool,
-    /// Attach an internal journal [`TraceBuffer`] so [`MtScheduler::events`]
-    /// can reconstruct the `Set` journal (used by the paper-table
-    /// harnesses; off by default to keep bulk recognition allocation-free).
-    /// Independent of this flag, an external sink can be attached with
-    /// [`MtScheduler::attach_trace`].
-    pub record_events: bool,
 }
 
 impl MtOptions {
@@ -96,7 +94,6 @@ impl MtOptions {
             starvation_flush: false,
             hot_encoding: None,
             order_cache: true,
-            record_events: false,
         }
     }
 
@@ -144,45 +141,6 @@ impl Decision {
     pub fn is_accept(&self) -> bool {
         matches!(self, Decision::Accept { .. })
     }
-}
-
-/// Journal record of one `Set(j, i)` outcome (for the Table I–III
-/// reproductions and the unit tests).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum SetEvent {
-    /// The dependency `from → to` was newly encoded; `changes` lists the
-    /// `(transaction, column, value)` element definitions performed.
-    Encoded {
-        /// Earlier transaction.
-        from: TxId,
-        /// Later transaction.
-        to: TxId,
-        /// Element definitions `(tx, column, value)`.
-        changes: EncodedChanges,
-    },
-    /// The vectors already said `from < to`; nothing to do.
-    AlreadyOrdered {
-        /// Earlier transaction.
-        from: TxId,
-        /// Later transaction.
-        to: TxId,
-    },
-    /// The vectors say `from > to`; the dependency is impossible.
-    Refused {
-        /// Would-be earlier transaction.
-        from: TxId,
-        /// Would-be later transaction.
-        to: TxId,
-        /// Column that decided the order.
-        at: usize,
-    },
-}
-
-enum SetResult {
-    /// Ordered (possibly after encoding).
-    Ok,
-    /// `TS(j) > TS(i)` — the dependency cannot be encoded.
-    Refused { at: usize },
 }
 
 /// Which table slot a footprint entry refers to.
@@ -241,11 +199,6 @@ impl MtScheduler {
     /// New scheduler with the given options.
     pub fn new(opts: MtOptions) -> Self {
         assert!(opts.k >= 1);
-        let trace = if opts.record_events {
-            TraceSink::to(&TraceBuffer::journal())
-        } else {
-            TraceSink::disabled()
-        };
         MtScheduler {
             table: TimestampTable::new(opts.k),
             opts,
@@ -256,7 +209,7 @@ impl MtScheduler {
             shielded: std::collections::HashSet::new(),
             cache: OrderCache::new(),
             cache_synced_epoch: 0,
-            trace,
+            trace: TraceSink::disabled(),
         }
     }
 
@@ -321,19 +274,19 @@ impl MtScheduler {
         (cmp, false)
     }
 
-    /// Notes a just-encoded order `TS(j) < TS(i)` (decided at column `at`)
-    /// in the cache, so the next consult is a hit.
-    fn cache_note_less(&mut self, j: TxId, i: TxId, at: usize) {
+    /// Notes a just-encoded order `TS(j) < TS(i)` in the cache, so the
+    /// next consult is a hit.
+    fn cache_note_less(&mut self, j: TxId, i: TxId, less: CmpResult) {
         if !self.opts.order_cache {
             return;
         }
         debug_assert_eq!(
             self.table.compare(j, i),
-            CmpResult::Less { at },
+            less,
             "encoded order for {j} < {i} does not match the vectors"
         );
         let epoch = self.cache.epoch();
-        self.cache.insert(epoch, j.0, i.0, CmpResult::Less { at });
+        self.cache.insert(epoch, j.0, i.0, less);
     }
 
     /// Installs an explicit vector for `tx`, replacing any existing row —
@@ -344,7 +297,8 @@ impl MtScheduler {
     }
 
     /// Routes the scheduler's decision trace to `sink` (replacing any
-    /// previous sink, including the internal `record_events` journal).
+    /// previous sink). A [`TraceBuffer::journal`](mdts_trace::TraceBuffer::journal)
+    /// keeps every event — the `Set` edges of the paper's tables included.
     pub fn attach_trace(&mut self, sink: TraceSink) {
         self.trace = sink;
     }
@@ -352,35 +306,6 @@ impl MtScheduler {
     /// The trace sink in force.
     pub fn trace(&self) -> &TraceSink {
         &self.trace
-    }
-
-    /// The `Set` journal, reconstructed from the attached trace buffer
-    /// (empty unless `record_events` or an [`MtScheduler::attach_trace`]d
-    /// buffer is present). Compatibility shim: the trace layer is the one
-    /// event stream; this projects its `SetEdge` records back into the
-    /// historical [`SetEvent`] shape.
-    pub fn events(&self) -> Vec<SetEvent> {
-        let Some(buffer) = self.trace.buffer() else {
-            return Vec::new();
-        };
-        let trace = buffer.snapshot();
-        trace
-            .events()
-            .filter_map(|e| match e {
-                TraceEvent::SetEdge { from, to, outcome } => Some(match outcome {
-                    SetEdgeOutcome::Encoded { changes } => {
-                        SetEvent::Encoded { from: *from, to: *to, changes: changes.clone() }
-                    }
-                    SetEdgeOutcome::AlreadyOrdered => {
-                        SetEvent::AlreadyOrdered { from: *from, to: *to }
-                    }
-                    SetEdgeOutcome::Refused { at } => {
-                        SetEvent::Refused { from: *from, to: *to, at: *at }
-                    }
-                }),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Registers a transaction (idempotent). Operations register their
@@ -503,7 +428,7 @@ impl MtScheduler {
     /// This is the building block the hierarchical protocol MT(k₁,k₂) and
     /// the decentralized DMT(k) reuse for their own tables.
     pub fn order(&mut self, j: TxId, i: TxId) -> bool {
-        matches!(self.set_less(j, i, false), SetResult::Ok)
+        self.set_less(j, i, false).is_ok()
     }
 
     fn bump_access(&mut self, item: ItemId) -> bool {
@@ -518,46 +443,13 @@ impl MtScheduler {
         }
     }
 
-    /// Lines 5–6: the larger of `RT(x)` and `WT(x)`.
-    ///
-    /// Invariant: the two are always strictly ordered (or identical)
-    /// because every accepted access to `x` was ordered after the then
-    /// larger of the two — so "not less" means "greater or same".
-    fn pick(&mut self, item: ItemId) -> TxId {
-        let rt = self.table.rt(item);
-        let wt = self.table.wt(item);
-        if rt == wt {
-            return rt;
-        }
-        // RT/WT always point at live vectors (reclamation refuses while
-        // referenced), but a defensive ensure keeps the invariant local.
-        self.table.ensure_tx(rt);
-        self.table.ensure_tx(wt);
-        if matches!(self.compare_cached(rt, wt).0, CmpResult::Less { .. }) {
-            wt
-        } else {
-            rt
-        }
-    }
-
-    fn record(&mut self, ev: SetEvent) {
-        self.trace.emit(|| {
-            let (from, to, outcome) = match ev {
-                SetEvent::Encoded { from, to, changes } => {
-                    (from, to, SetEdgeOutcome::Encoded { changes })
-                }
-                SetEvent::AlreadyOrdered { from, to } => (from, to, SetEdgeOutcome::AlreadyOrdered),
-                SetEvent::Refused { from, to, at } => (from, to, SetEdgeOutcome::Refused { at }),
-            };
-            TraceEvent::SetEdge { from, to, outcome }
-        });
-    }
-
     /// Procedure `Set(j, i)`: ensure `TS(j) < TS(i)`, encoding a new
-    /// dependency if the order is still open.
-    fn set_less(&mut self, j: TxId, i: TxId, hot: bool) -> SetResult {
+    /// dependency if the order is still open ([`algo1::set`] with the
+    /// origin floor — this table never stamps — and, for a `hot` item,
+    /// III-D-5's right-end encoding). `Err` carries the refusing column.
+    fn set_less(&mut self, j: TxId, i: TxId, hot: bool) -> Result<(), usize> {
         if j == i {
-            return SetResult::Ok; // line 15
+            return Ok(()); // line 15
         }
         self.table.ensure_tx(j);
         self.table.ensure_tx(i);
@@ -572,118 +464,20 @@ impl MtScheduler {
             tree_steps: tree_cost(k),
             cached,
         });
-        match cmp {
-            CmpResult::Less { .. } => {
-                self.record(SetEvent::AlreadyOrdered { from: j, to: i });
-                SetResult::Ok
-            }
-            CmpResult::Greater { at } => {
-                self.record(SetEvent::Refused { from: j, to: i, at });
-                SetResult::Refused { at }
-            }
-            CmpResult::Identical => {
-                // Unreachable between distinct transactions: the k-th
-                // column always holds globally distinct counter values.
-                debug_assert!(false, "identical fully-defined vectors for {j} and {i}");
-                SetResult::Refused { at: k - 1 }
-            }
-            CmpResult::EqualUndefined { at } => {
-                let changes = if at == k - 1 {
-                    let (a, b) = self.table.counters_mut().fresh_pair();
-                    self.table.ts_mut(j).define(at, a);
-                    self.table.ts_mut(i).define(at, b);
-                    EncodedChanges::pair((j, at, a), (i, at, b))
-                } else {
-                    self.table.ts_mut(j).define(at, 1);
-                    self.table.ts_mut(i).define(at, 2);
-                    EncodedChanges::pair((j, at, 1), (i, at, 2))
-                };
-                self.record(SetEvent::Encoded { from: j, to: i, changes });
-                self.cache_note_less(j, i, at);
-                SetResult::Ok
-            }
-            CmpResult::RightUndefined { at } => {
-                // TS(i, at) undefined; TS(j, at) defined.
-                if hot {
-                    if let Some(changes) = self.encode_hot(j, i, at) {
-                        // The right-end encode decides at the first column
-                        // it defined in *both* vectors — the last change.
-                        let p = changes.last().expect("hot encode changes something").1;
-                        self.record(SetEvent::Encoded { from: j, to: i, changes: changes.into() });
-                        self.cache_note_less(j, i, p);
-                        return SetResult::Ok;
-                    }
-                }
-                let bound = self.table.ts_expect(j).get(at).expect("defined by case");
-                let value = if at == k - 1 {
-                    // The bound keeps the postcondition TS(j,k) < TS(i,k)
-                    // even when a DMT(k) site's clock lags (Section V-B-1).
-                    self.table.counters_mut().fresh_upper_above(bound)
-                } else {
-                    bound + 1
-                };
-                self.table.ts_mut(i).define(at, value);
-                self.record(SetEvent::Encoded {
-                    from: j,
-                    to: i,
-                    changes: EncodedChanges::one((i, at, value)),
-                });
-                self.cache_note_less(j, i, at);
-                SetResult::Ok
-            }
-            CmpResult::LeftUndefined { at } => {
-                // TS(j, at) undefined; TS(i, at) defined.
-                let bound = self.table.ts_expect(i).get(at).expect("defined by case");
-                let value = if at == k - 1 {
-                    self.table.counters_mut().fresh_lower_below(bound)
-                } else {
-                    bound - 1
-                };
-                self.table.ts_mut(j).define(at, value);
-                self.record(SetEvent::Encoded {
-                    from: j,
-                    to: i,
-                    changes: EncodedChanges::one((j, at, value)),
-                });
-                self.cache_note_less(j, i, at);
-                SetResult::Ok
-            }
+        let outcome = algo1::set(
+            cmp,
+            (j, self.table.ts_expect(j)),
+            (i, self.table.ts_expect(i)),
+            algo1::origin_floor,
+            if hot { Encoding::RightEnd } else { Encoding::Plain },
+            self.table.counters(),
+        );
+        let now = algo1::apply(&outcome, cmp, |t, m, v| self.table.ts_mut(t).define(m, v));
+        if now != cmp {
+            // An encode closed the order: memoize it.
+            self.cache_note_less(j, i, now);
         }
-    }
-
-    /// Hot-item right-end encoding (III-D-5): copy `TS(j)`'s defined
-    /// suffix-of-prefix into `TS(i)` from column `at` on, then encode the
-    /// order at the first column where both are undefined. Returns the
-    /// performed changes, or `None` when `TS(j)` is fully defined (no room
-    /// — fall back to the normal rule).
-    fn encode_hot(&mut self, j: TxId, i: TxId, at: usize) -> Option<Vec<(TxId, usize, i64)>> {
-        let k = self.opts.k;
-        // Protocol vectors are prefix-shaped: defined columns form a prefix.
-        let donor_len = self.table.ts_expect(j).defined_count();
-        debug_assert!(donor_len > at);
-        if donor_len >= k {
-            return None; // copying everything would duplicate the k-th column
-        }
-        let mut changes = Vec::with_capacity(donor_len - at + 2);
-        for col in at..donor_len {
-            let v = self.table.ts_expect(j).get(col).expect("within donor prefix");
-            self.table.ts_mut(i).define(col, v);
-            changes.push((i, col, v));
-        }
-        let p = donor_len;
-        if p == k - 1 {
-            let (a, b) = self.table.counters_mut().fresh_pair();
-            self.table.ts_mut(j).define(p, a);
-            self.table.ts_mut(i).define(p, b);
-            changes.push((j, p, a));
-            changes.push((i, p, b));
-        } else {
-            self.table.ts_mut(j).define(p, 1);
-            self.table.ts_mut(i).define(p, 2);
-            changes.push((j, p, 1));
-            changes.push((i, p, 2));
-        }
-        Some(changes)
+        algo1::emit_set(&self.trace, j, i, outcome)
     }
 
     fn note_reject(&mut self, tx: TxId, against: TxId) {
@@ -699,125 +493,35 @@ impl MtScheduler {
 
     /// Schedules a read of `item` by `tx` (the `read` arm of `Scheduler`).
     pub fn read(&mut self, tx: TxId, item: ItemId) -> Decision {
-        self.table.ensure_tx(tx);
-        let hot = self.bump_access(item);
-        let rt = self.table.rt(item);
-        let wt = self.table.wt(item);
-        let j = self.pick(item);
-        match self.set_less(j, tx, hot) {
-            SetResult::Ok => {
-                self.trace.emit(|| TraceEvent::Access {
-                    tx,
-                    item,
-                    kind: OpKind::Read,
-                    rt,
-                    wt,
-                    outcome: AccessOutcome::Granted,
-                });
-                self.set_rt_tracked(item, tx); // line 7
-                Decision::accept()
-            }
-            SetResult::Refused { at } => {
-                // Lines 9–10: proceed without becoming the most recent
-                // reader if ordered after the latest writer.
-                let reader_rule = self.opts.reader_rule && j == rt;
-                if reader_rule {
-                    let after_writer = if self.opts.relaxed_reader_rule {
-                        matches!(self.set_less(wt, tx, false), SetResult::Ok)
-                    } else {
-                        wt == tx || matches!(self.compare_cached(wt, tx).0, CmpResult::Less { .. })
-                    };
-                    if after_writer {
-                        // The read proceeds invisibly: `RT(x)` is not
-                        // updated, so this reader's only protection is the
-                        // decided order `tx < RT(x)`. Mark the anchor so an
-                        // abort of the holder cannot roll it away.
-                        self.shielded.insert(item);
-                        self.trace.emit(|| TraceEvent::Access {
-                            tx,
-                            item,
-                            kind: OpKind::Read,
-                            rt,
-                            wt,
-                            outcome: AccessOutcome::GrantedInvisible,
-                        });
-                        return Decision::accept();
-                    }
-                }
-                self.note_reject(tx, j);
-                self.trace.emit(|| TraceEvent::Access {
-                    tx,
-                    item,
-                    kind: OpKind::Read,
-                    rt,
-                    wt,
-                    outcome: AccessOutcome::Rejected {
-                        against: j,
-                        column: at,
-                        rule: if reader_rule {
-                            RejectRule::ReaderRule
-                        } else {
-                            RejectRule::VectorOrder
-                        },
-                    },
-                });
-                Decision::Reject(Reject { tx, against: j, item, column: at })
-            }
-        }
+        self.access(tx, item, OpKind::Read)
     }
 
     /// Schedules a write of `item` by `tx` (the `write` arm of `Scheduler`).
     pub fn write(&mut self, tx: TxId, item: ItemId) -> Decision {
+        self.access(tx, item, OpKind::Write)
+    }
+
+    /// [`algo1::access`] on this table, then the holder update: line 7 or
+    /// 12 on a grant; on an invisible lines 9–10 read, the shield. Such a
+    /// read does not update `RT(x)`, so its only protection against later
+    /// writers is the decided order `tx < RT(x)` — an abort of the holder
+    /// must not roll that anchor away.
+    fn access(&mut self, tx: TxId, item: ItemId, kind: OpKind) -> Decision {
         self.table.ensure_tx(tx);
         let hot = self.bump_access(item);
-        let rt = self.table.rt(item);
-        let wt = self.table.wt(item);
-        let j = self.pick(item);
-        match self.set_less(j, tx, hot) {
-            SetResult::Ok => {
-                self.trace.emit(|| TraceEvent::Access {
-                    tx,
-                    item,
-                    kind: OpKind::Write,
-                    rt,
-                    wt,
-                    outcome: AccessOutcome::Granted,
-                });
-                self.set_wt_tracked(item, tx); // line 12
-                Decision::accept()
+        let (rt, wt) = (self.table.rt(item), self.table.wt(item));
+        let opts = self.opts;
+        let outcome = algo1::access(&mut Oracle { s: self, hot }, &opts, tx, kind, rt, wt);
+        self.trace.emit(|| TraceEvent::Access { tx, item, kind, rt, wt, outcome });
+        match (outcome, kind) {
+            (AccessOutcome::Granted, OpKind::Read) => self.set_rt_tracked(item, tx), // line 7
+            (AccessOutcome::Granted, OpKind::Write) => self.set_wt_tracked(item, tx), // line 12
+            (AccessOutcome::GrantedInvisible, _) => {
+                self.shielded.insert(item);
             }
-            SetResult::Refused { at } => {
-                // Thomas write rule (III-D-6c): if the blocked writer sits
-                // between all readers and the newer writer —
-                // TS(RT(x)) < TS(tx) < TS(WT(x)) — ignore the write.
-                let thomas = self.opts.thomas_write_rule && j == wt;
-                if thomas && matches!(self.set_less(rt, tx, false), SetResult::Ok) {
-                    self.trace.emit(|| TraceEvent::Access {
-                        tx,
-                        item,
-                        kind: OpKind::Write,
-                        rt,
-                        wt,
-                        outcome: AccessOutcome::GrantedIgnored,
-                    });
-                    return Decision::Accept { ignored: vec![item] };
-                }
-                self.note_reject(tx, j);
-                self.trace.emit(|| TraceEvent::Access {
-                    tx,
-                    item,
-                    kind: OpKind::Write,
-                    rt,
-                    wt,
-                    outcome: AccessOutcome::Rejected {
-                        against: j,
-                        column: at,
-                        rule: if thomas { RejectRule::ThomasRule } else { RejectRule::VectorOrder },
-                    },
-                });
-                Decision::Reject(Reject { tx, against: j, item, column: at })
-            }
+            _ => {}
         }
+        algo1::decision(tx, item, outcome)
     }
 
     /// Schedules a whole (possibly multi-item) operation. Items are
@@ -826,18 +530,33 @@ impl MtScheduler {
     /// are valid constraints regardless, and the issuing transaction aborts
     /// anyway).
     pub fn process(&mut self, op: &Operation) -> Decision {
-        let mut ignored = Vec::new();
-        for &item in op.items() {
-            let d = match op.kind {
-                OpKind::Read => self.read(op.tx, item),
-                OpKind::Write => self.write(op.tx, item),
-            };
-            match d {
-                Decision::Accept { ignored: ig } => ignored.extend(ig),
-                Decision::Reject(r) => return Decision::Reject(r),
-            }
-        }
-        Decision::Accept { ignored }
+        algo1::process(op, |tx, item, kind| self.access(tx, item, kind))
+    }
+}
+
+/// The oracle as the access rule sees it. `hot` (III-D-5) applies to the
+/// access's first `Set` — the one against the larger holder.
+struct Oracle<'a> {
+    s: &'a mut MtScheduler,
+    hot: bool,
+}
+
+impl algo1::OrderTable for Oracle<'_> {
+    fn order_of(&mut self, a: TxId, b: TxId) -> CmpResult {
+        // RT/WT always point at live vectors (reclamation refuses while
+        // referenced), but a defensive ensure keeps the invariant local.
+        self.s.table.ensure_tx(a);
+        self.s.table.ensure_tx(b);
+        self.s.compare_cached(a, b).0
+    }
+
+    fn set(&mut self, j: TxId, i: TxId) -> Result<(), usize> {
+        let hot = std::mem::take(&mut self.hot);
+        self.s.set_less(j, i, hot)
+    }
+
+    fn note_reject(&mut self, tx: TxId, against: TxId) {
+        self.s.note_reject(tx, against);
     }
 }
 
@@ -845,6 +564,7 @@ impl MtScheduler {
 mod tests {
     use super::*;
     use mdts_model::Log;
+    use mdts_trace::event::{EncodedChanges, SetEdgeOutcome};
 
     fn run(sched: &mut MtScheduler, log: &Log) -> Option<usize> {
         for (pos, op) in log.ops().iter().enumerate() {
@@ -1023,14 +743,22 @@ mod tests {
 
     #[test]
     fn events_journal_records_encodings() {
-        let mut s = MtScheduler::new(MtOptions { record_events: true, ..MtOptions::new(2) });
+        let journal = mdts_trace::TraceBuffer::journal();
+        let mut s = MtScheduler::with_k(2);
+        s.attach_trace(TraceSink::to(&journal));
         assert!(s.write(TxId(1), ItemId(0)).is_accept());
+        let edges: Vec<TraceEvent> = journal
+            .snapshot()
+            .events()
+            .filter(|e| matches!(e, TraceEvent::SetEdge { .. }))
+            .cloned()
+            .collect();
         assert_eq!(
-            s.events(),
-            &[SetEvent::Encoded {
+            edges,
+            [TraceEvent::SetEdge {
                 from: TxId(0),
                 to: TxId(1),
-                changes: EncodedChanges::one((TxId(1), 0, 1)),
+                outcome: SetEdgeOutcome::Encoded { changes: EncodedChanges::one((TxId(1), 0, 1)) },
             }]
         );
     }

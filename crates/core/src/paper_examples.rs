@@ -3,9 +3,11 @@
 //! and the starvation case (Fig. 5).
 
 use mdts_model::{ItemId, Log, TxId};
+use mdts_trace::event::{Change, SetEdgeOutcome};
+use mdts_trace::{TraceBuffer, TraceEvent, TraceSink};
 use mdts_vector::TsVec;
 
-use crate::mtk::{HotEncoding, MtOptions, MtScheduler, SetEvent};
+use crate::mtk::{HotEncoding, MtOptions, MtScheduler};
 use crate::recognize::recognize;
 
 fn ts(s: &MtScheduler, i: u32) -> String {
@@ -15,7 +17,9 @@ fn ts(s: &MtScheduler, i: u32) -> String {
 /// Example 2 / Table I: dependencies a…e encode exactly the table's values.
 #[test]
 fn table1_example2_vectors() {
-    let mut s = MtScheduler::new(MtOptions { record_events: true, ..MtOptions::new(2) });
+    let journal = TraceBuffer::journal();
+    let mut s = MtScheduler::with_k(2);
+    s.attach_trace(TraceSink::to(&journal));
     let log = Log::parse("R1[x] R2[y] R3[z] W1[y] W1[z]").unwrap();
     assert!(recognize(&mut s, &log).accepted);
 
@@ -26,32 +30,30 @@ fn table1_example2_vectors() {
     assert_eq!(ts(&s, 3), "<1,0>");
 
     // The dependency edges a–e in order, with their encodings.
-    let events = s.events();
-    let encoded: Vec<&SetEvent> =
-        events.iter().filter(|e| matches!(e, SetEvent::Encoded { .. })).collect();
-    let expect = [
+    let trace = journal.snapshot();
+    let encoded: Vec<(TxId, TxId, &[Change])> = trace
+        .events()
+        .filter_map(|e| match e {
+            TraceEvent::SetEdge { from, to, outcome: SetEdgeOutcome::Encoded { changes } } => {
+                Some((*from, *to, changes.as_slice()))
+            }
+            _ => None,
+        })
+        .collect();
+    let expect: [(TxId, TxId, &[Change]); 5] = [
         // a: T0 → T1 sets TS(1,1) = 1
-        (TxId(0), TxId(1), vec![(TxId(1), 0, 1)]),
+        (TxId(0), TxId(1), &[(TxId(1), 0, 1)]),
         // b: T0 → T2
-        (TxId(0), TxId(2), vec![(TxId(2), 0, 1)]),
+        (TxId(0), TxId(2), &[(TxId(2), 0, 1)]),
         // c: T0 → T3
-        (TxId(0), TxId(3), vec![(TxId(3), 0, 1)]),
+        (TxId(0), TxId(3), &[(TxId(3), 0, 1)]),
         // d: T2 → T1 via R2[y]–W1[y]: both 2nd elements set from ucount
-        (TxId(2), TxId(1), vec![(TxId(2), 1, 1), (TxId(1), 1, 2)]),
+        (TxId(2), TxId(1), &[(TxId(2), 1, 1), (TxId(1), 1, 2)]),
         // e: T3 → T1 via R3[z]–W1[z]: TS(3,2) = 0 from lcount, to stay
         // distinguishable from TS(2)
-        (TxId(3), TxId(1), vec![(TxId(3), 1, 0)]),
+        (TxId(3), TxId(1), &[(TxId(3), 1, 0)]),
     ];
-    assert_eq!(encoded.len(), expect.len());
-    for (ev, (from, to, changes)) in encoded.iter().zip(&expect) {
-        match ev {
-            SetEvent::Encoded { from: f, to: t, changes: c } => {
-                assert_eq!((f, t), (from, to));
-                assert_eq!(c.as_slice(), changes.as_slice());
-            }
-            _ => unreachable!(),
-        }
-    }
+    assert_eq!(encoded, expect);
 
     // "The log L is equivalent to the serial log T3 T2 T1 or T2 T3 T1."
     let order = s.table().serial_order(&[TxId(1), TxId(2), TxId(3)]).unwrap();
@@ -63,9 +65,9 @@ fn table1_example2_vectors() {
 /// notes) and the independent auditor re-confirms every decision.
 #[test]
 fn table1_example2_trace_renders_and_audits() {
-    let buffer = mdts_trace::TraceBuffer::journal();
+    let buffer = TraceBuffer::journal();
     let mut s = MtScheduler::with_k(2);
-    s.attach_trace(mdts_trace::TraceSink::to(&buffer));
+    s.attach_trace(TraceSink::to(&buffer));
     let log = Log::parse("R1[x] R2[y] R3[z] W1[y] W1[z]").unwrap();
     assert!(recognize(&mut s, &log).accepted);
     for tx in [1, 2, 3] {

@@ -37,10 +37,10 @@
 //!   events that can invalidate a memoized order. Inserts carry the epoch
 //!   observed *before* the vectors were read, so an insert racing with an
 //!   invalidation is dropped rather than resurrected.
-//! * **The k-th-column counters are the lock-free
-//!   [`AtomicKthCounters`]** — `ucount`/`lcount` draws need no lock at
-//!   all; distinctness, not program order, is the invariant Algorithm 1
-//!   needs of them.
+//! * **The k-th-column counters draw through `&self`** — the
+//!   `ucount`/`lcount` of [`KthCounters`] are atomics, so draws need no
+//!   lock at all; distinctness, not program order, is the invariant
+//!   Algorithm 1 needs of them.
 //! * **Reclamation (III-D-6b) is refcount-driven and O(1)** — each slot
 //!   carries an atomic count of the `RT`/`WT` entries naming it, bumped on
 //!   displacement under the owning shard's lock. `commit` marks the slot
@@ -54,25 +54,32 @@
 //! (multi-item operations take them one by one) and at most two slot locks
 //! at a time, always acquired low index first.
 //!
-//! # Divergences from the sequential scheduler
+//! # One rule, two instantiations
 //!
-//! * An operation orders `T_i` after *both* `RT(x)` and `WT(x)` — first
-//!   the larger (Algorithm 1's `Set(j, i)`), then, if distinct, the
-//!   smaller. Sequentially the second call is always a no-op (`TS` orders
-//!   are transitive), so acceptance is identical to
-//!   [`MtScheduler`](crate::MtScheduler); concurrently it closes the race
-//!   where the "larger of the two" changed between the unsynchronized
-//!   pick and the encode. When the *second* ordering fails for a read, the
-//!   read is already ordered after the writer — exactly the lines 9–10
-//!   situation — and proceeds without becoming the most recent reader.
+//! The access rule and `Set`'s element choice are the `algo1` module's,
+//! shared with the sequential [`MtScheduler`](crate::MtScheduler): driven
+//! single-threaded, the two make the same decisions, define the same
+//! elements and emit the same `Access` and `SetEdge` events
+//! (`sequential_equivalence*`). The access rule orders `T_i` after the
+//! larger holder, and after the smaller one too only when `pick` found
+//! their order undecided. `pick` runs under the item's shard, so the
+//! holders cannot change between the pick and the `Set`s; their vectors
+//! may gain elements from concurrent encoders, but a decided order never
+//! flips, so `smaller < larger < T_i` needs no second `Set`. What differs
+//! is what this scheduler owns around the rule:
+//!
 //! * `abort` does not roll `RT`/`WT` back to previous holders; the aborted
 //!   transaction's vector stays behind as an inert anchor until displaced
 //!   (the sequential scheduler's fallback behaviour, here unconditional).
 //!   Anchors only add ordering constraints, which never endangers
 //!   serializability.
-//! * Hot-item right-end encoding (III-D-5) and the `SetEvent` journal are
-//!   not supported — the donor-prefix copy would have to hold both write
-//!   locks for O(k) defines per access. Decision tracing *is* supported:
+//! * `Set`'s column floor is the published maximum of commit stamps
+//!   ([`stamp_commit`](SharedMtScheduler::stamp_commit)); it starts at
+//!   `T₀`'s stamp, the sequential scheduler's floor for good, so an
+//!   unstamped scheduler chooses the sequential scheduler's values.
+//! * Hot-item right-end encoding (III-D-5) is not supported — the
+//!   donor-prefix copy would have to hold both write locks for O(k) defines
+//!   per access. Decision tracing *is* supported:
 //!   [`SharedMtScheduler::attach_trace`] routes typed [`TraceEvent`]s to an
 //!   `mdts-trace` buffer. Events are stamped inside the critical section
 //!   that made the decision (row-slot locks for `Set`, item shard for
@@ -96,16 +103,14 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use crate::sync::{RwLockReadGuard, RwLockWriteGuard};
 
 use mdts_model::{ItemId, OpKind, Operation, TxId};
-use mdts_trace::event::{
-    scalar_cost, tree_cost, AccessOutcome, EncodedChanges, RejectRule, SetEdgeOutcome,
-};
+use mdts_trace::event::{scalar_cost, tree_cost, AccessOutcome, SetEdgeOutcome};
 use mdts_trace::{TraceEvent, TraceSink};
 use mdts_vector::{
-    AtomicKthCounters, BatchScratch, CachePadded, CmpResult, OrderCache, OrderCacheStats, Striped,
-    TsVec,
+    BatchScratch, CachePadded, CmpResult, KthCounters, OrderCache, OrderCacheStats, Striped, TsVec,
 };
 
-use crate::mtk::{Decision, MtOptions, Reject};
+use crate::algo1::{self, Encoding};
+use crate::mtk::{Decision, MtOptions};
 use crate::rowtable::{RowSlot, RowTable};
 
 /// `RT(x)` and `WT(x)` of one item. They are always read together (the
@@ -149,12 +154,6 @@ impl ShardItems {
         }
         &mut self.slots[local]
     }
-}
-
-/// Outcome of the concurrent `Set(j, i)`.
-enum SetOutcome {
-    Ok,
-    Refused { at: usize },
 }
 
 /// Which version generation a snapshot read must be served from (the
@@ -228,14 +227,15 @@ pub struct SharedMtScheduler {
     cache: OrderCache,
     /// Drawn from by every commit stamp, so on a line of its own — the
     /// fields around it are read on every access and never written.
-    counters: CachePadded<AtomicKthCounters>,
+    counters: CachePadded<KthCounters>,
     /// Per-column running maximum over every *saturated* commit stamp
     /// published by [`stamp_commit`](Self::stamp_commit) — and by nothing
-    /// else. It starts at `T₀`'s stamp `⟨0, *, …⟩`: 0 in column 0, where
-    /// every holder's element is at least that, and `i64::MIN` (no stamp
-    /// has an element there yet) elsewhere — so a scheduler that never
-    /// stamps (the single-version engine, the sequential-equivalence
-    /// oracle) chooses exactly the paper's values. Snapshot readers
+    /// else: `Set`'s column floor. It starts at `T₀`'s stamp `⟨0, *, …⟩`:
+    /// 0 in column 0, where every holder's element is at least that, and
+    /// `i64::MIN` (no stamp has an element there yet) elsewhere — the
+    /// sequential scheduler's floor, so a scheduler that never stamps (the
+    /// single-version engine, the sequential-equivalence oracle) chooses
+    /// exactly its values. Snapshot readers
     /// define their own elements strictly above these maxima, which orders
     /// every reader after every version published before the reader's
     /// element was defined — the monotonicity that makes seq-watermark
@@ -278,8 +278,8 @@ impl SharedMtScheduler {
     /// Creates a scheduler with [`DEFAULT_SHARDS`] item shards.
     ///
     /// # Panics
-    /// Panics if `opts.k == 0`, or if `opts` requests hot-item encoding or
-    /// the event journal (unsupported here, see the module docs).
+    /// Panics if `opts.k == 0`, or if `opts` requests hot-item encoding
+    /// (unsupported here, see the module docs).
     pub fn new(opts: MtOptions) -> Self {
         Self::with_shards(opts, DEFAULT_SHARDS)
     }
@@ -297,10 +297,6 @@ impl SharedMtScheduler {
             opts.hot_encoding.is_none(),
             "hot-item encoding is not supported by the concurrent scheduler"
         );
-        assert!(
-            !opts.record_events,
-            "the SetEvent journal is not supported by the concurrent scheduler"
-        );
         let n = shards.max(1).next_power_of_two();
         let shards: Box<[Mutex<ShardItems>]> =
             (0..n).map(|_| Mutex::new(ShardItems::default())).collect();
@@ -314,11 +310,9 @@ impl SharedMtScheduler {
             shards,
             rows,
             cache: OrderCache::new(),
-            counters: CachePadded(AtomicKthCounters::new()),
+            counters: CachePadded(KthCounters::new()),
             // T₀'s stamp ⟨0, *, …⟩ is published from the start.
-            col_max: (0..k)
-                .map(|m| CachePadded(AtomicI64::new(if m == 0 { 0 } else { i64::MIN })))
-                .collect(),
+            col_max: (0..k).map(|m| CachePadded(AtomicI64::new(algo1::origin_floor(m)))).collect(),
             batched: Striped::default(),
             trace: TraceSink::disabled(),
         }
@@ -595,7 +589,7 @@ impl SharedMtScheduler {
     /// `TS(j) < TS(i)`. Returns `false` iff the vectors already say
     /// `TS(j) > TS(i)`.
     pub fn order(&self, j: TxId, i: TxId) -> bool {
-        matches!(self.set_less(j, i), SetOutcome::Ok)
+        self.set_less(j, i, false).is_ok()
     }
 
     /// Emits a [`TraceEvent::Compare`]. For a fresh comparison the caller
@@ -620,44 +614,32 @@ impl SharedMtScheduler {
         });
     }
 
+    /// `Set`'s column floor: the published maximum of commit stamps.
     #[inline]
-    fn emit_edge(&self, from: TxId, to: TxId, outcome: impl FnOnce() -> SetEdgeOutcome) {
-        self.trace.emit(|| TraceEvent::SetEdge { from, to, outcome: outcome() });
+    fn floor(&self, m: usize) -> i64 {
+        self.col_max[m].load(Ordering::SeqCst)
     }
 
-    fn set_less(&self, j: TxId, i: TxId) -> SetOutcome {
-        self.set_less_with(j, i, false)
-    }
-
-    /// `Set(j, i)` with a choice of element-value strategy for `i`'s
-    /// side. With `boost` every element defined on `i`'s side is chosen
-    /// strictly above the published per-column maximum (`col_max`), so
-    /// `i` can never later be decided below a transaction whose commit
-    /// stamp was published before the element was defined — the snapshot
-    /// readers' invariant behind chain-walk termination at the GC pivot
-    /// (DESIGN.md §8). Without `boost` only an open non-last element
-    /// defined against a holder (`RightUndefined`) is floored that way;
-    /// the `=` case and the last column keep the paper's minimal values.
-    fn set_less_with(&self, j: TxId, i: TxId, boost: bool) -> SetOutcome {
+    /// Procedure `Set(j, i)`: [`algo1::set`] under this scheduler's locks
+    /// and memo. `Err` carries the refusing column. With `boost` every
+    /// element defined on `i`'s side is chosen strictly above the published
+    /// per-column maximum (`col_max`), so `i` can never later be decided
+    /// below a transaction whose commit stamp was published before the
+    /// element was defined — the snapshot readers' invariant behind
+    /// chain-walk termination at the GC pivot (DESIGN.md §8). Without
+    /// `boost` only an open non-last element defined against a holder is
+    /// floored that way; the `=` case and the last column keep the paper's
+    /// minimal values.
+    fn set_less(&self, j: TxId, i: TxId, boost: bool) -> Result<(), usize> {
         if j == i {
-            return SetOutcome::Ok; // line 15
+            return Ok(()); // line 15
         }
         // Cache fast path: a decided order is immutable, so a hit resolves
         // the call without touching any row lock.
         if let Some(cmp) = self.cache_get(j, i) {
             self.emit_compare(j, i, cmp, true);
-            return match cmp {
-                CmpResult::Less { .. } => {
-                    self.emit_edge(j, i, || SetEdgeOutcome::AlreadyOrdered);
-                    SetOutcome::Ok
-                }
-                CmpResult::Greater { at } => {
-                    self.emit_edge(j, i, || SetEdgeOutcome::Refused { at });
-                    SetOutcome::Refused { at }
-                }
-                // The cache never stores undecided results.
-                _ => unreachable!("order cache served an undecided result"),
-            };
+            let outcome = algo1::decided(cmp).expect("the order cache holds decided orders only");
+            return algo1::emit_set(&self.trace, j, i, outcome);
         }
         // The epoch must be sampled before the vectors are read, so an
         // invalidation racing with this call drops our insert.
@@ -670,127 +652,43 @@ impl SharedMtScheduler {
         let decided = {
             let (gj, gi) = self.read_pair(j, i);
             let cmp = vec_of(&gj, j).compare(vec_of(&gi, i));
-            match cmp {
-                CmpResult::Less { .. } => {
-                    self.emit_compare(j, i, cmp, false);
-                    self.emit_edge(j, i, || SetEdgeOutcome::AlreadyOrdered);
-                    Some((cmp, SetOutcome::Ok))
-                }
-                CmpResult::Greater { at } => {
-                    self.emit_compare(j, i, cmp, false);
-                    self.emit_edge(j, i, || SetEdgeOutcome::Refused { at });
-                    Some((cmp, SetOutcome::Refused { at }))
-                }
-                _ => None,
-            }
+            algo1::decided(cmp).map(|outcome| {
+                self.emit_compare(j, i, cmp, false);
+                (cmp, algo1::emit_set(&self.trace, j, i, outcome))
+            })
         };
-        if let Some((cmp, outcome)) = decided {
+        if let Some((cmp, result)) = decided {
             self.cache_put(epoch, j, i, cmp);
-            return outcome;
+            return result;
         }
         // The order looked open: re-decide under the write locks (a
         // concurrent encoder may have closed it meanwhile) and encode.
-        let k = self.opts.k;
-        let (memo, outcome) = {
+        let (memo, result) = {
             let (mut gj, mut gi) = self.write_pair(j, i);
             let cmp = vec_of(&gj, j).compare(vec_of(&gi, i));
             self.emit_compare(j, i, cmp, false);
-            match cmp {
-                CmpResult::Less { .. } => {
-                    self.emit_edge(j, i, || SetEdgeOutcome::AlreadyOrdered);
-                    (Some(cmp), SetOutcome::Ok)
-                }
-                CmpResult::Greater { at } => {
-                    self.emit_edge(j, i, || SetEdgeOutcome::Refused { at });
-                    (Some(cmp), SetOutcome::Refused { at })
-                }
-                CmpResult::Identical => {
-                    // Unreachable between distinct transactions: the k-th
-                    // column always holds globally distinct counter values.
-                    debug_assert!(false, "identical fully-defined vectors for {j} and {i}");
-                    (None, SetOutcome::Refused { at: k - 1 })
-                }
-                CmpResult::EqualUndefined { at } => {
-                    // `j` takes 1 below, so the boosted side needs a
-                    // floor of at least 0 even before the first stamp.
-                    let floor =
-                        if boost { self.col_max[at].load(Ordering::SeqCst).max(0) } else { 0 };
-                    if at == k - 1 {
-                        let (a, b) = if boost {
-                            let a = self.counters.fresh_upper();
-                            (a, self.counters.fresh_upper_above(a.max(floor)))
-                        } else {
-                            self.counters.fresh_pair()
-                        };
-                        vec_of_mut(&mut gj, j).define(at, a);
-                        vec_of_mut(&mut gi, i).define(at, b);
-                        self.emit_edge(j, i, || SetEdgeOutcome::Encoded {
-                            changes: EncodedChanges::pair((j, at, a), (i, at, b)),
-                        });
-                    } else {
-                        // floor ≥ 0, so the boosted value stays above 1.
-                        let b = floor + 2;
-                        vec_of_mut(&mut gj, j).define(at, 1);
-                        vec_of_mut(&mut gi, i).define(at, b);
-                        self.emit_edge(j, i, || SetEdgeOutcome::Encoded {
-                            changes: EncodedChanges::pair((j, at, 1), (i, at, b)),
-                        });
-                    }
-                    (Some(CmpResult::Less { at }), SetOutcome::Ok)
-                }
-                CmpResult::RightUndefined { at } => {
-                    // TS(i, at) undefined; TS(j, at) defined. Any value
-                    // above TS(j, at) encodes the order — the element was
-                    // open, so no decision at or after this column has
-                    // involved `i` yet — and choosing it above the
-                    // published commit stamps as well leaves `i` below no
-                    // writer that committed before this define, so
-                    // committed history cannot refuse `i` later. The last
-                    // column's counter draws are globally fresh already,
-                    // so only the boosted readers floor it.
-                    let mut bound = vec_of(&gj, j).get(at).expect("defined by case");
-                    if boost || at < k - 1 {
-                        bound = bound.max(self.col_max[at].load(Ordering::SeqCst));
-                    }
-                    let value = if at == k - 1 {
-                        self.counters.fresh_upper_above(bound)
-                    } else {
-                        bound + 1
-                    };
-                    vec_of_mut(&mut gi, i).define(at, value);
-                    self.emit_edge(j, i, || SetEdgeOutcome::Encoded {
-                        changes: EncodedChanges::one((i, at, value)),
-                    });
-                    (Some(CmpResult::Less { at }), SetOutcome::Ok)
-                }
-                CmpResult::LeftUndefined { at } => {
-                    // TS(j, at) undefined; TS(i, at) defined.
-                    let bound = vec_of(&gi, i).get(at).expect("defined by case");
-                    let value = if at == k - 1 {
-                        self.counters.fresh_lower_below(bound)
-                    } else {
-                        bound - 1
-                    };
-                    vec_of_mut(&mut gj, j).define(at, value);
-                    self.emit_edge(j, i, || SetEdgeOutcome::Encoded {
-                        changes: EncodedChanges::one((j, at, value)),
-                    });
-                    (Some(CmpResult::Less { at }), SetOutcome::Ok)
-                }
-            }
+            let outcome = algo1::set(
+                cmp,
+                (j, vec_of(&gj, j)),
+                (i, vec_of(&gi, i)),
+                |m| self.floor(m),
+                if boost { Encoding::Boosted } else { Encoding::Plain },
+                &self.counters,
+            );
+            let memo = algo1::apply(&outcome, cmp, |t, m, v| {
+                vec_of_mut(if t == j { &mut gj } else { &mut gi }, t).define(m, v)
+            });
+            (memo, algo1::emit_set(&self.trace, j, i, outcome))
         };
-        if let Some(cmp) = memo {
-            self.cache_put(epoch, j, i, cmp);
-        }
-        outcome
+        self.cache_put(epoch, j, i, memo);
+        result
     }
 
     // ---- scheduling ------------------------------------------------------
 
     /// Definition 6 comparison via the cache, else under the two slots'
     /// read locks (inserting any fresh decided result). Does not emit a
-    /// trace event — used by the internal pick/reader-rule consults, which
-    /// never emitted one.
+    /// trace event — the access rule's `pick` and line 9 consults.
     fn compare_quick(&self, a: TxId, b: TxId) -> CmpResult {
         if let Some(cmp) = self.cache_get(a, b) {
             return cmp;
@@ -806,29 +704,15 @@ impl SharedMtScheduler {
         cmp
     }
 
-    /// Lines 5–6: the larger of `RT(x)` and `WT(x)` under the vector
-    /// order. Returns `(larger, smaller)`.
-    fn pick(&self, HolderPair { rt, wt }: HolderPair) -> (TxId, TxId) {
-        if rt == wt {
-            return (rt, wt);
-        }
-        if matches!(self.compare_quick(rt, wt), CmpResult::Less { .. }) {
-            (wt, rt)
-        } else {
-            (rt, wt)
-        }
-    }
-
-    fn set_rt_locked(&self, s: &mut ShardItems, local: usize, tx: TxId) {
-        let prev = std::mem::replace(&mut s.pair_mut(local).rt, tx);
-        if prev != tx {
-            self.inc_ref(tx);
-            self.dec_ref(prev);
-        }
-    }
-
-    fn set_wt_locked(&self, s: &mut ShardItems, local: usize, tx: TxId) {
-        let prev = std::mem::replace(&mut s.pair_mut(local).wt, tx);
+    /// Makes `tx` the item's reader (line 7) or writer (line 12), moving
+    /// the reference from the previous holder.
+    fn set_holder_locked(&self, s: &mut ShardItems, local: usize, kind: OpKind, tx: TxId) {
+        let pair = s.pair_mut(local);
+        let slot = match kind {
+            OpKind::Read => &mut pair.rt,
+            OpKind::Write => &mut pair.wt,
+        };
+        let prev = std::mem::replace(slot, tx);
         if prev != tx {
             self.inc_ref(tx);
             self.dec_ref(prev);
@@ -857,31 +741,6 @@ impl SharedMtScheduler {
     /// names it; delete it with the next change to that harness.
     pub fn warm_probes(&self, _pairs: &mut [(ItemId, TxId)]) {}
 
-    /// Orders `tx` after both current holders of `item`, larger first.
-    /// Returns `Ok` when fully ordered; `Refused` carries which holder
-    /// blocked. The holders cannot change underneath us — the caller holds
-    /// the shard lock — but their *vectors* may gain elements from
-    /// concurrent encoders, which is why the smaller holder is verified
-    /// too rather than trusted to transitivity.
-    fn order_after_holders(
-        &self,
-        tx: TxId,
-        larger: TxId,
-        smaller: TxId,
-    ) -> Result<(), (TxId, usize)> {
-        match self.set_less(larger, tx) {
-            SetOutcome::Ok => {}
-            SetOutcome::Refused { at } => return Err((larger, at)),
-        }
-        if smaller != larger {
-            match self.set_less(smaller, tx) {
-                SetOutcome::Ok => {}
-                SetOutcome::Refused { at } => return Err((smaller, at)),
-            }
-        }
-        Ok(())
-    }
-
     #[inline]
     fn emit_access(
         &self,
@@ -897,118 +756,29 @@ impl SharedMtScheduler {
 
     /// Schedules a read of `item` by `tx` (the `read` arm of `Scheduler`).
     pub fn read(&self, tx: TxId, item: ItemId) -> Decision {
-        self.ensure_tx(tx);
-        let (shard, local) = self.shard_of(item);
-        let mut s = lock(shard);
-        let pair = s.pair(local);
-        let HolderPair { rt, wt } = pair;
-        let (larger, smaller) = self.pick(pair);
-        match self.order_after_holders(tx, larger, smaller) {
-            Ok(()) => {
-                self.emit_access(tx, item, OpKind::Read, rt, wt, AccessOutcome::Granted);
-                self.set_rt_locked(&mut s, local, tx); // line 7
-                Decision::accept()
-            }
-            Err((against, at)) => {
-                // Lines 9–10: proceed without becoming the most recent
-                // reader if ordered after the latest writer. When the
-                // blocker is the reader and the writer was the *larger*
-                // holder, Set(wt, tx) already succeeded above.
-                let reader_rule = self.opts.reader_rule && against == rt && rt != wt;
-                if reader_rule {
-                    let after_writer = if larger == wt {
-                        true // ordered after wt before rt refused
-                    } else if self.opts.relaxed_reader_rule {
-                        matches!(self.set_less(wt, tx), SetOutcome::Ok)
-                    } else {
-                        wt == tx || self.is_less(wt, tx)
-                    };
-                    if after_writer {
-                        self.emit_access(
-                            tx,
-                            item,
-                            OpKind::Read,
-                            rt,
-                            wt,
-                            AccessOutcome::GrantedInvisible,
-                        );
-                        return Decision::accept();
-                    }
-                }
-                self.note_reject(tx, against);
-                self.emit_access(
-                    tx,
-                    item,
-                    OpKind::Read,
-                    rt,
-                    wt,
-                    AccessOutcome::Rejected {
-                        against,
-                        column: at,
-                        rule: if reader_rule {
-                            RejectRule::ReaderRule
-                        } else {
-                            RejectRule::VectorOrder
-                        },
-                    },
-                );
-                Decision::Reject(Reject { tx, against, item, column: at })
-            }
-        }
+        self.access(tx, item, OpKind::Read)
     }
 
     /// Schedules a write of `item` by `tx` (the `write` arm of
     /// `Scheduler`).
     pub fn write(&self, tx: TxId, item: ItemId) -> Decision {
+        self.access(tx, item, OpKind::Write)
+    }
+
+    /// `algo1::access` with the item's shard held from the pick to the
+    /// holder update — the shard mutex is Algorithm 1's critical section,
+    /// per item group.
+    fn access(&self, tx: TxId, item: ItemId, kind: OpKind) -> Decision {
         self.ensure_tx(tx);
         let (shard, local) = self.shard_of(item);
         let mut s = lock(shard);
-        let pair = s.pair(local);
-        let HolderPair { rt, wt } = pair;
-        let (larger, smaller) = self.pick(pair);
-        match self.order_after_holders(tx, larger, smaller) {
-            Ok(()) => {
-                self.emit_access(tx, item, OpKind::Write, rt, wt, AccessOutcome::Granted);
-                self.set_wt_locked(&mut s, local, tx); // line 12
-                Decision::accept()
-            }
-            Err((against, at)) => {
-                // Thomas write rule (III-D-6c): if the blocked writer sits
-                // between all readers and the newer writer, ignore the
-                // write. When the blocker is the writer and the reader was
-                // the larger holder, Set(rt, tx) already succeeded above.
-                let thomas = self.opts.thomas_write_rule && against == wt && rt != wt;
-                if thomas {
-                    let after_reader =
-                        larger == rt || matches!(self.set_less(rt, tx), SetOutcome::Ok);
-                    if after_reader {
-                        self.emit_access(
-                            tx,
-                            item,
-                            OpKind::Write,
-                            rt,
-                            wt,
-                            AccessOutcome::GrantedIgnored,
-                        );
-                        return Decision::Accept { ignored: vec![item] };
-                    }
-                }
-                self.note_reject(tx, against);
-                self.emit_access(
-                    tx,
-                    item,
-                    OpKind::Write,
-                    rt,
-                    wt,
-                    AccessOutcome::Rejected {
-                        against,
-                        column: at,
-                        rule: if thomas { RejectRule::ThomasRule } else { RejectRule::VectorOrder },
-                    },
-                );
-                Decision::Reject(Reject { tx, against, item, column: at })
-            }
+        let HolderPair { rt, wt } = s.pair(local);
+        let outcome = algo1::access(&mut &*self, &self.opts, tx, kind, rt, wt);
+        self.emit_access(tx, item, kind, rt, wt, outcome);
+        if outcome == AccessOutcome::Granted {
+            self.set_holder_locked(&mut s, local, kind, tx);
         }
+        algo1::decision(tx, item, outcome)
     }
 
     /// Schedules a whole (possibly multi-item) operation. Items are
@@ -1017,18 +787,7 @@ impl SharedMtScheduler {
     /// Element definitions made for earlier items remain — they are valid
     /// constraints regardless, and the issuing transaction aborts anyway.
     pub fn process(&self, op: &Operation) -> Decision {
-        let mut ignored = Vec::new();
-        for &item in op.items() {
-            let d = match op.kind {
-                OpKind::Read => self.read(op.tx, item),
-                OpKind::Write => self.write(op.tx, item),
-            };
-            match d {
-                Decision::Accept { ignored: ig } => ignored.extend(ig),
-                Decision::Reject(r) => return Decision::Reject(r),
-            }
-        }
-        Decision::Accept { ignored }
+        algo1::process(op, |tx, item, kind| self.access(tx, item, kind))
     }
 
     // ---- multi-version snapshot support ----------------------------------
@@ -1103,7 +862,7 @@ impl SharedMtScheduler {
     /// vector order.
     ///
     /// The reader's own elements are *boosted* (defined above
-    /// `col_max`, see [`set_less_with`](Self::set_less_with)), so it is
+    /// `col_max`, see [`set_less`](Self::set_less)), so it is
     /// never decided below any stamp published before its snapshot
     /// began — the chain walk of the `Older` arm therefore always
     /// terminates at or above the GC pivot (DESIGN.md §8).
@@ -1114,18 +873,9 @@ impl SharedMtScheduler {
         let mut s = lock(shard);
         let pair = s.pair(local);
         let HolderPair { rt, wt } = pair;
-        // Like `pick`, but remember whether the holders' mutual order is
-        // *decided*: decided `<` is stable over write-once vectors, so
-        // `smaller < larger < tx` makes the second `Set` redundant.
-        let (larger, smaller, decided) = if rt == wt {
-            (rt, wt, true)
-        } else {
-            match self.compare_quick(rt, wt) {
-                CmpResult::Less { .. } => (wt, rt, true),
-                CmpResult::Greater { .. } => (rt, wt, true),
-                _ => (rt, wt, false),
-            }
-        };
+        // Decided `<` is stable over write-once vectors, so a decided
+        // `smaller < larger < tx` makes a second `Set` redundant.
+        let (larger, smaller, decided) = algo1::pick(&mut &*self, rt, wt);
         // Reader rule (lines 9–10) first: when the larger holder is still
         // *live* — typically a transfer holding `RT` through its think
         // window, or another reader mid-scan — escalating above it would
@@ -1135,7 +885,7 @@ impl SharedMtScheduler {
         // pending writer commits undisturbed no matter how many readers
         // arrive during its think window.
         if self.slip_below_live(tx, larger) {
-            if larger != wt && matches!(self.set_less_with(smaller, tx, true), SetOutcome::Ok) {
+            if larger != wt && self.set_less(smaller, tx, true).is_ok() {
                 // Between `WT` and a live `RT`: the current version is
                 // the newest one below the reader — an invisible Current
                 // read, shielded by the larger holder (every future
@@ -1147,15 +897,11 @@ impl SharedMtScheduler {
             self.emit_access(tx, item, OpKind::Read, rt, wt, AccessOutcome::GrantedStale);
             return SnapshotRead::Older;
         }
-        let ordered = match self.set_less_with(larger, tx, true) {
-            SetOutcome::Ok => {
-                decided || matches!(self.set_less_with(smaller, tx, true), SetOutcome::Ok)
-            }
-            SetOutcome::Refused { .. } => false,
-        };
+        let ordered = self.set_less(larger, tx, true).is_ok()
+            && (decided || self.set_less(smaller, tx, true).is_ok());
         if ordered {
             self.emit_access(tx, item, OpKind::Read, rt, wt, AccessOutcome::Granted);
-            self.set_rt_locked(&mut s, local, tx); // line 7
+            self.set_holder_locked(&mut s, local, OpKind::Read, tx); // line 7
             SnapshotRead::Current
         } else {
             self.emit_access(tx, item, OpKind::Read, rt, wt, AccessOutcome::GrantedStale);
@@ -1181,7 +927,8 @@ impl SharedMtScheduler {
     /// reader, so the read stays protected without an `RT` update.
     ///
     /// The slipped element is defined in the open window strictly
-    /// between the published column maximum and the holder's element:
+    /// between the published column maximum and the holder's element
+    /// (`algo1::slip`):
     /// the boost invariant (no reader element at or below a commit stamp
     /// published before it was defined) survives, so the chain-walk /
     /// GC-pivot argument of DESIGN.md §8 is untouched. When the window
@@ -1206,39 +953,32 @@ impl SharedMtScheduler {
             return matches!(cmp, CmpResult::Less { .. });
         }
         let epoch = self.cache.epoch();
-        let k = self.opts.k;
-        let (memo, slipped) = {
+        let memo = {
             let (mut gtx, gh) = self.write_pair(tx, holder);
             let cmp = vec_of(&gtx, tx).compare(vec_of(&gh, holder));
-            match cmp {
-                CmpResult::Less { .. } => (Some(cmp), true),
-                CmpResult::Greater { .. } => (Some(cmp), false),
-                CmpResult::LeftUndefined { at } if at < k - 1 => {
-                    // `tx` open at `at`, holder defined. The last column
-                    // is excluded: its globally-unique counter values
-                    // cannot be re-derived from a bound without risking
-                    // a value at or below the column maximum.
-                    let bound = vec_of(&gh, holder).get(at).expect("defined by case");
-                    let floor = self.col_max[at].load(Ordering::SeqCst);
-                    if bound <= floor + 1 {
-                        (None, false) // window closed: escalate instead
-                    } else {
-                        let value = bound - 1;
-                        self.emit_compare(tx, holder, cmp, false);
-                        vec_of_mut(&mut gtx, tx).define(at, value);
-                        self.emit_edge(tx, holder, || SetEdgeOutcome::Encoded {
-                            changes: EncodedChanges::one((tx, at, value)),
-                        });
-                        (Some(CmpResult::Less { at }), true)
-                    }
+            let slip = algo1::slip(
+                cmp,
+                (tx, vec_of(&gtx, tx)),
+                (holder, vec_of(&gh, holder)),
+                |m| self.floor(m),
+                &self.counters,
+            );
+            match slip {
+                Some(changes) => {
+                    self.emit_compare(tx, holder, cmp, false);
+                    let outcome = SetEdgeOutcome::Encoded { changes };
+                    let now = algo1::apply(&outcome, cmp, |_, m, v| {
+                        vec_of_mut(&mut gtx, tx).define(m, v)
+                    });
+                    let _ = algo1::emit_set(&self.trace, tx, holder, outcome);
+                    now
                 }
-                _ => (None, false),
+                // Decided either way, or no open window below the holder.
+                None => cmp,
             }
         };
-        if let Some(cmp) = memo {
-            self.cache_put(epoch, tx, holder, cmp);
-        }
-        slipped
+        self.cache_put(epoch, tx, holder, memo);
+        matches!(memo, CmpResult::Less { .. })
     }
 
     /// The MV-MT(k) gap test for one chain version: orders the snapshot
@@ -1255,7 +995,6 @@ impl SharedMtScheduler {
     ///
     /// Allocation-free for `k ≤ INLINE_K` with tracing disabled.
     pub fn snapshot_order_after(&self, reader: TxId, stamp: &TsVec, stamp_writer: TxId) -> bool {
-        let k = self.opts.k;
         let slot = self.slot_expect(reader);
         // Fast path: the reader's existing elements usually already
         // decide the order, needing only the row's read lock.
@@ -1267,32 +1006,31 @@ impl SharedMtScheduler {
                 _ => {}
             }
         }
+        // The open case is boosted `Set(stamp_writer, reader)`: the
+        // reader's element goes above both the stamp's and the column
+        // maximum (a last-column draw is globally distinct, so `Identical`
+        // stays impossible even for a fully defined reader).
         let mut row = slot.write();
         loop {
-            match stamp.compare(vec_of(&row, reader)) {
-                CmpResult::Less { .. } => return true,
-                CmpResult::Greater { .. } => return false,
-                CmpResult::RightUndefined { at } => {
-                    let bound = self.col_max[at]
-                        .load(Ordering::SeqCst)
-                        .max(stamp.get(at).expect("stamp is saturated"));
-                    let value = if at == k - 1 {
-                        // Globally distinct, so `Identical` stays
-                        // impossible even for a fully defined reader.
-                        self.counters.fresh_upper_above(bound)
-                    } else {
-                        bound + 1
-                    };
-                    vec_of_mut(&mut row, reader).define(at, value);
-                    self.emit_edge(stamp_writer, reader, || SetEdgeOutcome::Encoded {
-                        changes: EncodedChanges::one((reader, at, value)),
-                    });
-                }
-                other => {
-                    debug_assert!(false, "unsaturated stamp in snapshot walk: {other:?}");
-                    return true;
-                }
+            let cmp = stamp.compare(vec_of(&row, reader));
+            let outcome = algo1::set(
+                cmp,
+                (stamp_writer, stamp),
+                (reader, vec_of(&row, reader)),
+                |m| self.floor(m),
+                Encoding::Boosted,
+                &self.counters,
+            );
+            match outcome {
+                SetEdgeOutcome::AlreadyOrdered => return true,
+                SetEdgeOutcome::Refused { .. } => return false,
+                SetEdgeOutcome::Encoded { .. } => {}
             }
+            algo1::apply(&outcome, cmp, |t, m, v| {
+                debug_assert_eq!(t, reader, "unsaturated stamp in snapshot walk: {cmp:?}");
+                vec_of_mut(&mut row, reader).define(m, v)
+            });
+            let _ = algo1::emit_set(&self.trace, stamp_writer, reader, outcome);
         }
     }
 
@@ -1455,6 +1193,22 @@ fn vec_of_mut(guard: &mut Option<TsVec>, tx: TxId) -> &mut TsVec {
     guard.as_mut().unwrap_or_else(|| panic!("no live timestamp vector for {tx}"))
 }
 
+/// The sharded scheduler as the access rule sees it: memo-backed compares
+/// and `Set` under the row locks, called with the item's shard held.
+impl algo1::OrderTable for &SharedMtScheduler {
+    fn order_of(&mut self, a: TxId, b: TxId) -> CmpResult {
+        self.compare_quick(a, b)
+    }
+
+    fn set(&mut self, j: TxId, i: TxId) -> Result<(), usize> {
+        self.set_less(j, i, false)
+    }
+
+    fn note_reject(&mut self, tx: TxId, against: TxId) {
+        SharedMtScheduler::note_reject(self, tx, against);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
@@ -1467,7 +1221,7 @@ mod tests {
     use mdts_model::{Log, MultiStepConfig};
 
     use super::*;
-    use crate::mtk::MtScheduler;
+    use crate::mtk::{MtScheduler, Reject};
 
     #[test]
     fn first_op_defines_first_element() {
@@ -1655,9 +1409,15 @@ mod tests {
         assert_eq!(s.ts(TxId(5)).unwrap(), TsVec::from_elems(&[Some(1), Some(0), None]));
     }
 
+    /// Drives both instantiations of Algorithm 1 through `log`: the same
+    /// decisions, the same `Access` and `SetEdge` events in the same order,
+    /// and byte-identical vectors left behind.
     fn run_both(log: &Log, opts: MtOptions) {
+        let journals = [mdts_trace::TraceBuffer::journal(), mdts_trace::TraceBuffer::journal()];
         let mut seq = MtScheduler::new(opts);
-        let shr = SharedMtScheduler::new(opts);
+        seq.attach_trace(TraceSink::to(&journals[0]));
+        let mut shr = SharedMtScheduler::new(opts);
+        shr.attach_trace(TraceSink::to(&journals[1]));
         for (pos, op) in log.ops().iter().enumerate() {
             let d = seq.process(op);
             let ds = shr.process(op);
@@ -1666,7 +1426,16 @@ mod tests {
                 break;
             }
         }
-        // Same decisions must leave byte-identical vectors behind.
+        let [a, b] = journals.map(|j| {
+            let events: Vec<TraceEvent> = j
+                .snapshot()
+                .events()
+                .filter(|e| matches!(e, TraceEvent::Access { .. } | TraceEvent::SetEdge { .. }))
+                .cloned()
+                .collect();
+            events
+        });
+        assert_eq!(a, b, "Access/SetEdge streams differ on {log}");
         for tx in log.transactions() {
             assert_eq!(seq.table().ts(tx).cloned(), shr.ts(tx), "vectors differ for {tx} on {log}");
         }

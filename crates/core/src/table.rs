@@ -69,12 +69,7 @@ impl TimestampTable {
         self.k
     }
 
-    /// Mutable access to the k-th-column counters.
-    pub fn counters_mut(&mut self) -> &mut KthCounters {
-        &mut self.counters
-    }
-
-    /// The counters (for inspection).
+    /// The k-th-column counters (draws take `&self`).
     pub fn counters(&self) -> &KthCounters {
         &self.counters
     }

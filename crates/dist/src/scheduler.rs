@@ -257,7 +257,7 @@ impl DmtScheduler {
         }
         let global_u = self.site_counters.iter().map(|c| c.ucount()).max().expect("≥1 site");
         let global_l = self.site_counters.iter().map(|c| c.lcount()).min().expect("≥1 site");
-        for c in &mut self.site_counters {
+        for c in &self.site_counters {
             c.synchronize(global_u, global_l);
         }
         self.stats.syncs += 1;

@@ -168,7 +168,7 @@ impl std::fmt::Debug for EncodedChanges {
     }
 }
 
-/// What a `Set(j, i)` call did (mirrors the scheduler's `SetEvent` 1:1).
+/// What a `Set(j, i)` call did.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SetEdgeOutcome {
     /// New dependency information was written: each change is

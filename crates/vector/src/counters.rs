@@ -6,15 +6,27 @@
 //! must already be totally ordered. `ucount` hands out fresh values above
 //! everything assigned so far, `lcount` below.
 
+use std::sync::atomic::AtomicI64;
+use std::sync::atomic::Ordering::Relaxed;
+
 /// Counter pair for one timestamp table's k-th column.
 ///
 /// Initial state is `lcount = 0`, `ucount = 1` (Algorithm 1, line 4): the
 /// origin vector `TS(0) = ⟨0, *, …⟩` occupies 0 in the first column, and the
 /// invariant `lcount < ucount` keeps lower and upper assignments disjoint.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+///
+/// Draws take `&self`: the two counters are atomics, so the sequential
+/// table and the concurrent scheduler share one type. Plain draws are
+/// single `fetch_add`s; bounded draws
+/// ([`KthCounters::fresh_upper_above`] / [`KthCounters::fresh_lower_below`])
+/// ratchet the counter past the bound in a compare-exchange loop.
+/// Interleaved draws hand out *distinct* values, which is the invariant the
+/// protocol needs; the numeric order of values drawn by different threads
+/// follows the interleaving, not program order.
+#[derive(Debug)]
 pub struct KthCounters {
-    ucount: i64,
-    lcount: i64,
+    ucount: AtomicI64,
+    lcount: AtomicI64,
     /// Multiplier applied to raw counter values before handing them out;
     /// DMT(k) uses `stride > 1` to reserve low bits for the site id
     /// (Section V-B-1).
@@ -29,10 +41,22 @@ impl Default for KthCounters {
     }
 }
 
+impl Clone for KthCounters {
+    /// Counters continuing from this one's current state.
+    fn clone(&self) -> Self {
+        KthCounters {
+            ucount: AtomicI64::new(self.ucount()),
+            lcount: AtomicI64::new(self.lcount()),
+            stride: self.stride,
+            tag: self.tag,
+        }
+    }
+}
+
 impl KthCounters {
     /// Fresh counters: `lcount = 0`, `ucount = 1`.
     pub fn new() -> Self {
-        KthCounters { ucount: 1, lcount: 0, stride: 1, tag: 0 }
+        Self::site_tagged(1, 0)
     }
 
     /// Counters whose values are `raw * stride + tag` — the DMT(k) site
@@ -43,7 +67,7 @@ impl KthCounters {
     /// Panics unless `0 ≤ tag < stride`.
     pub fn site_tagged(stride: i64, tag: i64) -> Self {
         assert!(stride >= 1 && (0..stride).contains(&tag));
-        KthCounters { ucount: 1, lcount: 0, stride, tag }
+        KthCounters { ucount: AtomicI64::new(1), lcount: AtomicI64::new(0), stride, tag }
     }
 
     #[inline]
@@ -54,27 +78,21 @@ impl KthCounters {
     /// The `=` case at the k-th column: both elements undefined. Returns
     /// `(for_j, for_i)` with `for_j < for_i`, consuming two fresh upper
     /// values (`TS(j,k) := ucount; TS(i,k) := ucount + 1; ucount += 2`).
-    pub fn fresh_pair(&mut self) -> (i64, i64) {
-        let a = self.scale(self.ucount);
-        let b = self.scale(self.ucount + 1);
-        self.ucount += 2;
-        (a, b)
+    pub fn fresh_pair(&self) -> (i64, i64) {
+        let u = self.ucount.fetch_add(2, Relaxed);
+        (self.scale(u), self.scale(u + 1))
     }
 
     /// The `?` case with the *later* vector's k-th element undefined:
     /// `TS(i,k) := ucount; ucount += 1`.
-    pub fn fresh_upper(&mut self) -> i64 {
-        let v = self.scale(self.ucount);
-        self.ucount += 1;
-        v
+    pub fn fresh_upper(&self) -> i64 {
+        self.scale(self.ucount.fetch_add(1, Relaxed))
     }
 
     /// The `?` case with the *earlier* vector's k-th element undefined:
     /// `TS(j,k) := lcount; lcount -= 1`.
-    pub fn fresh_lower(&mut self) -> i64 {
-        let v = self.scale(self.lcount);
-        self.lcount -= 1;
-        v
+    pub fn fresh_lower(&self) -> i64 {
+        self.scale(self.lcount.fetch_sub(1, Relaxed))
     }
 
     /// Like [`KthCounters::fresh_upper`], but guaranteed to return a value
@@ -82,112 +100,7 @@ impl KthCounters {
     /// so the bound is automatic there; a DMT(k) site whose local clock
     /// lags must jump its counter forward to keep the `Set` postcondition
     /// `TS(j,k) < TS(i,k)` (Section V-B-1).
-    pub fn fresh_upper_above(&mut self, bound: i64) -> i64 {
-        let need = (bound - self.tag).div_euclid(self.stride) + 1;
-        self.ucount = self.ucount.max(need);
-        self.fresh_upper()
-    }
-
-    /// Like [`KthCounters::fresh_lower`], but guaranteed to return a value
-    /// strictly below `bound`.
-    pub fn fresh_lower_below(&mut self, bound: i64) -> i64 {
-        let need = (bound - self.tag - 1).div_euclid(self.stride);
-        self.lcount = self.lcount.min(need);
-        self.fresh_lower()
-    }
-
-    /// Current `ucount` (next upper raw value).
-    pub fn ucount(&self) -> i64 {
-        self.ucount
-    }
-
-    /// Current `lcount` (next lower raw value).
-    pub fn lcount(&self) -> i64 {
-        self.lcount
-    }
-
-    /// Synchronizes this site's counters with a global bound, as the paper
-    /// suggests doing periodically under unbalanced load (Section V-B-1):
-    /// `ucount` jumps up to at least `global_u`, `lcount` down to at most
-    /// `global_l`.
-    pub fn synchronize(&mut self, global_u: i64, global_l: i64) {
-        self.ucount = self.ucount.max(global_u);
-        self.lcount = self.lcount.min(global_l);
-    }
-}
-
-/// Lock-free [`KthCounters`]: the same fresh-value discipline with the two
-/// counters as atomics, so concurrent schedulers draw k-th-column values
-/// without serializing on a table lock.
-///
-/// Plain draws are single `fetch_add`s. Bounded draws
-/// ([`AtomicKthCounters::fresh_upper_above`] /
-/// [`AtomicKthCounters::fresh_lower_below`]) use a compare-exchange loop to
-/// first ratchet the counter past the bound, mirroring
-/// [`KthCounters::fresh_upper_above`].
-///
-/// Interleaved draws hand out *distinct* values, which is the invariant the
-/// protocol needs; unlike the sequential version, the numeric order of
-/// values drawn by different threads follows the interleaving, not program
-/// order.
-#[derive(Debug)]
-pub struct AtomicKthCounters {
-    ucount: std::sync::atomic::AtomicI64,
-    lcount: std::sync::atomic::AtomicI64,
-    stride: i64,
-    tag: i64,
-}
-
-impl Default for AtomicKthCounters {
-    fn default() -> Self {
-        AtomicKthCounters::new()
-    }
-}
-
-impl AtomicKthCounters {
-    /// Fresh counters: `lcount = 0`, `ucount = 1` (Algorithm 1, line 4).
-    pub fn new() -> Self {
-        Self::site_tagged(1, 0)
-    }
-
-    /// Site-tagged counters, as [`KthCounters::site_tagged`].
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ tag < stride`.
-    pub fn site_tagged(stride: i64, tag: i64) -> Self {
-        use std::sync::atomic::AtomicI64;
-        assert!(stride >= 1 && (0..stride).contains(&tag));
-        AtomicKthCounters { ucount: AtomicI64::new(1), lcount: AtomicI64::new(0), stride, tag }
-    }
-
-    #[inline]
-    fn scale(&self, raw: i64) -> i64 {
-        raw * self.stride + self.tag
-    }
-
-    /// The `=` case at the k-th column: two fresh upper values
-    /// `(for_j, for_i)` with `for_j < for_i`.
-    pub fn fresh_pair(&self) -> (i64, i64) {
-        use std::sync::atomic::Ordering::Relaxed;
-        let u = self.ucount.fetch_add(2, Relaxed);
-        (self.scale(u), self.scale(u + 1))
-    }
-
-    /// One fresh upper value.
-    pub fn fresh_upper(&self) -> i64 {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.scale(self.ucount.fetch_add(1, Relaxed))
-    }
-
-    /// One fresh lower value.
-    pub fn fresh_lower(&self) -> i64 {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.scale(self.lcount.fetch_sub(1, Relaxed))
-    }
-
-    /// Fresh upper value strictly above `bound`.
     pub fn fresh_upper_above(&self, bound: i64) -> i64 {
-        use std::sync::atomic::Ordering::Relaxed;
         let need = (bound - self.tag).div_euclid(self.stride) + 1;
         let mut cur = self.ucount.load(Relaxed);
         loop {
@@ -199,9 +112,9 @@ impl AtomicKthCounters {
         }
     }
 
-    /// Fresh lower value strictly below `bound`.
+    /// Like [`KthCounters::fresh_lower`], but guaranteed to return a value
+    /// strictly below `bound`.
     pub fn fresh_lower_below(&self, bound: i64) -> i64 {
-        use std::sync::atomic::Ordering::Relaxed;
         let need = (bound - self.tag - 1).div_euclid(self.stride);
         let mut cur = self.lcount.load(Relaxed);
         loop {
@@ -215,22 +128,21 @@ impl AtomicKthCounters {
 
     /// Current `ucount` (next upper raw value).
     pub fn ucount(&self) -> i64 {
-        self.ucount.load(std::sync::atomic::Ordering::Relaxed)
+        self.ucount.load(Relaxed)
     }
 
     /// Current `lcount` (next lower raw value).
     pub fn lcount(&self) -> i64 {
-        self.lcount.load(std::sync::atomic::Ordering::Relaxed)
+        self.lcount.load(Relaxed)
     }
 
-    /// Sequential snapshot (for dumps and equivalence tests).
-    pub fn snapshot(&self) -> KthCounters {
-        KthCounters {
-            ucount: self.ucount(),
-            lcount: self.lcount(),
-            stride: self.stride,
-            tag: self.tag,
-        }
+    /// Synchronizes this site's counters with a global bound, as the paper
+    /// suggests doing periodically under unbalanced load (Section V-B-1):
+    /// `ucount` jumps up to at least `global_u`, `lcount` down to at most
+    /// `global_l`.
+    pub fn synchronize(&self, global_u: i64, global_l: i64) {
+        self.ucount.fetch_max(global_u, Relaxed);
+        self.lcount.fetch_min(global_l, Relaxed);
     }
 }
 
@@ -247,7 +159,7 @@ mod tests {
 
     #[test]
     fn fresh_values_are_distinct_and_ordered() {
-        let mut c = KthCounters::new();
+        let c = KthCounters::new();
         let (a, b) = c.fresh_pair();
         assert!(a < b);
         let up = c.fresh_upper();
@@ -265,8 +177,8 @@ mod tests {
 
     #[test]
     fn site_tagging_keeps_sites_disjoint() {
-        let mut s0 = KthCounters::site_tagged(4, 0);
-        let mut s3 = KthCounters::site_tagged(4, 3);
+        let s0 = KthCounters::site_tagged(4, 0);
+        let s3 = KthCounters::site_tagged(4, 3);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..100 {
             assert!(seen.insert(s0.fresh_upper()));
@@ -278,14 +190,14 @@ mod tests {
 
     #[test]
     fn site_tag_is_low_order() {
-        let mut s2 = KthCounters::site_tagged(8, 2);
+        let s2 = KthCounters::site_tagged(8, 2);
         let v = s2.fresh_upper();
         assert_eq!(v % 8, 2, "site id occupies the low-order bits");
     }
 
     #[test]
     fn synchronize_only_widens() {
-        let mut c = KthCounters::new();
+        let c = KthCounters::new();
         c.synchronize(10, -5);
         assert_eq!(c.ucount(), 10);
         assert_eq!(c.lcount(), -5);
@@ -303,7 +215,7 @@ mod tests {
     #[test]
     fn bounded_draws_respect_bounds() {
         for (stride, tag) in [(1, 0), (4, 0), (4, 3), (7, 2)] {
-            let mut c = KthCounters::site_tagged(stride, tag);
+            let c = KthCounters::site_tagged(stride, tag);
             for bound in [-100i64, -1, 0, 1, 5, 63, 1000] {
                 let up = c.fresh_upper_above(bound);
                 assert!(up > bound, "stride {stride} tag {tag} bound {bound}: {up}");
@@ -317,8 +229,8 @@ mod tests {
 
     #[test]
     fn bounded_draw_matches_plain_when_clock_ahead() {
-        let mut a = KthCounters::new();
-        let mut b = KthCounters::new();
+        let a = KthCounters::new();
+        let b = KthCounters::new();
         let _ = a.fresh_upper();
         let _ = b.fresh_upper();
         // ucount already above the bound: bounded draw = plain draw.
@@ -326,34 +238,19 @@ mod tests {
     }
 
     #[test]
-    fn atomic_matches_sequential_single_threaded() {
-        let seq = &mut KthCounters::site_tagged(4, 3);
-        let at = AtomicKthCounters::site_tagged(4, 3);
-        assert_eq!(seq.fresh_pair(), at.fresh_pair());
-        assert_eq!(seq.fresh_upper(), at.fresh_upper());
-        assert_eq!(seq.fresh_lower(), at.fresh_lower());
-        assert_eq!(seq.fresh_upper_above(100), at.fresh_upper_above(100));
-        assert_eq!(seq.fresh_lower_below(-100), at.fresh_lower_below(-100));
-        assert_eq!(*seq, at.snapshot());
-    }
-
-    #[test]
-    fn atomic_bounded_draws_respect_bounds() {
-        let c = AtomicKthCounters::site_tagged(7, 2);
-        for bound in [-100i64, -1, 0, 1, 5, 63, 1000] {
-            let up = c.fresh_upper_above(bound);
-            assert!(up > bound);
-            assert_eq!(up.rem_euclid(7), 2);
-            let lo = c.fresh_lower_below(bound);
-            assert!(lo < bound);
-            assert_eq!(lo.rem_euclid(7), 2);
-        }
+    fn a_clone_continues_from_the_current_state() {
+        let c = KthCounters::site_tagged(4, 1);
+        let _ = c.fresh_pair();
+        let _ = c.fresh_lower();
+        let d = c.clone();
+        assert_eq!((d.ucount(), d.lcount()), (c.ucount(), c.lcount()));
+        assert_eq!(d.fresh_upper(), c.fresh_upper(), "same stride and tag");
     }
 
     #[test]
     fn atomic_concurrent_draws_are_distinct() {
         use std::collections::HashSet;
-        let c = AtomicKthCounters::new();
+        let c = KthCounters::new();
         let per_thread = 2_000;
         let all: Vec<i64> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)

@@ -16,9 +16,9 @@
 //!
 //! * [`TsVec`] and [`CmpResult`] — the vectors and Definition 6;
 //! * [`KthCounters`] — the `ucount`/`lcount` discipline that keeps the k-th
-//!   column globally distinct (Algorithm 1, line 4 and procedure `Set`) —
-//!   and [`AtomicKthCounters`], its lock-free counterpart for concurrent
-//!   schedulers;
+//!   column globally distinct (Algorithm 1, line 4 and procedure `Set`),
+//!   drawn through `&self` by the sequential and the concurrent scheduler
+//!   alike;
 //! * [`ScalarComparator`] — the O(k) sequential comparison;
 //! * [`TreeComparator`] — the five-phase simulated vector-processor
 //!   comparison of Figs. 6–7, O(log k) parallel steps;
@@ -45,7 +45,7 @@ pub(crate) mod sync;
 pub mod tsvec;
 
 pub use compare::{CmpResult, ParallelCost, ScalarComparator, TreeComparator};
-pub use counters::{AtomicKthCounters, KthCounters};
+pub use counters::KthCounters;
 pub use interval::interval_view;
 pub use ordercache::{OrderCache, OrderCacheStats};
 pub use simd::{simd_tier, BatchScratch, SimdComparator, SimdTier};
