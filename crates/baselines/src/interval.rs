@@ -1,4 +1,4 @@
-//! Dynamic timestamp-interval allocation in the style of Bayer et al. [1]
+//! Dynamic timestamp-interval allocation in the style of Bayer et al. \[1\]
 //! — the related work the paper compares against in Section VI-A.
 //!
 //! Each transaction starts with the whole timestamp line `[0, 2⁶²)` and
@@ -10,7 +10,7 @@
 //! * intervals shrink from *one end at a time* and can fragment
 //!   exponentially in the number of operations ([`IntervalStats`] counts
 //!   shrinks and exhaustions);
-//! * the choice of `c` matters and [1] gives no criterion — we use the
+//! * the choice of `c` matters and \[1\] gives no criterion — we use the
 //!   overlap midpoint, with the split policy isolated in one place;
 //! * a transaction that restarts with the same fixed interval can starve,
 //!   mirroring the Fig. 5 scenario.
@@ -211,7 +211,7 @@ impl IntervalScheduler {
 
     /// Restarts an aborted transaction with a *fixed* interval — "an
     /// aborted transaction always restarts with a fixed interval range as
-    /// in [1]" (Section VI-A point 4). With the same range every time, the
+    /// in \[1\]" (Section VI-A point 4). With the same range every time, the
     /// same contradiction recurs and the transaction starves.
     pub fn restart_fixed(&mut self, tx: TxId, lo: u64, hi: u64) {
         assert!(lo < hi && hi <= HI);

@@ -11,7 +11,7 @@
 //!   (Kung–Robinson), the "waits till the end of the transaction" approach
 //!   of the introduction;
 //! * [`IntervalScheduler`] — dynamic timestamp-interval allocation in the
-//!   style of Bayer et al. [1], the Section VI-A comparison target, with
+//!   style of Bayer et al. \[1\], the Section VI-A comparison target, with
 //!   fragmentation accounting;
 //! * [`MvTimestampOrdering`] — Reed-style multiversion TO, the substrate
 //!   behind the paper's III-D-6d extension idea (reads never abort).

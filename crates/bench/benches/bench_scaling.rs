@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mdts_core::MtOptions;
-use mdts_engine::{run_bank_mix, run_bank_mix_concurrent, BankConfig, MtCc, ShardedMtCc};
+use mdts_engine::{run_bank_mix, BankConfig, MtCc, Protocol, ShardedMtCc};
 
 fn cfg(threads: usize) -> BankConfig {
     BankConfig {
@@ -29,9 +29,9 @@ fn bench_scaling(c: &mut Criterion) {
     for threads in [1usize, 4, 8] {
         group.bench_function(format!("mt3_sharded/{threads}t"), |b| {
             b.iter_batched(
-                || Box::new(ShardedMtCc::new(3)),
+                || Protocol::Concurrent(Box::new(ShardedMtCc::new(3))),
                 |cc| {
-                    let r = run_bank_mix_concurrent(cc, &cfg(threads));
+                    let r = run_bank_mix(cc, &cfg(threads));
                     assert!(r.invariant_holds());
                     r.metrics.commits
                 },
@@ -46,10 +46,10 @@ fn bench_scaling(c: &mut Criterion) {
                         order_cache: false,
                         ..MtOptions::new(3)
                     };
-                    Box::new(ShardedMtCc::with_options(opts))
+                    Protocol::Concurrent(Box::new(ShardedMtCc::with_options(opts)))
                 },
                 |cc| {
-                    let r = run_bank_mix_concurrent(cc, &cfg(threads));
+                    let r = run_bank_mix(cc, &cfg(threads));
                     assert!(r.invariant_holds());
                     r.metrics.commits
                 },
@@ -58,7 +58,7 @@ fn bench_scaling(c: &mut Criterion) {
         });
         group.bench_function(format!("mt3_serialized/{threads}t"), |b| {
             b.iter_batched(
-                || Box::new(MtCc::new(3)),
+                || MtCc::new(3),
                 |cc| {
                     let r = run_bank_mix(cc, &cfg(threads));
                     assert!(r.invariant_holds());

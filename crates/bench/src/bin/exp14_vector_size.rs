@@ -70,7 +70,7 @@ fn main() {
             max_restarts: 500,
             ..Default::default()
         };
-        let r = run_bank_mix(Box::new(MtCc::new(k)), &cfg);
+        let r = run_bank_mix(MtCc::new(k), &cfg);
         assert!(r.invariant_holds(), "k = {k}: serializability violated");
         t.row(&[
             k.to_string(),

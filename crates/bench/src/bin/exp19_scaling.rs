@@ -48,9 +48,9 @@ use mdts_bench::{
     write_timeseries, Table, TelemetryOpts,
 };
 use mdts_engine::{
-    bank_database_durable, bank_database_multiversion, run_bank_mix, run_bank_mix_concurrent,
-    run_bank_mix_db, run_bank_mix_multiversion, run_bank_mix_multiversion_audited, BankConfig,
-    BankReport, BasicToCc, DurabilityConfig, MtCc, MvToCc, ShardedMtCc, TwoPlCc,
+    bank_database_durable, bank_database_multiversion, run_bank_mix, run_bank_mix_db,
+    run_bank_mix_multiversion_audited, BankConfig, BankReport, BasicToCc, DurabilityConfig, MtCc,
+    MvToCc, Protocol as Engine, ShardedMtCc, TwoPlCc,
 };
 use mdts_storage::recover;
 
@@ -85,20 +85,20 @@ impl Protocol {
     }
 
     fn run(self, cfg: &BankConfig) -> BankReport {
+        let sharded = || {
+            ShardedMtCc::with_options(mdts_core::MtOptions {
+                starvation_flush: true,
+                order_cache: cfg.order_cache,
+                ..mdts_core::MtOptions::new(K)
+            })
+        };
         match self {
-            Protocol::MvMtSnapshot => run_bank_mix_multiversion(K, cfg),
-            Protocol::MtSharded => {
-                let opts = mdts_core::MtOptions {
-                    starvation_flush: true,
-                    order_cache: cfg.order_cache,
-                    ..mdts_core::MtOptions::new(K)
-                };
-                run_bank_mix_concurrent(Box::new(ShardedMtCc::with_options(opts)), cfg)
-            }
-            Protocol::MtSerialized => run_bank_mix(Box::new(MtCc::new(K)), cfg),
-            Protocol::Mvto => run_bank_mix(Box::new(MvToCc::new()), cfg),
-            Protocol::TwoPl => run_bank_mix(Box::new(TwoPlCc::new()), cfg),
-            Protocol::To1 => run_bank_mix(Box::new(BasicToCc::new(true)), cfg),
+            Protocol::MvMtSnapshot => run_bank_mix(Engine::Multiversion(sharded()), cfg),
+            Protocol::MtSharded => run_bank_mix(Engine::Concurrent(Box::new(sharded())), cfg),
+            Protocol::MtSerialized => run_bank_mix(MtCc::new(K), cfg),
+            Protocol::Mvto => run_bank_mix(MvToCc::new(), cfg),
+            Protocol::TwoPl => run_bank_mix(TwoPlCc::new(), cfg),
+            Protocol::To1 => run_bank_mix(BasicToCc::new(true), cfg),
         }
     }
 }

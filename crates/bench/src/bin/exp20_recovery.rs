@@ -33,7 +33,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use mdts_bench::{json_mode, metrics_document, print_table, Table};
-use mdts_engine::{Database, DurabilityConfig, ShardedMtCc, TxError, CHECKPOINT_TX};
+use mdts_engine::{Database, DurabilityConfig, Protocol, ShardedMtCc, TxError, CHECKPOINT_TX};
 use mdts_model::{ItemId, TxId};
 use mdts_storage::{recover, CrashPoint, Recovered, Store};
 use mdts_trace::{audit, from_jsonl, MetricsRegistry, TraceBuffer, TraceEvent, TraceSink};
@@ -60,8 +60,8 @@ fn open_durable(dir: &Path) -> std::io::Result<(Database<i64>, Recovered<i64>)> 
     let mut cc = ShardedMtCc::new(K);
     cc.attach_trace(TraceSink::to(&buffer));
     let config = DurabilityConfig::new(dir.join("wal.log")).journal(dir.join("journal.jsonl"));
-    Database::with_store_multiversion_durable(
-        cc,
+    Database::open_durable(
+        Protocol::Multiversion(cc),
         Store::with_items(ACCOUNTS, INITIAL),
         TraceSink::to(&buffer),
         &config,

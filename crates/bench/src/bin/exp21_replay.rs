@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use mdts_bench::{json_mode, metrics_document, print_table, Table};
-use mdts_engine::{Database, DurabilityConfig, ShardedMtCc, TxError};
+use mdts_engine::{Database, DurabilityConfig, Protocol, ShardedMtCc, TxError};
 use mdts_model::{ItemId, TxId};
 use mdts_storage::recover;
 use mdts_trace::{audit, from_jsonl, MetricsRegistry, TraceBuffer, TraceEvent, TraceSink};
@@ -70,8 +70,8 @@ fn open_durable(
     let config = DurabilityConfig::new(dir.join("wal.log"))
         .journal(dir.join("journal.jsonl"))
         .checkpoint_every(checkpoint_every);
-    Database::with_store_multiversion_durable(
-        cc,
+    Database::open_durable(
+        Protocol::Multiversion(cc),
         mdts_storage::Store::with_items(ACCOUNTS, INITIAL),
         TraceSink::to(&buffer),
         &config,

@@ -2,11 +2,12 @@
 //! `--telemetry-strict` flags shared by exp17 and exp19.
 //!
 //! An instrumented run attaches a [`Sampler`] to a [`Database`] built by
-//! the `bank_database*` constructors, turns phase timing on, drives the
-//! bank mix, and returns both the ordinary [`BankReport`] and the
-//! completed [`TimeSeries`]. The recomposition invariant (baseline +
-//! Σ window deltas == final cumulative counters) is asserted here, so
-//! every `--telemetry` run is self-checking before the file is written.
+//! [`Database::open`] (the workload's `bank_database*` helpers wrap it),
+//! turns phase timing on, drives the bank mix, and returns both the
+//! ordinary [`BankReport`] and the completed [`TimeSeries`]. The
+//! recomposition invariant (baseline + Σ window deltas == final
+//! cumulative counters) is asserted here, so every `--telemetry` run is
+//! self-checking before the file is written.
 
 use std::time::Duration;
 

@@ -32,7 +32,7 @@
 //!   specification (k independent subprotocols) and as Algorithm 2's
 //!   shared PREFIX/LASTCOL implementation; Theorem 5 says they coincide,
 //!   and the test-suite checks it.
-//! * [`recognize`], [`to_k`], [`to_k_star`] — log-recognition helpers used
+//! * [`recognize()`], [`to_k`], [`to_k_star`] — log-recognition helpers used
 //!   by the class-hierarchy experiments (Fig. 4).
 //! * [`MvMtScheduler`] — the multiversion extension of III-D-6d: version
 //!   chains per item under the vector order; reads never abort.

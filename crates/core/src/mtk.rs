@@ -75,7 +75,7 @@ pub struct MtOptions {
     /// Hot-item right-end encoding (III-D-5).
     pub hot_encoding: Option<HotEncoding>,
     /// Memoize *decided* comparisons (`TS(a) < TS(b)` / `>`) in a write-once
-    /// [`OrderCache`](mdts_vector::OrderCache). Sound because decided orders
+    /// [`OrderCache`]. Sound because decided orders
     /// are immutable under the write-once element discipline; the cache is
     /// flushed whenever the table reports a mutation that could break that
     /// (the III-D-4 in-place flush, reuse of a reclaimed id, raw table

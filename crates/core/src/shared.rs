@@ -862,7 +862,7 @@ impl SharedMtScheduler {
     /// vector order.
     ///
     /// The reader's own elements are *boosted* (defined above
-    /// `col_max`, see [`set_less`](Self::set_less)), so it is
+    /// `col_max`, see `set_less`), so it is
     /// never decided below any stamp published before its snapshot
     /// began — the chain walk of the `Older` arm therefore always
     /// terminates at or above the GC pivot (DESIGN.md §8).

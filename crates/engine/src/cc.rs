@@ -124,11 +124,6 @@ impl MtCc {
         MtCc { sched: MtScheduler::new(opts) }
     }
 
-    /// The underlying scheduler (read access for tests).
-    pub fn scheduler(&self) -> &MtScheduler {
-        &self.sched
-    }
-
     /// Routes the scheduler's decision trace to `sink` (see
     /// [`MtScheduler::attach_trace`]). Attach before handing the protocol
     /// to a [`crate::Database`].
@@ -777,22 +772,6 @@ impl ShardedMtCc {
     /// event journal are not supported by the concurrent scheduler).
     pub fn with_options(opts: MtOptions) -> Self {
         ShardedMtCc { sched: Arc::new(SharedMtScheduler::new(opts)) }
-    }
-
-    /// Explicit options and item-shard count.
-    pub fn with_shards(opts: MtOptions, shards: usize) -> Self {
-        ShardedMtCc { sched: Arc::new(SharedMtScheduler::with_shards(opts, shards)) }
-    }
-
-    /// Wraps an already-shared scheduler (the multiversion engine path
-    /// keeps a second handle for its snapshot readers).
-    pub fn from_arc(sched: Arc<SharedMtScheduler>) -> Self {
-        ShardedMtCc { sched }
-    }
-
-    /// The underlying scheduler (read access for tests).
-    pub fn scheduler(&self) -> &SharedMtScheduler {
-        &self.sched
     }
 
     /// A second handle to the underlying scheduler.

@@ -90,7 +90,9 @@ impl std::fmt::Display for TxError {
 impl std::error::Error for TxError {}
 
 /// Control-flow marker: the current transaction incarnation has been
-/// aborted; propagate with `?` out of the transaction closure.
+/// aborted; propagate with `?` out of the transaction closure. A body
+/// may also return it on its own: the engine then aborts the incarnation
+/// at the protocol and retries, as after a refused access.
 #[derive(Debug)]
 pub struct Aborted;
 
@@ -110,7 +112,9 @@ struct Shared<V> {
     store: ShardedStore<V>,
     cc: Box<dyn ConcurrentCc>,
     /// `Some` when the database serves read-only snapshot transactions
-    /// from version chains (see [`Database::run_read_only`]).
+    /// from version chains (see [`Database::run_read_only`]): built
+    /// under [`Protocol::Multiversion`] by [`Database::open`] or
+    /// [`Database::open_durable`].
     mv: Option<MvState<V>>,
     /// Last transaction id issued. Every admission writes it, so it has
     /// a cache line to itself: the read-mostly fields around it (`cc`,
@@ -119,14 +123,13 @@ struct Shared<V> {
     wake: WakeSeq,
     /// Counters and the logical clock ([`Metrics::now`]).
     metrics: Metrics,
-    name: &'static str,
     /// Engine-level decision trace (begin/abort/block/wake edges);
     /// disabled by default. The protocol's own events go to whatever sink
     /// is attached to it — point both at one buffer for a merged trace.
     trace: TraceSink,
     /// `Some` when commits are framed into a group-commit write-ahead
-    /// log and acknowledged only once fsynced (see
-    /// [`Database::with_store_concurrent_durable`]).
+    /// log and acknowledged only once fsynced (built by
+    /// [`Database::open_durable`]; [`Database::open`] leaves it `None`).
     durability: Option<Durability<V>>,
 }
 
@@ -169,161 +172,108 @@ impl<V> Clone for Database<V> {
     }
 }
 
+/// The protocol a [`Database`] runs, and with it which serving paths it
+/// has. The one argument of [`Database::open`] and
+/// [`Database::open_durable`]; the `From` impls let a call site pass a
+/// sequential protocol directly.
+pub enum Protocol {
+    /// A sequential protocol, wrapped in one [`SerializedCc`] mutex.
+    Serialized(Box<dyn ConcurrencyControl>),
+    /// A natively concurrent protocol.
+    Concurrent(Box<dyn ConcurrentCc>),
+    /// Sharded MT(k) plus the multiversion serving path (MV-MT(k),
+    /// III-D-6d, [`Database::run_read_only`]), whose snapshot readers
+    /// order themselves through the scheduler the write path validates.
+    Multiversion(ShardedMtCc),
+}
+
+impl<C: ConcurrencyControl + 'static> From<C> for Protocol {
+    fn from(cc: C) -> Self {
+        Protocol::Serialized(Box::new(cc))
+    }
+}
+
+impl From<Box<dyn ConcurrencyControl>> for Protocol {
+    fn from(cc: Box<dyn ConcurrencyControl>) -> Self {
+        Protocol::Serialized(cc)
+    }
+}
+
 impl<V: Clone + Send + 'static> Database<V> {
-    /// Empty database under a sequential protocol (wrapped in a
-    /// [`SerializedCc`]).
-    pub fn new(cc: Box<dyn ConcurrencyControl>) -> Self {
-        Database::with_store(cc, Store::new())
+    /// A database over the pre-populated `store` under `protocol`, with
+    /// the engine's decision trace routed to `trace`
+    /// ([`TraceSink::disabled`] for none). Attach the *protocol's* trace
+    /// to the same buffer before passing it here (e.g.
+    /// [`ShardedMtCc::attach_trace`]) for a merged, auditable stream.
+    pub fn open(protocol: impl Into<Protocol>, store: Store<V>, trace: TraceSink) -> Self {
+        Database::assemble(protocol.into(), store, trace, (0, 0), None)
     }
 
-    /// Database with a pre-populated store, under a sequential protocol.
-    pub fn with_store(cc: Box<dyn ConcurrencyControl>, store: Store<V>) -> Self {
-        Database::with_store_concurrent(Box::new(SerializedCc::new(cc)), store)
-    }
-
-    /// Empty database under a natively concurrent protocol.
-    pub fn new_concurrent(cc: Box<dyn ConcurrentCc>) -> Self {
-        Database::with_store_concurrent(cc, Store::new())
-    }
-
-    /// Database with a pre-populated store, under a natively concurrent
-    /// protocol.
-    pub fn with_store_concurrent(cc: Box<dyn ConcurrentCc>, store: Store<V>) -> Self {
-        Database::with_store_concurrent_traced(cc, store, TraceSink::disabled())
-    }
-
-    /// Empty database under a natively concurrent protocol, with the
-    /// engine's decision trace routed to `trace`. Attach the *protocol's*
-    /// trace to the same buffer (e.g. [`crate::ShardedMtCc::attach_trace`])
-    /// for a merged, auditable event stream.
-    pub fn new_concurrent_traced(cc: Box<dyn ConcurrentCc>, trace: TraceSink) -> Self {
-        Database::with_store_concurrent_traced(cc, Store::new(), trace)
-    }
-
-    /// Database with a pre-populated store, a natively concurrent
-    /// protocol, and an engine trace sink.
-    pub fn with_store_concurrent_traced(
-        cc: Box<dyn ConcurrentCc>,
-        store: Store<V>,
-        trace: TraceSink,
-    ) -> Self {
-        let name = cc.name();
-        let store = ShardedStore::from_store(store, DEFAULT_STORE_SHARDS);
-        Database::assemble(store, cc, None, name, trace, (0, 0), None)
-    }
-
-    /// The one place a `Shared` is put together. `resume` is the
-    /// `(last transaction id, logical clock)` pair a recovered log left
-    /// behind — zeros for a fresh database.
-    fn assemble(
-        store: ShardedStore<V>,
-        cc: Box<dyn ConcurrentCc>,
-        mv: Option<MvState<V>>,
-        name: &'static str,
-        trace: TraceSink,
-        resume: (u32, u64),
-        durability: Option<Durability<V>>,
-    ) -> Self {
-        Database {
-            shared: Arc::new(Shared {
-                store,
-                cc,
-                mv,
-                next_tx: CachePadded(AtomicU32::new(resume.0)),
-                wake: WakeSeq::default(),
-                metrics: Metrics::starting_at(resume.1),
-                name,
-                trace,
-                durability,
-            }),
-        }
-    }
-
-    /// Empty database under sharded MT(k) with the multiversion serving
-    /// path enabled: read-only transactions run through
-    /// [`Database::run_read_only`] and never abort, restart or block.
-    pub fn new_multiversion(k: usize) -> Self
-    where
-        V: Sync,
-    {
-        Database::with_store_multiversion_traced(
-            ShardedMtCc::new(k),
-            Store::new(),
-            TraceSink::disabled(),
-        )
-    }
-
-    /// Database with a pre-populated store under sharded MT(k), with the
-    /// multiversion serving path enabled and the engine trace routed to
-    /// `trace`. Attach the protocol's trace to the same buffer *before*
-    /// passing `cc` here (see [`ShardedMtCc::attach_trace`]) for a merged,
-    /// auditable stream.
-    pub fn with_store_multiversion_traced(
-        cc: ShardedMtCc,
-        store: Store<V>,
-        trace: TraceSink,
-    ) -> Self
-    where
-        V: Sync,
-    {
-        let mv = MvState { store: ConcurrentMvStore::new(), sched: cc.scheduler_arc() };
-        let store = ShardedStore::from_store(store, DEFAULT_STORE_SHARDS);
-        Database::assemble(store, Box::new(cc), Some(mv), "MV-MT(k)", trace, (0, 0), None)
-    }
-
-    /// Database with a pre-populated store, a natively concurrent
-    /// protocol, an engine trace sink, and a **write-ahead log**: any
-    /// existing log at `config.wal_path` is recovered first (its sealed
-    /// epochs replayed over `store`), then a fresh log is started with a
-    /// checkpoint of the merged state, and every subsequent commit is
-    /// acknowledged only after its group-commit epoch is fsynced.
+    /// [`open`](Self::open) with a **write-ahead log**: any existing log
+    /// at `config.wal_path` is recovered first (its sealed epochs replayed
+    /// over `store`), then a fresh log is started with a checkpoint of the
+    /// merged state, and every subsequent commit is acknowledged only
+    /// after its group-commit epoch is fsynced.
     ///
     /// Returns the database plus the [`Recovered`] report (what the old
     /// log contributed). When `config.journal_path` is set and `trace`
     /// is enabled on an **unbounded** buffer, the daemon also persists
     /// the decision trace epoch by epoch, fsynced before the epoch's WAL
     /// write, so a post-crash auditor can certify the recovered state.
-    pub fn with_store_concurrent_durable(
-        cc: Box<dyn ConcurrentCc>,
+    pub fn open_durable(
+        protocol: impl Into<Protocol>,
         store: Store<V>,
         trace: TraceSink,
         config: &DurabilityConfig,
     ) -> std::io::Result<(Self, Recovered<V>)>
     where
-        V: WalValue + Send,
+        V: WalValue,
     {
-        let ((store, resume, durability), recovered) = durable_parts(store, &trace, config)?;
-        let name = cc.name();
-        let db = Database::assemble(store, cc, None, name, trace, resume, Some(durability));
+        let (store, resume, durability, recovered) = durable_parts(store, &trace, config)?;
+        let db = Database::assemble(protocol.into(), store, trace, resume, Some(durability));
         db.install_wal_checkpoint();
         Ok((db, recovered))
     }
 
-    /// The durable counterpart of
-    /// [`Database::with_store_multiversion_traced`]: sharded MT(k) with
-    /// the multiversion serving path *and* the write-ahead log.
-    pub fn with_store_multiversion_durable(
+    /// [`open`](Self::open) under [`Protocol::Multiversion`].
+    pub fn with_store_multiversion_traced(
         cc: ShardedMtCc,
         store: Store<V>,
         trace: TraceSink,
-        config: &DurabilityConfig,
-    ) -> std::io::Result<(Self, Recovered<V>)>
-    where
-        V: WalValue + Send,
-    {
-        let ((store, resume, durability), recovered) = durable_parts(store, &trace, config)?;
-        let mv = MvState { store: ConcurrentMvStore::new(), sched: cc.scheduler_arc() };
-        let db = Database::assemble(
-            store,
-            Box::new(cc),
-            Some(mv),
-            "MV-MT(k)",
-            trace,
-            resume,
-            Some(durability),
-        );
-        db.install_wal_checkpoint();
-        Ok((db, recovered))
+    ) -> Self {
+        Database::open(Protocol::Multiversion(cc), store, trace)
+    }
+
+    /// The one place a `Shared` is put together. `resume` is the
+    /// `(last transaction id, logical clock)` pair a recovered log left
+    /// behind — zeros for a fresh database.
+    fn assemble(
+        protocol: Protocol,
+        store: Store<V>,
+        trace: TraceSink,
+        resume: (u32, u64),
+        durability: Option<Durability<V>>,
+    ) -> Self {
+        let (cc, mv): (Box<dyn ConcurrentCc>, _) = match protocol {
+            Protocol::Serialized(cc) => (Box::new(SerializedCc::new(cc)), None),
+            Protocol::Concurrent(cc) => (cc, None),
+            Protocol::Multiversion(cc) => {
+                let mv = MvState { store: ConcurrentMvStore::new(), sched: cc.scheduler_arc() };
+                (Box::new(cc), Some(mv))
+            }
+        };
+        Database {
+            shared: Arc::new(Shared {
+                store: ShardedStore::from_store(store, DEFAULT_STORE_SHARDS),
+                cc,
+                mv,
+                next_tx: CachePadded(AtomicU32::new(resume.0)),
+                wake: WakeSeq::default(),
+                metrics: Metrics::starting_at(resume.1),
+                trace,
+                durability,
+            }),
+        }
     }
 
     /// Hands the group-commit daemon its checkpoint snapshot encoder (a
@@ -394,15 +344,13 @@ impl<V: Clone + Send + 'static> Database<V> {
         self.shared.mv.as_ref().map_or(0, |mv| mv.store.pruned())
     }
 
-    /// Versions currently kept for `item` (0 without the multiversion
-    /// path; test hook).
-    pub fn mv_version_count(&self, item: ItemId) -> usize {
-        self.shared.mv.as_ref().map_or(0, |mv| mv.store.version_count(item))
-    }
-
     /// The protocol's display name.
     pub fn protocol_name(&self) -> &'static str {
-        self.shared.name
+        if self.has_multiversion() {
+            "MV-MT(k)"
+        } else {
+            self.shared.cc.name()
+        }
     }
 
     /// Current committed contents (per-shard consistent; run an auditing
@@ -472,11 +420,6 @@ impl<V: Clone + Send + 'static> Database<V> {
         self.shared.metrics.phases.set_enabled(on);
     }
 
-    /// Whether phase-span timing is currently enabled.
-    pub fn phase_timing(&self) -> bool {
-        self.shared.metrics.phases.enabled()
-    }
-
     /// Records a stall-detector alert in the engine's decision trace
     /// (no-op when no sink is attached). The telemetry layer calls this
     /// so alerts interleave, sequence-stamped, with the protocol events
@@ -489,9 +432,13 @@ impl<V: Clone + Send + 'static> Database<V> {
     /// `max_restarts` times. The closure reads and writes through the
     /// [`Tx`] handle and must propagate [`Aborted`] with `?`.
     ///
-    /// The transaction's workspace is this thread's recycled
-    /// [`TxScratch`]: once a thread has run one transaction of a given
-    /// shape, `run` allocates nothing.
+    /// An incarnation the body abandons — by returning [`Aborted`] on its
+    /// own or by panicking — is aborted at the protocol exactly once; a
+    /// panic then propagates.
+    ///
+    /// The transaction's workspace is this thread's recycled scratch
+    /// buffer: once a thread has run one transaction of a given shape,
+    /// `run` allocates nothing.
     pub fn run<T>(
         &self,
         max_restarts: usize,
@@ -541,10 +488,7 @@ impl<V: Clone + Send + 'static> Database<V> {
             }
             shared.metrics.phases.record_since(Phase::Admission, span);
             let epoch = shared.cc.epoch();
-            // A body may hand back `Aborted` without a failing call having
-            // cleaned up: never let one incarnation's writes reach the next.
-            scratch.writes.clear();
-            let mut tx = Tx { shared, cells, id, epoch, scratch: &mut *scratch };
+            let mut tx = Tx { shared, cells, id, epoch, scratch: &mut *scratch, armed: true };
             if let Ok(value) = body(&mut tx) {
                 let span = shared.metrics.phases.start();
                 let outcome = tx.commit();
@@ -574,6 +518,8 @@ impl<V: Clone + Send + 'static> Database<V> {
                     return Err(TxError::DurabilityUnknown);
                 }
             }
+            // Releases an incarnation the body abandoned before backing off.
+            drop(tx);
             prev = Some(id);
             if attempt < max_restarts {
                 Metrics::bump(&cells.restarts);
@@ -603,7 +549,7 @@ impl<V: Clone + Send + 'static> Database<V> {
     ///
     /// # Panics
     /// Panics if the database was not built with the multiversion path
-    /// (see [`Database::new_multiversion`]), or with
+    /// (see [`Protocol::Multiversion`]), or with
     /// [`TxError::IdsExhausted`]'s message once the transaction ids are
     /// used up.
     pub fn run_read_only<T>(&self, body: impl FnOnce(&mut SnapshotTx<'_, V>) -> T) -> T
@@ -626,8 +572,9 @@ impl<V: Clone + Send + 'static> Database<V> {
         // ticket is what keeps pruning away from every version this
         // reader may still descend to.
         let guard = mv.store.begin_snapshot();
-        let mut tx = SnapshotTx { shared, mv, cells, id, _guard: guard };
+        let mut tx = SnapshotTx { shared, mv, cells, id, _guard: guard, armed: true };
         let out = body(&mut tx);
+        tx.armed = false;
         let span = shared.metrics.phases.start();
         mv.sched.commit(id);
         shared.metrics.phases.record_since(Phase::Commit, span);
@@ -650,6 +597,17 @@ pub struct SnapshotTx<'a, V> {
     cells: &'a MetricCells,
     id: TxId,
     _guard: mdts_storage::SnapshotGuard<'a>,
+    /// Set from `begin` until the body returns: a body that panics
+    /// instead has its reader aborted, so its row does not outlive it.
+    armed: bool,
+}
+
+impl<V> Drop for SnapshotTx<'_, V> {
+    fn drop(&mut self) {
+        if self.armed {
+            self.mv.sched.abort(self.id);
+        }
+    }
 }
 
 impl<V: Clone + Send + Sync + 'static> SnapshotTx<'_, V> {
@@ -777,18 +735,18 @@ fn restart_backoff(attempt: usize, id_salt: u32) {
     std::thread::sleep(std::time::Duration::from_micros(base + jitter));
 }
 
-/// Recover + checkpoint + daemon start, shared by the durable
-/// constructors: replay any sealed epochs at `config.wal_path` over
-/// `store`, start a fresh log whose first epoch checkpoints the merged
-/// state under [`crate::durability::CHECKPOINT_TX`], and hand back the
-/// `(last id, clock)` pair the counters resume from so recovered history
-/// stays monotone.
+/// Recover + checkpoint + daemon start for [`Database::open_durable`]:
+/// replay any sealed epochs at `config.wal_path` over `store`, start a
+/// fresh log whose first epoch checkpoints the merged state under
+/// [`crate::durability::CHECKPOINT_TX`], and hand back the `(last id,
+/// clock)` pair the counters resume from so recovered history stays
+/// monotone.
 #[allow(clippy::type_complexity)]
 fn durable_parts<V: Clone + Send + WalValue>(
     mut store: Store<V>,
     trace: &TraceSink,
     config: &DurabilityConfig,
-) -> std::io::Result<((ShardedStore<V>, (u32, u64), Durability<V>), Recovered<V>)> {
+) -> std::io::Result<(Store<V>, (u32, u64), Durability<V>, Recovered<V>)> {
     let recovered = recover::<V>(&config.wal_path)?;
     for (item, value) in recovered.store.iter() {
         store.set(item, value.clone());
@@ -797,14 +755,8 @@ fn durable_parts<V: Clone + Send + WalValue>(
         store.iter().map(|(item, value)| (item, value.clone())).collect();
     let durability =
         Durability::start(config, &checkpoint, recovered.last_lsn + 1, trace.buffer().cloned())?;
-    Ok((
-        (
-            ShardedStore::from_store(store, DEFAULT_STORE_SHARDS),
-            (recovered.max_tx, recovered.last_lsn),
-            durability,
-        ),
-        recovered,
-    ))
+    let resume = (recovered.max_tx, recovered.last_lsn);
+    Ok((store, resume, durability, recovered))
 }
 
 /// What [`Tx::commit`] produced.
@@ -893,6 +845,20 @@ pub struct Tx<'a, V> {
     id: TxId,
     epoch: u64,
     scratch: &'a mut TxScratch<V>,
+    /// Set from `begin` until the commit or [`cleanup`](Self::cleanup):
+    /// while set, dropping the handle aborts the incarnation at the
+    /// protocol — the body returned [`Aborted`] on its own or panicked.
+    armed: bool,
+}
+
+impl<V> Drop for Tx<'_, V> {
+    fn drop(&mut self) {
+        if self.armed {
+            self.scratch.writes.clear();
+            self.shared.cc.aborted(self.id);
+            self.shared.wake_all();
+        }
+    }
 }
 
 impl<V: Clone + Send + 'static> Tx<'_, V> {
@@ -918,6 +884,7 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
     /// (the trace layer's abort taxonomy). The workspace is
     /// transaction-local, so dropping the handle discards it.
     fn cleanup(&mut self, reason: AbortReason) {
+        self.armed = false;
         self.scratch.writes.clear();
         self.shared.cc.aborted(self.id);
         Metrics::bump(&self.cells.aborts);
@@ -1138,6 +1105,7 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                 }
                 self.cells.tick();
                 drop(guards);
+                self.armed = false;
                 self.shared.cc.committed(self.id);
                 if wal_epoch.is_none() {
                     let tx = self.id;
@@ -1171,15 +1139,12 @@ mod tests {
     fn id_exhaustion_is_fail_stop() {
         // Basic TO keys its state by id in maps, so ids near `u32::MAX` cost
         // nothing (the MT(k) row tables are indexed by id).
-        let db: Database<i64> = Database::assemble(
-            ShardedStore::from_store(Store::with_items(2, 50), DEFAULT_STORE_SHARDS),
-            Box::new(SerializedCc::new(Box::new(crate::cc::BasicToCc::new(true)))),
-            None,
-            "TO(1)",
+        let db: Database<i64> = Database::open(
+            crate::cc::BasicToCc::new(true),
+            Store::with_items(2, 50),
             TraceSink::disabled(),
-            (TX_ID_LIMIT - 3, 0),
-            None,
         );
+        db.shared.next_tx.store(TX_ID_LIMIT - 3, Ordering::Relaxed);
         let transfer = || {
             db.run(0, |tx| {
                 let (a, b) = (tx.read(ItemId(0))?.unwrap_or(0), tx.read(ItemId(1))?.unwrap_or(0));
@@ -1202,17 +1167,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "transaction ids exhausted")]
     fn run_read_only_panics_at_the_id_limit() {
-        let cc = ShardedMtCc::new(3);
-        let mv = MvState { store: ConcurrentMvStore::new(), sched: cc.scheduler_arc() };
-        let db: Database<i64> = Database::assemble(
-            ShardedStore::from_store(Store::with_items(2, 50), DEFAULT_STORE_SHARDS),
-            Box::new(cc),
-            Some(mv),
-            "MV-MT(k)",
+        let db: Database<i64> = Database::open(
+            Protocol::Multiversion(ShardedMtCc::new(3)),
+            Store::with_items(2, 50),
             TraceSink::disabled(),
-            (TX_ID_LIMIT - 1, 0),
-            None,
         );
+        db.shared.next_tx.store(TX_ID_LIMIT - 1, Ordering::Relaxed);
         db.run_read_only(|tx| tx.read(ItemId(0)));
     }
 }

@@ -65,7 +65,7 @@ use mdts_trace::{export, TraceBuffer};
 pub const CHECKPOINT_TX: TxId = TxId(0);
 
 /// Where and how a durable database logs (see
-/// [`crate::Database::with_store_concurrent_durable`]).
+/// [`crate::Database::open_durable`]).
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
     /// The redo-log file. Recovered on open, then truncated and rebuilt

@@ -5,9 +5,19 @@
 use mdts_model::ItemId;
 use mdts_storage::Store;
 
-use crate::cc::{BasicToCc, CompositeCc, ConcurrencyControl, IntervalCc, MtCc, OccCc, TwoPlCc};
-use crate::db::Database;
+use mdts_trace::TraceSink;
+
+use crate::cc::{
+    BasicToCc, CompositeCc, ConcurrencyControl, IntervalCc, MtCc, MvToCc, OccCc, ShardedMtCc,
+    TwoPlCc,
+};
+use crate::db::{Database, Protocol};
 use crate::workload::{run_bank_mix, BankConfig};
+
+/// A database over `store` under `protocol`, engine trace off.
+fn open(protocol: impl Into<Protocol>, store: Store<i64>) -> Database<i64> {
+    Database::open(protocol, store, TraceSink::disabled())
+}
 
 fn all_protocols() -> Vec<Box<dyn ConcurrencyControl>> {
     vec![
@@ -46,7 +56,7 @@ fn bank_invariant_holds_under_every_protocol() {
 
 #[test]
 fn uncommitted_writes_are_invisible() {
-    let db: Database<i64> = Database::with_store(Box::new(MtCc::new(2)), Store::with_items(1, 7));
+    let db = open(MtCc::new(2), Store::with_items(1, 7));
     // A transaction writes but never commits (closure aborts by running
     // out of retries after a forced user-side bail).
     let _: Result<(), _> = db.run(0, |tx| {
@@ -61,7 +71,7 @@ fn uncommitted_writes_are_invisible() {
 
 #[test]
 fn committed_writes_are_visible_and_durable() {
-    let db: Database<i64> = Database::with_store(Box::new(MtCc::new(2)), Store::with_items(2, 0));
+    let db = open(MtCc::new(2), Store::with_items(2, 0));
     db.run(4, |tx| {
         let v = tx.read(ItemId(0))?.unwrap_or(0);
         tx.write(ItemId(0), v + 5)?;
@@ -80,7 +90,7 @@ fn lost_update_is_prevented_by_every_protocol() {
     // Two threads increment the same counter 50 times each; a lost update
     // would leave the counter below 100.
     for cc in all_protocols() {
-        let db: Database<i64> = Database::with_store(cc, Store::with_items(1, 0));
+        let db = open(cc, Store::with_items(1, 0));
         let name = db.protocol_name();
         std::thread::scope(|s| {
             for _ in 0..2 {
@@ -103,7 +113,7 @@ fn lost_update_is_prevented_by_every_protocol() {
 
 #[test]
 fn two_pl_blocks_and_wakes() {
-    let db: Database<i64> = Database::with_store(Box::new(TwoPlCc::new()), Store::with_items(1, 0));
+    let db = open(TwoPlCc::new(), Store::with_items(1, 0));
     // Writer thread holds the lock briefly; reader must block then proceed.
     std::thread::scope(|s| {
         let db2 = db.clone();
@@ -132,8 +142,7 @@ fn two_pl_blocks_and_wakes() {
 #[test]
 fn deadlock_victims_restart_and_finish() {
     // Classic crossing transfers: T_a: x→y, T_b: y→x, repeatedly.
-    let db: Database<i64> =
-        Database::with_store(Box::new(TwoPlCc::new()), Store::with_items(2, 50));
+    let db = open(TwoPlCc::new(), Store::with_items(2, 50));
     std::thread::scope(|s| {
         for (a, b) in [(0u32, 1u32), (1, 0)] {
             let db = db.clone();
@@ -163,7 +172,7 @@ fn thomas_rule_counts_ignored_writes() {
     // engine stays correct and reports the counter.
     let cfg =
         BankConfig { threads: 4, txns_per_thread: 150, zipf_theta: 1.2, ..Default::default() };
-    let report = run_bank_mix(Box::new(BasicToCc::new(true)), &cfg);
+    let report = run_bank_mix(BasicToCc::new(true), &cfg);
     assert!(report.invariant_holds(), "{:?}", report);
 }
 
@@ -179,25 +188,88 @@ fn composite_abort_all_recovers() {
         max_restarts: 5000,
         ..Default::default()
     };
-    let report = run_bank_mix(Box::new(CompositeCc::new(1)), &cfg);
+    let report = run_bank_mix(CompositeCc::new(1), &cfg);
     assert!(report.invariant_holds(), "{:?}", report);
     assert!(report.metrics.commits > 0);
 }
 
 #[test]
 fn retries_exhausted_is_reported() {
-    let db: Database<i64> = Database::with_store(Box::new(MtCc::new(2)), Store::with_items(1, 0));
+    let db = open(MtCc::new(2), Store::with_items(1, 0));
     let err =
         db.run(2, |_tx| -> Result<(), crate::db::Aborted> { Err(crate::db::Aborted) }).unwrap_err();
     assert_eq!(err, crate::db::TxError::RetriesExhausted);
     assert_eq!(db.metrics().commits, 0);
 }
 
+/// A body that reads `x` under 2PL and then returns `Aborted` on its own
+/// must not keep its read lock: a later writer of `x` commits. The writer
+/// runs on a thread of its own so that a leaked lock fails the test by
+/// timeout instead of hanging it.
+#[test]
+fn an_abandoned_incarnation_releases_its_locks() {
+    let db = open(TwoPlCc::new(), Store::with_items(1, 0));
+    let x = ItemId(0);
+    let abandoned = db.run(0, |tx| {
+        tx.read(x)?;
+        Err::<(), _>(crate::db::Aborted)
+    });
+    assert_eq!(abandoned, Err(crate::db::TxError::RetriesExhausted));
+    let (done, finished) = std::sync::mpsc::channel();
+    let writer = db.clone();
+    let writer = std::thread::spawn(move || {
+        let _ = done.send(writer.run(0, |tx| tx.write(x, 1)));
+    });
+    let committed = finished
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the writer of x is blocked behind the abandoned reader's lock");
+    writer.join().expect("the writer thread finished");
+    assert_eq!(committed, Ok(()));
+    assert_eq!(db.snapshot()[&x], 1);
+}
+
+/// Live scheduler rows around a call of `abandon`, which panics after
+/// reading item 0. A reader of item 0 commits before and after it: the
+/// later one displaces the abandoned reader as the item's `RT` holder,
+/// which reclaims the abandoned row only if the engine finished it.
+fn live_rows_across_a_panic(abandon: impl FnOnce(&Database<i64>)) -> (u64, u64) {
+    let db = open(Protocol::Multiversion(ShardedMtCc::new(3)), Store::with_items(2, 0));
+    let read = || db.run(0, |tx| tx.read(ItemId(0))).expect("a lone reader commits");
+    read();
+    let before = db.gauges().sched_live_rows;
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| abandon(&db)));
+    assert!(caught.is_err(), "the body's panic propagates out of the engine");
+    read();
+    (before, db.gauges().sched_live_rows)
+}
+
+#[test]
+fn a_panicking_body_releases_its_row() {
+    let (before, after) = live_rows_across_a_panic(|db| {
+        let _ = db.run(0, |tx| -> Result<(), _> {
+            tx.read(ItemId(0))?;
+            panic!("the body fails after a read")
+        });
+    });
+    assert_eq!(after, before);
+}
+
+#[test]
+fn a_panicking_snapshot_body_releases_its_row() {
+    let (before, after) = live_rows_across_a_panic(|db| {
+        db.run_read_only(|tx| {
+            tx.read(ItemId(0));
+            panic!("the snapshot body fails after a read")
+        });
+    });
+    assert_eq!(after, before);
+}
+
 #[test]
 fn mt_engine_is_faster_to_accept_than_restart_heavy_protocols_on_example1() {
     // Sanity: the MT(2) engine commits Example 1's interleaving without
     // any restarts when driven single-threaded in that exact order.
-    let db: Database<i64> = Database::with_store(Box::new(MtCc::new(2)), Store::with_items(3, 0));
+    let db = open(MtCc::new(2), Store::with_items(3, 0));
     // T1: W[x] W[y]; T3: R[x] W[y later]... replay as three transactions
     // in the paper's operation order is inherently interleaved; here we
     // just confirm sequential transactions never restart.
@@ -222,7 +294,7 @@ fn mt_engine_is_faster_to_accept_than_restart_heavy_protocols_on_example1() {
 fn mvto_baseline_holds_invariant() {
     let cfg =
         BankConfig { threads: 4, txns_per_thread: 150, zipf_theta: 0.8, ..Default::default() };
-    let report = run_bank_mix(Box::new(crate::cc::MvToCc::new()), &cfg);
+    let report = run_bank_mix(MvToCc::new(), &cfg);
     assert!(report.invariant_holds(), "{report:?}");
     assert!(report.metrics.commits > 0);
 }
@@ -238,7 +310,7 @@ fn snapshot_reads_never_abort_and_keep_the_invariant() {
         scan_len: 16, // full-table audits against hot writers
         ..Default::default()
     };
-    let report = crate::workload::run_bank_mix_multiversion(4, &cfg);
+    let report = run_bank_mix(Protocol::Multiversion(ShardedMtCc::new(4)), &cfg);
     assert!(report.invariant_holds(), "{report:?}");
     assert!(report.metrics.snapshot_txns > 0, "snapshot lane never exercised: {report:?}");
     assert!(report.metrics.snapshot_reads >= report.metrics.snapshot_txns * 16);
@@ -284,11 +356,7 @@ fn snapshot_scan_is_transactionally_consistent() {
     // single-version read-committed scan would fail this regularly.
     let accounts = 8u32;
     let per = 100i64;
-    let db: Database<i64> = Database::with_store_multiversion_traced(
-        crate::cc::ShardedMtCc::new(4),
-        Store::with_items(accounts, per),
-        mdts_trace::TraceSink::disabled(),
-    );
+    let db = open(Protocol::Multiversion(ShardedMtCc::new(4)), Store::with_items(accounts, per));
     let stop = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|scope| {
         for t in 0..3usize {
@@ -327,11 +395,7 @@ fn gc_never_reclaims_a_version_visible_to_a_live_snapshot() {
     // proves the served versions stayed mutually consistent).
     let accounts = 4u32;
     let per = 50i64;
-    let db: Database<i64> = Database::with_store_multiversion_traced(
-        crate::cc::ShardedMtCc::new(3),
-        Store::with_items(accounts, per),
-        mdts_trace::TraceSink::disabled(),
-    );
+    let db = open(Protocol::Multiversion(ShardedMtCc::new(3)), Store::with_items(accounts, per));
     let churn = |rounds: u32| {
         for _ in 0..rounds {
             for a in 0..accounts {
@@ -365,12 +429,12 @@ fn gc_never_reclaims_a_version_visible_to_a_live_snapshot() {
 
 #[test]
 fn mv_trace_is_audit_certified() {
-    use mdts_trace::{audit, TraceBuffer, TraceSink};
+    use mdts_trace::{audit, TraceBuffer};
     let buffer = TraceBuffer::journal();
-    let mut cc = crate::cc::ShardedMtCc::new(3);
+    let mut cc = ShardedMtCc::new(3);
     cc.attach_trace(TraceSink::to(&buffer));
-    let db: Database<i64> = Database::with_store_multiversion_traced(
-        cc,
+    let db: Database<i64> = Database::open(
+        Protocol::Multiversion(cc),
         Store::with_items(8, 100),
         TraceSink::to(&buffer),
     );
@@ -419,8 +483,9 @@ mod mv_props {
     use mdts_trace::{audit, TraceBuffer, TraceSink};
     use proptest::prelude::*;
 
+    use super::open;
     use crate::cc::ShardedMtCc;
-    use crate::db::Database;
+    use crate::db::{Database, Protocol};
 
     const ITEMS: u32 = 4;
 
@@ -491,11 +556,7 @@ mod mv_props {
 
             // Writers record their log TxId as the stored value, so each
             // engine read names the version writer it was served.
-            let db: Database<i64> = Database::with_store_multiversion_traced(
-                ShardedMtCc::new(k),
-                Store::with_items(ITEMS, 0),
-                TraceSink::disabled(),
-            );
+            let db = open(Protocol::Multiversion(ShardedMtCc::new(k)), Store::with_items(ITEMS, 0));
             let mut got = Vec::new();
             // Last committed writer per item as the driver proceeds: the
             // deterministic spec for the concurrent path's scans.
@@ -629,8 +690,8 @@ mod mv_props {
             let buffer = TraceBuffer::journal();
             let mut cc = ShardedMtCc::new(k);
             cc.attach_trace(TraceSink::to(&buffer));
-            let db: Database<i64> = Database::with_store_multiversion_traced(
-                cc,
+            let db: Database<i64> = Database::open(
+                Protocol::Multiversion(cc),
                 Store::with_items(ITEMS, 100),
                 TraceSink::to(&buffer),
             );
@@ -803,11 +864,11 @@ mod striped_metrics {
 
 mod durability_tests {
     use mdts_model::{ItemId, TxId};
-    use mdts_storage::{recover, CrashPoint, Store};
+    use mdts_storage::{recover, CrashPoint, Recovered, Store};
     use mdts_trace::{audit, TraceBuffer, TraceSink};
 
     use crate::cc::ShardedMtCc;
-    use crate::db::{Database, TxError};
+    use crate::db::{Database, Protocol, TxError};
     use crate::durability::{DurabilityConfig, CHECKPOINT_TX};
 
     /// A scratch directory unique to this test, wiped at entry.
@@ -818,17 +879,23 @@ mod durability_tests {
         dir
     }
 
+    fn open(
+        protocol: Protocol,
+        store: Store<i64>,
+        trace: TraceSink,
+        config: &DurabilityConfig,
+    ) -> (Database<i64>, Recovered<i64>) {
+        Database::open_durable(protocol, store, trace, config).expect("durable open")
+    }
+
+    /// Sharded MT(3) without the multiversion path.
+    fn sharded() -> Protocol {
+        Protocol::Concurrent(Box::new(ShardedMtCc::new(3)))
+    }
+
     fn durable_db(dir: &std::path::Path, trace: TraceSink) -> Database<i64> {
-        let store = Store::with_items(8, 100i64);
         let config = DurabilityConfig::new(dir.join("wal.log")).journal(dir.join("journal.jsonl"));
-        let (db, _) = Database::with_store_concurrent_durable(
-            Box::new(ShardedMtCc::new(3)),
-            store,
-            trace,
-            &config,
-        )
-        .expect("durable open");
-        db
+        open(sharded(), Store::with_items(8, 100), trace, &config).0
     }
 
     #[test]
@@ -863,16 +930,43 @@ mod durability_tests {
         // Re-open durable on the same path: the recovered state seeds the
         // store and the checkpoint epoch re-persists it.
         let config = DurabilityConfig::new(dir.join("wal.log"));
-        let (db2, rec2) = Database::<i64>::with_store_concurrent_durable(
-            Box::new(ShardedMtCc::new(3)),
-            Store::new(),
-            TraceSink::disabled(),
-            &config,
-        )
-        .unwrap();
+        let (db2, rec2) = open(sharded(), Store::new(), TraceSink::disabled(), &config);
         assert_eq!(rec2.committed.len(), 9);
         let total2: i64 = db2.snapshot().values().sum();
         assert_eq!(total2, 8 * 100 + 8);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sharded MV-MT(k) with the log: commits survive a reopen on the
+    /// same log, and the reopened database still serves snapshots.
+    #[test]
+    fn multiversion_durable_reopens_with_its_commits() {
+        let dir = scratch("mv");
+        let config = DurabilityConfig::new(dir.join("wal.log"));
+        let mv = |store| {
+            open(Protocol::Multiversion(ShardedMtCc::new(3)), store, TraceSink::disabled(), &config)
+        };
+        {
+            let (db, _) = mv(Store::with_items(8, 100));
+            for i in 0..6u32 {
+                let (src, dst) = (ItemId(i), ItemId(i + 1));
+                db.run(16, |tx| {
+                    let a = tx.read(src)?.unwrap_or(0);
+                    let b = tx.read(dst)?.unwrap_or(0);
+                    tx.write(src, a - 1)?;
+                    tx.write(dst, b + 1)
+                })
+                .expect("commit acknowledged");
+            }
+            assert!(db.sync());
+        }
+        let (db, recovered) = mv(Store::new());
+        assert!(db.has_multiversion() && db.has_durability());
+        assert_eq!(db.protocol_name(), "MV-MT(k)");
+        assert_eq!(recovered.committed.len(), 6 + 1, "6 transfers plus the checkpoint");
+        let total: i64 =
+            db.run_read_only(|tx| (0..8).map(|a| tx.read(ItemId(a)).unwrap_or(0)).sum());
+        assert_eq!(total, 8 * 100);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -953,15 +1047,9 @@ mod durability_tests {
         let dir = scratch("checkpoint");
         let snapshot;
         {
-            let store = Store::with_items(8, 100i64);
             let config = DurabilityConfig::new(dir.join("wal.log")).checkpoint_every(4);
-            let (db, _) = Database::with_store_concurrent_durable(
-                Box::new(ShardedMtCc::new(3)),
-                store,
-                TraceSink::disabled(),
-                &config,
-            )
-            .unwrap();
+            let (db, _) =
+                open(sharded(), Store::with_items(8, 100i64), TraceSink::disabled(), &config);
             for i in 0..40u32 {
                 db.run(16, |tx| {
                     let item = ItemId(i % 8);
@@ -995,13 +1083,7 @@ mod durability_tests {
         }
         // Reopen over the truncated log: state carries forward.
         let config = DurabilityConfig::new(dir.join("wal.log"));
-        let (db2, _) = Database::<i64>::with_store_concurrent_durable(
-            Box::new(ShardedMtCc::new(3)),
-            Store::new(),
-            TraceSink::disabled(),
-            &config,
-        )
-        .unwrap();
+        let (db2, _) = open(sharded(), Store::new(), TraceSink::disabled(), &config);
         let total: i64 = db2.snapshot().values().sum();
         assert_eq!(total, 8 * 100 + 40);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1012,15 +1094,9 @@ mod durability_tests {
         let dir = scratch("checkpoint-race");
         let snapshot;
         {
-            let store = Store::with_items(16, 0i64);
             let config = DurabilityConfig::new(dir.join("wal.log")).checkpoint_every(2);
-            let (db, _) = Database::with_store_concurrent_durable(
-                Box::new(ShardedMtCc::new(3)),
-                store,
-                TraceSink::disabled(),
-                &config,
-            )
-            .unwrap();
+            let (db, _) =
+                open(sharded(), Store::with_items(16, 0i64), TraceSink::disabled(), &config);
             std::thread::scope(|s| {
                 for t in 0..4u32 {
                     let db = &db;
@@ -1059,16 +1135,14 @@ mod durability_tests {
             let buffer = TraceBuffer::unbounded(4);
             let mut cc = ShardedMtCc::new(3);
             cc.attach_trace(TraceSink::to(&buffer));
-            let store = Store::with_items(8, 100i64);
             let config =
                 DurabilityConfig::new(dir.join("wal.log")).journal(dir.join("journal.jsonl"));
-            let (db, _) = Database::with_store_concurrent_durable(
-                Box::new(cc),
-                store,
+            let (db, _) = open(
+                Protocol::Concurrent(Box::new(cc)),
+                Store::with_items(8, 100i64),
                 TraceSink::to(&buffer),
                 &config,
-            )
-            .unwrap();
+            );
             for i in 0..6u32 {
                 db.run(16, |tx| {
                     let a = ItemId(i % 8);

@@ -37,16 +37,17 @@
 //! |---|---|
 //! | [`ShardedMtCc`] | MT(k) on [`mdts_core::SharedMtScheduler`] — item-sharded timestamp table, O(1) reclamation |
 //!
-//! With [`Database::new_multiversion`] the engine additionally serves
-//! **read-only snapshot transactions** from MV-MT(k) version chains
+//! A database is built one way, [`Database::open`] over a [`Protocol`].
+//! Under [`Protocol::Multiversion`] it also serves **read-only snapshot
+//! transactions** from MV-MT(k) version chains
 //! ([`Database::run_read_only`]): they never abort, restart or block
 //! writers.
 //!
-//! With [`Database::with_store_concurrent_durable`] commits are also
-//! framed into a group-commit **write-ahead log** ([`DurabilityConfig`])
-//! and acknowledged only once fsynced; a restart recovers the sealed
-//! epochs and an auditor can certify the recovered state against the
-//! persisted decision-trace journal.
+//! [`Database::open_durable`] adds a [`DurabilityConfig`]: commits are
+//! also framed into a group-commit **write-ahead log** and acknowledged
+//! only once fsynced; a restart recovers the sealed epochs and an auditor
+//! can certify the recovered state against the persisted decision-trace
+//! journal.
 
 pub mod cc;
 pub mod db;
@@ -60,16 +61,15 @@ pub use cc::{
     BasicToCc, CommitDecision, CompositeCc, ConcurrencyControl, ConcurrentCc, IntervalCc, MtCc,
     MvToCc, OccCc, SchedulerGauges, SerializedCc, ShardedMtCc, TwoPlCc, Verdict,
 };
-pub use db::{Database, SnapshotTx, Tx, TxError};
+pub use db::{Database, Protocol, SnapshotTx, Tx, TxError};
 pub use durability::{DurabilityConfig, CHECKPOINT_TX};
 pub use metrics::{
     EngineGauges, LatencySnapshot, MetricsSnapshot, Phase, PhaseSnapshot, PhaseTimers,
     LATENCY_BUCKETS, PHASE_COUNT,
 };
 pub use workload::{
-    bank_database, bank_database_concurrent, bank_database_durable, bank_database_multiversion,
-    run_bank_mix, run_bank_mix_concurrent, run_bank_mix_db, run_bank_mix_multiversion,
-    run_bank_mix_multiversion_audited, BankConfig, BankReport,
+    bank_database, bank_database_durable, bank_database_multiversion, run_bank_mix,
+    run_bank_mix_db, run_bank_mix_multiversion_audited, BankConfig, BankReport,
 };
 
 #[cfg(test)]

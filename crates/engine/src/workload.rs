@@ -10,11 +10,12 @@ use std::time::Instant;
 
 use mdts_model::ItemId;
 use mdts_storage::Store;
+use mdts_trace::TraceSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cc::{ConcurrencyControl, ConcurrentCc};
-use crate::db::{Database, TxError};
+use crate::cc::{ConcurrencyControl, ShardedMtCc};
+use crate::db::{Database, Protocol, TxError};
 use crate::metrics::MetricsSnapshot;
 
 /// Workload parameters.
@@ -50,8 +51,10 @@ pub struct BankConfig {
     /// RNG seed (per-thread streams derived from it).
     pub seed: u64,
     /// Whether the sharded scheduler's write-once order cache is enabled
-    /// (multiversion runs only). Off forces every access to walk the
-    /// vectors — the configuration exp19's `--nocache` lanes measure.
+    /// (read by the multiversion builders [`bank_database_multiversion`],
+    /// [`bank_database_durable`] and [`run_bank_mix_multiversion_audited`]
+    /// only). Off forces every access to walk the vectors — the
+    /// configuration exp19's `--nocache` lanes measure.
     pub order_cache: bool,
 }
 
@@ -100,61 +103,44 @@ impl BankReport {
     }
 }
 
-/// Runs the workload against a fresh database under a sequential
-/// protocol (serialized behind the engine's protocol mutex).
-pub fn run_bank_mix(cc: Box<dyn ConcurrencyControl>, cfg: &BankConfig) -> BankReport {
-    let store = Store::with_items(cfg.accounts, cfg.initial_balance);
-    run_bank_mix_on(Database::with_store(cc, store), cfg)
+/// Runs the workload against a fresh database (accounts pre-funded)
+/// under `protocol`. Under [`Protocol::Multiversion`] the read-only audits
+/// run as snapshot transactions ([`Database::run_read_only`]) and never
+/// abort or restart.
+pub fn run_bank_mix(protocol: impl Into<Protocol>, cfg: &BankConfig) -> BankReport {
+    run_bank_mix_db(&Database::open(protocol, bank_store(cfg), TraceSink::disabled()), cfg)
 }
 
-/// Runs the workload against a fresh database under a natively
-/// concurrent protocol.
-pub fn run_bank_mix_concurrent(cc: Box<dyn ConcurrentCc>, cfg: &BankConfig) -> BankReport {
-    let store = Store::with_items(cfg.accounts, cfg.initial_balance);
-    run_bank_mix_on(Database::with_store_concurrent(cc, store), cfg)
-}
-
-/// Runs the workload against a fresh database under sharded MT(k) with
-/// the multiversion serving path: read-only audits run as snapshot
-/// transactions ([`Database::run_read_only`]) and never abort or restart.
-pub fn run_bank_mix_multiversion(k: usize, cfg: &BankConfig) -> BankReport {
-    let store = Store::with_items(cfg.accounts, cfg.initial_balance);
-    run_bank_mix_on(
-        Database::with_store_multiversion_traced(
-            sharded_cc(k, cfg),
-            store,
-            mdts_trace::TraceSink::disabled(),
-        ),
-        cfg,
-    )
+/// The workload's pre-funded accounts.
+fn bank_store(cfg: &BankConfig) -> Store<i64> {
+    Store::with_items(cfg.accounts, cfg.initial_balance)
 }
 
 /// The workload's sharded MT(k) protocol: [`ShardedMtCc::new`] defaults
 /// with the order cache switched per `cfg.order_cache`.
-fn sharded_cc(k: usize, cfg: &BankConfig) -> crate::cc::ShardedMtCc {
-    crate::cc::ShardedMtCc::with_options(mdts_core::MtOptions {
+fn sharded_cc(k: usize, cfg: &BankConfig) -> ShardedMtCc {
+    ShardedMtCc::with_options(mdts_core::MtOptions {
         starvation_flush: true,
         order_cache: cfg.order_cache,
         ..mdts_core::MtOptions::new(k)
     })
 }
 
-/// [`run_bank_mix_multiversion`] with the full mdts-trace journal
-/// attached, returning the auditor's verdict on the run's committed
-/// prefix alongside the report. Tracing every protocol event costs real
-/// throughput, so benchmarks use this for a scaled-down certification
-/// pass next to the untraced measurement runs.
+/// The workload under sharded MV-MT(k) (see [`bank_database_multiversion`])
+/// with the full mdts-trace journal attached, returning the auditor's
+/// verdict on the run's committed prefix alongside the report. Tracing
+/// every protocol event costs real throughput, so benchmarks use this for
+/// a scaled-down certification pass next to the untraced measurement
+/// runs.
 pub fn run_bank_mix_multiversion_audited(
     k: usize,
     cfg: &BankConfig,
 ) -> (BankReport, mdts_trace::AuditReport) {
     let buffer = mdts_trace::TraceBuffer::journal();
     let mut cc = sharded_cc(k, cfg);
-    cc.attach_trace(mdts_trace::TraceSink::to(&buffer));
-    let store = Store::with_items(cfg.accounts, cfg.initial_balance);
-    let db =
-        Database::with_store_multiversion_traced(cc, store, mdts_trace::TraceSink::to(&buffer));
-    let report = run_bank_mix_on(db, cfg);
+    cc.attach_trace(TraceSink::to(&buffer));
+    let db = Database::open(Protocol::Multiversion(cc), bank_store(cfg), TraceSink::to(&buffer));
+    let report = run_bank_mix_db(&db, cfg);
     (report, mdts_trace::audit(&buffer.drain(), k))
 }
 
@@ -163,22 +149,14 @@ pub fn run_bank_mix_multiversion_audited(
 /// handle before the run (e.g. to attach a telemetry sampler) build
 /// here, then drive [`run_bank_mix_db`].
 pub fn bank_database(cc: Box<dyn ConcurrencyControl>, cfg: &BankConfig) -> Database<i64> {
-    Database::with_store(cc, Store::with_items(cfg.accounts, cfg.initial_balance))
-}
-
-/// [`bank_database`] under a natively concurrent protocol.
-pub fn bank_database_concurrent(cc: Box<dyn ConcurrentCc>, cfg: &BankConfig) -> Database<i64> {
-    Database::with_store_concurrent(cc, Store::with_items(cfg.accounts, cfg.initial_balance))
+    Database::open(cc, bank_store(cfg), TraceSink::disabled())
 }
 
 /// [`bank_database`] under sharded MT(k) with the multiversion serving
-/// path enabled.
+/// path enabled, the order cache switched per `cfg.order_cache`.
 pub fn bank_database_multiversion(k: usize, cfg: &BankConfig) -> Database<i64> {
-    Database::with_store_multiversion_traced(
-        sharded_cc(k, cfg),
-        Store::with_items(cfg.accounts, cfg.initial_balance),
-        mdts_trace::TraceSink::disabled(),
-    )
+    let protocol = Protocol::Multiversion(sharded_cc(k, cfg));
+    Database::open(protocol, bank_store(cfg), TraceSink::disabled())
 }
 
 /// [`bank_database_multiversion`] with a **write-ahead log**: any sealed
@@ -190,25 +168,17 @@ pub fn bank_database_multiversion(k: usize, cfg: &BankConfig) -> Database<i64> {
 pub fn bank_database_durable(
     k: usize,
     cfg: &BankConfig,
-    trace: mdts_trace::TraceSink,
+    trace: TraceSink,
     durability: &crate::DurabilityConfig,
 ) -> std::io::Result<(Database<i64>, mdts_storage::Recovered<i64>)> {
-    Database::with_store_multiversion_durable(
-        sharded_cc(k, cfg),
-        Store::with_items(cfg.accounts, cfg.initial_balance),
-        trace,
-        durability,
-    )
+    let protocol = Protocol::Multiversion(sharded_cc(k, cfg));
+    Database::open_durable(protocol, bank_store(cfg), trace, durability)
 }
 
 /// Runs the workload against a caller-built database (see
 /// [`bank_database`] and friends). The expected-total invariant assumes
 /// the store was seeded with `cfg.accounts × cfg.initial_balance`.
 pub fn run_bank_mix_db(db: &Database<i64>, cfg: &BankConfig) -> BankReport {
-    run_bank_mix_on(db.clone(), cfg)
-}
-
-fn run_bank_mix_on(db: Database<i64>, cfg: &BankConfig) -> BankReport {
     let protocol = db.protocol_name();
     let zipf = mdts_model::Zipf::new(cfg.accounts as usize, cfg.zipf_theta);
 

@@ -1,7 +1,7 @@
 //! A sharded single-version store: the engine's value state split into
 //! independently locked partitions.
 //!
-//! [`Store`](crate::Store) is a plain map the engine used to keep behind
+//! [`Store`] is a plain map the engine used to keep behind
 //! one global mutex together with everything else. [`ShardedStore`]
 //! stripes items over a power-of-two number of shards, each behind its own
 //! `Mutex`, so accesses to items in different shards never contend.

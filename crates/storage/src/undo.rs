@@ -21,7 +21,7 @@ pub struct Savepoint {
 
 /// One transaction's undo log of before-images.
 ///
-/// Records are appended by [`UndoLog::record_write`] *before* the write is
+/// Records are appended by [`UndoLog::write_through`] *before* the write is
 /// applied; [`UndoLog::rollback_to`] replays them in reverse onto the
 /// store, restoring exactly the state at the savepoint.
 #[derive(Clone, Debug, Default)]

@@ -4,7 +4,7 @@
 //! assignments from the core protocol, access decisions with the structured
 //! abort-reason taxonomy, engine-level block/wake and abort events, and
 //! DMT(k) site/lock/message hops. Events carry transaction and item ids
-//! plus the raw decision operands, so the [`crate::audit`] module can
+//! plus the raw decision operands, so the [`crate::audit`](mod@crate::audit) module can
 //! re-check every decision without access to the scheduler that made it.
 
 use mdts_model::{ItemId, OpKind, TxId};

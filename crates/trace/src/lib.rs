@@ -18,7 +18,7 @@
 //!   layout from a captured trace;
 //! * [`registry`] — a serializable counters/histograms/breakdowns registry
 //!   behind the experiment binaries' `--json` output;
-//! * [`audit`] — an independent auditor that re-checks every recorded
+//! * [`audit`](mod@audit) — an independent auditor that re-checks every recorded
 //!   accept/reject decision against Definition 6 and the committed prefix
 //!   against TO(k).
 

@@ -9,7 +9,7 @@
 //! the defined prefix fixes the high-order digits and each undefined element
 //! can still swing the value by `dmin`…`dmax` at its positional weight.
 //! Defining a new element shrinks the interval *from both ends* — the key
-//! contrast with one-ended interval shrinking in [1].
+//! contrast with one-ended interval shrinking in \[1\].
 
 use crate::tsvec::TsVec;
 

@@ -682,7 +682,7 @@ impl BatchScratch {
     /// the next candidate's storage prefetched while the current one is
     /// scanned, the probe's raw parts fetched once for the whole batch,
     /// and the entire candidate loop behind one feature-dispatched
-    /// function call (see [`batch_inner`]).
+    /// function call (see `batch_inner`).
     pub fn compare_one_vs_many<'a>(
         &mut self,
         probe: &TsVec,

@@ -9,19 +9,21 @@
 //! Run with: `cargo run --release --example banking`
 
 use mdts::engine::{
-    run_bank_mix, BankConfig, BasicToCc, CompositeCc, ConcurrencyControl, IntervalCc, MtCc, OccCc,
-    TwoPlCc,
+    run_bank_mix, BankConfig, BasicToCc, CompositeCc, IntervalCc, MtCc, OccCc, Protocol,
+    ShardedMtCc, TwoPlCc,
 };
 
-fn protocols() -> Vec<Box<dyn ConcurrencyControl>> {
+fn protocols() -> Vec<Protocol> {
     vec![
-        Box::new(MtCc::new(3)),
-        Box::new(CompositeCc::new(3)),
-        Box::new(TwoPlCc::new()),
-        Box::new(BasicToCc::new(false)),
-        Box::new(BasicToCc::new(true)),
-        Box::new(OccCc::new()),
-        Box::new(IntervalCc::new()),
+        MtCc::new(3).into(),
+        CompositeCc::new(3).into(),
+        TwoPlCc::new().into(),
+        BasicToCc::new(false).into(),
+        BasicToCc::new(true).into(),
+        OccCc::new().into(),
+        IntervalCc::new().into(),
+        Protocol::Concurrent(Box::new(ShardedMtCc::new(3))),
+        Protocol::Multiversion(ShardedMtCc::new(3)),
     ]
 }
 
@@ -39,13 +41,13 @@ fn main() {
         cfg.accounts, cfg.threads, cfg.txns_per_thread, cfg.zipf_theta
     );
     println!(
-        "{:<10} {:>8} {:>8} {:>9} {:>9} {:>12} {:>10}",
+        "{:<14} {:>8} {:>8} {:>9} {:>9} {:>12} {:>10}",
         "protocol", "commits", "aborts", "blocked", "ignored", "txn/s", "invariant"
     );
     for cc in protocols() {
         let r = run_bank_mix(cc, &cfg);
         println!(
-            "{:<10} {:>8} {:>8} {:>9} {:>9} {:>12.0} {:>10}",
+            "{:<14} {:>8} {:>8} {:>9} {:>9} {:>12.0} {:>10}",
             r.protocol,
             r.metrics.commits,
             r.metrics.aborts,

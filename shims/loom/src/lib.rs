@@ -4,7 +4,7 @@
 //!
 //! Usage matches real loom: code under test imports its atomics and
 //! locks from `loom::sync` when built with `--cfg loom`, and tests wrap
-//! concurrent scenarios in [`model`], which runs the closure under every
+//! concurrent scenarios in [`model()`], which runs the closure under every
 //! thread interleaving (and every weak-memory read-from choice) that the
 //! C11-style vector-clock semantics in [`rt`](crate) admit.
 //!

@@ -7,7 +7,7 @@ use rand::Rng;
 
 use crate::strategy::Strategy;
 
-/// Length specification for [`vec`]: a fixed `usize` or a `Range<usize>`,
+/// Length specification for [`vec()`]: a fixed `usize` or a `Range<usize>`,
 /// mirroring real proptest's `SizeRange` conversions.
 pub trait IntoSizeRange {
     /// Draws a concrete length.
@@ -26,7 +26,7 @@ impl IntoSizeRange for Range<usize> {
     }
 }
 
-/// Strategy for `Vec`s of fixed or ranged length; see [`vec`].
+/// Strategy for `Vec`s of fixed or ranged length; see [`vec()`].
 pub struct VecStrategy<S, L = usize> {
     element: S,
     len: L,

@@ -2,31 +2,41 @@
 //! serial execution of the committed transactions, protocol by protocol.
 
 use mdts::engine::{
-    BasicToCc, CompositeCc, ConcurrencyControl, Database, IntervalCc, MtCc, OccCc, TwoPlCc,
+    BasicToCc, CompositeCc, Database, IntervalCc, MtCc, OccCc, Protocol, ShardedMtCc, TwoPlCc,
 };
 use mdts::model::ItemId;
 use mdts::storage::Store;
+use mdts::trace::TraceSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn protocols() -> Vec<Box<dyn ConcurrencyControl>> {
+/// Every `Protocol` variant; serialized sequential MT(3) first.
+fn protocols() -> Vec<Protocol> {
     vec![
-        Box::new(MtCc::new(3)),
-        Box::new(CompositeCc::new(2)),
-        Box::new(TwoPlCc::new()),
-        Box::new(BasicToCc::new(true)),
-        Box::new(OccCc::new()),
-        Box::new(IntervalCc::new()),
+        MtCc::new(3).into(),
+        CompositeCc::new(2).into(),
+        TwoPlCc::new().into(),
+        BasicToCc::new(true).into(),
+        OccCc::new().into(),
+        IntervalCc::new().into(),
+        Protocol::Concurrent(Box::new(ShardedMtCc::new(3))),
+        Protocol::Multiversion(ShardedMtCc::new(3)),
     ]
 }
 
+fn open(protocol: Protocol, store: Store<i64>) -> Database<i64> {
+    Database::open(protocol, store, TraceSink::disabled())
+}
+
 /// Sequentially issued transactions must behave exactly like direct
-/// sequential execution — no protocol may corrupt a contention-free run.
+/// sequential execution — no protocol may corrupt a contention-free run,
+/// and each commits the final state serialized sequential MT(3) does.
 #[test]
 fn sequential_runs_match_direct_execution() {
-    for cc in protocols() {
+    let mut reference = None;
+    for protocol in protocols() {
         let n_items = 8u32;
-        let db: Database<i64> = Database::with_store(cc, Store::with_items(n_items, 0));
+        let db = open(protocol, Store::with_items(n_items, 0));
         let name = db.protocol_name();
         // Reference model.
         let mut model = vec![0i64; n_items as usize];
@@ -59,6 +69,8 @@ fn sequential_runs_match_direct_execution() {
                 "{name}: divergence at item {i}"
             );
         }
+        let reference = reference.get_or_insert_with(|| snap.clone());
+        assert_eq!(&snap, reference, "{name}: final state differs from serialized MT(3)'s");
     }
 }
 
@@ -67,8 +79,8 @@ fn sequential_runs_match_direct_execution() {
 /// commits) for every protocol.
 #[test]
 fn concurrent_increments_are_exact() {
-    for cc in protocols() {
-        let db: Database<i64> = Database::with_store(cc, Store::with_items(4, 0));
+    for protocol in protocols() {
+        let db = open(protocol, Store::with_items(4, 0));
         let name = db.protocol_name();
         let committed = std::thread::scope(|s| {
             let mut handles = Vec::new();
@@ -109,9 +121,9 @@ fn audits_see_consistent_snapshots() {
     // This is the strongest observable consequence of serializability for
     // this workload: a non-serializable interleaving could expose a
     // mid-transfer state where the total is off by one.
-    for cc in protocols() {
+    for protocol in protocols() {
         let accounts = 6u32;
-        let db: Database<i64> = Database::with_store(cc, Store::with_items(accounts, 50));
+        let db = open(protocol, Store::with_items(accounts, 50));
         let name = db.protocol_name();
         let expected: i64 = accounts as i64 * 50;
         std::thread::scope(|s| {

@@ -18,7 +18,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mdts::core::MtOptions;
-use mdts::engine::{BasicToCc, CompositeCc, Database, MtCc, ShardedMtCc, TwoPlCc, TxError};
+use mdts::engine::{
+    BasicToCc, CompositeCc, Database, MtCc, Protocol, ShardedMtCc, TwoPlCc, TxError,
+};
 use mdts::model::{ItemId, Zipf};
 use mdts::storage::Store;
 use mdts::trace::{audit, TraceBuffer, TraceSink};
@@ -195,25 +197,26 @@ fn store() -> Store<i64> {
     Store::with_items(ACCOUNTS, INITIAL)
 }
 
-/// A sharded-MT(k) database with the protocol and the engine tracing into
+/// A sharded-MT(3) database with the protocol and the engine tracing into
 /// one shared buffer, so the auditor sees the merged decision stream.
-fn traced_sharded(k: usize) -> (Database<i64>, Arc<TraceBuffer>) {
+fn traced_sharded(order_cache: bool) -> (Database<i64>, Arc<TraceBuffer>) {
     let buffer = TraceBuffer::unbounded(16);
-    let mut cc = ShardedMtCc::new(k);
+    let opts = MtOptions { starvation_flush: true, order_cache, ..MtOptions::new(3) };
+    let mut cc = ShardedMtCc::with_options(opts);
     cc.attach_trace(TraceSink::to(&buffer));
-    let db = Database::with_store_concurrent_traced(Box::new(cc), store(), TraceSink::to(&buffer));
+    let db = Database::open(Protocol::Concurrent(Box::new(cc)), store(), TraceSink::to(&buffer));
     (db, buffer)
 }
 
 #[test]
 fn sharded_mtk_survives_zipf_hotspot_8_threads() {
-    let (db, buffer) = traced_sharded(3);
+    let (db, buffer) = traced_sharded(true);
     stress_with_audit("MT(3)-sharded/8t", db, 8, Some((buffer, 3, CacheExpectation::Hits)));
 }
 
 #[test]
 fn sharded_mtk_survives_zipf_hotspot_16_threads() {
-    let (db, buffer) = traced_sharded(3);
+    let (db, buffer) = traced_sharded(true);
     stress_with_audit("MT(3)-sharded/16t", db, 16, Some((buffer, 3, CacheExpectation::Hits)));
 }
 
@@ -222,11 +225,7 @@ fn sharded_mtk_survives_zipf_hotspot_16_threads() {
 /// prefix, and no Compare event may claim a cached cost.
 #[test]
 fn sharded_mtk_without_order_cache_survives_zipf_hotspot() {
-    let buffer = TraceBuffer::unbounded(16);
-    let opts = MtOptions { starvation_flush: true, order_cache: false, ..MtOptions::new(3) };
-    let mut cc = ShardedMtCc::with_options(opts);
-    cc.attach_trace(TraceSink::to(&buffer));
-    let db = Database::with_store_concurrent_traced(Box::new(cc), store(), TraceSink::to(&buffer));
+    let (db, buffer) = traced_sharded(false);
     stress_with_audit(
         "MT(3)-sharded-nocache/8t",
         db,
@@ -242,7 +241,7 @@ fn serialized_mtk_survives_zipf_hotspot() {
     cc.attach_trace(TraceSink::to(&buffer));
     stress_with_audit(
         "MT(3)/8t",
-        Database::with_store(Box::new(cc), store()),
+        Database::open(cc, store(), TraceSink::disabled()),
         8,
         Some((buffer, 3, CacheExpectation::Hits)),
     );
@@ -250,15 +249,15 @@ fn serialized_mtk_survives_zipf_hotspot() {
 
 #[test]
 fn composite_mtk_star_survives_zipf_hotspot() {
-    stress("MT(2*)/8t", Database::with_store(Box::new(CompositeCc::new(2)), store()), 8);
+    stress("MT(2*)/8t", Database::open(CompositeCc::new(2), store(), TraceSink::disabled()), 8);
 }
 
 #[test]
 fn two_phase_locking_survives_zipf_hotspot() {
-    stress("2PL/8t", Database::with_store(Box::new(TwoPlCc::new()), store()), 8);
+    stress("2PL/8t", Database::open(TwoPlCc::new(), store(), TraceSink::disabled()), 8);
 }
 
 #[test]
 fn basic_timestamp_ordering_survives_zipf_hotspot() {
-    stress("TO(1)/8t", Database::with_store(Box::new(BasicToCc::new(true)), store()), 8);
+    stress("TO(1)/8t", Database::open(BasicToCc::new(true), store(), TraceSink::disabled()), 8);
 }
