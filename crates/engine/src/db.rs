@@ -338,12 +338,6 @@ impl<V: Clone + Send + 'static> Database<V> {
         }
     }
 
-    /// Versions reclaimed by chain pruning so far (0 without the
-    /// multiversion path).
-    pub fn mv_pruned(&self) -> u64 {
-        self.shared.mv.as_ref().map_or(0, |mv| mv.store.pruned())
-    }
-
     /// The protocol's display name.
     pub fn protocol_name(&self) -> &'static str {
         if self.has_multiversion() {

@@ -412,19 +412,44 @@ fn gc_never_reclaims_a_version_visible_to_a_live_snapshot() {
             }
         }
     };
-    // Phase 1: no live snapshots — the watermark is unbounded, so chains
-    // past the threshold must actually shed old versions.
+    // Phase 1: no live snapshots — the watermark is the install frontier,
+    // so every install must shed the version it supersedes.
     churn(40);
-    assert!(db.mv_pruned() > 0, "pruning never triggered; threshold too high for the test");
-    // Phase 2: pin a snapshot with one read, churn far past the
-    // threshold again, and check the remaining reads still form a
-    // consistent cut with the first — GC kept every reader-visible pivot.
+    assert!(db.gauges().mv_pruned > 0, "no install reclaimed a version with no snapshot live");
+    // Phase 2: pin a snapshot with one read, churn again, and check the
+    // remaining reads still form a consistent cut with the first — GC
+    // kept every reader-visible pivot.
     db.run_read_only(|tx| {
         let first = tx.read(ItemId(0)).unwrap_or(per);
         churn(40);
         let rest: i64 = (1..accounts).map(|a| tx.read(ItemId(a)).unwrap_or(per)).sum();
         assert_eq!(first + rest, accounts as i64 * per, "GC broke the snapshot's cut");
     });
+}
+
+#[test]
+fn chains_hold_one_version_with_no_snapshot_live() {
+    // Every install prunes to what a live snapshot can reach; with none
+    // live that is the newest version alone, however long the history.
+    let accounts = 16u32;
+    let db = open(Protocol::Multiversion(ShardedMtCc::new(3)), Store::with_items(accounts, 50));
+    for n in 0..300u32 {
+        let (src, dst) = (ItemId(n % accounts), ItemId((n * 7 + 3) % accounts));
+        if src == dst {
+            continue;
+        }
+        db.run(8, |tx| {
+            let a = tx.read(src)?.unwrap_or(0);
+            let b = tx.read(dst)?.unwrap_or(0);
+            tx.write(src, a - 1)?;
+            tx.write(dst, b + 1)
+        })
+        .unwrap();
+    }
+    let g = db.gauges();
+    assert_eq!(g.mv_chains, accounts as u64, "every account was written");
+    assert_eq!(g.mv_max_chain, 1);
+    assert_eq!(g.mv_versions, g.mv_chains);
 }
 
 #[test]

@@ -13,9 +13,10 @@
 //!   then are the values applied. An abort of a not-yet-committed
 //!   transaction therefore never affects others (no cascading aborts), and
 //!   a committed transaction is never aborted.
-//! * **Multiversion storage** (III-D-6d): [`MultiVersionStore`] keeps
-//!   Reed-style version chains so readers can be served a consistent older
-//!   version instead of aborting.
+//! * **Multiversion storage** (III-D-6d): [`ConcurrentMvStore`] keeps
+//!   per-item version chains stamped with the writers' timestamp vectors,
+//!   so snapshot readers can be served a consistent older version instead
+//!   of aborting, and prunes each chain to what a live snapshot can reach.
 //! * **Sharded value state**: [`ShardedStore`] stripes the single-version
 //!   store over independently locked shards — each a flat table indexed
 //!   by the item id's high bits — so the engine's reads and commits on
@@ -38,8 +39,7 @@ pub mod undo;
 pub mod wal;
 
 pub use mvstore::{
-    ConcurrentMvStore, MultiVersionStore, MvStoreStats, MvVersion, SnapshotGuard, Version,
-    DEFAULT_PRUNE_THRESHOLD, MV_CHAIN_LEN_BUCKETS,
+    ConcurrentMvStore, MvStoreStats, MvVersion, SnapshotGuard, MV_CHAIN_LEN_BUCKETS,
 };
 pub use recovery::{recover, Recovered, RecoveryReport};
 pub use sharded::{Shard, ShardGuard, ShardedStore, DEFAULT_STORE_SHARDS};

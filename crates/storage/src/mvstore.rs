@@ -3,115 +3,22 @@
 //! single-valued timestamps. The idea can be extended to timestamp
 //! vectors."
 //!
-//! Version chains are keyed by a monotone *serialization stamp*. Under a
-//! single-valued protocol the stamp is the transaction's timestamp; under
-//! MT(k) the scheduler maps its (partial) vector order to stamps as orders
-//! become fixed — the chain only ever needs stamps of transactions whose
-//! relative order the protocol has already committed to, which is exactly
-//! when a write reaches the store.
+//! A chain holds one item's committed versions in install order, each
+//! tagged with a global install ticket and the writer's timestamp vector
+//! frozen at commit; snapshot readers slot themselves into the gap
+//! between two writers by comparing against those frozen stamps.
 
-use std::collections::BTreeMap;
-
-use mdts_model::{ItemId, TxId};
-
-/// One stored version.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Version<V> {
-    /// Serialization stamp of the writing transaction.
-    pub stamp: u64,
-    /// Writer.
-    pub writer: TxId,
-    /// The value.
-    pub value: V,
-}
-
-/// A multiversion store: per item, a chain of versions ordered by stamp.
-#[derive(Clone, Debug, Default)]
-pub struct MultiVersionStore<V> {
-    chains: BTreeMap<ItemId, Vec<Version<V>>>,
-}
-
-impl<V: Clone> MultiVersionStore<V> {
-    /// Empty store.
-    pub fn new() -> Self {
-        MultiVersionStore { chains: BTreeMap::new() }
-    }
-
-    /// Installs a version. Stamps within one item must be unique.
-    ///
-    /// # Panics
-    /// Panics if a version with the same stamp already exists for `item`.
-    pub fn install(&mut self, item: ItemId, stamp: u64, writer: TxId, value: V) {
-        let chain = self.chains.entry(item).or_default();
-        let pos = chain.partition_point(|v| v.stamp < stamp);
-        assert!(
-            pos == chain.len() || chain[pos].stamp != stamp,
-            "duplicate stamp {stamp} for {item}"
-        );
-        chain.insert(pos, Version { stamp, writer, value });
-    }
-
-    /// The version a reader with stamp `reader_stamp` observes: the latest
-    /// version with `stamp ≤ reader_stamp` (Reed's rule). `None` if the
-    /// item has no old-enough version.
-    pub fn read_at(&self, item: ItemId, reader_stamp: u64) -> Option<&Version<V>> {
-        let chain = self.chains.get(&item)?;
-        let pos = chain.partition_point(|v| v.stamp <= reader_stamp);
-        pos.checked_sub(1).map(|p| &chain[p])
-    }
-
-    /// The newest version of an item.
-    pub fn latest(&self, item: ItemId) -> Option<&Version<V>> {
-        self.chains.get(&item).and_then(|c| c.last())
-    }
-
-    /// Number of versions kept for an item.
-    pub fn version_count(&self, item: ItemId) -> usize {
-        self.chains.get(&item).map(Vec::len).unwrap_or(0)
-    }
-
-    /// Garbage-collects versions older than `watermark`, keeping at least
-    /// the newest version at or below it (still readable by the oldest
-    /// active reader). Returns the number of versions dropped.
-    pub fn prune_below(&mut self, watermark: u64) -> usize {
-        let mut dropped = 0;
-        for chain in self.chains.values_mut() {
-            let keep_from = chain.partition_point(|v| v.stamp <= watermark).saturating_sub(1);
-            dropped += keep_from;
-            chain.drain(..keep_from);
-        }
-        dropped
-    }
-
-    /// Removes every version written by `writer` (abort of a transaction
-    /// whose versions were installed optimistically). Returns how many were
-    /// removed.
-    pub fn purge_writer(&mut self, writer: TxId) -> usize {
-        let mut removed = 0;
-        for chain in self.chains.values_mut() {
-            let before = chain.len();
-            chain.retain(|v| v.writer != writer);
-            removed += before - chain.len();
-        }
-        removed
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent version-chain store (ISSUE 6)
-// ---------------------------------------------------------------------------
-
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::RwLock;
 
+use mdts_model::{ItemId, TxId};
 use mdts_vector::{CachePadded, TsVec};
 
-/// One version in a concurrent chain. Unlike the sequential
-/// [`Version`], ordering is *positional*: chains append in the writers'
-/// grant order (which under MT(k) equals their vector order for the same
-/// item), and the full timestamp vector of the writer — frozen at commit
-/// stamp time — rides along so snapshot readers can slot themselves into
-/// the gap between two writers per the MV-MT(k) rule.
+/// One version in a chain. Ordering is *positional*: chains append in
+/// the writers' grant order (which under MT(k) equals their vector order
+/// for the same item), and the full timestamp vector of the writer —
+/// frozen at commit stamp time — rides along so snapshot readers can slot
+/// themselves into the gap between two writers per the MV-MT(k) rule.
 #[derive(Clone, Debug)]
 pub struct MvVersion<V> {
     /// Writer, or [`TxId::VIRTUAL`] for the floor version (the initial
@@ -143,9 +50,6 @@ pub const DEFAULT_MV_SHARDS: usize = 64;
 /// run, and a fixed array keeps registration allocation-free.
 const SNAPSHOT_SLOTS: usize = 1024;
 
-/// Chains longer than this trigger an in-place prune at install time.
-pub const DEFAULT_PRUNE_THRESHOLD: usize = 12;
-
 /// A claimed slot in the snapshot registry. Dropping it deregisters the
 /// snapshot (allocation-free: the guard is two words on the stack).
 pub struct SnapshotGuard<'a> {
@@ -175,13 +79,15 @@ impl Drop for SnapshotGuard<'_> {
 /// * Snapshot readers walk chains under the **read** lock only — they
 ///   never touch the single-version scheduler state and never block or
 ///   abort writers.
-/// * GC is driven by a watermark over the active-snapshot registry: a
-///   prune keeps the newest version with `seq <= watermark` (still
-///   needed by the oldest live snapshot) plus everything newer.
+/// * Every install garbage-collects its chain against a watermark over
+///   the active-snapshot registry: it keeps the newest version with
+///   `seq <= watermark` (the oldest live snapshot's pivot) plus everything
+///   newer. With no snapshot live a chain is its newest version alone.
 ///
-/// Memory ordering: `install_seq`, the registry slots and the engine's
-/// per-column maxima are all `SeqCst`. The GC soundness argument leans on
-/// the single total order over those operations — see DESIGN.md §8.
+/// Memory ordering: `install_seq`, the claimed-slot mark, the registry
+/// slots and the engine's per-column maxima are all `SeqCst`. The GC
+/// soundness argument leans on the single total order over those
+/// operations — see DESIGN.md §8.
 pub struct ConcurrentMvStore<V> {
     shards: Box<[RwLock<MvShard<V>>]>,
     shard_bits: u32,
@@ -191,22 +97,25 @@ pub struct ConcurrentMvStore<V> {
     /// install writes it, so it has a cache line to itself — the fields
     /// around it are read on every access and never written.
     install_seq: CachePadded<AtomicU64>,
+    /// One past the highest registry slot ever claimed: the watermark
+    /// scans only the slots below it, so a client or two read a slot or
+    /// two on every install instead of the whole registry. Raised by
+    /// snapshot registrations and read by every install, so it too has a
+    /// line of its own.
+    claimed: CachePadded<AtomicUsize>,
     /// Active snapshot registry: `0` = free, else `begin_seq + 1`.
     snapshots: Box<[AtomicU64]>,
-    prune_threshold: usize,
-    /// Versions reclaimed by pruning (stat), likewise on its own line.
-    pruned: CachePadded<AtomicU64>,
 }
 
-// The install ticket and the prune count each start a cache line of their
-// own.
+// The install ticket and the claimed-slot mark each start a cache line of
+// their own.
 const _: () = {
     assert!(std::mem::offset_of!(ConcurrentMvStore<u64>, install_seq).is_multiple_of(128));
-    assert!(std::mem::offset_of!(ConcurrentMvStore<u64>, pruned).is_multiple_of(128));
+    assert!(std::mem::offset_of!(ConcurrentMvStore<u64>, claimed).is_multiple_of(128));
 };
 
 impl<V: Clone> ConcurrentMvStore<V> {
-    /// Store with the default shard count and prune threshold.
+    /// Store with the default shard count.
     pub fn new() -> Self {
         Self::with_shards(DEFAULT_MV_SHARDS)
     }
@@ -223,15 +132,9 @@ impl<V: Clone> ConcurrentMvStore<V> {
             shard_bits: shards.trailing_zeros(),
             mask: (shards - 1) as u32,
             install_seq: CachePadded(AtomicU64::new(0)),
+            claimed: CachePadded(AtomicUsize::new(0)),
             snapshots: (0..SNAPSHOT_SLOTS).map(|_| AtomicU64::new(0)).collect(),
-            prune_threshold: DEFAULT_PRUNE_THRESHOLD,
-            pruned: CachePadded(AtomicU64::new(0)),
         }
-    }
-
-    /// Overrides the prune trigger (tests use tiny thresholds).
-    pub fn set_prune_threshold(&mut self, threshold: usize) {
-        self.prune_threshold = threshold.max(1);
     }
 
     #[inline]
@@ -250,7 +153,12 @@ impl<V: Clone> ConcurrentMvStore<V> {
         // version published before the scan — which covers this ticket.
         let begin_seq = self.install_seq.load(Ordering::SeqCst);
         loop {
-            for slot in self.snapshots.iter() {
+            for (i, slot) in self.snapshots.iter().enumerate() {
+                // Raise the claimed-slot mark before the claim: a pruner
+                // whose bound hides slot `i` loaded the mark before this
+                // `fetch_max`, hence before the CAS — the case above of a
+                // pruner that missed the slot itself.
+                self.claimed.fetch_max(i + 1, Ordering::SeqCst);
                 if slot
                     .compare_exchange(0, begin_seq + 1, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
@@ -268,15 +176,21 @@ impl<V: Clone> ConcurrentMvStore<V> {
     /// the fall-back pivot (the newest such version per chain); anything
     /// older is unreachable by every live and future snapshot.
     fn watermark(&self) -> u64 {
-        // install_seq first, then the registry scan — see begin_snapshot.
+        // install_seq first, then the claimed-slot mark, then the slots
+        // below it — see begin_snapshot.
         let mut w = self.install_seq.load(Ordering::SeqCst);
-        for slot in self.snapshots.iter() {
+        for slot in self.claimed_slots() {
             let v = slot.load(Ordering::SeqCst);
             if v != 0 {
                 w = w.min(v - 1);
             }
         }
         w
+    }
+
+    /// The registry slots ever claimed; every other slot is free.
+    fn claimed_slots(&self) -> &[AtomicU64] {
+        &self.snapshots[..self.claimed.load(Ordering::SeqCst)]
     }
 
     /// Runs `f` on the version chain of `item` under the shard read lock
@@ -298,8 +212,8 @@ impl<V: Clone> ConcurrentMvStore<V> {
     /// so tail order equals write-grant order. On the first install the
     /// chain is seeded with a floor version carrying `floor_value` (the
     /// pre-write base-store value, attributed to T₀) so snapshot reads
-    /// are total. Prunes the chain in place when it outgrows the
-    /// threshold. Returns the install ticket.
+    /// are total. Then prunes the chain to what a live or future snapshot
+    /// can reach (DESIGN.md §8). Returns the install ticket.
     pub fn install(
         &self,
         item: ItemId,
@@ -333,6 +247,10 @@ impl<V: Clone> ConcurrentMvStore<V> {
         let k = stamp.k();
         let chain = &mut guard.chains[idx];
         if chain.is_empty() {
+            // Room for the floor and the first version: with no snapshot
+            // live a chain never holds more than the version being
+            // installed and its predecessor.
+            chain.reserve_exact(2);
             let seq = self.install_seq.fetch_add(1, Ordering::SeqCst) + 1;
             chain.push(MvVersion {
                 writer: TxId::VIRTUAL,
@@ -344,14 +262,9 @@ impl<V: Clone> ConcurrentMvStore<V> {
         let seq = self.install_seq.fetch_add(1, Ordering::SeqCst) + 1;
         chain.push(MvVersion { writer, seq, stamp, value });
         installed(seq);
-        if chain.len() > self.prune_threshold {
-            let w = self.watermark();
-            let keep_from = chain.partition_point(|v| v.seq <= w).saturating_sub(1);
-            if keep_from > 0 {
-                chain.drain(..keep_from);
-                self.pruned.fetch_add(keep_from as u64, Ordering::Relaxed);
-            }
-        }
+        let w = self.watermark();
+        let keep_from = chain.partition_point(|v| v.seq <= w).saturating_sub(1);
+        chain.drain(..keep_from);
         seq
     }
 
@@ -360,14 +273,9 @@ impl<V: Clone> ConcurrentMvStore<V> {
         self.with_chain(item, <[MvVersion<V>]>::len)
     }
 
-    /// Total versions reclaimed by pruning so far.
-    pub fn pruned(&self) -> u64 {
-        self.pruned.load(Ordering::Relaxed)
-    }
-
     /// Live registered snapshots (test hook).
     pub fn active_snapshots(&self) -> usize {
-        self.snapshots.iter().filter(|s| s.load(Ordering::SeqCst) != 0).count()
+        self.claimed_slots().iter().filter(|s| s.load(Ordering::SeqCst) != 0).count()
     }
 
     /// Point-in-time internals for telemetry: chain-length distribution,
@@ -380,7 +288,6 @@ impl<V: Clone> ConcurrentMvStore<V> {
             install_seq: self.install_seq.load(Ordering::SeqCst),
             watermark: self.watermark(),
             active_snapshots: self.active_snapshots() as u64,
-            pruned: self.pruned(),
             ..MvStoreStats::default()
         };
         for shard in self.shards.iter() {
@@ -394,18 +301,23 @@ impl<V: Clone> ConcurrentMvStore<V> {
                 // `LatencyHistogram`: bucket b holds lengths in
                 // [2^(b-1)+1 … 2^b] — i.e. bucket 0 is empty chains,
                 // bucket 1 is length 1, bucket 2 is 2, bucket 3 is 3-4 …
+                // and the last bucket absorbs every longer chain.
                 let bucket =
-                    (usize::BITS - len.leading_zeros()) as usize & (MV_CHAIN_LEN_BUCKETS - 1);
+                    ((usize::BITS - len.leading_zeros()) as usize).min(MV_CHAIN_LEN_BUCKETS - 1);
                 stats.chain_len_buckets[bucket] += 1;
             }
         }
+        // Every ticket created one version and only pruning removes one.
+        stats.pruned = stats.install_seq.saturating_sub(stats.versions);
         stats
     }
 }
 
-/// Bucket count for [`MvStoreStats::chain_len_buckets`]. Chains are
-/// pruned at `DEFAULT_PRUNE_THRESHOLD`, so 16 power-of-two buckets
-/// (lengths up to 2^15) cover every reachable configuration.
+/// Bucket count for [`MvStoreStats::chain_len_buckets`]. With no snapshot
+/// live every chain has length 1; a chain grows by one version per
+/// install while a snapshot older than them is live, so only a snapshot
+/// held across more than 2^14 installs of one item reaches the last
+/// bucket, which absorbs every longer chain.
 pub const MV_CHAIN_LEN_BUCKETS: usize = 16;
 
 /// A point-in-time snapshot of [`ConcurrentMvStore`] internals, produced
@@ -419,7 +331,7 @@ pub struct MvStoreStats {
     /// Length of the longest chain.
     pub max_chain: u64,
     /// Chain counts by power-of-two length bucket (bucket `b` covers
-    /// lengths `2^(b-1)+1 ..= 2^b`).
+    /// lengths `2^(b-1)+1 ..= 2^b`; the last one every longer chain too).
     pub chain_len_buckets: [u64; MV_CHAIN_LEN_BUCKETS],
     /// Current global install ticket.
     pub install_seq: u64,
@@ -427,7 +339,8 @@ pub struct MvStoreStats {
     pub watermark: u64,
     /// Occupied slots in the snapshot registry.
     pub active_snapshots: u64,
-    /// Cumulative versions reclaimed by pruning.
+    /// Cumulative versions reclaimed by pruning: one per ticket drawn,
+    /// less the versions still kept.
     pub pruned: u64,
 }
 
@@ -451,55 +364,6 @@ mod tests {
 
     const X: ItemId = ItemId(0);
 
-    fn store() -> MultiVersionStore<i64> {
-        let mut s = MultiVersionStore::new();
-        s.install(X, 10, TxId(1), 100);
-        s.install(X, 30, TxId(3), 300);
-        s.install(X, 20, TxId(2), 200); // out-of-order install is fine
-        s
-    }
-
-    #[test]
-    fn read_at_picks_latest_not_newer() {
-        let s = store();
-        assert_eq!(s.read_at(X, 5), None, "nothing old enough");
-        assert_eq!(s.read_at(X, 10).unwrap().value, 100);
-        assert_eq!(s.read_at(X, 25).unwrap().value, 200);
-        assert_eq!(s.read_at(X, 99).unwrap().value, 300);
-        assert_eq!(s.latest(X).unwrap().writer, TxId(3));
-    }
-
-    #[test]
-    fn old_reader_survives_new_writes() {
-        // The multiversion payoff: a reader at stamp 15 still sees version
-        // 10 after version 30 lands — a single-version store would abort it.
-        let s = store();
-        assert_eq!(s.read_at(X, 15).unwrap().stamp, 10);
-    }
-
-    #[test]
-    fn prune_keeps_watermark_visible() {
-        let mut s = store();
-        let dropped = s.prune_below(25);
-        assert_eq!(dropped, 1, "version 10 goes; 20 stays (visible at 25)");
-        assert_eq!(s.read_at(X, 25).unwrap().stamp, 20);
-        assert_eq!(s.version_count(X), 2);
-    }
-
-    #[test]
-    fn purge_writer_removes_aborted_versions() {
-        let mut s = store();
-        assert_eq!(s.purge_writer(TxId(2)), 1);
-        assert_eq!(s.read_at(X, 25).unwrap().stamp, 10, "falls back to older version");
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate stamp")]
-    fn duplicate_stamp_rejected() {
-        let mut s = store();
-        s.install(X, 20, TxId(9), 999);
-    }
-
     fn stamp(k: usize, vals: &[i64]) -> TsVec {
         let mut v = TsVec::undefined(k);
         for (i, &x) in vals.iter().enumerate() {
@@ -511,6 +375,9 @@ mod tests {
     #[test]
     fn concurrent_install_seeds_floor_and_appends_in_order() {
         let s: ConcurrentMvStore<i64> = ConcurrentMvStore::new();
+        // A snapshot that began before the first install keeps the floor
+        // and both versions reachable.
+        let snap = s.begin_snapshot();
         s.install(X, TxId(1), stamp(2, &[1, 1]), 100, || 0);
         s.install(X, TxId(2), stamp(2, &[2, 1]), 200, || panic!("floor already seeded"));
         s.with_chain(X, |chain| {
@@ -522,31 +389,64 @@ mod tests {
             assert!(chain.windows(2).all(|w| w[0].seq < w[1].seq), "tickets monotone");
         });
         assert_eq!(s.version_count(ItemId(7)), 0, "untouched item has no chain");
+        // Once it is released, the next install keeps its own version only:
+        // the floor and both earlier versions go.
+        drop(snap);
+        s.install(X, TxId(3), stamp(2, &[3, 1]), 300, || unreachable!());
+        s.with_chain(X, |chain| {
+            assert_eq!(chain.len(), 1);
+            assert_eq!((chain[0].writer, chain[0].value), (TxId(3), 300));
+        });
+        assert_eq!(s.stats().pruned, 3);
     }
 
     #[test]
     fn prune_respects_live_snapshot_watermark() {
-        let mut s: ConcurrentMvStore<i64> = ConcurrentMvStore::new();
-        s.set_prune_threshold(2);
+        let s: ConcurrentMvStore<i64> = ConcurrentMvStore::new();
         s.install(X, TxId(1), stamp(1, &[1]), 100, || 0);
+        assert_eq!(s.version_count(X), 1, "no snapshot live: the floor goes at once");
         let snap = s.begin_snapshot();
         assert_eq!(s.active_snapshots(), 1);
-        // Installs past the threshold: the pivot for the live snapshot
-        // (newest version with seq <= its ticket) must survive.
+        // Every install prunes, and each must keep the live snapshot's
+        // pivot (the newest version with seq <= its ticket).
         for n in 2..10u32 {
             s.install(X, TxId(n), stamp(1, &[n as i64]), 100 * n as i64, || unreachable!());
         }
         s.with_chain(X, |chain| {
-            assert!(
-                chain.iter().any(|v| v.seq <= snap.begin_seq()),
-                "pivot for the live snapshot was reclaimed"
-            );
+            assert_eq!(chain.len(), 9, "the pivot and every version after it");
+            assert_eq!(chain[0].writer, TxId(1));
+            assert!(chain[0].seq <= snap.begin_seq(), "pivot for the live snapshot was reclaimed");
         });
         drop(snap);
         assert_eq!(s.active_snapshots(), 0);
-        // With no readers the next install prunes down to the tail.
+        // With no readers the next install prunes down to itself.
         s.install(X, TxId(99), stamp(1, &[99]), 1, || unreachable!());
-        assert!(s.version_count(X) <= 3, "chain stays bounded once snapshots end");
-        assert!(s.pruned() > 0);
+        assert_eq!(s.version_count(X), 1, "chain shrinks once snapshots end");
+        assert_eq!(s.stats().pruned, 10);
+    }
+
+    #[test]
+    fn watermark_scans_every_claimed_slot() {
+        let s: ConcurrentMvStore<i64> = ConcurrentMvStore::new();
+        s.install(X, TxId(1), stamp(1, &[1]), 100, || 0);
+        // Claim slots 0-3 in order, then free 0-2: only slot 3 is live,
+        // above a scan that stopped at the first free slot.
+        let mut guards: Vec<_> = (0..4).map(|_| s.begin_snapshot()).collect();
+        assert_eq!(s.claimed_slots().len(), 4);
+        let live = guards.pop().unwrap();
+        drop(guards);
+        assert_eq!(s.active_snapshots(), 1);
+        for n in 2..6u32 {
+            s.install(X, TxId(n), stamp(1, &[n as i64]), 100 * n as i64, || unreachable!());
+        }
+        s.with_chain(X, |chain| {
+            assert!(
+                chain.iter().any(|v| v.seq <= live.begin_seq()),
+                "slot 3's pivot was reclaimed"
+            );
+        });
+        drop(live);
+        assert_eq!(s.claimed_slots().len(), 4, "the mark never falls");
+        assert_eq!(s.stats().watermark, s.stats().install_seq);
     }
 }

@@ -23,8 +23,11 @@
 #                                 counts.restarts are 0; two clients on a
 #                                 traced transfer_uniform_2t:
 #                                 admission.parked_frac and
-#                                 admission.batches_per_txn are 0. Only
-#                                 temp files are written.
+#                                 admission.batches_per_txn are 0, and
+#                                 storage.mv_max_chain is 1 (no snapshot
+#                                 live, so every chain is pruned to its
+#                                 newest version). Only temp files are
+#                                 written.
 #
 # Run from the repo root (or anywhere — the script cd's home first).
 set -euo pipefail
@@ -108,12 +111,13 @@ if [[ "${1:-}" == "--smoke" ]]; then
         grep -oE '"counts":\{"commits":[0-9]+,"aborts":[0-9]+,"restarts":[0-9]+' "$doc22" >&2 || true
         exit 1
     fi
-    echo "== bench smoke: exp22 count gate (two clients: no admission queue, nobody parks) =="
+    echo "== bench smoke: exp22 count gate (two clients: nobody parks, every chain one version) =="
     line22=$(cargo run --release -q -p mdts-bench --bin exp22_costmodel -- \
         --workload transfer_uniform_2t --seconds 1 --trace 1 | tail -n 1)
-    for metric in admission.parked_frac admission.batches_per_txn; do
-        if [[ "$line22" != *"\"$metric\":{\"value\":0,"* ]]; then
-            echo "bench smoke: transfer_uniform_2t reports a non-zero $metric:" >&2
+    for gate in admission.parked_frac=0 admission.batches_per_txn=0 storage.mv_max_chain=1; do
+        metric=${gate%=*} want=${gate#*=}
+        if [[ "$line22" != *"\"$metric\":{\"value\":$want,"* ]]; then
+            echo "bench smoke: transfer_uniform_2t reports $metric other than $want:" >&2
             grep -oE "\"$metric\":\{[^}]*\}" <<<"$line22" >&2 || true
             exit 1
         fi
