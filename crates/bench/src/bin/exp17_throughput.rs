@@ -5,19 +5,35 @@
 //! `--json` replaces the human tables with one `mdts-metrics/v1` document
 //! on stdout: full counters, abort-reason and shard breakdowns, and the
 //! complete latency histogram per run. `--telemetry out.jsonl` adds one
-//! sampler-instrumented MT(3) run at the medium-contention point and
-//! writes its `mdts-timeseries/v1` window stream (see DESIGN.md §6).
+//! sampler-instrumented run of the read-heavy MV-MT(3) serving mix and
+//! writes its `mdts-timeseries/v1` window stream (see DESIGN.md §6.1).
+//! `--telemetry-strict` fails the process when the online stall detector
+//! fired during that run, or when the run formed too few windows for the
+//! detector to judge any.
 
 use std::time::Duration;
 
-use mdts_bench::{
-    json_mode, metrics_document, print_table, run_instrumented, write_timeseries, Table,
-    TelemetryOpts,
-};
+use mdts_bench::{json_mode, metrics_document, print_table, Table};
 use mdts_engine::{
-    bank_database, run_bank_mix, BankConfig, BasicToCc, CompositeCc, ConcurrencyControl,
-    IntervalCc, MtCc, OccCc, TwoPlCc,
+    bank_database_multiversion, run_bank_mix, run_bank_mix_db, BankConfig, BasicToCc, CompositeCc,
+    ConcurrencyControl, IntervalCc, MtCc, OccCc, TwoPlCc,
 };
+use mdts_telemetry::{Sampler, SamplerConfig, StallConfig};
+
+/// The telemetry lane's window length.
+const TELEMETRY_INTERVAL: Duration = Duration::from_millis(10);
+/// The telemetry lane's transactions per client before the sampler
+/// starts. The row table builds each doubling chunk of slots under its
+/// grow lock, and building the 65,536- or the 131,072-slot chunk (first
+/// touched at ids 64,512 and 130,048) stalls every client for up to a
+/// window, which fires the collapse rule (EXPERIMENTS.md, exp17). The
+/// warm-up issues more than 130,048 ids, so the sampled run lies inside
+/// the 131,072-slot chunk.
+const TELEMETRY_WARMUP_PER_THREAD: usize = 16_500;
+/// The telemetry lane's sampled transactions per client: 20–28 windows on
+/// a 2-vCPU host, against the 13 the strict gate asks for, with the last
+/// id still short of 261,120, where the next chunk starts.
+const TELEMETRY_TXNS_PER_THREAD: usize = 14_000;
 
 fn protocols() -> Vec<Box<dyn ConcurrencyControl>> {
     vec![
@@ -100,43 +116,61 @@ fn main() {
             println!();
         }
     }
-    // Telemetry lane (`--telemetry out.jsonl`): one more MT(3) run at the
-    // medium-contention point with the windowed sampler attached; its
-    // cumulative counters join the `mdts-metrics/v1` document and the
-    // window stream goes to the file. The sampler asserts the
-    // recomposition invariant before anything is written.
-    let telemetry = TelemetryOpts::from_args();
-    if telemetry.requested() {
+    // Telemetry lane (`--telemetry out.jsonl` / `--telemetry-strict`):
+    // the read-heavy MV-MT(3) serving mix — 95 % snapshot scans beside
+    // 5 % transfers on a Zipf hotspot, so the writer-starvation rule sees
+    // snapshot traffic — with the windowed sampler attached, phase timing
+    // on and the stall detector live. Its cumulative counters join the
+    // `mdts-metrics/v1` document and the window stream goes to the file.
+    let telemetry_out = std::env::args().skip_while(|a| a != "--telemetry").nth(1);
+    let strict = std::env::args().any(|a| a == "--telemetry-strict");
+    if telemetry_out.is_some() || strict {
         let tl_cfg = BankConfig {
-            accounts: 64,
+            accounts: 256,
             threads: 8,
-            txns_per_thread: 400,
-            zipf_theta: 0.8,
-            read_only_fraction: 0.25,
-            think: 2_000,
+            txns_per_thread: TELEMETRY_TXNS_PER_THREAD,
+            zipf_theta: 0.9,
+            read_only_fraction: 0.95,
+            scan_len: 8,
             max_restarts: 2000,
             ..Default::default()
         };
-        let db = bank_database(Box::new(MtCc::new(3)), &tl_cfg);
-        let (r, ts) = run_instrumented(
+        let stall = StallConfig::default();
+        let db = bank_database_multiversion(3, &tl_cfg);
+        let warmup = BankConfig { txns_per_thread: TELEMETRY_WARMUP_PER_THREAD, ..tl_cfg.clone() };
+        assert!(run_bank_mix_db(&db, &warmup).invariant_holds(), "warm-up violated conservation");
+        db.set_phase_timing(true);
+        let sampler = Sampler::start(
             &db,
-            &tl_cfg,
-            "exp17",
-            "MT(3) medium-contention telemetry",
-            Duration::from_millis(10),
+            SamplerConfig {
+                interval: TELEMETRY_INTERVAL,
+                experiment: "exp17".into(),
+                label: "MV-MT(3) read-heavy telemetry".into(),
+                stall: Some(stall),
+            },
+        );
+        let r = run_bank_mix_db(&db, &tl_cfg);
+        let ts = sampler.stop();
+        ts.verify_sum().expect("telemetry window deltas must sum to the final counters");
+        assert_eq!(
+            ts.final_snapshot.commits, r.metrics.commits,
+            "sampler's final snapshot must agree with the report's counters"
         );
         assert!(r.invariant_holds(), "telemetry lane violated conservation");
+        assert!(r.metrics.snapshot_txns > 0, "telemetry lane served no snapshot transaction");
         runs.push(
             r.metrics
                 .registry()
                 .label("protocol", r.protocol)
-                .label("contention", "medium contention telemetry (sampled)")
+                .label("contention", "read-heavy telemetry (sampled)")
                 .label("threads", tl_cfg.threads.to_string())
+                .label("accounts", tl_cfg.accounts.to_string())
+                .label("zipf_theta", format!("{}", tl_cfg.zipf_theta))
                 .counter("telemetry_windows", ts.windows.len() as u64)
                 .counter("telemetry_alerts", ts.alerts.len() as u64),
         );
-        if let Some(path) = &telemetry.out {
-            write_timeseries(path, &ts);
+        if let Some(path) = &telemetry_out {
+            std::fs::write(path, ts.to_jsonl()).unwrap_or_else(|e| panic!("write {path}: {e}"));
             if !json {
                 println!(
                     "telemetry: wrote {path} ({} windows, {} alerts)\n",
@@ -145,8 +179,29 @@ fn main() {
                 );
             }
         }
-        if telemetry.strict {
-            mdts_bench::enforce_strict(&ts);
+        if strict {
+            // The detector judges nothing during its warm-up and never the
+            // final partial window. Without room for a full trailing
+            // baseline on top of those, the gate passes on next to nothing.
+            let needed = stall.warmup_windows + stall.trailing_windows + 1;
+            for a in &ts.alerts {
+                eprintln!(
+                    "telemetry-strict: {} fired on window {} (value {:.0}, trailing mean {:.0})",
+                    a.rule.name(),
+                    a.window,
+                    a.value,
+                    a.baseline,
+                );
+            }
+            if ts.windows.len() < needed {
+                eprintln!(
+                    "telemetry-strict: {} windows formed, the stall detector needs {needed}",
+                    ts.windows.len()
+                );
+            }
+            if !ts.alerts.is_empty() || ts.windows.len() < needed {
+                std::process::exit(1);
+            }
         }
     }
     if json {

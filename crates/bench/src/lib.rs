@@ -8,13 +8,9 @@
 pub mod accept;
 pub mod regions;
 pub mod report;
-pub mod telemetry_run;
 
 pub use accept::{acceptance_rate, AcceptanceSweep, Recognizer};
 pub use regions::{classify_region, region_table, RegionFlags};
 pub use report::{
     json_mode, metrics_document, print_table, replay_with_snapshots, Table, METRICS_SCHEMA,
-};
-pub use telemetry_run::{
-    arg_value, enforce_strict, run_instrumented, write_timeseries, TelemetryOpts,
 };

@@ -12,7 +12,7 @@ use crate::cc::{
     TwoPlCc,
 };
 use crate::db::{Database, Protocol};
-use crate::workload::{run_bank_mix, BankConfig};
+use crate::workload::{run_bank_mix, run_bank_mix_db, BankConfig};
 
 /// A database over `store` under `protocol`, engine trace off.
 fn open(protocol: impl Into<Protocol>, store: Store<i64>) -> Database<i64> {
@@ -455,14 +455,23 @@ fn chains_hold_one_version_with_no_snapshot_live() {
 #[test]
 fn mv_trace_is_audit_certified() {
     use mdts_trace::{audit, TraceBuffer};
-    let buffer = TraceBuffer::journal();
-    let mut cc = ShardedMtCc::new(3);
-    cc.attach_trace(TraceSink::to(&buffer));
-    let db: Database<i64> = Database::open(
-        Protocol::Multiversion(cc),
-        Store::with_items(8, 100),
-        TraceSink::to(&buffer),
-    );
+    // An MV-MT(3) database whose protocol and engine journal into one
+    // buffer, and the auditor's check of what it recorded.
+    let journaled = |store: Store<i64>| {
+        let buffer = TraceBuffer::journal();
+        let mut cc = ShardedMtCc::new(3);
+        cc.attach_trace(TraceSink::to(&buffer));
+        let db = Database::open(Protocol::Multiversion(cc), store, TraceSink::to(&buffer));
+        (db, buffer)
+    };
+    let certify = |buffer: &TraceBuffer| {
+        let report = audit(&buffer.drain(), 3);
+        assert!(report.violations.is_empty(), "audit violations: {:?}", report.violations);
+        assert!(report.version_reads > 0, "no version reads audited");
+    };
+
+    // Four clients over eight items, every third transaction a full scan.
+    let (db, buffer) = journaled(Store::with_items(8, 100));
     std::thread::scope(|scope| {
         for t in 0..4usize {
             let db = db.clone();
@@ -488,10 +497,24 @@ fn mv_trace_is_audit_certified() {
             });
         }
     });
-    let trace = buffer.drain();
-    let report = audit(&trace, 3);
-    assert!(report.violations.is_empty(), "audit violations: {:?}", report.violations);
-    assert!(report.version_reads > 0, "no version reads audited");
+    certify(&buffer);
+
+    // The read-heavy serving shape: eight clients, 95 % snapshot scans of
+    // eight accounts beside transfers on a Zipf 0.9 hotspot.
+    let cfg = BankConfig {
+        accounts: 256,
+        threads: 8,
+        txns_per_thread: 500,
+        zipf_theta: 0.9,
+        read_only_fraction: 0.95,
+        scan_len: 8,
+        max_restarts: 2_000,
+        ..BankConfig::default()
+    };
+    let (db, buffer) = journaled(Store::with_items(cfg.accounts, cfg.initial_balance));
+    let report = run_bank_mix_db(&db, &cfg);
+    assert!(report.invariant_holds(), "read-heavy MV run violated conservation");
+    certify(&buffer);
 }
 
 // ---------------------------------------------------------------------

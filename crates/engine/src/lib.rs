@@ -69,7 +69,7 @@ pub use metrics::{
 };
 pub use workload::{
     bank_database, bank_database_durable, bank_database_multiversion, run_bank_mix,
-    run_bank_mix_db, run_bank_mix_multiversion_audited, BankConfig, BankReport,
+    run_bank_mix_db, BankConfig, BankReport,
 };
 
 #[cfg(test)]

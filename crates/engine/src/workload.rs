@@ -40,22 +40,10 @@ pub struct BankConfig {
     /// protocols' contention behavior (blocking, validation aborts)
     /// becomes visible.
     pub think: u32,
-    /// Microseconds to *sleep* between the read and write phases, modeling
-    /// the I/O waits of the paper's transactions. Unlike `think`, a sleep
-    /// occupies no core, so throughput scales with the thread count even
-    /// on few cores — provided the engine never serializes transactions
-    /// across the wait (scaling sweeps use this, exp19).
-    pub think_sleep_us: u64,
     /// Retry budget per transaction.
     pub max_restarts: usize,
     /// RNG seed (per-thread streams derived from it).
     pub seed: u64,
-    /// Whether the sharded scheduler's write-once order cache is enabled
-    /// (read by the multiversion builders [`bank_database_multiversion`],
-    /// [`bank_database_durable`] and [`run_bank_mix_multiversion_audited`]
-    /// only). Off forces every access to walk the vectors — the
-    /// configuration exp19's `--nocache` lanes measure.
-    pub order_cache: bool,
 }
 
 impl Default for BankConfig {
@@ -69,10 +57,8 @@ impl Default for BankConfig {
             read_only_fraction: 0.2,
             scan_len: 4,
             think: 0,
-            think_sleep_us: 0,
             max_restarts: 64,
             seed: 42,
-            order_cache: true,
         }
     }
 }
@@ -116,34 +102,6 @@ fn bank_store(cfg: &BankConfig) -> Store<i64> {
     Store::with_items(cfg.accounts, cfg.initial_balance)
 }
 
-/// The workload's sharded MT(k) protocol: [`ShardedMtCc::new`] defaults
-/// with the order cache switched per `cfg.order_cache`.
-fn sharded_cc(k: usize, cfg: &BankConfig) -> ShardedMtCc {
-    ShardedMtCc::with_options(mdts_core::MtOptions {
-        starvation_flush: true,
-        order_cache: cfg.order_cache,
-        ..mdts_core::MtOptions::new(k)
-    })
-}
-
-/// The workload under sharded MV-MT(k) (see [`bank_database_multiversion`])
-/// with the full mdts-trace journal attached, returning the auditor's
-/// verdict on the run's committed prefix alongside the report. Tracing
-/// every protocol event costs real throughput, so benchmarks use this for
-/// a scaled-down certification pass next to the untraced measurement
-/// runs.
-pub fn run_bank_mix_multiversion_audited(
-    k: usize,
-    cfg: &BankConfig,
-) -> (BankReport, mdts_trace::AuditReport) {
-    let buffer = mdts_trace::TraceBuffer::journal();
-    let mut cc = sharded_cc(k, cfg);
-    cc.attach_trace(TraceSink::to(&buffer));
-    let db = Database::open(Protocol::Multiversion(cc), bank_store(cfg), TraceSink::to(&buffer));
-    let report = run_bank_mix_db(&db, cfg);
-    (report, mdts_trace::audit(&buffer.drain(), k))
-}
-
 /// Builds the workload's database (accounts pre-funded) under a
 /// sequential protocol, without running anything — callers that need a
 /// handle before the run (e.g. to attach a telemetry sampler) build
@@ -152,17 +110,17 @@ pub fn bank_database(cc: Box<dyn ConcurrencyControl>, cfg: &BankConfig) -> Datab
     Database::open(cc, bank_store(cfg), TraceSink::disabled())
 }
 
-/// [`bank_database`] under sharded MT(k) with the multiversion serving
-/// path enabled, the order cache switched per `cfg.order_cache`.
+/// [`bank_database`] under sharded MT(k) ([`ShardedMtCc::new`]) with the
+/// multiversion serving path enabled.
 pub fn bank_database_multiversion(k: usize, cfg: &BankConfig) -> Database<i64> {
-    let protocol = Protocol::Multiversion(sharded_cc(k, cfg));
+    let protocol = Protocol::Multiversion(ShardedMtCc::new(k));
     Database::open(protocol, bank_store(cfg), TraceSink::disabled())
 }
 
 /// [`bank_database_multiversion`] with a **write-ahead log**: any sealed
 /// epochs at the configured path are recovered over the pre-funded store
 /// first, and every commit is acknowledged only after its group-commit
-/// epoch is fsynced (exp19's durability lane and exp20's crash harness).
+/// epoch is fsynced (exp20's crash harness and exp22's durable lane).
 /// Pass a traced sink plus `durability.journal_path` to persist the
 /// decision trace for post-crash certification.
 pub fn bank_database_durable(
@@ -171,7 +129,7 @@ pub fn bank_database_durable(
     trace: TraceSink,
     durability: &crate::DurabilityConfig,
 ) -> std::io::Result<(Database<i64>, mdts_storage::Recovered<i64>)> {
-    let protocol = Protocol::Multiversion(sharded_cc(k, cfg));
+    let protocol = Protocol::Multiversion(ShardedMtCc::new(k));
     Database::open_durable(protocol, bank_store(cfg), trace, durability)
 }
 
@@ -226,11 +184,6 @@ pub fn run_bank_mix_db(db: &Database<i64>, cfg: &BankConfig) -> BankReport {
                             let b = tx.read(dst)?.unwrap_or(0);
                             for i in 0..cfg.think {
                                 std::hint::black_box(i);
-                            }
-                            if cfg.think_sleep_us > 0 {
-                                std::thread::sleep(std::time::Duration::from_micros(
-                                    cfg.think_sleep_us,
-                                ));
                             }
                             tx.write(src, a - 1)?;
                             tx.write(dst, b + 1)?;

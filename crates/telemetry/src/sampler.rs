@@ -18,7 +18,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mdts_engine::Database;
+use mdts_engine::{Database, MetricsSnapshot};
 
 use crate::stall::{StallConfig, StallDetector, WindowStats};
 use crate::window::{TimeSeries, Window};
@@ -59,7 +59,10 @@ pub struct Sampler {
 
 impl Sampler {
     /// Starts sampling `db` on a background thread. The database handle
-    /// is cloned (cheap: it is an `Arc` internally).
+    /// is cloned (cheap: it is an `Arc` internally). The baseline is taken
+    /// here, on the caller's thread, so work the caller starts after this
+    /// returns falls inside the windows however late the sampler thread
+    /// is first scheduled.
     pub fn start<V: Clone + Send + Sync + 'static>(
         db: &Database<V>,
         cfg: SamplerConfig,
@@ -67,10 +70,11 @@ impl Sampler {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let db = db.clone();
+        let (t0, baseline) = (Instant::now(), db.metrics());
         let (wake_tx, wake_rx) = mpsc::channel::<()>();
         let handle = std::thread::Builder::new()
             .name("mdts-telemetry".into())
-            .spawn(move || sample_loop(&db, cfg, &flag, &wake_rx))
+            .spawn(move || sample_loop(&db, cfg, t0, baseline, &flag, &wake_rx))
             .expect("spawn telemetry sampler");
         Sampler { stop, wake_tx, handle }
     }
@@ -88,11 +92,11 @@ impl Sampler {
 fn sample_loop<V: Clone + Send + Sync + 'static>(
     db: &Database<V>,
     cfg: SamplerConfig,
+    t0: Instant,
+    baseline: MetricsSnapshot,
     stop: &AtomicBool,
     wake: &mpsc::Receiver<()>,
 ) -> TimeSeries {
-    let t0 = Instant::now();
-    let baseline = db.metrics();
     let mut detector = cfg.stall.map(StallDetector::new);
     let mut series = TimeSeries {
         experiment: cfg.experiment,

@@ -6,7 +6,7 @@
 //! closing edge. Because deltas are exact bucket/counter subtractions,
 //! summing every window on top of the baseline snapshot reproduces the
 //! final cumulative [`MetricsSnapshot`] bit for bit — the invariant
-//! [`TimeSeries::verify_sum`] checks and `exp19 --telemetry` asserts.
+//! [`TimeSeries::verify_sum`] checks and `exp17 --telemetry` asserts.
 //!
 //! The JSONL document is a stream of discriminated lines:
 //!
@@ -57,13 +57,14 @@ impl Window {
 /// cumulative snapshot.
 #[derive(Clone, Debug)]
 pub struct TimeSeries {
-    /// Experiment name for the header (e.g. `exp19`).
+    /// Experiment name for the header (e.g. `exp17`).
     pub experiment: String,
     /// Free-form run label (protocol, thread count, …).
     pub label: String,
     /// Nominal sampling interval.
     pub interval_ms: u64,
-    /// Counters at sampler start (all-zero for a fresh database).
+    /// Counters when [`crate::Sampler::start`] was called (all-zero for a
+    /// fresh database).
     pub baseline: MetricsSnapshot,
     /// Per-interval deltas, dense in `index`.
     pub windows: Vec<Window>,

@@ -1,29 +1,26 @@
 #!/usr/bin/env bash
 # Benchmark driver.
 #
-#   scripts/bench.sh              full run: the criterion groups
-#                                 (engine_scaling, vector compare), then one
-#                                 mdts-metrics/v1 document per experiment
-#                                 under target/bench/: exp19.json,
-#                                 exp18.json, bench_compare.json,
-#                                 exp19_durable.json, exp20.json, exp21.json
-#   scripts/bench.sh --telemetry  the same, plus exp19's window stream in
-#                                 target/bench/exp19_timeseries.jsonl
+#   scripts/bench.sh              full run: the vector-compare criterion
+#                                 group, then one mdts-metrics/v1 document
+#                                 per experiment under target/bench/:
+#                                 exp17.json, exp18.json, bench_compare.json,
+#                                 exp20.json, exp21.json
+#   scripts/bench.sh --telemetry  the same, plus exp17's window stream in
+#                                 target/bench/exp17_timeseries.jsonl
 #                                 (validated before the script exits)
-#   scripts/bench.sh --smoke      CI-sized: every experiment's quick lane
-#                                 with its document checked for schema and
-#                                 lanes (exp19 also under --nocache, where
-#                                 every compare walks the vectors), the
-#                                 durability lanes (exp19
-#                                 --durable, exp20, exp21), the telemetry
-#                                 stream and stall fixtures, exp22_costmodel
-#                                 --smoke, and two host-independent exp22
-#                                 count gates — one client on
-#                                 transfer_uniform_1t: counts.aborts and
-#                                 counts.restarts are 0; two clients on a
-#                                 traced transfer_uniform_2t:
-#                                 admission.parked_frac and
-#                                 admission.batches_per_txn are 0, and
+#   scripts/bench.sh --smoke      CI-sized: exp17's read-heavy MV telemetry
+#                                 lane under the strict stall gate with its
+#                                 document and window stream checked, the
+#                                 stall fixtures, bench_compare --json, the
+#                                 durability lanes (exp20, exp21), exp18
+#                                 --json, exp22_costmodel --smoke, and two
+#                                 host-independent exp22 count gates — one
+#                                 client on transfer_uniform_1t:
+#                                 counts.aborts and counts.restarts are 0;
+#                                 two clients on a traced
+#                                 transfer_uniform_2t: admission.parked_frac
+#                                 and admission.batches_per_txn are 0, and
 #                                 storage.mv_max_chain is 1 (no snapshot
 #                                 live, so every chain is pruned to its
 #                                 newest version). Only temp files are
@@ -35,35 +32,27 @@ cd "$(dirname "$0")/.."
 
 SCHEMA='mdts-metrics/v1'
 OUT_DIR=target/bench
-OUT_TS=$OUT_DIR/exp19_timeseries.jsonl
+OUT_TS=$OUT_DIR/exp17_timeseries.jsonl
 
 if [[ "${1:-}" == "--smoke" ]]; then
-    echo "== bench smoke: exp19 --quick --json (scaling + read-heavy MV lane) =="
-    doc=$(cargo run --release -q -p mdts-bench --bin exp19_scaling -- --quick --json)
-    if [[ "$doc" != *"\"schema\":\"$SCHEMA\""* ]]; then
-        echo "bench smoke: document is missing the $SCHEMA stamp" >&2
+    echo "== bench smoke: exp17 --json --telemetry --telemetry-strict (read-heavy MV lane, strict stall gate) =="
+    ts_file=$(mktemp /tmp/mdts_timeseries.XXXXXX.jsonl)
+    dir22=$(mktemp -d /tmp/mdts_exp22.XXXXXX)
+    trap 'rm -rf "$ts_file" "$dir22"' EXIT
+    doc17=$(cargo run --release -q -p mdts-bench --bin exp17_throughput -- \
+        --json --telemetry "$ts_file" --telemetry-strict)
+    if [[ "$doc17" != *"\"schema\":\"$SCHEMA\""* || "$doc17" != *'"experiment":"exp17"'* ]]; then
+        echo "bench smoke: exp17 document is missing the $SCHEMA stamp or its experiment" >&2
         exit 1
     fi
-    if [[ "$doc" != *'"experiment":"exp19"'* ]]; then
-        echo "bench smoke: document is not an exp19 run" >&2
+    if [[ "$doc17" != *'"contention":"read-heavy telemetry (sampled)"'* ]]; then
+        echo "bench smoke: exp17 document is missing the telemetry lane" >&2
         exit 1
     fi
-    if [[ "$doc" != *'"sweep":"read-heavy'* ]]; then
-        echo "bench smoke: exp19 document is missing the read-heavy sweep" >&2
-        exit 1
-    fi
-    # The MV lane must be present; exp19 itself asserts the lane served
-    # snapshot transactions (snapshot_txns > 0) before emitting the run.
-    if [[ "$doc" != *'"protocol":"MV-MT(k)"'* ]]; then
-        echo "bench smoke: read-heavy sweep is missing the MV snapshot lane" >&2
-        exit 1
-    fi
-    echo "== bench smoke: exp19 --quick --json --nocache (every compare walks the vectors) =="
-    doc_nc=$(cargo run --release -q -p mdts-bench --bin exp19_scaling -- --quick --json --nocache)
-    if [[ "$doc_nc" != *'"order_cache":"off"'* ]]; then
-        echo "bench smoke: --nocache document is missing the cache-off label" >&2
-        exit 1
-    fi
+    echo "== bench smoke: timeseries_check (schema + recomposition) =="
+    cargo run --release -q -p mdts-bench --bin timeseries_check -- "$ts_file"
+    echo "== bench smoke: stall-detector regression fixtures =="
+    cargo run --release -q -p mdts-bench --bin timeseries_check -- --stall-fixture
     echo "== bench smoke: bench_compare --json (SIMD single + one-vs-many lanes) =="
     doc_simd=$(cargo bench -q -p mdts-bench --bench bench_compare -- --json)
     if [[ "$doc_simd" != *"\"schema\":\"$SCHEMA\""* ]]; then
@@ -72,12 +61,6 @@ if [[ "${1:-}" == "--smoke" ]]; then
     fi
     if [[ "$doc_simd" != *'"lane":"single_wide_k"'* || "$doc_simd" != *'"lane":"one_vs_many"'* ]]; then
         echo "bench smoke: bench_compare document is missing a SIMD lane" >&2
-        exit 1
-    fi
-    echo "== bench smoke: exp19 --quick --durable (group-commit WAL lane + cold recovery) =="
-    doc_dur=$(cargo run --release -q -p mdts-bench --bin exp19_scaling -- --quick --durable --json)
-    if [[ "$doc_dur" != *'"sweep":"durable group commit'* ]]; then
-        echo "bench smoke: --durable document is missing the group-commit sweep" >&2
         exit 1
     fi
     echo "== bench smoke: exp20 --smoke (crash matrix: injection sites + SIGKILL + auditor) =="
@@ -90,16 +73,6 @@ if [[ "${1:-}" == "--smoke" ]]; then
         echo "bench smoke: exp18 --json document is malformed" >&2
         exit 1
     fi
-    echo "== bench smoke: exp19 --telemetry (windowed sampler, strict stall gate) =="
-    ts_file=$(mktemp /tmp/mdts_timeseries.XXXXXX.jsonl)
-    dir22=$(mktemp -d /tmp/mdts_exp22.XXXXXX)
-    trap 'rm -rf "$ts_file" "$dir22"' EXIT
-    cargo run --release -q -p mdts-bench --bin exp19_scaling -- \
-        --quick --telemetry "$ts_file" --telemetry-strict > /dev/null
-    echo "== bench smoke: timeseries_check (schema + recomposition) =="
-    cargo run --release -q -p mdts-bench --bin timeseries_check -- "$ts_file"
-    echo "== bench smoke: stall-detector regression fixtures =="
-    cargo run --release -q -p mdts-bench --bin timeseries_check -- --stall-fixture
     echo "== bench smoke: exp22_costmodel --smoke (the repo's benchmark: every workload, every check) =="
     cargo run --release -q -p mdts-bench --bin exp22_costmodel -- --smoke
     echo "== bench smoke: exp22 count gate (one client: no abort, no restart) =="
@@ -123,7 +96,6 @@ if [[ "${1:-}" == "--smoke" ]]; then
         fi
     done
     echo "== bench smoke: criterion targets compile =="
-    cargo bench -p mdts-bench --bench bench_scaling --no-run
     cargo bench -p mdts-bench --bench bench_compare --no-run
     echo "bench smoke: OK"
     exit 0
@@ -146,14 +118,11 @@ if [[ "${1:-}" == "--telemetry" ]]; then
     TELEMETRY_ARGS=(--telemetry "$OUT_TS")
 fi
 
-echo "== criterion: engine_scaling (sharded / sharded-nocache / serialized) =="
-cargo bench -p mdts-bench --bench bench_scaling
-
 echo "== criterion: vector compare (Figs. 6-7 + small-k representation sweep) =="
 cargo bench -p mdts-bench --bench bench_compare
 
-echo "== exp19 (full sweep incl. read-heavy MV lane) =="
-write_doc exp19 cargo run --release -q -p mdts-bench --bin exp19_scaling -- --json "${TELEMETRY_ARGS[@]}"
+echo "== exp17 (engine protocols + read-heavy MV telemetry lane) =="
+write_doc exp17 cargo run --release -q -p mdts-bench --bin exp17_throughput -- --json "${TELEMETRY_ARGS[@]}"
 if [[ ${#TELEMETRY_ARGS[@]} -gt 0 ]]; then
     cargo run --release -q -p mdts-bench --bin timeseries_check -- "$OUT_TS"
     echo "bench: wrote $OUT_TS"
@@ -164,9 +133,6 @@ write_doc exp18 cargo run --release -q -p mdts-bench --bin exp18_multiversion --
 
 echo "== bench_compare (SIMD acceptance lanes) =="
 write_doc bench_compare cargo bench -q -p mdts-bench --bench bench_compare -- --json
-
-echo "== exp19 --durable (group-commit WAL lane + oversubscribed acceptance) =="
-write_doc exp19_durable cargo run --release -q -p mdts-bench --bin exp19_scaling -- --durable --json
 
 echo "== exp20 (crash-recovery matrix + auditor certification) =="
 write_doc exp20 cargo run --release -q -p mdts-bench --bin exp20_recovery -- --json
