@@ -37,9 +37,10 @@
 //! * [`MvMtScheduler`] — the multiversion extension of III-D-6d: version
 //!   chains per item under the vector order; reads never abort.
 //! * [`SharedMtScheduler`] — MT(k) behind `&self`: item-sharded `RT`/`WT`,
-//!   a chunked per-slot-locked [`RowTable`], a write-once [`OrderCache`]
-//!   for decided comparisons, lock-free k-th-column counters and O(1)
-//!   refcount reclamation, for multi-threaded engines.
+//!   per-slot-locked rows in a recycled [`RowTable`] arena behind a 4-byte
+//!   id index, a write-once [`OrderCache`] for decided comparisons,
+//!   lock-free k-th-column counters and O(1) refcount reclamation, for
+//!   multi-threaded engines.
 //!
 //! [`OrderCache`]: mdts_vector::OrderCache
 

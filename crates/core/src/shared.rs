@@ -15,28 +15,30 @@
 //!   makes an operation atomic with respect to other accesses of `x` — the
 //!   shard mutex plays the role of Algorithm 1's implicit critical section,
 //!   but per item group instead of global.
-//! * **Vector rows live in a chunked, append-only [`RowTable`]** — slots
-//!   are addressed lock-free (chunks are published once via atomic
-//!   pointers and never move), and each slot carries its own small
-//!   `RwLock` around the vector. `begin`/`commit`/`abort` and every
+//! * **Vector rows live in a recycled [`RowTable`] arena** behind a 4-byte
+//!   id index — slots are addressed lock-free (chunks are published once
+//!   via atomic pointers and never move), and each slot carries its own
+//!   small `RwLock` around the vector. `begin`/`commit`/`abort` and every
 //!   comparison touch only the slots involved; there is no global rows
-//!   lock to stall on. Encoding (defining vector elements) takes the two
-//!   slots' write locks in ascending index order, re-compares, and
-//!   defines. The re-comparison under the write locks is essential:
-//!   between the optimistic read-locked pass and the write acquisition, an
-//!   encoder working on behalf of another item may have closed the very
-//!   same open order (the two transactions can be `RT`/`WT` of many items
-//!   at once). Re-deciding under the write locks preserves the write-once
+//!   lock to stall on. The arena holds the live rows only: a reclaimed
+//!   row's slot goes to the next `begin`. Encoding (defining vector
+//!   elements) takes the two slots' write locks in ascending transaction
+//!   id order, re-compares, and defines. The re-comparison under the
+//!   write locks is essential: between the optimistic read-locked pass
+//!   and the write acquisition, an encoder working on behalf of another
+//!   item may have closed the very same open order (the two transactions
+//!   can be `RT`/`WT` of many items at once). Re-deciding under the write locks preserves the write-once
 //!   discipline of [`TsVec::define`].
 //! * **Decided orders are memoized in a write-once [`OrderCache`]** —
 //!   under the write-once element discipline a decided `TS(a) < TS(b)` can
 //!   never be contradicted, so `Set(j, i)` first probes the cache and
 //!   serves hits without touching any row lock. Only *decided* results are
-//!   cached; the cache is flushed (epoch bump) whenever a row slot is
-//!   reused after reclamation or a restart reinstalls a vector — the two
-//!   events that can invalidate a memoized order. Inserts carry the epoch
-//!   observed *before* the vectors were read, so an insert racing with an
-//!   invalidation is dropped rather than resurrected.
+//!   cached; the cache is flushed (epoch bump) whenever a transaction id
+//!   is begun again after its row was reclaimed — the one event that can
+//!   invalidate a memoized order (recycling a *slot* cannot: the cache is
+//!   keyed by id). Inserts carry the epoch observed *before* the vectors
+//!   were read, so an insert racing with an invalidation is dropped rather
+//!   than resurrected.
 //! * **The k-th-column counters draw through `&self`** — the
 //!   `ucount`/`lcount` of [`KthCounters`] are atomics, so draws need no
 //!   lock at all; distinctness, not program order, is the invariant
@@ -45,14 +47,17 @@
 //!   carries an atomic count of the `RT`/`WT` entries naming it, bumped on
 //!   displacement under the owning shard's lock. `commit` marks the slot
 //!   finished; whoever drops the last reference frees the row (under that
-//!   slot's write lock alone). The III-D-4 restart hint also lives in the
-//!   slot, so no side table survives either.
+//!   slot's write lock alone) and recycles the slot. The III-D-4 restart
+//!   hint must outlive the row, so it lives in a per-stripe cell instead
+//!   (see [`SharedMtScheduler::begin_restarted`]).
 //!
 //! **Lock order** (deadlock freedom): item shard → row-slot locks in
-//! ascending slot index → order-cache shard (leaf; nothing is acquired
+//! ascending transaction id → order-cache shard (leaf; nothing is acquired
 //! while it is held). A thread holds at most one item shard at a time
 //! (multi-item operations take them one by one) and at most two slot locks
-//! at a time, always acquired low index first.
+//! at a time, always acquired low id first. Both transactions are pinned
+//! while their slots are locked together, so no slot changes hands while
+//! it takes part in that order.
 //!
 //! # One rule, two instantiations
 //!
@@ -220,9 +225,12 @@ pub struct SharedMtScheduler {
     /// high bits are the dense index within it.
     shard_bits: u32,
     shards: Box<[Mutex<ShardItems>]>,
-    /// Vector rows indexed by transaction id, one slot per id. Slot 0 is
-    /// `T₀` (`⟨0, *, …⟩`), never reclaimed.
+    /// Vector rows of the live transactions, found by transaction id.
+    /// Id 0 is `T₀` (`⟨0, *, …⟩`), never reclaimed.
     rows: RowTable,
+    /// III-D-4 restart hints, one cell per stripe: the refused
+    /// transaction's id and the first element its restart begins with.
+    hints: Striped<Mutex<Option<(TxId, i64)>>>,
     /// Memoized decided comparisons (see the module docs).
     cache: OrderCache,
     /// Drawn from by every commit stamp, so on a line of its own — the
@@ -301,7 +309,7 @@ impl SharedMtScheduler {
         let shards: Box<[Mutex<ShardItems>]> =
             (0..n).map(|_| Mutex::new(ShardItems::default())).collect();
         let rows = RowTable::new();
-        *rows.ensure_slot(0).write() = Some(TsVec::origin(opts.k));
+        rows.begin(TxId::VIRTUAL.index(), || TsVec::origin(opts.k), || {});
         let k = opts.k;
         SharedMtScheduler {
             opts,
@@ -309,6 +317,7 @@ impl SharedMtScheduler {
             shard_bits: n.trailing_zeros(),
             shards,
             rows,
+            hints: Striped::default(),
             cache: OrderCache::new(),
             counters: CachePadded(KthCounters::new()),
             // T₀'s stamp ⟨0, *, …⟩ is published from the start.
@@ -388,7 +397,7 @@ impl SharedMtScheduler {
     }
 
     /// Read guards for two distinct slots, returned in `(a, b)` order but
-    /// acquired in ascending slot index (the lock order).
+    /// acquired in ascending transaction id (the lock order).
     fn read_pair(
         &self,
         a: TxId,
@@ -449,23 +458,20 @@ impl SharedMtScheduler {
     }
 
     fn ensure_tx(&self, tx: TxId) {
-        let slot = self.rows.ensure_slot(tx.index());
-        {
-            if slot.read().is_some() {
-                return;
-            }
-        }
-        let mut row = slot.write();
-        if row.is_none() {
-            if slot.arm() {
-                // The id is being reused after reclamation: memoized
-                // orders naming it are about a dead incarnation. Flush
-                // *before* the new row becomes visible, so any insert
-                // racing with us carries a stale epoch and is dropped.
-                self.cache.invalidate_all();
-            }
-            *row = Some(TsVec::undefined(self.opts.k));
-        }
+        self.begin_with(tx, || TsVec::undefined(self.opts.k));
+    }
+
+    /// Gives `tx` a row holding `ts()` unless it has one.
+    fn begin_with(&self, tx: TxId, ts: impl FnOnce() -> TsVec) {
+        self.rows.begin(tx.index(), ts, || {
+            // The id is being reused after reclamation: memoized orders
+            // naming it, and any restart hint it left, are about a dead
+            // incarnation. Flush *before* the new row becomes reachable,
+            // so any insert racing with us carries a stale epoch and is
+            // dropped.
+            self.cache.invalidate_all();
+            self.take_hint(tx);
+        });
     }
 
     /// Registers a restart of `aborted` under a fresh id: if the
@@ -476,23 +482,43 @@ impl SharedMtScheduler {
     /// aborted`) is not supported: the aborted row may still anchor
     /// ordering constraints other threads encoded against it, so the new
     /// incarnation must use a fresh id.
+    ///
+    /// The aborted row may be reclaimed, and its slot recycled, before the
+    /// restart, so the hint is not kept in it: the refusal leaves it in
+    /// the refusing thread's stripe cell, and the restart looks there. The
+    /// refusal and the restart both run on the thread driving the
+    /// transaction (the engine's retry loop), which restarts before it can
+    /// be refused again, so with at most one thread per stripe the hint is
+    /// always found. A restart issued from another thread, or a refusal on
+    /// a thread sharing the stripe in between, finds no hint; that costs
+    /// the new incarnation the boost and nothing else — it begins
+    /// undefined, as without the fix.
     pub fn begin_restarted(&self, new_tx: TxId, aborted: TxId) {
         assert_ne!(new_tx, aborted, "concurrent restarts must use a fresh transaction id");
-        let hint = self.rows.slot(aborted.index()).and_then(RowSlot::take_hint);
+        let hint = self.take_hint(aborted);
         self.trace.emit(|| TraceEvent::Restart { tx: new_tx, aborted, hint });
-        match hint {
-            Some(first) => {
-                let mut v = TsVec::undefined(self.opts.k);
+        debug_assert!(
+            hint.is_none() || self.rows.slot(new_tx.index()).is_none(),
+            "restart id {new_tx} already in use"
+        );
+        self.begin_with(new_tx, || {
+            let mut v = TsVec::undefined(self.opts.k);
+            if let Some(first) = hint {
                 v.define(0, first);
-                let slot = self.rows.ensure_slot(new_tx.index());
-                let mut row = slot.write();
-                debug_assert!(row.is_none(), "restart id {new_tx} already in use");
-                if slot.arm() {
-                    self.cache.invalidate_all();
-                }
-                *row = Some(v);
             }
-            None => self.ensure_tx(new_tx),
+            v
+        });
+    }
+
+    /// Takes the restart hint this thread's stripe holds for `aborted`.
+    fn take_hint(&self, aborted: TxId) -> Option<i64> {
+        let mut cell = lock(self.hints.mine());
+        match *cell {
+            Some((tx, first)) if tx == aborted => {
+                *cell = None;
+                Some(first)
+            }
+            _ => None,
         }
     }
 
@@ -501,9 +527,6 @@ impl SharedMtScheduler {
     /// — by whoever displaces its last `RT`/`WT` reference.
     pub fn commit(&self, tx: TxId) -> bool {
         self.trace.emit(|| TraceEvent::Commit { tx });
-        if let Some(slot) = self.rows.slot(tx.index()) {
-            slot.clear_hint();
-        }
         self.finish(tx)
     }
 
@@ -529,39 +552,27 @@ impl SharedMtScheduler {
             return false;
         }
         let Some(slot) = self.rows.slot(tx.index()) else {
-            return false;
+            return false; // finished before, and reclaimed
         };
-        {
-            if slot.read().is_none() {
-                return false;
-            }
-            slot.finished().store(true, Ordering::SeqCst);
-        }
+        slot.finished().store(true, Ordering::SeqCst);
         if slot.refs().load(Ordering::SeqCst) == 0 {
-            self.try_reclaim(tx, slot)
+            self.try_reclaim(tx)
         } else {
             false
         }
     }
 
-    /// Drops the row if (still) unreferenced and finished. The slot's
-    /// write lock serializes racing reclaimers; the re-check under it
-    /// keeps the drop exactly-once. A finished transaction never gains
-    /// references (only a live accessor can become `RT`/`WT`), so a row
-    /// observed unreferenced here cannot be resurrected.
-    fn try_reclaim(&self, tx: TxId, slot: &RowSlot) -> bool {
-        let mut row = slot.write();
-        if row.is_some()
-            && slot.refs().load(Ordering::SeqCst) == 0
-            && slot.finished().load(Ordering::SeqCst)
-        {
-            *row = None;
-            slot.retire();
-            debug_assert!(!tx.is_virtual(), "T₀ is never finished");
-            true
-        } else {
-            false
-        }
+    /// Drops `tx`'s row and recycles its slot if (still) unreferenced and
+    /// finished ([`RowTable::reclaim`] re-checks both under the slot's
+    /// write lock, which keeps the drop exactly-once). A finished
+    /// transaction never gains references (only a live accessor can
+    /// become `RT`/`WT`), so a row observed unreferenced here cannot be
+    /// resurrected.
+    fn try_reclaim(&self, tx: TxId) -> bool {
+        debug_assert!(!tx.is_virtual(), "T₀ is never finished");
+        self.rows.reclaim(tx.index(), |slot| {
+            slot.refs().load(Ordering::SeqCst) == 0 && slot.finished().load(Ordering::SeqCst)
+        })
     }
 
     fn inc_ref(&self, tx: TxId) {
@@ -578,8 +589,12 @@ impl SharedMtScheduler {
         let slot = self.slot_expect(tx);
         let prev = slot.refs().fetch_sub(1, Ordering::SeqCst);
         debug_assert!(prev > 0, "refcount underflow for {tx}");
+        // Past the decrement `tx` is no longer pinned: its owner may
+        // reclaim it and the slot go to another transaction, whose flag
+        // this load may read. `try_reclaim` re-checks the link, so that
+        // costs a wasted lock at most.
         if prev == 1 && slot.finished().load(Ordering::SeqCst) {
-            self.try_reclaim(tx, slot);
+            self.try_reclaim(tx);
         }
     }
 
@@ -728,7 +743,7 @@ impl SharedMtScheduler {
                 v.unwrap_or_else(|| panic!("no live timestamp vector for {against}")).get(0)
             });
             if let Some(first) = first {
-                self.rows.ensure_slot(tx.index()).set_hint(first + 1);
+                *lock(self.hints.mine()) = Some((tx, first + 1));
             }
         }
     }
@@ -1105,7 +1120,9 @@ impl SharedMtScheduler {
         match self.rows.slot(tx.index()) {
             Some(slot) => {
                 let row = slot.read();
-                f(row.as_ref())
+                // The caller need not pin `tx`: its row may have been
+                // reclaimed, and the slot recycled, since the lookup.
+                f(row.as_ref().filter(|_| self.rows.owns(tx.index(), slot)))
             }
             None => f(None),
         }
@@ -1139,18 +1156,31 @@ impl SharedMtScheduler {
     /// Number of `RT`/`WT` entries naming `tx` (0 for `T₀` and reclaimed
     /// rows — `T₀`'s references are not tracked; it is never reclaimed).
     pub fn ref_count(&self, tx: TxId) -> u32 {
-        self.rows.slot(tx.index()).map_or(0, |s| s.refs().load(Ordering::SeqCst))
+        self.rows.slot(tx.index()).map_or(0, |slot| {
+            let _row = slot.read();
+            if self.rows.owns(tx.index(), slot) {
+                slot.refs().load(Ordering::SeqCst)
+            } else {
+                0
+            }
+        })
     }
 
     /// Number of live vector rows (including `T₀`).
     pub fn live_rows(&self) -> usize {
-        self.rows.iter_slots().filter(|(_, s)| s.read().is_some()).count()
+        self.rows.live_rows()
     }
 
-    /// Number of row-table spine chunks currently materialized
-    /// (telemetry gauge for the scheduler's memory footprint).
+    /// Number of id-index chunks currently built (telemetry gauge: they
+    /// grow with the ids issued, 4 bytes per id).
     pub fn resident_row_chunks(&self) -> usize {
         self.rows.resident_chunks()
+    }
+
+    /// Row slots the arena has built: the most rows ever live at once,
+    /// whatever the number of ids issued.
+    pub fn row_arena_len(&self) -> usize {
+        self.rows.arena_len()
     }
 
     /// A serial order consistent with the final vectors: the given
@@ -1525,6 +1555,15 @@ mod tests {
             s.live_rows() <= 1 + 2 * THREADS as usize,
             "reclamation fell behind: {} live rows",
             s.live_rows()
+        );
+        // Reclaimed slots were recycled: at most one running and one
+        // pinned row per thread at any instant, plus `T₀` — doubled for
+        // the slots a thread can build while another's reclaim is between
+        // dropping a row and pushing its slot.
+        assert!(
+            s.row_arena_len() <= 2 * (1 + 2 * THREADS as usize),
+            "the arena grew past the live rows: {} slots",
+            s.row_arena_len()
         );
     }
 

@@ -3,7 +3,7 @@
 //! Production builds re-export `std`; model-checking builds
 //! (`RUSTFLAGS="--cfg loom"`) substitute the loom shim's instrumented
 //! types so `tests/loom_models.rs` can explore every interleaving of the
-//! row table's chunk publication, slot reuse, and hint hand-off
+//! row table's chunk publication, slot recycling and reclamation
 //! protocols. The re-exports cover exactly what `rowtable.rs` and the
 //! guard types in `shared.rs` need (they are `pub` because `RowSlot`
 //! exposes `&AtomicU32`/`&AtomicBool` and lock guards in its API);
@@ -11,10 +11,10 @@
 //! results use the real type.
 
 #[cfg(loom)]
-pub use loom::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
+pub use loom::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 #[cfg(loom)]
 pub use loom::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 #[cfg(not(loom))]
-pub use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
+pub use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 #[cfg(not(loom))]
 pub use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};

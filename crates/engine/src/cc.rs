@@ -656,8 +656,12 @@ pub trait ConcurrentCc: Send + Sync {
 pub struct SchedulerGauges {
     /// Live timestamp-vector rows (including `T₀`).
     pub live_rows: u64,
-    /// Row-table spine chunks materialized so far.
+    /// Id-index chunks of the row table built so far (they grow with the
+    /// ids issued, 4 bytes per id).
     pub row_chunks: u64,
+    /// Row slots the row table's arena has built: the most rows ever live
+    /// at once.
+    pub row_slots: u64,
 }
 
 /// Adapter running any sequential [`ConcurrencyControl`] under one mutex
@@ -841,6 +845,7 @@ impl ConcurrentCc for ShardedMtCc {
         Some(SchedulerGauges {
             live_rows: self.sched.live_rows() as u64,
             row_chunks: self.sched.resident_row_chunks() as u64,
+            row_slots: self.sched.row_arena_len() as u64,
         })
     }
 

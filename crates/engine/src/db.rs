@@ -389,6 +389,7 @@ impl<V: Clone + Send + 'static> Database<V> {
         if let Some(sched) = self.shared.cc.scheduler_gauges() {
             g.sched_live_rows = sched.live_rows;
             g.sched_row_chunks = sched.row_chunks;
+            g.sched_row_slots = sched.row_slots;
         }
         if let Some(stats) = self.shared.cc.order_cache_stats() {
             g.order_cache_epoch_flushes = stats.invalidations;

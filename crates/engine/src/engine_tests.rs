@@ -453,6 +453,40 @@ fn chains_hold_one_version_with_no_snapshot_live() {
 }
 
 #[test]
+fn row_slots_follow_live_rows_not_ids() {
+    // A row is live while its transaction runs or an item names it as
+    // `RT`/`WT`: at most two holders per account, `T₀` and the running
+    // transaction. The arena holds no more slots than that however many
+    // ids the run uses; the id index grows with the ids.
+    let accounts = 16u32;
+    let db = open(Protocol::Multiversion(ShardedMtCc::new(3)), Store::with_items(accounts, 50));
+    for n in 0..20_000u32 {
+        let (src, dst) = (ItemId(n % accounts), ItemId((n * 7 + 3) % accounts));
+        if n % 8 == 0 {
+            let total: i64 =
+                db.run_read_only(|tx| (0..accounts).map(|a| tx.read(ItemId(a)).unwrap_or(0)).sum());
+            assert_eq!(total, 50 * i64::from(accounts));
+        } else if src != dst {
+            db.run(8, |tx| {
+                let a = tx.read(src)?.unwrap_or(0);
+                let b = tx.read(dst)?.unwrap_or(0);
+                tx.write(src, a - 1)?;
+                tx.write(dst, b + 1)
+            })
+            .unwrap();
+        }
+    }
+    let g = db.gauges();
+    assert!(g.sched_row_chunks >= 5, "20,000 ids span 5 index chunks: {}", g.sched_row_chunks);
+    assert!(
+        g.sched_row_slots <= 2 * u64::from(accounts) + 2,
+        "arena grew to {}",
+        g.sched_row_slots
+    );
+    assert!(g.sched_live_rows <= g.sched_row_slots);
+}
+
+#[test]
 fn mv_trace_is_audit_certified() {
     use mdts_trace::{audit, TraceBuffer};
     // An MV-MT(3) database whose protocol and engine journal into one

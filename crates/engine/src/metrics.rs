@@ -318,8 +318,12 @@ pub struct EngineGauges {
     pub mv_pruned: u64,
     /// Live timestamp-vector rows in the scheduler (including `T₀`).
     pub sched_live_rows: u64,
-    /// Row-table spine chunks materialized by the scheduler.
+    /// Id-index chunks of the scheduler's row table (they grow with the
+    /// ids issued, 4 bytes per id).
     pub sched_row_chunks: u64,
+    /// Row slots the scheduler's row arena has built: the most rows ever
+    /// live at once.
+    pub sched_row_slots: u64,
     /// Order-cache epoch flushes (cumulative invalidation count).
     pub order_cache_epoch_flushes: u64,
     /// Always 0: the prewarm probe that issued these batches is gone. The
@@ -730,6 +734,7 @@ impl MetricsSnapshot {
             vec![
                 ("live_rows".to_string(), g.sched_live_rows),
                 ("row_chunks".to_string(), g.sched_row_chunks),
+                ("row_slots".to_string(), g.sched_row_slots),
                 ("order_cache_epoch_flushes".to_string(), g.order_cache_epoch_flushes),
             ],
         );

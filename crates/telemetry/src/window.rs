@@ -168,6 +168,7 @@ impl TimeSeries {
                     ("mv_pruned", Json::U64(g.mv_pruned)),
                     ("sched_live_rows", Json::U64(g.sched_live_rows)),
                     ("sched_row_chunks", Json::U64(g.sched_row_chunks)),
+                    ("sched_row_slots", Json::U64(g.sched_row_slots)),
                     ("order_cache_epoch_flushes", Json::U64(g.order_cache_epoch_flushes)),
                     ("batched_chain_batches", Json::U64(g.batched_chain_batches)),
                     (

@@ -66,11 +66,13 @@ const _: () = {
     assert!(std::mem::size_of::<CachePadded<[u64; 17]>>() == 256);
 };
 
-/// One `T` per stripe, each on its own cache line(s). `T` is a block of
-/// `Relaxed` atomic counters: a writer bumps [`mine`](Self::mine), a
-/// reader folds [`sum`](Self::sum) over every stripe. Each cell is
-/// monotone, so a sum taken later is never smaller than one taken
-/// earlier, and once the writers are quiescent the sum is exact.
+/// One `T` per stripe, each on its own cache line(s). `T` is usually a
+/// block of `Relaxed` atomic counters: a writer bumps
+/// [`mine`](Self::mine), a reader folds [`sum`](Self::sum) over every
+/// stripe. Each counter cell is monotone, so a sum taken later is never
+/// smaller than one taken earlier, and once the writers are quiescent the
+/// sum is exact. (The scheduler also keeps a small per-thread cell this
+/// way, read through `mine` alone.)
 #[derive(Debug)]
 pub struct Striped<T> {
     cells: [CachePadded<T>; STRIPES],

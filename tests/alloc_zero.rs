@@ -1,9 +1,10 @@
 //! Zero-allocation assertion for the steady-state concurrent scheduler
 //! path (ISSUE 5): with k ≤ INLINE_K every `TsVec` is a single inline
 //! cache line, the `RT`/`WT` shard tables are flat dense arrays, the
-//! order cache is a fixed-size direct-mapped table, and the row table's
-//! chunks are published once — so after a warmup that materializes the
-//! storage, begin/access/commit/abort/restart through
+//! order cache is a fixed-size direct-mapped table, the row table's
+//! chunks are published once and its reclaimed slots go back on intrusive
+//! free lists — so after a warmup that materializes the storage,
+//! begin/access/commit/abort/restart through
 //! [`SharedMtScheduler`] must perform **zero** heap allocations.
 //!
 //! The whole scenario lives in ONE `#[test]`, and the counter is
@@ -114,7 +115,8 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
     opts.starvation_flush = true;
     let s = SharedMtScheduler::new(opts);
 
-    // Warmup: materialize row-table chunk 0 (transaction ids < 1024) and
+    // Warmup: materialize the row table's first index and arena chunks
+    // (transaction ids < 1024, fewer than 1024 rows live at once) and
     // grow every item shard's dense table — one scanning transaction
     // touches the whole working set, so the flat tables reach their
     // steady-state size on a tiny id budget.

@@ -1,6 +1,6 @@
 //! Exhaustive interleaving models for the engine's three hand-rolled
 //! lock-free protocols: the order-cache seqlock, the row table's chunk
-//! publication / slot reuse / hint hand-off, and the `WakeSeq`
+//! publication / slot recycling / reclamation, and the `WakeSeq`
 //! eventcount. Build and run with:
 //!
 //! ```sh
@@ -13,10 +13,11 @@
 //! constants shrink (`ordercache::SLOTS = 1`, `rowtable::BASE = 2`) so
 //! every model collision is forced and state spaces stay exhaustive.
 //!
-//! The suite includes one deliberate failure: the pre-PR-4 seqlock
-//! writer ordering (no Release fence between the version claim and the
-//! data stores) is kept as a `#[should_panic]` witness, proving the
-//! model actually catches the bug the fix removed.
+//! The suite includes two deliberate failures, kept as `#[should_panic]`
+//! witnesses that the models catch the bugs they guard against: the
+//! seqlock writer ordering before its fix (no Release fence between the
+//! version claim and the data stores), and a row lookup that trusts a
+//! recycled slot without re-checking whose it is.
 
 #![cfg(loom)]
 
@@ -159,17 +160,15 @@ fn seqlock_unfenced_writer_is_torn() {
 // Row table
 // ---------------------------------------------------------------------------
 
-/// Chunk publish vs. read: two threads race to materialize the same
-/// chunk — both may find the spine entry null, one builds and publishes
-/// (a Release store under the grow lock), the other re-checks under the
-/// lock and must find that pointer rather than build a second chunk —
-/// while both immediately use slots of the contested chunk through their
-/// returned references. Every interleaving must agree on one chunk
-/// address, and rows written through one reference must be visible
-/// through the other; the lock-free Acquire load of a third party
-/// (`slot`, `resident_chunks`) must see an initialized chunk or none.
-/// Under `cfg(loom)` `BASE = 2`, so index 2 is the first slot of the
-/// *second* chunk — materialized inside the model, not at construction.
+/// Chunk publish vs. read: two threads begin ids in the same index chunk
+/// at once, so both may find the index chunk and the arena chunk unbuilt.
+/// One builds each under the grow lock and publishes it (a Release
+/// store); the other re-checks under the lock and must find that pointer
+/// rather than build a second copy. Both rows must be reachable after
+/// the join, and a third party's lock-free Acquire lookup (`slot`) must
+/// see a built chunk or none. Under `cfg(loom)` `BASE = 2`, so ids 2 and
+/// 3 share the index's *second* chunk — built inside the model, not at
+/// construction.
 #[test]
 fn loom_rowtable_chunk_publication() {
     model2(|| {
@@ -177,47 +176,72 @@ fn loom_rowtable_chunk_publication() {
 
         let t2 = Arc::clone(&table);
         let racer = thread::spawn(move || {
-            let slot = t2.ensure_slot(2);
-            *slot.write() = Some(TsVec::undefined(1));
-            slot as *const _ as usize
+            t2.begin(3, || TsVec::undefined(1), || unreachable!());
         });
 
-        let addr_here = table.ensure_slot(2) as *const _ as usize;
+        table.begin(2, || TsVec::undefined(1), || unreachable!());
         if let Some(slot) = table.slot(3) {
-            // The neighbouring slot of a published chunk is initialized.
+            // A slot reached through a published link is initialized.
             assert_eq!(slot.refs().load(SeqCst), 0);
         }
-        let addr_there = racer.join().unwrap();
-        assert_eq!(addr_here, addr_there, "two chunks published for one index");
-        assert_eq!(table.resident_chunks(), 1);
-
-        let row = table.ensure_slot(2).read();
-        assert!(row.is_some(), "joined writer's row must be visible");
+        racer.join().unwrap();
+        assert_eq!((table.resident_chunks(), table.arena_chunks()), (1, 1));
+        for id in [2, 3] {
+            let slot = table.slot(id).expect("both ids are linked");
+            assert!(slot.read().is_some(), "joined writer's row must be visible");
+        }
     });
 }
 
-/// The III-D-4 hint hand-off: the payload (`hint`, Relaxed) is
-/// published by the `hint_set` flag (Release) and consumed with an
-/// Acquire swap. A taker that wins the flag must read the hinted value,
-/// never the slot's initial zero.
+/// The row `id` 1 held, as a late reader that does not pin it sees it.
+/// With `recheck` the reader confirms under the slot's lock that the
+/// slot is still 1's (`SharedMtScheduler::with_ts` does); without it, it
+/// trusts the lookup.
+fn late_read(table: &RowTable, recheck: bool) -> Option<TsVec> {
+    let slot = table.slot(1)?;
+    let row = slot.read();
+    if recheck && !table.owns(1, slot) {
+        return None;
+    }
+    row.clone()
+}
+
+/// Slot recycling vs. a late reader: transaction 1 is reclaimed and its
+/// slot goes straight to transaction 2's `begin`, while a reader that
+/// does not pin 1 looks its row up. Whatever the interleaving, the reader
+/// sees 1's row or none — never 2's.
 #[test]
-fn loom_rowtable_hint_handoff() {
-    model2(|| {
+fn loom_rowtable_recycled_slot_vs_late_reader() {
+    recycled_slot_vs_late_reader(true);
+}
+
+/// The must-catch variant: without the ownership re-check the model
+/// finds the reader that looked the slot up before the reclaim and read
+/// it after 2 moved in.
+#[test]
+#[should_panic(expected = "read another transaction's row")]
+fn late_reader_without_the_ownership_check_reads_a_recycled_row() {
+    recycled_slot_vs_late_reader(false);
+}
+
+fn recycled_slot_vs_late_reader(recheck: bool) {
+    model2(move || {
         let table = Arc::new(RowTable::new());
-        table.ensure_slot(0);
+        let mine = TsVec::from_elems(&[Some(1)]);
+        table.begin(1, || mine.clone(), || unreachable!());
 
         let t2 = Arc::clone(&table);
-        let setter = thread::spawn(move || {
-            t2.ensure_slot(0).set_hint(7);
+        let recycler = thread::spawn(move || {
+            assert!(t2.reclaim(1, |_| true));
+            let slot = t2.begin(2, || TsVec::from_elems(&[Some(2)]), || unreachable!());
+            assert!(t2.owns(2, slot));
         });
-        let t3 = Arc::clone(&table);
-        let taker = thread::spawn(move || t3.ensure_slot(0).take_hint());
 
-        match taker.join().unwrap() {
-            None | Some(7) => {}
-            Some(other) => panic!("hint flag won without its payload: {other}"),
+        if let Some(row) = late_read(&table, recheck) {
+            assert!(row == mine, "read another transaction's row: {row:?}");
         }
-        setter.join().unwrap();
+        recycler.join().unwrap();
+        assert_eq!(table.arena_len(), 1, "the reclaimed slot was reused");
     });
 }
 
@@ -225,51 +249,38 @@ fn loom_rowtable_hint_handoff() {
 /// finisher stores `finished` then loads `refs`; the last dereferencer
 /// decrements `refs` then loads `finished` — all SeqCst. At least one of
 /// the two must observe the other and reclaim the row; a missed reclaim
-/// is a permanent leak. The write-lock re-check keeps it exactly-once.
+/// is a permanent leak. `RowTable::reclaim`'s re-check under the slot's
+/// write lock keeps it exactly-once.
 #[test]
 fn loom_rowtable_reclaim_dekker() {
     model2(|| {
         let table = Arc::new(RowTable::new());
-        {
-            let slot = table.ensure_slot(0);
-            *slot.write() = Some(TsVec::undefined(1));
-            slot.refs().store(1, SeqCst);
-        }
+        table.begin(1, || TsVec::undefined(1), || unreachable!()).refs().store(1, SeqCst);
 
         // Mirrors `SharedMtScheduler::try_reclaim`.
         let try_reclaim = |table: &RowTable| {
-            let slot = table.ensure_slot(0);
-            let mut row = slot.write();
-            if row.is_some() && slot.refs().load(SeqCst) == 0 && slot.finished().load(SeqCst) {
-                *row = None;
-                slot.retire();
-            }
+            table.reclaim(1, |slot| slot.refs().load(SeqCst) == 0 && slot.finished().load(SeqCst))
         };
 
         let t2 = Arc::clone(&table);
         let finisher = thread::spawn(move || {
             // Mirrors `finish`: publish the flag, then check refs.
-            let slot = t2.ensure_slot(0);
+            let slot = t2.slot(1).expect("1 is live until it finishes");
             slot.finished().store(true, SeqCst);
-            if slot.refs().load(SeqCst) == 0 {
-                try_reclaim(&t2);
-            }
+            slot.refs().load(SeqCst) == 0 && try_reclaim(&t2)
         });
         let t3 = Arc::clone(&table);
         let dereferencer = thread::spawn(move || {
             // Mirrors `dec_ref`: drop the reference, then check the flag.
-            let slot = t3.ensure_slot(0);
+            let slot = t3.slot(1).expect("the reference pins 1");
             let prev = slot.refs().fetch_sub(1, SeqCst);
             assert_eq!(prev, 1);
-            if slot.finished().load(SeqCst) {
-                try_reclaim(&t3);
-            }
+            slot.finished().load(SeqCst) && try_reclaim(&t3)
         });
 
-        finisher.join().unwrap();
-        dereferencer.join().unwrap();
-        let reclaimed = table.ensure_slot(0).read().is_none();
-        assert!(reclaimed, "both parties missed the reclaim: row leaked");
+        let reclaims = [finisher.join().unwrap(), dereferencer.join().unwrap()];
+        assert_eq!(reclaims.iter().filter(|&&r| r).count(), 1, "reclaimed {reclaims:?}");
+        assert!(table.slot(1).is_none(), "both parties missed the reclaim: row leaked");
     });
 }
 
