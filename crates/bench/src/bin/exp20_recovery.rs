@@ -57,8 +57,7 @@ fn scratch(name: &str) -> PathBuf {
 /// buffer, and the journal file persists it epoch by epoch.
 fn open_durable(dir: &Path) -> std::io::Result<(Database<i64>, Recovered<i64>)> {
     let buffer = TraceBuffer::unbounded(4);
-    let mut cc = ShardedMtCc::new(K);
-    cc.attach_trace(TraceSink::to(&buffer));
+    let cc = ShardedMtCc::new(K);
     let config = DurabilityConfig::new(dir.join("wal.log")).journal(dir.join("journal.jsonl"));
     Database::open_durable(
         Protocol::Multiversion(cc),

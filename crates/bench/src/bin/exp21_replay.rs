@@ -65,8 +65,7 @@ fn open_durable(
     checkpoint_every: u64,
 ) -> std::io::Result<(Database<i64>, mdts_storage::Recovered<i64>)> {
     let buffer = TraceBuffer::unbounded(4);
-    let mut cc = ShardedMtCc::new(K);
-    cc.attach_trace(TraceSink::to(&buffer));
+    let cc = ShardedMtCc::new(K);
     let config = DurabilityConfig::new(dir.join("wal.log"))
         .journal(dir.join("journal.jsonl"))
         .checkpoint_every(checkpoint_every);

@@ -14,74 +14,53 @@
 //! * the `trailer` agrees with the body: window/alert counts match, and
 //!   for every counter key baseline + Σ window deltas == final.
 //!
+//! The counter keys are the engine's metrics table
+//! (`mdts_engine::COUNTER_KEYS`), so a counter added there is checked
+//! here with no edit.
+//!
 //! `timeseries_check --stall-fixture` runs the detector over the PR 6
 //! writer-starvation regression fixture (must fire both the starvation
-//! and collapse rules, only after the healthy prefix) and over the
-//! healthy fixture (must stay silent), exiting nonzero otherwise.
+//! and collapse rules, only after the healthy prefix), over the healthy
+//! fixture (must stay silent), and over the drained-tail fixture (must
+//! stay silent, and fire once commits resume), exiting nonzero otherwise.
 
+use mdts_engine::COUNTER_KEYS;
 use mdts_telemetry::{
-    healthy_fixture, writer_starvation_fixture, StallConfig, StallDetector, StallRule,
-    TIMESERIES_SCHEMA,
+    drained_tail_fixture, healthy_fixture, writer_starvation_fixture, StallConfig, StallDetector,
+    StallRule, TIMESERIES_SCHEMA,
 };
 use mdts_trace::Json;
-
-/// Counter keys every window and trailer line must carry — kept in sync
-/// with `mdts_telemetry::window::counters_json`.
-const COUNTER_KEYS: [&str; 19] = [
-    "commits",
-    "aborts",
-    "restarts",
-    "reads",
-    "writes",
-    "ignored_writes",
-    "blocked_waits",
-    "access_aborts",
-    "validation_aborts",
-    "epoch_aborts",
-    "gave_up",
-    "snapshot_txns",
-    "snapshot_reads",
-    "order_cache_hits",
-    "order_cache_misses",
-    "wal_commits",
-    "wal_fsyncs",
-    "wal_bytes",
-    "wal_unacked",
-];
 
 fn fail(msg: &str) -> ! {
     eprintln!("timeseries_check: {msg}");
     std::process::exit(1);
 }
 
-/// Extracts the value of every counter key from a `counters` object,
+/// Extracts the value of every counter key from the `section` object,
 /// failing on a missing key or a non-u64 (i.e. negative) value.
-fn counters(line: usize, obj: &Json) -> Vec<u64> {
-    let c = obj
-        .get("counters")
-        .unwrap_or_else(|| fail(&format!("line {line}: missing counters object")));
+fn counters(line: usize, obj: &Json, section: &str) -> Result<Vec<u64>, String> {
+    let c = obj.get(section).ok_or(format!("line {line}: missing {section} object"))?;
     COUNTER_KEYS
         .iter()
         .map(|key| {
             c.get(key)
-                .unwrap_or_else(|| fail(&format!("line {line}: missing counter {key}")))
+                .ok_or(format!("line {line}: missing counter {key}"))?
                 .as_u64()
-                .unwrap_or_else(|| {
-                    fail(&format!("line {line}: counter {key} is not a non-negative integer"))
-                })
+                .ok_or(format!("line {line}: counter {key} is not a non-negative integer"))
         })
         .collect()
 }
 
-fn validate(doc: &str) -> (u64, u64) {
+/// Checks the document contract; `Ok((windows, alerts))`.
+fn validate(doc: &str) -> Result<(u64, u64), String> {
     let mut lines = doc.lines().enumerate();
-    let (_, first) = lines.next().unwrap_or_else(|| fail("document is empty"));
-    let header = Json::parse(first).unwrap_or_else(|e| fail(&format!("line 1: {e}")));
+    let (_, first) = lines.next().ok_or("document is empty")?;
+    let header = Json::parse(first).map_err(|e| format!("line 1: {e}"))?;
     if header.get("schema").and_then(Json::as_str) != Some(TIMESERIES_SCHEMA) {
-        fail(&format!("header does not carry schema {TIMESERIES_SCHEMA:?}"));
+        return Err(format!("header does not carry schema {TIMESERIES_SCHEMA:?}"));
     }
     if header.get("kind").and_then(Json::as_str) != Some("header") {
-        fail("first line is not the header");
+        return Err("first line is not the header".to_string());
     }
     let mut windows = 0u64;
     let mut alerts = 0u64;
@@ -89,18 +68,18 @@ fn validate(doc: &str) -> (u64, u64) {
     let mut prev_end = 0u64;
     for (i, line) in lines {
         let n = i + 1;
-        let obj = Json::parse(line).unwrap_or_else(|e| fail(&format!("line {n}: {e}")));
+        let obj = Json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
         match obj.get("kind").and_then(Json::as_str) {
             Some("window") => {
                 if alerts > 0 {
-                    fail(&format!("line {n}: window after the alert block"));
+                    return Err(format!("line {n}: window after the alert block"));
                 }
                 let index = obj
                     .get("window")
                     .and_then(Json::as_u64)
-                    .unwrap_or_else(|| fail(&format!("line {n}: missing window index")));
+                    .ok_or(format!("line {n}: missing window index"))?;
                 if index != windows {
-                    fail(&format!(
+                    return Err(format!(
                         "line {n}: window index {index} is not dense (expected {windows})"
                     ));
                 }
@@ -108,20 +87,20 @@ fn validate(doc: &str) -> (u64, u64) {
                 let end = obj.get("t_end_ms").and_then(Json::as_u64);
                 match (start, end) {
                     (Some(s), Some(e)) if e > s && s >= prev_end => prev_end = e,
-                    _ => fail(&format!("line {n}: window edges are not monotone")),
+                    _ => return Err(format!("line {n}: window edges are not monotone")),
                 }
-                for (sum, v) in sums.iter_mut().zip(counters(n, &obj)) {
+                for (sum, v) in sums.iter_mut().zip(counters(n, &obj, "counters")?) {
                     *sum += v;
                 }
                 for section in ["rates", "gauges", "histograms", "phase_total_ns"] {
                     if obj.get(section).is_none() {
-                        fail(&format!("line {n}: window is missing {section}"));
+                        return Err(format!("line {n}: window is missing {section}"));
                     }
                 }
                 for hist in ["commit_latency_ticks", "block_wait_ticks"] {
                     let h = obj.get("histograms").and_then(|hs| hs.get(hist));
                     if h.and_then(|h| h.get("count")).and_then(Json::as_u64).is_none() {
-                        fail(&format!("line {n}: window is missing histogram {hist}"));
+                        return Err(format!("line {n}: window is missing histogram {hist}"));
                     }
                 }
                 windows += 1;
@@ -129,46 +108,42 @@ fn validate(doc: &str) -> (u64, u64) {
             Some("alert") => {
                 for key in ["window", "rule", "value", "baseline"] {
                     if obj.get(key).is_none() {
-                        fail(&format!("line {n}: alert is missing {key}"));
+                        return Err(format!("line {n}: alert is missing {key}"));
                     }
                 }
                 alerts += 1;
             }
             Some("trailer") => {
                 if obj.get("windows").and_then(Json::as_u64) != Some(windows) {
-                    fail(&format!("trailer window count disagrees with {windows} window lines"));
+                    return Err(format!(
+                        "trailer window count disagrees with {windows} window lines"
+                    ));
                 }
                 if obj.get("alerts").and_then(Json::as_u64) != Some(alerts) {
-                    fail(&format!("trailer alert count disagrees with {alerts} alert lines"));
+                    return Err(format!("trailer alert count disagrees with {alerts} alert lines"));
                 }
-                let base = obj
-                    .get("baseline")
-                    .map(|b| {
-                        COUNTER_KEYS
-                            .iter()
-                            .map(|key| b.get(key).and_then(Json::as_u64).unwrap_or(0))
-                            .collect::<Vec<u64>>()
-                    })
-                    .unwrap_or_else(|| fail("trailer is missing the baseline counters"));
-                let fin = counters(n, &obj);
+                let base = counters(n, &obj, "baseline")?;
+                let fin = counters(n, &obj, "counters")?;
                 for (((key, &sum), b), f) in COUNTER_KEYS.iter().zip(&sums).zip(base).zip(fin) {
                     if b + sum != f {
-                        fail(&format!(
+                        return Err(format!(
                             "counter {key}: baseline {b} + window deltas {sum} != final {f}"
                         ));
                     }
                 }
-                return (windows, alerts);
+                return Ok((windows, alerts));
             }
-            other => fail(&format!("line {n}: unknown line kind {other:?}")),
+            other => return Err(format!("line {n}: unknown line kind {other:?}")),
         }
     }
-    fail("document has no trailer line");
+    Err("document has no trailer line".to_string())
 }
 
 /// Certifies the stall-detector regression fixtures: the PR 6
 /// writer-starvation collapse must fire both rules (never inside the
-/// healthy prefix), and the healthy series must stay silent.
+/// healthy prefix), the healthy series and a drained tail must stay
+/// silent, and the drained tail's empty window must fire once commits
+/// resume.
 fn check_fixtures() {
     let fired = StallDetector::scan(StallConfig::default(), &writer_starvation_fixture());
     if !fired.iter().any(|a| a.rule == StallRule::WriterStarvation) {
@@ -184,6 +159,15 @@ fn check_fixtures() {
     if !quiet.is_empty() {
         fail(&format!("healthy fixture raised {} spurious alerts", quiet.len()));
     }
+    let mut tail = drained_tail_fixture();
+    if !StallDetector::scan(StallConfig::default(), &tail).is_empty() {
+        fail("drained-tail fixture: the drained workload's empty window raised an alert");
+    }
+    tail.push(healthy_fixture()[0]);
+    let resumed = StallDetector::scan(StallConfig::default(), &tail);
+    if !resumed.iter().any(|a| a.rule == StallRule::ThroughputCollapse) {
+        fail("drained-tail fixture: the empty window did not fire once commits resumed");
+    }
 }
 
 fn main() {
@@ -197,6 +181,33 @@ fn main() {
         fail("usage: timeseries_check <FILE> | timeseries_check --stall-fixture")
     });
     let doc = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
-    let (windows, alerts) = validate(&doc);
+    let (windows, alerts) = validate(&doc).unwrap_or_else(|e| fail(&e));
     println!("timeseries_check: {path} OK ({windows} windows, {alerts} alerts)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The telemetry crate's golden document: two windows, one alert.
+    const GOLDEN: &str = include_str!("../../../telemetry/src/testdata/timeseries_golden.jsonl");
+
+    #[test]
+    fn golden_document_validates() {
+        assert_eq!(validate(GOLDEN), Ok((2, 1)));
+    }
+
+    /// Every counter of the table recomposes, `batched_compares` included:
+    /// a trailer whose `batched_compares` is not baseline + Σ window
+    /// deltas fails.
+    #[test]
+    fn batched_compares_must_recompose() {
+        let key = "\"batched_compares\":";
+        let trailer = GOLDEN.lines().last().unwrap();
+        // The trailer's final counters come after its baseline.
+        let at = trailer.rfind(key).unwrap() + key.len();
+        let tampered = format!("{}1{}", &trailer[..at], &trailer[at..]);
+        let err = validate(&GOLDEN.replace(trailer, &tampered)).unwrap_err();
+        assert!(err.starts_with("counter batched_compares:"), "{err}");
+    }
 }

@@ -13,11 +13,11 @@ use mdts_baselines::{
     BasicTimestampOrdering, IntervalScheduler, LockManager, LockMode, LockOutcome,
     MvTimestampOrdering, Occ,
 };
-use mdts_core::{
-    BatchedCompareStats, Decision, MtOptions, MtScheduler, NaiveComposite, SharedMtScheduler,
-};
+use mdts_core::{Decision, MtOptions, MtScheduler, NaiveComposite, SharedMtScheduler};
 use mdts_model::{ItemId, TxId};
-use mdts_vector::OrderCacheStats;
+use mdts_trace::TraceSink;
+
+use crate::metrics::MetricsSnapshot;
 
 /// Verdict for one access.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -93,11 +93,17 @@ pub trait ConcurrencyControl: Send {
     /// The transaction aborted; release its resources.
     fn aborted(&mut self, tx: TxId) -> Vec<TxId>;
 
-    /// Write-once order-cache counters, for protocols that keep one
-    /// (the MT(k) schedulers). `None` means "no such cache", which the
-    /// metrics layer reports as zeros.
-    fn order_cache_stats(&self) -> Option<OrderCacheStats> {
-        None
+    /// Routes the protocol's decision trace to `sink`. [`crate::Database`]
+    /// calls this with its own sink before it runs a transaction;
+    /// protocols that trace nothing ignore it.
+    fn attach_trace(&mut self, sink: TraceSink) {
+        let _ = sink;
+    }
+
+    /// Fills the protocol's own rows of the metrics table (sampled
+    /// counters and gauges); protocols that keep none leave `snap` alone.
+    fn sample(&self, snap: &mut MetricsSnapshot) {
+        let _ = snap;
     }
 }
 
@@ -122,13 +128,6 @@ impl MtCc {
     /// MT(k) with explicit options.
     pub fn with_options(opts: MtOptions) -> Self {
         MtCc { sched: MtScheduler::new(opts) }
-    }
-
-    /// Routes the scheduler's decision trace to `sink` (see
-    /// [`MtScheduler::attach_trace`]). Attach before handing the protocol
-    /// to a [`crate::Database`].
-    pub fn attach_trace(&mut self, sink: mdts_trace::TraceSink) {
-        self.sched.attach_trace(sink);
     }
 }
 
@@ -177,8 +176,15 @@ impl ConcurrencyControl for MtCc {
         Vec::new()
     }
 
-    fn order_cache_stats(&self) -> Option<OrderCacheStats> {
-        Some(self.sched.order_cache_stats())
+    fn attach_trace(&mut self, sink: TraceSink) {
+        self.sched.attach_trace(sink);
+    }
+
+    fn sample(&self, snap: &mut MetricsSnapshot) {
+        let cache = self.sched.order_cache_stats();
+        snap.order_cache_hits = cache.hits;
+        snap.order_cache_misses = cache.misses;
+        snap.gauges.order_cache_epoch_flushes = cache.invalidations;
     }
 }
 
@@ -629,39 +635,16 @@ pub trait ConcurrentCc: Send + Sync {
         0
     }
 
-    /// Write-once order-cache counters, for protocols that keep one.
-    /// `None` means "no such cache"; the metrics layer reports zeros.
-    fn order_cache_stats(&self) -> Option<OrderCacheStats> {
-        None
+    /// As [`ConcurrencyControl::attach_trace`], before the protocol is
+    /// shared.
+    fn attach_trace(&mut self, sink: TraceSink) {
+        let _ = sink;
     }
 
-    /// Point-in-time scheduler gauges, for protocols backed by the
-    /// sharded scheduler. `None` means "no such scheduler"; the metrics
-    /// layer reports zeros.
-    fn scheduler_gauges(&self) -> Option<SchedulerGauges> {
-        None
+    /// As [`ConcurrencyControl::sample`].
+    fn sample(&self, snap: &mut MetricsSnapshot) {
+        let _ = snap;
     }
-
-    /// Batched SIMD compare counters (ISSUE 8), for protocols backed by
-    /// the sharded scheduler. `None` means "no batched path"; the
-    /// metrics layer reports zeros.
-    fn batched_compare_stats(&self) -> Option<BatchedCompareStats> {
-        None
-    }
-}
-
-/// Point-in-time occupancy gauges of a concurrent scheduler (see
-/// [`ConcurrentCc::scheduler_gauges`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct SchedulerGauges {
-    /// Live timestamp-vector rows (including `T₀`).
-    pub live_rows: u64,
-    /// Id-index chunks of the row table built so far (they grow with the
-    /// ids issued, 4 bytes per id).
-    pub row_chunks: u64,
-    /// Row slots the row table's arena has built: the most rows ever live
-    /// at once.
-    pub row_slots: u64,
 }
 
 /// Adapter running any sequential [`ConcurrencyControl`] under one mutex
@@ -743,8 +726,12 @@ impl ConcurrentCc for SerializedCc {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    fn order_cache_stats(&self) -> Option<OrderCacheStats> {
-        self.with_inner(|cc| cc.order_cache_stats())
+    fn attach_trace(&mut self, sink: TraceSink) {
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner).attach_trace(sink);
+    }
+
+    fn sample(&self, snap: &mut MetricsSnapshot) {
+        self.with_inner(|cc| cc.sample(snap));
     }
 }
 
@@ -784,13 +771,17 @@ impl ShardedMtCc {
     }
 
     /// Routes the scheduler's decision trace to `sink` (see
-    /// [`SharedMtScheduler::attach_trace`]). Attach before handing the
-    /// protocol to a [`crate::Database`] — the scheduler must not be
-    /// shared yet (panics if another handle exists).
-    pub fn attach_trace(&mut self, sink: mdts_trace::TraceSink) {
-        Arc::get_mut(&mut self.sched)
-            .expect("attach_trace before sharing the scheduler")
-            .attach_trace(sink);
+    /// [`SharedMtScheduler::attach_trace`]). [`crate::Database`] already
+    /// hands the protocol its own sink; this stays for callers that
+    /// attach by hand. Attaching the sink already in force is a no-op;
+    /// any other sink needs the scheduler unshared (panics if another
+    /// handle exists).
+    pub fn attach_trace(&mut self, sink: TraceSink) {
+        if sink.buffer().map(Arc::as_ptr) != self.sched.trace().buffer().map(Arc::as_ptr) {
+            Arc::get_mut(&mut self.sched)
+                .expect("attach_trace before sharing the scheduler")
+                .attach_trace(sink);
+        }
     }
 }
 
@@ -837,19 +828,22 @@ impl ConcurrentCc for ShardedMtCc {
         self.sched.abort(tx);
     }
 
-    fn order_cache_stats(&self) -> Option<OrderCacheStats> {
-        Some(self.sched.order_cache_stats())
+    fn attach_trace(&mut self, sink: TraceSink) {
+        ShardedMtCc::attach_trace(self, sink);
     }
 
-    fn scheduler_gauges(&self) -> Option<SchedulerGauges> {
-        Some(SchedulerGauges {
-            live_rows: self.sched.live_rows() as u64,
-            row_chunks: self.sched.resident_row_chunks() as u64,
-            row_slots: self.sched.row_arena_len() as u64,
-        })
-    }
-
-    fn batched_compare_stats(&self) -> Option<BatchedCompareStats> {
-        Some(self.sched.batched_compare_stats())
+    fn sample(&self, snap: &mut MetricsSnapshot) {
+        let cache = self.sched.order_cache_stats();
+        let batched = self.sched.batched_compare_stats();
+        snap.order_cache_hits = cache.hits;
+        snap.order_cache_misses = cache.misses;
+        snap.batched_compares = batched.candidates;
+        let g = &mut snap.gauges;
+        g.sched_live_rows = self.sched.live_rows() as u64;
+        g.sched_row_chunks = self.sched.resident_row_chunks() as u64;
+        g.sched_row_slots = self.sched.row_arena_len() as u64;
+        g.order_cache_epoch_flushes = cache.invalidations;
+        g.batched_chain_batches = batched.chain_batches;
+        g.batched_size_buckets = batched.size_buckets;
     }
 }

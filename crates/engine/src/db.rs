@@ -199,12 +199,24 @@ impl From<Box<dyn ConcurrencyControl>> for Protocol {
     }
 }
 
+impl Protocol {
+    /// Hands the database's trace sink to the protocol, before its
+    /// scheduler is shared with the multiversion path.
+    fn attach_trace(&mut self, sink: TraceSink) {
+        match self {
+            Protocol::Serialized(cc) => cc.attach_trace(sink),
+            Protocol::Concurrent(cc) => cc.attach_trace(sink),
+            Protocol::Multiversion(cc) => cc.attach_trace(sink),
+        }
+    }
+}
+
 impl<V: Clone + Send + 'static> Database<V> {
     /// A database over the pre-populated `store` under `protocol`, with
-    /// the engine's decision trace routed to `trace`
-    /// ([`TraceSink::disabled`] for none). Attach the *protocol's* trace
-    /// to the same buffer before passing it here (e.g.
-    /// [`ShardedMtCc::attach_trace`]) for a merged, auditable stream.
+    /// the decision trace routed to `trace` ([`TraceSink::disabled`] for
+    /// none). The engine owns the sink: it hands it to the protocol, so
+    /// the protocol's and the engine's events land in one auditable
+    /// stream.
     pub fn open(protocol: impl Into<Protocol>, store: Store<V>, trace: TraceSink) -> Self {
         Database::assemble(protocol.into(), store, trace, (0, 0), None)
     }
@@ -248,12 +260,13 @@ impl<V: Clone + Send + 'static> Database<V> {
     /// `(last transaction id, logical clock)` pair a recovered log left
     /// behind — zeros for a fresh database.
     fn assemble(
-        protocol: Protocol,
+        mut protocol: Protocol,
         store: Store<V>,
         trace: TraceSink,
         resume: (u32, u64),
         durability: Option<Durability<V>>,
     ) -> Self {
+        protocol.attach_trace(trace.clone());
         let (cc, mv): (Box<dyn ConcurrentCc>, _) = match protocol {
             Protocol::Serialized(cc) => (Box::new(SerializedCc::new(cc)), None),
             Protocol::Concurrent(cc) => (cc, None),
@@ -354,58 +367,27 @@ impl<V: Clone + Send + 'static> Database<V> {
         self.shared.store.snapshot()
     }
 
-    /// Current counters. Order-cache hit/miss figures and the subsystem
-    /// gauges are sampled from the protocol and the MV store at call time
-    /// (they live in the scheduler and version store, not in the engine's
-    /// counter block).
+    /// Current counters and gauges: the engine's cell counters summed,
+    /// then every sampled row of the metrics table filled from its source
+    /// — the protocol's [`ConcurrentCc::sample`], the MV store and the
+    /// write-ahead log. Cheap relative to a window interval (one registry
+    /// scan and per-shard read locks), but not a per-transaction call.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.shared.metrics.snapshot();
-        if let Some(stats) = self.shared.cc.order_cache_stats() {
-            snap.order_cache_hits = stats.hits;
-            snap.order_cache_misses = stats.misses;
-        }
-        if let Some(stats) = self.shared.cc.batched_compare_stats() {
-            snap.batched_compares = stats.candidates;
+        self.shared.cc.sample(&mut snap);
+        if let Some(mv) = &self.shared.mv {
+            snap.gauges.apply_mv(&mv.store.stats());
         }
         if let Some(wal) = &self.shared.durability {
-            let (commits, fsyncs, bytes) = wal.stats();
-            snap.wal_commits = commits;
-            snap.wal_fsyncs = fsyncs;
-            snap.wal_bytes = bytes;
+            wal.sample(&mut snap);
         }
-        snap.gauges = self.gauges();
         snap
     }
 
-    /// Point-in-time subsystem gauges: MV chains and GC, the scheduler's
-    /// row table, order-cache epoch flushes. Cheap relative to a window
-    /// interval (one registry scan + per-shard read locks), but not a
-    /// per-transaction call.
+    /// The subsystem gauges of [`metrics`](Self::metrics): MV chains and
+    /// GC, the scheduler's row table, the batched compare path, the WAL.
     pub fn gauges(&self) -> EngineGauges {
-        let mut g = EngineGauges::default();
-        if let Some(mv) = &self.shared.mv {
-            g.apply_mv(&mv.store.stats());
-        }
-        if let Some(sched) = self.shared.cc.scheduler_gauges() {
-            g.sched_live_rows = sched.live_rows;
-            g.sched_row_chunks = sched.row_chunks;
-            g.sched_row_slots = sched.row_slots;
-        }
-        if let Some(stats) = self.shared.cc.order_cache_stats() {
-            g.order_cache_epoch_flushes = stats.invalidations;
-        }
-        if let Some(stats) = self.shared.cc.batched_compare_stats() {
-            g.batched_chain_batches = stats.chain_batches;
-            g.batched_size_buckets = stats.size_buckets;
-        }
-        if let Some(wal) = &self.shared.durability {
-            g.wal_durable_epoch = wal.durable_epoch();
-            g.wal_pending_bytes = wal.pending_bytes();
-            let (checkpoints, truncations) = wal.checkpoint_stats();
-            g.wal_checkpoints = checkpoints;
-            g.wal_truncations = truncations;
-        }
-        g
+        self.metrics().gauges
     }
 
     /// Turns wall-time phase-span timing on or off (off by default; when

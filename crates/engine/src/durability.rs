@@ -58,6 +58,8 @@ use mdts_model::{ItemId, TxId};
 use mdts_storage::wal::{self, CrashPoint, WalValue, WalWriter};
 use mdts_trace::{export, TraceBuffer};
 
+use crate::metrics::MetricsSnapshot;
+
 /// The pseudo-transaction id under which a durable database checkpoints
 /// its initial (or recovered) store contents into the fresh log's first
 /// epoch. Recovery reports it in the committed set like any other
@@ -344,18 +346,19 @@ impl<V> Durability<V> {
         self.core.crashed.load(Ordering::Acquire)
     }
 
-    /// Bytes framed into the open epoch but not yet handed to the daemon.
-    pub(crate) fn pending_bytes(&self) -> u64 {
-        lock(&self.core.state).frames.len() as u64
-    }
-
-    /// `(commits framed, epochs fsynced, bytes fsynced)` so far.
-    pub(crate) fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.core.wal_commits.load(Ordering::Relaxed),
-            self.core.wal_fsyncs.load(Ordering::Relaxed),
-            self.core.wal_bytes.load(Ordering::Relaxed),
-        )
+    /// Fills the log's rows of the metrics table: its cumulative
+    /// counters, and the durable epoch, the bytes framed into the open
+    /// epoch but not yet handed to the daemon, and the checkpoint figures.
+    pub(crate) fn sample(&self, snap: &mut MetricsSnapshot) {
+        let core = &self.core;
+        snap.wal_commits = core.wal_commits.load(Ordering::Relaxed);
+        snap.wal_fsyncs = core.wal_fsyncs.load(Ordering::Relaxed);
+        snap.wal_bytes = core.wal_bytes.load(Ordering::Relaxed);
+        let g = &mut snap.gauges;
+        g.wal_durable_epoch = self.durable_epoch();
+        g.wal_pending_bytes = lock(&core.state).frames.len() as u64;
+        g.wal_checkpoints = core.wal_checkpoints.load(Ordering::Relaxed);
+        g.wal_truncations = core.wal_truncations.load(Ordering::Relaxed);
     }
 
     /// Arms a crash-injection site; the daemon applies it before its
@@ -369,14 +372,6 @@ impl<V> Durability<V> {
     /// ever grows.
     pub(crate) fn install_checkpoint(&self, f: CheckpointFn) {
         *lock(&self.core.checkpoint) = Some(f);
-    }
-
-    /// `(checkpoints written, truncations performed)` so far.
-    pub(crate) fn checkpoint_stats(&self) -> (u64, u64) {
-        (
-            self.core.wal_checkpoints.load(Ordering::Relaxed),
-            self.core.wal_truncations.load(Ordering::Relaxed),
-        )
     }
 }
 

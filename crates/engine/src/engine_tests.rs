@@ -486,6 +486,56 @@ fn row_slots_follow_live_rows_not_ids() {
     assert!(g.sched_live_rows <= g.sched_row_slots);
 }
 
+/// The engine hands its sink to the protocol: without any `attach_trace`
+/// by the caller the buffer holds the protocol's `Set` edges next to the
+/// engine's `Begin`s, and attaching the same sink by hand first changes
+/// nothing — the journal of the same single-client run is event for event
+/// the same. A scheduler already shared opens untraced without a panic.
+#[test]
+fn the_database_owns_the_trace_sink_and_a_second_attach_is_harmless() {
+    use mdts_trace::{TraceBuffer, TraceEvent};
+    let run = |attach_first: bool| {
+        let buffer = TraceBuffer::journal();
+        let mut cc = ShardedMtCc::new(3);
+        if attach_first {
+            cc.attach_trace(TraceSink::to(&buffer));
+        }
+        let db = Database::open(
+            Protocol::Multiversion(cc),
+            Store::with_items(4, 100i64),
+            TraceSink::to(&buffer),
+        );
+        for i in 0..8u32 {
+            db.run(4, |tx| {
+                let (a, b) = (ItemId(i % 4), ItemId((i + 1) % 4));
+                let (va, vb) = (tx.read(a)?.unwrap_or(0), tx.read(b)?.unwrap_or(0));
+                tx.write(a, va - 1)?;
+                tx.write(b, vb + 1)
+            })
+            .unwrap();
+        }
+        buffer.drain().events().cloned().collect::<Vec<_>>()
+    };
+    let once = run(false);
+    assert!(once.iter().any(|e| matches!(e, TraceEvent::SetEdge { .. })), "no protocol event");
+    assert!(once.iter().any(|e| matches!(e, TraceEvent::Begin { .. })), "no engine event");
+    assert_eq!(run(true), once);
+
+    let buffer = TraceBuffer::journal();
+    let db = Database::open(MtCc::new(3), Store::with_items(4, 100i64), TraceSink::to(&buffer));
+    db.run(4, |tx| tx.write(ItemId(0), 1)).unwrap();
+    assert!(buffer.drain().events().any(|e| matches!(e, TraceEvent::SetEdge { .. })));
+
+    let cc = ShardedMtCc::new(3);
+    let _shared = cc.scheduler_arc();
+    let db = Database::open(
+        Protocol::Concurrent(Box::new(cc)),
+        Store::with_items(4, 100i64),
+        TraceSink::disabled(),
+    );
+    db.run(4, |tx| tx.write(ItemId(0), 1)).unwrap();
+}
+
 #[test]
 fn mv_trace_is_audit_certified() {
     use mdts_trace::{audit, TraceBuffer};
@@ -493,8 +543,7 @@ fn mv_trace_is_audit_certified() {
     // buffer, and the auditor's check of what it recorded.
     let journaled = |store: Store<i64>| {
         let buffer = TraceBuffer::journal();
-        let mut cc = ShardedMtCc::new(3);
-        cc.attach_trace(TraceSink::to(&buffer));
+        let cc = ShardedMtCc::new(3);
         let db = Database::open(Protocol::Multiversion(cc), store, TraceSink::to(&buffer));
         (db, buffer)
     };
@@ -770,8 +819,7 @@ mod mv_props {
             // final vector order must certify every served version
             // (reader above its writer, below every later chain writer).
             let buffer = TraceBuffer::journal();
-            let mut cc = ShardedMtCc::new(k);
-            cc.attach_trace(TraceSink::to(&buffer));
+            let cc = ShardedMtCc::new(k);
             let db: Database<i64> = Database::open(
                 Protocol::Multiversion(cc),
                 Store::with_items(ITEMS, 100),
@@ -1215,8 +1263,7 @@ mod durability_tests {
         let dir = scratch("certify");
         {
             let buffer = TraceBuffer::unbounded(4);
-            let mut cc = ShardedMtCc::new(3);
-            cc.attach_trace(TraceSink::to(&buffer));
+            let cc = ShardedMtCc::new(3);
             let config =
                 DurabilityConfig::new(dir.join("wal.log")).journal(dir.join("journal.jsonl"));
             let (db, _) = open(

@@ -59,13 +59,13 @@ pub mod workload;
 
 pub use cc::{
     BasicToCc, CommitDecision, CompositeCc, ConcurrencyControl, ConcurrentCc, IntervalCc, MtCc,
-    MvToCc, OccCc, SchedulerGauges, SerializedCc, ShardedMtCc, TwoPlCc, Verdict,
+    MvToCc, OccCc, SerializedCc, ShardedMtCc, TwoPlCc, Verdict,
 };
 pub use db::{Database, Protocol, SnapshotTx, Tx, TxError};
 pub use durability::{DurabilityConfig, CHECKPOINT_TX};
 pub use metrics::{
     EngineGauges, LatencySnapshot, MetricsSnapshot, Phase, PhaseSnapshot, PhaseTimers,
-    LATENCY_BUCKETS, PHASE_COUNT,
+    COUNTER_KEYS, LATENCY_BUCKETS, PHASE_COUNT,
 };
 pub use workload::{
     bank_database, bank_database_durable, bank_database_multiversion, run_bank_mix,

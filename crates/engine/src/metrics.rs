@@ -3,7 +3,9 @@
 //! and a per-store-shard access breakdown — sampled into snapshots,
 //! subtractable into per-window deltas for the telemetry layer, and
 //! exportable as an `mdts-trace` [`MetricsRegistry`] (the experiment
-//! binaries' `--json` document).
+//! binaries' `--json` document). Every counter and gauge is declared
+//! once, as a row of the `metrics_table!` invocation below; the
+//! snapshot, its arithmetic and both documents are generated from it.
 //!
 //! Everything a transaction writes here — the counters, the logical
 //! clock, the histograms' buckets — is a per-thread cell
@@ -33,44 +35,283 @@ impl<const N: usize> Default for Counters<N> {
     }
 }
 
-/// One thread's share of the engine counters (one stripe of
-/// [`Metrics`]): every field is written by the transactions running on
-/// that thread and read only by a sampler.
-#[derive(Debug, Default)]
-pub(crate) struct MetricCells {
-    pub commits: AtomicU64,
-    pub aborts: AtomicU64,
-    pub restarts: AtomicU64,
-    pub reads: AtomicU64,
-    pub writes: AtomicU64,
-    pub ignored_writes: AtomicU64,
-    pub blocked_waits: AtomicU64,
-    /// Aborts by reason (the trace layer's taxonomy): an access verdict,
-    /// a failed commit validation, or a composite abort-all epoch.
-    pub access_aborts: AtomicU64,
-    pub validation_aborts: AtomicU64,
-    pub epoch_aborts: AtomicU64,
-    /// Transactions that exhausted their restart budget.
-    pub gave_up: AtomicU64,
-    /// Read-only snapshot transactions served by the multiversion path
-    /// (they never abort, restart or block, so they appear in no other
-    /// abort/restart counter).
-    pub snapshot_txns: AtomicU64,
-    /// Item reads served from version chains by snapshot transactions.
-    pub snapshot_reads: AtomicU64,
-    /// Transactions applied in memory whose durability acknowledgement
-    /// never arrived (the WAL halted mid-wait): reported as
-    /// `TxError::DurabilityUnknown`, never retried.
-    pub wal_unacked: AtomicU64,
-    /// This thread's share of the logical clock (see [`Metrics::now`]).
-    clock: AtomicU64,
-    pub latency: LatencyHistogram,
-    /// Blocked-wait *durations* in logical ticks (one sample per
-    /// `blocked_waits` event), not just the event count.
-    pub block_wait_ticks: LatencyHistogram,
-    /// Granted accesses per store shard (reads at fetch, writes at apply).
-    shard_accesses: Counters<SHARD_SLOTS>,
+/// Declares the engine's metrics table (invoked once, below). A counter
+/// row is `cell NAME` — a per-thread `Relaxed` cell of [`MetricCells`],
+/// summed at snapshot time — or `sampled NAME`, a cumulative figure the
+/// database reads from the protocol's `sample` hook or the write-ahead
+/// log. A gauge row is `NAME: TYPE [= SOURCE] => BREAKDOWN.KEY`: a level
+/// (a `u64`, or power-of-two buckets whose registry keys append `2^b` to
+/// `KEY`), filed under `BREAKDOWN` in `mdts-metrics/v1` and under `NAME`
+/// in the `mdts-timeseries/v1` window; `SOURCE` is what `apply_mv` copies
+/// from the MV store's stats. `frozen` fields stay outside the table.
+/// Everything that lists the counters or gauges is generated here, so a
+/// new one is one row plus the line that bumps (or samples) it.
+macro_rules! metrics_table {
+    (
+        counters { $( $(#[doc = $cdoc:literal])* $kind:ident $counter:ident, )* }
+        gauges($mv:ident) {
+            $( $(#[doc = $gdoc:literal])* $gauge:ident: $gty:ty $(= $src:expr)? => $bd:ident.$key:ident, )*
+        }
+        frozen { $($frozen:tt)* }
+    ) => {
+        metric_cells!([] $( $(#[doc = $cdoc])* $kind $counter, )*);
+
+        /// Every counter's key, in document order: the `counters` object
+        /// of both documents, and what `timeseries_check` requires on
+        /// every window and trailer line.
+        pub const COUNTER_KEYS: &[&str] = &[$( stringify!($counter), )*];
+
+        const COUNTERS: usize = COUNTER_KEYS.len();
+
+        const GAUGES: usize = [$( stringify!($gauge), )*].len();
+
+        /// A point-in-time (or, via [`MetricsSnapshot::delta`], per-window)
+        /// view of the engine counters.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub struct MetricsSnapshot {
+            $( $(#[doc = $cdoc])* pub $counter: u64, )*
+            /// Commit latency, in logical ticks.
+            pub latency: LatencySnapshot,
+            /// Blocked-wait durations, in logical ticks.
+            pub block_wait: LatencySnapshot,
+            /// Granted accesses per store shard (index modulo [`SHARD_SLOTS`]).
+            pub shard_accesses: [u64; SHARD_SLOTS],
+            /// Wall-time phase spans (all-zero unless phase timing was enabled).
+            pub phases: PhaseSnapshot,
+            /// Subsystem gauges (levels at sample time, not cumulative totals;
+            /// [`MetricsSnapshot::delta`] carries them through unchanged).
+            pub gauges: EngineGauges,
+        }
+
+        impl Default for MetricsSnapshot {
+            fn default() -> Self {
+                MetricsSnapshot {
+                    $( $counter: 0, )*
+                    latency: LatencySnapshot::default(),
+                    block_wait: LatencySnapshot::default(),
+                    shard_accesses: [0; SHARD_SLOTS],
+                    phases: PhaseSnapshot::default(),
+                    gauges: EngineGauges::default(),
+                }
+            }
+        }
+
+        impl Metrics {
+            /// The cell counters and histograms, summed over the stripes;
+            /// sampled counters and gauges are left 0 for the database to
+            /// fill.
+            pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+                let sum = |f: &dyn Fn(&MetricCells) -> &AtomicU64| {
+                    self.cells.sum(|c| f(c).load(Ordering::Relaxed))
+                };
+                let histogram = |f: fn(&MetricCells) -> &LatencyHistogram| {
+                    LatencySnapshot::from_buckets(std::array::from_fn(|b| {
+                        sum(&|c| &f(c).buckets.0[b])
+                    }))
+                };
+                MetricsSnapshot {
+                    $( $counter: cell_sum!($kind, sum, $counter), )*
+                    latency: histogram(|c| &c.latency),
+                    block_wait: histogram(|c| &c.block_wait_ticks),
+                    shard_accesses: std::array::from_fn(|i| sum(&|c| &c.shard_accesses.0[i])),
+                    phases: self.phases.snapshot(),
+                    gauges: EngineGauges::default(),
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Every counter as `(key, value)`, in document order.
+            pub fn counters(&self) -> [(&'static str, u64); COUNTERS] {
+                [$( (stringify!($counter), self.$counter), )*]
+            }
+
+            /// Every counter, mutably, in document order.
+            pub fn counters_mut(&mut self) -> [&mut u64; COUNTERS] {
+                [$( &mut self.$counter, )*]
+            }
+        }
+
+        /// Point-in-time gauges for the subsystems behind the counters: the
+        /// MV store's chains and GC, the scheduler's row table, the batched
+        /// compare path and the write-ahead log. Gauges are *levels*, not
+        /// totals — a windowed sampler reports them as-is rather than
+        /// subtracting.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+        pub struct EngineGauges {
+            $( $(#[doc = $gdoc])* pub $gauge: $gty, )*
+            $($frozen)*
+        }
+
+        impl EngineGauges {
+            /// Folds an MV-store stats sample into the MV gauge fields.
+            pub fn apply_mv(&mut self, $mv: &MvStoreStats) {
+                $( $( self.$gauge = $src; )? )*
+            }
+
+            /// Every table gauge as `(field, breakdown, key, level)`, in
+            /// table order.
+            fn rows(&self) -> [(&'static str, &'static str, &'static str, &dyn Level); GAUGES] {
+                [$( (stringify!($gauge), stringify!($bd), stringify!($key), &self.$gauge), )*]
+            }
+        }
+    };
 }
+
+/// Emits [`MetricCells`]: one `AtomicU64` per `cell` row of the table, in
+/// table order, then the clock, the histograms and the shard counters.
+macro_rules! metric_cells {
+    ([$($field:tt)*]) => {
+        /// One thread's share of the engine counters (one stripe of
+        /// [`Metrics`]): every field is written by the transactions running
+        /// on that thread and read only by a sampler.
+        #[derive(Debug, Default)]
+        pub(crate) struct MetricCells {
+            $($field)*
+            /// This thread's share of the logical clock (see [`Metrics::now`]).
+            clock: AtomicU64,
+            pub latency: LatencyHistogram,
+            /// Blocked-wait *durations* in logical ticks (one sample per
+            /// `blocked_waits` event), not just the event count.
+            pub block_wait_ticks: LatencyHistogram,
+            /// Granted accesses per store shard (reads at fetch, writes at apply).
+            shard_accesses: Counters<SHARD_SLOTS>,
+        }
+    };
+    ([$($field:tt)*] $(#[$doc:meta])* cell $name:ident, $($rest:tt)*) => {
+        metric_cells!([$($field)* $(#[$doc])* pub $name: AtomicU64,] $($rest)*);
+    };
+    ([$($field:tt)*] $(#[$doc:meta])* sampled $name:ident, $($rest:tt)*) => {
+        metric_cells!([$($field)*] $($rest)*);
+    };
+}
+
+/// A counter's value in [`Metrics::snapshot`]: its cells summed, or 0 for
+/// a sampled counter (the database fills it from its source).
+macro_rules! cell_sum {
+    (cell, $sum:ident, $name:ident) => {
+        $sum(&|c| &c.$name)
+    };
+    (sampled, $sum:ident, $name:ident) => {
+        0
+    };
+}
+
+metrics_table! {
+    counters {
+        /// Committed transactions.
+        cell commits,
+        /// Aborted transaction incarnations (each restart counts its abort).
+        cell aborts,
+        /// Restarts performed by `Database::run`'s retry loop.
+        cell restarts,
+        /// Read accesses granted.
+        cell reads,
+        /// Write accesses granted.
+        cell writes,
+        /// Writes dropped by the Thomas rule.
+        cell ignored_writes,
+        /// Times a transaction had to wait for a lock.
+        cell blocked_waits,
+        /// Aborts from a rejected read/write access.
+        cell access_aborts,
+        /// Aborts from a failed commit validation (deferred writes).
+        cell validation_aborts,
+        /// Aborts caused by a composite abort-all epoch.
+        cell epoch_aborts,
+        /// Transactions that exhausted their restart budget.
+        cell gave_up,
+        /// Read-only snapshot transactions served by the multiversion path
+        /// (they never abort, restart or block, so they appear in no other
+        /// abort/restart counter).
+        cell snapshot_txns,
+        /// Item reads served from version chains by snapshot transactions.
+        cell snapshot_reads,
+        /// Comparisons served by the protocol's write-once order cache
+        /// (0 for protocols without one).
+        sampled order_cache_hits,
+        /// Comparisons that missed the order cache and walked the vectors.
+        sampled order_cache_misses,
+        /// Candidate vectors compared through the batched SIMD one-vs-many
+        /// path (MV chain scans).
+        sampled batched_compares,
+        /// Commit records framed into the write-ahead log (0 without
+        /// durability).
+        sampled wal_commits,
+        /// Group-commit epochs fsynced.
+        sampled wal_fsyncs,
+        /// Bytes fsynced into the write-ahead log.
+        sampled wal_bytes,
+        /// Transactions applied in memory whose durability acknowledgement
+        /// never arrived (the WAL halted mid-wait): reported as
+        /// `TxError::DurabilityUnknown`, never retried.
+        cell wal_unacked,
+    }
+    gauges(mv) {
+        /// Non-empty MV version chains.
+        mv_chains: u64 = mv.chains => mv_store.chains,
+        /// Total MV versions currently kept.
+        mv_versions: u64 = mv.versions => mv_store.versions,
+        /// Longest MV chain.
+        mv_max_chain: u64 = mv.max_chain => mv_store.max_chain,
+        /// MV chain counts by power-of-two length bucket.
+        mv_chain_len_buckets: [u64; MV_CHAIN_LEN_BUCKETS] = mv.chain_len_buckets
+            => mv_chain_lengths.le_,
+        /// MV install ticket frontier.
+        mv_install_seq: u64 = mv.install_seq => mv_store.install_seq,
+        /// How far the GC watermark trails the install frontier.
+        mv_watermark_lag: u64 = mv.watermark_lag() => mv_store.watermark_lag,
+        /// Occupied MV snapshot-registry slots.
+        mv_active_snapshots: u64 = mv.active_snapshots => mv_store.active_snapshots,
+        /// Cumulative MV versions reclaimed by pruning.
+        mv_pruned: u64 = mv.pruned => mv_store.pruned,
+        /// Live timestamp-vector rows in the scheduler (including `T₀`).
+        sched_live_rows: u64 => scheduler.live_rows,
+        /// Id-index chunks of the scheduler's row table (they grow with the
+        /// ids issued, 4 bytes per id).
+        sched_row_chunks: u64 => scheduler.row_chunks,
+        /// Row slots the scheduler's row arena has built: the most rows ever
+        /// live at once.
+        sched_row_slots: u64 => scheduler.row_slots,
+        /// Order-cache epoch flushes (cumulative invalidation count); live
+        /// for as long as the MT(k) schedulers keep their order cache.
+        order_cache_epoch_flushes: u64 => scheduler.order_cache_epoch_flushes,
+        /// Batched SIMD compares issued on the MV chain-walk path.
+        batched_chain_batches: u64 => batched_compare.chain_batches,
+        /// Batch-size distribution by power-of-two bucket (`le_1`, `le_2`,
+        /// `le_4`, …; the last bucket absorbs everything larger).
+        batched_size_buckets: [u64; BATCH_SIZE_BUCKETS] => batched_compare.size_le_,
+        /// Highest WAL epoch fsynced so far (0 without durability).
+        wal_durable_epoch: u64 => wal.durable_epoch,
+        /// Bytes framed into the open WAL epoch but not yet fsynced.
+        wal_pending_bytes: u64 => wal.pending_bytes,
+        /// WAL checkpoint frames written by the daemon (cumulative; 0 with
+        /// checkpointing off).
+        wal_checkpoints: u64 => wal.checkpoints,
+        /// WAL prefix truncations performed after those checkpoints.
+        wal_truncations: u64 => wal.truncations,
+    }
+    frozen {
+        /// Always 0: the prewarm probe that issued these batches is gone.
+        /// Kept only for the frozen benchmark harness, which reads it.
+        pub batched_probe_batches: u64,
+        /// Always 0: the batched admission queue these four counted is gone
+        /// (admission is one id `fetch_add` and a scheduler `begin` on the
+        /// caller's thread). Kept only for the frozen benchmark harness,
+        /// whose `admission.*` metrics are the count gate that it is gone.
+        pub admit_batches: u64,
+        /// Always 0 (see `admit_batches`).
+        pub admit_batched_txns: u64,
+        /// Always 0 (see `admit_batches`).
+        pub admit_parked: u64,
+        /// Always 0 (see `admit_batches`).
+        pub admit_prewarm_pairs: u64,
+    }
+}
+
+// A stripe is its 14 cell counters, the clock and three 64-slot blocks,
+// unpadded: 1,656 bytes. A new `cell` row moves this by 8.
+const _: () = assert!(std::mem::size_of::<MetricCells>() == 1656);
 
 impl MetricCells {
     pub(crate) fn bump_shard(&self, shard: usize) {
@@ -118,36 +359,6 @@ impl Metrics {
     /// and exact whenever no other thread is mid-tick.
     pub(crate) fn now(&self) -> u64 {
         self.cells.sum(|c| c.clock.load(Ordering::Relaxed))
-    }
-
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let sum = |f: &dyn Fn(&MetricCells) -> &AtomicU64| {
-            self.cells.sum(|c| f(c).load(Ordering::Relaxed))
-        };
-        let histogram = |f: fn(&MetricCells) -> &LatencyHistogram| {
-            LatencySnapshot::from_buckets(std::array::from_fn(|b| sum(&|c| &f(c).buckets.0[b])))
-        };
-        MetricsSnapshot {
-            commits: sum(&|c| &c.commits),
-            aborts: sum(&|c| &c.aborts),
-            restarts: sum(&|c| &c.restarts),
-            reads: sum(&|c| &c.reads),
-            writes: sum(&|c| &c.writes),
-            ignored_writes: sum(&|c| &c.ignored_writes),
-            blocked_waits: sum(&|c| &c.blocked_waits),
-            access_aborts: sum(&|c| &c.access_aborts),
-            validation_aborts: sum(&|c| &c.validation_aborts),
-            epoch_aborts: sum(&|c| &c.epoch_aborts),
-            gave_up: sum(&|c| &c.gave_up),
-            snapshot_txns: sum(&|c| &c.snapshot_txns),
-            snapshot_reads: sum(&|c| &c.snapshot_reads),
-            wal_unacked: sum(&|c| &c.wal_unacked),
-            latency: histogram(|c| &c.latency),
-            block_wait: histogram(|c| &c.block_wait_ticks),
-            shard_accesses: std::array::from_fn(|i| sum(&|c| &c.shard_accesses.0[i])),
-            phases: self.phases.snapshot(),
-            ..MetricsSnapshot::default()
-        }
     }
 }
 
@@ -261,7 +472,7 @@ impl PhaseTimers {
 
 /// A point-in-time (or, via [`MetricsSnapshot::delta`], per-window) view
 /// of the phase timers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PhaseSnapshot {
     /// Whether timing was enabled when sampled.
     pub enabled: bool,
@@ -269,16 +480,6 @@ pub struct PhaseSnapshot {
     pub total_ns: [u64; PHASE_COUNT],
     /// Span-duration histograms per phase, in nanoseconds.
     pub spans: [LatencySnapshot; PHASE_COUNT],
-}
-
-impl Default for PhaseSnapshot {
-    fn default() -> Self {
-        PhaseSnapshot {
-            enabled: false,
-            total_ns: [0; PHASE_COUNT],
-            spans: [LatencySnapshot::default(); PHASE_COUNT],
-        }
-    }
 }
 
 impl PhaseSnapshot {
@@ -292,82 +493,65 @@ impl PhaseSnapshot {
         }
         out
     }
+
+    /// Adds a window's [`delta`](Self::delta) on top (totals and buckets
+    /// add; `enabled` comes from `window`).
+    pub fn accumulate(&mut self, window: &PhaseSnapshot) {
+        for p in 0..PHASE_COUNT {
+            self.total_ns[p] += window.total_ns[p];
+            self.spans[p] = self.spans[p].merge(&window.spans[p]);
+        }
+        self.enabled = window.enabled;
+    }
 }
 
-/// Point-in-time gauges for the subsystems behind the counters: the MV
-/// store's chains and GC, the scheduler's row table, and the order
-/// cache's epoch flushes. Gauges are *levels*, not totals — a windowed
-/// sampler reports them as-is rather than subtracting.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct EngineGauges {
-    /// Non-empty MV version chains.
-    pub mv_chains: u64,
-    /// Total MV versions currently kept.
-    pub mv_versions: u64,
-    /// Longest MV chain.
-    pub mv_max_chain: u64,
-    /// MV chain counts by power-of-two length bucket.
-    pub mv_chain_len_buckets: [u64; MV_CHAIN_LEN_BUCKETS],
-    /// MV install ticket frontier.
-    pub mv_install_seq: u64,
-    /// How far the GC watermark trails the install frontier.
-    pub mv_watermark_lag: u64,
-    /// Occupied MV snapshot-registry slots.
-    pub mv_active_snapshots: u64,
-    /// Cumulative MV versions reclaimed by pruning.
-    pub mv_pruned: u64,
-    /// Live timestamp-vector rows in the scheduler (including `T₀`).
-    pub sched_live_rows: u64,
-    /// Id-index chunks of the scheduler's row table (they grow with the
-    /// ids issued, 4 bytes per id).
-    pub sched_row_chunks: u64,
-    /// Row slots the scheduler's row arena has built: the most rows ever
-    /// live at once.
-    pub sched_row_slots: u64,
-    /// Order-cache epoch flushes (cumulative invalidation count).
-    pub order_cache_epoch_flushes: u64,
-    /// Always 0: the prewarm probe that issued these batches is gone. The
-    /// frozen benchmark harness still reads the field.
-    pub batched_probe_batches: u64,
-    /// Batched SIMD compares issued on the MV chain-walk path.
-    pub batched_chain_batches: u64,
-    /// Batch-size distribution by power-of-two bucket (`le_1`, `le_2`,
-    /// `le_4`, …; the last bucket absorbs everything larger).
-    pub batched_size_buckets: [u64; BATCH_SIZE_BUCKETS],
-    /// Highest WAL epoch fsynced so far (0 without durability).
-    pub wal_durable_epoch: u64,
-    /// Bytes framed into the open WAL epoch but not yet fsynced.
-    pub wal_pending_bytes: u64,
-    /// WAL checkpoint frames written by the daemon (cumulative; ISSUE
-    /// 10 periodic checkpointing, 0 with checkpointing off).
-    pub wal_checkpoints: u64,
-    /// WAL prefix truncations performed after those checkpoints.
-    pub wal_truncations: u64,
-    /// Always 0: the batched admission queue these four counted was
-    /// removed in PR 22 (admission is one id `fetch_add` and a scheduler
-    /// `begin` on the caller's thread). The fields stay because the
-    /// frozen benchmark harness reads them — its `admission.*` metrics
-    /// are the count gate that the queue is gone.
-    pub admit_batches: u64,
-    /// Always 0 (see `admit_batches`).
-    pub admit_batched_txns: u64,
-    /// Always 0 (see `admit_batches`).
-    pub admit_parked: u64,
-    /// Always 0 (see `admit_batches`).
-    pub admit_prewarm_pairs: u64,
+/// A gauge's value in the documents: a scalar, or power-of-two buckets.
+trait Level {
+    /// The window document's JSON value.
+    fn json(&self) -> Json;
+    /// The registry entries under `key`; buckets append `2^b` to it.
+    fn entries(&self, key: &str, out: &mut Vec<(String, u64)>);
+}
+
+impl Level for u64 {
+    fn json(&self) -> Json {
+        Json::U64(*self)
+    }
+
+    fn entries(&self, key: &str, out: &mut Vec<(String, u64)>) {
+        out.push((key.to_string(), *self));
+    }
+}
+
+impl<const N: usize> Level for [u64; N] {
+    fn json(&self) -> Json {
+        Json::Arr(self.iter().map(|&n| Json::U64(n)).collect())
+    }
+
+    fn entries(&self, key: &str, out: &mut Vec<(String, u64)>) {
+        out.extend(self.iter().enumerate().map(|(b, &n)| (format!("{key}{}", 1u64 << b), n)));
+    }
 }
 
 impl EngineGauges {
-    /// Folds an MV-store stats sample into the MV gauge fields.
-    pub fn apply_mv(&mut self, stats: &MvStoreStats) {
-        self.mv_chains = stats.chains;
-        self.mv_versions = stats.versions;
-        self.mv_max_chain = stats.max_chain;
-        self.mv_chain_len_buckets = stats.chain_len_buckets;
-        self.mv_install_seq = stats.install_seq;
-        self.mv_watermark_lag = stats.watermark_lag();
-        self.mv_active_snapshots = stats.active_snapshots;
-        self.mv_pruned = stats.pruned;
+    /// The `gauges` object of an `mdts-timeseries/v1` window: every table
+    /// gauge under its field name.
+    pub fn to_json(&self) -> Json {
+        Json::obj(self.rows().iter().map(|&(field, _, _, level)| (field, level.json())).collect())
+    }
+
+    /// The `mdts-metrics/v1` gauge breakdowns: every table gauge under its
+    /// key, grouped by breakdown in order of first appearance.
+    fn breakdowns(&self) -> Vec<(&'static str, Vec<(String, u64)>)> {
+        let mut out: Vec<(&'static str, Vec<(String, u64)>)> = Vec::new();
+        for (_, breakdown, key, level) in self.rows() {
+            let at = out.iter().position(|&(b, _)| b == breakdown).unwrap_or_else(|| {
+                out.push((breakdown, Vec::new()));
+                out.len() - 1
+            });
+            level.entries(key, &mut out[at].1);
+        }
+        out
     }
 }
 
@@ -489,101 +673,6 @@ impl LatencySnapshot {
     }
 }
 
-/// A point-in-time view of the engine counters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct MetricsSnapshot {
-    /// Committed transactions.
-    pub commits: u64,
-    /// Aborted transaction incarnations (each restart counts its abort).
-    pub aborts: u64,
-    /// Restarts performed by the retry driver.
-    pub restarts: u64,
-    /// Read accesses granted.
-    pub reads: u64,
-    /// Write accesses granted.
-    pub writes: u64,
-    /// Writes dropped by the Thomas rule.
-    pub ignored_writes: u64,
-    /// Times a transaction had to wait for a lock.
-    pub blocked_waits: u64,
-    /// Aborts from a rejected read/write access.
-    pub access_aborts: u64,
-    /// Aborts from a failed commit validation (deferred writes).
-    pub validation_aborts: u64,
-    /// Aborts caused by a composite abort-all epoch.
-    pub epoch_aborts: u64,
-    /// Transactions that exhausted their restart budget.
-    pub gave_up: u64,
-    /// Read-only snapshot transactions served by the multiversion path.
-    pub snapshot_txns: u64,
-    /// Item reads served from version chains by snapshot transactions.
-    pub snapshot_reads: u64,
-    /// Comparisons served by the protocol's write-once order cache
-    /// (0 for protocols without one; sampled from the protocol, not a
-    /// client-side counter).
-    pub order_cache_hits: u64,
-    /// Comparisons that missed the order cache and walked the vectors.
-    pub order_cache_misses: u64,
-    /// Candidate vectors compared through the batched SIMD one-vs-many
-    /// path (MV chain scans; sampled from the protocol like the
-    /// order-cache figures).
-    pub batched_compares: u64,
-    /// Commit records framed into the write-ahead log (0 without
-    /// durability; sampled from the group-commit core, like the
-    /// order-cache figures).
-    pub wal_commits: u64,
-    /// Group-commit epochs fsynced.
-    pub wal_fsyncs: u64,
-    /// Bytes fsynced into the write-ahead log.
-    pub wal_bytes: u64,
-    /// Transactions applied in memory whose durability acknowledgement
-    /// never arrived (`TxError::DurabilityUnknown`).
-    pub wal_unacked: u64,
-    /// Commit latency, in logical ticks.
-    pub latency: LatencySnapshot,
-    /// Blocked-wait durations, in logical ticks.
-    pub block_wait: LatencySnapshot,
-    /// Granted accesses per store shard (index modulo [`SHARD_SLOTS`]).
-    pub shard_accesses: [u64; SHARD_SLOTS],
-    /// Wall-time phase spans (all-zero unless phase timing was enabled).
-    pub phases: PhaseSnapshot,
-    /// Subsystem gauges (levels at sample time, not cumulative totals;
-    /// [`MetricsSnapshot::delta`] carries them through unchanged).
-    pub gauges: EngineGauges,
-}
-
-impl Default for MetricsSnapshot {
-    fn default() -> Self {
-        MetricsSnapshot {
-            commits: 0,
-            aborts: 0,
-            restarts: 0,
-            reads: 0,
-            writes: 0,
-            ignored_writes: 0,
-            blocked_waits: 0,
-            access_aborts: 0,
-            validation_aborts: 0,
-            epoch_aborts: 0,
-            gave_up: 0,
-            snapshot_txns: 0,
-            snapshot_reads: 0,
-            order_cache_hits: 0,
-            order_cache_misses: 0,
-            batched_compares: 0,
-            wal_commits: 0,
-            wal_fsyncs: 0,
-            wal_bytes: 0,
-            wal_unacked: 0,
-            latency: LatencySnapshot::default(),
-            block_wait: LatencySnapshot::default(),
-            shard_accesses: [0; SHARD_SLOTS],
-            phases: PhaseSnapshot::default(),
-            gauges: EngineGauges::default(),
-        }
-    }
-}
-
 impl MetricsSnapshot {
     /// Aborts per commit — the abort-rate figure the experiments report.
     pub fn abort_rate(&self) -> f64 {
@@ -593,104 +682,63 @@ impl MetricsSnapshot {
         self.aborts as f64 / self.commits as f64
     }
 
-    /// The activity between `prev` and `self`: every counter and
-    /// histogram bucket subtracts (saturating); gauges, being levels,
-    /// come through from `self` unchanged. This is the windowed-sampler
-    /// primitive — summing consecutive deltas from a zero baseline
-    /// reproduces the cumulative snapshot exactly (counters and buckets;
-    /// quantiles are recomputed per window).
+    /// The activity between `prev` and `self`: every counter and histogram
+    /// bucket subtracts (saturating); gauges, being levels, come through
+    /// from `self` unchanged. This is the windowed-sampler primitive —
+    /// summing consecutive deltas from a zero baseline reproduces the
+    /// cumulative snapshot exactly (counters and buckets; quantiles are
+    /// recomputed per window).
     pub fn delta(&self, prev: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut shard_accesses = [0u64; SHARD_SLOTS];
-        for (out, (&a, &b)) in
-            shard_accesses.iter_mut().zip(self.shard_accesses.iter().zip(&prev.shard_accesses))
-        {
-            *out = a.saturating_sub(b);
-        }
-        MetricsSnapshot {
-            commits: self.commits.saturating_sub(prev.commits),
-            aborts: self.aborts.saturating_sub(prev.aborts),
-            restarts: self.restarts.saturating_sub(prev.restarts),
-            reads: self.reads.saturating_sub(prev.reads),
-            writes: self.writes.saturating_sub(prev.writes),
-            ignored_writes: self.ignored_writes.saturating_sub(prev.ignored_writes),
-            blocked_waits: self.blocked_waits.saturating_sub(prev.blocked_waits),
-            access_aborts: self.access_aborts.saturating_sub(prev.access_aborts),
-            validation_aborts: self.validation_aborts.saturating_sub(prev.validation_aborts),
-            epoch_aborts: self.epoch_aborts.saturating_sub(prev.epoch_aborts),
-            gave_up: self.gave_up.saturating_sub(prev.gave_up),
-            snapshot_txns: self.snapshot_txns.saturating_sub(prev.snapshot_txns),
-            snapshot_reads: self.snapshot_reads.saturating_sub(prev.snapshot_reads),
-            order_cache_hits: self.order_cache_hits.saturating_sub(prev.order_cache_hits),
-            order_cache_misses: self.order_cache_misses.saturating_sub(prev.order_cache_misses),
-            batched_compares: self.batched_compares.saturating_sub(prev.batched_compares),
-            wal_commits: self.wal_commits.saturating_sub(prev.wal_commits),
-            wal_fsyncs: self.wal_fsyncs.saturating_sub(prev.wal_fsyncs),
-            wal_bytes: self.wal_bytes.saturating_sub(prev.wal_bytes),
-            wal_unacked: self.wal_unacked.saturating_sub(prev.wal_unacked),
+        let mut out = MetricsSnapshot {
             latency: self.latency.diff(&prev.latency),
             block_wait: self.block_wait.diff(&prev.block_wait),
-            shard_accesses,
+            shard_accesses: std::array::from_fn(|i| {
+                self.shard_accesses[i].saturating_sub(prev.shard_accesses[i])
+            }),
             phases: self.phases.delta(&prev.phases),
-            gauges: self.gauges,
+            ..*self
+        };
+        for (n, (_, p)) in out.counters_mut().into_iter().zip(prev.counters()) {
+            *n = n.saturating_sub(p);
         }
+        out
+    }
+
+    /// Adds a window's [`delta`](Self::delta) on top: counters and
+    /// histogram buckets add; gauges and phase `enabled` come from
+    /// `window` (levels, not totals).
+    pub fn accumulate(&mut self, window: &MetricsSnapshot) {
+        for (n, (_, d)) in self.counters_mut().into_iter().zip(window.counters()) {
+            *n += d;
+        }
+        self.latency = self.latency.merge(&window.latency);
+        self.block_wait = self.block_wait.merge(&window.block_wait);
+        for (a, &b) in self.shard_accesses.iter_mut().zip(&window.shard_accesses) {
+            *a += b;
+        }
+        self.phases.accumulate(&window.phases);
+        self.gauges = window.gauges;
+    }
+
+    /// The `counters` object shared by the `mdts-timeseries/v1` window
+    /// (deltas) and trailer (cumulative) lines.
+    pub fn counters_json(&self) -> Json {
+        Json::obj(self.counters().iter().map(|&(key, n)| (key, Json::U64(n))).collect())
     }
 
     /// Converts the snapshot into the serializable registry behind the
     /// experiment binaries' `--json` output: every counter, the full
     /// commit-latency histogram, and the per-shard access breakdown.
     pub fn registry(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new()
-            .counter("commits", self.commits)
-            .counter("aborts", self.aborts)
-            .counter("restarts", self.restarts)
-            .counter("reads", self.reads)
-            .counter("writes", self.writes)
-            .counter("ignored_writes", self.ignored_writes)
-            .counter("blocked_waits", self.blocked_waits)
-            .counter("access_aborts", self.access_aborts)
-            .counter("validation_aborts", self.validation_aborts)
-            .counter("epoch_aborts", self.epoch_aborts)
-            .counter("gave_up", self.gave_up)
-            .counter("snapshot_txns", self.snapshot_txns)
-            .counter("snapshot_reads", self.snapshot_reads)
-            .counter("order_cache_hits", self.order_cache_hits)
-            .counter("order_cache_misses", self.order_cache_misses)
-            .counter("batched_compares", self.batched_compares)
-            .counter("wal_commits", self.wal_commits)
-            .counter("wal_fsyncs", self.wal_fsyncs)
-            .counter("wal_bytes", self.wal_bytes)
-            .counter("wal_unacked", self.wal_unacked)
-            .histogram(HistogramExport {
-                name: "commit_latency_ticks".to_string(),
-                count: self.latency.count,
-                quantiles: vec![
-                    ("p50".to_string(), self.latency.p50),
-                    ("p95".to_string(), self.latency.p95),
-                    ("p99".to_string(), self.latency.p99),
-                ],
-                buckets: self.latency.buckets.to_vec(),
-            })
-            .histogram(HistogramExport {
-                name: "block_wait_ticks".to_string(),
-                count: self.block_wait.count,
-                quantiles: vec![
-                    ("p50".to_string(), self.block_wait.p50),
-                    ("p95".to_string(), self.block_wait.p95),
-                    ("p99".to_string(), self.block_wait.p99),
-                ],
-                buckets: self.block_wait.buckets.to_vec(),
-            });
+        let mut reg = MetricsRegistry::new();
+        for (key, n) in self.counters() {
+            reg = reg.counter(key, n);
+        }
+        reg = reg
+            .histogram(histogram_export("commit_latency_ticks".to_string(), &self.latency))
+            .histogram(histogram_export("block_wait_ticks".to_string(), &self.block_wait));
         for (p, span) in Phase::ALL.iter().zip(&self.phases.spans) {
-            reg = reg.histogram(HistogramExport {
-                name: format!("phase_{}_ns", p.name()),
-                count: span.count,
-                quantiles: vec![
-                    ("p50".to_string(), span.p50),
-                    ("p95".to_string(), span.p95),
-                    ("p99".to_string(), span.p99),
-                ],
-                buckets: span.buckets.to_vec(),
-            });
+            reg = reg.histogram(histogram_export(format!("phase_{}_ns", p.name()), span));
         }
         reg = reg.breakdown(
             "abort_reasons",
@@ -708,66 +756,36 @@ impl MetricsSnapshot {
                 .map(|(p, &ns)| (p.name().to_string(), ns))
                 .collect(),
         );
-        let g = &self.gauges;
-        reg = reg.breakdown(
-            "mv_store",
-            vec![
-                ("chains".to_string(), g.mv_chains),
-                ("versions".to_string(), g.mv_versions),
-                ("max_chain".to_string(), g.mv_max_chain),
-                ("install_seq".to_string(), g.mv_install_seq),
-                ("watermark_lag".to_string(), g.mv_watermark_lag),
-                ("active_snapshots".to_string(), g.mv_active_snapshots),
-                ("pruned".to_string(), g.mv_pruned),
-            ],
-        );
-        reg = reg.breakdown(
-            "mv_chain_lengths",
-            g.mv_chain_len_buckets
+        for (name, entries) in self.gauges.breakdowns() {
+            reg = reg.breakdown(name, entries);
+        }
+        reg.breakdown(
+            "shard_accesses",
+            self.shard_accesses
                 .iter()
                 .enumerate()
-                .map(|(b, &n)| (format!("le_{}", 1u64 << b), n))
+                .map(|(i, &n)| (format!("shard{i}"), n))
                 .collect(),
-        );
-        reg = reg.breakdown(
-            "scheduler",
-            vec![
-                ("live_rows".to_string(), g.sched_live_rows),
-                ("row_chunks".to_string(), g.sched_row_chunks),
-                ("row_slots".to_string(), g.sched_row_slots),
-                ("order_cache_epoch_flushes".to_string(), g.order_cache_epoch_flushes),
-            ],
-        );
-        let mut batched = vec![("chain_batches".to_string(), g.batched_chain_batches)];
-        batched.extend(
-            g.batched_size_buckets
-                .iter()
-                .enumerate()
-                .map(|(b, &n)| (format!("size_le_{}", 1u64 << b), n)),
-        );
-        reg = reg.breakdown("batched_compare", batched);
-        reg = reg.breakdown(
-            "wal",
-            vec![
-                ("durable_epoch".to_string(), g.wal_durable_epoch),
-                ("pending_bytes".to_string(), g.wal_pending_bytes),
-                ("checkpoints".to_string(), g.wal_checkpoints),
-                ("truncations".to_string(), g.wal_truncations),
-            ],
-        );
-        let entries: Vec<(String, u64)> = self
-            .shard_accesses
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (format!("shard{i}"), n))
-            .collect();
-        reg = reg.breakdown("shard_accesses", entries);
-        reg
+        )
     }
 
     /// The registry rendered as a JSON value.
     pub fn to_json(&self) -> Json {
         self.registry().to_json()
+    }
+}
+
+/// A histogram's registry export: count, headline quantiles, buckets.
+fn histogram_export(name: String, h: &LatencySnapshot) -> HistogramExport {
+    HistogramExport {
+        name,
+        count: h.count,
+        quantiles: vec![
+            ("p50".to_string(), h.p50),
+            ("p95".to_string(), h.p95),
+            ("p99".to_string(), h.p99),
+        ],
+        buckets: h.buckets.to_vec(),
     }
 }
 
@@ -861,6 +879,55 @@ mod tests {
         assert!(rendered.contains("\"mv_store\""), "{rendered}");
         assert!(rendered.contains("\"versions\":17"), "{rendered}");
         assert!(rendered.contains("\"shard5\":9"), "{rendered}");
+    }
+
+    /// A snapshot with every field non-zero and no two counters equal, so
+    /// a dropped, renamed or swapped key changes its rendering.
+    pub(crate) fn full_snapshot() -> MetricsSnapshot {
+        let hist =
+            |seed: u64| LatencySnapshot::from_buckets(std::array::from_fn(|b| seed + b as u64 % 7));
+        let mut s = MetricsSnapshot::default();
+        for (i, n) in s.counters_mut().into_iter().enumerate() {
+            *n = i as u64 + 1;
+        }
+        s.latency = hist(100);
+        s.block_wait = hist(200);
+        s.shard_accesses = std::array::from_fn(|i| 300 + i as u64);
+        s.phases.enabled = true;
+        s.phases.total_ns = std::array::from_fn(|p| 1_000 + p as u64);
+        s.phases.spans = std::array::from_fn(|p| hist(400 + 10 * p as u64));
+        let g = &mut s.gauges;
+        g.mv_chains = 21;
+        g.mv_versions = 22;
+        g.mv_max_chain = 23;
+        g.mv_chain_len_buckets = std::array::from_fn(|b| 500 + b as u64);
+        g.mv_install_seq = 24;
+        g.mv_watermark_lag = 25;
+        g.mv_active_snapshots = 26;
+        g.mv_pruned = 27;
+        g.sched_live_rows = 28;
+        g.sched_row_chunks = 29;
+        g.sched_row_slots = 30;
+        g.order_cache_epoch_flushes = 31;
+        g.batched_probe_batches = 32;
+        g.batched_chain_batches = 33;
+        g.batched_size_buckets = std::array::from_fn(|b| 600 + b as u64);
+        g.wal_durable_epoch = 34;
+        g.wal_pending_bytes = 35;
+        g.wal_checkpoints = 36;
+        g.wal_truncations = 37;
+        g.admit_batches = 38;
+        g.admit_batched_txns = 39;
+        g.admit_parked = 40;
+        g.admit_prewarm_pairs = 41;
+        s
+    }
+
+    /// The `mdts-metrics/v1` registry of [`full_snapshot`], byte for byte.
+    #[test]
+    fn registry_document_is_golden() {
+        let rendered = full_snapshot().to_json().render();
+        assert_eq!(rendered, include_str!("testdata/registry_golden.json").trim_end());
     }
 
     #[test]

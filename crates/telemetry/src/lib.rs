@@ -27,8 +27,8 @@ pub mod window;
 
 pub use sampler::{Sampler, SamplerConfig};
 pub use stall::{
-    healthy_fixture, writer_starvation_fixture, Alert, StallConfig, StallDetector, StallRule,
-    WindowStats,
+    drained_tail_fixture, healthy_fixture, writer_starvation_fixture, Alert, StallConfig,
+    StallDetector, StallRule,
 };
 pub use window::{TimeSeries, Window, TIMESERIES_SCHEMA};
 
@@ -81,6 +81,65 @@ mod tests {
             alerts: Vec::new(),
             final_snapshot: fin,
         }
+    }
+
+    /// A window delta with every counter, histogram and gauge non-zero
+    /// and no two counters equal (`n` offsets them per window).
+    fn full_delta(n: u64) -> MetricsSnapshot {
+        let hist =
+            |seed: u64| LatencySnapshot::from_buckets(std::array::from_fn(|b| seed + b as u64 % 5));
+        let mut s = MetricsSnapshot::default();
+        for (i, c) in s.counters_mut().into_iter().enumerate() {
+            *c = 1_000 * n + i as u64 + 1;
+        }
+        s.latency = hist(10 * n);
+        s.block_wait = hist(20 * n);
+        s.shard_accesses = std::array::from_fn(|i| n + i as u64);
+        s.phases.enabled = true;
+        s.phases.total_ns = std::array::from_fn(|p| 100 * n + p as u64);
+        s.phases.spans = std::array::from_fn(|p| hist(30 * n + p as u64));
+        let g = &mut s.gauges;
+        g.mv_chains = 100 * n + 21;
+        g.mv_versions = 100 * n + 22;
+        g.mv_max_chain = 100 * n + 23;
+        g.mv_chain_len_buckets = std::array::from_fn(|b| 100 * n + 50 + b as u64);
+        g.mv_install_seq = 100 * n + 24;
+        g.mv_watermark_lag = 100 * n + 25;
+        g.mv_active_snapshots = 100 * n + 26;
+        g.mv_pruned = 100 * n + 27;
+        g.sched_live_rows = 100 * n + 28;
+        g.sched_row_chunks = 100 * n + 29;
+        g.sched_row_slots = 100 * n + 30;
+        g.order_cache_epoch_flushes = 100 * n + 31;
+        g.batched_chain_batches = 100 * n + 33;
+        g.batched_size_buckets = std::array::from_fn(|b| 100 * n + 70 + b as u64);
+        g.wal_durable_epoch = 100 * n + 34;
+        g.wal_pending_bytes = 100 * n + 35;
+        g.wal_checkpoints = 100 * n + 36;
+        g.wal_truncations = 100 * n + 37;
+        s
+    }
+
+    /// The `mdts-timeseries/v1` document of a fixed two-window series
+    /// with one alert, byte for byte.
+    #[test]
+    fn timeseries_document_is_golden() {
+        let window = |index: u64| Window {
+            index,
+            t_start_ms: 10 * index,
+            t_end_ms: 10 * index + 10,
+            delta: full_delta(index + 1),
+        };
+        let mut ts = series(vec![window(0), window(1)], MetricsSnapshot::default());
+        ts.baseline = full_delta(7);
+        ts.final_snapshot = ts.sum_of_deltas();
+        ts.alerts.push(Alert {
+            window: 1,
+            rule: StallRule::AbortSpike,
+            value: 2_002.0,
+            baseline: 40.5,
+        });
+        assert_eq!(ts.to_jsonl(), include_str!("testdata/timeseries_golden.jsonl"));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use mdts_engine::{Database, MetricsSnapshot};
 
-use crate::stall::{StallConfig, StallDetector, WindowStats};
+use crate::stall::{StallConfig, StallDetector};
 use crate::window::{TimeSeries, Window};
 
 /// Sampler parameters.
@@ -132,7 +132,7 @@ fn sample_loop<V: Clone + Send + Sync + 'static>(
         // stall. It closes the recomposition sum but is never judged.
         if !done {
             if let Some(det) = &mut detector {
-                for alert in det.observe(window.index, WindowStats::from(&window)) {
+                for alert in det.observe(window.index, &window.delta) {
                     db.emit_telemetry_alert(alert.window, alert.rule, alert.value, alert.baseline);
                     series.alerts.push(alert);
                 }

@@ -13,13 +13,18 @@
 //!   commits (commits − snapshot transactions) flatline — read-only
 //!   traffic healthy, writers starved.
 //!
-//! The detector is deliberately cheap and deterministic: a handful of
-//! ring-buffered sums per window, no clock, no allocation after
-//! construction beyond the returned alerts.
+//! A window without a commit is judged like any other, but what fires on
+//! it is held until a later window commits: a workload that drained
+//! before the sampler stopped leaves such windows at the tail of a run,
+//! and they are not a stall. Held alerts still open when the stream ends
+//! are dropped.
+//!
+//! The detector is deliberately cheap and deterministic: it reads the
+//! window's [`MetricsSnapshot`] delta, keeps a short ring of past windows,
+//! no clock, no allocation after construction beyond the alerts.
 
+use mdts_engine::MetricsSnapshot;
 pub use mdts_trace::StallRule;
-
-use crate::window::Window;
 
 /// One stall-detector firing.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -75,36 +80,9 @@ impl Default for StallConfig {
     }
 }
 
-/// The per-window figures the rules consume — extracted from a live
-/// [`Window`], or synthesized directly for fixtures.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct WindowStats {
-    /// Committed transactions (update + snapshot) in the window.
-    pub commits: u64,
-    /// Aborted incarnations in the window.
-    pub aborts: u64,
-    /// Read-only snapshot transactions in the window.
-    pub snapshot_txns: u64,
-    /// Version-chain reads served in the window.
-    pub snapshot_reads: u64,
-}
-
-impl WindowStats {
-    /// Update (writer) commits: total commits minus the snapshot lane.
-    pub fn update_commits(&self) -> u64 {
-        self.commits.saturating_sub(self.snapshot_txns)
-    }
-}
-
-impl From<&Window> for WindowStats {
-    fn from(w: &Window) -> Self {
-        WindowStats {
-            commits: w.delta.commits,
-            aborts: w.delta.aborts,
-            snapshot_txns: w.delta.snapshot_txns,
-            snapshot_reads: w.delta.snapshot_reads,
-        }
-    }
+/// Update (writer) commits: total commits minus the snapshot lane.
+fn update_commits(w: &MetricsSnapshot) -> u64 {
+    w.commits.saturating_sub(w.snapshot_txns)
 }
 
 /// Online rule engine; feed windows in order with [`StallDetector::observe`].
@@ -112,31 +90,42 @@ impl From<&Window> for WindowStats {
 pub struct StallDetector {
     cfg: StallConfig,
     /// Trailing window ring, newest last.
-    history: Vec<WindowStats>,
+    history: Vec<MetricsSnapshot>,
     seen: usize,
+    /// Alerts fired on windows without a commit, held until a later
+    /// window commits.
+    held: Vec<Alert>,
 }
 
 impl StallDetector {
     /// Detector with the given thresholds.
     pub fn new(cfg: StallConfig) -> Self {
-        StallDetector { cfg, history: Vec::with_capacity(cfg.trailing_windows), seen: 0 }
+        StallDetector {
+            cfg,
+            history: Vec::with_capacity(cfg.trailing_windows),
+            seen: 0,
+            held: Vec::new(),
+        }
     }
 
-    fn mean(&self, f: impl Fn(&WindowStats) -> u64) -> f64 {
+    fn mean(&self, f: impl Fn(&MetricsSnapshot) -> u64) -> f64 {
         if self.history.is_empty() {
             return 0.0;
         }
         self.history.iter().map(|w| f(w) as f64).sum::<f64>() / self.history.len() as f64
     }
 
-    /// Evaluates one window against the trailing baseline and rolls the
-    /// baseline forward. Returns every rule that fired (possibly none).
-    pub fn observe(&mut self, index: u64, stats: WindowStats) -> Vec<Alert> {
+    /// Evaluates one window's delta against the trailing baseline and
+    /// rolls the baseline forward. Returns every alert released by this
+    /// window (possibly none): its own firings, after those held on
+    /// earlier windows without a commit — or nothing, holding its own
+    /// firings, if this window has no commit either.
+    pub fn observe(&mut self, index: u64, stats: &MetricsSnapshot) -> Vec<Alert> {
         let mut alerts = Vec::new();
         if self.seen >= self.cfg.warmup_windows {
             let mean_commits = self.mean(|w| w.commits);
             let mean_aborts = self.mean(|w| w.aborts);
-            let mean_updates = self.mean(WindowStats::update_commits);
+            let mean_updates = self.mean(update_commits);
             let mean_snap_reads = self.mean(|w| w.snapshot_reads);
 
             if mean_commits >= self.cfg.min_mean_commits
@@ -160,14 +149,14 @@ impl StallDetector {
                 });
             }
             if mean_updates >= self.cfg.min_mean_updates
-                && (stats.update_commits() as f64) < self.cfg.starvation_factor * mean_updates
+                && (update_commits(stats) as f64) < self.cfg.starvation_factor * mean_updates
                 && stats.snapshot_reads as f64 >= 0.5 * mean_snap_reads
                 && stats.snapshot_reads > 0
             {
                 alerts.push(Alert {
                     window: index,
                     rule: StallRule::WriterStarvation,
-                    value: stats.update_commits() as f64,
+                    value: update_commits(stats) as f64,
                     baseline: mean_updates,
                 });
             }
@@ -176,16 +165,27 @@ impl StallDetector {
         if self.history.len() == self.cfg.trailing_windows {
             self.history.remove(0);
         }
-        self.history.push(stats);
-        alerts
+        self.history.push(*stats);
+        if stats.commits == 0 {
+            self.held.append(&mut alerts);
+            return alerts;
+        }
+        let mut released = std::mem::take(&mut self.held);
+        released.append(&mut alerts);
+        released
     }
 
     /// Runs a whole fixture through a fresh detector, collecting every
-    /// firing.
-    pub fn scan(cfg: StallConfig, series: &[WindowStats]) -> Vec<Alert> {
+    /// released alert.
+    pub fn scan(cfg: StallConfig, series: &[MetricsSnapshot]) -> Vec<Alert> {
         let mut det = StallDetector::new(cfg);
-        series.iter().enumerate().flat_map(|(i, &s)| det.observe(i as u64, s)).collect()
+        series.iter().enumerate().flat_map(|(i, s)| det.observe(i as u64, s)).collect()
     }
+}
+
+/// A fixture window: only the figures the rules read are set.
+fn window(commits: u64, aborts: u64, snapshot_txns: u64, snapshot_reads: u64) -> MetricsSnapshot {
+    MetricsSnapshot { commits, aborts, snapshot_txns, snapshot_reads, ..MetricsSnapshot::default() }
 }
 
 /// The PR 6 pre-fix writer-starvation collapse, reduced to per-window
@@ -194,28 +194,34 @@ impl StallDetector {
 /// bimodal floor while the snapshot lane keeps streaming reads. The
 /// detector must fire [`StallRule::ThroughputCollapse`] *and*
 /// [`StallRule::WriterStarvation`] on this series.
-pub fn writer_starvation_fixture() -> Vec<WindowStats> {
-    let healthy = |i: u64| WindowStats {
-        commits: 17_500 + (i % 3) * 400,
-        aborts: 210 + (i % 5) * 22,
-        snapshot_txns: 8_600 + (i % 4) * 120,
-        snapshot_reads: 34_400 + (i % 4) * 480,
+pub fn writer_starvation_fixture() -> Vec<MetricsSnapshot> {
+    let healthy = |i: u64| {
+        window(
+            17_500 + (i % 3) * 400,
+            210 + (i % 5) * 22,
+            8_600 + (i % 4) * 120,
+            34_400 + (i % 4) * 480,
+        )
     };
     // Starvation onset: the snapshot lane still streams at full rate
     // while the update lane flatlines.
-    let starved = |i: u64| WindowStats {
-        commits: 9_000 + (i % 3) * 90,
-        aborts: 260 + (i % 4) * 18,
-        snapshot_txns: 8_700 + (i % 4) * 110,
-        snapshot_reads: 34_800 + (i % 3) * 390,
+    let starved = |i: u64| {
+        window(
+            9_000 + (i % 3) * 90,
+            260 + (i % 4) * 18,
+            8_700 + (i % 4) * 110,
+            34_800 + (i % 3) * 390,
+        )
     };
     // Full bimodal floor: the whole system drops to the 2–30k txn/s
     // band (≈1.5k per 250 ms window at the bottom).
-    let collapsed = |i: u64| WindowStats {
-        commits: 1_400 + (i % 3) * 60,
-        aborts: 240 + (i % 4) * 16,
-        snapshot_txns: 1_100 + (i % 3) * 40,
-        snapshot_reads: 4_400 + (i % 3) * 160,
+    let collapsed = |i: u64| {
+        window(
+            1_400 + (i % 3) * 60,
+            240 + (i % 4) * 16,
+            1_100 + (i % 3) * 40,
+            4_400 + (i % 3) * 160,
+        )
     };
     (0..10).map(healthy).chain((10..13).map(starved)).chain((13..16).map(collapsed)).collect()
 }
@@ -223,15 +229,29 @@ pub fn writer_starvation_fixture() -> Vec<WindowStats> {
 /// Four consecutive healthy 16-thread read-heavy runs' worth of windows:
 /// saturated throughput with ordinary noise. The detector must stay
 /// silent on this series.
-pub fn healthy_fixture() -> Vec<WindowStats> {
+pub fn healthy_fixture() -> Vec<MetricsSnapshot> {
     (0..64u64)
-        .map(|i| WindowStats {
-            commits: 17_000 + (i * 467 % 1_900),
-            aborts: 180 + (i * 83 % 120),
-            snapshot_txns: 8_400 + (i * 211 % 700),
-            snapshot_reads: 33_600 + (i * 661 % 2_600),
+        .map(|i| {
+            window(
+                17_000 + (i * 467 % 1_900),
+                180 + (i * 83 % 120),
+                8_400 + (i * 211 % 700),
+                33_600 + (i * 661 % 2_600),
+            )
         })
         .collect()
+}
+
+/// Sixteen healthy windows, then one without a commit: the workload
+/// drained and a window closed before the sampler stopped (the exp17
+/// tail flake). The detector must stay silent on this series — and fire
+/// [`StallRule::ThroughputCollapse`] on the empty window once a later
+/// window commits again.
+pub fn drained_tail_fixture() -> Vec<MetricsSnapshot> {
+    let mut series = healthy_fixture();
+    series.truncate(16);
+    series.push(MetricsSnapshot::default());
+    series
 }
 
 #[cfg(test)]
@@ -257,15 +277,16 @@ mod tests {
 
     #[test]
     fn silent_on_healthy_runs() {
-        let alerts = StallDetector::scan(StallConfig::default(), &healthy_fixture());
-        assert!(alerts.is_empty(), "healthy noise must not alert: {alerts:?}");
+        for series in [healthy_fixture(), drained_tail_fixture()] {
+            let alerts = StallDetector::scan(StallConfig::default(), &series);
+            assert!(alerts.is_empty(), "a healthy run must not alert: {alerts:?}");
+        }
     }
 
     #[test]
     fn collapse_fires_on_throughput_cliff() {
-        let mut series: Vec<WindowStats> =
-            (0..8).map(|_| WindowStats { commits: 10_000, ..WindowStats::default() }).collect();
-        series.push(WindowStats { commits: 800, ..WindowStats::default() });
+        let mut series: Vec<MetricsSnapshot> = (0..8).map(|_| window(10_000, 0, 0, 0)).collect();
+        series.push(window(800, 0, 0, 0));
         let alerts = StallDetector::scan(StallConfig::default(), &series);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].rule, StallRule::ThroughputCollapse);
@@ -276,10 +297,8 @@ mod tests {
 
     #[test]
     fn abort_spike_fires_before_throughput_dips() {
-        let mut series: Vec<WindowStats> = (0..8)
-            .map(|_| WindowStats { commits: 10_000, aborts: 40, ..WindowStats::default() })
-            .collect();
-        series.push(WindowStats { commits: 9_500, aborts: 2_000, ..WindowStats::default() });
+        let mut series: Vec<MetricsSnapshot> = (0..8).map(|_| window(10_000, 40, 0, 0)).collect();
+        series.push(window(9_500, 2_000, 0, 0));
         let alerts = StallDetector::scan(StallConfig::default(), &series);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].rule, StallRule::AbortSpike);
@@ -287,17 +306,25 @@ mod tests {
 
     #[test]
     fn idle_engine_never_alerts() {
-        let series = vec![WindowStats::default(); 32];
+        let series = vec![MetricsSnapshot::default(); 32];
         assert!(StallDetector::scan(StallConfig::default(), &series).is_empty());
     }
 
     #[test]
     fn warmup_suppresses_early_windows() {
         // A cliff inside the warmup period is not judged.
-        let series = vec![
-            WindowStats { commits: 10_000, ..WindowStats::default() },
-            WindowStats { commits: 100, ..WindowStats::default() },
-        ];
+        let series = vec![window(10_000, 0, 0, 0), window(100, 0, 0, 0)];
         assert!(StallDetector::scan(StallConfig::default(), &series).is_empty());
+    }
+
+    #[test]
+    fn an_empty_window_fires_once_commits_resume() {
+        let mut series = drained_tail_fixture();
+        series.push(healthy_fixture()[16]);
+        let alerts = StallDetector::scan(StallConfig::default(), &series);
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert_eq!(alerts[0].rule, StallRule::ThroughputCollapse);
+        assert_eq!(alerts[0].window, 16);
+        assert_eq!(alerts[0].value, 0.0);
     }
 }

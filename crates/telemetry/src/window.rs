@@ -74,33 +74,6 @@ pub struct TimeSeries {
     pub final_snapshot: MetricsSnapshot,
 }
 
-/// Counter fields shared by window (delta) and trailer (cumulative)
-/// lines — one place so the schema cannot drift between the two.
-fn counters_json(s: &MetricsSnapshot) -> Json {
-    Json::obj(vec![
-        ("commits", Json::U64(s.commits)),
-        ("aborts", Json::U64(s.aborts)),
-        ("restarts", Json::U64(s.restarts)),
-        ("reads", Json::U64(s.reads)),
-        ("writes", Json::U64(s.writes)),
-        ("ignored_writes", Json::U64(s.ignored_writes)),
-        ("blocked_waits", Json::U64(s.blocked_waits)),
-        ("access_aborts", Json::U64(s.access_aborts)),
-        ("validation_aborts", Json::U64(s.validation_aborts)),
-        ("epoch_aborts", Json::U64(s.epoch_aborts)),
-        ("gave_up", Json::U64(s.gave_up)),
-        ("snapshot_txns", Json::U64(s.snapshot_txns)),
-        ("snapshot_reads", Json::U64(s.snapshot_reads)),
-        ("order_cache_hits", Json::U64(s.order_cache_hits)),
-        ("order_cache_misses", Json::U64(s.order_cache_misses)),
-        ("batched_compares", Json::U64(s.batched_compares)),
-        ("wal_commits", Json::U64(s.wal_commits)),
-        ("wal_fsyncs", Json::U64(s.wal_fsyncs)),
-        ("wal_bytes", Json::U64(s.wal_bytes)),
-        ("wal_unacked", Json::U64(s.wal_unacked)),
-    ])
-}
-
 fn histogram_json(h: &LatencySnapshot) -> Json {
     Json::obj(vec![
         ("count", Json::U64(h.count)),
@@ -128,13 +101,12 @@ impl TimeSeries {
         let d = &w.delta;
         let secs = w.seconds();
         let cache_lookups = d.order_cache_hits + d.order_cache_misses;
-        let g = &d.gauges;
         Json::obj(vec![
             ("kind", Json::str("window")),
             ("window", Json::U64(w.index)),
             ("t_start_ms", Json::U64(w.t_start_ms)),
             ("t_end_ms", Json::U64(w.t_end_ms)),
-            ("counters", counters_json(d)),
+            ("counters", d.counters_json()),
             (
                 "rates",
                 Json::obj(vec![
@@ -152,33 +124,7 @@ impl TimeSeries {
                     ),
                 ]),
             ),
-            (
-                "gauges",
-                Json::obj(vec![
-                    ("mv_chains", Json::U64(g.mv_chains)),
-                    ("mv_versions", Json::U64(g.mv_versions)),
-                    ("mv_max_chain", Json::U64(g.mv_max_chain)),
-                    (
-                        "mv_chain_len_buckets",
-                        Json::Arr(g.mv_chain_len_buckets.iter().map(|&n| Json::U64(n)).collect()),
-                    ),
-                    ("mv_install_seq", Json::U64(g.mv_install_seq)),
-                    ("mv_watermark_lag", Json::U64(g.mv_watermark_lag)),
-                    ("mv_active_snapshots", Json::U64(g.mv_active_snapshots)),
-                    ("mv_pruned", Json::U64(g.mv_pruned)),
-                    ("sched_live_rows", Json::U64(g.sched_live_rows)),
-                    ("sched_row_chunks", Json::U64(g.sched_row_chunks)),
-                    ("sched_row_slots", Json::U64(g.sched_row_slots)),
-                    ("order_cache_epoch_flushes", Json::U64(g.order_cache_epoch_flushes)),
-                    ("batched_chain_batches", Json::U64(g.batched_chain_batches)),
-                    (
-                        "batched_size_buckets",
-                        Json::Arr(g.batched_size_buckets.iter().map(|&n| Json::U64(n)).collect()),
-                    ),
-                    ("wal_durable_epoch", Json::U64(g.wal_durable_epoch)),
-                    ("wal_pending_bytes", Json::U64(g.wal_pending_bytes)),
-                ]),
-            ),
+            ("gauges", d.gauges.to_json()),
             (
                 "histograms",
                 Json::obj(vec![
@@ -218,8 +164,8 @@ impl TimeSeries {
             ("kind", Json::str("trailer")),
             ("windows", Json::U64(self.windows.len() as u64)),
             ("alerts", Json::U64(self.alerts.len() as u64)),
-            ("baseline", counters_json(&self.baseline)),
-            ("counters", counters_json(&self.final_snapshot)),
+            ("baseline", self.baseline.counters_json()),
+            ("counters", self.final_snapshot.counters_json()),
         ])
     }
 
@@ -248,40 +194,7 @@ impl TimeSeries {
     pub fn sum_of_deltas(&self) -> MetricsSnapshot {
         let mut acc = self.baseline;
         for w in &self.windows {
-            let d = &w.delta;
-            acc.commits += d.commits;
-            acc.aborts += d.aborts;
-            acc.restarts += d.restarts;
-            acc.reads += d.reads;
-            acc.writes += d.writes;
-            acc.ignored_writes += d.ignored_writes;
-            acc.blocked_waits += d.blocked_waits;
-            acc.access_aborts += d.access_aborts;
-            acc.validation_aborts += d.validation_aborts;
-            acc.epoch_aborts += d.epoch_aborts;
-            acc.gave_up += d.gave_up;
-            acc.snapshot_txns += d.snapshot_txns;
-            acc.snapshot_reads += d.snapshot_reads;
-            acc.order_cache_hits += d.order_cache_hits;
-            acc.order_cache_misses += d.order_cache_misses;
-            acc.batched_compares += d.batched_compares;
-            acc.wal_commits += d.wal_commits;
-            acc.wal_fsyncs += d.wal_fsyncs;
-            acc.wal_bytes += d.wal_bytes;
-            acc.wal_unacked += d.wal_unacked;
-            acc.latency = acc.latency.merge(&d.latency);
-            acc.block_wait = acc.block_wait.merge(&d.block_wait);
-            for (a, &b) in acc.shard_accesses.iter_mut().zip(&d.shard_accesses) {
-                *a += b;
-            }
-            for (a, &b) in acc.phases.total_ns.iter_mut().zip(&d.phases.total_ns) {
-                *a += b;
-            }
-            for (a, b) in acc.phases.spans.iter_mut().zip(&d.phases.spans) {
-                *a = a.merge(b);
-            }
-            acc.phases.enabled = d.phases.enabled;
-            acc.gauges = d.gauges;
+            acc.accumulate(&w.delta);
         }
         acc
     }

@@ -202,8 +202,7 @@ fn store() -> Store<i64> {
 fn traced_sharded(order_cache: bool) -> (Database<i64>, Arc<TraceBuffer>) {
     let buffer = TraceBuffer::unbounded(16);
     let opts = MtOptions { starvation_flush: true, order_cache, ..MtOptions::new(3) };
-    let mut cc = ShardedMtCc::with_options(opts);
-    cc.attach_trace(TraceSink::to(&buffer));
+    let cc = ShardedMtCc::with_options(opts);
     let db = Database::open(Protocol::Concurrent(Box::new(cc)), store(), TraceSink::to(&buffer));
     (db, buffer)
 }
@@ -237,11 +236,10 @@ fn sharded_mtk_without_order_cache_survives_zipf_hotspot() {
 #[test]
 fn serialized_mtk_survives_zipf_hotspot() {
     let buffer = TraceBuffer::unbounded(4);
-    let mut cc = MtCc::new(3);
-    cc.attach_trace(TraceSink::to(&buffer));
+    let cc = MtCc::new(3);
     stress_with_audit(
         "MT(3)/8t",
-        Database::open(cc, store(), TraceSink::disabled()),
+        Database::open(cc, store(), TraceSink::to(&buffer)),
         8,
         Some((buffer, 3, CacheExpectation::Hits)),
     );
