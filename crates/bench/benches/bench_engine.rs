@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mdts_engine::{
-    run_bank_mix, BankConfig, BasicToCc, ConcurrencyControl, IntervalCc, MtCc, OccCc, TwoPlCc,
+    run_bank_mix, BankConfig, BasicToCc, ConcurrentCc, IntervalCc, MtCc, OccCc, TwoPlCc,
 };
 
 fn cfg() -> BankConfig {
@@ -21,7 +21,7 @@ fn cfg() -> BankConfig {
 fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_bank_mix");
     group.sample_size(10);
-    type Make = fn() -> Box<dyn ConcurrencyControl>;
+    type Make = fn() -> Box<dyn ConcurrentCc>;
     let cases: Vec<(&str, Make)> = vec![
         ("mt3", || Box::new(MtCc::new(3))),
         ("2pl", || Box::new(TwoPlCc::new())),

@@ -16,7 +16,7 @@ use std::time::Duration;
 use mdts_bench::{json_mode, metrics_document, print_table, Table};
 use mdts_engine::{
     bank_database_multiversion, run_bank_mix, run_bank_mix_db, BankConfig, BasicToCc, CompositeCc,
-    ConcurrencyControl, IntervalCc, MtCc, OccCc, TwoPlCc,
+    ConcurrentCc, IntervalCc, MtCc, OccCc, TwoPlCc,
 };
 use mdts_telemetry::{Sampler, SamplerConfig, StallConfig};
 
@@ -29,7 +29,7 @@ const TELEMETRY_INTERVAL: Duration = Duration::from_millis(10);
 /// chunk build is large enough to stall a window.
 const TELEMETRY_TXNS_PER_THREAD: usize = 24_000;
 
-fn protocols() -> Vec<Box<dyn ConcurrencyControl>> {
+fn protocols() -> Vec<Box<dyn ConcurrentCc>> {
     vec![
         Box::new(MtCc::new(3)),
         Box::new(CompositeCc::new(3)),

@@ -1,12 +1,14 @@
-//! The [`ConcurrencyControl`] trait and one adapter per protocol.
+//! The [`ConcurrentCc`] trait and one adapter per protocol.
 //!
 //! All adapters work in the deferred-write discipline (VI-C-2): `write`
 //! *announces* a write (locks under 2PL, records elsewhere); value
 //! visibility is the engine's business, and the protocols validate the
-//! deferred writes in [`ConcurrencyControl::validate_commit`].
+//! deferred writes in [`ConcurrentCc::validate_commit`]. Sharded MT(k)
+//! synchronizes internally; each other adapter holds its sequential
+//! scheduler behind one mutex of its own.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mdts_baselines::basic_to::ToVerdict;
 use mdts_baselines::{
@@ -14,7 +16,7 @@ use mdts_baselines::{
     MvTimestampOrdering, Occ,
 };
 use mdts_core::{Decision, MtOptions, MtScheduler, NaiveComposite, SharedMtScheduler};
-use mdts_model::{ItemId, TxId};
+use mdts_model::{ItemId, Operation, TxId};
 use mdts_trace::TraceSink;
 
 use crate::metrics::MetricsSnapshot;
@@ -57,44 +59,71 @@ impl CommitDecision {
     }
 }
 
-/// A pluggable concurrency-control protocol.
+/// A concurrency-control protocol, driven from many client threads at
+/// once.
 ///
 /// Item-granular; value management is the engine's job. Implementations
-/// are driven under the engine's global lock, so they need no internal
-/// synchronization.
-pub trait ConcurrencyControl: Send {
+/// synchronize internally: sharded MT(k) ([`ShardedMtCc`]) natively, every
+/// other adapter by keeping its sequential scheduler behind a mutex of its
+/// own, so its decisions are serialized while store access, write
+/// buffering and waiting are not. The engine calls `read` while holding
+/// the item's *store* shard lock and `validate_commit` while holding every
+/// store shard of the write set, so a grant and the value access it
+/// authorizes are atomic; implementations must therefore never acquire
+/// store shards themselves.
+pub trait ConcurrentCc: Send + Sync {
     /// Protocol name for reports.
     fn name(&self) -> &'static str;
 
-    /// A new transaction begins.
-    fn begin(&mut self, tx: TxId);
+    /// A new transaction begins. Protocols with nothing to register keep
+    /// the default, which does nothing.
+    fn begin(&self, tx: TxId) {
+        let _ = tx;
+    }
 
     /// A restart of `aborted` begins as `new_tx` (protocols with restart
     /// hints — the MT(k) starvation fix, TO's fresh timestamps — use this).
-    fn begin_restarted(&mut self, new_tx: TxId, aborted: TxId) {
+    fn begin_restarted(&self, new_tx: TxId, aborted: TxId) {
         let _ = aborted;
         self.begin(new_tx);
     }
 
     /// Client reads `item`.
-    fn read(&mut self, tx: TxId, item: ItemId) -> Verdict;
+    fn read(&self, tx: TxId, item: ItemId) -> Verdict;
 
     /// Client announces a write of `item` (value stays in the private
     /// workspace until commit).
-    fn write(&mut self, tx: TxId, item: ItemId) -> Verdict;
+    fn write(&self, tx: TxId, item: ItemId) -> Verdict;
 
     /// Validate the deferred writes and decide the commit.
-    fn validate_commit(&mut self, tx: TxId, writes: &[ItemId]) -> CommitDecision;
+    fn validate_commit(&self, tx: TxId, writes: &[ItemId]) -> CommitDecision;
 
-    /// The transaction committed; release its resources. Returns
-    /// transactions whose blocked requests may now proceed.
-    fn committed(&mut self, tx: TxId) -> Vec<TxId>;
+    /// The transaction committed; release its resources (the engine wakes
+    /// any blocked waiters itself). The default does nothing.
+    fn committed(&self, tx: TxId) {
+        let _ = tx;
+    }
 
-    /// The transaction aborted; release its resources.
-    fn aborted(&mut self, tx: TxId) -> Vec<TxId>;
+    /// The transaction aborted; release its resources. The default does
+    /// nothing.
+    fn aborted(&self, tx: TxId) {
+        let _ = tx;
+    }
+
+    /// Abort-all epoch counter. Only MT(k⁺) ([`CompositeCc`]) overrides
+    /// it: its all-subprotocols-stopped rule demands an abort of every
+    /// active transaction, and it bumps the epoch *before* returning that
+    /// verdict, inside its own critical section — so any later protocol
+    /// call by another thread observes the new epoch. A transaction that
+    /// was granted an access or a commit re-checks the epoch it started
+    /// under and aborts on mismatch, which closes the race between a reset
+    /// and in-flight grants from the fresh state.
+    fn epoch(&self) -> u64 {
+        0
+    }
 
     /// Routes the protocol's decision trace to `sink`. [`crate::Database`]
-    /// calls this with its own sink before it runs a transaction;
+    /// calls this with its own sink before the protocol is shared;
     /// protocols that trace nothing ignore it.
     fn attach_trace(&mut self, sink: TraceSink) {
         let _ = sink;
@@ -107,6 +136,12 @@ pub trait ConcurrencyControl: Send {
     }
 }
 
+/// Locks a sequential scheduler. Poison-tolerant: a panic inside one
+/// protocol call must not take every later client down with it.
+fn lock<T>(sched: &Mutex<T>) -> MutexGuard<'_, T> {
+    sched.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 // ---------------------------------------------------------------------
 // MT(k)
 // ---------------------------------------------------------------------
@@ -115,7 +150,7 @@ pub trait ConcurrencyControl: Send {
 /// against `RT`/`WT`), writes when the transaction commits — exactly the
 /// two-phase-commit variant of Section VI-C-2.
 pub struct MtCc {
-    sched: MtScheduler,
+    sched: Mutex<MtScheduler>,
 }
 
 impl MtCc {
@@ -127,38 +162,39 @@ impl MtCc {
 
     /// MT(k) with explicit options.
     pub fn with_options(opts: MtOptions) -> Self {
-        MtCc { sched: MtScheduler::new(opts) }
+        MtCc { sched: Mutex::new(MtScheduler::new(opts)) }
     }
 }
 
-impl ConcurrencyControl for MtCc {
+impl ConcurrentCc for MtCc {
     fn name(&self) -> &'static str {
         "MT(k)"
     }
 
-    fn begin(&mut self, tx: TxId) {
-        self.sched.begin(tx);
+    fn begin(&self, tx: TxId) {
+        lock(&self.sched).begin(tx);
     }
 
-    fn begin_restarted(&mut self, new_tx: TxId, aborted: TxId) {
-        self.sched.begin_restarted(new_tx, aborted);
+    fn begin_restarted(&self, new_tx: TxId, aborted: TxId) {
+        lock(&self.sched).begin_restarted(new_tx, aborted);
     }
 
-    fn read(&mut self, tx: TxId, item: ItemId) -> Verdict {
-        match self.sched.read(tx, item) {
+    fn read(&self, tx: TxId, item: ItemId) -> Verdict {
+        match lock(&self.sched).read(tx, item) {
             Decision::Accept { .. } => Verdict::Granted,
             Decision::Reject(_) => Verdict::Abort,
         }
     }
 
-    fn write(&mut self, _tx: TxId, _item: ItemId) -> Verdict {
+    fn write(&self, _tx: TxId, _item: ItemId) -> Verdict {
         Verdict::Granted // deferred: validated at commit
     }
 
-    fn validate_commit(&mut self, tx: TxId, writes: &[ItemId]) -> CommitDecision {
+    fn validate_commit(&self, tx: TxId, writes: &[ItemId]) -> CommitDecision {
+        let mut sched = lock(&self.sched);
         let mut skip = Vec::new();
         for &item in writes {
-            match self.sched.write(tx, item) {
+            match sched.write(tx, item) {
                 Decision::Accept { ignored } => skip.extend(ignored),
                 Decision::Reject(_) => return CommitDecision::Abort,
             }
@@ -166,22 +202,20 @@ impl ConcurrencyControl for MtCc {
         CommitDecision::Commit { skip }
     }
 
-    fn committed(&mut self, tx: TxId) -> Vec<TxId> {
-        self.sched.commit(tx);
-        Vec::new()
+    fn committed(&self, tx: TxId) {
+        lock(&self.sched).commit(tx);
     }
 
-    fn aborted(&mut self, tx: TxId) -> Vec<TxId> {
-        self.sched.abort(tx);
-        Vec::new()
+    fn aborted(&self, tx: TxId) {
+        lock(&self.sched).abort(tx);
     }
 
     fn attach_trace(&mut self, sink: TraceSink) {
-        self.sched.attach_trace(sink);
+        self.sched.get_mut().unwrap_or_else(PoisonError::into_inner).attach_trace(sink);
     }
 
     fn sample(&self, snap: &mut MetricsSnapshot) {
-        let cache = self.sched.order_cache_stats();
+        let cache = lock(&self.sched).order_cache_stats();
         snap.order_cache_hits = cache.hits;
         snap.order_cache_misses = cache.misses;
         snap.gauges.order_cache_epoch_flushes = cache.invalidations;
@@ -197,64 +231,62 @@ impl ConcurrencyControl for MtCc {
 /// subprotocols restart (Algorithm 2, step 4-i).
 pub struct CompositeCc {
     k: usize,
-    inner: NaiveComposite,
+    inner: Mutex<NaiveComposite>,
+    /// Abort-all verdicts so far ([`ConcurrentCc::epoch`]), bumped while
+    /// `inner` is still locked.
+    epoch: AtomicU64,
 }
 
 impl CompositeCc {
     /// MT(k⁺).
     pub fn new(k: usize) -> Self {
-        CompositeCc { k, inner: NaiveComposite::new(k) }
+        CompositeCc { k, inner: Mutex::new(NaiveComposite::new(k)), epoch: AtomicU64::new(0) }
     }
 
-    fn reset(&mut self) {
-        self.inner = NaiveComposite::new(self.k);
-    }
-
-    fn map(&mut self, d: Decision) -> Verdict {
-        match d {
-            Decision::Accept { .. } => Verdict::Granted,
+    /// Runs `op` through the subprotocols; `false` when every one of them
+    /// has stopped. The subprotocols then restart and the epoch advances,
+    /// both before the caller's lock on `inner` is released.
+    fn accept(&self, inner: &mut NaiveComposite, op: &Operation) -> bool {
+        match inner.process(op) {
+            Decision::Accept { .. } => true,
             Decision::Reject(_) => {
-                // All subprotocols stopped: restart them and signal the
-                // epoch change to the engine.
-                self.reset();
-                Verdict::AbortAll
+                *inner = NaiveComposite::new(self.k);
+                self.epoch.fetch_add(1, Ordering::SeqCst);
+                false
             }
         }
     }
 }
 
-impl ConcurrencyControl for CompositeCc {
+impl ConcurrentCc for CompositeCc {
     fn name(&self) -> &'static str {
         "MT(k+)"
     }
 
-    fn begin(&mut self, _tx: TxId) {}
-
-    fn read(&mut self, tx: TxId, item: ItemId) -> Verdict {
-        let d = self.inner.process(&mdts_model::Operation::read(tx, item));
-        self.map(d)
+    fn read(&self, tx: TxId, item: ItemId) -> Verdict {
+        if self.accept(&mut lock(&self.inner), &Operation::read(tx, item)) {
+            Verdict::Granted
+        } else {
+            Verdict::AbortAll
+        }
     }
 
-    fn write(&mut self, _tx: TxId, _item: ItemId) -> Verdict {
+    fn write(&self, _tx: TxId, _item: ItemId) -> Verdict {
         Verdict::Granted
     }
 
-    fn validate_commit(&mut self, tx: TxId, writes: &[ItemId]) -> CommitDecision {
+    fn validate_commit(&self, tx: TxId, writes: &[ItemId]) -> CommitDecision {
+        let mut inner = lock(&self.inner);
         for &item in writes {
-            let d = self.inner.process(&mdts_model::Operation::write(tx, item));
-            if self.map(d) == Verdict::AbortAll {
+            if !self.accept(&mut inner, &Operation::write(tx, item)) {
                 return CommitDecision::AbortAll;
             }
         }
         CommitDecision::commit()
     }
 
-    fn committed(&mut self, _tx: TxId) -> Vec<TxId> {
-        Vec::new()
-    }
-
-    fn aborted(&mut self, _tx: TxId) -> Vec<TxId> {
-        Vec::new()
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
     }
 }
 
@@ -265,13 +297,21 @@ impl ConcurrencyControl for CompositeCc {
 /// Strict two-phase locking: read/write acquire locks (blocking), all
 /// locks released at commit or abort; deadlock victims abort.
 pub struct TwoPlCc {
-    locks: LockManager,
+    locks: Mutex<LockManager>,
 }
 
 impl TwoPlCc {
     /// Fresh lock-based protocol.
     pub fn new() -> Self {
-        TwoPlCc { locks: LockManager::new() }
+        TwoPlCc { locks: Mutex::new(LockManager::new()) }
+    }
+
+    fn request(&self, tx: TxId, item: ItemId, mode: LockMode) -> Verdict {
+        match lock(&self.locks).request(tx, item, mode) {
+            LockOutcome::Granted => Verdict::Granted,
+            LockOutcome::Blocked => Verdict::Blocked,
+            LockOutcome::Deadlock => Verdict::Abort,
+        }
     }
 }
 
@@ -281,39 +321,29 @@ impl Default for TwoPlCc {
     }
 }
 
-impl ConcurrencyControl for TwoPlCc {
+impl ConcurrentCc for TwoPlCc {
     fn name(&self) -> &'static str {
         "2PL"
     }
 
-    fn begin(&mut self, _tx: TxId) {}
-
-    fn read(&mut self, tx: TxId, item: ItemId) -> Verdict {
-        match self.locks.request(tx, item, LockMode::Shared) {
-            LockOutcome::Granted => Verdict::Granted,
-            LockOutcome::Blocked => Verdict::Blocked,
-            LockOutcome::Deadlock => Verdict::Abort,
-        }
+    fn read(&self, tx: TxId, item: ItemId) -> Verdict {
+        self.request(tx, item, LockMode::Shared)
     }
 
-    fn write(&mut self, tx: TxId, item: ItemId) -> Verdict {
-        match self.locks.request(tx, item, LockMode::Exclusive) {
-            LockOutcome::Granted => Verdict::Granted,
-            LockOutcome::Blocked => Verdict::Blocked,
-            LockOutcome::Deadlock => Verdict::Abort,
-        }
+    fn write(&self, tx: TxId, item: ItemId) -> Verdict {
+        self.request(tx, item, LockMode::Exclusive)
     }
 
-    fn validate_commit(&mut self, _tx: TxId, _writes: &[ItemId]) -> CommitDecision {
+    fn validate_commit(&self, _tx: TxId, _writes: &[ItemId]) -> CommitDecision {
         CommitDecision::commit() // exclusive locks already held
     }
 
-    fn committed(&mut self, tx: TxId) -> Vec<TxId> {
-        self.locks.release_all(tx)
+    fn committed(&self, tx: TxId) {
+        lock(&self.locks).release_all(tx);
     }
 
-    fn aborted(&mut self, tx: TxId) -> Vec<TxId> {
-        self.locks.release_all(tx)
+    fn aborted(&self, tx: TxId) {
+        lock(&self.locks).release_all(tx);
     }
 }
 
@@ -323,47 +353,47 @@ impl ConcurrencyControl for TwoPlCc {
 
 /// Single-valued timestamp ordering under deferred writes.
 pub struct BasicToCc {
-    sched: BasicTimestampOrdering,
+    sched: Mutex<BasicTimestampOrdering>,
 }
 
 impl BasicToCc {
     /// Basic TO (optionally with the Thomas write rule).
     pub fn new(thomas: bool) -> Self {
-        BasicToCc {
-            sched: if thomas {
-                BasicTimestampOrdering::with_thomas_rule()
-            } else {
-                BasicTimestampOrdering::new()
-            },
-        }
+        let sched = if thomas {
+            BasicTimestampOrdering::with_thomas_rule()
+        } else {
+            BasicTimestampOrdering::new()
+        };
+        BasicToCc { sched: Mutex::new(sched) }
     }
 }
 
-impl ConcurrencyControl for BasicToCc {
+impl ConcurrentCc for BasicToCc {
     fn name(&self) -> &'static str {
         "TO(1)"
     }
 
-    fn begin(&mut self, tx: TxId) {
-        let _ = self.sched.timestamp(tx);
+    fn begin(&self, tx: TxId) {
+        let _ = lock(&self.sched).timestamp(tx);
     }
 
-    fn read(&mut self, tx: TxId, item: ItemId) -> Verdict {
-        match self.sched.read(tx, item) {
+    fn read(&self, tx: TxId, item: ItemId) -> Verdict {
+        match lock(&self.sched).read(tx, item) {
             ToVerdict::Granted => Verdict::Granted,
             ToVerdict::Ignored => Verdict::Ignored,
             ToVerdict::Abort => Verdict::Abort,
         }
     }
 
-    fn write(&mut self, _tx: TxId, _item: ItemId) -> Verdict {
+    fn write(&self, _tx: TxId, _item: ItemId) -> Verdict {
         Verdict::Granted
     }
 
-    fn validate_commit(&mut self, tx: TxId, writes: &[ItemId]) -> CommitDecision {
+    fn validate_commit(&self, tx: TxId, writes: &[ItemId]) -> CommitDecision {
+        let mut sched = lock(&self.sched);
         let mut skip = Vec::new();
         for &item in writes {
-            match self.sched.write(tx, item) {
+            match sched.write(tx, item) {
                 ToVerdict::Granted => {}
                 ToVerdict::Ignored => skip.push(item),
                 ToVerdict::Abort => return CommitDecision::Abort,
@@ -372,13 +402,8 @@ impl ConcurrencyControl for BasicToCc {
         CommitDecision::Commit { skip }
     }
 
-    fn committed(&mut self, _tx: TxId) -> Vec<TxId> {
-        Vec::new()
-    }
-
-    fn aborted(&mut self, tx: TxId) -> Vec<TxId> {
-        self.sched.forget(tx);
-        Vec::new()
+    fn aborted(&self, tx: TxId) {
+        lock(&self.sched).forget(tx);
     }
 }
 
@@ -388,13 +413,13 @@ impl ConcurrencyControl for BasicToCc {
 
 /// Optimistic concurrency control (backward validation).
 pub struct OccCc {
-    sched: Occ,
+    sched: Mutex<Occ>,
 }
 
 impl OccCc {
     /// Fresh optimistic protocol.
     pub fn new() -> Self {
-        OccCc { sched: Occ::new() }
+        OccCc { sched: Mutex::new(Occ::new()) }
     }
 }
 
@@ -404,40 +429,36 @@ impl Default for OccCc {
     }
 }
 
-impl ConcurrencyControl for OccCc {
+impl ConcurrentCc for OccCc {
     fn name(&self) -> &'static str {
         "OCC"
     }
 
-    fn begin(&mut self, tx: TxId) {
-        self.sched.begin(tx);
+    fn begin(&self, tx: TxId) {
+        lock(&self.sched).begin(tx);
     }
 
-    fn read(&mut self, tx: TxId, item: ItemId) -> Verdict {
-        self.sched.read(tx, item);
+    fn read(&self, tx: TxId, item: ItemId) -> Verdict {
+        lock(&self.sched).read(tx, item);
         Verdict::Granted
     }
 
-    fn write(&mut self, tx: TxId, item: ItemId) -> Verdict {
-        self.sched.write(tx, item);
+    fn write(&self, tx: TxId, item: ItemId) -> Verdict {
+        lock(&self.sched).write(tx, item);
         Verdict::Granted
     }
 
-    fn validate_commit(&mut self, tx: TxId, _writes: &[ItemId]) -> CommitDecision {
-        if self.sched.commit(tx) {
+    /// Validates and records the commit; `committed` has nothing left to do.
+    fn validate_commit(&self, tx: TxId, _writes: &[ItemId]) -> CommitDecision {
+        if lock(&self.sched).commit(tx) {
             CommitDecision::commit()
         } else {
             CommitDecision::Abort
         }
     }
 
-    fn committed(&mut self, _tx: TxId) -> Vec<TxId> {
-        Vec::new() // commit already recorded in validate_commit
-    }
-
-    fn aborted(&mut self, tx: TxId) -> Vec<TxId> {
-        self.sched.abort(tx);
-        Vec::new()
+    fn aborted(&self, tx: TxId) {
+        lock(&self.sched).abort(tx);
     }
 }
 
@@ -447,7 +468,7 @@ impl ConcurrencyControl for OccCc {
 
 /// Bayer-style dynamic timestamp intervals under deferred writes.
 pub struct IntervalCc {
-    sched: IntervalScheduler,
+    sched: Mutex<IntervalScheduler>,
 }
 
 impl IntervalCc {
@@ -456,12 +477,12 @@ impl IntervalCc {
     /// (the Section VI-A critique, reproduced by exp13); renumbering is
     /// the standard remedy and preserves every encoded order.
     pub fn new() -> Self {
-        IntervalCc { sched: IntervalScheduler::with_renormalization() }
+        IntervalCc { sched: Mutex::new(IntervalScheduler::with_renormalization()) }
     }
 
     /// Shrink statistics (for the Section VI-A comparison).
     pub fn stats(&self) -> mdts_baselines::IntervalStats {
-        self.sched.stats()
+        lock(&self.sched).stats()
     }
 }
 
@@ -471,42 +492,38 @@ impl Default for IntervalCc {
     }
 }
 
-impl ConcurrencyControl for IntervalCc {
+impl ConcurrentCc for IntervalCc {
     fn name(&self) -> &'static str {
         "Intervals"
     }
 
-    fn begin(&mut self, _tx: TxId) {}
-
-    fn read(&mut self, tx: TxId, item: ItemId) -> Verdict {
-        if self.sched.read(tx, item) {
+    fn read(&self, tx: TxId, item: ItemId) -> Verdict {
+        if lock(&self.sched).read(tx, item) {
             Verdict::Granted
         } else {
             Verdict::Abort
         }
     }
 
-    fn write(&mut self, _tx: TxId, _item: ItemId) -> Verdict {
+    fn write(&self, _tx: TxId, _item: ItemId) -> Verdict {
         Verdict::Granted
     }
 
-    fn validate_commit(&mut self, tx: TxId, writes: &[ItemId]) -> CommitDecision {
-        for &item in writes {
-            if !self.sched.write(tx, item) {
-                return CommitDecision::Abort;
-            }
+    fn validate_commit(&self, tx: TxId, writes: &[ItemId]) -> CommitDecision {
+        let mut sched = lock(&self.sched);
+        if writes.iter().all(|&item| sched.write(tx, item)) {
+            CommitDecision::commit()
+        } else {
+            CommitDecision::Abort
         }
-        CommitDecision::commit()
     }
 
-    fn committed(&mut self, tx: TxId) -> Vec<TxId> {
-        self.sched.finish(tx);
-        Vec::new()
+    fn committed(&self, tx: TxId) {
+        lock(&self.sched).finish(tx);
     }
 
-    fn aborted(&mut self, tx: TxId) -> Vec<TxId> {
-        self.sched.finish(tx);
-        Vec::new()
+    fn aborted(&self, tx: TxId) {
+        lock(&self.sched).finish(tx);
     }
 }
 
@@ -527,13 +544,13 @@ impl ConcurrencyControl for IntervalCc {
 /// value-level multiversion semantics — those live in the engine's own
 /// snapshot path.
 pub struct MvToCc {
-    sched: MvTimestampOrdering,
+    sched: Mutex<MvTimestampOrdering>,
 }
 
 impl MvToCc {
     /// Fresh multiversion TO protocol.
     pub fn new() -> Self {
-        MvToCc { sched: MvTimestampOrdering::new() }
+        MvToCc { sched: Mutex::new(MvTimestampOrdering::new()) }
     }
 }
 
@@ -543,195 +560,35 @@ impl Default for MvToCc {
     }
 }
 
-impl ConcurrencyControl for MvToCc {
+impl ConcurrentCc for MvToCc {
     fn name(&self) -> &'static str {
         "MVTO"
     }
 
-    fn begin(&mut self, tx: TxId) {
-        let _ = self.sched.timestamp(tx);
-    }
-
-    fn read(&mut self, tx: TxId, item: ItemId) -> Verdict {
-        let _ = self.sched.read(tx, item);
-        Verdict::Granted // an old version is always servable
-    }
-
-    fn write(&mut self, _tx: TxId, _item: ItemId) -> Verdict {
-        Verdict::Granted // deferred: validated at commit
-    }
-
-    fn validate_commit(&mut self, tx: TxId, writes: &[ItemId]) -> CommitDecision {
-        for &item in writes {
-            if !self.sched.write(tx, item) {
-                return CommitDecision::Abort;
-            }
-        }
-        CommitDecision::commit()
-    }
-
-    fn committed(&mut self, _tx: TxId) -> Vec<TxId> {
-        Vec::new()
-    }
-
-    fn aborted(&mut self, tx: TxId) -> Vec<TxId> {
-        self.sched.purge(tx);
-        Vec::new()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Concurrent protocols
-// ---------------------------------------------------------------------
-
-/// A concurrency-control protocol safe to drive from many threads at
-/// once — the sharded engine's native interface.
-///
-/// Same contract as [`ConcurrencyControl`], but through `&self`:
-/// implementations synchronize internally (or wrap a sequential protocol
-/// in one mutex, see [`SerializedCc`]). The engine calls `read` while
-/// holding the item's *store* shard lock and `validate_commit` while
-/// holding every store shard of the write set, so a grant and the value
-/// access it authorizes are atomic; implementations must therefore never
-/// acquire store shards themselves.
-pub trait ConcurrentCc: Send + Sync {
-    /// Protocol name for reports.
-    fn name(&self) -> &'static str;
-
-    /// A new transaction begins.
-    fn begin(&self, tx: TxId);
-
-    /// A restart of `aborted` begins as `new_tx`.
-    fn begin_restarted(&self, new_tx: TxId, aborted: TxId) {
-        let _ = aborted;
-        self.begin(new_tx);
-    }
-
-    /// Client reads `item`.
-    fn read(&self, tx: TxId, item: ItemId) -> Verdict;
-
-    /// Client announces a write of `item` (value stays in the private
-    /// workspace until commit).
-    fn write(&self, tx: TxId, item: ItemId) -> Verdict;
-
-    /// Validate the deferred writes and decide the commit.
-    fn validate_commit(&self, tx: TxId, writes: &[ItemId]) -> CommitDecision;
-
-    /// The transaction committed; release its resources.
-    fn committed(&self, tx: TxId);
-
-    /// The transaction aborted; release its resources.
-    fn aborted(&self, tx: TxId);
-
-    /// Abort-all epoch counter. Protocols that can demand an abort of
-    /// every active transaction (the composite's all-subprotocols-stopped
-    /// rule) bump this *before* returning the fencing verdict, inside
-    /// their own critical section — so any later protocol call by another
-    /// thread observes the new epoch. A transaction that was granted an
-    /// access or a commit re-checks the epoch it started under and aborts
-    /// on mismatch, which closes the race between a reset and in-flight
-    /// grants from the fresh state.
-    fn epoch(&self) -> u64 {
-        0
-    }
-
-    /// As [`ConcurrencyControl::attach_trace`], before the protocol is
-    /// shared.
-    fn attach_trace(&mut self, sink: TraceSink) {
-        let _ = sink;
-    }
-
-    /// As [`ConcurrencyControl::sample`].
-    fn sample(&self, snap: &mut MetricsSnapshot) {
-        let _ = snap;
-    }
-}
-
-/// Adapter running any sequential [`ConcurrencyControl`] under one mutex
-/// — the drop-in way to use the blocking and optimistic baselines (2PL,
-/// TO(1), OCC, intervals, the composite) in the sharded engine. The
-/// protocol decision itself is serialized; store access, write buffering
-/// and waiting all happen outside the mutex.
-pub struct SerializedCc {
-    name: &'static str,
-    epoch: AtomicU64,
-    inner: Mutex<Box<dyn ConcurrencyControl>>,
-}
-
-impl SerializedCc {
-    /// Wraps a sequential protocol.
-    pub fn new(cc: Box<dyn ConcurrencyControl>) -> Self {
-        SerializedCc { name: cc.name(), epoch: AtomicU64::new(0), inner: Mutex::new(cc) }
-    }
-
-    fn with_inner<T>(&self, f: impl FnOnce(&mut dyn ConcurrencyControl) -> T) -> T {
-        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        f(g.as_mut())
-    }
-}
-
-impl ConcurrentCc for SerializedCc {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn begin(&self, tx: TxId) {
-        self.with_inner(|cc| cc.begin(tx));
-    }
-
-    fn begin_restarted(&self, new_tx: TxId, aborted: TxId) {
-        self.with_inner(|cc| cc.begin_restarted(new_tx, aborted));
+        let _ = lock(&self.sched).timestamp(tx);
     }
 
     fn read(&self, tx: TxId, item: ItemId) -> Verdict {
-        self.with_inner(|cc| {
-            let v = cc.read(tx, item);
-            if v == Verdict::AbortAll {
-                // Bumped while still inside the mutex: see ConcurrentCc::epoch.
-                self.epoch.fetch_add(1, Ordering::SeqCst);
-            }
-            v
-        })
+        let _ = lock(&self.sched).read(tx, item);
+        Verdict::Granted // an old version is always servable
     }
 
-    fn write(&self, tx: TxId, item: ItemId) -> Verdict {
-        self.with_inner(|cc| {
-            let v = cc.write(tx, item);
-            if v == Verdict::AbortAll {
-                self.epoch.fetch_add(1, Ordering::SeqCst);
-            }
-            v
-        })
+    fn write(&self, _tx: TxId, _item: ItemId) -> Verdict {
+        Verdict::Granted // deferred: validated at commit
     }
 
     fn validate_commit(&self, tx: TxId, writes: &[ItemId]) -> CommitDecision {
-        self.with_inner(|cc| {
-            let d = cc.validate_commit(tx, writes);
-            if d == CommitDecision::AbortAll {
-                self.epoch.fetch_add(1, Ordering::SeqCst);
-            }
-            d
-        })
-    }
-
-    fn committed(&self, tx: TxId) {
-        self.with_inner(|cc| cc.committed(tx));
+        let mut sched = lock(&self.sched);
+        if writes.iter().all(|&item| sched.write(tx, item)) {
+            CommitDecision::commit()
+        } else {
+            CommitDecision::Abort
+        }
     }
 
     fn aborted(&self, tx: TxId) {
-        self.with_inner(|cc| cc.aborted(tx));
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
-
-    fn attach_trace(&mut self, sink: TraceSink) {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner).attach_trace(sink);
-    }
-
-    fn sample(&self, snap: &mut MetricsSnapshot) {
-        self.with_inner(|cc| cc.sample(snap));
+        lock(&self.sched).purge(tx);
     }
 }
 
@@ -845,5 +702,45 @@ impl ConcurrentCc for ShardedMtCc {
         g.order_cache_epoch_flushes = cache.invalidations;
         g.batched_chain_batches = batched.chain_batches;
         g.batched_size_buckets = batched.size_buckets;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// MT(1⁺) driven through the trait: grants leave the epoch alone, each
+    /// all-subprotocols-stopped verdict advances it by exactly one — from
+    /// `read` and from `validate_commit` — and the call after it runs
+    /// against fresh subprotocols.
+    #[test]
+    fn composite_owns_its_abort_all_epoch() {
+        let composite = CompositeCc::new(1);
+        let cc: &dyn ConcurrentCc = &composite;
+        let [t1, t2, t3, t4] = [1, 2, 3, 4].map(TxId);
+        let [x, y, a, b] = [0, 1, 2, 3].map(ItemId);
+
+        // R1(x) W2(x) orders T1 before T2; R1(y) after W2(y) needs T2 first.
+        assert_eq!(cc.read(t1, x), Verdict::Granted);
+        assert_eq!(cc.validate_commit(t2, &[x, y]), CommitDecision::commit());
+        assert_eq!(cc.epoch(), 0);
+        assert_eq!(cc.read(t1, y), Verdict::AbortAll);
+        assert_eq!(cc.epoch(), 1);
+        assert_eq!(cc.read(t1, y), Verdict::Granted, "the reset forgot W2(y)");
+        assert_eq!(cc.epoch(), 1);
+
+        // R3(a) R4(b) W4(a) orders T3 before T4; W3(b) needs T4 first.
+        assert_eq!(cc.read(t3, a), Verdict::Granted);
+        assert_eq!(cc.read(t4, b), Verdict::Granted);
+        assert_eq!(cc.validate_commit(t4, &[a]), CommitDecision::commit());
+        assert_eq!(cc.epoch(), 1);
+        assert_eq!(cc.validate_commit(t3, &[b]), CommitDecision::AbortAll);
+        assert_eq!(cc.epoch(), 2);
+        assert_eq!(
+            cc.validate_commit(t3, &[b]),
+            CommitDecision::commit(),
+            "the reset forgot R4(b)"
+        );
+        assert_eq!(cc.epoch(), 2);
     }
 }

@@ -14,10 +14,10 @@
 //!   of VI-C-2): each [`Tx`] carries its own workspace, so buffering a
 //!   write touches no shared state at all.
 //! * **Protocol state** is behind [`ConcurrentCc`]: natively concurrent
-//!   for the sharded MT(k) ([`crate::ShardedMtCc`]), or a sequential
-//!   protocol wrapped in one mutex ([`SerializedCc`]) — the protocol
-//!   decision is then serialized, but store access, buffering and waiting
-//!   still are not.
+//!   for the sharded MT(k) ([`crate::ShardedMtCc`]); every other adapter
+//!   holds its sequential scheduler behind one mutex of its own — the
+//!   protocol decision is then serialized, but store access, buffering
+//!   and waiting still are not.
 //! * **Blocking** (2PL) parks on a wake-sequence condvar: waiters sample
 //!   the sequence before asking for the lock and sleep only while it is
 //!   unchanged, so a release between decision and sleep is never lost.
@@ -51,9 +51,7 @@ use mdts_storage::{
 use mdts_trace::{AbortReason, StallRule, TraceEvent, TraceSink};
 use mdts_vector::CachePadded;
 
-use crate::cc::{
-    CommitDecision, ConcurrencyControl, ConcurrentCc, SerializedCc, ShardedMtCc, Verdict,
-};
+use crate::cc::{CommitDecision, ConcurrentCc, ShardedMtCc, Verdict};
 use crate::durability::{Durability, DurabilityConfig, CHECKPOINT_TX};
 use crate::metrics::{EngineGauges, MetricCells, Metrics, MetricsSnapshot, Phase};
 
@@ -174,12 +172,10 @@ impl<V> Clone for Database<V> {
 
 /// The protocol a [`Database`] runs, and with it which serving paths it
 /// has. The one argument of [`Database::open`] and
-/// [`Database::open_durable`]; the `From` impls let a call site pass a
-/// sequential protocol directly.
+/// [`Database::open_durable`]; the `From` impls let a call site pass any
+/// protocol value, or a boxed one, directly.
 pub enum Protocol {
-    /// A sequential protocol, wrapped in one [`SerializedCc`] mutex.
-    Serialized(Box<dyn ConcurrencyControl>),
-    /// A natively concurrent protocol.
+    /// Any protocol, without the multiversion serving path.
     Concurrent(Box<dyn ConcurrentCc>),
     /// Sharded MT(k) plus the multiversion serving path (MV-MT(k),
     /// III-D-6d, [`Database::run_read_only`]), whose snapshot readers
@@ -187,15 +183,15 @@ pub enum Protocol {
     Multiversion(ShardedMtCc),
 }
 
-impl<C: ConcurrencyControl + 'static> From<C> for Protocol {
+impl<C: ConcurrentCc + 'static> From<C> for Protocol {
     fn from(cc: C) -> Self {
-        Protocol::Serialized(Box::new(cc))
+        Protocol::Concurrent(Box::new(cc))
     }
 }
 
-impl From<Box<dyn ConcurrencyControl>> for Protocol {
-    fn from(cc: Box<dyn ConcurrencyControl>) -> Self {
-        Protocol::Serialized(cc)
+impl From<Box<dyn ConcurrentCc>> for Protocol {
+    fn from(cc: Box<dyn ConcurrentCc>) -> Self {
+        Protocol::Concurrent(cc)
     }
 }
 
@@ -204,7 +200,6 @@ impl Protocol {
     /// scheduler is shared with the multiversion path.
     fn attach_trace(&mut self, sink: TraceSink) {
         match self {
-            Protocol::Serialized(cc) => cc.attach_trace(sink),
             Protocol::Concurrent(cc) => cc.attach_trace(sink),
             Protocol::Multiversion(cc) => cc.attach_trace(sink),
         }
@@ -268,7 +263,6 @@ impl<V: Clone + Send + 'static> Database<V> {
     ) -> Self {
         protocol.attach_trace(trace.clone());
         let (cc, mv): (Box<dyn ConcurrentCc>, _) = match protocol {
-            Protocol::Serialized(cc) => (Box::new(SerializedCc::new(cc)), None),
             Protocol::Concurrent(cc) => (cc, None),
             Protocol::Multiversion(cc) => {
                 let mv = MvState { store: ConcurrentMvStore::new(), sched: cc.scheduler_arc() };

@@ -8,8 +8,7 @@ use mdts_storage::Store;
 use mdts_trace::TraceSink;
 
 use crate::cc::{
-    BasicToCc, CompositeCc, ConcurrencyControl, IntervalCc, MtCc, MvToCc, OccCc, ShardedMtCc,
-    TwoPlCc,
+    BasicToCc, CompositeCc, ConcurrentCc, IntervalCc, MtCc, MvToCc, OccCc, ShardedMtCc, TwoPlCc,
 };
 use crate::db::{Database, Protocol};
 use crate::workload::{run_bank_mix, run_bank_mix_db, BankConfig};
@@ -19,8 +18,9 @@ fn open(protocol: impl Into<Protocol>, store: Store<i64>) -> Database<i64> {
     Database::open(protocol, store, TraceSink::disabled())
 }
 
-fn all_protocols() -> Vec<Box<dyn ConcurrencyControl>> {
+fn all_protocols() -> Vec<Box<dyn ConcurrentCc>> {
     vec![
+        Box::new(ShardedMtCc::new(3)),
         Box::new(MtCc::new(3)),
         Box::new(CompositeCc::new(3)),
         Box::new(TwoPlCc::new()),
@@ -528,11 +528,7 @@ fn the_database_owns_the_trace_sink_and_a_second_attach_is_harmless() {
 
     let cc = ShardedMtCc::new(3);
     let _shared = cc.scheduler_arc();
-    let db = Database::open(
-        Protocol::Concurrent(Box::new(cc)),
-        Store::with_items(4, 100i64),
-        TraceSink::disabled(),
-    );
+    let db = Database::open(cc, Store::with_items(4, 100i64), TraceSink::disabled());
     db.run(4, |tx| tx.write(ItemId(0), 1)).unwrap();
 }
 
@@ -1010,7 +1006,7 @@ mod durability_tests {
     }
 
     fn open(
-        protocol: Protocol,
+        protocol: impl Into<Protocol>,
         store: Store<i64>,
         trace: TraceSink,
         config: &DurabilityConfig,
@@ -1020,7 +1016,7 @@ mod durability_tests {
 
     /// Sharded MT(3) without the multiversion path.
     fn sharded() -> Protocol {
-        Protocol::Concurrent(Box::new(ShardedMtCc::new(3)))
+        ShardedMtCc::new(3).into()
     }
 
     fn durable_db(dir: &std::path::Path, trace: TraceSink) -> Database<i64> {
@@ -1266,12 +1262,7 @@ mod durability_tests {
             let cc = ShardedMtCc::new(3);
             let config =
                 DurabilityConfig::new(dir.join("wal.log")).journal(dir.join("journal.jsonl"));
-            let (db, _) = open(
-                Protocol::Concurrent(Box::new(cc)),
-                Store::with_items(8, 100i64),
-                TraceSink::to(&buffer),
-                &config,
-            );
+            let (db, _) = open(cc, Store::with_items(8, 100i64), TraceSink::to(&buffer), &config);
             for i in 0..6u32 {
                 db.run(16, |tx| {
                     let a = ItemId(i % 8);

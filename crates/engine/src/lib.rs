@@ -2,7 +2,7 @@
 //!
 //! Where the other crates treat the protocols as *log recognizers*, this
 //! crate runs them: a [`Database`] holds the store and a pluggable
-//! [`ConcurrencyControl`]; client threads run closures against
+//! [`ConcurrentCc`] protocol; client threads run closures against
 //! transaction handles; aborted transactions are rolled back and retried
 //! with fresh ids.
 //!
@@ -15,14 +15,15 @@
 //!
 //! The engine itself has **no global mutex**: values live in a
 //! [`mdts_storage::ShardedStore`], write buffers are transaction-local,
-//! and the protocol sits behind the [`ConcurrentCc`] interface — natively
-//! concurrent for [`ShardedMtCc`], or any sequential
-//! [`ConcurrencyControl`] wrapped in a [`SerializedCc`] mutex.
+//! and every protocol synchronizes itself: [`ShardedMtCc`] natively, each
+//! other adapter with one mutex of its own around its sequential
+//! scheduler.
 //!
-//! Protocols available as [`ConcurrencyControl`] implementations:
+//! Protocols available as [`ConcurrentCc`] implementations:
 //!
 //! | adapter | protocol |
 //! |---|---|
+//! | [`ShardedMtCc`] | MT(k) on [`mdts_core::SharedMtScheduler`] — item-sharded timestamp table, O(1) reclamation |
 //! | [`MtCc`] | MT(k), with all [`mdts_core::MtOptions`] refinements |
 //! | [`CompositeCc`] | MT(k⁺) with the paper's abort-all-and-restart rule |
 //! | [`TwoPlCc`] | strict two-phase locking (blocking, deadlock victims) |
@@ -30,12 +31,6 @@
 //! | [`MvToCc`] | Reed-style multiversion timestamp ordering |
 //! | [`OccCc`] | optimistic with backward validation |
 //! | [`IntervalCc`] | Bayer-style dynamic timestamp intervals |
-//!
-//! …and natively concurrent, as [`ConcurrentCc`]:
-//!
-//! | adapter | protocol |
-//! |---|---|
-//! | [`ShardedMtCc`] | MT(k) on [`mdts_core::SharedMtScheduler`] — item-sharded timestamp table, O(1) reclamation |
 //!
 //! A database is built one way, [`Database::open`] over a [`Protocol`].
 //! Under [`Protocol::Multiversion`] it also serves **read-only snapshot
@@ -58,8 +53,8 @@ pub mod wakeseq;
 pub mod workload;
 
 pub use cc::{
-    BasicToCc, CommitDecision, CompositeCc, ConcurrencyControl, ConcurrentCc, IntervalCc, MtCc,
-    MvToCc, OccCc, SerializedCc, ShardedMtCc, TwoPlCc, Verdict,
+    BasicToCc, CommitDecision, CompositeCc, ConcurrentCc, IntervalCc, MtCc, MvToCc, OccCc,
+    ShardedMtCc, TwoPlCc, Verdict,
 };
 pub use db::{Database, Protocol, SnapshotTx, Tx, TxError};
 pub use durability::{DurabilityConfig, CHECKPOINT_TX};

@@ -14,7 +14,7 @@ use mdts_trace::TraceSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cc::{ConcurrencyControl, ShardedMtCc};
+use crate::cc::{ConcurrentCc, ShardedMtCc};
 use crate::db::{Database, Protocol, TxError};
 use crate::metrics::MetricsSnapshot;
 
@@ -102,11 +102,11 @@ fn bank_store(cfg: &BankConfig) -> Store<i64> {
     Store::with_items(cfg.accounts, cfg.initial_balance)
 }
 
-/// Builds the workload's database (accounts pre-funded) under a
-/// sequential protocol, without running anything — callers that need a
-/// handle before the run (e.g. to attach a telemetry sampler) build
-/// here, then drive [`run_bank_mix_db`].
-pub fn bank_database(cc: Box<dyn ConcurrencyControl>, cfg: &BankConfig) -> Database<i64> {
+/// Builds the workload's database (accounts pre-funded) under `cc`,
+/// without running anything — callers that need a handle before the run
+/// (e.g. to attach a telemetry sampler) build here, then drive
+/// [`run_bank_mix_db`].
+pub fn bank_database(cc: Box<dyn ConcurrentCc>, cfg: &BankConfig) -> Database<i64> {
     Database::open(cc, bank_store(cfg), TraceSink::disabled())
 }
 

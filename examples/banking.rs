@@ -22,7 +22,7 @@ fn protocols() -> Vec<Protocol> {
         BasicToCc::new(true).into(),
         OccCc::new().into(),
         IntervalCc::new().into(),
-        Protocol::Concurrent(Box::new(ShardedMtCc::new(3))),
+        ShardedMtCc::new(3).into(),
         Protocol::Multiversion(ShardedMtCc::new(3)),
     ]
 }

@@ -10,7 +10,7 @@ use mdts::trace::TraceSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Every `Protocol` variant; serialized sequential MT(3) first.
+/// Every `Protocol` variant; sequential MT(3) first.
 fn protocols() -> Vec<Protocol> {
     vec![
         MtCc::new(3).into(),
@@ -19,7 +19,7 @@ fn protocols() -> Vec<Protocol> {
         BasicToCc::new(true).into(),
         OccCc::new().into(),
         IntervalCc::new().into(),
-        Protocol::Concurrent(Box::new(ShardedMtCc::new(3))),
+        ShardedMtCc::new(3).into(),
         Protocol::Multiversion(ShardedMtCc::new(3)),
     ]
 }
@@ -30,7 +30,7 @@ fn open(protocol: Protocol, store: Store<i64>) -> Database<i64> {
 
 /// Sequentially issued transactions must behave exactly like direct
 /// sequential execution — no protocol may corrupt a contention-free run,
-/// and each commits the final state serialized sequential MT(3) does.
+/// and each commits the final state sequential MT(3) does.
 #[test]
 fn sequential_runs_match_direct_execution() {
     let mut reference = None;

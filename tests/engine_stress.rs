@@ -18,9 +18,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mdts::core::MtOptions;
-use mdts::engine::{
-    BasicToCc, CompositeCc, Database, MtCc, Protocol, ShardedMtCc, TwoPlCc, TxError,
-};
+use mdts::engine::{BasicToCc, CompositeCc, Database, MtCc, ShardedMtCc, TwoPlCc, TxError};
 use mdts::model::{ItemId, Zipf};
 use mdts::storage::Store;
 use mdts::trace::{audit, TraceBuffer, TraceSink};
@@ -203,7 +201,7 @@ fn traced_sharded(order_cache: bool) -> (Database<i64>, Arc<TraceBuffer>) {
     let buffer = TraceBuffer::unbounded(16);
     let opts = MtOptions { starvation_flush: true, order_cache, ..MtOptions::new(3) };
     let cc = ShardedMtCc::with_options(opts);
-    let db = Database::open(Protocol::Concurrent(Box::new(cc)), store(), TraceSink::to(&buffer));
+    let db = Database::open(cc, store(), TraceSink::to(&buffer));
     (db, buffer)
 }
 
