@@ -8,9 +8,12 @@
 //!
 //! * **The id index**: one `AtomicU32` per id — `0` for an id never
 //!   begun, `DEAD` for one whose row was reclaimed, otherwise its arena
-//!   slot + 1. It grows with the ids issued, at 4 bytes each. Each block
-//!   of 256 ids is laid out transposed, so that the consecutive ids
-//!   concurrent clients begin together do not share a cache line.
+//!   slot + 1. It grows with the ids issued, at 4 bytes each: a chunk is
+//!   one zeroed allocation, and zero already means "never begun", so the
+//!   kernel backs its pages only as ids in them are begun, and building a
+//!   chunk writes none of it. Each block of 256 ids is laid out
+//!   transposed, so that the consecutive ids concurrent clients begin
+//!   together do not share a cache line.
 //! * **The arena** of [`RowSlot`]s. Reclamation (III-D-6b) drops the row
 //!   and puts the slot on a free list, and the next `begin` takes it, so
 //!   the arena is as large as the most rows ever live at once, however
@@ -139,6 +142,41 @@ impl RowSlot {
     }
 }
 
+/// A spine element: how a fresh chunk of them is built.
+trait Element: Default {
+    /// A fresh chunk of `len > 0` elements, allocated from the global
+    /// allocator with `Layout::array::<Self>(len)` — the layout
+    /// [`Spine`]'s `Drop` frees it with, as a `Box<[Self]>`. By default
+    /// every element is constructed.
+    fn chunk(len: usize) -> *mut Self {
+        let fresh: Box<[Self]> = (0..len).map(|_| Self::default()).collect();
+        Box::into_raw(fresh) as *mut Self
+    }
+}
+
+/// Zero is not a documented valid `RwLock`: every slot is constructed.
+impl Element for RowSlot {}
+
+impl Element for AtomicU32 {
+    /// One zeroed allocation: every entry reads `0`, "never begun", and
+    /// the kernel backs a page only once an id in it is begun — 4 bytes
+    /// per id used, and no `begin` stalls writing a whole chunk. (The
+    /// model's atomics under `cfg(loom)` are not plain words, so they keep
+    /// the default.)
+    #[cfg(not(loom))]
+    fn chunk(len: usize) -> *mut Self {
+        let layout = std::alloc::Layout::array::<AtomicU32>(len).expect("a chunk fits in memory");
+        // SAFETY: `layout` is non-zero-sized (`len > 0`). `AtomicU32` has
+        // the size, alignment and bit validity of `u32`, so the zeroed
+        // block is `len` initialized `AtomicU32::new(0)`s.
+        let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
+        if ptr.is_null() {
+            std::alloc::handle_alloc_error(layout);
+        }
+        ptr.cast()
+    }
+}
+
 /// A chunked array that grows in place: chunk `b` holds `BASE << b`
 /// elements, is built on first touch under a grow lock, published once
 /// through an `AtomicPtr`, and never moved or freed before drop.
@@ -157,7 +195,7 @@ fn locate(idx: usize) -> (usize, usize, usize) {
     (b, BASE << b, idx - start)
 }
 
-impl<T: Default> Spine<T> {
+impl<T: Element> Spine<T> {
     fn new() -> Self {
         Spine {
             chunks: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
@@ -206,8 +244,7 @@ impl<T: Default> Spine<T> {
         if !chunk.is_null() {
             return chunk;
         }
-        let fresh: Box<[T]> = (0..len).map(|_| T::default()).collect();
-        let ptr = Box::into_raw(fresh) as *mut T;
+        let ptr = T::chunk(len);
         self.chunks[b].store(ptr, Ordering::Release);
         ptr
     }
@@ -227,8 +264,10 @@ impl<T> Drop for Spine<T> {
             // on a thread that never touched the spine.
             let ptr = cell.load(Ordering::Acquire);
             if !ptr.is_null() {
-                // SAFETY: `ptr` came from `Box::into_raw` of a `BASE << b`
-                // slice and was published exactly once.
+                // SAFETY: `ptr` came from `Element::chunk(BASE << b)`, a
+                // global allocation with the layout of a `BASE << b`
+                // slice — the one a `Box<[T]>` of that length frees — and
+                // was published exactly once.
                 drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, BASE << b)) });
             }
         }
@@ -432,8 +471,8 @@ impl RowTable {
     }
 
     /// Chunks of the id index built so far. They grow with the ids issued
-    /// — chunk `b` covers `1024 << b` ids at 4 bytes each — and are never
-    /// freed before drop.
+    /// — chunk `b` reserves `1024 << b` ids at 4 bytes each, backed as
+    /// those ids are begun — and are never freed before drop.
     pub fn resident_chunks(&self) -> usize {
         self.index.resident()
     }
@@ -605,6 +644,42 @@ mod tests {
             });
             // `t` drops here: the spine teardown runs with no borrows.
         }
+    }
+
+    /// An index chunk is one zeroed allocation. Across the boundary into
+    /// a fresh chunk every entry reads as never begun, `begin`, `reclaim`
+    /// and `DEAD` work there as in the first chunk, and the table's drop
+    /// frees the chunk with the layout it was allocated with — a mismatch
+    /// is undefined behaviour that the CI Miri lane reports.
+    #[test]
+    fn a_fresh_index_chunk_reads_as_never_begun() {
+        let entry = |t: &RowTable, id: usize| {
+            t.index.get(index_pos(id)).expect("chunk built").load(Ordering::Relaxed)
+        };
+        let t = RowTable::new();
+        t.begin(BASE - 1, undefined, || unreachable!("fresh id"));
+        assert_eq!(t.resident_chunks(), 1);
+        let (b, len, off) = locate(BASE);
+        assert_eq!((b, off), (1, 0), "id BASE starts chunk 1");
+        assert!(t.index.get(index_pos(BASE)).is_none(), "chunk 1 is not built yet");
+        t.begin(BASE, undefined, || unreachable!("fresh id"));
+        assert_eq!(t.resident_chunks(), 2);
+        assert!((BASE + 1..BASE + len).all(|id| entry(&t, id) == 0), "an entry is not zero");
+        assert_eq!(entry(&t, BASE), 2, "the chunk's first id links the second slot");
+
+        let last = BASE + len - 1;
+        t.begin(last, undefined, || unreachable!("fresh id"));
+        for id in [BASE, last] {
+            assert!(t.reclaim(id, |_| true));
+            assert_eq!(entry(&t, id), DEAD);
+            assert!(t.slot(id).is_none());
+        }
+        let reused = Cell::new(false);
+        t.begin(last, undefined, || reused.set(true));
+        assert!(reused.get(), "beginning a reclaimed id is a reuse");
+        assert!(t.owns(last, t.slot(last).unwrap()));
+        assert_eq!(t.resident_chunks(), 2);
+        drop(t);
     }
 
     /// Eight `begin`s arriving together at a doubling point of the index

@@ -16,7 +16,9 @@
 //! * **Multiversion storage** (III-D-6d): [`ConcurrentMvStore`] keeps
 //!   per-item version chains stamped with the writers' timestamp vectors,
 //!   so snapshot readers can be served a consistent older version instead
-//!   of aborting, and prunes each chain to what a live snapshot can reach.
+//!   of aborting, and prunes each chain to what a live snapshot can reach;
+//!   a chain no snapshot needs is its newest version, inline in the item's
+//!   record.
 //! * **Sharded value state**: [`ShardedStore`] stripes the single-version
 //!   store over independently locked shards — each a flat table indexed
 //!   by the item id's high bits — so the engine's reads and commits on

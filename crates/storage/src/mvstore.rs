@@ -7,6 +7,20 @@
 //! tagged with a global install ticket and the writer's timestamp vector
 //! frozen at commit; snapshot readers slot themselves into the gap
 //! between two writers by comparing against those frozen stamps.
+//!
+//! **Layout: memory follows what a reader can reach.** An old version is
+//! needed only while a live snapshot's watermark keeps it, and with no
+//! snapshot live every install prunes its chain to the new version alone.
+//! So each item has one record in its shard's table, and the record
+//! holds the item's newest version *inline*. A chain spills to a heap
+//! `Vec` only while a live snapshot keeps an older version, and goes back
+//! inline at the first install that prunes it to one version. An install
+//! whose watermark keeps only the new version overwrites the record in
+//! place: no push, no drain, no allocation. A shard's records sit in
+//! pages of 16, each built on the first install of one of its items and
+//! never moved or regrown, so the table costs one record per item written
+//! (96 bytes for an `Option<i64>` value, the size of the version it
+//! holds) rather than a `Vec` header plus a heap block.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::RwLock;
@@ -35,11 +49,76 @@ pub struct MvVersion<V> {
     pub value: V,
 }
 
+/// One item's chain: its newest version inline, or the whole chain on
+/// the heap while a live snapshot keeps an older version.
+enum MvRecord<V> {
+    /// Never installed.
+    Empty,
+    /// One version: the newest, and the only one any reader can reach.
+    Inline(MvVersion<V>),
+    /// Two or more versions, oldest first: a live snapshot's pivot and
+    /// everything installed after it.
+    Spilled(Vec<MvVersion<V>>),
+}
+
+impl<V> MvRecord<V> {
+    fn chain(&self) -> &[MvVersion<V>] {
+        match self {
+            MvRecord::Empty => &[],
+            MvRecord::Inline(v) => std::slice::from_ref(v),
+            MvRecord::Spilled(chain) => chain,
+        }
+    }
+
+    /// The chain as a heap `Vec`, moving an inline version into one.
+    fn spill(&mut self) -> &mut Vec<MvVersion<V>> {
+        if !matches!(self, MvRecord::Spilled(_)) {
+            // Room for the inline version and the one being installed.
+            let mut chain = Vec::with_capacity(2);
+            if let MvRecord::Inline(only) = std::mem::replace(self, MvRecord::Empty) {
+                chain.push(only);
+            }
+            *self = MvRecord::Spilled(chain);
+        }
+        let MvRecord::Spilled(chain) = self else { unreachable!("spilled above") };
+        chain
+    }
+}
+
+/// Records per page of a shard's table. Small, because a page is built
+/// whole on the first install of any of its items: a table of a few
+/// hundred items then holds few records nobody wrote, while a large one
+/// pays one page pointer per 16 records.
+const PAGE: usize = 16;
+
+// A record is no larger than the version it holds inline.
+const _: () = assert!(
+    std::mem::size_of::<MvRecord<Option<i64>>>() == std::mem::size_of::<MvVersion<Option<i64>>>()
+);
+
 struct MvShard<V> {
-    /// Dense per-shard chain table, indexed by `item >> shard_bits` —
-    /// same flat layout as the scheduler's shard tables, so steady-state
-    /// reads never touch a map.
-    chains: Vec<Vec<MvVersion<V>>>,
+    /// Per-shard record table, indexed by `item >> shard_bits` — same
+    /// dense layout as the scheduler's shard tables, so steady-state
+    /// reads never touch a map. Pages are boxed, so growing the page
+    /// list never moves a record, and a page nobody wrote is not built.
+    pages: Vec<Option<Box<[MvRecord<V>; PAGE]>>>,
+}
+
+impl<V> MvShard<V> {
+    fn record(&self, idx: usize) -> Option<&MvRecord<V>> {
+        self.pages.get(idx / PAGE)?.as_ref().map(|page| &page[idx % PAGE])
+    }
+
+    /// `idx`'s record, building its page on first touch.
+    fn record_mut(&mut self, idx: usize) -> &mut MvRecord<V> {
+        let at = idx / PAGE;
+        if self.pages.len() <= at {
+            self.pages.resize_with(at + 1, || None);
+        }
+        let page = self.pages[at]
+            .get_or_insert_with(|| Box::new(std::array::from_fn(|_| MvRecord::Empty)));
+        &mut page[idx % PAGE]
+    }
 }
 
 /// Shard count. Power of two; matches the scheduler / store default.
@@ -124,7 +203,7 @@ impl<V: Clone> ConcurrentMvStore<V> {
     pub fn with_shards(shards: usize) -> Self {
         assert!(shards.is_power_of_two(), "shard count must be a power of two");
         let table = (0..shards)
-            .map(|_| RwLock::new(MvShard { chains: Vec::new() }))
+            .map(|_| RwLock::new(MvShard { pages: Vec::new() }))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         ConcurrentMvStore {
@@ -149,8 +228,11 @@ impl<V: Clone> ConcurrentMvStore<V> {
     pub fn begin_snapshot(&self) -> SnapshotGuard<'_> {
         // Capture the ticket BEFORE claiming the slot: the GC watermark
         // is also bounded by install_seq-at-scan, so a pruner that misses
-        // this registration (slot CAS after its scan) still keeps every
-        // version published before the scan — which covers this ticket.
+        // this registration (slot CAS after its scan) still keeps the
+        // newest version published before the scan. That version may be
+        // newer than this ticket, but its stamp reached the column maxima
+        // before the reader defines an element, so the reader orders
+        // above it (DESIGN.md §8).
         let begin_seq = self.install_seq.load(Ordering::SeqCst);
         loop {
             for (i, slot) in self.snapshots.iter().enumerate() {
@@ -200,11 +282,7 @@ impl<V: Clone> ConcurrentMvStore<V> {
     pub fn with_chain<R>(&self, item: ItemId, f: impl FnOnce(&[MvVersion<V>]) -> R) -> R {
         let (shard, idx) = self.locate(item);
         let guard = self.shards[shard].read().unwrap_or_else(|e| e.into_inner());
-        let chain: &[MvVersion<V>] = match guard.chains.get(idx) {
-            Some(c) => c,
-            None => &[],
-        };
-        f(chain)
+        f(guard.record(idx).map_or(&[], MvRecord::chain))
     }
 
     /// Installs a committed version at the tail of `item`'s chain. Must
@@ -241,30 +319,34 @@ impl<V: Clone> ConcurrentMvStore<V> {
     ) -> u64 {
         let (shard, idx) = self.locate(item);
         let mut guard = self.shards[shard].write().unwrap_or_else(|e| e.into_inner());
-        if guard.chains.len() <= idx {
-            guard.chains.resize_with(idx + 1, Vec::new);
-        }
-        let k = stamp.k();
-        let chain = &mut guard.chains[idx];
-        if chain.is_empty() {
-            // Room for the floor and the first version: with no snapshot
-            // live a chain never holds more than the version being
-            // installed and its predecessor.
-            chain.reserve_exact(2);
+        let record = guard.record_mut(idx);
+        if let MvRecord::Empty = record {
             let seq = self.install_seq.fetch_add(1, Ordering::SeqCst) + 1;
-            chain.push(MvVersion {
+            *record = MvRecord::Inline(MvVersion {
                 writer: TxId::VIRTUAL,
                 seq,
-                stamp: TsVec::origin(k),
+                stamp: TsVec::origin(stamp.k()),
                 value: floor_value(),
             });
         }
         let seq = self.install_seq.fetch_add(1, Ordering::SeqCst) + 1;
-        chain.push(MvVersion { writer, seq, stamp, value });
         installed(seq);
         let w = self.watermark();
+        let version = MvVersion { writer, seq, stamp, value };
+        // The chain is now the kept versions followed by `version`: keep
+        // the newest version with `seq <= w` and everything after it.
+        if seq <= w {
+            // The watermark keeps the new version alone.
+            *record = MvRecord::Inline(version);
+            return seq;
+        }
+        // A live snapshot began before this ticket, so the chain keeps at
+        // least one older version beside the new one and lives on the heap.
+        let chain = record.spill();
+        chain.push(version);
         let keep_from = chain.partition_point(|v| v.seq <= w).saturating_sub(1);
         chain.drain(..keep_from);
+        debug_assert!(chain.len() >= 2, "a one-version chain stays inline");
         seq
     }
 
@@ -292,7 +374,8 @@ impl<V: Clone> ConcurrentMvStore<V> {
         };
         for shard in self.shards.iter() {
             let guard = shard.read().unwrap_or_else(|e| e.into_inner());
-            for chain in guard.chains.iter().filter(|c| !c.is_empty()) {
+            let records = guard.pages.iter().flatten().flat_map(|page| page.iter());
+            for chain in records.map(MvRecord::chain).filter(|c| !c.is_empty()) {
                 let len = chain.len();
                 stats.chains += 1;
                 stats.versions += len as u64;
@@ -360,6 +443,8 @@ impl<V: Clone> Default for ConcurrentMvStore<V> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicBool;
+
     use super::*;
 
     const X: ItemId = ItemId(0);
@@ -423,6 +508,86 @@ mod tests {
         s.install(X, TxId(99), stamp(1, &[99]), 1, || unreachable!());
         assert_eq!(s.version_count(X), 1, "chain shrinks once snapshots end");
         assert_eq!(s.stats().pruned, 10);
+    }
+
+    /// Two installers move chains between the inline record and the heap
+    /// while two readers hold snapshots over the same 8 items. Every walk
+    /// of a held snapshot finds the same pivot, tickets ascend along every
+    /// chain, and once the readers stop, one install per item leaves every
+    /// chain at one version.
+    ///
+    /// The pivot is the newest version whose ticket is at most the one
+    /// current once the snapshot's slot is claimed — not `begin_seq`: a
+    /// pruner that scanned the registry before the claim keeps only the
+    /// newest version below its scan, which may be ticketed between the
+    /// two (its stamp still orders below the reader, DESIGN.md §8).
+    #[test]
+    fn chains_spill_and_return_inline_under_concurrent_snapshots() {
+        const ITEMS: u32 = 8;
+        const SNAPSHOTS: usize = 2_000;
+        let s: ConcurrentMvStore<i64> = ConcurrentMvStore::new();
+        let items = || (0..ITEMS).map(ItemId);
+        for item in items() {
+            s.install(item, TxId(1), stamp(1, &[1]), 1, || 0);
+        }
+        let stop = AtomicBool::new(false);
+        let longest = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for w in 0..2u32 {
+                let (s, stop) = (&s, &stop);
+                scope.spawn(move || {
+                    let mut n = 0;
+                    while !stop.load(Ordering::SeqCst) {
+                        let item = ItemId((n + w) % ITEMS);
+                        s.install(item, TxId(2 + w), stamp(1, &[n.into()]), n.into(), || {
+                            unreachable!("every chain was seeded")
+                        });
+                        n += 1;
+                    }
+                });
+            }
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        for _ in 0..SNAPSHOTS {
+                            let _snap = s.begin_snapshot();
+                            let registered = s.install_seq.load(Ordering::SeqCst);
+                            let pivot = |item| {
+                                s.with_chain(item, |chain| {
+                                    assert!(
+                                        chain.windows(2).all(|w| w[0].seq < w[1].seq),
+                                        "tickets must ascend along a chain"
+                                    );
+                                    longest.fetch_max(chain.len(), Ordering::Relaxed);
+                                    chain.iter().rev().find(|v| v.seq <= registered).map(|v| v.seq)
+                                })
+                                .expect("a held snapshot lost its pivot")
+                            };
+                            let first: Vec<u64> = items().map(pivot).collect();
+                            for _ in 0..2 {
+                                // Let the installers run under the snapshot
+                                // even on one CPU.
+                                std::thread::yield_now();
+                                assert!(
+                                    items().map(pivot).eq(first.iter().copied()),
+                                    "a pivot moved"
+                                );
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let joined: Vec<_> = readers.into_iter().map(|r| r.join()).collect();
+            stop.store(true, Ordering::SeqCst);
+            joined.into_iter().for_each(|r| r.unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        });
+        assert!(longest.into_inner() > 1, "no chain spilled under a held snapshot");
+        assert_eq!(s.active_snapshots(), 0);
+        for item in items() {
+            s.install(item, TxId(9), stamp(1, &[9]), 9, || unreachable!());
+            assert_eq!(s.version_count(item), 1, "a chain outlived its readers");
+        }
+        assert_eq!(s.stats().max_chain, 1);
     }
 
     #[test]

@@ -35,8 +35,10 @@ cargo test --workspace -q
 # The zero-allocation gate runs inside the workspace suite too (it is a
 # root-package integration test), but an explicit release-mode pass keeps
 # the assertion meaningful under the optimizer as well: the scheduler
-# paths, and a warmed Database::run transfer and run_read_only scan.
-echo "== alloc-regression gate (release) =="
+# paths, and a warmed Database::run transfer and run_read_only scan. The
+# same file holds the memory-layout gate: inline MV chain records and
+# zeroed id-index chunks.
+echo "== alloc + memory-layout gate (release) =="
 cargo test --release -q --test alloc_zero
 
 # Likewise the placement tests: a chunk raced by eight begins is built

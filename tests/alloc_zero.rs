@@ -16,6 +16,13 @@
 //! which lazily initializes its result-channel receiver context (two
 //! small `Arc` allocations) at a scheduling-dependent instant that can
 //! land inside any window on a busy host.
+//!
+//! A second test is the memory-layout gate: the multiversion store keeps
+//! each item's newest version inline in its record, so with no snapshot
+//! live it allocates only its record pages, and the row table's id index
+//! takes each chunk from one zeroed allocation, which the kernel backs as
+//! ids are used. The counter also tracks this thread's live heap bytes
+//! and its `alloc_zeroed` calls for it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -25,39 +32,82 @@ use mdts::engine::{Phase, PhaseTimers};
 use mdts::model::{ItemId, TxId};
 use mdts::vector::{TsVec, INLINE_K};
 
-/// `System`, with every allocating entry point counted. Deallocations are
-/// deliberately not counted: dropping warmed-up storage is free to happen
-/// whenever, it is *acquiring* memory on the hot path that regresses.
+/// `System`, with every allocating entry point counted. Deallocations
+/// only lower the live-byte count: dropping warmed-up storage is free to
+/// happen whenever, it is *acquiring* memory on the hot path that
+/// regresses.
 struct CountingAlloc;
 
-std::thread_local! {
-    // `const`-initialized `Cell<u64>` has no destructor and no lazy
-    // registration, so touching it from inside the allocator cannot
-    // recurse or itself allocate.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+/// What this thread has allocated so far.
+#[derive(Clone, Copy, Debug)]
+struct Counts {
+    /// Allocating calls: `alloc`, `alloc_zeroed` and `realloc`.
+    allocs: u64,
+    /// `alloc_zeroed` calls alone, and the bytes they asked for.
+    zeroed: u64,
+    zeroed_bytes: u64,
+    /// Bytes allocated less bytes freed.
+    live_bytes: i64,
 }
 
-fn count_one() {
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+impl std::ops::Sub for Counts {
+    type Output = Counts;
+
+    fn sub(self, before: Counts) -> Counts {
+        Counts {
+            allocs: self.allocs - before.allocs,
+            zeroed: self.zeroed - before.zeroed,
+            zeroed_bytes: self.zeroed_bytes - before.zeroed_bytes,
+            live_bytes: self.live_bytes - before.live_bytes,
+        }
+    }
+}
+
+std::thread_local! {
+    // A `const`-initialized `Cell` of a `Copy` struct has no destructor
+    // and no lazy registration, so touching it from inside the allocator
+    // cannot recurse or itself allocate.
+    static COUNTS: Cell<Counts> =
+        const { Cell::new(Counts { allocs: 0, zeroed: 0, zeroed_bytes: 0, live_bytes: 0 }) };
+}
+
+fn note(f: impl FnOnce(&mut Counts)) {
+    let _ = COUNTS.try_with(|c| {
+        let mut counts = c.get();
+        f(&mut counts);
+        c.set(counts);
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        note(|c| {
+            c.allocs += 1;
+            c.live_bytes += layout.size() as i64;
+        });
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        note(|c| {
+            c.allocs += 1;
+            c.zeroed += 1;
+            c.zeroed_bytes += layout.size() as u64;
+            c.live_bytes += layout.size() as i64;
+        });
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        note(|c| {
+            c.allocs += 1;
+            c.live_bytes += new_size as i64 - layout.size() as i64;
+        });
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(|c| c.live_bytes -= layout.size() as i64);
         System.dealloc(ptr, layout)
     }
 }
@@ -65,10 +115,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
+/// What this thread has allocated so far.
+fn counts() -> Counts {
+    COUNTS.with(Cell::get)
+}
+
+/// What `f` allocated on this thread.
+fn measure(f: impl FnOnce()) -> Counts {
+    let before = counts();
     f();
-    ALLOCS.with(Cell::get) - before
+    counts() - before
+}
+
+fn allocations(f: impl FnOnce()) -> u64 {
+    measure(f).allocs
 }
 
 /// The item working set. Ids spread over every shard (64 by default) and
@@ -272,8 +332,8 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
     // scratch and the guards are held inline, so warmed `run` transfers —
     // admission, two reads, two writes, commit-time validation, stamp,
     // two version installs, apply — and warmed `run_read_only` scans must
-    // not touch the heap at all. 64 accounts keep every version chain at
-    // its pruned steady-state capacity after the warm-up.
+    // not touch the heap at all. With no snapshot live, a version install
+    // overwrites the item's inline chain record in place.
     {
         use mdts::engine::{bank_database_multiversion, BankConfig};
 
@@ -341,4 +401,68 @@ fn s_begin_spilled(s: &SharedMtScheduler) {
     s.begin(TxId(1));
     assert!(s.read(TxId(1), ItemId(0)).is_accept());
     s.commit(TxId(1));
+}
+
+/// The memory-layout gate: the multiversion store and the row table's id
+/// index hold only memory in use.
+#[test]
+fn mv_chain_records_and_id_index_chunks_hold_only_live_memory() {
+    use mdts::core::RowTable;
+    use mdts::storage::ConcurrentMvStore;
+
+    const ITEMS: u32 = 8192;
+    let store: ConcurrentMvStore<Option<i64>> = ConcurrentMvStore::new();
+    let mut writer = 0;
+    let mut install_all = || {
+        for n in 0..ITEMS {
+            writer += 1;
+            let stamp = TsVec::from_elems(&[Some(writer.into()), Some(1), Some(1)]);
+            store.install(ItemId(n), TxId(writer), stamp, Some(n.into()), || None);
+        }
+    };
+    let live_per_item = |c: Counts| c.live_bytes / i64::from(ITEMS);
+
+    // No snapshot live: every install prunes its chain to the new version,
+    // which the item's record holds inline — the store allocates its
+    // record pages and page lists, and nothing per item or per install.
+    let empty = counts();
+    let installs = measure(|| (0..4).for_each(|_| install_all()));
+    assert!(installs.allocs <= 1024, "{} allocations for {ITEMS} items", installs.allocs);
+    assert!(
+        live_per_item(installs) <= 112,
+        "{} live heap bytes per item with no snapshot live",
+        live_per_item(installs)
+    );
+
+    // A held snapshot keeps each chain's older versions on the heap; the
+    // first install after it is dropped prunes every chain back to one
+    // version, inline, without allocating, and frees the heap blocks.
+    let snapshot = store.begin_snapshot();
+    (0..3).for_each(|_| install_all());
+    assert_eq!(store.stats().max_chain, 4, "a held snapshot keeps every version since it began");
+    drop(snapshot);
+    let after = measure(install_all);
+    assert_eq!(after.allocs, 0, "an install after the snapshot was dropped allocated");
+    assert_eq!(store.stats().max_chain, 1);
+    let since_empty = counts() - empty;
+    assert!(
+        live_per_item(since_empty) <= 112,
+        "{} live heap bytes per item after the snapshot was dropped",
+        live_per_item(since_empty)
+    );
+
+    // The id index: beginning the first id of a fresh chunk (chunk 1,
+    // 2048 ids at 4 bytes) takes the chunk from one zeroed allocation,
+    // and is the window's only allocation.
+    let rows = RowTable::new();
+    rows.begin(1023, || TsVec::undefined(3), || unreachable!("a fresh id"));
+    let chunk = measure(|| {
+        rows.begin(1024, || TsVec::undefined(3), || unreachable!("a fresh id"));
+    });
+    assert_eq!(rows.resident_chunks(), 2);
+    assert_eq!(
+        (chunk.zeroed, chunk.zeroed_bytes, chunk.allocs),
+        (1, 2048 * 4, 1),
+        "a fresh index chunk must be one zeroed allocation of its size"
+    );
 }
