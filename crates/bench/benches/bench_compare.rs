@@ -2,20 +2,17 @@
 //! comparison across dimensions, on the protocol's worst case (equal
 //! prefix of length k−1) — plus the ISSUE-5 small-k sweep pitting the
 //! inline (cache-resident) representation against the forced-spilled one
-//! and against a replica of the pre-inline boxed comparator, and the
-//! ISSUE-8 SIMD sweep: wide-k single compares (scalar vs the
-//! [`SimdComparator`] kernels) and batched one-vs-many compares
-//! (sequential scalar loop vs [`BatchScratch::compare_one_vs_many`]).
+//! and against a replica of the pre-inline boxed comparator, and the SIMD
+//! sweep: wide-k single compares, scalar vs the [`SimdComparator`]
+//! kernels.
 //!
 //! `--json` (e.g. `cargo bench -p mdts-bench --bench bench_compare --
 //! --json`) skips criterion and emits one `mdts-metrics/v1` document
-//! with directly measured per-compare timings and the scalar/SIMD and
-//! sequential/batched speedup ratios for the SIMD lanes.
+//! with directly measured per-compare timings and the scalar/SIMD
+//! speedup ratio of the wide-k lane.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use mdts_vector::{
-    BatchScratch, CmpResult, ScalarComparator, SimdComparator, TreeComparator, TsVec,
-};
+use mdts_vector::{CmpResult, ScalarComparator, SimdComparator, TreeComparator, TsVec};
 
 fn worst_case_pair(k: usize) -> (TsVec, TsVec) {
     let mut a = TsVec::undefined(k);
@@ -204,10 +201,9 @@ fn bench_working_set(c: &mut Criterion) {
     group.finish();
 }
 
-/// ISSUE-8 sweep, criterion form: worst-case single compares at the wide
+/// SIMD sweep, criterion form: worst-case single compares at the wide
 /// dimensions (one-word boundary and beyond) under the scalar and SIMD
-/// comparators, and one probe against a worst-case candidate set under a
-/// sequential scalar loop vs the batched one-call-per-batch path.
+/// comparators.
 fn bench_simd_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("compare_simd_{:?}", mdts_vector::simd_tier()));
     for k in [64usize, 128, 256, 1024] {
@@ -223,63 +219,7 @@ fn bench_simd_sweep(c: &mut Criterion) {
             })
         });
     }
-    for (k, n) in [(64usize, 8usize), (64, 16), (64, 64), (128, 8)] {
-        let (probe, cands) = batch_fixture(k, n);
-        let mut scratch = BatchScratch::new();
-        scratch.compare_slice(&probe, &cands); // warm the scratch capacity
-        group.bench_with_input(
-            BenchmarkId::new(format!("batch{n}_sequential"), k),
-            &k,
-            |bench, _| {
-                bench.iter(|| {
-                    let mut acc = 0usize;
-                    for c in std::hint::black_box(&cands).iter() {
-                        if let CmpResult::Greater { at } =
-                            ScalarComparator::compare(std::hint::black_box(&probe), c)
-                        {
-                            acc += at;
-                        }
-                    }
-                    std::hint::black_box(acc)
-                })
-            },
-        );
-        group.bench_with_input(BenchmarkId::new(format!("batch{n}_batched"), k), &k, |bench, _| {
-            bench.iter(|| {
-                let decisions = scratch
-                    .compare_slice(std::hint::black_box(&probe), std::hint::black_box(&cands));
-                let mut acc = 0usize;
-                for d in decisions {
-                    if let CmpResult::Greater { at } = *d {
-                        acc += at;
-                    }
-                }
-                std::hint::black_box(acc)
-            })
-        });
-    }
     group.finish();
-}
-
-/// A probe plus `n` worst-case candidates: every candidate shares the
-/// probe's equal defined prefix and diverges only at the last element, so
-/// both the sequential loop and the batched pass walk all k positions of
-/// every candidate.
-fn batch_fixture(k: usize, n: usize) -> (TsVec, Vec<TsVec>) {
-    let mut probe = TsVec::undefined(k);
-    for m in 0..k {
-        probe.define(m, 1);
-    }
-    let cands = (0..n)
-        .map(|i| {
-            let mut v = TsVec::undefined(k);
-            for m in 0..k {
-                v.define(m, if m == k - 1 { i as i64 - (n as i64 / 2) } else { 1 });
-            }
-            v
-        })
-        .collect();
-    (probe, cands)
 }
 
 mod json_report {
@@ -292,9 +232,9 @@ mod json_report {
 
     use mdts_bench::metrics_document;
     use mdts_trace::MetricsRegistry;
-    use mdts_vector::{BatchScratch, CmpResult, ScalarComparator, SimdComparator};
+    use mdts_vector::{CmpResult, ScalarComparator, SimdComparator};
 
-    use super::{batch_fixture, worst_case_pair};
+    use super::worst_case_pair;
 
     /// Minimum ns/op of two alternatives over `REPS` *interleaved* timed
     /// passes of `iters` calls each: baseline and contender alternate
@@ -359,40 +299,6 @@ mod json_report {
                     .counter("scalar_ps_per_op", (scalar * 1000.0) as u64)
                     .counter("simd_ps_per_op", (simd * 1000.0) as u64)
                     .counter("speedup_x100", (scalar / simd * 100.0) as u64),
-            );
-        }
-        // One-vs-many: sequential scalar loop vs the batched pass,
-        // per-candidate cost; the ≥ 3x acceptance lanes (batch ≥ 8).
-        for (k, n) in [(64usize, 8usize), (64, 16), (64, 64), (128, 8)] {
-            let (probe, cands) = batch_fixture(k, n);
-            let mut scratch = BatchScratch::new();
-            scratch.compare_slice(&probe, &cands);
-            let iters = 2_000_000usize / (k.max(16) * n / 8);
-            let (sequential, batched) = time_pair_ns_per_op(
-                iters,
-                || {
-                    std::hint::black_box(&cands)
-                        .iter()
-                        .map(|c| sink(ScalarComparator::compare(std::hint::black_box(&probe), c)))
-                        .sum()
-                },
-                || {
-                    scratch
-                        .compare_slice(std::hint::black_box(&probe), std::hint::black_box(&cands))
-                        .iter()
-                        .map(|&d| sink(d))
-                        .sum()
-                },
-            );
-            runs.push(
-                MetricsRegistry::new()
-                    .label("lane", "one_vs_many")
-                    .label("tier", tier.clone())
-                    .label("k", k.to_string())
-                    .label("batch", n.to_string())
-                    .counter("sequential_ps_per_cand", (sequential * 1000.0) as u64 / n as u64)
-                    .counter("batched_ps_per_cand", (batched * 1000.0) as u64 / n as u64)
-                    .counter("speedup_x100", (sequential / batched * 100.0) as u64),
             );
         }
         println!("{}", metrics_document("bench_compare", &runs).render());

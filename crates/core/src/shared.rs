@@ -97,7 +97,6 @@
 //!
 //! [`OrderCache`]: mdts_vector::OrderCache
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -111,7 +110,7 @@ use mdts_model::{ItemId, OpKind, Operation, TxId};
 use mdts_trace::event::{scalar_cost, tree_cost, AccessOutcome, SetEdgeOutcome};
 use mdts_trace::{TraceEvent, TraceSink};
 use mdts_vector::{
-    BatchScratch, CachePadded, CmpResult, KthCounters, OrderCache, OrderCacheStats, Striped, TsVec,
+    CachePadded, CmpResult, KthCounters, OrderCache, OrderCacheStats, Striped, TsVec,
 };
 
 use crate::algo1::{self, Encoding};
@@ -180,20 +179,22 @@ pub enum SnapshotRead {
     Older,
 }
 
-/// Number of power-of-two buckets in the batched-compare size
-/// distribution: bucket `i` counts batches of `2^i ..= 2^(i+1) - 1`
-/// candidates, the last bucket absorbing everything from 64 up.
+/// Number of power-of-two buckets in the chain-walk length
+/// distribution: bucket `i` counts walks that compared `2^i ..=
+/// 2^(i+1) - 1` versions, the last bucket absorbing everything from 64
+/// up.
 pub const BATCH_SIZE_BUCKETS: usize = 7;
 
-/// Counters for the batched SIMD compare path (ISSUE 8): the MV
-/// chain-walk scan.
+/// Counters of the MV snapshot chain walk
+/// ([`SharedMtScheduler::snapshot_newest_visible`]). The names predate
+/// the walk; the metrics documents and the benchmark harness read them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchedCompareStats {
-    /// Newest-below-reader scans over MV chain segments.
+    /// Newest-below-reader walks over MV chains, one per call.
     pub chain_batches: u64,
-    /// Total candidates compared across those scans.
+    /// Versions those walks compared the reader against.
     pub candidates: u64,
-    /// Batch-size distribution (see [`BATCH_SIZE_BUCKETS`]).
+    /// Walk-length distribution (see [`BATCH_SIZE_BUCKETS`]).
     pub size_buckets: [u64; BATCH_SIZE_BUCKETS],
 }
 
@@ -203,15 +204,6 @@ struct BatchedCounters {
     chain_batches: AtomicU64,
     candidates: AtomicU64,
     size_buckets: [AtomicU64; BATCH_SIZE_BUCKETS],
-}
-
-std::thread_local! {
-    /// Reusable scratch for the batched comparator: per thread,
-    /// warmed by the first batch, allocation-free afterwards (the
-    /// zero-alloc gate in tests/alloc_zero.rs covers the chain-walk
-    /// scan). `const`-initialized so first touch performs no lazy
-    /// registration either.
-    static BATCH_SCRATCH: RefCell<BatchScratch> = const { RefCell::new(BatchScratch::new()) };
 }
 
 /// The concurrent MT(k) scheduler. All methods take `&self`; the type is
@@ -254,8 +246,7 @@ pub struct SharedMtScheduler {
     /// argument chains through. One cache line per column: a commit that
     /// raises one column leaves the others' readers undisturbed.
     col_max: Box<[CachePadded<AtomicI64>]>,
-    /// Batched-compare counters (ISSUE 8), per-thread cells summed on
-    /// read.
+    /// Chain-walk counters, per-thread cells summed on read.
     batched: Striped<BatchedCounters>,
     /// Decision-trace sink (disabled by default; see `mdts-trace`).
     trace: TraceSink,
@@ -360,7 +351,7 @@ impl SharedMtScheduler {
         self.cache.stats()
     }
 
-    /// Counters of the batched SIMD compare path (ISSUE 8).
+    /// Counters of the MV snapshot chain walk.
     pub fn batched_compare_stats(&self) -> BatchedCompareStats {
         let sum = |f: &dyn Fn(&BatchedCounters) -> &AtomicU64| {
             self.batched.sum(|b| f(b).load(Ordering::Relaxed))
@@ -372,9 +363,10 @@ impl SharedMtScheduler {
         }
     }
 
-    /// Ticks the batched-compare counters for one batch of `n` candidates.
+    /// Ticks the chain-walk counters for one walk that compared `n`
+    /// versions.
     #[inline]
-    fn note_batch(&self, n: usize) {
+    fn note_walk(&self, n: usize) {
         debug_assert!(n >= 1);
         let b = self.batched.mine();
         b.chain_batches.fetch_add(1, Ordering::Relaxed);
@@ -1049,23 +1041,15 @@ impl SharedMtScheduler {
         }
     }
 
-    /// ISSUE 8: the batched newest-below-reader scan over an MV chain
-    /// segment. `stamp_of(i)` yields version `i`'s saturated commit
-    /// stamp, oldest first; returns the index of the newest version the
-    /// reader sits after, or `None` when even the oldest is newer.
+    /// The newest-below-reader walk over an MV chain. `stamp_of(i)`
+    /// yields version `i`'s saturated commit stamp, oldest first; returns
+    /// the index of the newest version the reader sits after, or `None`
+    /// when even the oldest is newer.
     ///
-    /// One batched SIMD compare of the reader's vector against the whole
-    /// segment replaces the per-version lock/compare round-trips of
-    /// [`snapshot_order_after`](Self::snapshot_order_after): the reader's
-    /// row read lock is taken once, every decision comes back in one
-    /// scratch pass, and only a version whose order is still *open*
-    /// (its stamp column is undefined on the reader's side) falls back
-    /// to the per-version define loop — after the batch guard is
-    /// released, so the fallback's write lock nests as before.
-    ///
-    /// The batched decisions stay valid after the guard drops for the
-    /// same reason the order cache is sound: decided orders are
-    /// write-once, and the stamps are saturated (immutable).
+    /// One gap test ([`snapshot_order_after`](Self::snapshot_order_after))
+    /// per version, newest first, stopping at the first visible one: a
+    /// decided order costs one compare under the row's read lock, and an
+    /// open one is defined in place.
     pub fn snapshot_newest_visible<'a>(
         &self,
         reader: TxId,
@@ -1076,38 +1060,10 @@ impl SharedMtScheduler {
         if n == 0 {
             return None;
         }
-        let slot = self.slot_expect(reader);
-        let mut open = None;
-        let found = BATCH_SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            let decisions = {
-                let row = slot.read();
-                scratch.compare_one_vs_many(vec_of(&row, reader), n, &stamp_of)
-            };
-            // Newest (highest index) first: the first version the reader
-            // is ordered after is the visible one.
-            for i in (0..n).rev() {
-                match decisions[i] {
-                    CmpResult::Greater { .. } => return Some(i),
-                    CmpResult::Less { .. } => {}
-                    _ => {
-                        // Open order: resolve below via the define loop
-                        // (needs the write lock, so outside this borrow).
-                        open = Some(i);
-                        return None;
-                    }
-                }
-            }
-            None
-        });
-        self.note_batch(n);
-        if let Some(i) = found {
-            return Some(i);
-        }
-        // Continue the walk from the first open version downward with the
-        // per-version gap test; versions above it already compared Less.
-        let start = open?;
-        (0..=start).rev().find(|&i| self.snapshot_order_after(reader, stamp_of(i), writer_of(i)))
+        let found =
+            (0..n).rev().find(|&i| self.snapshot_order_after(reader, stamp_of(i), writer_of(i)));
+        self.note_walk(n - found.unwrap_or(0));
+        found
     }
 
     // ---- inspection ------------------------------------------------------
@@ -1364,6 +1320,80 @@ mod tests {
         assert!(s.write(TxId(2), ItemId(0)).is_accept());
         s.commit(TxId(1)); // displaced → reclaimed
         assert!(s.with_ts(TxId(1), |v| v.is_none()), "reclaimed row reads as None");
+    }
+
+    /// The chain walk serves the newest version the reader sits after,
+    /// testing versions newest first and stopping there: for a reader
+    /// after every writer, one below the newest writer, and one whose
+    /// order against a stamp is still open until the walk defines it.
+    #[test]
+    fn snapshot_newest_visible_walks_newest_first() {
+        let s = SharedMtScheduler::with_k(3);
+        let x = ItemId(0);
+        let (mut stamps, mut writers) = (Vec::new(), Vec::new());
+        for id in 1..=3 {
+            let w = TxId(id);
+            s.begin(w);
+            assert!(s.write(w, x).is_accept());
+            stamps.push(s.stamp_commit(w));
+            s.commit(w);
+            writers.push(w);
+        }
+        let elem = |i: usize, m: usize| stamps[i].get(m).expect("saturated stamp");
+        assert!(elem(0, 0) < elem(1, 0) && elem(1, 0) < elem(2, 0), "decided at column 0");
+        // A begun reader with the given elements defined in its row.
+        let reader = |id: u32, elems: &[(usize, i64)]| {
+            let r = TxId(id);
+            s.begin(r);
+            let mut row = s.slot_expect(r).write();
+            for &(m, value) in elems {
+                vec_of_mut(&mut row, r).define(m, value);
+            }
+            r
+        };
+        // Walks `r` over the chain: the served index and the versions the
+        // walk compared, which the counters must equal.
+        let walk = |r: TxId, compared: u64| {
+            let before = s.batched_compare_stats();
+            let got = s.snapshot_newest_visible(r, 3, |i| &stamps[i], |i| writers[i]);
+            let after = s.batched_compare_stats();
+            assert_eq!(after.chain_batches - before.chain_batches, 1, "one walk for {r}");
+            assert_eq!(after.candidates - before.candidates, compared, "versions for {r}");
+            let bucket = (u64::BITS - 1 - compared.leading_zeros()) as usize;
+            assert_eq!(after.size_buckets[bucket] - before.size_buckets[bucket], 1);
+            let ts = s.ts(r).expect("live reader");
+            // The served stamp and every older one order below the
+            // reader's final vector, every newer one above it.
+            for (i, stamp) in stamps.iter().enumerate() {
+                let cmp = stamp.compare(&ts);
+                let below = got.is_some_and(|g| i <= g);
+                assert!(matches!(cmp, CmpResult::Less { .. } | CmpResult::Greater { .. }));
+                assert_eq!(
+                    matches!(cmp, CmpResult::Less { .. }),
+                    below,
+                    "stamp {i} of {r}: {cmp:?}"
+                );
+            }
+            got
+        };
+
+        // After all three writers: the newest version, one compare.
+        let after_all = reader(4, &[]);
+        assert_eq!(s.snapshot_read(after_all, x), SnapshotRead::Current);
+        assert_eq!(walk(after_all, 1), Some(2));
+
+        // Decided below writers 3 and 2, after writer 1 (at column 1):
+        // the oldest version, after all three compares.
+        let below = reader(5, &[(0, elem(0, 0)), (1, elem(0, 1) + 1)]);
+        assert_eq!(walk(below, 3), Some(0));
+
+        // Below writer 3, but open against writer 2 (equal at column 0,
+        // undefined at column 1): the walk defines column 1 above the
+        // stamp and serves writer 2's version.
+        let open = reader(6, &[(0, elem(1, 0))]);
+        assert_eq!(s.ts(open).unwrap().get(1), None);
+        assert_eq!(walk(open, 2), Some(1));
+        assert!(s.ts(open).unwrap().get(1) > Some(elem(1, 1)), "column 1 defined above writer 2");
     }
 
     /// Repeat consults of a decided order are served by the write-once

@@ -379,7 +379,7 @@ impl<V: Clone + Send + 'static> Database<V> {
     }
 
     /// The subsystem gauges of [`metrics`](Self::metrics): MV chains and
-    /// GC, the scheduler's row table, the batched compare path, the WAL.
+    /// GC, the scheduler's row table, the MV chain walk, the WAL.
     pub fn gauges(&self) -> EngineGauges {
         self.metrics().gauges
     }
@@ -641,10 +641,6 @@ impl<V: Clone + Send + Sync + 'static> SnapshotTx<'_, V> {
                 // stamped ⟨0,*,…⟩, is the degenerate case).
                 let span = shared.metrics.phases.start();
                 let selected = self.mv.store.with_chain(item, |chain| {
-                    // ISSUE 8: one batched SIMD compare of the reader
-                    // against the whole segment replaces per-version
-                    // lock/compare round-trips; only a version whose
-                    // order is still open falls back to the define loop.
                     if let Some(i) = sched.snapshot_newest_visible(
                         id,
                         chain.len(),

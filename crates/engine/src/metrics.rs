@@ -133,8 +133,8 @@ macro_rules! metrics_table {
         }
 
         /// Point-in-time gauges for the subsystems behind the counters: the
-        /// MV store's chains and GC, the scheduler's row table, the batched
-        /// compare path and the write-ahead log. Gauges are *levels*, not
+        /// MV store's chains and GC, the scheduler's row table, the MV
+        /// chain walk and the write-ahead log. Gauges are *levels*, not
         /// totals — a windowed sampler reports them as-is rather than
         /// subtracting.
         #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -232,8 +232,8 @@ metrics_table! {
         sampled order_cache_hits,
         /// Comparisons that missed the order cache and walked the vectors.
         sampled order_cache_misses,
-        /// Candidate vectors compared through the batched SIMD one-vs-many
-        /// path (MV chain scans).
+        /// Version stamps the MV snapshot chain walks compared the reader
+        /// against.
         sampled batched_compares,
         /// Commit records framed into the write-ahead log (0 without
         /// durability).
@@ -276,10 +276,11 @@ metrics_table! {
         /// Order-cache epoch flushes (cumulative invalidation count); live
         /// for as long as the MT(k) schedulers keep their order cache.
         order_cache_epoch_flushes: u64 => scheduler.order_cache_epoch_flushes,
-        /// Batched SIMD compares issued on the MV chain-walk path.
+        /// MV snapshot chain walks, one per chain read.
         batched_chain_batches: u64 => batched_compare.chain_batches,
-        /// Batch-size distribution by power-of-two bucket (`le_1`, `le_2`,
-        /// `le_4`, …; the last bucket absorbs everything larger).
+        /// Chain-walk length (versions compared) by power-of-two bucket
+        /// (`le_1`, `le_2`, `le_4`, …; the last bucket absorbs everything
+        /// larger).
         batched_size_buckets: [u64; BATCH_SIZE_BUCKETS] => batched_compare.size_le_,
         /// Highest WAL epoch fsynced so far (0 without durability).
         wal_durable_epoch: u64 => wal.durable_epoch,

@@ -22,12 +22,11 @@
 //! * [`ScalarComparator`] — the O(k) sequential comparison;
 //! * [`TreeComparator`] — the five-phase simulated vector-processor
 //!   comparison of Figs. 6–7, O(log k) parallel steps;
-//! * [`SimdComparator`] and [`BatchScratch`] — the data-parallel
-//!   Definition 6 kernels (AVX-512/AVX2/SSE2 with a bit-identical scalar
-//!   fallback): the single compare is the wide-k subject of Figs. 6–7
-//!   (exp06, `bench_compare`), the batched one-vs-many compare serves
-//!   the engine's MV chain walk. Per-pair compares on the engine path
-//!   are the scalar [`TsVec::compare`];
+//! * [`SimdComparator`] — the data-parallel Definition 6 kernels
+//!   (AVX-512/AVX2/SSE2 with a bit-identical scalar fallback), the wide-k
+//!   subject of Figs. 6–7 (exp06, `bench_compare`). Every compare on the
+//!   engine path, the MV chain walk included, is the scalar
+//!   [`TsVec::compare`];
 //! * [`interval_view`] — the Section VI-A reading of a vector as a shrinking
 //!   timestamp interval;
 //! * [`OrderCache`] — a concurrent memo table for *decided* strict orders,
@@ -48,7 +47,7 @@ pub use compare::{CmpResult, ParallelCost, ScalarComparator, TreeComparator};
 pub use counters::KthCounters;
 pub use interval::interval_view;
 pub use ordercache::{OrderCache, OrderCacheStats};
-pub use simd::{simd_tier, BatchScratch, SimdComparator, SimdTier};
+pub use simd::{simd_tier, SimdComparator, SimdTier};
 pub use stripe::{CachePadded, Striped};
 pub use tsvec::{TsVec, INLINE_K};
 

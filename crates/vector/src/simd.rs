@@ -2,29 +2,13 @@
 //! counterpart of the Figs. 6–7 tree comparator that [`TreeComparator`]
 //! only *costs*.
 //!
-//! Two entry points:
-//!
-//! * [`SimdComparator::compare`] — a single Definition 6 comparison for
-//!   arbitrary `k`. Per 64-element definedness word the first
-//!   not-both-defined position falls out of one AND + `trailing_zeros`
-//!   (exactly as the scalar one-word fast path), and the both-defined run
-//!   before it is scanned for the first value difference four `i64` lanes
-//!   per instruction (AVX2) or two (SSE2), instead of the scalar
-//!   element-at-a-time loop.
-//! * [`BatchScratch::compare_one_vs_many`] — one probe against many
-//!   candidates, the exact shape of an MV snapshot chain walk (reader
-//!   vs. every version stamp). The pass is candidate-major: the
-//!   probe's raw parts and the dimension check are hoisted out of the
-//!   loop, each candidate gets one fused full-width scan, and software
-//!   prefetch of the next candidate's spilled storage hides the pointer
-//!   chase of scattered boxed vectors. (A position-major SoA transpose —
-//!   one broadcast compare deciding all lanes per Definition 6 step —
-//!   was measured first and lost by an order of magnitude: writing k
-//!   values per candidate at a 512-byte stride costs more cache traffic
-//!   than the comparison itself, while the candidate-major scan reads
-//!   each vector once, sequentially, at full vector width.) The decision
-//!   buffer is reused across calls: zero heap allocations after warmup
-//!   (gated by `tests/alloc_zero.rs`).
+//! [`SimdComparator::compare`] is a single Definition 6 comparison for
+//! arbitrary `k`. Per 64-element definedness word the first
+//! not-both-defined position falls out of one AND + `trailing_zeros`
+//! (exactly as the scalar one-word fast path), and the both-defined run
+//! before it is scanned for the first value difference eight `i64` lanes
+//! per instruction (AVX-512F), four (AVX2) or two (SSE2), instead of the
+//! scalar element-at-a-time loop.
 //!
 //! Dispatch is by runtime feature detection (`is_x86_feature_detected!`),
 //! cached in an atomic; there is no nightly portable-SIMD dependency. On
@@ -35,10 +19,10 @@
 //! decides. The tier is what the CPU reports; the unit and property tests
 //! drive every tier the CPU supports, not only the one dispatch picks.
 //!
-//! The engine's per-pair compares do not come through here: at k = 3 the
-//! one-word scalar [`TsVec::compare`] (6.9 ns) beats this dispatch
-//! (11.5 ns). The single compare is for wide k (exp06, `bench_compare`:
-//! Figs. 6–7); the batched one is the engine's MV chain walk.
+//! The engine does not come through here: at k = 3 the one-word scalar
+//! [`TsVec::compare`] (6.9 ns) beats this dispatch (11.5 ns), so every
+//! engine compare, the MV snapshot chain walk included, is scalar. This
+//! comparator is for wide k (exp06, `bench_compare`: Figs. 6–7).
 //!
 //! The reported `ops` count keeps the naive-scan semantics of
 //! [`ScalarComparator`] — deciding index + 1, or `k` for `Identical` — so
@@ -317,13 +301,6 @@ mod x86 {
         None
     }
 
-    /// Prefetch one cache line into all levels. SSE is x86_64 baseline, so
-    /// this is unconditionally available.
-    #[inline]
-    pub fn prefetch(p: *const u8) {
-        unsafe { _mm_prefetch(p as *const i8, _MM_HINT_T0) }
-    }
-
     /// [`compare_parts_inner`] monomorphized under the AVX-512F feature.
     ///
     /// # Safety
@@ -341,61 +318,8 @@ mod x86 {
         super::compare_parts_inner(k, av, da, bv, db, |a, b| first_diff_avx512(a, b))
     }
 
-    /// The whole batched candidate loop under the AVX-512F feature: one
-    /// function call (and one `vzeroupper` on exit) for the entire batch
-    /// instead of one per candidate, with the kernel and the candidate
-    /// accessor inlined into the loop. At k = 64 the per-candidate fixed
-    /// overhead of the call-per-candidate shape costs as much as the
-    /// comparison itself — hoisting it is where the batched speedup over
-    /// repeated single compares comes from.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX-512F support.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn batch_avx512<'a>(
-        k: usize,
-        pv: &[i64],
-        pd: &[u64],
-        candidate: impl Fn(usize) -> &'a super::TsVec,
-        out: &mut [super::CmpResult],
-    ) {
-        super::batch_inner(k, pv, pd, candidate, out, |a, b| first_diff_avx512(a, b))
-    }
-
-    /// AVX2 variant of [`batch_avx512`].
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn batch_avx2<'a>(
-        k: usize,
-        pv: &[i64],
-        pd: &[u64],
-        candidate: impl Fn(usize) -> &'a super::TsVec,
-        out: &mut [super::CmpResult],
-    ) {
-        super::batch_inner(k, pv, pd, candidate, out, |a, b| first_diff_avx2(a, b))
-    }
-
-    /// SSE2 variant of [`batch_avx512`].
-    ///
-    /// # Safety
-    /// SSE2 is x86_64 baseline; callable on any x86_64.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn batch_sse2<'a>(
-        k: usize,
-        pv: &[i64],
-        pd: &[u64],
-        candidate: impl Fn(usize) -> &'a super::TsVec,
-        out: &mut [super::CmpResult],
-    ) {
-        super::batch_inner(k, pv, pd, candidate, out, |a, b| first_diff_sse2(a, b))
-    }
-
     /// [`compare_parts_inner`] monomorphized under the AVX2 feature, so
-    /// [`first_diff_avx2`] inlines into it and the kernel's constants stay
-    /// in registers across a batch of calls (per-call `first_diff`
-    /// dispatch is what the batched path hoists).
+    /// [`first_diff_avx2`] inlines into it.
     ///
     /// # Safety
     /// Caller must have verified AVX2 support.
@@ -450,8 +374,7 @@ fn first_diff_scalar(a: &[i64], b: &[i64]) -> Option<usize> {
 /// Definition 6 on pre-fetched raw parts, on the given tier. The tier
 /// match is the only dispatch: each arm enters a `#[target_feature]`
 /// monomorphization of [`compare_parts_inner`] with the matching kernel
-/// inlined, so batched callers resolving the tier once pay no per-call
-/// feature detection or kernel-call overhead.
+/// inlined.
 #[inline]
 fn compare_parts(
     tier: SimdTier,
@@ -472,34 +395,6 @@ fn compare_parts(
     compare_parts_inner(k, av, da, bv, db, first_diff_scalar)
 }
 
-/// The batched candidate loop on the given tier: the counterpart of
-/// [`compare_parts`] for [`batch_inner`], one feature-dispatched call
-/// for the whole batch.
-#[inline]
-fn batch_parts<'a>(
-    tier: SimdTier,
-    k: usize,
-    pv: &[i64],
-    pd: &[u64],
-    candidate: impl Fn(usize) -> &'a TsVec,
-    out: &mut [CmpResult],
-) {
-    // SAFETY: the tier was detected (the `#[target_feature]` callee
-    // contract — the batch wrappers do no unchecked accesses).
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    unsafe {
-        match tier {
-            SimdTier::Avx512 => return x86::batch_avx512(k, pv, pd, candidate, out),
-            SimdTier::Avx2 => return x86::batch_avx2(k, pv, pd, candidate, out),
-            SimdTier::Sse2 => return x86::batch_sse2(k, pv, pd, candidate, out),
-            SimdTier::Scalar => {}
-        }
-    }
-    let _ = tier;
-    // SAFETY: batch_inner is unsafe only as a target_feature callee.
-    unsafe { batch_inner(k, pv, pd, candidate, out, first_diff_scalar) };
-}
-
 /// The data-parallel Definition 6 comparator. Result *and* deciding index
 /// are bit-identical to [`ScalarComparator`] on every input — the SIMD
 /// kernels only accelerate the first-differing-lane search.
@@ -507,8 +402,8 @@ fn batch_parts<'a>(
 /// [`ScalarComparator`]: crate::compare::ScalarComparator
 pub struct SimdComparator;
 
-/// Definition 6 on pre-fetched raw parts — the shared core of the single
-/// and batched entry points, generic over the first-difference kernel so
+/// Definition 6 on pre-fetched raw parts, generic over the
+/// first-difference kernel so
 /// each [`compare_parts`] tier arm gets a copy with its kernel inlined
 /// (the memchr pattern: `#[inline(always)]` inner, `#[target_feature]`
 /// wrappers).
@@ -573,55 +468,6 @@ fn compare_parts_inner(
     CmpResult::Identical
 }
 
-/// The batched candidate loop, generic over the first-difference kernel
-/// and the candidate accessor — monomorphized per tier by the `batch_*`
-/// wrappers exactly like [`compare_parts_inner`], so both inline into
-/// the loop and the wrapper's call overhead (plus `vzeroupper`) is paid
-/// once per batch, not once per candidate. The loop runs one candidate
-/// ahead: while candidate `c` is scanned, `c + 1` has already been
-/// fetched and its value / definedness lines software-prefetched, hiding
-/// the pointer chase of scattered boxed vectors.
-///
-/// The function is `unsafe` solely as a `#[target_feature]` callee
-/// contract; it performs no unchecked accesses itself.
-#[inline(always)]
-unsafe fn batch_inner<'a>(
-    k: usize,
-    pv: &[i64],
-    pd: &[u64],
-    candidate: impl Fn(usize) -> &'a TsVec,
-    out: &mut [CmpResult],
-    first_diff: impl Fn(&[i64], &[i64]) -> Option<usize> + Copy,
-) {
-    let n = out.len();
-    if n == 0 {
-        return;
-    }
-    let mut v = candidate(0);
-    for (c, slot) in out.iter_mut().enumerate() {
-        let next = if c + 1 < n {
-            let nx = candidate(c + 1);
-            prefetch_ptr(nx.values_raw().as_ptr() as *const u8);
-            prefetch_ptr(nx.defined_words().as_ptr() as *const u8);
-            nx
-        } else {
-            v
-        };
-        assert_eq!(v.k(), k, "vectors of different dimension are never compared");
-        *slot = compare_parts_inner(k, pv, pd, v.values_raw(), v.defined_words(), first_diff);
-        v = next;
-    }
-}
-
-/// Raw one-cache-line prefetch (no-op off x86_64 / under Miri).
-#[inline]
-fn prefetch_ptr(p: *const u8) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    x86::prefetch(p);
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    let _ = p;
-}
-
 impl SimdComparator {
     /// Definition 6 comparison.
     pub fn compare(a: &TsVec, b: &TsVec) -> CmpResult {
@@ -647,75 +493,9 @@ impl SimdComparator {
     }
 }
 
-/// Reusable scratch for [`compare_one_vs_many`]: the per-candidate
-/// decision buffer, kept at capacity across calls so a warmed scratch
-/// never allocates — the property `tests/alloc_zero.rs` gates for the
-/// scheduler's thread-local instance.
-///
-/// [`compare_one_vs_many`]: BatchScratch::compare_one_vs_many
-pub struct BatchScratch {
-    /// Decisions for the current call, one per candidate.
-    decisions: Vec<CmpResult>,
-}
-
-impl Default for BatchScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BatchScratch {
-    /// An empty scratch; the buffer grows on first use and is reused
-    /// after. `const` so a thread-local instance needs no lazy
-    /// initializer.
-    pub const fn new() -> Self {
-        BatchScratch { decisions: Vec::new() }
-    }
-
-    /// Compares `probe` against `n` candidates (Definition 6, probe's
-    /// perspective: `decisions[c] = compare(probe, candidate(c))`) and
-    /// returns the decision slice, valid until the next call.
-    ///
-    /// Candidates are fetched through the accessor so chain segments,
-    /// holder guard arrays and plain slices all batch without collecting
-    /// references first; each is read exactly once, in index order, with
-    /// the next candidate's storage prefetched while the current one is
-    /// scanned, the probe's raw parts fetched once for the whole batch,
-    /// and the entire candidate loop behind one feature-dispatched
-    /// function call (see `batch_inner`).
-    pub fn compare_one_vs_many<'a>(
-        &mut self,
-        probe: &TsVec,
-        n: usize,
-        candidate: impl Fn(usize) -> &'a TsVec,
-    ) -> &[CmpResult] {
-        let k = probe.k();
-        let tier = simd_tier();
-        let (pv, pd) = (probe.values_raw(), probe.defined_words());
-        self.decisions.clear();
-        // Grow in steps of at least 64 slots: a warmed scratch must stay
-        // allocation-free even when steady state produces a somewhat
-        // larger batch (holder set, chain segment) than any batch the
-        // warmup happened to see.
-        if self.decisions.capacity() < n {
-            self.decisions.reserve(n.max(64));
-        }
-        self.decisions.resize(n, CmpResult::Identical);
-        batch_parts(tier, k, pv, pd, candidate, &mut self.decisions);
-        &self.decisions
-    }
-
-    /// Slice convenience over [`compare_one_vs_many`].
-    ///
-    /// [`compare_one_vs_many`]: BatchScratch::compare_one_vs_many
-    pub fn compare_slice(&mut self, probe: &TsVec, candidates: &[TsVec]) -> &[CmpResult] {
-        self.compare_one_vs_many(probe, candidates.len(), |c| &candidates[c])
-    }
-}
-
 /// The kernels of one named tier, for tests: dispatch only ever runs the
 /// best tier the CPU reports, so the equivalence tests drive each
-/// supported tier through [`compare_parts`] / [`batch_parts`] here.
+/// supported tier through [`compare_parts`] here.
 #[cfg(test)]
 pub(crate) mod on_tier {
     use super::*;
@@ -736,15 +516,6 @@ pub(crate) mod on_tier {
             (a.values_raw(), a.defined_words(), b.values_raw(), b.defined_words());
         let r = compare_parts(tier, a.k(), av, da, bv, db);
         (r, scan_ops(r, a.k()))
-    }
-
-    /// [`BatchScratch::compare_slice`] on `tier`.
-    pub(crate) fn compare_slice(tier: SimdTier, probe: &TsVec, cands: &[TsVec]) -> Vec<CmpResult> {
-        assert!(supported().contains(&tier), "{tier:?} is not supported by this CPU");
-        let mut out = vec![CmpResult::Identical; cands.len()];
-        let (pv, pd) = (probe.values_raw(), probe.defined_words());
-        batch_parts(tier, probe.k(), pv, pd, |c| &cands[c], &mut out);
-        out
     }
 }
 
@@ -818,80 +589,6 @@ mod tests {
                     "{tier:?}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn batched_matches_sequential_and_reuses_scratch() {
-        let probe = v(&[Some(1), Some(2), None, Some(4)]);
-        let cands: Vec<TsVec> = vec![
-            v(&[Some(1), Some(2), None, Some(4)]),
-            v(&[Some(1), Some(3), None, None]),
-            v(&[Some(0), None, Some(9), None]),
-            v(&[Some(1), Some(2), Some(7), Some(4)]),
-            v(&[None, None, None, None]),
-            v(&[Some(1), Some(2), None, Some(9)]),
-        ];
-        let mut scratch = BatchScratch::new();
-        let want: Vec<CmpResult> =
-            cands.iter().map(|c| ScalarComparator::compare(&probe, c)).collect();
-        for _ in 0..2 {
-            assert_eq!(scratch.compare_slice(&probe, &cands), want);
-        }
-        for tier in on_tier::supported() {
-            assert_eq!(on_tier::compare_slice(tier, &probe, &cands), want, "{tier:?}");
-        }
-    }
-
-    #[test]
-    fn batched_handles_large_batches() {
-        // 150 candidates with every decision class represented, probing
-        // the decision buffer across a clear-and-refill cycle.
-        let k = 5;
-        let probe = v(&[Some(0), Some(1), Some(2), Some(3), None]);
-        let cands: Vec<TsVec> = (0..150u32)
-            .map(|i| {
-                let mut e: Vec<Option<i64>> = (0..k).map(|m| Some(m as i64 - 1)).collect();
-                match i % 5 {
-                    0 => e = vec![Some(0), Some(1), Some(2), Some(3), None],
-                    1 => e[(i as usize / 5) % k] = Some(99),
-                    2 => e[(i as usize / 5) % k] = Some(-99),
-                    3 => e[(i as usize / 5) % k] = None,
-                    _ => e = vec![None; k],
-                }
-                TsVec::from_elems(&e)
-            })
-            .collect();
-        let mut scratch = BatchScratch::new();
-        let got = scratch.compare_slice(&probe, &cands).to_vec();
-        assert_eq!(got.len(), cands.len());
-        for (i, c) in cands.iter().enumerate() {
-            assert_eq!(got[i], ScalarComparator::compare(&probe, c), "candidate {i}");
-        }
-        for tier in on_tier::supported() {
-            assert_eq!(on_tier::compare_slice(tier, &probe, &cands), got, "{tier:?}");
-        }
-    }
-
-    #[test]
-    fn batched_spilled_candidates_match_sequential() {
-        let k = 130;
-        let probe = TsVec::from_elems(&(0..k).map(|m| Some(m as i64)).collect::<Vec<_>>());
-        let cands: Vec<TsVec> = (0..20usize)
-            .map(|i| {
-                let mut e: Vec<Option<i64>> = (0..k).map(|m| Some(m as i64)).collect();
-                let p = (i * 13) % k;
-                e[p] = if i % 2 == 0 { Some(-1) } else { None };
-                TsVec::from_elems(&e)
-            })
-            .collect();
-        let mut scratch = BatchScratch::new();
-        let got = scratch.compare_slice(&probe, &cands).to_vec();
-        for (i, c) in cands.iter().enumerate() {
-            assert_eq!(got[i], ScalarComparator::compare(&probe, c), "candidate {i}");
-        }
-        for tier in on_tier::supported() {
-            assert_eq!(on_tier::compare_slice(tier, &probe, &cands), got, "{tier:?}");
         }
     }
 

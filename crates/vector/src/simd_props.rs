@@ -1,26 +1,22 @@
-//! SIMD-equivalence property tests (ISSUE 8): [`SimdComparator`] must
-//! agree with [`ScalarComparator`] on the comparison result *and* the
-//! deciding index (and hence the `ops` accounting) for every k the issue
-//! calls out — the whole inline range 1..=8, the one-word/multi-word
-//! boundary 63/64/65, the two-word boundary 127/128 and a wide 200 — in
-//! every representation pairing (inline vs forced-spilled), with the
-//! divergence position swept across word boundaries and undefined holes
-//! anywhere. A second property checks that the batched
-//! [`BatchScratch::compare_one_vs_many`] path returns exactly the
-//! sequential per-candidate decisions.
-//!
-//! Each property holds for the dispatched entry point *and* for every
-//! kernel tier the CPU supports ([`on_tier`]: scalar, SSE2, AVX2,
-//! AVX-512), so the tiers dispatch never picks on this host stay
-//! bit-identical too.
+//! SIMD-equivalence property tests: [`SimdComparator`] must agree with
+//! [`ScalarComparator`] on the comparison result *and* the deciding index
+//! (and hence the `ops` accounting) for the whole inline range 1..=8, the
+//! one-word/multi-word boundary 63/64/65, the two-word boundary 127/128
+//! and a wide 200 — in every representation pairing (inline vs
+//! forced-spilled), with the divergence position swept across word
+//! boundaries and undefined holes anywhere. That property holds for the
+//! dispatched entry point *and* for every kernel tier the CPU supports
+//! ([`on_tier`]: scalar, SSE2, AVX2, AVX-512), so the tiers dispatch
+//! never picks on this host stay bit-identical too. A second property
+//! checks flip symmetry on the dispatched entry point.
 
 use proptest::prelude::*;
 
 use crate::compare::{CmpResult, ScalarComparator};
-use crate::simd::{on_tier, BatchScratch, SimdComparator};
+use crate::simd::{on_tier, SimdComparator};
 use crate::tsvec::TsVec;
 
-/// Every k the issue names: the full small range, plus the 64-element
+/// Every k under test: the full small range, plus the 64-element
 /// word boundaries and a wide multi-word case.
 const KS: [usize; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, 127, 128, 200];
 
@@ -81,45 +77,6 @@ proptest! {
                     let got = on_tier::compare_counted(tier, x, y);
                     prop_assert_eq!(got, want, "{:?}, k = {}", tier, k);
                 }
-            }
-        }
-    }
-
-    /// The batched one-vs-many path returns exactly the sequential
-    /// decisions, across block boundaries and mixed representations.
-    #[test]
-    fn batched_matches_sequential(
-        seed in arb_elems(),
-        muts in proptest::collection::vec((0..MAX_K, 0..5usize), 1..90),
-    ) {
-        let mut scratch = BatchScratch::new();
-        for k in [3usize, 8, 64, 65, 200] {
-            let pe = &seed[..k];
-            let probe = TsVec::from_elems(pe);
-            let cands: Vec<TsVec> = muts
-                .iter()
-                .enumerate()
-                .map(|(i, &(p, class))| {
-                    let e = diverge(pe, p % k, class % 4);
-                    // Every third candidate rides in the forced-spilled
-                    // representation, so the transpose sees both arms.
-                    if i % 3 == 2 || class == 4 {
-                        spilled_twin(&e)
-                    } else {
-                        TsVec::from_elems(&e)
-                    }
-                })
-                .collect();
-            let got = scratch.compare_slice(&probe, &cands).to_vec();
-            prop_assert_eq!(got.len(), cands.len());
-            for (i, c) in cands.iter().enumerate() {
-                let want = ScalarComparator::compare(&probe, c);
-                prop_assert_eq!(got[i], want, "k = {}, candidate {}", k, i);
-                prop_assert_eq!(SimdComparator::compare(&probe, c), want, "k = {}", k);
-            }
-            for tier in on_tier::supported() {
-                let on = on_tier::compare_slice(tier, &probe, &cands);
-                prop_assert_eq!(&on, &got, "{:?}, k = {}", tier, k);
             }
         }
     }

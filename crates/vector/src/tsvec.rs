@@ -268,11 +268,9 @@ impl TsVec {
     }
 
     /// The boxed storage of a spilled vector — `(values, definedness
-    /// words)` — or `None` for the inline form. The batched comparator's
-    /// SoA transposition uses this to prefetch the *next* candidate's
-    /// heap lines while transposing the current one; the engine's hot
-    /// vectors (`k ≤ INLINE_K`) never take this path, so it stays out of
-    /// line like `elems`/`prefix`.
+    /// words)` — or `None` for the inline form. The engine's hot vectors
+    /// (`k ≤ INLINE_K`) never take this path, so it stays out of line
+    /// like `elems`/`prefix`.
     #[cold]
     #[inline(never)]
     pub fn spilled_parts(&self) -> Option<(&[i64], &[u64])> {

@@ -12,9 +12,10 @@
 #   scripts/bench.sh --smoke      CI-sized: exp17's read-heavy MV telemetry
 #                                 lane under the strict stall gate with its
 #                                 document and window stream checked, the
-#                                 stall fixtures, bench_compare --json, the
-#                                 durability lanes (exp20, exp21), exp18
-#                                 --json, exp22_costmodel --smoke, and two
+#                                 stall fixtures, bench_compare --json (its
+#                                 single_wide_k lane), the durability lanes
+#                                 (exp20, exp21), exp18 --json,
+#                                 exp22_costmodel --smoke, and two
 #                                 host-independent exp22 count gates — one
 #                                 client on transfer_uniform_1t:
 #                                 counts.aborts and counts.restarts are 0;
@@ -53,14 +54,14 @@ if [[ "${1:-}" == "--smoke" ]]; then
     cargo run --release -q -p mdts-bench --bin timeseries_check -- "$ts_file"
     echo "== bench smoke: stall-detector regression fixtures =="
     cargo run --release -q -p mdts-bench --bin timeseries_check -- --stall-fixture
-    echo "== bench smoke: bench_compare --json (SIMD single + one-vs-many lanes) =="
+    echo "== bench smoke: bench_compare --json (wide-k SIMD single-compare lane) =="
     doc_simd=$(cargo bench -q -p mdts-bench --bench bench_compare -- --json)
     if [[ "$doc_simd" != *"\"schema\":\"$SCHEMA\""* ]]; then
         echo "bench smoke: bench_compare document is missing the $SCHEMA stamp" >&2
         exit 1
     fi
-    if [[ "$doc_simd" != *'"lane":"single_wide_k"'* || "$doc_simd" != *'"lane":"one_vs_many"'* ]]; then
-        echo "bench smoke: bench_compare document is missing a SIMD lane" >&2
+    if [[ "$doc_simd" != *'"lane":"single_wide_k"'* ]]; then
+        echo "bench smoke: bench_compare document is missing the single_wide_k lane" >&2
         exit 1
     fi
     echo "== bench smoke: exp20 --smoke (crash matrix: injection sites + SIGKILL + auditor) =="
@@ -131,7 +132,7 @@ fi
 echo "== exp18 (MV acceptance grid) =="
 write_doc exp18 cargo run --release -q -p mdts-bench --bin exp18_multiversion -- --json
 
-echo "== bench_compare (SIMD acceptance lanes) =="
+echo "== bench_compare (wide-k SIMD lane) =="
 write_doc bench_compare cargo bench -q -p mdts-bench --bench bench_compare -- --json
 
 echo "== exp20 (crash-recovery matrix + auditor certification) =="

@@ -241,16 +241,6 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
         }
     });
     assert_eq!(stamping, 0, "stamp_commit must not allocate for k = {INLINE_K}");
-    // Warm the thread-local batch scratch through the chain-walk path
-    // before the window opens (ISSUE 8: the batched newest-below-reader
-    // scan runs on a per-thread scratch).
-    {
-        let reader = TxId(id);
-        s.begin(reader);
-        let _ = s.snapshot_newest_visible(reader, stamps.len(), |i| &stamps[i], |i| writers[i]);
-        s.commit(reader);
-        id += 1;
-    }
     let snapshot = allocations(|| {
         while id < 1015 {
             let reader = TxId(id);
@@ -261,9 +251,9 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
             // Chain-walk comparison against a frozen version stamp (the
             // `Older` serving path's per-version test).
             let _ = s.snapshot_order_after(reader, &stamp, stamp_writer);
-            // And the batched chain-segment scan over all three frozen
-            // stamps (ISSUE 8) — one scratch pass, no per-version heap
-            // traffic.
+            // And the newest-first chain walk over all three frozen
+            // stamps, its first call included: the walk keeps no state
+            // that could grow lazily.
             let _ = s.snapshot_newest_visible(reader, stamps.len(), |i| &stamps[i], |i| writers[i]);
             s.commit(reader);
             id += 1;
