@@ -59,7 +59,9 @@ pub use mtk::{Decision, HotEncoding, MtOptions, MtScheduler, Reject};
 pub use mvmt::MvMtScheduler;
 pub use recognize::{recognize, to_k, to_k_star, LogScheduler, Recognition};
 pub use rowtable::{RowSlot, RowTable};
-pub use shared::{BatchedCompareStats, SharedMtScheduler, SnapshotRead, BATCH_SIZE_BUCKETS};
+pub use shared::{
+    BatchedCompareStats, HolderPair, SharedMtScheduler, SnapshotRead, BATCH_SIZE_BUCKETS,
+};
 pub use table::TimestampTable;
 
 #[cfg(test)]

@@ -8,13 +8,23 @@
 //!
 //! * **`RT(x)`/`WT(x)` live in item shards** — a power-of-two array of
 //!   mutexes, striped by item id, each holding a flat dense table of
-//!   `(RT, WT)` pairs indexed by the item's high id bits (no hashing on
+//!   [`HolderPair`]s indexed by the item's high id bits (no hashing on
 //!   the access path). An operation on `x` holds only the shard of `x`;
 //!   operations on items in different shards never contend here.
 //!   Holding the shard across the whole pick–Set–update sequence is what
 //!   makes an operation atomic with respect to other accesses of `x` — the
 //!   shard mutex plays the role of Algorithm 1's implicit critical section,
 //!   but per item group instead of global.
+//! * **…or with the caller.** A caller that already keeps a record and a
+//!   lock per item — the engine's multiversion path keeps each item's
+//!   pair in its version-chain record — passes the pair in under its own
+//!   lock ([`access_held`](SharedMtScheduler::access_held),
+//!   [`snapshot_read_held`](SharedMtScheduler::snapshot_read_held)); the
+//!   caller's lock is then the critical section, and the scheduler's shard
+//!   tables stay empty. [`read`](SharedMtScheduler::read),
+//!   [`write`](SharedMtScheduler::write) and
+//!   [`snapshot_read`](SharedMtScheduler::snapshot_read) are the same
+//!   entry points over the scheduler's own tables.
 //! * **Vector rows live in a recycled [`RowTable`] arena** behind a 4-byte
 //!   id index — slots are addressed lock-free (chunks are published once
 //!   via atomic pointers and never move), and each slot carries its own
@@ -51,13 +61,13 @@
 //!   hint must outlive the row, so it lives in a per-stripe cell instead
 //!   (see [`SharedMtScheduler::begin_restarted`]).
 //!
-//! **Lock order** (deadlock freedom): item shard → row-slot locks in
-//! ascending transaction id → order-cache shard (leaf; nothing is acquired
-//! while it is held). A thread holds at most one item shard at a time
-//! (multi-item operations take them one by one) and at most two slot locks
-//! at a time, always acquired low id first. Both transactions are pinned
-//! while their slots are locked together, so no slot changes hands while
-//! it takes part in that order.
+//! **Lock order** (deadlock freedom): item shard (or the caller's item
+//! lock) → row-slot locks in ascending transaction id → order-cache shard
+//! (leaf; nothing is acquired while it is held). A thread holds at most
+//! one item shard at a time (multi-item operations take them one by one)
+//! and at most two slot locks at a time, always acquired low id first.
+//! Both transactions are pinned while their slots are locked together, so
+//! no slot changes hands while it takes part in that order.
 //!
 //! # One rule, two instantiations
 //!
@@ -118,10 +128,18 @@ use crate::mtk::{Decision, MtOptions};
 use crate::rowtable::{RowSlot, RowTable};
 
 /// `RT(x)` and `WT(x)` of one item. They are always read together (the
-/// pick path consults both holders), so they share a 8-byte slot — one
+/// pick path consults both holders), so they share an 8-byte slot — one
 /// cache line covers 8 items.
+///
+/// The scheduler keeps one per item in its own shard tables, and a caller
+/// may keep them instead, beside whatever else it stores per item, and
+/// hand them in under its own lock ([`SharedMtScheduler::access_held`],
+/// [`SharedMtScheduler::snapshot_read_held`]). A fresh pair names `T₀`
+/// twice. Every non-`T₀` holder in a pair counts one reference to its row
+/// (III-D-6b reclamation), so a pair may only be changed by the
+/// scheduler, and dropping one that still names a live row leaks it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct HolderPair {
+pub struct HolderPair {
     rt: TxId,
     wt: TxId,
 }
@@ -150,13 +168,19 @@ impl ShardItems {
         self.slots.get(local).copied().unwrap_or_default()
     }
 
-    /// Mutable slot for `local`, growing the table on first touch.
+    /// Runs `f` on a copy of `local`'s pair and stores it back if `f`
+    /// changed it, growing the table only then.
     #[inline]
-    fn pair_mut(&mut self, local: usize) -> &mut HolderPair {
-        if local >= self.slots.len() {
-            self.slots.resize(local + 1, HolderPair::default());
+    fn update<R>(&mut self, local: usize, f: impl FnOnce(&mut HolderPair) -> R) -> R {
+        let mut pair = self.pair(local);
+        let out = f(&mut pair);
+        if pair != self.pair(local) {
+            if local >= self.slots.len() {
+                self.slots.resize(local + 1, HolderPair::default());
+            }
+            self.slots[local] = pair;
         }
-        &mut self.slots[local]
+        out
     }
 }
 
@@ -713,8 +737,7 @@ impl SharedMtScheduler {
 
     /// Makes `tx` the item's reader (line 7) or writer (line 12), moving
     /// the reference from the previous holder.
-    fn set_holder_locked(&self, s: &mut ShardItems, local: usize, kind: OpKind, tx: TxId) {
-        let pair = s.pair_mut(local);
+    fn set_holder(&self, pair: &mut HolderPair, kind: OpKind, tx: TxId) {
         let slot = match kind {
             OpKind::Read => &mut pair.rt,
             OpKind::Write => &mut pair.wt,
@@ -772,18 +795,35 @@ impl SharedMtScheduler {
         self.access(tx, item, OpKind::Write)
     }
 
-    /// `algo1::access` with the item's shard held from the pick to the
-    /// holder update — the shard mutex is Algorithm 1's critical section,
-    /// per item group.
+    /// [`access_held`](Self::access_held) over the scheduler's own shard
+    /// table, with the item's shard held from the pick to the holder
+    /// update — the shard mutex is Algorithm 1's critical section, per
+    /// item group.
     fn access(&self, tx: TxId, item: ItemId, kind: OpKind) -> Decision {
         self.ensure_tx(tx);
         let (shard, local) = self.shard_of(item);
-        let mut s = lock(shard);
-        let HolderPair { rt, wt } = s.pair(local);
+        lock(shard).update(local, |pair| self.access_held(tx, item, kind, pair))
+    }
+
+    /// `algo1::access` on a holder pair the caller keeps: `pair` is
+    /// `item`'s `RT`/`WT`, and a grant moves `tx` into it. The caller must
+    /// hold one lock across the whole call that every other access of
+    /// `item` takes too — that lock is Algorithm 1's critical section —
+    /// and must have [`begin`](Self::begin)-ed `tx`. An item's pair lives
+    /// in one place: never mix this with [`read`](Self::read)/
+    /// [`write`](Self::write) on the same item.
+    pub fn access_held(
+        &self,
+        tx: TxId,
+        item: ItemId,
+        kind: OpKind,
+        pair: &mut HolderPair,
+    ) -> Decision {
+        let HolderPair { rt, wt } = *pair;
         let outcome = algo1::access(&mut &*self, &self.opts, tx, kind, rt, wt);
         self.emit_access(tx, item, kind, rt, wt, outcome);
         if outcome == AccessOutcome::Granted {
-            self.set_holder_locked(&mut s, local, kind, tx);
+            self.set_holder(pair, kind, tx);
         }
         algo1::decision(tx, item, outcome)
     }
@@ -877,9 +917,20 @@ impl SharedMtScheduler {
     /// row is allocated up front so this path stays allocation-free.
     pub fn snapshot_read(&self, tx: TxId, item: ItemId) -> SnapshotRead {
         let (shard, local) = self.shard_of(item);
-        let mut s = lock(shard);
-        let pair = s.pair(local);
-        let HolderPair { rt, wt } = pair;
+        lock(shard).update(local, |pair| self.snapshot_read_held(tx, item, pair))
+    }
+
+    /// [`snapshot_read`](Self::snapshot_read) on a holder pair the caller
+    /// keeps, under the same contract as
+    /// [`access_held`](Self::access_held): one lock held across the call
+    /// that every access of `item` takes, and `tx` begun.
+    pub fn snapshot_read_held(
+        &self,
+        tx: TxId,
+        item: ItemId,
+        pair: &mut HolderPair,
+    ) -> SnapshotRead {
+        let HolderPair { rt, wt } = *pair;
         // Decided `<` is stable over write-once vectors, so a decided
         // `smaller < larger < tx` makes a second `Set` redundant.
         let (larger, smaller, decided) = algo1::pick(&mut &*self, rt, wt);
@@ -908,7 +959,7 @@ impl SharedMtScheduler {
             && (decided || self.set_less(smaller, tx, true).is_ok());
         if ordered {
             self.emit_access(tx, item, OpKind::Read, rt, wt, AccessOutcome::Granted);
-            self.set_holder_locked(&mut s, local, OpKind::Read, tx); // line 7
+            self.set_holder(pair, OpKind::Read, tx); // line 7
             SnapshotRead::Current
         } else {
             self.emit_access(tx, item, OpKind::Read, rt, wt, AccessOutcome::GrantedStale);
@@ -945,7 +996,7 @@ impl SharedMtScheduler {
     /// over it starves no one), returns `false` and the caller escalates
     /// as before.
     ///
-    /// The holder must be a current `RT`/`WT` entry of a shard the
+    /// The holder must be a current `RT`/`WT` entry of a pair the
     /// caller holds locked: that reference pins its row against
     /// reclamation while we look at it.
     fn slip_below_live(&self, tx: TxId, holder: TxId) -> bool {
@@ -1469,24 +1520,39 @@ mod tests {
         assert_eq!(s.ts(TxId(5)).unwrap(), TsVec::from_elems(&[Some(1), Some(0), None]));
     }
 
-    /// Drives both instantiations of Algorithm 1 through `log`: the same
-    /// decisions, the same `Access` and `SetEdge` events in the same order,
-    /// and byte-identical vectors left behind.
-    fn run_both(log: &Log, opts: MtOptions) {
-        let journals = [mdts_trace::TraceBuffer::journal(), mdts_trace::TraceBuffer::journal()];
+    /// Drives Algorithm 1 through `log` three ways — the sequential
+    /// scheduler, the concurrent one over its own shard tables, and the
+    /// concurrent one over holder pairs a caller keeps (here a test-local
+    /// map, as the engine keeps them in its chain records): the same
+    /// decisions, the same `Access` and `SetEdge` events in the same
+    /// order, and byte-identical vectors left behind.
+    fn run_all(log: &Log, opts: MtOptions) {
+        let journals = [(); 3].map(|_| mdts_trace::TraceBuffer::journal());
         let mut seq = MtScheduler::new(opts);
         seq.attach_trace(TraceSink::to(&journals[0]));
         let mut shr = SharedMtScheduler::new(opts);
         shr.attach_trace(TraceSink::to(&journals[1]));
+        let mut held = SharedMtScheduler::new(opts);
+        held.attach_trace(TraceSink::to(&journals[2]));
+        let mut pairs: HashMap<ItemId, HolderPair> = HashMap::new();
         for (pos, op) in log.ops().iter().enumerate() {
             let d = seq.process(op);
             let ds = shr.process(op);
+            held.begin(op.tx);
+            let dh = algo1::process(op, |tx, item, kind| {
+                held.access_held(tx, item, kind, pairs.entry(item).or_default())
+            });
             assert_eq!(d, ds, "decision differs at op {pos} of {log}");
+            assert_eq!(d, dh, "caller-held pairs decide differently at op {pos} of {log}");
             if !d.is_accept() {
                 break;
             }
         }
-        let [a, b] = journals.map(|j| {
+        for (&item, pair) in &pairs {
+            assert_eq!((pair.rt, pair.wt), (shr.rt(item), shr.wt(item)), "holders of {item}");
+            assert_eq!((held.rt(item), held.wt(item)), (TxId::VIRTUAL, TxId::VIRTUAL));
+        }
+        let [a, b, c] = journals.map(|j| {
             let events: Vec<TraceEvent> = j
                 .snapshot()
                 .events()
@@ -1496,8 +1562,10 @@ mod tests {
             events
         });
         assert_eq!(a, b, "Access/SetEdge streams differ on {log}");
+        assert_eq!(a, c, "Access/SetEdge streams differ over caller-held pairs on {log}");
         for tx in log.transactions() {
             assert_eq!(seq.table().ts(tx).cloned(), shr.ts(tx), "vectors differ for {tx} on {log}");
+            assert_eq!(shr.ts(tx), held.ts(tx), "vectors differ for {tx} over held pairs on {log}");
         }
     }
 
@@ -1526,7 +1594,7 @@ mod tests {
         /// implementation — same decisions, same final vectors.
         #[test]
         fn sequential_equivalence(log in arb_log(), k in 1usize..6) {
-            run_both(&log, MtOptions::new(k));
+            run_all(&log, MtOptions::new(k));
         }
 
         /// ... with the refinement options on as well.
@@ -1538,14 +1606,14 @@ mod tests {
                 starvation_flush: true,
                 ..MtOptions::new(k)
             };
-            run_both(&log, opts);
+            run_all(&log, opts);
         }
 
         /// ... and with the order cache disabled, pinning that the cache
         /// changes no decision (both sides off ⇒ both sides pure).
         #[test]
         fn sequential_equivalence_cache_off(log in arb_log(), k in 1usize..6) {
-            run_both(&log, MtOptions { order_cache: false, ..MtOptions::new(k) });
+            run_all(&log, MtOptions { order_cache: false, ..MtOptions::new(k) });
         }
     }
 

@@ -70,7 +70,9 @@ impl CommitDecision {
 /// the item's *store* shard lock and `validate_commit` while holding every
 /// store shard of the write set, so a grant and the value access it
 /// authorizes are atomic; implementations must therefore never acquire
-/// store shards themselves.
+/// store shards themselves. (On the multiversion path the engine decides
+/// reads and commit-time writes itself, on the holders in its chain
+/// records, and calls neither.)
 pub trait ConcurrentCc: Send + Sync {
     /// Protocol name for reports.
     fn name(&self) -> &'static str;
@@ -602,9 +604,10 @@ impl ConcurrentCc for MvToCc {
 /// decisions. Deferred-write discipline as in [`MtCc`]: reads validate
 /// when issued, writes at commit (VI-C-2).
 pub struct ShardedMtCc {
-    /// Shared with the engine's multiversion serving path (if enabled):
-    /// snapshot readers order themselves against writer stamps through the
-    /// same scheduler instance the write path validates against.
+    /// Shared with the engine's multiversion path (if enabled), which
+    /// keeps every item's holder pair in its chain record and drives the
+    /// scheduler's caller-held-pair entry points itself; through this
+    /// adapter it then calls only `begin`, `committed` and `aborted`.
     sched: Arc<SharedMtScheduler>,
 }
 
@@ -656,10 +659,7 @@ impl ConcurrentCc for ShardedMtCc {
     }
 
     fn read(&self, tx: TxId, item: ItemId) -> Verdict {
-        match self.sched.read(tx, item) {
-            Decision::Accept { .. } => Verdict::Granted,
-            Decision::Reject(_) => Verdict::Abort,
-        }
+        read_verdict(self.sched.read(tx, item))
     }
 
     fn write(&self, _tx: TxId, _item: ItemId) -> Verdict {
@@ -667,14 +667,7 @@ impl ConcurrentCc for ShardedMtCc {
     }
 
     fn validate_commit(&self, tx: TxId, writes: &[ItemId]) -> CommitDecision {
-        let mut skip = Vec::new();
-        for &item in writes {
-            match self.sched.write(tx, item) {
-                Decision::Accept { ignored } => skip.extend(ignored),
-                Decision::Reject(_) => return CommitDecision::Abort,
-            }
-        }
-        CommitDecision::Commit { skip }
+        validate_writes(writes, |item| self.sched.write(tx, item))
     }
 
     fn committed(&self, tx: TxId) {
@@ -703,6 +696,31 @@ impl ConcurrentCc for ShardedMtCc {
         g.batched_chain_batches = batched.chain_batches;
         g.batched_size_buckets = batched.size_buckets;
     }
+}
+
+/// A sharded MT(k) read decision as the engine's verdict.
+pub(crate) fn read_verdict(decision: Decision) -> Verdict {
+    match decision {
+        Decision::Accept { .. } => Verdict::Granted,
+        Decision::Reject(_) => Verdict::Abort,
+    }
+}
+
+/// Sharded MT(k)'s commit-time validation: `write` schedules the deferred
+/// write of each item in turn, and the first refusal aborts the commit.
+/// Writes the Thomas rule ignored are skipped at apply.
+pub(crate) fn validate_writes(
+    items: &[ItemId],
+    mut write: impl FnMut(ItemId) -> Decision,
+) -> CommitDecision {
+    let mut skip = Vec::new();
+    for &item in items {
+        match write(item) {
+            Decision::Accept { ignored } => skip.extend(ignored),
+            Decision::Reject(_) => return CommitDecision::Abort,
+        }
+    }
+    CommitDecision::Commit { skip }
 }
 
 #[cfg(test)]

@@ -1,15 +1,24 @@
-//! The database: sharded store + transaction-local write buffers + a
-//! concurrent protocol, with a retrying transaction driver.
+//! The database: a sharded value store + transaction-local write buffers
+//! + a concurrent protocol, with a transaction runner that retries aborts.
 //!
 //! Concurrency model — no global mutex:
 //!
-//! * **Values** live in a [`ShardedStore`]: items striped over
-//!   independently locked shards. A read holds its item's shard across
-//!   the protocol grant *and* the value fetch; a commit holds every shard
-//!   of its write set (ascending, deadlock-free) across validation *and*
+//! * **Values** live in one of two sharded stores, and the store's shard
+//!   lock is the item lock. A read holds its item's shard across the
+//!   protocol grant *and* the value fetch; a commit holds every shard of
+//!   its write set (ascending, deadlock-free) across validation *and*
 //!   apply. Grants and the data accesses they authorize are therefore
 //!   atomic, and a commit becomes visible all-or-nothing — but
 //!   transactions touching disjoint shards never serialize on the engine.
+//!   - Under [`Protocol::Concurrent`] the newest values sit in a
+//!     [`ShardedStore`], and the protocol keeps its per-item state itself.
+//!   - Under [`Protocol::Multiversion`] a [`ConcurrentMvStore`] is the
+//!     value store, and one record per item holds its `RT`/`WT` holders
+//!     beside its version chain. A read, a snapshot read and each item of
+//!     a commit take that record's shard lock and nothing else per item:
+//!     the engine hands the scheduler the record's holder pair. No
+//!     `ShardedStore` is built, and the scheduler's own holder tables
+//!     stay empty.
 //! * **Write buffers are transaction-local** (the deferred-write scheme
 //!   of VI-C-2): each [`Tx`] carries its own workspace, so buffering a
 //!   write touches no shared state at all.
@@ -33,26 +42,29 @@
 //!   commit applies in memory first, and `run` acknowledges only after
 //!   the commit's epoch is fsynced (`mdts-engine::durability`).
 //!
-//! Lock order: store shards (ascending) → protocol internals → wake
-//! sequence → WAL epoch buffer. Nothing sleeps while holding a store
-//! shard.
+//! Lock order: store shards (ascending; chain shards on the
+//! multiversion path) → protocol internals (on that path the row slots
+//! in ascending id, then the order cache) → wake sequence → WAL epoch
+//! buffer. Nothing sleeps while holding a store shard.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use mdts_core::{SharedMtScheduler, SnapshotRead};
+use mdts_core::{HolderPair, SharedMtScheduler, SnapshotRead};
 use mdts_model::{ItemId, OpKind, TxId};
 use mdts_storage::{
-    recover, ConcurrentMvStore, CrashPoint, Recovered, Shard, ShardGuard, ShardedStore, Store,
-    WalValue, DEFAULT_STORE_SHARDS,
+    recover, ConcurrentMvStore, CrashPoint, Recovered, ShardedStore, Store, WalValue,
+    DEFAULT_STORE_SHARDS,
 };
 use mdts_trace::{AbortReason, StallRule, TraceEvent, TraceSink};
 use mdts_vector::CachePadded;
 
-use crate::cc::{CommitDecision, ConcurrentCc, ShardedMtCc, Verdict};
-use crate::durability::{Durability, DurabilityConfig, CHECKPOINT_TX};
+use crate::cc::{
+    read_verdict, validate_writes, CommitDecision, ConcurrentCc, ShardedMtCc, Verdict,
+};
+use crate::durability::{CheckpointFn, Durability, DurabilityConfig, CHECKPOINT_TX};
 use crate::metrics::{EngineGauges, MetricCells, Metrics, MetricsSnapshot, Phase};
 
 /// Terminal failure of [`Database::run`].
@@ -96,27 +108,36 @@ pub struct Aborted;
 
 use crate::wakeseq::WakeSeq;
 
-/// The multiversion serving path (MV-MT(k), III-D-6d): a concurrent
-/// version-chain store stamped by — and a second handle to — the same
-/// sharded MT(k) scheduler the write path validates against. Versions
-/// store `Option<V>` so the floor of a never-written item is `None`,
-/// matching [`Tx::read`]'s "never written" convention.
+/// The multiversion serving path (MV-MT(k), III-D-6d). The version
+/// chains are the value store, and each item's chain record also holds
+/// its `RT`/`WT` for `sched` — a second handle to the sharded MT(k)
+/// scheduler the protocol runs, which the engine drives through its
+/// caller-held-pair entry points. Versions store `Option<V>` so the
+/// floor of a never-written item is `None`, matching [`Tx::read`]'s
+/// "never written" convention.
 struct MvState<V> {
-    store: ConcurrentMvStore<Option<V>>,
+    /// Behind an `Arc` so the WAL checkpoint encoder holds a handle of
+    /// its own.
+    store: Arc<ConcurrentMvStore<Option<V>, HolderPair>>,
     sched: Arc<SharedMtScheduler>,
 }
 
+/// Where committed values live, and with them the item locks.
+enum Values<V> {
+    /// The newest values; the protocol keeps its per-item state itself.
+    Sharded(ShardedStore<V>),
+    /// Version chains whose records also hold the holders: built under
+    /// [`Protocol::Multiversion`], the database then serves read-only
+    /// snapshot transactions ([`Database::run_read_only`]).
+    Chains(MvState<V>),
+}
+
 struct Shared<V> {
-    store: ShardedStore<V>,
+    values: Values<V>,
     cc: Box<dyn ConcurrentCc>,
-    /// `Some` when the database serves read-only snapshot transactions
-    /// from version chains (see [`Database::run_read_only`]): built
-    /// under [`Protocol::Multiversion`] by [`Database::open`] or
-    /// [`Database::open_durable`].
-    mv: Option<MvState<V>>,
     /// Last transaction id issued. Every admission writes it, so it has
     /// a cache line to itself: the read-mostly fields around it (`cc`,
-    /// `store`, `mv`) stay in every client's cache.
+    /// `values`) stay in every client's cache.
     next_tx: CachePadded<AtomicU32>,
     wake: WakeSeq,
     /// Counters and the logical clock ([`Metrics::now`]).
@@ -157,6 +178,52 @@ impl<V> Shared<V> {
         let seq = self.wake.bump();
         self.trace.emit(|| TraceEvent::Wake { seq });
     }
+}
+
+impl<V: Clone> Shared<V> {
+    /// Asks the protocol for `tx`'s read of `item` and, when it is
+    /// granted, fetches the committed value the grant authorizes — both
+    /// under the item's shard lock, so a concurrent commit of the item
+    /// cannot apply in between. Returns the verdict, the item's shard and
+    /// the value (`None` when never written or not granted).
+    fn locked_read(&self, tx: TxId, item: ItemId) -> (Verdict, usize, Option<V>) {
+        let granted = |verdict| matches!(verdict, Verdict::Granted | Verdict::Ignored);
+        match &self.values {
+            Values::Sharded(store) => {
+                let idx = store.shard_index(item);
+                let shard = store.lock_shard(idx);
+                let verdict = self.cc.read(tx, item);
+                let value = if granted(verdict) { shard.get(item).cloned() } else { None };
+                (verdict, idx, value)
+            }
+            Values::Chains(mv) => {
+                let idx = mv.store.shard_index(item);
+                let mut shard = mv.store.lock_shard(idx);
+                let decision = mv.sched.access_held(tx, item, OpKind::Read, shard.holders(item));
+                let verdict = read_verdict(decision);
+                let value = if granted(verdict) {
+                    shard.chain(item).last().and_then(|newest| newest.value.clone())
+                } else {
+                    None
+                };
+                (verdict, idx, value)
+            }
+        }
+    }
+}
+
+/// Every item's newest committed value on the multiversion path, in
+/// ascending item order (the order [`ShardedStore::snapshot`] yields).
+fn chain_tails<V: Clone>(
+    store: &ConcurrentMvStore<Option<V>, HolderPair>,
+    out: &mut Vec<(ItemId, V)>,
+) {
+    store.for_each_newest(|item, newest| {
+        if let Some(value) = &newest.value {
+            out.push((item, value.clone()));
+        }
+    });
+    out.sort_unstable_by_key(|&(item, _)| item);
 }
 
 /// A transactional database over values `V`.
@@ -262,18 +329,25 @@ impl<V: Clone + Send + 'static> Database<V> {
         durability: Option<Durability<V>>,
     ) -> Self {
         protocol.attach_trace(trace.clone());
-        let (cc, mv): (Box<dyn ConcurrentCc>, _) = match protocol {
-            Protocol::Concurrent(cc) => (cc, None),
+        let (cc, values): (Box<dyn ConcurrentCc>, _) = match protocol {
+            Protocol::Concurrent(cc) => {
+                (cc, Values::Sharded(ShardedStore::from_store(store, DEFAULT_STORE_SHARDS)))
+            }
             Protocol::Multiversion(cc) => {
-                let mv = MvState { store: ConcurrentMvStore::new(), sched: cc.scheduler_arc() };
-                (Box::new(cc), Some(mv))
+                let sched = cc.scheduler_arc();
+                // Every chain starts from the initial (or recovered)
+                // value: the chains are the only value store.
+                let chains = ConcurrentMvStore::new();
+                for (item, value) in store.iter() {
+                    chains.seed(item, Some(value.clone()), sched.k());
+                }
+                (Box::new(cc), Values::Chains(MvState { store: Arc::new(chains), sched }))
             }
         };
         Database {
             shared: Arc::new(Shared {
-                store: ShardedStore::from_store(store, DEFAULT_STORE_SHARDS),
+                values,
                 cc,
-                mv,
                 next_tx: CachePadded(AtomicU32::new(resume.0)),
                 wake: WakeSeq::default(),
                 metrics: Metrics::starting_at(resume.1),
@@ -284,11 +358,14 @@ impl<V: Clone + Send + 'static> Database<V> {
     }
 
     /// Hands the group-commit daemon its checkpoint snapshot encoder (a
-    /// no-op without durability). The closure captures the store's own
-    /// [`ShardedStore::shard_handle`] rather than any reference to
-    /// `Shared`, so it never entangles the engine's reference counts — a
-    /// rotation racing database teardown snapshots a still-valid store
-    /// instead of a dangling engine.
+    /// no-op without durability). The closure captures a handle of the
+    /// value store's own — [`ShardedStore::shard_handle`], or the chain
+    /// store's `Arc` — rather than any reference to `Shared`, so it never
+    /// entangles the engine's reference counts: a rotation racing
+    /// database teardown snapshots a still-valid store instead of a
+    /// dangling engine. Either store yields the newest values in
+    /// ascending item order, so the checkpoint bytes do not depend on
+    /// which one the database runs.
     fn install_wal_checkpoint(&self)
     where
         V: WalValue,
@@ -296,19 +373,33 @@ impl<V: Clone + Send + 'static> Database<V> {
         let Some(durability) = &self.shared.durability else {
             return;
         };
-        let store = self.shared.store.shard_handle();
         let mut writes: Vec<(ItemId, V)> = Vec::new();
-        durability.install_checkpoint(Box::new(move |buf, lsn| {
-            writes.clear();
-            writes.extend(store.snapshot());
-            mdts_storage::wal::encode_commit(buf, lsn, CHECKPOINT_TX, &writes, &[]);
-            true
-        }));
+        let encoder: CheckpointFn = match &self.shared.values {
+            Values::Sharded(store) => {
+                let store = store.shard_handle();
+                Box::new(move |buf, lsn| {
+                    writes.clear();
+                    writes.extend(store.snapshot());
+                    mdts_storage::wal::encode_commit(buf, lsn, CHECKPOINT_TX, &writes, &[]);
+                    true
+                })
+            }
+            Values::Chains(mv) => {
+                let store = Arc::clone(&mv.store);
+                Box::new(move |buf, lsn| {
+                    writes.clear();
+                    chain_tails(&store, &mut writes);
+                    mdts_storage::wal::encode_commit(buf, lsn, CHECKPOINT_TX, &writes, &[]);
+                    true
+                })
+            }
+        };
+        durability.install_checkpoint(encoder);
     }
 
     /// Whether the multiversion serving path is enabled.
     pub fn has_multiversion(&self) -> bool {
-        self.shared.mv.is_some()
+        matches!(self.shared.values, Values::Chains(_))
     }
 
     /// Whether commits are framed into a write-ahead log.
@@ -358,7 +449,14 @@ impl<V: Clone + Send + 'static> Database<V> {
     /// transaction for a transactionally consistent view while writers
     /// are active).
     pub fn snapshot(&self) -> std::collections::BTreeMap<ItemId, V> {
-        self.shared.store.snapshot()
+        match &self.shared.values {
+            Values::Sharded(store) => store.snapshot(),
+            Values::Chains(mv) => {
+                let mut newest = Vec::new();
+                chain_tails(&mv.store, &mut newest);
+                newest.into_iter().collect()
+            }
+        }
     }
 
     /// Current counters and gauges: the engine's cell counters summed,
@@ -369,7 +467,7 @@ impl<V: Clone + Send + 'static> Database<V> {
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.shared.metrics.snapshot();
         self.shared.cc.sample(&mut snap);
-        if let Some(mv) = &self.shared.mv {
+        if let Values::Chains(mv) = &self.shared.values {
             snap.gauges.apply_mv(&mv.store.stats());
         }
         if let Some(wal) = &self.shared.durability {
@@ -528,7 +626,9 @@ impl<V: Clone + Send + 'static> Database<V> {
         V: Sync,
     {
         let shared = &*self.shared;
-        let mv = shared.mv.as_ref().expect("snapshot transactions need the multiversion path");
+        let Values::Chains(mv) = &shared.values else {
+            panic!("snapshot transactions need the multiversion path");
+        };
         let cells = shared.metrics.cells();
         let start_tick = shared.metrics.now();
         let id = shared.next_id().unwrap_or_else(|| panic!("{}", TxError::IdsExhausted));
@@ -593,38 +693,23 @@ impl<V: Clone + Send + Sync + 'static> SnapshotTx<'_, V> {
     /// reader. `None` means the item had never been written below the
     /// reader's position.
     pub fn read(&mut self, item: ItemId) -> Option<V> {
-        let shared = self.shared;
-        let id = self.id;
-        let sched = &self.mv.sched;
+        let (shared, mv, id) = (self.shared, self.mv, self.id);
         Metrics::bump(&self.cells.snapshot_reads);
         self.cells.tick();
-        // Pin the item's store shard first (the engine's read lock
-        // order). Commits hold every write-set shard across validate +
-        // install + apply, so under the shard lock the `RT`/`WT`
-        // holders, the version chain and the stored value are mutually
-        // consistent: the `WT` holder's version *is* the chain tail and
-        // the stored value.
-        let shard_idx = shared.store.shard_index(item);
-        let shard = shared.store.lock_shard(shard_idx);
-        match sched.snapshot_read(id, item) {
-            SnapshotRead::Current => {
-                // Ordered after both holders and now the RT holder: the
-                // current committed value is this reader's version, and
-                // every future writer is forced above the reader (or
-                // refused without installing), so the read stays the
-                // newest one below the reader forever.
-                let mv = &self.mv;
-                shared.trace.emit(|| {
-                    // Chain walk only when a sink is attached — the hot
-                    // path never takes the chain lock for tracing.
-                    let writer = mv
-                        .store
-                        .with_chain(item, |chain| chain.last().map(|v| v.writer))
-                        .unwrap_or(TxId::VIRTUAL);
-                    TraceEvent::VersionRead { tx: id, item, writer }
-                });
-                shard.get(item).cloned()
-            }
+        // One lock for the decision and the version: the item's chain
+        // record holds its `RT`/`WT` holders and its chain, and commits
+        // hold every write-set chain shard across validate + install, so
+        // under this lock the holders and the chain are mutually
+        // consistent — the `WT` holder's version *is* the chain tail.
+        let mut shard = mv.store.lock_shard(mv.store.shard_index(item));
+        let (holders, chain) = shard.holders_and_chain(item);
+        let version = match mv.sched.snapshot_read_held(id, item, holders) {
+            // Ordered after both holders and now the RT holder (or
+            // shielded below a live one): the current committed value is
+            // this reader's version, and every future writer is forced
+            // above the reader (or refused without installing), so the
+            // read stays the newest one below the reader forever.
+            SnapshotRead::Current => chain.last(),
             SnapshotRead::Older => {
                 // Decided below one of the current holders — protected
                 // transitively, but the current value may be too new.
@@ -638,45 +723,29 @@ impl<V: Clone + Send + Sync + 'static> SnapshotTx<'_, V> {
                 // fetch-maxed its stamp into the column maxima before
                 // the reader's first (boosted) element was defined, so
                 // the reader orders strictly after it (the T₀ floor,
-                // stamped ⟨0,*,…⟩, is the degenerate case).
+                // stamped ⟨0,*,…⟩, is the degenerate case). An empty
+                // chain is an item never written: no version, `None`.
                 let span = shared.metrics.phases.start();
-                let selected = self.mv.store.with_chain(item, |chain| {
-                    if let Some(i) = sched.snapshot_newest_visible(
-                        id,
-                        chain.len(),
-                        |i| &chain[i].stamp,
-                        |i| chain[i].writer,
-                    ) {
-                        let writer = chain[i].writer;
-                        shared.trace.emit(|| TraceEvent::VersionRead { tx: id, item, writer });
-                        return Some(chain[i].value.clone());
-                    }
-                    let oldest = chain.first()?;
+                let visible = mv.sched.snapshot_newest_visible(
+                    id,
+                    chain.len(),
+                    |i| &chain[i].stamp,
+                    |i| chain[i].writer,
+                );
+                shared.metrics.phases.record_since(Phase::ChainWalk, span);
+                visible.map(|i| &chain[i]).or_else(|| {
                     // Unreachable per the GC contract; serve the oldest
                     // retained version, attributed truthfully so an
                     // audit flags the ordering breach instead of
                     // masking it.
-                    debug_assert!(false, "snapshot walk descended past its pivot");
-                    let writer = oldest.writer;
-                    shared.trace.emit(|| TraceEvent::VersionRead { tx: id, item, writer });
-                    Some(oldest.value.clone())
-                });
-                shared.metrics.phases.record_since(Phase::ChainWalk, span);
-                selected.unwrap_or_else(|| {
-                    // Empty chain: the item has never been written (the
-                    // outranking holder is a reader, or a writer whose
-                    // write was Thomas-ignored), so the base value is
-                    // the one below every transaction.
-                    let base = shard.get(item).cloned();
-                    shared.trace.emit(|| TraceEvent::VersionRead {
-                        tx: id,
-                        item,
-                        writer: TxId::VIRTUAL,
-                    });
-                    base
+                    debug_assert!(chain.is_empty(), "snapshot walk descended past its pivot");
+                    chain.first()
                 })
             }
-        }
+        };
+        let writer = version.map_or(TxId::VIRTUAL, |v| v.writer);
+        shared.trace.emit(|| TraceEvent::VersionRead { tx: id, item, writer });
+        version.and_then(|v| v.value.clone())
     }
 }
 
@@ -773,20 +842,20 @@ fn take_scratch<V: 'static>() -> Box<TxScratch<V>> {
 /// Write-set sizes up to this many store shards lock without allocating.
 const INLINE_SHARDS: usize = 4;
 
-/// The store-shard guards a commit holds, in the order of
-/// `TxScratch::shard_idxs`: the first [`INLINE_SHARDS`] inline, the rest
-/// on the heap.
-struct HeldShards<'a, V> {
-    inline: [Option<ShardGuard<'a, V>>; INLINE_SHARDS],
-    spill: Vec<ShardGuard<'a, V>>,
+/// The shard guards a commit holds — [`ShardedStore`] shards or chain
+/// shards — in the order of `TxScratch::shard_idxs`: the first
+/// [`INLINE_SHARDS`] inline, the rest on the heap.
+struct HeldShards<G> {
+    inline: [Option<G>; INLINE_SHARDS],
+    spill: Vec<G>,
 }
 
-impl<'a, V: Clone> HeldShards<'a, V> {
+impl<G> HeldShards<G> {
     /// Locks `idxs` (ascending — the deadlock-freedom order) in turn.
-    fn lock(store: &'a ShardedStore<V>, idxs: &[usize]) -> Self {
+    fn lock(idxs: &[usize], mut lock: impl FnMut(usize) -> G) -> Self {
         let mut held = HeldShards { inline: Default::default(), spill: Vec::new() };
         for (slot, &idx) in idxs.iter().enumerate() {
-            let guard = store.lock_shard(idx);
+            let guard = lock(idx);
             match held.inline.get_mut(slot) {
                 Some(cell) => *cell = Some(guard),
                 None => held.spill.push(guard),
@@ -795,8 +864,9 @@ impl<'a, V: Clone> HeldShards<'a, V> {
         held
     }
 
-    /// The shard locked for position `slot` of the index list.
-    fn shard(&mut self, slot: usize) -> &mut Shard<V> {
+    /// The guard of shard `idx`, one of the locked `idxs`.
+    fn shard(&mut self, idxs: &[usize], idx: usize) -> &mut G {
+        let slot = idxs.binary_search(&idx).expect("shard of a write-set item was locked");
         match self.inline.get_mut(slot) {
             Some(cell) => cell.as_mut().expect("slot below the locked count"),
             None => &mut self.spill[slot - INLINE_SHARDS],
@@ -881,21 +951,18 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
     /// Reads an item (own uncommitted writes are visible; nobody else's
     /// are). `Ok(None)` means the item has never been written.
     pub fn read(&mut self, item: ItemId) -> Result<Option<V>, Aborted> {
+        // An incarnation already aborted has no row left to read with.
+        if !self.armed {
+            return Err(Aborted);
+        }
         loop {
             if !self.epoch_ok() {
                 return Err(Aborted);
             }
             let seen = self.shared.wake.current();
-            // Hold the item's store shard across grant + fetch: a
-            // concurrent commit of this item cannot apply in between, so
-            // the value read is exactly the one the grant authorized.
-            let verdict = {
-                let shard_idx = self.shared.store.shard_index(item);
-                let shard = self.shared.store.lock_shard(shard_idx);
-                let v = self.shared.cc.read(self.id, item);
-                if matches!(v, Verdict::Granted | Verdict::Ignored) {
-                    let stored = shard.get(item).cloned();
-                    drop(shard);
+            let (verdict, shard_idx, stored) = self.shared.locked_read(self.id, item);
+            match verdict {
+                Verdict::Granted | Verdict::Ignored => {
                     if !self.epoch_ok() {
                         return Err(Aborted);
                     }
@@ -911,9 +978,6 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                         .map(|(_, v)| v.clone());
                     return Ok(own.or(stored));
                 }
-                v
-            };
-            match verdict {
                 Verdict::Blocked => {
                     Metrics::bump(&self.cells.blocked_waits);
                     let tx = self.id;
@@ -933,7 +997,6 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                     self.cleanup(AbortReason::Epoch);
                     return Err(Aborted);
                 }
-                Verdict::Granted | Verdict::Ignored => unreachable!("handled under the shard"),
             }
         }
     }
@@ -990,108 +1053,156 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
     /// Commit: validate deferred writes, frame into the WAL epoch (when
     /// durable), apply, release. The caller awaits the returned WAL
     /// epoch *outside* the commit critical section.
+    ///
+    /// Every shard of the write set is held, in ascending order, across
+    /// validation, WAL framing and apply: the commit is atomic against
+    /// any reader (readers hold their item's shard across grant + fetch)
+    /// — visible entirely or not at all.
     fn commit(&mut self) -> CommitOutcome {
-        if !self.epoch_ok() {
+        if !self.armed || !self.epoch_ok() {
             return CommitOutcome::Aborted;
         }
-        // Deterministic order for validation and apply, and the ascending
-        // shard order the deadlock-freedom argument needs. The item and
+        // Deterministic order for validation and apply. The item and
         // shard-index buffers are recycled across restart attempts.
         self.scratch.writes.sort_by_key(|(item, _)| *item);
         self.scratch.items.clear();
         self.scratch.items.extend(self.scratch.writes.iter().map(|(item, _)| *item));
-        self.scratch.shard_idxs.clear();
-        self.scratch
-            .shard_idxs
-            .extend(self.scratch.items.iter().map(|&i| self.shared.store.shard_index(i)));
-        self.scratch.shard_idxs.sort_unstable();
-        self.scratch.shard_idxs.dedup();
-        // Hold every write-set shard across validate + apply: the commit
-        // is atomic against any reader (readers hold their item's shard
-        // across grant + fetch) — visible entirely or not at all.
-        let mut guards = HeldShards::lock(&self.shared.store, &self.scratch.shard_idxs);
-        match self.shared.cc.validate_commit(self.id, &self.scratch.items) {
-            CommitDecision::Commit { skip } => {
-                if self.shared.cc.epoch() != self.epoch {
-                    drop(guards);
-                    self.cleanup(AbortReason::Epoch);
-                    return CommitOutcome::Aborted;
-                }
-                // Durable path: emit the commit event *before* framing
-                // the record — the daemon journals and fsyncs the trace
-                // slice ahead of the epoch's WAL fsync, so every
-                // WAL-durable transaction's commit event reaches the
-                // journal first. Then frame the still-undrained write
-                // set (minus the Thomas-skipped items) into the open
-                // epoch. Both happen under every write-set shard, so
-                // log order equals apply order on every item.
-                let wal_epoch = self.shared.durability.as_ref().map(|wal| {
-                    let tx = self.id;
-                    self.shared.trace.emit(|| TraceEvent::Commit { tx });
-                    wal.enqueue(tx, &self.scratch.writes, &skip)
-                });
-                // Multiversion path: saturate this writer's vector into a
-                // frozen stamp once, then install one version per applied
-                // write. Still under every write-set store shard, so chain
-                // append order equals write-grant order per item, and
-                // Thomas-ignored writes install nothing.
-                let mv_stamp = match &self.shared.mv {
-                    Some(mv) if !self.scratch.writes.is_empty() => {
-                        Some((mv, mv.sched.stamp_commit(self.id)))
-                    }
-                    _ => None,
-                };
-                for (item, value) in self.scratch.writes.drain(..) {
-                    if skip.contains(&item) {
-                        Metrics::bump(&self.cells.ignored_writes);
-                        continue;
-                    }
-                    let shard_idx = self.shared.store.shard_index(item);
-                    let slot = self
-                        .scratch
-                        .shard_idxs
-                        .binary_search(&shard_idx)
-                        .expect("shard of a write-set item was locked");
-                    if let Some((mv, stamp)) = &mv_stamp {
-                        let id = self.id;
-                        let trace = &self.shared.trace;
-                        mv.store.install_with(
-                            item,
-                            id,
-                            stamp.clone(),
-                            Some(value.clone()),
-                            // The pre-apply store value seeds the chain
-                            // floor (attributed to T₀) — read from the
-                            // held guard on a chain's first install only.
-                            || guards.shard(slot).get(item).cloned(),
-                            |_seq| trace.emit(|| TraceEvent::VersionInstall { writer: id, item }),
-                        );
-                    }
-                    guards.shard(slot).insert(item, value);
-                    self.cells.bump_shard(shard_idx);
-                }
-                self.cells.tick();
-                drop(guards);
-                self.armed = false;
-                self.shared.cc.committed(self.id);
-                if wal_epoch.is_none() {
-                    let tx = self.id;
-                    self.shared.trace.emit(|| TraceEvent::Commit { tx });
-                }
-                self.shared.wake_all();
-                CommitOutcome::Committed { wal_epoch }
+        let shared = self.shared;
+        match &shared.values {
+            Values::Sharded(store) => self.commit_sharded(store),
+            Values::Chains(mv) => self.commit_chains(mv),
+        }
+    }
+
+    /// [`commit`](Self::commit) into a [`ShardedStore`], validated by the
+    /// protocol's own state.
+    fn commit_sharded(&mut self, store: &ShardedStore<V>) -> CommitOutcome {
+        self.lock_order(|item| store.shard_index(item));
+        let idxs = &self.scratch.shard_idxs;
+        let mut held = HeldShards::lock(idxs, |idx| store.lock_shard(idx));
+        let decision = self.shared.cc.validate_commit(self.id, &self.scratch.items);
+        let skip = match self.accepted(decision) {
+            Ok(skip) => skip,
+            Err(reason) => {
+                drop(held);
+                self.cleanup(reason);
+                return CommitOutcome::Aborted;
             }
-            CommitDecision::Abort => {
-                drop(guards);
-                self.cleanup(AbortReason::ValidationRejected);
-                CommitOutcome::Aborted
+        };
+        let wal_epoch = self.enqueue_wal(&skip);
+        for (item, value) in self.scratch.writes.drain(..) {
+            if skip.contains(&item) {
+                Metrics::bump(&self.cells.ignored_writes);
+                continue;
             }
-            CommitDecision::AbortAll => {
-                drop(guards);
-                self.cleanup(AbortReason::Epoch);
-                CommitOutcome::Aborted
+            let idx = store.shard_index(item);
+            held.shard(&self.scratch.shard_idxs, idx).insert(item, value);
+            self.cells.bump_shard(idx);
+        }
+        self.cells.tick();
+        drop(held);
+        self.finish_commit(wal_epoch)
+    }
+
+    /// [`commit`](Self::commit) on the multiversion path: each write is
+    /// validated against the holders in its item's chain record, and
+    /// installed as a version through the same held guard.
+    fn commit_chains(&mut self, mv: &MvState<V>) -> CommitOutcome {
+        let store = &*mv.store;
+        self.lock_order(|item| store.shard_index(item));
+        let (id, idxs) = (self.id, &self.scratch.shard_idxs);
+        let mut held = HeldShards::lock(idxs, |idx| store.lock_shard(idx));
+        let decision = validate_writes(&self.scratch.items, |item| {
+            let holders = held.shard(idxs, store.shard_index(item)).holders(item);
+            mv.sched.access_held(id, item, OpKind::Write, holders)
+        });
+        let skip = match self.accepted(decision) {
+            Ok(skip) => skip,
+            Err(reason) => {
+                drop(held);
+                self.cleanup(reason);
+                return CommitOutcome::Aborted;
+            }
+        };
+        let wal_epoch = self.enqueue_wal(&skip);
+        // Saturate this writer's vector into a frozen stamp once, then
+        // install one version per applied write: chain append order
+        // equals write-grant order per item, and Thomas-ignored writes
+        // install nothing.
+        if !self.scratch.writes.is_empty() {
+            let stamp = mv.sched.stamp_commit(id);
+            let trace = &self.shared.trace;
+            for (item, value) in self.scratch.writes.drain(..) {
+                if skip.contains(&item) {
+                    Metrics::bump(&self.cells.ignored_writes);
+                    continue;
+                }
+                let idx = store.shard_index(item);
+                held.shard(&self.scratch.shard_idxs, idx).install(
+                    item,
+                    id,
+                    stamp.clone(),
+                    Some(value),
+                    |_seq| trace.emit(|| TraceEvent::VersionInstall { writer: id, item }),
+                );
+                self.cells.bump_shard(idx);
             }
         }
+        self.cells.tick();
+        drop(held);
+        self.finish_commit(wal_epoch)
+    }
+
+    /// Fills `TxScratch::shard_idxs` with the write set's shards,
+    /// ascending and deduplicated: the order a commit locks them in.
+    fn lock_order(&mut self, shard_index: impl Fn(ItemId) -> usize) {
+        let idxs = &mut self.scratch.shard_idxs;
+        idxs.clear();
+        idxs.extend(self.scratch.items.iter().map(|&item| shard_index(item)));
+        idxs.sort_unstable();
+        idxs.dedup();
+    }
+
+    /// The writes to skip when `decision` commits this incarnation, or
+    /// why it does not — an abort-all epoch change since begin included.
+    fn accepted(&self, decision: CommitDecision) -> Result<Vec<ItemId>, AbortReason> {
+        match decision {
+            CommitDecision::Commit { .. } if self.shared.cc.epoch() != self.epoch => {
+                Err(AbortReason::Epoch)
+            }
+            CommitDecision::Commit { skip } => Ok(skip),
+            CommitDecision::Abort => Err(AbortReason::ValidationRejected),
+            CommitDecision::AbortAll => Err(AbortReason::Epoch),
+        }
+    }
+
+    /// Durable path: emits the commit event *before* framing the record
+    /// — the daemon journals and fsyncs the trace slice ahead of the
+    /// epoch's WAL fsync, so every WAL-durable transaction's commit event
+    /// reaches the journal first. Then frames the still-undrained write
+    /// set (minus the Thomas-skipped items) into the open epoch. Called
+    /// under every write-set shard, so log order equals apply order on
+    /// every item. `None` without durability.
+    fn enqueue_wal(&self, skip: &[ItemId]) -> Option<u64> {
+        self.shared.durability.as_ref().map(|wal| {
+            let tx = self.id;
+            self.shared.trace.emit(|| TraceEvent::Commit { tx });
+            wal.enqueue(tx, &self.scratch.writes, skip)
+        })
+    }
+
+    /// Releases a commit applied in memory, its shards already released:
+    /// the protocol's bookkeeping, the commit event (the durable path
+    /// emitted it before framing) and the wake.
+    fn finish_commit(&mut self, wal_epoch: Option<u64>) -> CommitOutcome {
+        self.armed = false;
+        self.shared.cc.committed(self.id);
+        if wal_epoch.is_none() {
+            let tx = self.id;
+            self.shared.trace.emit(|| TraceEvent::Commit { tx });
+        }
+        self.shared.wake_all();
+        CommitOutcome::Committed { wal_epoch }
     }
 }
 

@@ -2,7 +2,7 @@
 //! every protocol, deferred-write semantics, blocking, deadlocks, and the
 //! composite abort-all epoch.
 
-use mdts_model::ItemId;
+use mdts_model::{ItemId, TxId};
 use mdts_storage::Store;
 
 use mdts_trace::TraceSink;
@@ -450,6 +450,46 @@ fn chains_hold_one_version_with_no_snapshot_live() {
     assert_eq!(g.mv_chains, accounts as u64, "every account was written");
     assert_eq!(g.mv_max_chain, 1);
     assert_eq!(g.mv_versions, g.mv_chains);
+}
+
+/// On the multiversion path each item's chain record holds its `RT`/`WT`,
+/// and the chains are the value store: transfers, read-write and
+/// read-only scans leave the scheduler's own holder tables empty, every
+/// account's chain starts from its seeded opening balance, and the
+/// database's contents are the chain tails.
+#[test]
+fn mv_holders_and_values_live_in_the_chain_records() {
+    let accounts = 8u32;
+    let cc = ShardedMtCc::new(3);
+    let sched = cc.scheduler_arc();
+    let db = open(Protocol::Multiversion(cc), Store::with_items(accounts, 100));
+    let g = db.gauges();
+    assert_eq!((g.mv_chains, g.mv_versions), (8, 8), "one seeded floor per account");
+    for n in 0..40u32 {
+        let (src, dst) = (ItemId(n % 5), ItemId(n % 5 + 1));
+        db.run(8, |tx| {
+            let a = tx.read(src)?.unwrap_or(0);
+            let b = tx.read(dst)?.unwrap_or(0);
+            tx.write(src, a - 1)?;
+            tx.write(dst, b + 1)
+        })
+        .unwrap();
+    }
+    let scan = |tx: &mut crate::SnapshotTx<'_, i64>| -> i64 {
+        (0..accounts).map(|a| tx.read(ItemId(a)).unwrap_or(0)).sum()
+    };
+    assert_eq!(db.run_read_only(scan), 800);
+    let total = db.run(8, |tx| (0..accounts).map(|a| Ok(tx.read(ItemId(a))?.unwrap_or(0))).sum());
+    assert_eq!(total, Ok(800));
+    for a in 0..accounts + 4 {
+        let item = ItemId(a);
+        assert_eq!((sched.rt(item), sched.wt(item)), (TxId::VIRTUAL, TxId::VIRTUAL), "{item}");
+    }
+    let values = db.snapshot();
+    assert_eq!(values.len(), accounts as usize);
+    assert_eq!(values[&ItemId(0)], 100 - 8);
+    assert_eq!(values[&ItemId(5)], 100 + 8);
+    assert_eq!(values[&ItemId(7)], 100, "a never-written account keeps its seeded floor");
 }
 
 #[test]
@@ -1019,6 +1059,12 @@ mod durability_tests {
         ShardedMtCc::new(3).into()
     }
 
+    /// Sharded MV-MT(3): the version chains are the value store, so a
+    /// checkpoint encodes the chain tails.
+    fn multiversion() -> Protocol {
+        Protocol::Multiversion(ShardedMtCc::new(3))
+    }
+
     fn durable_db(dir: &std::path::Path, trace: TraceSink) -> Database<i64> {
         let config = DurabilityConfig::new(dir.join("wal.log")).journal(dir.join("journal.jsonl"));
         open(sharded(), Store::with_items(8, 100), trace, &config).0
@@ -1170,12 +1216,17 @@ mod durability_tests {
 
     #[test]
     fn checkpoint_rotation_truncates_the_log_and_preserves_state() {
-        let dir = scratch("checkpoint");
+        checkpoint_rotation("checkpoint", sharded);
+        checkpoint_rotation("checkpoint-mv", multiversion);
+    }
+
+    fn checkpoint_rotation(name: &str, protocol: fn() -> Protocol) {
+        let dir = scratch(name);
         let snapshot;
         {
             let config = DurabilityConfig::new(dir.join("wal.log")).checkpoint_every(4);
             let (db, _) =
-                open(sharded(), Store::with_items(8, 100i64), TraceSink::disabled(), &config);
+                open(protocol(), Store::with_items(8, 100i64), TraceSink::disabled(), &config);
             for i in 0..40u32 {
                 db.run(16, |tx| {
                     let item = ItemId(i % 8);
@@ -1209,7 +1260,7 @@ mod durability_tests {
         }
         // Reopen over the truncated log: state carries forward.
         let config = DurabilityConfig::new(dir.join("wal.log"));
-        let (db2, _) = open(sharded(), Store::new(), TraceSink::disabled(), &config);
+        let (db2, _) = open(protocol(), Store::new(), TraceSink::disabled(), &config);
         let total: i64 = db2.snapshot().values().sum();
         assert_eq!(total, 8 * 100 + 40);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1217,12 +1268,17 @@ mod durability_tests {
 
     #[test]
     fn checkpoints_race_concurrent_commits_without_losing_state() {
-        let dir = scratch("checkpoint-race");
+        checkpoints_race("checkpoint-race", sharded);
+        checkpoints_race("checkpoint-race-mv", multiversion);
+    }
+
+    fn checkpoints_race(name: &str, protocol: fn() -> Protocol) {
+        let dir = scratch(name);
         let snapshot;
         {
             let config = DurabilityConfig::new(dir.join("wal.log")).checkpoint_every(2);
             let (db, _) =
-                open(sharded(), Store::with_items(16, 0i64), TraceSink::disabled(), &config);
+                open(protocol(), Store::with_items(16, 0i64), TraceSink::disabled(), &config);
             std::thread::scope(|s| {
                 for t in 0..4u32 {
                     let db = &db;

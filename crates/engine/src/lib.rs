@@ -14,10 +14,11 @@
 //! never be undone.
 //!
 //! The engine itself has **no global mutex**: values live in a
-//! [`mdts_storage::ShardedStore`], write buffers are transaction-local,
-//! and every protocol synchronizes itself: [`ShardedMtCc`] natively, each
-//! other adapter with one mutex of its own around its sequential
-//! scheduler.
+//! [`mdts_storage::ShardedStore`] — or, under [`Protocol::Multiversion`],
+//! in the version chains, whose per-item records also hold the MT(k)
+//! holders — write buffers are transaction-local, and every protocol
+//! synchronizes itself: [`ShardedMtCc`] natively, each other adapter with
+//! one mutex of its own around its sequential scheduler.
 //!
 //! Protocols available as [`ConcurrentCc`] implementations:
 //!

@@ -41,7 +41,7 @@ pub mod undo;
 pub mod wal;
 
 pub use mvstore::{
-    ConcurrentMvStore, MvStoreStats, MvVersion, SnapshotGuard, MV_CHAIN_LEN_BUCKETS,
+    ChainShard, ConcurrentMvStore, MvStoreStats, MvVersion, SnapshotGuard, MV_CHAIN_LEN_BUCKETS,
 };
 pub use recovery::{recover, Recovered, RecoveryReport};
 pub use sharded::{Shard, ShardGuard, ShardedStore, DEFAULT_STORE_SHARDS};

@@ -8,22 +8,30 @@
 //! frozen at commit; snapshot readers slot themselves into the gap
 //! between two writers by comparing against those frozen stamps.
 //!
+//! **One record per item.** Each item has one record in its shard's
+//! table, and the record is the one place the item's state lives: the
+//! protocol's per-item state `H` (the engine keeps `RT(x)`/`WT(x)` there,
+//! as Basic T/O keeps R-TS, W-TS and the value in one record per object)
+//! beside the item's chain. The shard lock guards both, so a caller that
+//! holds a [`ChainShard`] can run the access rule on an item's holders
+//! and read or install its versions under one lock.
+//!
 //! **Layout: memory follows what a reader can reach.** An old version is
 //! needed only while a live snapshot's watermark keeps it, and with no
 //! snapshot live every install prunes its chain to the new version alone.
-//! So each item has one record in its shard's table, and the record
-//! holds the item's newest version *inline*. A chain spills to a heap
-//! `Vec` only while a live snapshot keeps an older version, and goes back
-//! inline at the first install that prunes it to one version. An install
-//! whose watermark keeps only the new version overwrites the record in
-//! place: no push, no drain, no allocation. A shard's records sit in
-//! pages of 16, each built on the first install of one of its items and
-//! never moved or regrown, so the table costs one record per item written
-//! (96 bytes for an `Option<i64>` value, the size of the version it
-//! holds) rather than a `Vec` header plus a heap block.
+//! So the record holds the item's newest version *inline*. A chain spills
+//! to a heap `Vec` only while a live snapshot keeps an older version, and
+//! goes back inline at the first install that prunes it to one version.
+//! An install whose watermark keeps only the new version overwrites the
+//! record in place: no push, no drain, no allocation. A shard's records
+//! sit in pages of 16, each built on the first touch of one of its items
+//! and never moved or regrown, so the table costs one record per item
+//! touched (96 bytes for an `Option<i64>` value, the size of the version
+//! it holds, plus the size of `H`) rather than a `Vec` header plus a heap
+//! block.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::RwLock;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mdts_model::{ItemId, TxId};
 use mdts_vector::{CachePadded, TsVec};
@@ -51,8 +59,8 @@ pub struct MvVersion<V> {
 
 /// One item's chain: its newest version inline, or the whole chain on
 /// the heap while a live snapshot keeps an older version.
-enum MvRecord<V> {
-    /// Never installed.
+enum Chain<V> {
+    /// Never installed or seeded.
     Empty,
     /// One version: the newest, and the only one any reader can reach.
     Inline(MvVersion<V>),
@@ -61,63 +69,92 @@ enum MvRecord<V> {
     Spilled(Vec<MvVersion<V>>),
 }
 
-impl<V> MvRecord<V> {
-    fn chain(&self) -> &[MvVersion<V>] {
+impl<V> Chain<V> {
+    fn versions(&self) -> &[MvVersion<V>] {
         match self {
-            MvRecord::Empty => &[],
-            MvRecord::Inline(v) => std::slice::from_ref(v),
-            MvRecord::Spilled(chain) => chain,
+            Chain::Empty => &[],
+            Chain::Inline(v) => std::slice::from_ref(v),
+            Chain::Spilled(chain) => chain,
         }
     }
 
     /// The chain as a heap `Vec`, moving an inline version into one.
     fn spill(&mut self) -> &mut Vec<MvVersion<V>> {
-        if !matches!(self, MvRecord::Spilled(_)) {
+        if !matches!(self, Chain::Spilled(_)) {
             // Room for the inline version and the one being installed.
             let mut chain = Vec::with_capacity(2);
-            if let MvRecord::Inline(only) = std::mem::replace(self, MvRecord::Empty) {
+            if let Chain::Inline(only) = std::mem::replace(self, Chain::Empty) {
                 chain.push(only);
             }
-            *self = MvRecord::Spilled(chain);
+            *self = Chain::Spilled(chain);
         }
-        let MvRecord::Spilled(chain) = self else { unreachable!("spilled above") };
+        let Chain::Spilled(chain) = self else { unreachable!("spilled above") };
         chain
     }
 }
 
+/// One item's record: the protocol's per-item state and the chain.
+struct MvRecord<V, H> {
+    holders: H,
+    chain: Chain<V>,
+}
+
 /// Records per page of a shard's table. Small, because a page is built
-/// whole on the first install of any of its items: a table of a few
-/// hundred items then holds few records nobody wrote, while a large one
+/// whole on the first touch of any of its items: a table of a few
+/// hundred items then holds few records nobody touched, while a large one
 /// pays one page pointer per 16 records.
 const PAGE: usize = 16;
 
-// A record is no larger than the version it holds inline.
-const _: () = assert!(
-    std::mem::size_of::<MvRecord<Option<i64>>>() == std::mem::size_of::<MvVersion<Option<i64>>>()
-);
+// A chain is no larger than the version it holds inline, and the engine's
+// record (two 4-byte holder ids) adds only their 8 bytes.
+const _: () = {
+    type Version = MvVersion<Option<i64>>;
+    assert!(std::mem::size_of::<Chain<Option<i64>>>() == std::mem::size_of::<Version>());
+    assert!(std::mem::size_of::<MvRecord<Option<i64>, ()>>() == std::mem::size_of::<Version>());
+    assert!(
+        std::mem::size_of::<MvRecord<Option<i64>, [TxId; 2]>>()
+            == std::mem::size_of::<Version>() + 8
+    );
+};
 
-struct MvShard<V> {
-    /// Per-shard record table, indexed by `item >> shard_bits` — same
-    /// dense layout as the scheduler's shard tables, so steady-state
-    /// reads never touch a map. Pages are boxed, so growing the page
-    /// list never moves a record, and a page nobody wrote is not built.
-    pages: Vec<Option<Box<[MvRecord<V>; PAGE]>>>,
+/// A page of records, built whole.
+type Page<V, H> = Box<[MvRecord<V, H>; PAGE]>;
+
+struct MvShard<V, H> {
+    /// Per-shard record table, indexed by `item >> shard_bits`: a dense
+    /// layout, so steady-state accesses never touch a map. Pages are
+    /// boxed, so growing the page list never moves a record, and a page
+    /// nobody touched is not built.
+    pages: Vec<Option<Page<V, H>>>,
 }
 
-impl<V> MvShard<V> {
-    fn record(&self, idx: usize) -> Option<&MvRecord<V>> {
+impl<V, H: Default> MvShard<V, H> {
+    fn record(&self, idx: usize) -> Option<&MvRecord<V, H>> {
         self.pages.get(idx / PAGE)?.as_ref().map(|page| &page[idx % PAGE])
     }
 
     /// `idx`'s record, building its page on first touch.
-    fn record_mut(&mut self, idx: usize) -> &mut MvRecord<V> {
+    fn record_mut(&mut self, idx: usize) -> &mut MvRecord<V, H> {
         let at = idx / PAGE;
         if self.pages.len() <= at {
             self.pages.resize_with(at + 1, || None);
         }
-        let page = self.pages[at]
-            .get_or_insert_with(|| Box::new(std::array::from_fn(|_| MvRecord::Empty)));
+        let page = self.pages[at].get_or_insert_with(|| {
+            Box::new(std::array::from_fn(|_| MvRecord {
+                holders: H::default(),
+                chain: Chain::Empty,
+            }))
+        });
         &mut page[idx % PAGE]
+    }
+
+    /// Every record with its dense index, in index order.
+    fn records(&self) -> impl Iterator<Item = (usize, &MvRecord<V, H>)> {
+        self.pages.iter().enumerate().flat_map(|(at, page)| {
+            page.iter().flat_map(move |page| {
+                page.iter().enumerate().map(move |(i, record)| (at * PAGE + i, record))
+            })
+        })
     }
 }
 
@@ -150,14 +187,14 @@ impl Drop for SnapshotGuard<'_> {
     }
 }
 
-/// A sharded, concurrently readable version-chain store.
+/// A sharded, concurrently readable version-chain store, with a slot of
+/// per-item protocol state `H` in every record (`()` for none).
 ///
-/// * Writers install under the item's chain-shard **write** lock, inside
-///   the engine's commit critical section, so chain append order equals
-///   write-grant order equals (per item) the writers' vector order.
-/// * Snapshot readers walk chains under the **read** lock only — they
-///   never touch the single-version scheduler state and never block or
-///   abort writers.
+/// * Writers install under the item's shard lock, inside the engine's
+///   commit critical section, so chain append order equals write-grant
+///   order equals (per item) the writers' vector order.
+/// * Snapshot readers walk chains under the same lock. They never block
+///   or abort writers: a walk is a few compares against frozen stamps.
 /// * Every install garbage-collects its chain against a watermark over
 ///   the active-snapshot registry: it keeps the newest version with
 ///   `seq <= watermark` (the oldest live snapshot's pivot) plus everything
@@ -167,14 +204,14 @@ impl Drop for SnapshotGuard<'_> {
 /// slots and the engine's per-column maxima are all `SeqCst`. The GC
 /// soundness argument leans on the single total order over those
 /// operations — see DESIGN.md §8.
-pub struct ConcurrentMvStore<V> {
-    shards: Box<[RwLock<MvShard<V>>]>,
+pub struct ConcurrentMvStore<V, H = ()> {
+    shards: Box<[Mutex<MvShard<V, H>>]>,
     shard_bits: u32,
     mask: u32,
     /// Monotone install ticket source. Incremented under the chain-shard
-    /// write lock, so tickets are monotone along every chain. Every
-    /// install writes it, so it has a cache line to itself — the fields
-    /// around it are read on every access and never written.
+    /// lock, so tickets are monotone along every chain. Every install
+    /// writes it, so it has a cache line to itself — the fields around it
+    /// are read on every access and never written.
     install_seq: CachePadded<AtomicU64>,
     /// One past the highest registry slot ever claimed: the watermark
     /// scans only the slots below it, so a client or two read a slot or
@@ -193,7 +230,72 @@ const _: () = {
     assert!(std::mem::offset_of!(ConcurrentMvStore<u64>, claimed).is_multiple_of(128));
 };
 
-impl<V: Clone> ConcurrentMvStore<V> {
+/// One locked shard of a [`ConcurrentMvStore`]: the records of every item
+/// striped to it, readable and writable until the guard drops. The engine
+/// holds one across an access decision and the value it authorizes, and a
+/// commit holds every shard of its write set across validation and
+/// install.
+pub struct ChainShard<'a, V, H> {
+    store: &'a ConcurrentMvStore<V, H>,
+    index: usize,
+    guard: MutexGuard<'a, MvShard<V, H>>,
+}
+
+impl<V: Clone, H: Default> ChainShard<'_, V, H> {
+    /// `item`'s dense index in this shard.
+    #[inline]
+    fn local(&self, item: ItemId) -> usize {
+        let (shard, idx) = self.store.locate(item);
+        debug_assert_eq!(shard, self.index, "{item} is not in the locked shard");
+        idx
+    }
+
+    /// `item`'s protocol state, building its record on first touch.
+    pub fn holders(&mut self, item: ItemId) -> &mut H {
+        let idx = self.local(item);
+        &mut self.guard.record_mut(idx).holders
+    }
+
+    /// `item`'s chain, oldest first (empty if it was never installed).
+    pub fn chain(&self, item: ItemId) -> &[MvVersion<V>] {
+        let idx = self.local(item);
+        self.guard.record(idx).map_or(&[], |record| record.chain.versions())
+    }
+
+    /// `item`'s protocol state and its chain at once, the record built on
+    /// first touch: a snapshot read decides on the one and reads the
+    /// other under the same lock.
+    pub fn holders_and_chain(&mut self, item: ItemId) -> (&mut H, &[MvVersion<V>]) {
+        let idx = self.local(item);
+        let record = self.guard.record_mut(idx);
+        (&mut record.holders, record.chain.versions())
+    }
+
+    /// Installs a committed version at the tail of `item`'s chain through
+    /// this guard, then prunes the chain to what a live or future snapshot
+    /// can reach (DESIGN.md §8). A chain neither seeded nor installed
+    /// before gets a `V::default()` floor first. `installed` runs with the
+    /// ticket before the version is stored: no reader can observe the
+    /// version before it returns, so an event it emits is sequenced
+    /// before every read of the version. Returns the ticket.
+    pub fn install(
+        &mut self,
+        item: ItemId,
+        writer: TxId,
+        stamp: TsVec,
+        value: V,
+        installed: impl FnOnce(u64),
+    ) -> u64
+    where
+        V: Default,
+    {
+        let idx = self.local(item);
+        let record = self.guard.record_mut(idx);
+        self.store.install_into(&mut record.chain, writer, stamp, value, V::default, installed)
+    }
+}
+
+impl<V: Clone, H: Default> ConcurrentMvStore<V, H> {
     /// Store with the default shard count.
     pub fn new() -> Self {
         Self::with_shards(DEFAULT_MV_SHARDS)
@@ -203,7 +305,7 @@ impl<V: Clone> ConcurrentMvStore<V> {
     pub fn with_shards(shards: usize) -> Self {
         assert!(shards.is_power_of_two(), "shard count must be a power of two");
         let table = (0..shards)
-            .map(|_| RwLock::new(MvShard { pages: Vec::new() }))
+            .map(|_| Mutex::new(MvShard { pages: Vec::new() }))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         ConcurrentMvStore {
@@ -219,6 +321,38 @@ impl<V: Clone> ConcurrentMvStore<V> {
     #[inline]
     fn locate(&self, item: ItemId) -> (usize, usize) {
         ((item.0 & self.mask) as usize, (item.0 >> self.shard_bits) as usize)
+    }
+
+    /// The shard holding `item`.
+    #[inline]
+    pub fn shard_index(&self, item: ItemId) -> usize {
+        self.locate(item).0
+    }
+
+    /// Locks one shard. Several are locked in ascending index order — the
+    /// engine's deadlock-freedom order.
+    pub fn lock_shard(&self, index: usize) -> ChainShard<'_, V, H> {
+        let guard = self.shards[index].lock().unwrap_or_else(PoisonError::into_inner);
+        ChainShard { store: self, index, guard }
+    }
+
+    /// Seeds `item`'s chain with a floor version holding `value`,
+    /// attributed to T₀ and stamped `TS(T₀) = ⟨0, *, …⟩` of dimension `k`.
+    /// The floor draws its ticket as a first install's floor does. Seed
+    /// an item before anything else installs into it; a seeded chain is
+    /// never empty.
+    pub fn seed(&self, item: ItemId, value: V, k: usize) {
+        let mut shard = self.lock_shard(self.shard_index(item));
+        let idx = shard.local(item);
+        let chain = &mut shard.guard.record_mut(idx).chain;
+        assert!(matches!(chain, Chain::Empty), "{item} seeded after its chain began");
+        *chain = Chain::Inline(self.floor(value, k));
+    }
+
+    /// A floor version with a fresh ticket.
+    fn floor(&self, value: V, k: usize) -> MvVersion<V> {
+        let seq = self.install_seq.fetch_add(1, Ordering::SeqCst) + 1;
+        MvVersion { writer: TxId::VIRTUAL, seq, stamp: TsVec::origin(k), value }
     }
 
     /// Registers a snapshot reader. Must be called before the reader's
@@ -275,23 +409,22 @@ impl<V: Clone> ConcurrentMvStore<V> {
         &self.snapshots[..self.claimed.load(Ordering::SeqCst)]
     }
 
-    /// Runs `f` on the version chain of `item` under the shard read lock
+    /// Runs `f` on the version chain of `item` under its shard lock
     /// (empty slice if the item has no chain yet). Readers select a
     /// version inside `f` and clone the value out while the guard pins
     /// the chain.
     pub fn with_chain<R>(&self, item: ItemId, f: impl FnOnce(&[MvVersion<V>]) -> R) -> R {
-        let (shard, idx) = self.locate(item);
-        let guard = self.shards[shard].read().unwrap_or_else(|e| e.into_inner());
-        f(guard.record(idx).map_or(&[], MvRecord::chain))
+        f(self.lock_shard(self.shard_index(item)).chain(item))
     }
 
-    /// Installs a committed version at the tail of `item`'s chain. Must
-    /// be called inside the engine's commit critical section for `item`
-    /// so tail order equals write-grant order. On the first install the
-    /// chain is seeded with a floor version carrying `floor_value` (the
-    /// pre-write base-store value, attributed to T₀) so snapshot reads
-    /// are total. Then prunes the chain to what a live or future snapshot
-    /// can reach (DESIGN.md §8). Returns the install ticket.
+    /// Installs a committed version at the tail of `item`'s chain under
+    /// its shard lock. Must be called inside the engine's commit critical
+    /// section for `item` so tail order equals write-grant order. A chain
+    /// neither seeded nor installed before is first given a floor version
+    /// carrying `floor_value` (the pre-write value, attributed to T₀) so
+    /// snapshot reads are total. Then prunes the chain to what a live or
+    /// future snapshot can reach (DESIGN.md §8). Returns the install
+    /// ticket.
     pub fn install(
         &self,
         item: ItemId,
@@ -300,34 +433,24 @@ impl<V: Clone> ConcurrentMvStore<V> {
         value: V,
         floor_value: impl FnOnce() -> V,
     ) -> u64 {
-        self.install_with(item, writer, stamp, value, floor_value, |_| {})
+        let mut shard = self.lock_shard(self.shard_index(item));
+        let idx = shard.local(item);
+        let chain = &mut shard.guard.record_mut(idx).chain;
+        self.install_into(chain, writer, stamp, value, floor_value, |_| {})
     }
 
-    /// [`Self::install`], plus an `installed` hook run with the ticket
-    /// while the chain-shard write lock is still held. The engine emits
-    /// its `version_install` trace event from the hook: no reader can
-    /// observe the version before the event is sequenced, so trace order
-    /// equals chain order.
-    pub fn install_with(
+    /// The install itself, into a chain its caller holds locked.
+    fn install_into(
         &self,
-        item: ItemId,
+        chain: &mut Chain<V>,
         writer: TxId,
         stamp: TsVec,
         value: V,
         floor_value: impl FnOnce() -> V,
         installed: impl FnOnce(u64),
     ) -> u64 {
-        let (shard, idx) = self.locate(item);
-        let mut guard = self.shards[shard].write().unwrap_or_else(|e| e.into_inner());
-        let record = guard.record_mut(idx);
-        if let MvRecord::Empty = record {
-            let seq = self.install_seq.fetch_add(1, Ordering::SeqCst) + 1;
-            *record = MvRecord::Inline(MvVersion {
-                writer: TxId::VIRTUAL,
-                seq,
-                stamp: TsVec::origin(stamp.k()),
-                value: floor_value(),
-            });
+        if let Chain::Empty = chain {
+            *chain = Chain::Inline(self.floor(floor_value(), stamp.k()));
         }
         let seq = self.install_seq.fetch_add(1, Ordering::SeqCst) + 1;
         installed(seq);
@@ -337,22 +460,37 @@ impl<V: Clone> ConcurrentMvStore<V> {
         // the newest version with `seq <= w` and everything after it.
         if seq <= w {
             // The watermark keeps the new version alone.
-            *record = MvRecord::Inline(version);
+            *chain = Chain::Inline(version);
             return seq;
         }
         // A live snapshot began before this ticket, so the chain keeps at
         // least one older version beside the new one and lives on the heap.
-        let chain = record.spill();
-        chain.push(version);
-        let keep_from = chain.partition_point(|v| v.seq <= w).saturating_sub(1);
-        chain.drain(..keep_from);
-        debug_assert!(chain.len() >= 2, "a one-version chain stays inline");
+        let versions = chain.spill();
+        versions.push(version);
+        let keep_from = versions.partition_point(|v| v.seq <= w).saturating_sub(1);
+        versions.drain(..keep_from);
+        debug_assert!(versions.len() >= 2, "a one-version chain stays inline");
         seq
     }
 
     /// Number of versions currently kept for `item`.
     pub fn version_count(&self, item: ItemId) -> usize {
         self.with_chain(item, <[MvVersion<V>]>::len)
+    }
+
+    /// Runs `f` on every item's newest version, one shard at a time in
+    /// ascending shard order (the order a commit locks them in), each
+    /// shard's items in ascending id order. Items with no chain are
+    /// skipped. Taken while commits run, the view is per-shard consistent.
+    pub fn for_each_newest(&self, mut f: impl FnMut(ItemId, &MvVersion<V>)) {
+        for index in 0..self.shards.len() {
+            let shard = self.lock_shard(index);
+            for (idx, record) in shard.guard.records() {
+                if let Some(newest) = record.chain.versions().last() {
+                    f(ItemId(((idx as u32) << self.shard_bits) | index as u32), newest);
+                }
+            }
+        }
     }
 
     /// Live registered snapshots (test hook).
@@ -362,7 +500,7 @@ impl<V: Clone> ConcurrentMvStore<V> {
 
     /// Point-in-time internals for telemetry: chain-length distribution,
     /// GC watermark lag, registry occupancy. The walk takes each shard's
-    /// read lock in turn, so the numbers are per-shard consistent but the
+    /// lock in turn, so the numbers are per-shard consistent but the
     /// cross-shard view is a racy (monotone-safe) composite — fine for
     /// gauges, not for invariants.
     pub fn stats(&self) -> MvStoreStats {
@@ -372,10 +510,10 @@ impl<V: Clone> ConcurrentMvStore<V> {
             active_snapshots: self.active_snapshots() as u64,
             ..MvStoreStats::default()
         };
-        for shard in self.shards.iter() {
-            let guard = shard.read().unwrap_or_else(|e| e.into_inner());
-            let records = guard.pages.iter().flatten().flat_map(|page| page.iter());
-            for chain in records.map(MvRecord::chain).filter(|c| !c.is_empty()) {
+        for index in 0..self.shards.len() {
+            let shard = self.lock_shard(index);
+            let chains = shard.guard.records().map(|(_, record)| record.chain.versions());
+            for chain in chains.filter(|c| !c.is_empty()) {
                 let len = chain.len();
                 stats.chains += 1;
                 stats.versions += len as u64;
@@ -435,7 +573,7 @@ impl MvStoreStats {
     }
 }
 
-impl<V: Clone> Default for ConcurrentMvStore<V> {
+impl<V: Clone, H: Default> Default for ConcurrentMvStore<V, H> {
     fn default() -> Self {
         Self::new()
     }
@@ -483,6 +621,37 @@ mod tests {
             assert_eq!((chain[0].writer, chain[0].value), (TxId(3), 300));
         });
         assert_eq!(s.stats().pruned, 3);
+    }
+
+    /// Through a held shard: the holders and the chain share the item's
+    /// record, a seeded chain starts from its floor, a chain neither
+    /// seeded nor installed gets a default floor, and the newest versions
+    /// come back in shard order, each shard's items ascending.
+    #[test]
+    fn a_held_shard_reads_and_writes_one_record_per_item() {
+        let s: ConcurrentMvStore<Option<i64>, [TxId; 2]> = ConcurrentMvStore::with_shards(4);
+        let (seeded, fresh) = (ItemId(5), ItemId(9));
+        s.seed(seeded, Some(50), 2);
+        assert_eq!(s.stats().install_seq, 1, "a seeded floor draws a ticket");
+        let mut shard = s.lock_shard(s.shard_index(seeded));
+        assert_eq!(s.shard_index(fresh), s.shard_index(seeded));
+        *shard.holders(seeded) = [TxId(3), TxId(4)];
+        let (holders, chain) = shard.holders_and_chain(seeded);
+        assert_eq!(*holders, [TxId(3), TxId(4)]);
+        assert_eq!((chain.len(), chain[0].writer, chain[0].value), (1, TxId::VIRTUAL, Some(50)));
+        assert_eq!(chain[0].stamp, TsVec::origin(2));
+        let mut tickets = Vec::new();
+        shard.install(seeded, TxId(4), stamp(2, &[1, 1]), Some(49), |seq| tickets.push(seq));
+        shard.install(fresh, TxId(4), stamp(2, &[1, 1]), Some(1), |seq| tickets.push(seq));
+        assert_eq!(tickets, [2, 4], "the fresh chain's floor took ticket 3");
+        assert_eq!(shard.chain(seeded).len(), 1, "no snapshot live: the floor went");
+        assert_eq!(*shard.holders(seeded), [TxId(3), TxId(4)], "an install keeps the holders");
+        assert!(shard.chain(ItemId(13)).is_empty());
+        drop(shard);
+        s.install(ItemId(2), TxId(6), stamp(2, &[2, 1]), Some(2), || None);
+        let mut newest = Vec::new();
+        s.for_each_newest(|item, v| newest.push((item, v.value)));
+        assert_eq!(newest, [(seeded, Some(49)), (fresh, Some(1)), (ItemId(2), Some(2))]);
     }
 
     #[test]

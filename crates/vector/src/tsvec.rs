@@ -267,21 +267,6 @@ impl TsVec {
         (0..self.k()).map(|m| self.get(m)).collect()
     }
 
-    /// The boxed storage of a spilled vector — `(values, definedness
-    /// words)` — or `None` for the inline form. The engine's hot vectors
-    /// (`k ≤ INLINE_K`) never take this path, so it stays out of line
-    /// like `elems`/`prefix`.
-    #[cold]
-    #[inline(never)]
-    pub fn spilled_parts(&self) -> Option<(&[i64], &[u64])> {
-        if self.is_spilled() {
-            // SAFETY: the tag says the spilled arm is initialised.
-            unsafe { Some((self.data.spilled.values(self.k()), &self.data.spilled.defined)) }
-        } else {
-            None
-        }
-    }
-
     /// Defines element `m` (0-based).
     ///
     /// # Panics
@@ -454,16 +439,6 @@ mod tests {
     fn option_tsvec_stays_one_cache_line() {
         assert_eq!(std::mem::size_of::<TsVec>(), 64);
         assert_eq!(std::mem::size_of::<Option<TsVec>>(), 64);
-    }
-
-    #[test]
-    fn spilled_parts_only_for_spilled_form() {
-        assert!(TsVec::undefined(INLINE_K).spilled_parts().is_none());
-        let mut s = TsVec::undefined_spilled(3);
-        s.define(1, 7);
-        let (values, defined) = s.spilled_parts().expect("forced-spilled form");
-        assert_eq!(values, &[0, 7, 0]);
-        assert_eq!(defined, &[0b010]);
     }
 
     #[test]

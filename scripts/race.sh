@@ -8,7 +8,8 @@
 #                     core + vector unit tests (runs when the nightly
 #                     `miri` component is installed; skipped otherwise)
 #   3. tsan         — ThreadSanitizer over the engine stress suite in its
-#                     `--cfg tsan` short mode (runs when a nightly
+#                     `--cfg tsan` short mode, the MV-MT(k) leg and its
+#                     chain-shard locking included (runs when a nightly
 #                     toolchain with rust-src is available; skipped
 #                     otherwise — TSan needs `-Z build-std`)
 #
@@ -34,7 +35,7 @@ else
 fi
 
 if rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src.*(installed)'; then
-  echo "== tsan: engine stress suite (short mode) =="
+  echo "== tsan: engine stress suite, MV-MT(k) leg included (short mode) =="
   RUSTFLAGS="-Z sanitizer=thread --cfg tsan" \
     cargo +nightly test -Z build-std --target x86_64-unknown-linux-gnu \
     --release --test engine_stress

@@ -1,6 +1,8 @@
 //! Multi-threaded stress: 8–16 client threads hammer a Zipf hotspot and
 //! the committed history must stay serializable, protocol by protocol —
-//! including MT(k) on the natively concurrent sharded scheduler.
+//! including MT(k) on the natively concurrent sharded scheduler, and
+//! MV-MT(k), whose transfers and read-only snapshot scans lock the items'
+//! chain records.
 //!
 //! Beyond the usual total-balance invariant (which a pair of compensating
 //! lost updates could mask), every committed transfer reports the value it
@@ -18,7 +20,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mdts::core::MtOptions;
-use mdts::engine::{BasicToCc, CompositeCc, Database, MtCc, ShardedMtCc, TwoPlCc, TxError};
+use mdts::engine::{
+    BasicToCc, CompositeCc, Database, MtCc, Protocol, ShardedMtCc, TwoPlCc, TxError,
+};
 use mdts::model::{ItemId, Zipf};
 use mdts::storage::Store;
 use mdts::trace::{audit, TraceBuffer, TraceSink};
@@ -128,6 +132,19 @@ fn stress_with_audit(
                         }
                         continue;
                     }
+                    if n % 8 == 4 && db.has_multiversion() {
+                        // A read-only snapshot scan never aborts, and its
+                        // cut must conserve the total too.
+                        let total: i64 = db.run_read_only(|tx| {
+                            (0..ACCOUNTS).map(|i| tx.read(ItemId(i)).unwrap_or(0)).sum()
+                        });
+                        assert_eq!(
+                            total,
+                            ACCOUNTS as i64 * INITIAL,
+                            "{name}: a snapshot scan saw a torn state"
+                        );
+                        continue;
+                    }
                     let src = zipf.sample(&mut rng);
                     let mut dst = zipf.sample(&mut rng);
                     while dst == src {
@@ -203,6 +220,17 @@ fn traced_sharded(order_cache: bool) -> (Database<i64>, Arc<TraceBuffer>) {
     let cc = ShardedMtCc::with_options(opts);
     let db = Database::open(cc, store(), TraceSink::to(&buffer));
     (db, buffer)
+}
+
+/// MV-MT(3): transfers validate against, and install into, the items'
+/// chain records, while read-only snapshot scans walk the same chains.
+/// Under `--cfg tsan` this is the lane that races the chain-shard locks.
+#[test]
+fn multiversion_mtk_survives_zipf_hotspot_16_threads() {
+    let buffer = TraceBuffer::unbounded(16);
+    let protocol = Protocol::Multiversion(ShardedMtCc::new(3));
+    let db = Database::open(protocol, store(), TraceSink::to(&buffer));
+    stress_with_audit("MV-MT(3)/16t", db, 16, Some((buffer, 3, CacheExpectation::Hits)));
 }
 
 #[test]
