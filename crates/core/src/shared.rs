@@ -120,7 +120,7 @@ use mdts_model::{ItemId, OpKind, Operation, TxId};
 use mdts_trace::event::{scalar_cost, tree_cost, AccessOutcome, SetEdgeOutcome};
 use mdts_trace::{TraceEvent, TraceSink};
 use mdts_vector::{
-    CachePadded, CmpResult, KthCounters, OrderCache, OrderCacheStats, Striped, TsVec,
+    CachePadded, CmpResult, KthCounters, OrderCache, OrderCacheStats, StampView, Striped, TsVec,
 };
 
 use crate::algo1::{self, Encoding};
@@ -1051,14 +1051,23 @@ impl SharedMtScheduler {
     /// stamp published before the define (the GC monotonicity
     /// invariant, DESIGN.md §8).
     ///
+    /// The stamp is a packed [`Stamp`](mdts_vector::Stamp) or a `TsVec`
+    /// ([`StampView`]); a packed one is compared from the reader's mask
+    /// alone, and built into a vector only for the open case.
+    ///
     /// Allocation-free for `k ≤ INLINE_K` with tracing disabled.
-    pub fn snapshot_order_after(&self, reader: TxId, stamp: &TsVec, stamp_writer: TxId) -> bool {
+    pub fn snapshot_order_after(
+        &self,
+        reader: TxId,
+        stamp: &impl StampView,
+        stamp_writer: TxId,
+    ) -> bool {
         let slot = self.slot_expect(reader);
         // Fast path: the reader's existing elements usually already
         // decide the order, needing only the row's read lock.
         {
             let row = slot.read();
-            match stamp.compare(vec_of(&row, reader)) {
+            match stamp.compare_reader(vec_of(&row, reader)) {
                 CmpResult::Less { .. } => return true,
                 CmpResult::Greater { .. } => return false,
                 _ => {}
@@ -1068,12 +1077,13 @@ impl SharedMtScheduler {
         // reader's element goes above both the stamp's and the column
         // maximum (a last-column draw is globally distinct, so `Identical`
         // stays impossible even for a fully defined reader).
+        let stamp = stamp.to_vec();
         let mut row = slot.write();
         loop {
             let cmp = stamp.compare(vec_of(&row, reader));
             let outcome = algo1::set(
                 cmp,
-                (stamp_writer, stamp),
+                (stamp_writer, &stamp),
                 (reader, vec_of(&row, reader)),
                 |m| self.floor(m),
                 Encoding::Boosted,
@@ -1093,7 +1103,8 @@ impl SharedMtScheduler {
     }
 
     /// The newest-below-reader walk over an MV chain. `stamp_of(i)`
-    /// yields version `i`'s saturated commit stamp, oldest first; returns
+    /// yields version `i`'s saturated commit stamp, oldest first — a
+    /// chain's packed [`Stamp`](mdts_vector::Stamp)s or `TsVec`s; returns
     /// the index of the newest version the reader sits after, or `None`
     /// when even the oldest is newer.
     ///
@@ -1101,11 +1112,11 @@ impl SharedMtScheduler {
     /// per version, newest first, stopping at the first visible one: a
     /// decided order costs one compare under the row's read lock, and an
     /// open one is defined in place.
-    pub fn snapshot_newest_visible<'a>(
+    pub fn snapshot_newest_visible<'a, S: StampView + 'a>(
         &self,
         reader: TxId,
         n: usize,
-        stamp_of: impl Fn(usize) -> &'a TsVec,
+        stamp_of: impl Fn(usize) -> &'a S,
         writer_of: impl Fn(usize) -> TxId,
     ) -> Option<usize> {
         if n == 0 {
@@ -1376,9 +1387,17 @@ mod tests {
     /// The chain walk serves the newest version the reader sits after,
     /// testing versions newest first and stopping there: for a reader
     /// after every writer, one below the newest writer, and one whose
-    /// order against a stamp is still open until the walk defines it.
+    /// order against a stamp is still open until the walk defines it —
+    /// over `TsVec` stamps and over the chain's packed ones alike.
     #[test]
     fn snapshot_newest_visible_walks_newest_first() {
+        walks_newest_first(|stamp| stamp);
+        walks_newest_first(mdts_vector::Stamp::from);
+    }
+
+    /// [`snapshot_newest_visible_walks_newest_first`] over the stamps
+    /// `pack` makes of the writers' saturated vectors.
+    fn walks_newest_first<S: StampView>(pack: impl Fn(TsVec) -> S) {
         let s = SharedMtScheduler::with_k(3);
         let x = ItemId(0);
         let (mut stamps, mut writers) = (Vec::new(), Vec::new());
@@ -1390,6 +1409,7 @@ mod tests {
             s.commit(w);
             writers.push(w);
         }
+        let packed: Vec<S> = stamps.iter().cloned().map(pack).collect();
         let elem = |i: usize, m: usize| stamps[i].get(m).expect("saturated stamp");
         assert!(elem(0, 0) < elem(1, 0) && elem(1, 0) < elem(2, 0), "decided at column 0");
         // A begun reader with the given elements defined in its row.
@@ -1406,7 +1426,7 @@ mod tests {
         // walk compared, which the counters must equal.
         let walk = |r: TxId, compared: u64| {
             let before = s.batched_compare_stats();
-            let got = s.snapshot_newest_visible(r, 3, |i| &stamps[i], |i| writers[i]);
+            let got = s.snapshot_newest_visible(r, 3, |i| &packed[i], |i| writers[i]);
             let after = s.batched_compare_stats();
             assert_eq!(after.chain_batches - before.chain_batches, 1, "one walk for {r}");
             assert_eq!(after.candidates - before.candidates, compared, "versions for {r}");

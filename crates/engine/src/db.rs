@@ -59,7 +59,7 @@ use mdts_storage::{
     DEFAULT_STORE_SHARDS,
 };
 use mdts_trace::{AbortReason, StallRule, TraceEvent, TraceSink};
-use mdts_vector::CachePadded;
+use mdts_vector::{CachePadded, Stamp};
 
 use crate::cc::{
     read_verdict, validate_writes, CommitDecision, ConcurrentCc, ShardedMtCc, Verdict,
@@ -121,6 +121,14 @@ struct MvState<V> {
     store: Arc<ConcurrentMvStore<Option<V>, HolderPair>>,
     sched: Arc<SharedMtScheduler>,
 }
+
+// An `i64` item's record — holders, writer, ticket, packed stamp and value
+// — is one 64-byte line, line-aligned, at every k (a stamp past k = 3
+// spills its values to the heap).
+const _: () = {
+    type Record = ConcurrentMvStore<Option<i64>, HolderPair>;
+    assert!(Record::RECORD_BYTES == 64 && Record::RECORD_ALIGN == 64);
+};
 
 /// Where committed values live, and with them the item locks.
 enum Values<V> {
@@ -817,11 +825,21 @@ struct TxScratch<V> {
     items: Vec<ItemId>,
     /// Commit-time store-shard indices (sorted, deduped).
     shard_idxs: Vec<usize>,
+    /// The values a commit's writes displaced — the value a store insert
+    /// replaced, or a version an install overwrote or pruned — held past
+    /// the shard locks: their `Drop` is user code, and runs only once the
+    /// commit is applied and released.
+    displaced: Vec<Option<V>>,
 }
 
 impl<V> Default for TxScratch<V> {
     fn default() -> Self {
-        TxScratch { writes: Vec::new(), items: Vec::new(), shard_idxs: Vec::new() }
+        TxScratch {
+            writes: Vec::new(),
+            items: Vec::new(),
+            shard_idxs: Vec::new(),
+            displaced: Vec::new(),
+        }
     }
 }
 
@@ -1068,10 +1086,14 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         self.scratch.items.clear();
         self.scratch.items.extend(self.scratch.writes.iter().map(|(item, _)| *item));
         let shared = self.shared;
-        match &shared.values {
+        let outcome = match &shared.values {
             Values::Sharded(store) => self.commit_sharded(store),
             Values::Chains(mv) => self.commit_chains(mv),
-        }
+        };
+        // The shards are released and the commit is finished: a panicking
+        // `Drop` of a displaced value can no longer tear it.
+        self.scratch.displaced.clear();
+        outcome
     }
 
     /// [`commit`](Self::commit) into a [`ShardedStore`], validated by the
@@ -1096,7 +1118,8 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                 continue;
             }
             let idx = store.shard_index(item);
-            held.shard(&self.scratch.shard_idxs, idx).insert(item, value);
+            let old = held.shard(&self.scratch.shard_idxs, idx).insert(item, value);
+            self.scratch.displaced.push(old);
             self.cells.bump_shard(idx);
         }
         self.cells.tick();
@@ -1130,7 +1153,7 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         // equals write-grant order per item, and Thomas-ignored writes
         // install nothing.
         if !self.scratch.writes.is_empty() {
-            let stamp = mv.sched.stamp_commit(id);
+            let stamp = Stamp::from(mv.sched.stamp_commit(id));
             let trace = &self.shared.trace;
             for (item, value) in self.scratch.writes.drain(..) {
                 if skip.contains(&item) {
@@ -1138,11 +1161,13 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                     continue;
                 }
                 let idx = store.shard_index(item);
+                let displaced = &mut self.scratch.displaced;
                 held.shard(&self.scratch.shard_idxs, idx).install(
                     item,
                     id,
                     stamp.clone(),
                     Some(value),
+                    |old| displaced.push(old),
                     |_seq| trace.emit(|| TraceEvent::VersionInstall { writer: id, item }),
                 );
                 self.cells.bump_shard(idx);

@@ -265,6 +265,59 @@ fn a_panicking_snapshot_body_releases_its_row() {
     assert_eq!(after, before);
 }
 
+std::thread_local! {
+    /// Set to make this thread's next [`Bomb`] drop panic.
+    static ARMED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// A value whose `Drop` panics once [`ARMED`]: user code a commit runs
+/// when it displaces a value.
+#[derive(Clone, Debug, PartialEq)]
+struct Bomb(i64);
+
+impl Drop for Bomb {
+    fn drop(&mut self) {
+        if ARMED.replace(false) {
+            panic!("an armed value was dropped");
+        }
+    }
+}
+
+/// A transfer of items 0 and 1 whose displaced old values panic when
+/// dropped: the panic leaves the engine only once both writes are applied
+/// and the shards released, so a later reader sees the whole transfer.
+fn a_panicking_displaced_drop_leaves_the_commit_whole(protocol: Protocol) {
+    let db = Database::open(protocol, Store::with_items(2, Bomb(0)), TraceSink::disabled());
+    let (x, y) = (ItemId(0), ItemId(1));
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        db.run(0, |tx| {
+            let (a, b) = (tx.read(x)?.expect("seeded").0, tx.read(y)?.expect("seeded").0);
+            tx.write(x, Bomb(a + 1))?;
+            tx.write(y, Bomb(b - 1))?;
+            ARMED.set(true);
+            Ok(())
+        })
+    }));
+    assert!(caught.is_err(), "the displaced value's panic propagates out of the engine");
+    assert!(!ARMED.get(), "the armed drop ran");
+    let read = db.run(0, |tx| Ok((tx.read(x)?, tx.read(y)?))).expect("a lone reader commits");
+    assert_eq!(read, (Some(Bomb(1)), Some(Bomb(-1))), "a reader sees both writes");
+    if db.has_multiversion() {
+        let snapshot = db.run_read_only(|tx| (tx.read(x), tx.read(y)));
+        assert_eq!(snapshot, (Some(Bomb(1)), Some(Bomb(-1))), "a snapshot sees both writes");
+    }
+}
+
+#[test]
+fn a_panicking_displaced_drop_leaves_the_mv_commit_whole() {
+    a_panicking_displaced_drop_leaves_the_commit_whole(Protocol::Multiversion(ShardedMtCc::new(3)));
+}
+
+#[test]
+fn a_panicking_displaced_drop_leaves_the_sharded_commit_whole() {
+    a_panicking_displaced_drop_leaves_the_commit_whole(ShardedMtCc::new(3).into());
+}
+
 #[test]
 fn mt_engine_is_faster_to_accept_than_restart_heavy_protocols_on_example1() {
     // Sanity: the MT(2) engine commits Example 1's interleaving without

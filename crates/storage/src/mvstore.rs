@@ -5,8 +5,9 @@
 //!
 //! A chain holds one item's committed versions in install order, each
 //! tagged with a global install ticket and the writer's timestamp vector
-//! frozen at commit; snapshot readers slot themselves into the gap
-//! between two writers by comparing against those frozen stamps.
+//! frozen at commit — saturated, so packed to its k values as a
+//! [`Stamp`]; snapshot readers slot themselves into the gap between two
+//! writers by comparing against those frozen stamps.
 //!
 //! **One record per item.** Each item has one record in its shard's
 //! table, and the record is the one place the item's state lives: the
@@ -26,15 +27,20 @@
 //! record in place: no push, no drain, no allocation. A shard's records
 //! sit in pages of 16, each built on the first touch of one of its items
 //! and never moved or regrown, so the table costs one record per item
-//! touched (96 bytes for an `Option<i64>` value, the size of the version
-//! it holds, plus the size of `H`) rather than a `Vec` header plus a heap
-//! block.
+//! touched rather than a `Vec` header plus a heap block.
+//!
+//! **One record, one line.** A record is 64-byte aligned, and at k ≤ 3
+//! with an `Option<i64>` value and two 4-byte holder ids it is exactly one
+//! 64-byte line: holders 8, writer 4, ticket 8, stamp 28 (k's 24 bytes
+//! and a head word that fills what was the writer's padding), value 16.
+//! A stamp of larger k spills its values to the heap (see [`Stamp`]), so
+//! the record stays one line at any k.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mdts_model::{ItemId, TxId};
-use mdts_vector::{CachePadded, TsVec};
+use mdts_vector::{CachePadded, Stamp};
 
 /// One version in a chain. Ordering is *positional*: chains append in
 /// the writers' grant order (which under MT(k) equals their vector order
@@ -51,8 +57,9 @@ pub struct MvVersion<V> {
     /// snapshot begin tickets for GC watermarking.
     pub seq: u64,
     /// The writer's timestamp vector, saturated (fully defined) at stamp
-    /// time. Unused for the floor version.
-    pub stamp: TsVec,
+    /// time and packed to its k values; `⟨0, *, …⟩` ([`Stamp::floor`]) for
+    /// the floor version.
+    pub stamp: Stamp,
     /// The value.
     pub value: V,
 }
@@ -93,7 +100,9 @@ impl<V> Chain<V> {
     }
 }
 
-/// One item's record: the protocol's per-item state and the chain.
+/// One item's record: the protocol's per-item state and the chain, on a
+/// cache line of its own.
+#[repr(align(64))]
 struct MvRecord<V, H> {
     holders: H,
     chain: Chain<V>,
@@ -105,16 +114,15 @@ struct MvRecord<V, H> {
 /// pays one page pointer per 16 records.
 const PAGE: usize = 16;
 
-// A chain is no larger than the version it holds inline, and the engine's
-// record (two 4-byte holder ids) adds only their 8 bytes.
+// A chain is no larger than the version it holds inline, and a record of
+// two 4-byte holder ids beside an `Option<i64>` version is one line.
 const _: () = {
+    use std::mem::{align_of, size_of};
     type Version = MvVersion<Option<i64>>;
-    assert!(std::mem::size_of::<Chain<Option<i64>>>() == std::mem::size_of::<Version>());
-    assert!(std::mem::size_of::<MvRecord<Option<i64>, ()>>() == std::mem::size_of::<Version>());
-    assert!(
-        std::mem::size_of::<MvRecord<Option<i64>, [TxId; 2]>>()
-            == std::mem::size_of::<Version>() + 8
-    );
+    assert!(size_of::<Version>() == 56);
+    assert!(size_of::<Chain<Option<i64>>>() == size_of::<Version>());
+    assert!(size_of::<MvRecord<Option<i64>, [TxId; 2]>>() == 64);
+    assert!(align_of::<MvRecord<Option<i64>, [TxId; 2]>>() == 64);
 };
 
 /// A page of records, built whole.
@@ -274,16 +282,20 @@ impl<V: Clone, H: Default> ChainShard<'_, V, H> {
     /// Installs a committed version at the tail of `item`'s chain through
     /// this guard, then prunes the chain to what a live or future snapshot
     /// can reach (DESIGN.md §8). A chain neither seeded nor installed
-    /// before gets a `V::default()` floor first. `installed` runs with the
-    /// ticket before the version is stored: no reader can observe the
-    /// version before it returns, so an event it emits is sequenced
-    /// before every read of the version. Returns the ticket.
+    /// before gets a `V::default()` floor first. The values of the
+    /// versions the install overwrites or prunes go to `displaced`, not
+    /// dropped, so the caller can drop them once it has released the
+    /// shard. `installed` runs with the ticket before the version is
+    /// stored: no reader can observe the version before it returns, so an
+    /// event it emits is sequenced before every read of the version.
+    /// Returns the ticket.
     pub fn install(
         &mut self,
         item: ItemId,
         writer: TxId,
-        stamp: TsVec,
+        stamp: impl Into<Stamp>,
         value: V,
+        displaced: impl FnMut(V),
         installed: impl FnOnce(u64),
     ) -> u64
     where
@@ -291,7 +303,8 @@ impl<V: Clone, H: Default> ChainShard<'_, V, H> {
     {
         let idx = self.local(item);
         let record = self.guard.record_mut(idx);
-        self.store.install_into(&mut record.chain, writer, stamp, value, V::default, installed)
+        let version = (writer, stamp.into(), value);
+        self.store.install_into(&mut record.chain, version, V::default, displaced, installed)
     }
 }
 
@@ -352,7 +365,7 @@ impl<V: Clone, H: Default> ConcurrentMvStore<V, H> {
     /// A floor version with a fresh ticket.
     fn floor(&self, value: V, k: usize) -> MvVersion<V> {
         let seq = self.install_seq.fetch_add(1, Ordering::SeqCst) + 1;
-        MvVersion { writer: TxId::VIRTUAL, seq, stamp: TsVec::origin(k), value }
+        MvVersion { writer: TxId::VIRTUAL, seq, stamp: Stamp::floor(k), value }
     }
 
     /// Registers a snapshot reader. Must be called before the reader's
@@ -423,30 +436,31 @@ impl<V: Clone, H: Default> ConcurrentMvStore<V, H> {
     /// neither seeded nor installed before is first given a floor version
     /// carrying `floor_value` (the pre-write value, attributed to T₀) so
     /// snapshot reads are total. Then prunes the chain to what a live or
-    /// future snapshot can reach (DESIGN.md §8). Returns the install
-    /// ticket.
+    /// future snapshot can reach (DESIGN.md §8), dropping what it prunes
+    /// under the shard lock. Returns the install ticket.
     pub fn install(
         &self,
         item: ItemId,
         writer: TxId,
-        stamp: TsVec,
+        stamp: impl Into<Stamp>,
         value: V,
         floor_value: impl FnOnce() -> V,
     ) -> u64 {
+        let version = (writer, stamp.into(), value);
         let mut shard = self.lock_shard(self.shard_index(item));
         let idx = shard.local(item);
         let chain = &mut shard.guard.record_mut(idx).chain;
-        self.install_into(chain, writer, stamp, value, floor_value, |_| {})
+        self.install_into(chain, version, floor_value, drop, |_| {})
     }
 
-    /// The install itself, into a chain its caller holds locked.
+    /// The install itself, into a chain its caller holds locked: the
+    /// values of the versions it overwrites or prunes go to `displaced`.
     fn install_into(
         &self,
         chain: &mut Chain<V>,
-        writer: TxId,
-        stamp: TsVec,
-        value: V,
+        (writer, stamp, value): (TxId, Stamp, V),
         floor_value: impl FnOnce() -> V,
+        mut displaced: impl FnMut(V),
         installed: impl FnOnce(u64),
     ) -> u64 {
         if let Chain::Empty = chain {
@@ -460,7 +474,11 @@ impl<V: Clone, H: Default> ConcurrentMvStore<V, H> {
         // the newest version with `seq <= w` and everything after it.
         if seq <= w {
             // The watermark keeps the new version alone.
-            *chain = Chain::Inline(version);
+            match std::mem::replace(chain, Chain::Inline(version)) {
+                Chain::Empty => {}
+                Chain::Inline(old) => displaced(old.value),
+                Chain::Spilled(old) => old.into_iter().for_each(|v| displaced(v.value)),
+            }
             return seq;
         }
         // A live snapshot began before this ticket, so the chain keeps at
@@ -468,10 +486,16 @@ impl<V: Clone, H: Default> ConcurrentMvStore<V, H> {
         let versions = chain.spill();
         versions.push(version);
         let keep_from = versions.partition_point(|v| v.seq <= w).saturating_sub(1);
-        versions.drain(..keep_from);
+        versions.drain(..keep_from).for_each(|v| displaced(v.value));
         debug_assert!(versions.len() >= 2, "a one-version chain stays inline");
         seq
     }
+
+    /// Bytes of one item's record: its holders `H` and its chain.
+    pub const RECORD_BYTES: usize = std::mem::size_of::<MvRecord<V, H>>();
+
+    /// Alignment of one item's record.
+    pub const RECORD_ALIGN: usize = std::mem::align_of::<MvRecord<V, H>>();
 
     /// Number of versions currently kept for `item`.
     pub fn version_count(&self, item: ItemId) -> usize {
@@ -583,6 +607,8 @@ impl<V: Clone, H: Default> Default for ConcurrentMvStore<V, H> {
 mod tests {
     use std::sync::atomic::AtomicBool;
 
+    use mdts_vector::TsVec;
+
     use super::*;
 
     const X: ItemId = ItemId(0);
@@ -639,11 +665,16 @@ mod tests {
         let (holders, chain) = shard.holders_and_chain(seeded);
         assert_eq!(*holders, [TxId(3), TxId(4)]);
         assert_eq!((chain.len(), chain[0].writer, chain[0].value), (1, TxId::VIRTUAL, Some(50)));
-        assert_eq!(chain[0].stamp, TsVec::origin(2));
-        let mut tickets = Vec::new();
-        shard.install(seeded, TxId(4), stamp(2, &[1, 1]), Some(49), |seq| tickets.push(seq));
-        shard.install(fresh, TxId(4), stamp(2, &[1, 1]), Some(1), |seq| tickets.push(seq));
+        assert_eq!(chain[0].stamp, Stamp::floor(2));
+        let (mut tickets, mut displaced) = (Vec::new(), Vec::new());
+        let mut install = |shard: &mut ChainShard<'_, _, _>, item, value| {
+            let push = |old| displaced.push(old);
+            shard.install(item, TxId(4), stamp(2, &[1, 1]), value, push, |seq| tickets.push(seq));
+        };
+        install(&mut shard, seeded, Some(49));
+        install(&mut shard, fresh, Some(1));
         assert_eq!(tickets, [2, 4], "the fresh chain's floor took ticket 3");
+        assert_eq!(displaced, [Some(50), None], "the overwritten floors are handed back");
         assert_eq!(shard.chain(seeded).len(), 1, "no snapshot live: the floor went");
         assert_eq!(*shard.holders(seeded), [TxId(3), TxId(4)], "an install keeps the holders");
         assert!(shard.chain(ItemId(13)).is_empty());
@@ -652,6 +683,34 @@ mod tests {
         let mut newest = Vec::new();
         s.for_each_newest(|item, v| newest.push((item, v.value)));
         assert_eq!(newest, [(seeded, Some(49)), (fresh, Some(1)), (ItemId(2), Some(2))]);
+    }
+
+    /// An install through a held shard hands back every value it
+    /// overwrites or prunes instead of dropping it under the lock: the
+    /// pruned prefix while a snapshot keeps the chain on the heap, and the
+    /// whole chain when it goes back inline.
+    #[test]
+    fn a_held_install_hands_back_what_it_displaces() {
+        let s: ConcurrentMvStore<i64> = ConcurrentMvStore::new();
+        s.seed(X, 0, 1);
+        let mut displaced = Vec::new();
+        let mut install = |n: u32| {
+            let mut shard = s.lock_shard(s.shard_index(X));
+            let push = |old| displaced.push(old);
+            shard.install(X, TxId(n), stamp(1, &[n.into()]), n.into(), push, |_| {});
+        };
+        let snap = s.begin_snapshot();
+        (1..4).for_each(&mut install);
+        assert_eq!(s.version_count(X), 4, "the held snapshot keeps the floor and every version");
+        drop(snap);
+        let snap = s.begin_snapshot();
+        install(4);
+        install(5);
+        assert_eq!(s.version_count(X), 3, "the new snapshot's pivot and the two after it");
+        drop(snap);
+        install(6);
+        assert_eq!(s.version_count(X), 1);
+        assert_eq!(displaced, [0, 1, 2, 3, 4, 5], "pruned oldest first, then the whole chain");
     }
 
     #[test]

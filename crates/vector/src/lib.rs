@@ -27,6 +27,9 @@
 //!   subject of Figs. 6–7 (exp06, `bench_compare`). Every compare on the
 //!   engine path, the MV chain walk included, is the scalar
 //!   [`TsVec::compare`];
+//! * [`Stamp`] and [`StampView`] — a committed writer's saturated vector
+//!   packed to its k values, and Definition 6 against it from a reader's
+//!   mask alone (the MV chain's version stamps);
 //! * [`interval_view`] — the Section VI-A reading of a vector as a shrinking
 //!   timestamp interval;
 //! * [`OrderCache`] — a concurrent memo table for *decided* strict orders,
@@ -39,6 +42,7 @@ pub mod counters;
 pub mod interval;
 pub mod ordercache;
 pub mod simd;
+pub mod stamp;
 pub mod stripe;
 pub(crate) mod sync;
 pub mod tsvec;
@@ -48,6 +52,7 @@ pub use counters::KthCounters;
 pub use interval::interval_view;
 pub use ordercache::{OrderCache, OrderCacheStats};
 pub use simd::{simd_tier, SimdComparator, SimdTier};
+pub use stamp::{Stamp, StampView, INLINE_STAMP_K};
 pub use stripe::{CachePadded, Striped};
 pub use tsvec::{TsVec, INLINE_K};
 
@@ -55,5 +60,7 @@ pub use tsvec::{TsVec, INLINE_K};
 mod order_props;
 #[cfg(test)]
 mod simd_props;
+#[cfg(test)]
+mod stamp_props;
 #[cfg(test)]
 mod tsvec_props;

@@ -223,6 +223,23 @@ impl TsVec {
         }
     }
 
+    /// Index of the first undefined element, or `None` for a fully defined
+    /// vector.
+    #[inline]
+    pub fn first_undefined(&self) -> Option<usize> {
+        let k = self.k();
+        // Bits at and past `k` are zero, so a complemented word always
+        // has a set bit at or below `k`'s position in it.
+        let m = if k <= 64 {
+            (!self.defined0).trailing_zeros() as usize
+        } else {
+            let words = self.defined_words();
+            let w = words.iter().position(|&w| w != !0).unwrap_or(words.len());
+            words.get(w).map_or(k, |&word| w * 64 + (!word).trailing_zeros() as usize)
+        };
+        (m < k).then_some(m)
+    }
+
     /// Definedness bits for elements 0–63 in one word — the whole bitmap
     /// for `k ≤ 64`, valid for both representations (the comparator's
     /// one-word fast path reads only this).
