@@ -190,11 +190,6 @@ impl LockManager {
         }
         woken
     }
-
-    /// Number of distinct items currently locked or queued on.
-    pub fn locked_items(&self) -> usize {
-        self.items.len()
-    }
 }
 
 /// The class recognized by an online strict-2PL scheduler that never
@@ -204,14 +199,12 @@ impl LockManager {
 /// *restricted to locks held until end of transaction* (strictness), i.e.
 /// the class actually realized by production 2PL systems.
 #[derive(Clone, Debug, Default)]
-pub struct StrictTwoPhaseLocking {
-    locks: LockManager,
-}
+pub struct StrictTwoPhaseLocking;
 
 impl StrictTwoPhaseLocking {
     /// Fresh recognizer.
     pub fn new() -> Self {
-        StrictTwoPhaseLocking::default()
+        StrictTwoPhaseLocking
     }
 
     /// Runs the log, releasing each transaction's locks after its last
@@ -239,11 +232,6 @@ impl StrictTwoPhaseLocking {
     /// Convenience boolean form.
     pub fn accepts(log: &Log) -> bool {
         Self::recognize(log).is_ok()
-    }
-
-    /// The underlying lock manager (for engine adapters).
-    pub fn locks_mut(&mut self) -> &mut LockManager {
-        &mut self.locks
     }
 }
 

@@ -18,7 +18,8 @@ use mdts_engine::{
     bank_database_multiversion, run_bank_mix, run_bank_mix_db, BankConfig, BasicToCc, CompositeCc,
     ConcurrentCc, IntervalCc, MtCc, OccCc, TwoPlCc,
 };
-use mdts_telemetry::{Sampler, SamplerConfig, StallConfig};
+use mdts_telemetry::stall::{TRAILING_WINDOWS, WARMUP_WINDOWS};
+use mdts_telemetry::{Sampler, SamplerConfig};
 
 /// The telemetry lane's window length.
 const TELEMETRY_INTERVAL: Duration = Duration::from_millis(10);
@@ -129,7 +130,6 @@ fn main() {
             max_restarts: 2000,
             ..Default::default()
         };
-        let stall = StallConfig::default();
         let db = bank_database_multiversion(3, &tl_cfg);
         db.set_phase_timing(true);
         let sampler = Sampler::start(
@@ -138,7 +138,6 @@ fn main() {
                 interval: TELEMETRY_INTERVAL,
                 experiment: "exp17".into(),
                 label: "MV-MT(3) read-heavy telemetry".into(),
-                stall: Some(stall),
             },
         );
         let r = run_bank_mix_db(&db, &tl_cfg);
@@ -175,7 +174,7 @@ fn main() {
             // The detector judges nothing during its warm-up and never the
             // final partial window. Without room for a full trailing
             // baseline on top of those, the gate passes on next to nothing.
-            let needed = stall.warmup_windows + stall.trailing_windows + 1;
+            let needed = WARMUP_WINDOWS + TRAILING_WINDOWS + 1;
             for a in &ts.alerts {
                 eprintln!(
                     "telemetry-strict: {} fired on window {} (value {:.0}, trailing mean {:.0})",

@@ -26,8 +26,8 @@
 
 use mdts_engine::COUNTER_KEYS;
 use mdts_telemetry::{
-    drained_tail_fixture, healthy_fixture, writer_starvation_fixture, StallConfig, StallDetector,
-    StallRule, TIMESERIES_SCHEMA,
+    drained_tail_fixture, healthy_fixture, writer_starvation_fixture, StallDetector, StallRule,
+    TIMESERIES_SCHEMA,
 };
 use mdts_trace::Json;
 
@@ -145,7 +145,7 @@ fn validate(doc: &str) -> Result<(u64, u64), String> {
 /// silent, and the drained tail's empty window must fire once commits
 /// resume.
 fn check_fixtures() {
-    let fired = StallDetector::scan(StallConfig::default(), &writer_starvation_fixture());
+    let fired = StallDetector::scan(&writer_starvation_fixture());
     if !fired.iter().any(|a| a.rule == StallRule::WriterStarvation) {
         fail("writer-starvation fixture: starvation rule did not fire");
     }
@@ -155,16 +155,16 @@ fn check_fixtures() {
     if fired.iter().any(|a| a.window < 10) {
         fail("writer-starvation fixture: a rule fired during the healthy prefix");
     }
-    let quiet = StallDetector::scan(StallConfig::default(), &healthy_fixture());
+    let quiet = StallDetector::scan(&healthy_fixture());
     if !quiet.is_empty() {
         fail(&format!("healthy fixture raised {} spurious alerts", quiet.len()));
     }
     let mut tail = drained_tail_fixture();
-    if !StallDetector::scan(StallConfig::default(), &tail).is_empty() {
+    if !StallDetector::scan(&tail).is_empty() {
         fail("drained-tail fixture: the drained workload's empty window raised an alert");
     }
     tail.push(healthy_fixture()[0]);
-    let resumed = StallDetector::scan(StallConfig::default(), &tail);
+    let resumed = StallDetector::scan(&tail);
     if !resumed.iter().any(|a| a.rule == StallRule::ThroughputCollapse) {
         fail("drained-tail fixture: the empty window did not fire once commits resumed");
     }

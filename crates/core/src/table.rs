@@ -58,12 +58,6 @@ impl TimestampTable {
         }
     }
 
-    /// Replaces the default counters (DMT(k) installs site-tagged ones).
-    pub fn with_counters(mut self, counters: KthCounters) -> Self {
-        self.counters = counters;
-        self
-    }
-
     /// Vector dimension `k`.
     pub fn k(&self) -> usize {
         self.k
@@ -297,15 +291,6 @@ impl TimestampTable {
     /// the paper argues "normally fits in main memory" (III-D-6a).
     pub fn live_rows(&self) -> usize {
         self.vectors.iter().filter(|v| v.is_some()).count()
-    }
-
-    /// All live transactions, ascending.
-    pub fn live_txns(&self) -> Vec<TxId> {
-        self.vectors
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.as_ref().map(|_| TxId(i as u32)))
-            .collect()
     }
 
     /// A serialization order for the given transactions: a topological sort

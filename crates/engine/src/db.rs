@@ -184,7 +184,7 @@ impl<V> Shared<V> {
 
     fn wake_all(&self) {
         let seq = self.wake.bump();
-        self.trace.emit(|| TraceEvent::Wake { seq });
+        self.trace.emit(|| TraceEvent::Wake { wake_seq: seq });
     }
 }
 

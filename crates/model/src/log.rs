@@ -180,11 +180,6 @@ impl Log {
         out
     }
 
-    /// Positions of `tx`'s operations in order.
-    pub fn positions_of(&self, tx: TxId) -> Vec<OpId> {
-        self.ops.iter().enumerate().filter_map(|(pos, op)| (op.tx == tx).then_some(pos)).collect()
-    }
-
     /// Maximum number of operations in a single transaction — the paper's
     /// `q`. Theorem 3 bounds the useful vector size by `2q − 1`.
     pub fn max_ops_per_txn(&self) -> usize {

@@ -76,14 +76,6 @@ impl<V: Clone> WriteBuffer<V> {
         self.buffers.remove(&tx).is_some()
     }
 
-    /// Drops a single buffered write (a commit-time Thomas-rule ignore:
-    /// the write is obsolete and must not be applied).
-    pub fn discard_item(&mut self, tx: TxId, item: ItemId) {
-        if let Some(b) = self.buffers.get_mut(&tx) {
-            b.remove(&item);
-        }
-    }
-
     /// Number of active workspaces.
     pub fn active(&self) -> usize {
         self.buffers.len()

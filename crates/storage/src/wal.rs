@@ -35,7 +35,7 @@
 //! type).
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 use mdts_model::{ItemId, TxId};
@@ -350,17 +350,15 @@ pub struct WalWriter {
     file: File,
     crash: CrashPoint,
     crashed: bool,
-    bytes: u64,
 }
 
 impl WalWriter {
     /// Creates (truncating) a log at `path` and writes the file magic.
     pub fn create(path: &Path) -> io::Result<WalWriter> {
-        let mut file =
-            OpenOptions::new().write(true).create(true).truncate(true).read(true).open(path)?;
+        let mut file = OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
         file.write_all(&MAGIC)?;
         file.sync_data()?;
-        Ok(WalWriter { file, crash: CrashPoint::None, crashed: false, bytes: MAGIC.len() as u64 })
+        Ok(WalWriter { file, crash: CrashPoint::None, crashed: false })
     }
 
     /// Arms a crash-injection site (tests only; the default is none).
@@ -371,11 +369,6 @@ impl WalWriter {
     /// Whether an armed crash point has fired (the writer is dead).
     pub fn crashed(&self) -> bool {
         self.crashed
-    }
-
-    /// Total bytes written (magic included).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
     }
 
     /// Appends one fully framed epoch (begin + commits + seal, with the
@@ -399,7 +392,6 @@ impl WalWriter {
             CrashPoint::MidEpoch => &frames[..frames.len() - seal_len],
         };
         self.file.write_all(written)?;
-        self.bytes += written.len() as u64;
         // The torn prefix is flushed too: a torn *durable* tail is the
         // adversarial case recovery must reject by CRC, not by luck.
         self.file.sync_data()?;
@@ -408,15 +400,6 @@ impl WalWriter {
             return Ok(false);
         }
         Ok(true)
-    }
-
-    /// Reads the log back (test hook).
-    pub fn reread(&mut self) -> io::Result<Vec<u8>> {
-        use std::io::Seek;
-        let mut out = Vec::new();
-        self.file.seek(io::SeekFrom::Start(0))?;
-        self.file.read_to_end(&mut out)?;
-        Ok(out)
     }
 }
 

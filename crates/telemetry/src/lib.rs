@@ -27,8 +27,8 @@ pub mod window;
 
 pub use sampler::{Sampler, SamplerConfig};
 pub use stall::{
-    drained_tail_fixture, healthy_fixture, writer_starvation_fixture, Alert, StallConfig,
-    StallDetector, StallRule,
+    drained_tail_fixture, healthy_fixture, writer_starvation_fixture, Alert, StallDetector,
+    StallRule,
 };
 pub use window::{TimeSeries, Window, TIMESERIES_SCHEMA};
 
@@ -190,7 +190,6 @@ mod tests {
                 interval: Duration::from_millis(5),
                 experiment: "unit".into(),
                 label: "bank".into(),
-                stall: Some(StallConfig::default()),
             },
         );
         let report = run_bank_mix_db(&db, &cfg);

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use mdts_engine::{Database, MetricsSnapshot};
 
-use crate::stall::{StallConfig, StallDetector};
+use crate::stall::StallDetector;
 use crate::window::{TimeSeries, Window};
 
 /// Sampler parameters.
@@ -32,8 +32,6 @@ pub struct SamplerConfig {
     pub experiment: String,
     /// Free-form run label (protocol, thread count, …).
     pub label: String,
-    /// Stall-detector thresholds; `None` disables detection.
-    pub stall: Option<StallConfig>,
 }
 
 impl Default for SamplerConfig {
@@ -42,7 +40,6 @@ impl Default for SamplerConfig {
             interval: Duration::from_millis(250),
             experiment: String::new(),
             label: String::new(),
-            stall: Some(StallConfig::default()),
         }
     }
 }
@@ -97,7 +94,7 @@ fn sample_loop<V: Clone + Send + Sync + 'static>(
     stop: &AtomicBool,
     wake: &mpsc::Receiver<()>,
 ) -> TimeSeries {
-    let mut detector = cfg.stall.map(StallDetector::new);
+    let mut detector = StallDetector::new();
     let mut series = TimeSeries {
         experiment: cfg.experiment,
         label: cfg.label,
@@ -131,11 +128,9 @@ fn sample_loop<V: Clone + Send + Sync + 'static>(
         // — the workload has already drained, so its low counts are not a
         // stall. It closes the recomposition sum but is never judged.
         if !done {
-            if let Some(det) = &mut detector {
-                for alert in det.observe(window.index, &window.delta) {
-                    db.emit_telemetry_alert(alert.window, alert.rule, alert.value, alert.baseline);
-                    series.alerts.push(alert);
-                }
+            for alert in detector.observe(window.index, &window.delta) {
+                db.emit_telemetry_alert(alert.window, alert.rule, alert.value, alert.baseline);
+                series.alerts.push(alert);
             }
         }
         prev_ms = window.t_end_ms;

@@ -39,46 +39,29 @@ pub struct Alert {
     pub baseline: f64,
 }
 
-/// Detector thresholds. The defaults are tuned to fire on the PR 6
-/// collapse fixture (70k → 2k txn/s) while staying silent through the
-/// ordinary window-to-window noise of a healthy saturated run.
-#[derive(Clone, Copy, Debug)]
-pub struct StallConfig {
-    /// Windows to observe before any rule may fire.
-    pub warmup_windows: usize,
-    /// Trailing windows in the baseline mean.
-    pub trailing_windows: usize,
-    /// Collapse fires when window commits < `collapse_factor` × mean.
-    pub collapse_factor: f64,
-    /// Minimum mean commits per window for collapse to be meaningful
-    /// (an idle engine is not a stalled one).
-    pub min_mean_commits: f64,
-    /// Abort spike fires when window aborts > `abort_spike_factor` ×
-    /// max(mean aborts, 1).
-    pub abort_spike_factor: f64,
-    /// Minimum window aborts for a spike to fire.
-    pub min_spike_aborts: u64,
-    /// Starvation fires when update commits < `starvation_factor` ×
-    /// their mean while snapshot reads hold above half their mean.
-    pub starvation_factor: f64,
-    /// Minimum mean update commits for starvation to be meaningful.
-    pub min_mean_updates: f64,
-}
+// Detector thresholds, tuned to fire on the PR 6 collapse fixture
+// (70k → 2k txn/s) while staying silent through the ordinary
+// window-to-window noise of a healthy saturated run.
 
-impl Default for StallConfig {
-    fn default() -> Self {
-        StallConfig {
-            warmup_windows: 4,
-            trailing_windows: 8,
-            collapse_factor: 0.35,
-            min_mean_commits: 50.0,
-            abort_spike_factor: 4.0,
-            min_spike_aborts: 50,
-            starvation_factor: 0.25,
-            min_mean_updates: 50.0,
-        }
-    }
-}
+/// Windows to observe before any rule may fire.
+pub const WARMUP_WINDOWS: usize = 4;
+/// Trailing windows in the baseline mean.
+pub const TRAILING_WINDOWS: usize = 8;
+/// Collapse fires when window commits < `COLLAPSE_FACTOR` × mean.
+const COLLAPSE_FACTOR: f64 = 0.35;
+/// Minimum mean commits per window for collapse to be meaningful (an
+/// idle engine is not a stalled one).
+const MIN_MEAN_COMMITS: f64 = 50.0;
+/// Abort spike fires when window aborts > `ABORT_SPIKE_FACTOR` ×
+/// max(mean aborts, 1).
+const ABORT_SPIKE_FACTOR: f64 = 4.0;
+/// Minimum window aborts for a spike to fire.
+const MIN_SPIKE_ABORTS: u64 = 50;
+/// Starvation fires when update commits < `STARVATION_FACTOR` × their
+/// mean while snapshot reads hold above half their mean.
+const STARVATION_FACTOR: f64 = 0.25;
+/// Minimum mean update commits for starvation to be meaningful.
+const MIN_MEAN_UPDATES: f64 = 50.0;
 
 /// Update (writer) commits: total commits minus the snapshot lane.
 fn update_commits(w: &MetricsSnapshot) -> u64 {
@@ -88,7 +71,6 @@ fn update_commits(w: &MetricsSnapshot) -> u64 {
 /// Online rule engine; feed windows in order with [`StallDetector::observe`].
 #[derive(Clone, Debug)]
 pub struct StallDetector {
-    cfg: StallConfig,
     /// Trailing window ring, newest last.
     history: Vec<MetricsSnapshot>,
     seen: usize,
@@ -98,14 +80,9 @@ pub struct StallDetector {
 }
 
 impl StallDetector {
-    /// Detector with the given thresholds.
-    pub fn new(cfg: StallConfig) -> Self {
-        StallDetector {
-            cfg,
-            history: Vec::with_capacity(cfg.trailing_windows),
-            seen: 0,
-            held: Vec::new(),
-        }
+    /// A detector that has seen no window.
+    pub fn new() -> Self {
+        StallDetector { history: Vec::with_capacity(TRAILING_WINDOWS), seen: 0, held: Vec::new() }
     }
 
     fn mean(&self, f: impl Fn(&MetricsSnapshot) -> u64) -> f64 {
@@ -122,14 +99,14 @@ impl StallDetector {
     /// firings, if this window has no commit either.
     pub fn observe(&mut self, index: u64, stats: &MetricsSnapshot) -> Vec<Alert> {
         let mut alerts = Vec::new();
-        if self.seen >= self.cfg.warmup_windows {
+        if self.seen >= WARMUP_WINDOWS {
             let mean_commits = self.mean(|w| w.commits);
             let mean_aborts = self.mean(|w| w.aborts);
             let mean_updates = self.mean(update_commits);
             let mean_snap_reads = self.mean(|w| w.snapshot_reads);
 
-            if mean_commits >= self.cfg.min_mean_commits
-                && (stats.commits as f64) < self.cfg.collapse_factor * mean_commits
+            if mean_commits >= MIN_MEAN_COMMITS
+                && (stats.commits as f64) < COLLAPSE_FACTOR * mean_commits
             {
                 alerts.push(Alert {
                     window: index,
@@ -138,8 +115,8 @@ impl StallDetector {
                     baseline: mean_commits,
                 });
             }
-            if stats.aborts >= self.cfg.min_spike_aborts
-                && stats.aborts as f64 > self.cfg.abort_spike_factor * mean_aborts.max(1.0)
+            if stats.aborts >= MIN_SPIKE_ABORTS
+                && stats.aborts as f64 > ABORT_SPIKE_FACTOR * mean_aborts.max(1.0)
             {
                 alerts.push(Alert {
                     window: index,
@@ -148,8 +125,8 @@ impl StallDetector {
                     baseline: mean_aborts,
                 });
             }
-            if mean_updates >= self.cfg.min_mean_updates
-                && (update_commits(stats) as f64) < self.cfg.starvation_factor * mean_updates
+            if mean_updates >= MIN_MEAN_UPDATES
+                && (update_commits(stats) as f64) < STARVATION_FACTOR * mean_updates
                 && stats.snapshot_reads as f64 >= 0.5 * mean_snap_reads
                 && stats.snapshot_reads > 0
             {
@@ -162,7 +139,7 @@ impl StallDetector {
             }
         }
         self.seen += 1;
-        if self.history.len() == self.cfg.trailing_windows {
+        if self.history.len() == TRAILING_WINDOWS {
             self.history.remove(0);
         }
         self.history.push(*stats);
@@ -177,9 +154,15 @@ impl StallDetector {
 
     /// Runs a whole fixture through a fresh detector, collecting every
     /// released alert.
-    pub fn scan(cfg: StallConfig, series: &[MetricsSnapshot]) -> Vec<Alert> {
-        let mut det = StallDetector::new(cfg);
+    pub fn scan(series: &[MetricsSnapshot]) -> Vec<Alert> {
+        let mut det = StallDetector::new();
         series.iter().enumerate().flat_map(|(i, s)| det.observe(i as u64, s)).collect()
+    }
+}
+
+impl Default for StallDetector {
+    fn default() -> Self {
+        StallDetector::new()
     }
 }
 
@@ -260,7 +243,7 @@ mod tests {
 
     #[test]
     fn fires_on_the_pr6_collapse_fixture() {
-        let alerts = StallDetector::scan(StallConfig::default(), &writer_starvation_fixture());
+        let alerts = StallDetector::scan(&writer_starvation_fixture());
         assert!(
             alerts.iter().any(|a| a.rule == StallRule::WriterStarvation),
             "starvation rule must fire on the PR 6 signature: {alerts:?}"
@@ -278,7 +261,7 @@ mod tests {
     #[test]
     fn silent_on_healthy_runs() {
         for series in [healthy_fixture(), drained_tail_fixture()] {
-            let alerts = StallDetector::scan(StallConfig::default(), &series);
+            let alerts = StallDetector::scan(&series);
             assert!(alerts.is_empty(), "a healthy run must not alert: {alerts:?}");
         }
     }
@@ -287,7 +270,7 @@ mod tests {
     fn collapse_fires_on_throughput_cliff() {
         let mut series: Vec<MetricsSnapshot> = (0..8).map(|_| window(10_000, 0, 0, 0)).collect();
         series.push(window(800, 0, 0, 0));
-        let alerts = StallDetector::scan(StallConfig::default(), &series);
+        let alerts = StallDetector::scan(&series);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].rule, StallRule::ThroughputCollapse);
         assert_eq!(alerts[0].window, 8);
@@ -299,7 +282,7 @@ mod tests {
     fn abort_spike_fires_before_throughput_dips() {
         let mut series: Vec<MetricsSnapshot> = (0..8).map(|_| window(10_000, 40, 0, 0)).collect();
         series.push(window(9_500, 2_000, 0, 0));
-        let alerts = StallDetector::scan(StallConfig::default(), &series);
+        let alerts = StallDetector::scan(&series);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].rule, StallRule::AbortSpike);
     }
@@ -307,21 +290,21 @@ mod tests {
     #[test]
     fn idle_engine_never_alerts() {
         let series = vec![MetricsSnapshot::default(); 32];
-        assert!(StallDetector::scan(StallConfig::default(), &series).is_empty());
+        assert!(StallDetector::scan(&series).is_empty());
     }
 
     #[test]
     fn warmup_suppresses_early_windows() {
         // A cliff inside the warmup period is not judged.
         let series = vec![window(10_000, 0, 0, 0), window(100, 0, 0, 0)];
-        assert!(StallDetector::scan(StallConfig::default(), &series).is_empty());
+        assert!(StallDetector::scan(&series).is_empty());
     }
 
     #[test]
     fn an_empty_window_fires_once_commits_resume() {
         let mut series = drained_tail_fixture();
         series.push(healthy_fixture()[16]);
-        let alerts = StallDetector::scan(StallConfig::default(), &series);
+        let alerts = StallDetector::scan(&series);
         assert_eq!(alerts.len(), 1, "{alerts:?}");
         assert_eq!(alerts[0].rule, StallRule::ThroughputCollapse);
         assert_eq!(alerts[0].window, 16);

@@ -6,80 +6,62 @@
 //! DMT(k) site/lock/message hops. Events carry transaction and item ids
 //! plus the raw decision operands, so the [`crate::audit`](mod@crate::audit) module can
 //! re-check every decision without access to the scheduler that made it.
+//!
+//! [`TraceEvent`] and the tag enums inside it are declared through
+//! `journal_enum!`: each variant's journal tag (`Begin = "begin"`) and
+//! fields are stated once, and the variant's `name`, its JSONL encoding
+//! and its decoding all follow from that statement.
 
 use mdts_model::{ItemId, OpKind, TxId};
 use mdts_vector::CmpResult;
 
-/// Which protocol rule decided a rejected access (the fine-grained half of
-/// the abort-reason taxonomy; the engine-level half is [`AbortReason`]).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum RejectRule {
-    /// A plain Definition 6 reject: the holder is already ordered after the
-    /// requester and no relaxation applied.
-    VectorOrder,
-    /// The line 9–10 reader rule was attempted (the read was rejected by
-    /// RT) but the requester could not be ordered after the writer.
-    ReaderRule,
-    /// The Thomas write rule was attempted (the write was rejected by WT)
-    /// but the requester could not be ordered after the reader.
-    ThomasRule,
-}
+use crate::codec::journal_enum;
 
-impl RejectRule {
-    /// Stable snake_case name used by the JSON exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            RejectRule::VectorOrder => "vector_order",
-            RejectRule::ReaderRule => "reader_rule",
-            RejectRule::ThomasRule => "thomas_rule",
-        }
+journal_enum! {
+    /// Which protocol rule decided a rejected access (the fine-grained half
+    /// of the abort-reason taxonomy; the engine-level half is
+    /// [`AbortReason`]).
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    pub enum RejectRule {
+        /// A plain Definition 6 reject: the holder is already ordered after
+        /// the requester and no relaxation applied.
+        VectorOrder = "vector_order",
+        /// The line 9–10 reader rule was attempted (the read was rejected by
+        /// RT) but the requester could not be ordered after the writer.
+        ReaderRule = "reader_rule",
+        /// The Thomas write rule was attempted (the write was rejected by
+        /// WT) but the requester could not be ordered after the reader.
+        ThomasRule = "thomas_rule",
     }
 }
 
-/// Why the engine tore down a transaction incarnation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum AbortReason {
-    /// A read or write was refused by the protocol mid-transaction.
-    AccessRejected,
-    /// Commit-time validation (the deferred-write schedule) was refused.
-    ValidationRejected,
-    /// The transaction straddled an `AbortAll` epoch fence.
-    Epoch,
-}
-
-impl AbortReason {
-    /// Stable snake_case name used by the JSON exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            AbortReason::AccessRejected => "access_rejected",
-            AbortReason::ValidationRejected => "validation_rejected",
-            AbortReason::Epoch => "epoch",
-        }
+journal_enum! {
+    /// Why the engine tore down a transaction incarnation.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    pub enum AbortReason {
+        /// A read or write was refused by the protocol mid-transaction.
+        AccessRejected = "access_rejected",
+        /// Commit-time validation (the deferred-write schedule) was refused.
+        ValidationRejected = "validation_rejected",
+        /// The transaction straddled an `AbortAll` epoch fence.
+        Epoch = "epoch",
     }
 }
 
-/// Which telemetry rule raised an alert (the stall detector's taxonomy;
-/// the detector itself lives in `mdts-telemetry`, but the rule names are
-/// part of the trace vocabulary so alerts can ride the event stream).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum StallRule {
-    /// Per-window commit throughput collapsed versus its trailing mean.
-    ThroughputCollapse,
-    /// Per-window aborts spiked versus their trailing mean.
-    AbortSpike,
-    /// The PR 6 starved-writer signature: snapshot reads keep rising while
-    /// update-lane commits flatline.
-    WriterStarvation,
-}
-
-impl StallRule {
-    /// Stable snake_case name used by the JSON exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            StallRule::ThroughputCollapse => "throughput_collapse",
-            StallRule::AbortSpike => "abort_spike",
-            StallRule::WriterStarvation => "writer_starvation",
-        }
+journal_enum! {
+    /// Which telemetry rule raised an alert (the stall detector's taxonomy;
+    /// the detector itself lives in `mdts-telemetry`, but the rule names
+    /// are part of the trace vocabulary so alerts can ride the event
+    /// stream).
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    pub enum StallRule {
+        /// Per-window commit throughput collapsed versus its trailing mean.
+        ThroughputCollapse = "throughput_collapse",
+        /// Per-window aborts spiked versus their trailing mean.
+        AbortSpike = "abort_spike",
+        /// The PR 6 starved-writer signature: snapshot reads keep rising
+        /// while update-lane commits flatline.
+        WriterStarvation = "writer_starvation",
     }
 }
 
@@ -168,52 +150,57 @@ impl std::fmt::Debug for EncodedChanges {
     }
 }
 
-/// What a `Set(j, i)` call did.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum SetEdgeOutcome {
-    /// New dependency information was written: each change is
-    /// `(tx, element, value)` — the paper's "timestamp-element assignment
-    /// (transaction, dimension, value)", with the triggering conflict given
-    /// by the edge's `from`/`to` pair.
-    Encoded {
-        /// The element definitions performed, in order.
-        changes: EncodedChanges,
-    },
-    /// The vectors already said `from < to`; nothing was written.
-    AlreadyOrdered,
-    /// The vectors already said `from > to`, decided at element `at`; the
-    /// requested order cannot be encoded.
-    Refused {
-        /// Deciding element (0-based).
-        at: usize,
-    },
+journal_enum! {
+    /// What a `Set(j, i)` call did.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum SetEdgeOutcome {
+        /// New dependency information was written: each change is
+        /// `(tx, element, value)` — the paper's "timestamp-element
+        /// assignment (transaction, dimension, value)", with the triggering
+        /// conflict given by the edge's `from`/`to` pair.
+        Encoded = "encoded" {
+            /// The element definitions performed, in order.
+            changes: EncodedChanges,
+        },
+        /// The vectors already said `from < to`; nothing was written.
+        AlreadyOrdered = "already_ordered",
+        /// The vectors already said `from > to`, decided at element `at`;
+        /// the requested order cannot be encoded.
+        Refused = "refused" {
+            /// Deciding element (0-based).
+            at: usize,
+        },
+    }
 }
 
-/// How an access decision came out.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AccessOutcome {
-    /// Accepted normally: the requester is ordered after both holders.
-    Granted,
-    /// Accepted *invisibly* by the line 9–10 reader rule: the read is
-    /// served but the reader is not recorded as RT.
-    GrantedInvisible,
-    /// Accepted with the write discarded by the Thomas write rule
-    /// (Section III-D-6c).
-    GrantedIgnored,
-    /// A snapshot read served from an *older* version (MV-MT(k) serving
-    /// path): the reader is decided below one of the current holders, so
-    /// it walks the version chain instead of reading the current value.
-    GrantedStale,
-    /// Rejected: the holder `against` is already ordered after the
-    /// requester, decided at `column`.
-    Rejected {
-        /// The holder whose order forced the reject.
-        against: TxId,
-        /// Deciding element of the comparison (0-based).
-        column: usize,
-        /// Which rule (or failed relaxation) produced the reject.
-        rule: RejectRule,
-    },
+journal_enum! {
+    /// How an access decision came out.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum AccessOutcome {
+        /// Accepted normally: the requester is ordered after both holders.
+        Granted = "granted",
+        /// Accepted *invisibly* by the line 9–10 reader rule: the read is
+        /// served but the reader is not recorded as RT.
+        GrantedInvisible = "granted_invisible",
+        /// Accepted with the write discarded by the Thomas write rule
+        /// (Section III-D-6c).
+        GrantedIgnored = "granted_ignored",
+        /// A snapshot read served from an *older* version (MV-MT(k) serving
+        /// path): the reader is decided below one of the current holders,
+        /// so it walks the version chain instead of reading the current
+        /// value.
+        GrantedStale = "granted_stale",
+        /// Rejected: the holder `against` is already ordered after the
+        /// requester, decided at `column`.
+        Rejected = "rejected" {
+            /// The holder whose order forced the reject.
+            against: TxId,
+            /// Deciding element of the comparison (0-based).
+            column: usize,
+            /// Which rule (or failed relaxation) produced the reject.
+            rule: RejectRule,
+        },
+    }
 }
 
 /// An object in the distributed protocol's lock space.
@@ -225,268 +212,208 @@ pub enum DmtObj {
     Vector(TxId),
 }
 
-/// Where a DMT(k) lock acquisition was served from.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum DmtSource {
-    /// The object lives at the accessing site.
-    Local,
-    /// A previously fetched lock was retained and reused.
-    Retained,
-    /// The object was fetched from a remote site (request + reply).
-    Remote,
-}
-
-impl DmtSource {
-    /// Stable snake_case name used by the JSON exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            DmtSource::Local => "local",
-            DmtSource::Retained => "retained",
-            DmtSource::Remote => "remote",
-        }
+journal_enum! {
+    /// Where a DMT(k) lock acquisition was served from.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    pub enum DmtSource {
+        /// The object lives at the accessing site.
+        Local = "local",
+        /// A previously fetched lock was retained and reused.
+        Retained = "retained",
+        /// The object was fetched from a remote site (request + reply).
+        Remote = "remote",
     }
 }
 
-/// One trace event. See the variant docs for which layer emits what.
-#[derive(Clone, PartialEq, Debug)]
-pub enum TraceEvent {
-    /// A fresh transaction incarnation entered the engine.
-    Begin {
-        /// The new transaction.
-        tx: TxId,
-    },
-    /// A restarted incarnation replaced an aborted one; `hint` is the
-    /// starvation restart hint `TS(blocker, 1) + 1` installed as the first
-    /// element, if any (Section III-D-4).
-    Restart {
-        /// The replacement transaction.
-        tx: TxId,
-        /// The incarnation it replaces.
-        aborted: TxId,
-        /// First-element restart hint, if one was recorded.
-        hint: Option<i64>,
-    },
-    /// A `Set(from, to)` edge: the scheduler tried to order `from < to`.
-    SetEdge {
-        /// Transaction required to come first.
-        from: TxId,
-        /// Transaction required to come second.
-        to: TxId,
-        /// What happened.
-        outcome: SetEdgeOutcome,
-    },
-    /// A Definition 6 vector comparison, with the step cost a scalar scan
-    /// pays for it and what the k-processor tree comparator would pay.
-    Compare {
-        /// Left operand.
-        a: TxId,
-        /// Right operand.
-        b: TxId,
-        /// The comparison result, deciding position included.
-        result: CmpResult,
-        /// Elements a sequential scan inspects (deciding index + 1), or 1
-        /// for a cache hit (one memo-table probe).
-        scalar_ops: usize,
-        /// Parallel steps of the Figs. 6–7 tree comparator (4 + ⌈log₂ k⌉).
-        tree_steps: usize,
-        /// Whether the result was served from the write-once order cache
-        /// instead of a live vector scan. Cached results are always
-        /// *decided* (`Less`/`Greater`) — decided orders are stable under
-        /// the write-once discipline — and the auditor re-verifies them
-        /// from its replayed vectors like any other comparison.
-        cached: bool,
-    },
-    /// An access decision, with the RT/WT holders observed when it was
-    /// made (the operands the auditor re-checks the decision against).
-    Access {
-        /// Requesting transaction.
-        tx: TxId,
-        /// Item accessed.
-        item: ItemId,
-        /// Read or write.
-        kind: OpKind,
-        /// Read-timestamp holder at decision time.
-        rt: TxId,
-        /// Write-timestamp holder at decision time.
-        wt: TxId,
-        /// How the decision came out.
-        outcome: AccessOutcome,
-    },
-    /// The scheduler committed `tx` (its slots become reclaimable).
-    Commit {
-        /// The committed transaction.
-        tx: TxId,
-    },
-    /// The scheduler aborted `tx` and rolled its RT/WT slots back.
-    Abort {
-        /// The aborted transaction.
-        tx: TxId,
-    },
-    /// The engine aborted an incarnation, with the coarse reason.
-    EngineAbort {
-        /// The aborted incarnation.
-        tx: TxId,
-        /// Why the engine gave up on it.
-        reason: AbortReason,
-    },
-    /// `run` exhausted its restart budget and surfaced the abort.
-    GaveUp {
-        /// The last incarnation tried.
-        tx: TxId,
-        /// How many restarts were burned.
-        restarts: u64,
-    },
-    /// A transaction parked on the engine's eventcount (`WakeSeq`).
-    Blocked {
-        /// The blocked transaction.
-        tx: TxId,
-        /// The item it is waiting to access.
-        item: ItemId,
-        /// The kind of access that blocked.
-        kind: OpKind,
-        /// The wake sequence number observed before parking.
-        wake_seen: u64,
-    },
-    /// A commit/abort bumped the eventcount while someone was parked.
-    Wake {
-        /// The new wake sequence number.
-        seq: u64,
-    },
-    /// A DMT(k) site started scheduling one operation (the events up to
-    /// the next `DmtOp` belong to this site).
-    DmtOp {
-        /// Accessing site.
-        site: u32,
-        /// Issuing transaction.
-        tx: TxId,
-        /// Item accessed.
-        item: ItemId,
-        /// Read or write.
-        kind: OpKind,
-    },
-    /// A DMT(k) lock acquisition and where it was served from.
-    DmtLock {
-        /// Acquiring site.
-        site: u32,
-        /// The locked object.
-        obj: DmtObj,
-        /// Local, retained, or a two-message remote fetch.
-        source: DmtSource,
-    },
-    /// A DMT(k) write-back of a dirtied object to its home site.
-    DmtWriteBack {
-        /// Site sending the update.
-        site: u32,
-        /// The object written back.
-        obj: DmtObj,
-        /// Whether the home site is remote (one message) or local (free).
-        remote: bool,
-    },
-    /// A DMT(k) counter-synchronisation broadcast round.
-    DmtSync {
-        /// Initiating site.
-        site: u32,
-        /// Messages spent on the broadcast (`2 · (n_sites − 1)`).
-        messages: u64,
-    },
-    /// Commit-time stamp saturation on the MV path: every still-undefined
-    /// element of the committing writer's vector was defined (non-last
-    /// columns to the origin value, the k-th column to a fresh upper
-    /// counter draw) before the vector was frozen into a version stamp.
-    /// Emitted inside the writer's row critical section, so the auditor's
-    /// replayed vector agrees with every later comparison against it.
-    StampFill {
-        /// The committing writer.
-        tx: TxId,
-        /// The element definitions performed, in order.
-        changes: EncodedChanges,
-    },
-    /// A committed version was appended to an item's chain. Emitted inside
-    /// the chain-shard critical section, so chain order in the trace equals
-    /// chain order in the store.
-    VersionInstall {
-        /// The writer whose version was installed.
-        writer: TxId,
-        /// The item whose chain grew.
-        item: ItemId,
-    },
-    /// A snapshot read selected a version: reader `tx` was slotted into the
-    /// gap above `writer`'s version of `item` (below every later chain
-    /// writer). `writer` is [`TxId::VIRTUAL`] when the floor version (or the
-    /// never-written base value) was read.
-    VersionRead {
-        /// The snapshot reader.
-        tx: TxId,
-        /// The item read.
-        item: ItemId,
-        /// Writer of the selected version.
-        writer: TxId,
-    },
-    /// The online stall detector fired on a telemetry window: `value` is
-    /// the offending per-window figure, `baseline` the trailing mean it
-    /// was judged against.
-    TelemetryAlert {
-        /// Index of the telemetry window the rule fired on.
-        window: u64,
-        /// Which rule fired.
-        rule: StallRule,
-        /// The per-window figure that tripped the rule.
-        value: f64,
-        /// The trailing baseline the figure was compared to.
-        baseline: f64,
-    },
-}
-
-impl TraceEvent {
-    /// Stable snake_case event name used by the exporters.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::Begin { .. } => "begin",
-            TraceEvent::Restart { .. } => "restart",
-            TraceEvent::SetEdge { .. } => "set_edge",
-            TraceEvent::Compare { .. } => "compare",
-            TraceEvent::Access { .. } => "access",
-            TraceEvent::Commit { .. } => "commit",
-            TraceEvent::Abort { .. } => "abort",
-            TraceEvent::EngineAbort { .. } => "engine_abort",
-            TraceEvent::GaveUp { .. } => "gave_up",
-            TraceEvent::Blocked { .. } => "blocked",
-            TraceEvent::Wake { .. } => "wake",
-            TraceEvent::DmtOp { .. } => "dmt_op",
-            TraceEvent::DmtLock { .. } => "dmt_lock",
-            TraceEvent::DmtWriteBack { .. } => "dmt_write_back",
-            TraceEvent::DmtSync { .. } => "dmt_sync",
-            TraceEvent::StampFill { .. } => "stamp_fill",
-            TraceEvent::VersionInstall { .. } => "version_install",
-            TraceEvent::VersionRead { .. } => "version_read",
-            TraceEvent::TelemetryAlert { .. } => "telemetry_alert",
-        }
-    }
-
-    /// The transaction the event is about, when there is a single one
-    /// (used as the Chrome `tid` so per-transaction tracks line up).
-    pub fn tx(&self) -> Option<TxId> {
-        match *self {
-            TraceEvent::Begin { tx }
-            | TraceEvent::Restart { tx, .. }
-            | TraceEvent::Access { tx, .. }
-            | TraceEvent::Commit { tx }
-            | TraceEvent::Abort { tx }
-            | TraceEvent::EngineAbort { tx, .. }
-            | TraceEvent::GaveUp { tx, .. }
-            | TraceEvent::Blocked { tx, .. }
-            | TraceEvent::DmtOp { tx, .. }
-            | TraceEvent::StampFill { tx, .. }
-            | TraceEvent::VersionRead { tx, .. } => Some(tx),
-            TraceEvent::VersionInstall { writer, .. } => Some(writer),
-            TraceEvent::SetEdge { to, .. } => Some(to),
-            TraceEvent::Compare { b, .. } => Some(b),
-            TraceEvent::Wake { .. }
-            | TraceEvent::DmtLock { .. }
-            | TraceEvent::DmtWriteBack { .. }
-            | TraceEvent::DmtSync { .. }
-            | TraceEvent::TelemetryAlert { .. } => None,
-        }
+journal_enum! {
+    /// One trace event. See the variant docs for which layer emits what.
+    #[derive(Clone, PartialEq, Debug)]
+    pub enum TraceEvent {
+        /// A fresh transaction incarnation entered the engine.
+        Begin = "begin" {
+            /// The new transaction.
+            tx: TxId,
+        },
+        /// A restarted incarnation replaced an aborted one; `hint` is the
+        /// starvation restart hint `TS(blocker, 1) + 1` installed as the first
+        /// element, if any (Section III-D-4).
+        Restart = "restart" {
+            /// The replacement transaction.
+            tx: TxId,
+            /// The incarnation it replaces.
+            aborted: TxId,
+            /// First-element restart hint, if one was recorded.
+            hint: Option<i64>,
+        },
+        /// A `Set(from, to)` edge: the scheduler tried to order `from < to`.
+        SetEdge = "set_edge" {
+            /// Transaction required to come first.
+            from: TxId,
+            /// Transaction required to come second.
+            to: TxId,
+            /// What happened.
+            outcome: SetEdgeOutcome,
+        },
+        /// A Definition 6 vector comparison, with the step cost a scalar scan
+        /// pays for it and what the k-processor tree comparator would pay.
+        Compare = "compare" {
+            /// Left operand.
+            a: TxId,
+            /// Right operand.
+            b: TxId,
+            /// The comparison result, deciding position included.
+            result: CmpResult,
+            /// Elements a sequential scan inspects (deciding index + 1), or 1
+            /// for a cache hit (one memo-table probe).
+            scalar_ops: usize,
+            /// Parallel steps of the Figs. 6–7 tree comparator (4 + ⌈log₂ k⌉).
+            tree_steps: usize,
+            /// Whether the result was served from the write-once order cache
+            /// instead of a live vector scan. Cached results are always
+            /// *decided* (`Less`/`Greater`) — decided orders are stable under
+            /// the write-once discipline — and the auditor re-verifies them
+            /// from its replayed vectors like any other comparison.
+            cached: bool,
+        },
+        /// An access decision, with the RT/WT holders observed when it was
+        /// made (the operands the auditor re-checks the decision against).
+        Access = "access" {
+            /// Requesting transaction.
+            tx: TxId,
+            /// Item accessed.
+            item: ItemId,
+            /// Read or write.
+            kind: OpKind,
+            /// Read-timestamp holder at decision time.
+            rt: TxId,
+            /// Write-timestamp holder at decision time.
+            wt: TxId,
+            /// How the decision came out.
+            outcome: AccessOutcome,
+        },
+        /// The scheduler committed `tx` (its slots become reclaimable).
+        Commit = "commit" {
+            /// The committed transaction.
+            tx: TxId,
+        },
+        /// The scheduler aborted `tx` and rolled its RT/WT slots back.
+        Abort = "abort" {
+            /// The aborted transaction.
+            tx: TxId,
+        },
+        /// The engine aborted an incarnation, with the coarse reason.
+        EngineAbort = "engine_abort" {
+            /// The aborted incarnation.
+            tx: TxId,
+            /// Why the engine gave up on it.
+            reason: AbortReason,
+        },
+        /// `run` exhausted its restart budget and surfaced the abort.
+        GaveUp = "gave_up" {
+            /// The last incarnation tried.
+            tx: TxId,
+            /// How many restarts were burned.
+            restarts: u64,
+        },
+        /// A transaction parked on the engine's eventcount (`WakeSeq`).
+        Blocked = "blocked" {
+            /// The blocked transaction.
+            tx: TxId,
+            /// The item it is waiting to access.
+            item: ItemId,
+            /// The kind of access that blocked.
+            kind: OpKind,
+            /// The wake sequence number observed before parking.
+            wake_seen: u64,
+        },
+        /// A commit/abort bumped the eventcount while someone was parked.
+        Wake = "wake" {
+            /// The new wake sequence number (not the record's `seq`).
+            wake_seq: u64,
+        },
+        /// A DMT(k) site started scheduling one operation (the events up to
+        /// the next `DmtOp` belong to this site).
+        DmtOp = "dmt_op" {
+            /// Accessing site.
+            site: u32,
+            /// Issuing transaction.
+            tx: TxId,
+            /// Item accessed.
+            item: ItemId,
+            /// Read or write.
+            kind: OpKind,
+        },
+        /// A DMT(k) lock acquisition and where it was served from.
+        DmtLock = "dmt_lock" {
+            /// Acquiring site.
+            site: u32,
+            /// The locked object.
+            obj: DmtObj,
+            /// Local, retained, or a two-message remote fetch.
+            source: DmtSource,
+        },
+        /// A DMT(k) write-back of a dirtied object to its home site.
+        DmtWriteBack = "dmt_write_back" {
+            /// Site sending the update.
+            site: u32,
+            /// The object written back.
+            obj: DmtObj,
+            /// Whether the home site is remote (one message) or local (free).
+            remote: bool,
+        },
+        /// A DMT(k) counter-synchronisation broadcast round.
+        DmtSync = "dmt_sync" {
+            /// Initiating site.
+            site: u32,
+            /// Messages spent on the broadcast (`2 · (n_sites − 1)`).
+            messages: u64,
+        },
+        /// Commit-time stamp saturation on the MV path: every still-undefined
+        /// element of the committing writer's vector was defined (non-last
+        /// columns to the origin value, the k-th column to a fresh upper
+        /// counter draw) before the vector was frozen into a version stamp.
+        /// Emitted inside the writer's row critical section, so the auditor's
+        /// replayed vector agrees with every later comparison against it.
+        StampFill = "stamp_fill" {
+            /// The committing writer.
+            tx: TxId,
+            /// The element definitions performed, in order.
+            changes: EncodedChanges,
+        },
+        /// A committed version was appended to an item's chain. Emitted inside
+        /// the chain-shard critical section, so chain order in the trace equals
+        /// chain order in the store.
+        VersionInstall = "version_install" {
+            /// The writer whose version was installed.
+            writer: TxId,
+            /// The item whose chain grew.
+            item: ItemId,
+        },
+        /// A snapshot read selected a version: reader `tx` was slotted into the
+        /// gap above `writer`'s version of `item` (below every later chain
+        /// writer). `writer` is [`TxId::VIRTUAL`] when the floor version (or the
+        /// never-written base value) was read.
+        VersionRead = "version_read" {
+            /// The snapshot reader.
+            tx: TxId,
+            /// The item read.
+            item: ItemId,
+            /// Writer of the selected version.
+            writer: TxId,
+        },
+        /// The online stall detector fired on a telemetry window: `value` is
+        /// the offending per-window figure, `baseline` the trailing mean it
+        /// was judged against.
+        TelemetryAlert = "telemetry_alert" {
+            /// Index of the telemetry window the rule fired on.
+            window: u64,
+            /// Which rule fired.
+            rule: StallRule,
+            /// The per-window figure that tripped the rule.
+            value: f64,
+            /// The trailing baseline the figure was compared to.
+            baseline: f64,
+        },
     }
 }
 
@@ -506,14 +433,7 @@ pub struct TraceRecord {
 /// deciding index + 1, or `k` when the vectors are identical (the same
 /// accounting as `ScalarComparator::compare_counted`).
 pub fn scalar_cost(result: CmpResult, k: usize) -> usize {
-    match result {
-        CmpResult::Less { at }
-        | CmpResult::Greater { at }
-        | CmpResult::EqualUndefined { at }
-        | CmpResult::LeftUndefined { at }
-        | CmpResult::RightUndefined { at } => at + 1,
-        CmpResult::Identical => k,
-    }
+    result.at().map_or(k, |at| at + 1)
 }
 
 /// Parallel steps the Figs. 6–7 tree comparator pays for any comparison of

@@ -1,186 +1,15 @@
-//! Trace exporters: JSONL (one record per line, for grep/jq-style digging)
-//! and the Chrome `trace_event` format (load `chrome://tracing` or Perfetto
-//! and see per-transaction tracks of decisions).
+//! The trace exporter: JSON Lines, one record object per line (for
+//! grep/jq-style digging, and the durability daemon's journal). The
+//! format is declared once, with the events, in `codec`.
 
-use crate::event::{AccessOutcome, DmtObj, SetEdgeOutcome, TraceEvent, TraceRecord};
+use crate::codec::Value;
+use crate::event::TraceRecord;
 use crate::json::Json;
 use crate::sink::Trace;
-use mdts_vector::CmpResult;
-
-fn cmp_json(result: CmpResult) -> Json {
-    let (name, at) = match result {
-        CmpResult::Less { at } => ("less", Some(at)),
-        CmpResult::Greater { at } => ("greater", Some(at)),
-        CmpResult::EqualUndefined { at } => ("equal_undefined", Some(at)),
-        CmpResult::LeftUndefined { at } => ("left_undefined", Some(at)),
-        CmpResult::RightUndefined { at } => ("right_undefined", Some(at)),
-        CmpResult::Identical => ("identical", None),
-    };
-    let mut pairs = vec![("order", Json::str(name))];
-    if let Some(at) = at {
-        pairs.push(("at", Json::U64(at as u64)));
-    }
-    Json::obj(pairs)
-}
-
-fn obj_json(obj: DmtObj) -> Json {
-    match obj {
-        DmtObj::Item(item) => Json::obj(vec![("item", Json::U64(u64::from(item.0)))]),
-        DmtObj::Vector(tx) => Json::obj(vec![("vector", Json::U64(u64::from(tx.0)))]),
-    }
-}
-
-/// The fields of one event as ordered JSON pairs (without the seq).
-fn event_fields(event: &TraceEvent) -> Vec<(&'static str, Json)> {
-    match event {
-        TraceEvent::Begin { tx } => vec![("tx", Json::U64(u64::from(tx.0)))],
-        TraceEvent::Restart { tx, aborted, hint } => vec![
-            ("tx", Json::U64(u64::from(tx.0))),
-            ("aborted", Json::U64(u64::from(aborted.0))),
-            ("hint", hint.map_or(Json::Null, Json::I64)),
-        ],
-        TraceEvent::SetEdge { from, to, outcome } => {
-            let mut pairs =
-                vec![("from", Json::U64(u64::from(from.0))), ("to", Json::U64(u64::from(to.0)))];
-            match outcome {
-                SetEdgeOutcome::Encoded { changes } => {
-                    pairs.push(("outcome", Json::str("encoded")));
-                    pairs.push((
-                        "changes",
-                        Json::Arr(
-                            changes
-                                .iter()
-                                .map(|&(tx, element, value)| {
-                                    Json::obj(vec![
-                                        ("tx", Json::U64(u64::from(tx.0))),
-                                        ("element", Json::U64(element as u64)),
-                                        ("value", Json::I64(value)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ));
-                }
-                SetEdgeOutcome::AlreadyOrdered => {
-                    pairs.push(("outcome", Json::str("already_ordered")));
-                }
-                SetEdgeOutcome::Refused { at } => {
-                    pairs.push(("outcome", Json::str("refused")));
-                    pairs.push(("at", Json::U64(*at as u64)));
-                }
-            }
-            pairs
-        }
-        TraceEvent::Compare { a, b, result, scalar_ops, tree_steps, cached } => vec![
-            ("a", Json::U64(u64::from(a.0))),
-            ("b", Json::U64(u64::from(b.0))),
-            ("result", cmp_json(*result)),
-            ("scalar_ops", Json::U64(*scalar_ops as u64)),
-            ("tree_steps", Json::U64(*tree_steps as u64)),
-            ("cached", Json::Bool(*cached)),
-        ],
-        TraceEvent::Access { tx, item, kind, rt, wt, outcome } => {
-            let mut pairs = vec![
-                ("tx", Json::U64(u64::from(tx.0))),
-                ("item", Json::U64(u64::from(item.0))),
-                ("kind", Json::str(kind.letter().to_string())),
-                ("rt", Json::U64(u64::from(rt.0))),
-                ("wt", Json::U64(u64::from(wt.0))),
-            ];
-            match outcome {
-                AccessOutcome::Granted => pairs.push(("outcome", Json::str("granted"))),
-                AccessOutcome::GrantedInvisible => {
-                    pairs.push(("outcome", Json::str("granted_invisible")));
-                }
-                AccessOutcome::GrantedIgnored => {
-                    pairs.push(("outcome", Json::str("granted_ignored")));
-                }
-                AccessOutcome::GrantedStale => {
-                    pairs.push(("outcome", Json::str("granted_stale")));
-                }
-                AccessOutcome::Rejected { against, column, rule } => {
-                    pairs.push(("outcome", Json::str("rejected")));
-                    pairs.push(("against", Json::U64(u64::from(against.0))));
-                    pairs.push(("column", Json::U64(*column as u64)));
-                    pairs.push(("rule", Json::str(rule.name())));
-                }
-            }
-            pairs
-        }
-        TraceEvent::Commit { tx } => vec![("tx", Json::U64(u64::from(tx.0)))],
-        TraceEvent::Abort { tx } => vec![("tx", Json::U64(u64::from(tx.0)))],
-        TraceEvent::EngineAbort { tx, reason } => {
-            vec![("tx", Json::U64(u64::from(tx.0))), ("reason", Json::str(reason.name()))]
-        }
-        TraceEvent::GaveUp { tx, restarts } => {
-            vec![("tx", Json::U64(u64::from(tx.0))), ("restarts", Json::U64(*restarts))]
-        }
-        TraceEvent::Blocked { tx, item, kind, wake_seen } => vec![
-            ("tx", Json::U64(u64::from(tx.0))),
-            ("item", Json::U64(u64::from(item.0))),
-            ("kind", Json::str(kind.letter().to_string())),
-            ("wake_seen", Json::U64(*wake_seen)),
-        ],
-        TraceEvent::Wake { seq } => vec![("seq", Json::U64(*seq))],
-        TraceEvent::DmtOp { site, tx, item, kind } => vec![
-            ("site", Json::U64(u64::from(*site))),
-            ("tx", Json::U64(u64::from(tx.0))),
-            ("item", Json::U64(u64::from(item.0))),
-            ("kind", Json::str(kind.letter().to_string())),
-        ],
-        TraceEvent::DmtLock { site, obj, source } => vec![
-            ("site", Json::U64(u64::from(*site))),
-            ("obj", obj_json(*obj)),
-            ("source", Json::str(source.name())),
-        ],
-        TraceEvent::DmtWriteBack { site, obj, remote } => vec![
-            ("site", Json::U64(u64::from(*site))),
-            ("obj", obj_json(*obj)),
-            ("remote", Json::Bool(*remote)),
-        ],
-        TraceEvent::DmtSync { site, messages } => {
-            vec![("site", Json::U64(u64::from(*site))), ("messages", Json::U64(*messages))]
-        }
-        TraceEvent::StampFill { tx, changes } => vec![
-            ("tx", Json::U64(u64::from(tx.0))),
-            (
-                "changes",
-                Json::Arr(
-                    changes
-                        .iter()
-                        .map(|&(tx, element, value)| {
-                            Json::obj(vec![
-                                ("tx", Json::U64(u64::from(tx.0))),
-                                ("element", Json::U64(element as u64)),
-                                ("value", Json::I64(value)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ],
-        TraceEvent::VersionInstall { writer, item } => {
-            vec![("writer", Json::U64(u64::from(writer.0))), ("item", Json::U64(u64::from(item.0)))]
-        }
-        TraceEvent::VersionRead { tx, item, writer } => vec![
-            ("tx", Json::U64(u64::from(tx.0))),
-            ("item", Json::U64(u64::from(item.0))),
-            ("writer", Json::U64(u64::from(writer.0))),
-        ],
-        TraceEvent::TelemetryAlert { window, rule, value, baseline } => vec![
-            ("window", Json::U64(*window)),
-            ("rule", Json::str(rule.name())),
-            ("value", Json::F64(*value)),
-            ("baseline", Json::F64(*baseline)),
-        ],
-    }
-}
 
 /// One record as a flat JSON object: `{"seq":…,"type":…,…fields}`.
 pub fn record_json(record: &TraceRecord) -> Json {
-    let mut pairs = vec![("seq", Json::U64(record.seq)), ("type", Json::str(record.event.name()))];
-    pairs.extend(event_fields(&record.event));
-    Json::obj(pairs)
+    record.to_json()
 }
 
 /// The whole trace as JSON Lines: one record object per line.
@@ -193,43 +22,12 @@ pub fn to_jsonl(trace: &Trace) -> String {
     out
 }
 
-/// The whole trace in Chrome `trace_event` format (instant events on
-/// per-transaction tracks; the sequence number doubles as the microsecond
-/// timestamp, so causal order is visual order).
-pub fn to_chrome_trace(trace: &Trace) -> String {
-    let events: Vec<Json> = trace
-        .records()
-        .iter()
-        .map(|record| {
-            let tid = record.event.tx().map_or(0, |tx| u64::from(tx.0));
-            Json::obj(vec![
-                ("name", Json::str(record.event.name())),
-                ("ph", Json::str("i")),
-                ("s", Json::str("t")),
-                ("ts", Json::U64(record.seq)),
-                ("pid", Json::U64(1)),
-                ("tid", Json::U64(tid)),
-                (
-                    "args",
-                    Json::Obj(
-                        event_fields(&record.event)
-                            .into_iter()
-                            .map(|(k, v)| (k.to_string(), v))
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    Json::obj(vec![("traceEvents", Json::Arr(events))]).render()
-}
-
 #[cfg(test)]
 mod tests {
     use mdts_model::{ItemId, OpKind, TxId};
 
     use super::*;
-    use crate::event::TraceRecord;
+    use crate::event::{AccessOutcome, SetEdgeOutcome, TraceEvent};
 
     fn sample() -> Trace {
         Trace::from_records(vec![
@@ -264,13 +62,5 @@ mod tests {
         assert_eq!(lines[0], r#"{"seq":0,"type":"begin","tx":1}"#);
         assert!(lines[1].contains(r#""outcome":"granted""#));
         assert!(lines[2].contains(r#""changes":[{"tx":1,"element":0,"value":1}]"#));
-    }
-
-    #[test]
-    fn chrome_trace_wraps_trace_events() {
-        let out = to_chrome_trace(&sample());
-        assert!(out.starts_with(r#"{"traceEvents":["#));
-        assert!(out.contains(r#""ph":"i""#));
-        assert!(out.contains(r#""tid":1"#));
     }
 }

@@ -1,4 +1,5 @@
-//! Trace import: the JSONL exporter's inverse (ISSUE 9).
+//! Trace import: the JSONL exporter's inverse, derived from the same
+//! declaration in `codec`.
 //!
 //! Crash recovery replays the persisted trace journal back into a
 //! [`Trace`] so the independent auditor can certify that the recovered
@@ -11,13 +12,8 @@
 //! Records are deduplicated by sequence number (a re-delivered journal
 //! slice replays idempotently, mirroring the WAL's duplicate-LSN rule).
 
-use mdts_model::{ItemId, OpKind, TxId};
-use mdts_vector::CmpResult;
-
-use crate::event::{
-    AbortReason, AccessOutcome, Change, DmtObj, DmtSource, RejectRule, SetEdgeOutcome, StallRule,
-    TraceEvent, TraceRecord,
-};
+use crate::codec::Value;
+use crate::event::TraceRecord;
 use crate::json::Json;
 use crate::sink::Trace;
 
@@ -32,251 +28,6 @@ pub struct JournalReport {
     pub duplicates: usize,
 }
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
-    field(v, key)?.as_u64().ok_or_else(|| format!("field '{key}' is not an unsigned integer"))
-}
-
-fn u32_field(v: &Json, key: &str) -> Result<u32, String> {
-    u32::try_from(u64_field(v, key)?).map_err(|_| format!("field '{key}' exceeds u32"))
-}
-
-fn usize_field(v: &Json, key: &str) -> Result<usize, String> {
-    usize::try_from(u64_field(v, key)?).map_err(|_| format!("field '{key}' exceeds usize"))
-}
-
-fn i64_field(v: &Json, key: &str) -> Result<i64, String> {
-    match field(v, key)? {
-        Json::U64(n) => i64::try_from(*n).map_err(|_| format!("field '{key}' exceeds i64")),
-        Json::I64(n) => Ok(*n),
-        _ => Err(format!("field '{key}' is not an integer")),
-    }
-}
-
-fn f64_field(v: &Json, key: &str) -> Result<f64, String> {
-    field(v, key)?.as_f64().ok_or_else(|| format!("field '{key}' is not numeric"))
-}
-
-fn bool_field(v: &Json, key: &str) -> Result<bool, String> {
-    match field(v, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("field '{key}' is not a boolean")),
-    }
-}
-
-fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
-    field(v, key)?.as_str().ok_or_else(|| format!("field '{key}' is not a string"))
-}
-
-fn tx_field(v: &Json, key: &str) -> Result<TxId, String> {
-    Ok(TxId(u32_field(v, key)?))
-}
-
-fn item_field(v: &Json, key: &str) -> Result<ItemId, String> {
-    Ok(ItemId(u32_field(v, key)?))
-}
-
-fn kind_field(v: &Json, key: &str) -> Result<OpKind, String> {
-    match str_field(v, key)? {
-        "R" => Ok(OpKind::Read),
-        "W" => Ok(OpKind::Write),
-        other => Err(format!("field '{key}' is not an operation letter: '{other}'")),
-    }
-}
-
-fn changes_field(v: &Json, key: &str) -> Result<Vec<Change>, String> {
-    let Json::Arr(items) = field(v, key)? else {
-        return Err(format!("field '{key}' is not an array"));
-    };
-    items
-        .iter()
-        .map(|c| Ok((tx_field(c, "tx")?, usize_field(c, "element")?, i64_field(c, "value")?)))
-        .collect()
-}
-
-fn cmp_field(v: &Json, key: &str) -> Result<CmpResult, String> {
-    let result = field(v, key)?;
-    let order = str_field(result, "order")?;
-    if order == "identical" {
-        return Ok(CmpResult::Identical);
-    }
-    let at = usize_field(result, "at")?;
-    match order {
-        "less" => Ok(CmpResult::Less { at }),
-        "greater" => Ok(CmpResult::Greater { at }),
-        "equal_undefined" => Ok(CmpResult::EqualUndefined { at }),
-        "left_undefined" => Ok(CmpResult::LeftUndefined { at }),
-        "right_undefined" => Ok(CmpResult::RightUndefined { at }),
-        other => Err(format!("unknown comparison order '{other}'")),
-    }
-}
-
-fn obj_field(v: &Json, key: &str) -> Result<DmtObj, String> {
-    let obj = field(v, key)?;
-    if let Some(item) = obj.get("item") {
-        let n = item.as_u64().ok_or("'item' is not an unsigned integer")?;
-        return Ok(DmtObj::Item(ItemId(u32::try_from(n).map_err(|_| "'item' exceeds u32")?)));
-    }
-    if let Some(tx) = obj.get("vector") {
-        let n = tx.as_u64().ok_or("'vector' is not an unsigned integer")?;
-        return Ok(DmtObj::Vector(TxId(u32::try_from(n).map_err(|_| "'vector' exceeds u32")?)));
-    }
-    Err(format!("field '{key}' is neither an item nor a vector object"))
-}
-
-/// One event from its type name and record object — the exact inverse of
-/// `export::event_fields`.
-fn event_from(ty: &str, v: &Json) -> Result<TraceEvent, String> {
-    Ok(match ty {
-        "begin" => TraceEvent::Begin { tx: tx_field(v, "tx")? },
-        "restart" => TraceEvent::Restart {
-            tx: tx_field(v, "tx")?,
-            aborted: tx_field(v, "aborted")?,
-            hint: match field(v, "hint")? {
-                Json::Null => None,
-                _ => Some(i64_field(v, "hint")?),
-            },
-        },
-        "set_edge" => TraceEvent::SetEdge {
-            from: tx_field(v, "from")?,
-            to: tx_field(v, "to")?,
-            outcome: match str_field(v, "outcome")? {
-                "encoded" => {
-                    SetEdgeOutcome::Encoded { changes: changes_field(v, "changes")?.into() }
-                }
-                "already_ordered" => SetEdgeOutcome::AlreadyOrdered,
-                "refused" => SetEdgeOutcome::Refused { at: usize_field(v, "at")? },
-                other => return Err(format!("unknown set_edge outcome '{other}'")),
-            },
-        },
-        "compare" => TraceEvent::Compare {
-            a: tx_field(v, "a")?,
-            b: tx_field(v, "b")?,
-            result: cmp_field(v, "result")?,
-            scalar_ops: usize_field(v, "scalar_ops")?,
-            tree_steps: usize_field(v, "tree_steps")?,
-            cached: bool_field(v, "cached")?,
-        },
-        "access" => TraceEvent::Access {
-            tx: tx_field(v, "tx")?,
-            item: item_field(v, "item")?,
-            kind: kind_field(v, "kind")?,
-            rt: tx_field(v, "rt")?,
-            wt: tx_field(v, "wt")?,
-            outcome: match str_field(v, "outcome")? {
-                "granted" => AccessOutcome::Granted,
-                "granted_invisible" => AccessOutcome::GrantedInvisible,
-                "granted_ignored" => AccessOutcome::GrantedIgnored,
-                "granted_stale" => AccessOutcome::GrantedStale,
-                "rejected" => AccessOutcome::Rejected {
-                    against: tx_field(v, "against")?,
-                    column: usize_field(v, "column")?,
-                    rule: match str_field(v, "rule")? {
-                        "vector_order" => RejectRule::VectorOrder,
-                        "reader_rule" => RejectRule::ReaderRule,
-                        "thomas_rule" => RejectRule::ThomasRule,
-                        other => return Err(format!("unknown reject rule '{other}'")),
-                    },
-                },
-                other => return Err(format!("unknown access outcome '{other}'")),
-            },
-        },
-        "commit" => TraceEvent::Commit { tx: tx_field(v, "tx")? },
-        "abort" => TraceEvent::Abort { tx: tx_field(v, "tx")? },
-        "engine_abort" => TraceEvent::EngineAbort {
-            tx: tx_field(v, "tx")?,
-            reason: match str_field(v, "reason")? {
-                "access_rejected" => AbortReason::AccessRejected,
-                "validation_rejected" => AbortReason::ValidationRejected,
-                "epoch" => AbortReason::Epoch,
-                other => return Err(format!("unknown abort reason '{other}'")),
-            },
-        },
-        "gave_up" => {
-            TraceEvent::GaveUp { tx: tx_field(v, "tx")?, restarts: u64_field(v, "restarts")? }
-        }
-        "blocked" => TraceEvent::Blocked {
-            tx: tx_field(v, "tx")?,
-            item: item_field(v, "item")?,
-            kind: kind_field(v, "kind")?,
-            wake_seen: u64_field(v, "wake_seen")?,
-        },
-        // `record_json` flattens the event fields after the record's own
-        // `seq`, and the wake event's payload is *also* named `seq`, so a
-        // wake record carries the key twice; the event's value is the
-        // last occurrence (plain `get` would return the record seq).
-        "wake" => TraceEvent::Wake {
-            seq: match v {
-                Json::Obj(pairs) => pairs
-                    .iter()
-                    .rfind(|(k, _)| k == "seq")
-                    .and_then(|(_, j)| j.as_u64())
-                    .ok_or("wake record lacks an event seq")?,
-                _ => return Err("wake record is not an object".into()),
-            },
-        },
-        "dmt_op" => TraceEvent::DmtOp {
-            site: u32_field(v, "site")?,
-            tx: tx_field(v, "tx")?,
-            item: item_field(v, "item")?,
-            kind: kind_field(v, "kind")?,
-        },
-        "dmt_lock" => TraceEvent::DmtLock {
-            site: u32_field(v, "site")?,
-            obj: obj_field(v, "obj")?,
-            source: match str_field(v, "source")? {
-                "local" => DmtSource::Local,
-                "retained" => DmtSource::Retained,
-                "remote" => DmtSource::Remote,
-                other => return Err(format!("unknown lock source '{other}'")),
-            },
-        },
-        "dmt_write_back" => TraceEvent::DmtWriteBack {
-            site: u32_field(v, "site")?,
-            obj: obj_field(v, "obj")?,
-            remote: bool_field(v, "remote")?,
-        },
-        "dmt_sync" => {
-            TraceEvent::DmtSync { site: u32_field(v, "site")?, messages: u64_field(v, "messages")? }
-        }
-        "stamp_fill" => TraceEvent::StampFill {
-            tx: tx_field(v, "tx")?,
-            changes: changes_field(v, "changes")?.into(),
-        },
-        "version_install" => TraceEvent::VersionInstall {
-            writer: tx_field(v, "writer")?,
-            item: item_field(v, "item")?,
-        },
-        "version_read" => TraceEvent::VersionRead {
-            tx: tx_field(v, "tx")?,
-            item: item_field(v, "item")?,
-            writer: tx_field(v, "writer")?,
-        },
-        "telemetry_alert" => TraceEvent::TelemetryAlert {
-            window: u64_field(v, "window")?,
-            rule: match str_field(v, "rule")? {
-                "throughput_collapse" => StallRule::ThroughputCollapse,
-                "abort_spike" => StallRule::AbortSpike,
-                "writer_starvation" => StallRule::WriterStarvation,
-                other => return Err(format!("unknown stall rule '{other}'")),
-            },
-            value: f64_field(v, "value")?,
-            baseline: f64_field(v, "baseline")?,
-        },
-        other => return Err(format!("unknown event type '{other}'")),
-    })
-}
-
-fn record_from(line: &str) -> Result<TraceRecord, String> {
-    let v = Json::parse(line)?;
-    let seq = u64_field(&v, "seq")?;
-    let event = event_from(str_field(&v, "type")?, &v)?;
-    Ok(TraceRecord { seq, event })
-}
-
 /// Loads a JSONL trace journal, inverting [`crate::export::to_jsonl`].
 ///
 /// A malformed *final* line is dropped as a torn append; a malformed
@@ -289,7 +40,7 @@ pub fn from_jsonl(text: &str) -> Result<(Trace, JournalReport), String> {
     let mut records: Vec<TraceRecord> = Vec::with_capacity(lines.len());
     let last = lines.len().checked_sub(1);
     for (at, (lineno, line)) in lines.iter().enumerate() {
-        match record_from(line) {
+        match Json::parse(line).and_then(|v| TraceRecord::from_json(&v)) {
             Ok(record) => records.push(record),
             Err(_) if Some(at) == last => {
                 report.torn_tail = true;
@@ -307,11 +58,22 @@ pub fn from_jsonl(text: &str) -> Result<(Trace, JournalReport), String> {
 
 #[cfg(test)]
 mod tests {
-    use crate::event::EncodedChanges;
-    use crate::export::to_jsonl;
+    use std::collections::BTreeSet;
+
+    use mdts_model::{ItemId, OpKind, TxId};
+    use mdts_vector::CmpResult;
 
     use super::*;
+    use crate::codec::{ORDERS, SEQ, TYPE};
+    use crate::event::{
+        AbortReason, AccessOutcome, DmtObj, DmtSource, EncodedChanges, RejectRule, SetEdgeOutcome,
+        StallRule, TraceEvent,
+    };
+    use crate::export::to_jsonl;
 
+    /// Every event kind, and every tag of every declared enum, at least
+    /// once. The first 24 records predate the rest; their lines are pinned
+    /// with the others by `testdata/journal_golden.jsonl`.
     fn one_of_each() -> Trace {
         let events = vec![
             TraceEvent::Begin { tx: TxId(1) },
@@ -375,7 +137,7 @@ mod tests {
             TraceEvent::EngineAbort { tx: TxId(2), reason: AbortReason::ValidationRejected },
             TraceEvent::GaveUp { tx: TxId(2), restarts: 9 },
             TraceEvent::Blocked { tx: TxId(3), item: ItemId(4), kind: OpKind::Read, wake_seen: 5 },
-            TraceEvent::Wake { seq: 6 },
+            TraceEvent::Wake { wake_seq: 6 },
             TraceEvent::DmtOp { site: 1, tx: TxId(3), item: ItemId(4), kind: OpKind::Write },
             TraceEvent::DmtLock {
                 site: 1,
@@ -393,6 +155,106 @@ mod tests {
                 value: 12.5,
                 baseline: 2.25,
             },
+            TraceEvent::Compare {
+                a: TxId(3),
+                b: TxId(1),
+                result: CmpResult::Greater { at: 0 },
+                scalar_ops: 1,
+                tree_steps: 6,
+                cached: true,
+            },
+            TraceEvent::Compare {
+                a: TxId(3),
+                b: TxId(4),
+                result: CmpResult::EqualUndefined { at: 2 },
+                scalar_ops: 3,
+                tree_steps: 6,
+                cached: false,
+            },
+            TraceEvent::Compare {
+                a: TxId(4),
+                b: TxId(1),
+                result: CmpResult::LeftUndefined { at: 1 },
+                scalar_ops: 2,
+                tree_steps: 6,
+                cached: false,
+            },
+            TraceEvent::Compare {
+                a: TxId(1),
+                b: TxId(4),
+                result: CmpResult::RightUndefined { at: 1 },
+                scalar_ops: 2,
+                tree_steps: 6,
+                cached: false,
+            },
+            TraceEvent::Access {
+                tx: TxId(4),
+                item: ItemId(5),
+                kind: OpKind::Read,
+                rt: TxId(3),
+                wt: TxId(1),
+                outcome: AccessOutcome::GrantedInvisible,
+            },
+            TraceEvent::Access {
+                tx: TxId(4),
+                item: ItemId(5),
+                kind: OpKind::Write,
+                rt: TxId(0),
+                wt: TxId(3),
+                outcome: AccessOutcome::GrantedIgnored,
+            },
+            TraceEvent::Access {
+                tx: TxId(5),
+                item: ItemId(5),
+                kind: OpKind::Read,
+                rt: TxId(4),
+                wt: TxId(4),
+                outcome: AccessOutcome::GrantedStale,
+            },
+            TraceEvent::Access {
+                tx: TxId(5),
+                item: ItemId(6),
+                kind: OpKind::Write,
+                rt: TxId(4),
+                wt: TxId(0),
+                outcome: AccessOutcome::Rejected {
+                    against: TxId(4),
+                    column: 1,
+                    rule: RejectRule::VectorOrder,
+                },
+            },
+            TraceEvent::Access {
+                tx: TxId(6),
+                item: ItemId(6),
+                kind: OpKind::Read,
+                rt: TxId(0),
+                wt: TxId(7),
+                outcome: AccessOutcome::Rejected {
+                    against: TxId(7),
+                    column: 2,
+                    rule: RejectRule::ReaderRule,
+                },
+            },
+            TraceEvent::EngineAbort { tx: TxId(5), reason: AbortReason::AccessRejected },
+            TraceEvent::EngineAbort { tx: TxId(6), reason: AbortReason::Epoch },
+            TraceEvent::DmtLock { site: 0, obj: DmtObj::Vector(TxId(6)), source: DmtSource::Local },
+            TraceEvent::DmtLock {
+                site: 3,
+                obj: DmtObj::Item(ItemId(u32::MAX)),
+                source: DmtSource::Retained,
+            },
+            TraceEvent::TelemetryAlert {
+                window: 9,
+                rule: StallRule::ThroughputCollapse,
+                value: 329.0,
+                baseline: 2006.5,
+            },
+            TraceEvent::TelemetryAlert {
+                window: 10,
+                rule: StallRule::WriterStarvation,
+                value: 0.0,
+                baseline: 1e-3,
+            },
         ];
         Trace::from_records(
             events
@@ -403,14 +265,81 @@ mod tests {
         )
     }
 
+    /// Every declared enum's tags with their field keys.
+    fn declared() -> [&'static [(&'static str, &'static [&'static str])]; 7] {
+        [
+            TraceEvent::TAGS,
+            SetEdgeOutcome::TAGS,
+            AccessOutcome::TAGS,
+            RejectRule::TAGS,
+            AbortReason::TAGS,
+            DmtSource::TAGS,
+            StallRule::TAGS,
+        ]
+    }
+
+    /// Every string value in `v`, nested ones included.
+    fn strings<'a>(v: &'a Json, out: &mut BTreeSet<&'a str>) {
+        match v {
+            Json::Str(s) => {
+                out.insert(s);
+            }
+            Json::Arr(items) => items.iter().for_each(|item| strings(item, out)),
+            Json::Obj(pairs) => pairs.iter().for_each(|(_, item)| strings(item, out)),
+            _ => {}
+        }
+    }
+
     #[test]
     fn round_trips_every_event_kind() {
         let trace = one_of_each();
-        let (back, report) = from_jsonl(&to_jsonl(&trace)).unwrap();
+        let jsonl = to_jsonl(&trace);
+        let (back, report) = from_jsonl(&jsonl).unwrap();
         assert_eq!(back.records(), trace.records());
         assert_eq!(report.records, trace.len());
         assert!(!report.torn_tail);
         assert_eq!(report.duplicates, 0);
+
+        // The fixture exercises every declared tag: each event kind, each
+        // outcome and rule, each Definition 6 order, each operation letter.
+        let docs: Vec<Json> = jsonl.lines().map(|l| Json::parse(l).unwrap()).collect();
+        let mut seen = BTreeSet::new();
+        docs.iter().for_each(|doc| strings(doc, &mut seen));
+        let letters = [OpKind::Read, OpKind::Write].map(|kind| kind.letter().to_string());
+        let tags = declared().into_iter().flatten().map(|&(tag, _)| tag);
+        let orders = ORDERS.iter().map(|&(name, _)| name);
+        for tag in tags.chain(orders).chain(letters.iter().map(String::as_str)) {
+            assert!(seen.contains(tag), "the fixture never exports '{tag}'");
+        }
+    }
+
+    #[test]
+    fn the_journal_format_is_pinned() {
+        assert_eq!(to_jsonl(&one_of_each()), include_str!("testdata/journal_golden.jsonl"));
+    }
+
+    #[test]
+    fn every_record_has_distinct_keys() {
+        for (tag, keys) in declared().into_iter().flatten() {
+            assert!(
+                !keys.contains(&SEQ) && !keys.contains(&TYPE),
+                "'{tag}' redeclares a record key"
+            );
+        }
+        fn distinct(v: &Json, line: &str) {
+            match v {
+                Json::Obj(pairs) => {
+                    let keys: BTreeSet<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+                    assert_eq!(keys.len(), pairs.len(), "duplicate key in {line}");
+                    pairs.iter().for_each(|(_, item)| distinct(item, line));
+                }
+                Json::Arr(items) => items.iter().for_each(|item| distinct(item, line)),
+                _ => {}
+            }
+        }
+        for line in to_jsonl(&one_of_each()).lines() {
+            distinct(&Json::parse(line).unwrap(), line);
+        }
     }
 
     #[test]

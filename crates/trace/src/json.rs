@@ -1,10 +1,10 @@
 //! A minimal JSON value, writer, and parser.
 //!
-//! The workspace deliberately has no external dependencies, so the
-//! exporters and the metrics registry serialize through this small value
-//! type instead of a serde stack. The parser exists for the tooling that
-//! *consumes* emitted documents — the `mdts-timeseries/v1` schema
-//! validator — and round-trips everything the writer produces.
+//! The workspace deliberately has no external dependencies, so the trace
+//! journal and the metrics registry serialize through this small value
+//! type instead of a serde stack. The parser serves what *consumes*
+//! emitted documents — the journal loader and the `mdts-timeseries/v1`
+//! schema validator — and round-trips everything the writer produces.
 
 use std::fmt;
 
@@ -50,7 +50,7 @@ impl Json {
     /// and [`Json::I64`] when negative; anything with a fraction or
     /// exponent parses as [`Json::F64`].
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -97,12 +97,18 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts: deeper input is
+/// an error rather than a recursion that overflows the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Recursive-descent parser over the input bytes. JSON's grammar needs
 /// one byte of lookahead and no backtracking, so the whole thing is a
 /// cursor plus a method per production.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -144,11 +150,21 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -396,6 +412,15 @@ mod tests {
         assert!(Json::parse("tru").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse(r#""unterminated"#).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&deepest).is_ok());
+        assert!(Json::parse(&format!("[{deepest}]")).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(1 << 20)).is_err());
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

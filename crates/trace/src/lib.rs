@@ -11,9 +11,12 @@
 //!   [`AbortReason`]);
 //! * [`TraceSink`] / [`TraceBuffer`] — a zero-cost-when-disabled handle in
 //!   front of a lane-sharded sequence-stamped buffer (journal or ring);
-//! * [`export`] — JSONL and Chrome `trace_event` exporters;
-//! * [`import`] — the JSONL inverse, so crash recovery can replay a
-//!   persisted journal back through the auditor (ISSUE 9);
+//! * [`export`] / [`import`] — the JSONL journal format and its inverse,
+//!   so crash recovery can replay a persisted journal back through the
+//!   auditor. Each event kind, and each tag of the enums inside it, is
+//!   declared once (tag, field keys, codecs) with the [`event`] types;
+//!   the encoder, the decoder and every `name` are derived from that one
+//!   statement;
 //! * [`table`] — a pretty-printer reproducing the paper's Table I–IV
 //!   layout from a captured trace;
 //! * [`registry`] — a serializable counters/histograms/breakdowns registry
@@ -23,6 +26,7 @@
 //!   against TO(k).
 
 pub mod audit;
+mod codec;
 pub mod event;
 pub mod export;
 pub mod import;
@@ -36,7 +40,7 @@ pub use event::{
     scalar_cost, tree_cost, AbortReason, AccessOutcome, DmtObj, DmtSource, RejectRule,
     SetEdgeOutcome, StallRule, TraceEvent, TraceRecord,
 };
-pub use export::{to_chrome_trace, to_jsonl};
+pub use export::to_jsonl;
 pub use import::{from_jsonl, JournalReport};
 pub use json::Json;
 pub use registry::{Breakdown, HistogramExport, MetricsRegistry};

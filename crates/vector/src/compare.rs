@@ -54,6 +54,19 @@ impl CmpResult {
         }
     }
 
+    /// The deciding position; `None` for [`CmpResult::Identical`], the one
+    /// order no position decides.
+    pub fn at(self) -> Option<usize> {
+        match self {
+            CmpResult::Less { at }
+            | CmpResult::Greater { at }
+            | CmpResult::EqualUndefined { at }
+            | CmpResult::LeftUndefined { at }
+            | CmpResult::RightUndefined { at } => Some(at),
+            CmpResult::Identical => None,
+        }
+    }
+
     /// `Some(true)` if strictly less, `Some(false)` if strictly greater,
     /// `None` when the order is not (yet) determined.
     pub fn strict_less(self) -> Option<bool> {

@@ -134,18 +134,6 @@ pub struct OrderCacheStats {
     pub invalidations: u64,
 }
 
-impl OrderCacheStats {
-    /// Fraction of lookups served from the cache (0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A concurrent memo table for decided (strict) Definition 6 orders,
 /// keyed by unordered pairs of transaction ids. See the module docs for
 /// the soundness argument.
