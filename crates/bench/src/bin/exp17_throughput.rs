@@ -25,9 +25,10 @@ use mdts_telemetry::{Sampler, SamplerConfig};
 const TELEMETRY_INTERVAL: Duration = Duration::from_millis(10);
 /// The telemetry lane's sampled transactions per client: 21–26 windows on
 /// a 2-vCPU host, against the 13 the strict gate asks for. The lane
-/// samples from the database's first transaction: the row table's chunks
-/// grow by 4 bytes per id and its arena by the rows live at once, so no
-/// chunk build is large enough to stall a window.
+/// samples from the database's first transaction: the row table's index
+/// chunks reserve 4 bytes per id, backed only as ids are begun, and its
+/// arena grows by the rows live at once, so no chunk build is large
+/// enough to stall a window.
 const TELEMETRY_TXNS_PER_THREAD: usize = 24_000;
 
 fn protocols() -> Vec<Box<dyn ConcurrentCc>> {

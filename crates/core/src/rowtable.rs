@@ -8,10 +8,12 @@
 //!
 //! * **The id index**: one `AtomicU32` per id — `0` for an id never
 //!   begun, `DEAD` for one whose row was reclaimed, otherwise its arena
-//!   slot + 1. It grows with the ids issued, at 4 bytes each: a chunk is
-//!   one zeroed allocation, and zero already means "never begun", so the
+//!   slot + 1. Its address space grows with the ids issued, at 4 bytes
+//!   each, but its resident pages follow the live ids: a chunk is one
+//!   zeroed allocation, and zero already means "never begun", so the
 //!   kernel backs its pages only as ids in them are begun, and building a
-//!   chunk writes none of it. Each block of 256 ids is laid out
+//!   chunk writes none of it; the sweep below gives them back once every
+//!   id in them is reclaimed. Each block of 256 ids is laid out
 //!   transposed, so that the consecutive ids concurrent clients begin
 //!   together do not share a cache line.
 //! * **The arena** of [`RowSlot`]s. Reclamation (III-D-6b) drops the row
@@ -44,6 +46,24 @@
 //! and pops from its own stripe first, so clients that never conflict
 //! write no common free-list word; it takes from the other stripes before
 //! it grows the arena.
+//!
+//! **Release.** The ids linked at any instant sit, apart from `T₀`, in a
+//! window behind the newest id (the oldest holder still named by an
+//! `RT`/`WT` entry trails it), so the index pages below that window hold
+//! only `DEAD` entries. A release cursor follows the window: every begin
+//! of a fresh id that is a multiple of `BASE` runs one sweep step, which,
+//! under the sweep lock, moves the cursor over the whole `BASE`-id blocks
+//! whose every entry is `DEAD` (it starts at chunk 1, past `T₀`'s entry,
+//! and stops at the first block holding any other entry), publishes it,
+//! and gives the pages wholly below it back to the kernel
+//! (`madvise(MADV_DONTNEED)`). The chunks stay mapped and are never freed,
+//! so nothing needs a reclamation protocol: a released page reads `0`,
+//! which means "no row" to `link`, `slot` and `owns` exactly as `DEAD`
+//! does. The one writer that can land in a released page is a `begin` of
+//! a reclaimed id, so `begin` treats an entry that is `DEAD`, or `0` below
+//! the cursor, as a reuse, and relinks it under the sweep lock so that no
+//! sweep can release the new link. A fresh id's entry is `0` above the
+//! cursor, and it stops the sweep, so a fresh `begin` takes no lock.
 
 use std::marker::PhantomData;
 use std::sync::PoisonError;
@@ -52,8 +72,8 @@ use mdts_vector::stripe::{stripe, STRIPES};
 use mdts_vector::{CachePadded, TsVec};
 
 use crate::sync::{
-    AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Mutex, Ordering, RwLock, RwLockReadGuard,
-    RwLockWriteGuard,
+    AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Mutex, Ordering, RwLock,
+    RwLockReadGuard, RwLockWriteGuard,
 };
 
 /// Elements in a spine's first chunk; chunk `b` holds `BASE << b`.
@@ -219,6 +239,16 @@ impl<T: Element> Spine<T> {
         (!chunk.is_null()).then(|| unsafe { &*chunk.add(off) })
     }
 
+    /// The `n` elements from `idx` on, which lie in one chunk, if that
+    /// chunk has been built (Acquire, as in [`get`](Self::get)).
+    fn run(&self, idx: usize, n: usize) -> Option<&[T]> {
+        let (b, len, off) = locate(idx);
+        assert!(off + n <= len, "a run crosses a chunk boundary");
+        let chunk = self.chunks.get(b)?.load(Ordering::Acquire);
+        // SAFETY: as in `get`, and `off + n <= len` by the assertion.
+        (!chunk.is_null()).then(|| unsafe { std::slice::from_raw_parts(chunk.add(off), n) })
+    }
+
     /// Element `idx`, building its chunk on first touch.
     #[inline]
     fn ensure(&self, idx: usize, grow: &Mutex<()>) -> &T {
@@ -282,6 +312,15 @@ pub struct RowTable {
     /// Serializes chunk building in both spines; taken only when a chunk
     /// pointer was observed null, never on the addressing path.
     grow: Mutex<()>,
+    /// The release cursor, an index position and a multiple of `BASE`:
+    /// every id from `BASE` up to it was reclaimed when a sweep passed it,
+    /// and the index pages holding only such entries are given back.
+    /// Written (Release) only under `sweep`, before the pages it covers
+    /// are released; read (Acquire) by a `begin` that found an entry `0`.
+    released: AtomicUsize,
+    /// Serializes the sweep with a reuse `begin`'s relink. Lock order:
+    /// sweep → grow, slot write lock, `on_reuse`.
+    sweep: Mutex<()>,
     /// Arena slots handed out so far — the arena's high-water mark.
     /// Raised only when every free list is empty.
     built: CachePadded<AtomicU32>,
@@ -312,6 +351,8 @@ impl RowTable {
             index: Spine::new(),
             arena: Spine::new(),
             grow: Mutex::new(()),
+            released: AtomicUsize::new(BASE),
+            sweep: Mutex::new(()),
             built: CachePadded(AtomicU32::new(0)),
             free: std::array::from_fn(|_| CachePadded(AtomicU64::new(0))),
         }
@@ -355,11 +396,19 @@ impl RowTable {
         ts: impl FnOnce() -> TsVec,
         on_reuse: impl FnOnce(),
     ) -> &RowSlot {
-        let entry = self.index.ensure(index_pos(id), &self.grow);
+        let pos = index_pos(id);
+        let entry = self.index.ensure(pos, &self.grow);
         let old = entry.load(Ordering::Acquire);
         if old != 0 && old != DEAD {
             return self.slot_at(old - 1);
         }
+        // A reclaimed id's entry reads `DEAD`, or `0` once a sweep released
+        // it. The sweep publishes its cursor before it releases, so an
+        // entry read as released comes with a cursor above it. Relinking
+        // holds the sweep lock: a sweep that saw `DEAD` here cannot release
+        // the new link.
+        let reuse = old == DEAD || (pos >= BASE && pos < self.released.load(Ordering::Acquire));
+        let relink = reuse.then(|| self.sweep.lock().unwrap_or_else(PoisonError::into_inner));
         let (at, slot) = self.take_free();
         {
             let mut row = slot.write();
@@ -368,13 +417,96 @@ impl RowTable {
             slot.finished.store(false, Ordering::SeqCst);
             *row = Some(ts());
         }
-        if old == DEAD {
+        if reuse {
             on_reuse();
         }
         let prev = entry.swap(at + 1, Ordering::AcqRel);
-        debug_assert_eq!(prev, old, "two threads began transaction {id}");
+        // A reuse may find its `DEAD` released to `0` by the time it links.
+        debug_assert!(prev == old || prev == 0, "two threads began transaction {id}");
+        drop(relink);
+        if !reuse && id.is_multiple_of(BASE) {
+            self.sweep();
+        }
         slot
     }
+
+    /// One sweep step: moves the release cursor over the whole blocks of
+    /// `BASE` ids whose every entry is `DEAD`, stopping at the first block
+    /// that holds any other entry or whose chunk is not built, publishes
+    /// it, and releases what it passed. Runs once per `BASE` fresh ids.
+    #[cold]
+    fn sweep(&self) {
+        let _sweep = self.sweep.lock().unwrap_or_else(PoisonError::into_inner);
+        // Only this lock's holder writes the cursor.
+        let from = self.released.load(Ordering::Relaxed);
+        let mut to = from;
+        while self
+            .index
+            .run(to, BASE)
+            .is_some_and(|block| block.iter().all(|e| e.load(Ordering::Acquire) == DEAD))
+        {
+            to += BASE;
+        }
+        if to > from {
+            self.released.store(to, Ordering::Release);
+            self.release(from, to);
+        }
+    }
+
+    /// Gives back the index pages that hold only entries of positions
+    /// `from..to` (just passed: all `DEAD`, and no reuse can relink one
+    /// while the caller holds the sweep lock) and of released positions
+    /// below `from` that no reuse has relinked since. A chunk's first and
+    /// last page may hold bytes of other allocations, and a page that also
+    /// holds positions at or above `to` waits for a later step; the rest
+    /// go back to the kernel and read `0` from then on.
+    #[cfg(all(target_os = "linux", not(loom)))]
+    fn release(&self, from: usize, to: usize) {
+        let entry_size = std::mem::size_of::<AtomicU32>();
+        let page_bytes = os::page_size();
+        let page = page_bytes / entry_size;
+        let mut pos = from;
+        while pos < to {
+            let (_, len, off) = locate(pos);
+            let start = pos - off;
+            let chunk = self.index.run(start, len).expect("the sweep passed a built chunk");
+            // Entry counts from the page boundary at or below the chunk's
+            // first entry, so multiples of `page` are page boundaries.
+            let lead = chunk.as_ptr().addr() % page_bytes / entry_size;
+            let end = (start + len).min(to) - start;
+            let mut lo = (lead + off) / page * page;
+            let relinked = |below: &[AtomicU32]| {
+                below.iter().any(|e| {
+                    let entry = e.load(Ordering::Acquire);
+                    entry != 0 && entry != DEAD
+                })
+            };
+            if lo < lead + off && (lo < lead || relinked(&chunk[lo - lead..off])) {
+                lo += page;
+            }
+            let hi = (lead + end) / page * page;
+            if lo < hi {
+                os::give_back(&chunk[lo - lead..hi - lead]);
+            }
+            pos = start + len;
+        }
+    }
+
+    /// Under loom the release stores `0` into each entry it passed (Release,
+    /// so a `begin` that reads one also reads the cursor above it).
+    #[cfg(loom)]
+    fn release(&self, from: usize, to: usize) {
+        for pos in from..to {
+            self.index
+                .get(pos)
+                .expect("the sweep passed a built chunk")
+                .store(0, Ordering::Release);
+        }
+    }
+
+    /// Elsewhere the passed entries stay `DEAD`, which reads the same.
+    #[cfg(not(any(target_os = "linux", loom)))]
+    fn release(&self, _from: usize, _to: usize) {}
 
     /// Drops `id`'s row and recycles its slot if `id` still has one and
     /// `dead` holds of it under the slot's write lock. The lock serializes
@@ -470,11 +602,18 @@ impl RowTable {
             .count()
     }
 
-    /// Chunks of the id index built so far. They grow with the ids issued
-    /// — chunk `b` reserves `1024 << b` ids at 4 bytes each, backed as
-    /// those ids are begun — and are never freed before drop.
+    /// Chunks of the id index built so far. Their address space grows with
+    /// the ids issued — chunk `b` reserves `1024 << b` ids at 4 bytes
+    /// each, backed as those ids are begun and given back as they are all
+    /// reclaimed — and they are never freed before drop.
     pub fn resident_chunks(&self) -> usize {
         self.index.resident()
+    }
+
+    /// Ids whose index entries the sweep has released: every id from
+    /// `BASE` (chunk 1; chunk 0 holds `T₀`'s entry) up to the cursor.
+    pub fn released_ids(&self) -> usize {
+        self.released.load(Ordering::Acquire) - BASE
     }
 
     /// Chunks of the row arena built so far.
@@ -486,6 +625,67 @@ impl RowTable {
 impl Default for RowTable {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The two system calls the release makes, declared here so the table
+/// needs no bindings crate.
+#[cfg(all(target_os = "linux", not(loom)))]
+mod os {
+    use std::ffi::{c_int, c_long, c_void};
+
+    use crate::sync::AtomicU32;
+
+    extern "C" {
+        fn sysconf(name: c_int) -> c_long;
+        #[cfg(not(miri))]
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+
+    /// `sysconf`'s name for the page size.
+    const SC_PAGESIZE: c_int = 30;
+    /// `madvise`'s advice to drop a private mapping's pages: the next
+    /// touch of one maps a zero-filled page.
+    #[cfg(not(miri))]
+    const MADV_DONTNEED: c_int = 4;
+
+    /// The size of a memory page in bytes.
+    pub(super) fn page_size() -> usize {
+        // SAFETY: `sysconf` only reads its argument.
+        let page = unsafe { sysconf(SC_PAGESIZE) };
+        usize::try_from(page).expect("the system reports its page size")
+    }
+
+    /// Gives the pages `entries` spans back to the kernel: they read `0`
+    /// from then on. `entries` starts and ends on page boundaries, and no
+    /// entry in it may be written concurrently.
+    #[cfg(not(miri))]
+    pub(super) fn give_back(entries: &[AtomicU32]) {
+        // SAFETY: `entries` spans whole pages of a private, read-write
+        // mapping of this process, and every value those pages may hold
+        // is valid as zero: an `AtomicU32` holds any bit pattern, and
+        // `0` is the entry of an id without a row. Accessing a page after
+        // `MADV_DONTNEED` maps a fresh zero page, so no reference dangles.
+        let done = unsafe {
+            madvise(
+                entries.as_ptr().cast_mut().cast(),
+                std::mem::size_of_val(entries),
+                MADV_DONTNEED,
+            )
+        };
+        // A failed release leaves the pages resident with their entries
+        // `DEAD`, which reads the same; only the memory is not given back.
+        debug_assert_eq!(done, 0, "madvise failed");
+    }
+
+    /// Under Miri, which cannot run `madvise`, the release writes the
+    /// zeros itself, so the page arithmetic is still checked against the
+    /// chunk's bounds.
+    #[cfg(miri)]
+    pub(super) fn give_back(entries: &[AtomicU32]) {
+        for entry in entries {
+            entry.store(0, crate::sync::Ordering::Release);
+        }
     }
 }
 
@@ -710,5 +910,78 @@ mod tests {
             assert_eq!(built, BASE, "a racing begin built a second copy of the arena chunk");
             assert_eq!((t.resident_chunks(), t.arena_chunks()), (1, 1));
         }
+    }
+
+    /// The cursor follows the live ids: with a window of `BASE + 100`
+    /// linked ids sliding up the index, it never passes the oldest of them
+    /// and trails it by at most one block, every id below it reads as
+    /// rowless, and every id in the window keeps its link.
+    #[test]
+    fn the_cursor_trails_the_oldest_linked_id_by_at_most_one_block() {
+        const WINDOW: usize = BASE + 100;
+        let t = RowTable::new();
+        t.begin(0, undefined, || unreachable!("T₀ is begun once"));
+        for id in 1..6 * BASE {
+            t.begin(id, undefined, || unreachable!("ids are fresh"));
+            if id > WINDOW {
+                assert!(t.reclaim(id - WINDOW, |_| true));
+            }
+            let oldest = id.saturating_sub(WINDOW) + 1;
+            let cursor = t.released.load(Ordering::Relaxed);
+            assert!(cursor <= (oldest / BASE * BASE).max(BASE), "{cursor} passed {oldest}");
+            assert!(cursor + BASE >= oldest / BASE * BASE, "{cursor} trails {oldest}");
+        }
+        let cursor = t.released.load(Ordering::Relaxed);
+        assert_eq!(cursor, (5 * BASE - WINDOW) / BASE * BASE, "the last sweep ran at 5 · BASE");
+        assert!((BASE..cursor).all(|id| t.slot(id).is_none()));
+        assert!((6 * BASE - WINDOW..6 * BASE).all(|id| t.owns(id, t.slot(id).unwrap())));
+        assert!(t.slot(0).is_some(), "T₀ keeps its row");
+    }
+
+    /// A table whose only live id is `T₀` releases every index page above
+    /// chunk 0 but a chunk's partial first and last page; a released id
+    /// begun again is a reuse, and a later sweep leaves its new link alone
+    /// even on the page it shares with the ids the sweep passes.
+    #[test]
+    fn a_table_holding_only_t0_releases_everything_above_chunk_0() {
+        let t = RowTable::new();
+        t.begin(0, undefined, || unreachable!("T₀ is begun once"));
+        // Id `5 · BASE − 1` sits at index position `5 · BASE − 1` (the
+        // last of its 256-id block), just below where the first sweep
+        // stops, on the page that block shares with the next one.
+        let (pin, reused) = (5 * BASE + 10, 5 * BASE - 1);
+        for id in 1..7 * BASE {
+            t.begin(id, undefined, || unreachable!("ids are fresh"));
+            if id != pin {
+                assert!(t.reclaim(id, |_| true));
+            }
+        }
+        t.sweep();
+        assert_eq!(t.released_ids(), 4 * BASE, "the sweep stops at the pinned id's block");
+        let again = Cell::new(false);
+        t.begin(reused, undefined, || again.set(true));
+        assert!(again.get(), "beginning a released id is a reuse");
+        assert!(t.reclaim(pin, |_| true));
+        t.sweep();
+        assert_eq!(t.released_ids(), 6 * BASE, "chunk 3 is not built: the sweep stops there");
+        assert!(t.owns(reused, t.slot(reused).unwrap()), "the sweep released a relinked entry");
+        assert!(t.slot(0).is_some(), "T₀ keeps its row");
+        assert_eq!(t.resident_chunks(), 3);
+        // A chunk's partial first and last page hold one page of entries
+        // between them; chunk 2 also keeps the page the relinked id shares
+        // with the ids the first sweep stopped at.
+        #[cfg(all(target_os = "linux", not(loom)))]
+        let page = os::page_size() / std::mem::size_of::<AtomicU32>();
+        #[cfg(not(all(target_os = "linux", not(loom))))]
+        let page = usize::MAX / 2;
+        for (b, kept) in [(1, page), (2, 2 * page)] {
+            let chunk = t.index.run(((1 << b) - 1) * BASE, BASE << b).expect("chunk built");
+            let dead = chunk.iter().filter(|e| e.load(Ordering::Relaxed) == DEAD).count();
+            assert!(dead <= kept, "chunk {b} keeps {dead} entries resident");
+        }
+        let fresh = Cell::new(false);
+        t.begin(2 * BASE, undefined, || fresh.set(true));
+        assert!(fresh.get(), "beginning a released id is a reuse");
+        assert_eq!((t.live_rows(), t.arena_len()), (3, 3));
     }
 }

@@ -67,7 +67,10 @@
 //! one item shard at a time (multi-item operations take them one by one)
 //! and at most two slot locks at a time, always acquired low id first.
 //! Both transactions are pinned while their slots are locked together, so
-//! no slot changes hands while it takes part in that order.
+//! no slot changes hands while it takes part in that order. The row
+//! table's sweep lock is taken only in `begin`, before any of these: a
+//! reuse holds it across the new row's slot lock and the `on_reuse` flush
+//! (order cache, hint cell).
 //!
 //! # One rule, two instantiations
 //!
@@ -1189,8 +1192,9 @@ impl SharedMtScheduler {
         self.rows.live_rows()
     }
 
-    /// Number of id-index chunks currently built (telemetry gauge: they
-    /// grow with the ids issued, 4 bytes per id).
+    /// Number of id-index chunks currently built (telemetry gauge: their
+    /// address space grows with the ids issued, 4 bytes per id; their
+    /// resident pages follow the live ids).
     pub fn resident_row_chunks(&self) -> usize {
         self.rows.resident_chunks()
     }
@@ -1199,6 +1203,13 @@ impl SharedMtScheduler {
     /// whatever the number of ids issued.
     pub fn row_arena_len(&self) -> usize {
         self.rows.arena_len()
+    }
+
+    /// Ids whose id-index entries the row table has released (telemetry
+    /// gauge: every id from 1,024 up to the release cursor was reclaimed,
+    /// and the index pages holding only their entries were given back).
+    pub fn released_index_ids(&self) -> usize {
+        self.rows.released_ids()
     }
 
     /// A serial order consistent with the final vectors: the given
@@ -1486,6 +1497,26 @@ mod tests {
             s.order(TxId(2), TxId(1)),
             "fresh incarnation is unordered; the stale T1 < T2 must not refuse"
         );
+    }
+
+    /// Reusing an id whose index entry the sweep released is still a
+    /// reuse: its entry reads `0`, as a fresh id's does, but it lies below
+    /// the release cursor, so the order cache is flushed and the restart
+    /// hint the id left is taken.
+    #[test]
+    fn reusing_a_released_id_flushes_the_cache_and_takes_the_hint() {
+        let s = SharedMtScheduler::with_k(2);
+        for id in 1..=8192 {
+            s.begin(TxId(id));
+            assert!(s.commit(TxId(id)), "an unreferenced commit is reclaimed at once");
+        }
+        assert!(s.released_index_ids() >= 6 * 1024, "the sweep passed {}", s.released_index_ids());
+        *lock(s.hints.mine()) = Some((TxId(2048), 7));
+        let flushes = s.order_cache_stats().invalidations;
+        s.begin(TxId(2048));
+        assert_eq!(s.order_cache_stats().invalidations, flushes + 1, "reuse must invalidate");
+        assert_eq!(*lock(s.hints.mine()), None, "reuse must take the hint");
+        assert_eq!(s.ts(TxId(2048)).map(|v| v.to_string()).as_deref(), Some("<*,*>"));
     }
 
     /// Commit-aware `Set`: a serial stream of stamped transfers — begin,

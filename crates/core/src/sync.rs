@@ -11,10 +11,10 @@
 //! results use the real type.
 
 #[cfg(loom)]
-pub use loom::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
+pub use loom::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 #[cfg(loom)]
 pub use loom::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 #[cfg(not(loom))]
-pub use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
+pub use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 #[cfg(not(loom))]
 pub use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};

@@ -692,6 +692,7 @@ impl ConcurrentCc for ShardedMtCc {
         g.sched_live_rows = self.sched.live_rows() as u64;
         g.sched_row_chunks = self.sched.resident_row_chunks() as u64;
         g.sched_row_slots = self.sched.row_arena_len() as u64;
+        g.sched_index_released_ids = self.sched.released_index_ids() as u64;
         g.order_cache_epoch_flushes = cache.invalidations;
         g.batched_chain_batches = batched.chain_batches;
         g.batched_size_buckets = batched.size_buckets;

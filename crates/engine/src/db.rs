@@ -645,23 +645,24 @@ impl<V: Clone + Send + 'static> Database<V> {
         // stay allocation-free.
         let span = shared.metrics.phases.start();
         mv.sched.begin(id);
-        shared.metrics.phases.record_since(Phase::Admission, span);
         // Register with GC *before* the first read (and therefore before
         // the reader's first vector element is defined): the captured
         // ticket is what keeps pruning away from every version this
         // reader may still descend to.
         let guard = mv.store.begin_snapshot();
+        shared.metrics.phases.record_since(Phase::Admission, span);
         let mut tx = SnapshotTx { shared, mv, cells, id, _guard: guard, armed: true };
         let out = body(&mut tx);
         tx.armed = false;
         let span = shared.metrics.phases.start();
         mv.sched.commit(id);
-        shared.metrics.phases.record_since(Phase::Commit, span);
+        drop(tx); // ends the snapshot's GC registration
         Metrics::bump(&cells.snapshot_txns);
         Metrics::bump(&cells.commits);
         let end_tick = shared.metrics.now();
         cells.latency.record(end_tick.saturating_sub(start_tick));
         shared.trace.emit(|| TraceEvent::Commit { tx: id });
+        shared.metrics.phases.record_since(Phase::Commit, span);
         out
     }
 }

@@ -267,12 +267,17 @@ metrics_table! {
         mv_pruned: u64 = mv.pruned => mv_store.pruned,
         /// Live timestamp-vector rows in the scheduler (including `T₀`).
         sched_live_rows: u64 => scheduler.live_rows,
-        /// Id-index chunks of the scheduler's row table (they grow with the
-        /// ids issued, 4 bytes per id).
+        /// Id-index chunks of the scheduler's row table (their address space
+        /// grows with the ids issued, 4 bytes per id).
         sched_row_chunks: u64 => scheduler.row_chunks,
         /// Row slots the scheduler's row arena has built: the most rows ever
         /// live at once.
         sched_row_slots: u64 => scheduler.row_slots,
+        /// Ids whose id-index entries the row table has released: how far
+        /// its release cursor has moved past id 1,024 (every id from there
+        /// up to the cursor was reclaimed, and the index pages holding only
+        /// their entries were given back).
+        sched_index_released_ids: u64 => scheduler.index_released_ids,
         /// Order-cache epoch flushes (cumulative invalidation count); live
         /// for as long as the MT(k) schedulers keep their order cache.
         order_cache_epoch_flushes: u64 => scheduler.order_cache_epoch_flushes,
@@ -909,6 +914,7 @@ mod tests {
         g.sched_live_rows = 28;
         g.sched_row_chunks = 29;
         g.sched_row_slots = 30;
+        g.sched_index_released_ids = 42;
         g.order_cache_epoch_flushes = 31;
         g.batched_probe_batches = 32;
         g.batched_chain_batches = 33;

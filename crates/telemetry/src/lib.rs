@@ -110,6 +110,7 @@ mod tests {
         g.sched_live_rows = 100 * n + 28;
         g.sched_row_chunks = 100 * n + 29;
         g.sched_row_slots = 100 * n + 30;
+        g.sched_index_released_ids = 100 * n + 42;
         g.order_cache_epoch_flushes = 100 * n + 31;
         g.batched_chain_batches = 100 * n + 33;
         g.batched_size_buckets = std::array::from_fn(|b| 100 * n + 70 + b as u64);

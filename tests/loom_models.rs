@@ -1,7 +1,7 @@
 //! Exhaustive interleaving models for the engine's three hand-rolled
 //! lock-free protocols: the order-cache seqlock, the row table's chunk
-//! publication / slot recycling / reclamation, and the `WakeSeq`
-//! eventcount. Build and run with:
+//! publication / slot recycling / reclamation / index release, and the
+//! `WakeSeq` eventcount. Build and run with:
 //!
 //! ```sh
 //! RUSTFLAGS="--cfg loom" cargo test --test loom_models --release
@@ -281,6 +281,44 @@ fn loom_rowtable_reclaim_dekker() {
         let reclaims = [finisher.join().unwrap(), dereferencer.join().unwrap()];
         assert_eq!(reclaims.iter().filter(|&&r| r).count(), 1, "reclaimed {reclaims:?}");
         assert!(table.slot(1).is_none(), "both parties missed the reclaim: row leaked");
+    });
+}
+
+/// Release vs. reuse: ids 2 and 3 (index chunk 1, the first block the
+/// sweep may pass under `cfg(loom)`'s `BASE = 2`) are reclaimed; then one
+/// thread begins the fresh id 4, whose sweep passes their block, publishes
+/// the cursor and stores `0` into both entries, while another begins 2
+/// again. Whether the reuse reads 2's entry as `DEAD` or as released, it
+/// must run `on_reuse` and keep its link, and no link may name a slot
+/// whose row is not its id's.
+#[test]
+fn loom_rowtable_release_vs_reuse() {
+    model2(|| {
+        let table = Arc::new(RowTable::new());
+        let row = |id: i64| move || TsVec::from_elems(&[Some(id)]);
+        for id in [2, 3] {
+            table.begin(id, row(id as i64), || unreachable!("fresh id"));
+            assert!(table.reclaim(id, |_| true));
+        }
+
+        let t2 = Arc::clone(&table);
+        let sweeper = thread::spawn(move || {
+            t2.begin(4, row(4), || unreachable!("fresh id"));
+        });
+
+        let reused = std::cell::Cell::new(false);
+        let slot = table.begin(2, row(22), || reused.set(true));
+        assert!(reused.get(), "the reuse of a reclaimed id went unnoticed");
+        assert!(table.owns(2, slot), "the reuse lost its link");
+        sweeper.join().unwrap();
+
+        // The sweep passes the block unless the reuse relinked 2 first.
+        assert!(matches!(table.released_ids(), 0 | 2), "{}", table.released_ids());
+        for (id, value) in [(2, 22), (4, 4)] {
+            let slot = table.slot(id).expect("a begun id keeps its link");
+            assert_eq!(slot.read().as_ref().and_then(|v| v.get(0)), Some(value));
+        }
+        assert!(table.slot(3).is_none(), "a reclaimed id regained a link");
     });
 }
 
