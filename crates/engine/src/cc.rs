@@ -3,19 +3,23 @@
 //! All adapters work in the deferred-write discipline (VI-C-2): `write`
 //! *announces* a write (locks under 2PL, records elsewhere); value
 //! visibility is the engine's business, and the protocols validate the
-//! deferred writes in [`ConcurrentCc::validate_commit`]. Sharded MT(k)
-//! synchronizes internally; each other adapter holds its sequential
-//! scheduler behind one mutex of its own.
+//! deferred writes in [`ConcurrentCc::validate_commit`]. Each adapter
+//! holds its sequential scheduler behind one mutex of its own.
+//!
+//! The multiversion engine's MT(k) is not an adapter: MT(k) never waits
+//! and has no abort-all epoch, so that engine calls its
+//! [`mdts_core::SharedMtScheduler`] directly (built by
+//! [`ShardedMtCc`](crate::ShardedMtCc)) and never reaches this trait.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mdts_baselines::basic_to::ToVerdict;
 use mdts_baselines::{
     BasicTimestampOrdering, IntervalScheduler, LockManager, LockMode, LockOutcome,
     MvTimestampOrdering, Occ,
 };
-use mdts_core::{Decision, MtOptions, MtScheduler, NaiveComposite, SharedMtScheduler};
+use mdts_core::{Decision, MtOptions, MtScheduler, NaiveComposite};
 use mdts_model::{ItemId, Operation, TxId};
 use mdts_trace::TraceSink;
 
@@ -59,20 +63,19 @@ impl CommitDecision {
     }
 }
 
-/// A concurrency-control protocol, driven from many client threads at
-/// once.
+/// A concurrency-control protocol behind a mutex adapter, driven from
+/// many client threads at once.
 ///
-/// Item-granular; value management is the engine's job. Implementations
-/// synchronize internally: sharded MT(k) ([`ShardedMtCc`]) natively, every
-/// other adapter by keeping its sequential scheduler behind a mutex of its
-/// own, so its decisions are serialized while store access, write
-/// buffering and waiting are not. The engine calls `read` while holding
-/// the item's *store* shard lock and `validate_commit` while holding every
-/// store shard of the write set, so a grant and the value access it
-/// authorizes are atomic; implementations must therefore never acquire
-/// store shards themselves. (On the multiversion path the engine decides
-/// reads and commit-time writes itself, on the holders in its chain
-/// records, and calls neither.)
+/// Item-granular; value management is the engine's job. Every adapter
+/// keeps its sequential scheduler behind a mutex of its own, so its
+/// decisions are serialized while store access, write buffering and
+/// waiting are not. The engine calls `read` while holding the item's
+/// *store* shard lock and `validate_commit` while holding every store
+/// shard of the write set, so a grant and the value access it authorizes
+/// are atomic; implementations must therefore never acquire store shards
+/// themselves. The trait carries what only some adapters need — 2PL's
+/// [`Verdict::Blocked`], MT(k⁺)'s abort-all [`epoch`](Self::epoch) —
+/// which is why the multiversion engine does not go through it.
 pub trait ConcurrentCc: Send + Sync {
     /// Protocol name for reports.
     fn name(&self) -> &'static str;
@@ -592,136 +595,6 @@ impl ConcurrentCc for MvToCc {
     fn aborted(&self, tx: TxId) {
         lock(&self.sched).purge(tx);
     }
-}
-
-// ---------------------------------------------------------------------
-// Sharded MT(k)
-// ---------------------------------------------------------------------
-
-/// MT(k) over the concurrent [`SharedMtScheduler`]: item-sharded
-/// `RT`/`WT`, read-mostly vector rows, lock-free k-th-column counters and
-/// O(1) refcount reclamation — no mutex spans two different items'
-/// decisions. Deferred-write discipline as in [`MtCc`]: reads validate
-/// when issued, writes at commit (VI-C-2).
-pub struct ShardedMtCc {
-    /// Shared with the engine's multiversion path (if enabled), which
-    /// keeps every item's holder pair in its chain record and drives the
-    /// scheduler's caller-held-pair entry points itself; through this
-    /// adapter it then calls only `begin`, `committed` and `aborted`.
-    sched: Arc<SharedMtScheduler>,
-}
-
-impl ShardedMtCc {
-    /// Sharded MT(k) with default Algorithm 1 options plus the starvation
-    /// fix (engines restart transactions, so the fix is the sensible
-    /// default).
-    pub fn new(k: usize) -> Self {
-        ShardedMtCc::with_options(MtOptions { starvation_flush: true, ..MtOptions::new(k) })
-    }
-
-    /// Sharded MT(k) with explicit options (hot-item encoding and the
-    /// event journal are not supported by the concurrent scheduler).
-    pub fn with_options(opts: MtOptions) -> Self {
-        ShardedMtCc { sched: Arc::new(SharedMtScheduler::new(opts)) }
-    }
-
-    /// A second handle to the underlying scheduler.
-    pub fn scheduler_arc(&self) -> Arc<SharedMtScheduler> {
-        Arc::clone(&self.sched)
-    }
-
-    /// Routes the scheduler's decision trace to `sink` (see
-    /// [`SharedMtScheduler::attach_trace`]). [`crate::Database`] already
-    /// hands the protocol its own sink; this stays for callers that
-    /// attach by hand. Attaching the sink already in force is a no-op;
-    /// any other sink needs the scheduler unshared (panics if another
-    /// handle exists).
-    pub fn attach_trace(&mut self, sink: TraceSink) {
-        if sink.buffer().map(Arc::as_ptr) != self.sched.trace().buffer().map(Arc::as_ptr) {
-            Arc::get_mut(&mut self.sched)
-                .expect("attach_trace before sharing the scheduler")
-                .attach_trace(sink);
-        }
-    }
-}
-
-impl ConcurrentCc for ShardedMtCc {
-    fn name(&self) -> &'static str {
-        "MT(k) sharded"
-    }
-
-    fn begin(&self, tx: TxId) {
-        self.sched.begin(tx);
-    }
-
-    fn begin_restarted(&self, new_tx: TxId, aborted: TxId) {
-        self.sched.begin_restarted(new_tx, aborted);
-    }
-
-    fn read(&self, tx: TxId, item: ItemId) -> Verdict {
-        read_verdict(self.sched.read(tx, item))
-    }
-
-    fn write(&self, _tx: TxId, _item: ItemId) -> Verdict {
-        Verdict::Granted // deferred: validated at commit
-    }
-
-    fn validate_commit(&self, tx: TxId, writes: &[ItemId]) -> CommitDecision {
-        validate_writes(writes, |item| self.sched.write(tx, item))
-    }
-
-    fn committed(&self, tx: TxId) {
-        self.sched.commit(tx);
-    }
-
-    fn aborted(&self, tx: TxId) {
-        self.sched.abort(tx);
-    }
-
-    fn attach_trace(&mut self, sink: TraceSink) {
-        ShardedMtCc::attach_trace(self, sink);
-    }
-
-    fn sample(&self, snap: &mut MetricsSnapshot) {
-        let cache = self.sched.order_cache_stats();
-        let batched = self.sched.batched_compare_stats();
-        snap.order_cache_hits = cache.hits;
-        snap.order_cache_misses = cache.misses;
-        snap.batched_compares = batched.candidates;
-        let g = &mut snap.gauges;
-        g.sched_live_rows = self.sched.live_rows() as u64;
-        g.sched_row_chunks = self.sched.resident_row_chunks() as u64;
-        g.sched_row_slots = self.sched.row_arena_len() as u64;
-        g.sched_index_released_ids = self.sched.released_index_ids() as u64;
-        g.order_cache_epoch_flushes = cache.invalidations;
-        g.batched_chain_batches = batched.chain_batches;
-        g.batched_size_buckets = batched.size_buckets;
-    }
-}
-
-/// A sharded MT(k) read decision as the engine's verdict.
-pub(crate) fn read_verdict(decision: Decision) -> Verdict {
-    match decision {
-        Decision::Accept { .. } => Verdict::Granted,
-        Decision::Reject(_) => Verdict::Abort,
-    }
-}
-
-/// Sharded MT(k)'s commit-time validation: `write` schedules the deferred
-/// write of each item in turn, and the first refusal aborts the commit.
-/// Writes the Thomas rule ignored are skipped at apply.
-pub(crate) fn validate_writes(
-    items: &[ItemId],
-    mut write: impl FnMut(ItemId) -> Decision,
-) -> CommitDecision {
-    let mut skip = Vec::new();
-    for &item in items {
-        match write(item) {
-            Decision::Accept { ignored } => skip.extend(ignored),
-            Decision::Reject(_) => return CommitDecision::Abort,
-        }
-    }
-    CommitDecision::Commit { skip }
 }
 
 #[cfg(test)]

@@ -1,17 +1,15 @@
-//! The database: a sharded value store + transaction-local write buffers
-//! + a concurrent protocol, with a transaction runner that retries aborts.
+//! The database: transaction-local write buffers over one of two
+//! engines, with a transaction runner that retries aborts.
 //!
 //! Concurrency model — no global mutex:
 //!
-//! * **Values** live in one of two sharded stores, and the store's shard
+//! * **Values** live in the engine's sharded store, and the store's shard
 //!   lock is the item lock. A read holds its item's shard across the
 //!   protocol grant *and* the value fetch; a commit holds every shard of
 //!   its write set (ascending, deadlock-free) across validation *and*
 //!   apply. Grants and the data accesses they authorize are therefore
 //!   atomic, and a commit becomes visible all-or-nothing — but
 //!   transactions touching disjoint shards never serialize on the engine.
-//!   - Under [`Protocol::Concurrent`] the newest values sit in a
-//!     [`ShardedStore`], and the protocol keeps its per-item state itself.
 //!   - Under [`Protocol::Multiversion`] a [`ConcurrentMvStore`] is the
 //!     value store, and one record per item holds its `RT`/`WT` holders
 //!     beside its version chain. A read, a snapshot read and each item of
@@ -19,17 +17,23 @@
 //!     the engine hands the scheduler the record's holder pair. No
 //!     `ShardedStore` is built, and the scheduler's own holder tables
 //!     stay empty.
+//!   - Under [`Protocol::Concurrent`] the newest values sit in a
+//!     [`ShardedStore`], and the protocol keeps its per-item state itself.
 //! * **Write buffers are transaction-local** (the deferred-write scheme
 //!   of VI-C-2): each [`Tx`] carries its own workspace, so buffering a
 //!   write touches no shared state at all.
-//! * **Protocol state** is behind [`ConcurrentCc`]: natively concurrent
-//!   for the sharded MT(k) ([`crate::ShardedMtCc`]); every other adapter
-//!   holds its sequential scheduler behind one mutex of its own — the
-//!   protocol decision is then serialized, but store access, buffering
-//!   and waiting still are not.
+//! * **Protocol state**: the multiversion engine calls its sharded MT(k)
+//!   scheduler ([`SharedMtScheduler`], built by [`ShardedMtCc`])
+//!   directly; it synchronizes itself. Every other protocol is a mutex
+//!   adapter behind [`ConcurrentCc`], holding its sequential scheduler
+//!   behind one mutex of its own — the protocol decision is then
+//!   serialized, but store access, buffering and waiting still are not.
 //! * **Blocking** (2PL) parks on a wake-sequence condvar: waiters sample
 //!   the sequence before asking for the lock and sleep only while it is
 //!   unchanged, so a release between decision and sleep is never lost.
+//!   Only the adapter path has one: MT(k) orders or refuses every access
+//!   and never waits, so the multiversion path neither samples nor bumps
+//!   it, and has no abort-all epoch to re-check either.
 //! * **Admission is serial and shares one word**: a transaction takes its
 //!   id with one `fetch_add` on a counter that has a cache line to itself
 //!   and registers with the protocol on its own thread. Everything else a
@@ -42,17 +46,18 @@
 //!   commit applies in memory first, and `run` acknowledges only after
 //!   the commit's epoch is fsynced (`mdts-engine::durability`).
 //!
-//! Lock order: store shards (ascending; chain shards on the
-//! multiversion path) → protocol internals (on that path the row slots
-//! in ascending id, then the order cache) → wake sequence → WAL epoch
-//! buffer. Nothing sleeps while holding a store shard.
+//! Lock order on the adapter path: store shards (ascending) → protocol
+//! internals → wake sequence → WAL epoch buffer. On the multiversion
+//! path: chain shards (ascending) → the scheduler's row slots (ascending
+//! id), then its order cache → WAL epoch buffer. Nothing sleeps while
+//! holding a store shard.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use mdts_core::{HolderPair, SharedMtScheduler, SnapshotRead};
+use mdts_core::{Decision, HolderPair, MtOptions, SharedMtScheduler, SnapshotRead};
 use mdts_model::{ItemId, OpKind, TxId};
 use mdts_storage::{
     recover, ConcurrentMvStore, CrashPoint, Recovered, ShardedStore, Store, WalValue,
@@ -61,9 +66,7 @@ use mdts_storage::{
 use mdts_trace::{AbortReason, StallRule, TraceEvent, TraceSink};
 use mdts_vector::{CachePadded, Stamp};
 
-use crate::cc::{
-    read_verdict, validate_writes, CommitDecision, ConcurrentCc, ShardedMtCc, Verdict,
-};
+use crate::cc::{CommitDecision, ConcurrentCc, Verdict};
 use crate::durability::{CheckpointFn, Durability, DurabilityConfig, CHECKPOINT_TX};
 use crate::metrics::{EngineGauges, MetricCells, Metrics, MetricsSnapshot, Phase};
 
@@ -110,8 +113,7 @@ use crate::wakeseq::WakeSeq;
 
 /// The multiversion serving path (MV-MT(k), III-D-6d). The version
 /// chains are the value store, and each item's chain record also holds
-/// its `RT`/`WT` for `sched` — a second handle to the sharded MT(k)
-/// scheduler the protocol runs, which the engine drives through its
+/// its `RT`/`WT` for `sched`, which the engine drives through its
 /// caller-held-pair entry points. Versions store `Option<V>` so the
 /// floor of a never-written item is `None`, matching [`Tx::read`]'s
 /// "never written" convention.
@@ -119,7 +121,31 @@ struct MvState<V> {
     /// Behind an `Arc` so the WAL checkpoint encoder holds a handle of
     /// its own.
     store: Arc<ConcurrentMvStore<Option<V>, HolderPair>>,
-    sched: Arc<SharedMtScheduler>,
+    /// Owned: every word it writes on the hot path is `CachePadded`, so
+    /// inlining it shares no written line with [`Shared`]'s read-mostly
+    /// fields.
+    sched: SharedMtScheduler,
+}
+
+impl<V: Clone> MvState<V> {
+    /// Fills the scheduler's and the chains' rows of the metrics table.
+    fn sample(&self, snap: &mut MetricsSnapshot) {
+        let sched = &self.sched;
+        let cache = sched.order_cache_stats();
+        let batched = sched.batched_compare_stats();
+        snap.order_cache_hits = cache.hits;
+        snap.order_cache_misses = cache.misses;
+        snap.batched_compares = batched.candidates;
+        let g = &mut snap.gauges;
+        g.sched_live_rows = sched.live_rows() as u64;
+        g.sched_row_chunks = sched.resident_row_chunks() as u64;
+        g.sched_row_slots = sched.row_arena_len() as u64;
+        g.sched_index_released_ids = sched.released_index_ids() as u64;
+        g.order_cache_epoch_flushes = cache.invalidations;
+        g.batched_chain_batches = batched.chain_batches;
+        g.batched_size_buckets = batched.size_buckets;
+        g.apply_mv(&self.store.stats());
+    }
 }
 
 // An `i64` item's record — holders, writer, ticket, packed stamp and value
@@ -130,10 +156,15 @@ const _: () = {
     assert!(Record::RECORD_BYTES == 64 && Record::RECORD_ALIGN == 64);
 };
 
-/// Where committed values live, and with them the item locks.
-enum Values<V> {
-    /// The newest values; the protocol keeps its per-item state itself.
-    Sharded(ShardedStore<V>),
+/// The one engine a database runs: where committed values live, and
+/// with them the item locks, beside the protocol that orders them. It
+/// lives once, inside the shared state, so the inline scheduler's size
+/// costs nothing, and boxing it would add a load to every access.
+#[allow(clippy::large_enum_variant)]
+enum Engine<V> {
+    /// A mutex adapter over the newest values; the protocol keeps its
+    /// per-item state itself, and may block or abort everyone.
+    Adapter { cc: Box<dyn ConcurrentCc>, store: ShardedStore<V> },
     /// Version chains whose records also hold the holders: built under
     /// [`Protocol::Multiversion`], the database then serves read-only
     /// snapshot transactions ([`Database::run_read_only`]).
@@ -141,12 +172,13 @@ enum Values<V> {
 }
 
 struct Shared<V> {
-    values: Values<V>,
-    cc: Box<dyn ConcurrentCc>,
+    engine: Engine<V>,
     /// Last transaction id issued. Every admission writes it, so it has
-    /// a cache line to itself: the read-mostly fields around it (`cc`,
-    /// `values`) stay in every client's cache.
+    /// a cache line to itself: the read-mostly `engine` before it stays
+    /// in every client's cache.
     next_tx: CachePadded<AtomicU32>,
+    /// Blocked adapter transactions park here; the multiversion path
+    /// never touches it.
     wake: WakeSeq,
     /// Counters and the logical clock ([`Metrics::now`]).
     metrics: Metrics,
@@ -182,40 +214,46 @@ impl<V> Shared<V> {
         None
     }
 
-    fn wake_all(&self) {
-        let seq = self.wake.bump();
-        self.trace.emit(|| TraceEvent::Wake { wake_seq: seq });
+    /// Registers `tx` with the protocol — as the restart of `prev`, if
+    /// any — and returns the abort-all epoch it starts under (always 0 on
+    /// the multiversion path, which has none).
+    fn begin(&self, tx: TxId, prev: Option<TxId>) -> u64 {
+        match &self.engine {
+            Engine::Chains(mv) => {
+                match prev {
+                    Some(p) => mv.sched.begin_restarted(tx, p),
+                    None => mv.sched.begin(tx),
+                }
+                0
+            }
+            Engine::Adapter { cc, .. } => {
+                match prev {
+                    Some(p) => cc.begin_restarted(tx, p),
+                    None => cc.begin(tx),
+                }
+                cc.epoch()
+            }
+        }
     }
-}
 
-impl<V: Clone> Shared<V> {
-    /// Asks the protocol for `tx`'s read of `item` and, when it is
-    /// granted, fetches the committed value the grant authorizes — both
-    /// under the item's shard lock, so a concurrent commit of the item
-    /// cannot apply in between. Returns the verdict, the item's shard and
-    /// the value (`None` when never written or not granted).
-    fn locked_read(&self, tx: TxId, item: ItemId) -> (Verdict, usize, Option<V>) {
-        let granted = |verdict| matches!(verdict, Verdict::Granted | Verdict::Ignored);
-        match &self.values {
-            Values::Sharded(store) => {
-                let idx = store.shard_index(item);
-                let shard = store.lock_shard(idx);
-                let verdict = self.cc.read(tx, item);
-                let value = if granted(verdict) { shard.get(item).cloned() } else { None };
-                (verdict, idx, value)
+    /// Releases a finished incarnation at the protocol.
+    fn release(&self, tx: TxId, committed: bool) {
+        match &self.engine {
+            Engine::Chains(mv) if committed => {
+                mv.sched.commit(tx);
             }
-            Values::Chains(mv) => {
-                let idx = mv.store.shard_index(item);
-                let mut shard = mv.store.lock_shard(idx);
-                let decision = mv.sched.access_held(tx, item, OpKind::Read, shard.holders(item));
-                let verdict = read_verdict(decision);
-                let value = if granted(verdict) {
-                    shard.chain(item).last().and_then(|newest| newest.value.clone())
-                } else {
-                    None
-                };
-                (verdict, idx, value)
-            }
+            Engine::Chains(mv) => mv.sched.abort(tx),
+            Engine::Adapter { cc, .. } if committed => cc.committed(tx),
+            Engine::Adapter { cc, .. } => cc.aborted(tx),
+        }
+    }
+
+    /// Wakes every blocked transaction after a release. Only an adapter
+    /// blocks: the multiversion path has no waiter to wake.
+    fn wake_all(&self) {
+        if let Engine::Adapter { .. } = self.engine {
+            let seq = self.wake.bump();
+            self.trace.emit(|| TraceEvent::Wake { wake_seq: seq });
         }
     }
 }
@@ -245,12 +283,12 @@ impl<V> Clone for Database<V> {
     }
 }
 
-/// The protocol a [`Database`] runs, and with it which serving paths it
-/// has. The one argument of [`Database::open`] and
+/// The protocol a [`Database`] runs, and with it which engine serves it.
+/// The one argument of [`Database::open`] and
 /// [`Database::open_durable`]; the `From` impls let a call site pass any
-/// protocol value, or a boxed one, directly.
+/// protocol value, or a boxed adapter, directly.
 pub enum Protocol {
-    /// Any protocol, without the multiversion serving path.
+    /// A mutex adapter over a single-version sharded store.
     Concurrent(Box<dyn ConcurrentCc>),
     /// Sharded MT(k) plus the multiversion serving path (MV-MT(k),
     /// III-D-6d, [`Database::run_read_only`]), whose snapshot readers
@@ -270,14 +308,53 @@ impl From<Box<dyn ConcurrentCc>> for Protocol {
     }
 }
 
-impl Protocol {
-    /// Hands the database's trace sink to the protocol, before its
-    /// scheduler is shared with the multiversion path.
-    fn attach_trace(&mut self, sink: TraceSink) {
-        match self {
-            Protocol::Concurrent(cc) => cc.attach_trace(sink),
-            Protocol::Multiversion(cc) => cc.attach_trace(sink),
-        }
+/// A sharded MT(k) scheduler is only ever served by the multiversion
+/// engine: this yields [`Protocol::Multiversion`].
+impl From<ShardedMtCc> for Protocol {
+    fn from(cc: ShardedMtCc) -> Self {
+        Protocol::Multiversion(cc)
+    }
+}
+
+/// Builds the multiversion engine's MT(k) scheduler, the concurrent
+/// [`SharedMtScheduler`]: item-sharded `RT`/`WT`, read-mostly vector
+/// rows, lock-free k-th-column counters and O(1) refcount reclamation —
+/// no mutex spans two different items' decisions. Deferred writes as in
+/// [`MtCc`](crate::MtCc): reads validate when issued, writes at commit
+/// (VI-C-2).
+///
+/// It is not a [`ConcurrentCc`]: the engine calls the scheduler
+/// directly, so a sharded MT(k) cannot be put behind the adapter path.
+///
+/// ```compile_fail,E0277
+/// use mdts_engine::{Protocol, ShardedMtCc};
+/// let _ = Protocol::Concurrent(Box::new(ShardedMtCc::new(3)));
+/// ```
+pub struct ShardedMtCc {
+    /// Boxed while it travels: the scheduler is ≈ 9 KiB inline.
+    sched: Box<SharedMtScheduler>,
+}
+
+impl ShardedMtCc {
+    /// Sharded MT(k) with default Algorithm 1 options plus the starvation
+    /// fix (engines restart transactions, so the fix is the sensible
+    /// default).
+    pub fn new(k: usize) -> Self {
+        ShardedMtCc::with_options(MtOptions { starvation_flush: true, ..MtOptions::new(k) })
+    }
+
+    /// Sharded MT(k) with explicit options (hot-item encoding and the
+    /// event journal are not supported by the concurrent scheduler).
+    pub fn with_options(opts: MtOptions) -> Self {
+        ShardedMtCc { sched: Box::new(SharedMtScheduler::new(opts)) }
+    }
+
+    /// Routes the scheduler's decision trace to `sink` (see
+    /// [`SharedMtScheduler::attach_trace`]). [`Database`] hands the
+    /// scheduler its own sink when it opens, which replaces this one;
+    /// this stays for callers that attach by hand.
+    pub fn attach_trace(&mut self, sink: TraceSink) {
+        self.sched.attach_trace(sink);
     }
 }
 
@@ -330,32 +407,32 @@ impl<V: Clone + Send + 'static> Database<V> {
     /// `(last transaction id, logical clock)` pair a recovered log left
     /// behind — zeros for a fresh database.
     fn assemble(
-        mut protocol: Protocol,
+        protocol: Protocol,
         store: Store<V>,
         trace: TraceSink,
         resume: (u32, u64),
         durability: Option<Durability<V>>,
     ) -> Self {
-        protocol.attach_trace(trace.clone());
-        let (cc, values): (Box<dyn ConcurrentCc>, _) = match protocol {
-            Protocol::Concurrent(cc) => {
-                (cc, Values::Sharded(ShardedStore::from_store(store, DEFAULT_STORE_SHARDS)))
+        let engine = match protocol {
+            Protocol::Concurrent(mut cc) => {
+                cc.attach_trace(trace.clone());
+                Engine::Adapter { cc, store: ShardedStore::from_store(store, DEFAULT_STORE_SHARDS) }
             }
-            Protocol::Multiversion(cc) => {
-                let sched = cc.scheduler_arc();
+            Protocol::Multiversion(ShardedMtCc { sched }) => {
+                let mut sched = *sched;
+                sched.attach_trace(trace.clone());
                 // Every chain starts from the initial (or recovered)
                 // value: the chains are the only value store.
                 let chains = ConcurrentMvStore::new();
                 for (item, value) in store.iter() {
                     chains.seed(item, Some(value.clone()), sched.k());
                 }
-                (Box::new(cc), Values::Chains(MvState { store: Arc::new(chains), sched }))
+                Engine::Chains(MvState { store: Arc::new(chains), sched })
             }
         };
         Database {
             shared: Arc::new(Shared {
-                values,
-                cc,
+                engine,
                 next_tx: CachePadded(AtomicU32::new(resume.0)),
                 wake: WakeSeq::default(),
                 metrics: Metrics::starting_at(resume.1),
@@ -382,8 +459,8 @@ impl<V: Clone + Send + 'static> Database<V> {
             return;
         };
         let mut writes: Vec<(ItemId, V)> = Vec::new();
-        let encoder: CheckpointFn = match &self.shared.values {
-            Values::Sharded(store) => {
+        let encoder: CheckpointFn = match &self.shared.engine {
+            Engine::Adapter { store, .. } => {
                 let store = store.shard_handle();
                 Box::new(move |buf, lsn| {
                     writes.clear();
@@ -392,7 +469,7 @@ impl<V: Clone + Send + 'static> Database<V> {
                     true
                 })
             }
-            Values::Chains(mv) => {
+            Engine::Chains(mv) => {
                 let store = Arc::clone(&mv.store);
                 Box::new(move |buf, lsn| {
                     writes.clear();
@@ -407,7 +484,15 @@ impl<V: Clone + Send + 'static> Database<V> {
 
     /// Whether the multiversion serving path is enabled.
     pub fn has_multiversion(&self) -> bool {
-        matches!(self.shared.values, Values::Chains(_))
+        matches!(self.shared.engine, Engine::Chains(_))
+    }
+
+    /// The multiversion engine's scheduler, for tests that inspect its
+    /// own tables.
+    #[cfg(test)]
+    pub(crate) fn mv_scheduler(&self) -> &SharedMtScheduler {
+        let Engine::Chains(mv) = &self.shared.engine else { panic!("no multiversion engine") };
+        &mv.sched
     }
 
     /// Whether commits are framed into a write-ahead log.
@@ -446,10 +531,9 @@ impl<V: Clone + Send + 'static> Database<V> {
 
     /// The protocol's display name.
     pub fn protocol_name(&self) -> &'static str {
-        if self.has_multiversion() {
-            "MV-MT(k)"
-        } else {
-            self.shared.cc.name()
+        match &self.shared.engine {
+            Engine::Adapter { cc, .. } => cc.name(),
+            Engine::Chains(_) => "MV-MT(k)",
         }
     }
 
@@ -457,9 +541,9 @@ impl<V: Clone + Send + 'static> Database<V> {
     /// transaction for a transactionally consistent view while writers
     /// are active).
     pub fn snapshot(&self) -> std::collections::BTreeMap<ItemId, V> {
-        match &self.shared.values {
-            Values::Sharded(store) => store.snapshot(),
-            Values::Chains(mv) => {
+        match &self.shared.engine {
+            Engine::Adapter { store, .. } => store.snapshot(),
+            Engine::Chains(mv) => {
                 let mut newest = Vec::new();
                 chain_tails(&mv.store, &mut newest);
                 newest.into_iter().collect()
@@ -469,14 +553,15 @@ impl<V: Clone + Send + 'static> Database<V> {
 
     /// Current counters and gauges: the engine's cell counters summed,
     /// then every sampled row of the metrics table filled from its source
-    /// — the protocol's [`ConcurrentCc::sample`], the MV store and the
-    /// write-ahead log. Cheap relative to a window interval (one registry
-    /// scan and per-shard read locks), but not a per-transaction call.
+    /// — an adapter's [`ConcurrentCc::sample`], or the MV engine's
+    /// scheduler and chains — and the write-ahead log. Cheap relative to a
+    /// window interval (one registry scan and per-shard read locks), but
+    /// not a per-transaction call.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.shared.metrics.snapshot();
-        self.shared.cc.sample(&mut snap);
-        if let Values::Chains(mv) = &self.shared.values {
-            snap.gauges.apply_mv(&mv.store.stats());
+        match &self.shared.engine {
+            Engine::Adapter { cc, .. } => cc.sample(&mut snap),
+            Engine::Chains(mv) => mv.sample(&mut snap),
         }
         if let Some(wal) = &self.shared.durability {
             wal.sample(&mut snap);
@@ -559,12 +644,8 @@ impl<V: Clone + Send + 'static> Database<V> {
             let span = shared.metrics.phases.start();
             let id = shared.next_id().ok_or(TxError::IdsExhausted)?;
             shared.trace.emit(|| TraceEvent::Begin { tx: id });
-            match prev {
-                Some(p) => shared.cc.begin_restarted(id, p),
-                None => shared.cc.begin(id),
-            }
+            let epoch = shared.begin(id, prev);
             shared.metrics.phases.record_since(Phase::Admission, span);
-            let epoch = shared.cc.epoch();
             let mut tx = Tx { shared, cells, id, epoch, scratch: &mut *scratch, armed: true };
             if let Ok(value) = body(&mut tx) {
                 let span = shared.metrics.phases.start();
@@ -634,7 +715,7 @@ impl<V: Clone + Send + 'static> Database<V> {
         V: Sync,
     {
         let shared = &*self.shared;
-        let Values::Chains(mv) = &shared.values else {
+        let Engine::Chains(mv) = &shared.engine else {
             panic!("snapshot transactions need the multiversion path");
         };
         let cells = shared.metrics.cells();
@@ -911,7 +992,7 @@ impl<V> Drop for Tx<'_, V> {
     fn drop(&mut self) {
         if self.armed {
             self.scratch.writes.clear();
-            self.shared.cc.aborted(self.id);
+            self.shared.release(self.id, false);
             self.shared.wake_all();
         }
     }
@@ -923,11 +1004,15 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         self.id
     }
 
-    /// Parks on the wake sequence and charges the wait: its duration in
-    /// logical ticks goes to the always-on `block_wait_ticks` histogram
-    /// (two clock readings), its wall time to the `BlockWait` phase span
-    /// when timing is enabled.
-    fn blocked_wait(&self, seen: u64) {
+    /// Counts and traces a blocked access of `item`, parks on the wake
+    /// sequence until it moves past `seen`, and charges the wait: its
+    /// duration in logical ticks goes to the always-on `block_wait_ticks`
+    /// histogram (two clock readings), its wall time to the `BlockWait`
+    /// phase span when timing is enabled.
+    fn blocked_wait(&self, item: ItemId, kind: OpKind, seen: u64) {
+        Metrics::bump(&self.cells.blocked_waits);
+        let tx = self.id;
+        self.shared.trace.emit(|| TraceEvent::Blocked { tx, item, kind, wake_seen: seen });
         let t0 = self.shared.metrics.now();
         let span = self.shared.metrics.phases.start();
         self.shared.wake.wait_past(seen);
@@ -942,7 +1027,7 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
     fn cleanup(&mut self, reason: AbortReason) {
         self.armed = false;
         self.scratch.writes.clear();
-        self.shared.cc.aborted(self.id);
+        self.shared.release(self.id, false);
         Metrics::bump(&self.cells.aborts);
         Metrics::bump(match reason {
             AbortReason::AccessRejected => &self.cells.access_aborts,
@@ -954,13 +1039,13 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         self.shared.wake_all();
     }
 
-    /// Detects an abort-all epoch change since this incarnation began.
-    /// Called once per operation up front, and again after any grant —
-    /// the protocol bumps its epoch inside its own critical section, so a
-    /// grant obtained from post-reset protocol state is always detected
-    /// by the re-check.
-    fn epoch_ok(&mut self) -> bool {
-        if self.shared.cc.epoch() == self.epoch {
+    /// Detects an adapter's abort-all epoch change since this incarnation
+    /// began. Called once per operation up front, and again after any
+    /// grant — the protocol bumps its epoch inside its own critical
+    /// section, so a grant obtained from post-reset protocol state is
+    /// always detected by the re-check.
+    fn epoch_ok(&mut self, cc: &dyn ConcurrentCc) -> bool {
+        if cc.epoch() == self.epoch {
             return true;
         }
         self.cleanup(AbortReason::Epoch);
@@ -974,99 +1059,106 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         if !self.armed {
             return Err(Aborted);
         }
-        loop {
-            if !self.epoch_ok() {
-                return Err(Aborted);
+        let (shard_idx, stored) = match &self.shared.engine {
+            Engine::Chains(mv) => self.read_chains(mv, item)?,
+            Engine::Adapter { cc, store } => {
+                // The grant and the fetch it authorizes share the item's
+                // shard lock, so a commit of the item cannot apply between.
+                let (idx, mut stored) = (store.shard_index(item), None);
+                self.adapter_access(&**cc, item, OpKind::Read, |tx| {
+                    let shard = store.lock_shard(idx);
+                    stored = shard.get(item).cloned();
+                    cc.read(tx, item)
+                })?;
+                (idx, stored)
             }
-            let seen = self.shared.wake.current();
-            let (verdict, shard_idx, stored) = self.shared.locked_read(self.id, item);
-            match verdict {
-                Verdict::Granted | Verdict::Ignored => {
-                    if !self.epoch_ok() {
-                        return Err(Aborted);
-                    }
-                    Metrics::bump(&self.cells.reads);
-                    self.cells.bump_shard(shard_idx);
-                    self.cells.tick();
-                    let own = self
-                        .scratch
-                        .writes
-                        .iter()
-                        .rev()
-                        .find(|(i, _)| *i == item)
-                        .map(|(_, v)| v.clone());
-                    return Ok(own.or(stored));
-                }
-                Verdict::Blocked => {
-                    Metrics::bump(&self.cells.blocked_waits);
-                    let tx = self.id;
-                    self.shared.trace.emit(|| TraceEvent::Blocked {
-                        tx,
-                        item,
-                        kind: OpKind::Read,
-                        wake_seen: seen,
-                    });
-                    self.blocked_wait(seen);
-                }
-                Verdict::Abort => {
-                    self.cleanup(AbortReason::AccessRejected);
-                    return Err(Aborted);
-                }
-                Verdict::AbortAll => {
-                    self.cleanup(AbortReason::Epoch);
-                    return Err(Aborted);
-                }
+        };
+        Metrics::bump(&self.cells.reads);
+        self.cells.bump_shard(shard_idx);
+        self.cells.tick();
+        let own =
+            self.scratch.writes.iter().rev().find(|(i, _)| *i == item).map(|(_, v)| v.clone());
+        Ok(own.or(stored))
+    }
+
+    /// [`read`](Self::read) on the multiversion path: one decision on
+    /// the holders in the item's chain record and the newest version,
+    /// under that record's shard lock. Returns the shard and the value.
+    fn read_chains(
+        &mut self,
+        mv: &MvState<V>,
+        item: ItemId,
+    ) -> Result<(usize, Option<V>), Aborted> {
+        let idx = mv.store.shard_index(item);
+        let mut shard = mv.store.lock_shard(idx);
+        match mv.sched.access_held(self.id, item, OpKind::Read, shard.holders(item)) {
+            Decision::Accept { .. } => {
+                Ok((idx, shard.chain(item).last().and_then(|newest| newest.value.clone())))
+            }
+            Decision::Reject(_) => {
+                drop(shard);
+                self.cleanup(AbortReason::AccessRejected);
+                Err(Aborted)
             }
         }
     }
 
-    /// Writes an item into the private workspace (applied at commit).
-    pub fn write(&mut self, item: ItemId, value: V) -> Result<(), Aborted> {
+    /// Asks an adapter for this incarnation's access of `item` through
+    /// `ask`, waiting out each block: `Ok(true)` when it is granted,
+    /// `Ok(false)` when the Thomas rule ignores it, `Err` once the
+    /// incarnation is aborted.
+    fn adapter_access(
+        &mut self,
+        cc: &dyn ConcurrentCc,
+        item: ItemId,
+        kind: OpKind,
+        mut ask: impl FnMut(TxId) -> Verdict,
+    ) -> Result<bool, Aborted> {
         loop {
-            if !self.epoch_ok() {
+            if !self.epoch_ok(cc) {
                 return Err(Aborted);
             }
             let seen = self.shared.wake.current();
-            // No store access here — the value stays transaction-local
-            // until commit, so no shard lock is needed either.
-            match self.shared.cc.write(self.id, item) {
-                Verdict::Granted => {
-                    if !self.epoch_ok() {
-                        return Err(Aborted);
-                    }
-                    Metrics::bump(&self.cells.writes);
-                    self.cells.tick();
-                    match self.scratch.writes.iter_mut().find(|(i, _)| *i == item) {
-                        Some(slot) => slot.1 = value,
-                        None => self.scratch.writes.push((item, value)),
-                    }
-                    return Ok(());
-                }
-                Verdict::Ignored => {
-                    Metrics::bump(&self.cells.ignored_writes);
-                    return Ok(());
-                }
+            let reason = match ask(self.id) {
                 Verdict::Blocked => {
-                    Metrics::bump(&self.cells.blocked_waits);
-                    let tx = self.id;
-                    self.shared.trace.emit(|| TraceEvent::Blocked {
-                        tx,
-                        item,
-                        kind: OpKind::Write,
-                        wake_seen: seen,
-                    });
-                    self.blocked_wait(seen);
+                    self.blocked_wait(item, kind, seen);
+                    continue;
                 }
-                Verdict::Abort => {
-                    self.cleanup(AbortReason::AccessRejected);
-                    return Err(Aborted);
-                }
-                Verdict::AbortAll => {
-                    self.cleanup(AbortReason::Epoch);
-                    return Err(Aborted);
-                }
+                Verdict::Abort => AbortReason::AccessRejected,
+                Verdict::AbortAll => AbortReason::Epoch,
+                // Granted or ignored: a grant from post-reset state shows
+                // as a changed epoch.
+                verdict if self.epoch_ok(cc) => return Ok(verdict == Verdict::Granted),
+                _ => return Err(Aborted), // the re-check aborted it
+            };
+            self.cleanup(reason);
+            return Err(Aborted);
+        }
+    }
+
+    /// Writes an item into the private workspace (applied at commit). On
+    /// the multiversion path that is all it does: MT(k) validates the
+    /// write at commit. An adapter is told of the write first, and may
+    /// block it, ignore it (Thomas rule) or refuse it.
+    pub fn write(&mut self, item: ItemId, value: V) -> Result<(), Aborted> {
+        // An incarnation already aborted must not buffer into the
+        // workspace its successor inherits.
+        if !self.armed {
+            return Err(Aborted);
+        }
+        if let Engine::Adapter { cc, .. } = &self.shared.engine {
+            if !self.adapter_access(&**cc, item, OpKind::Write, |tx| cc.write(tx, item))? {
+                Metrics::bump(&self.cells.ignored_writes);
+                return Ok(());
             }
         }
+        Metrics::bump(&self.cells.writes);
+        self.cells.tick();
+        match self.scratch.writes.iter_mut().find(|(i, _)| *i == item) {
+            Some(slot) => slot.1 = value,
+            None => self.scratch.writes.push((item, value)),
+        }
+        Ok(())
     }
 
     /// Commit: validate deferred writes, frame into the WAL epoch (when
@@ -1078,7 +1170,7 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
     /// any reader (readers hold their item's shard across grant + fetch)
     /// — visible entirely or not at all.
     fn commit(&mut self) -> CommitOutcome {
-        if !self.armed || !self.epoch_ok() {
+        if !self.armed {
             return CommitOutcome::Aborted;
         }
         // Deterministic order for validation and apply. The item and
@@ -1087,9 +1179,9 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         self.scratch.items.clear();
         self.scratch.items.extend(self.scratch.writes.iter().map(|(item, _)| *item));
         let shared = self.shared;
-        let outcome = match &shared.values {
-            Values::Sharded(store) => self.commit_sharded(store),
-            Values::Chains(mv) => self.commit_chains(mv),
+        let outcome = match &shared.engine {
+            Engine::Adapter { cc, store } => self.commit_adapter(&**cc, store),
+            Engine::Chains(mv) => self.commit_chains(mv),
         };
         // The shards are released and the commit is finished: a panicking
         // `Drop` of a displaced value can no longer tear it.
@@ -1098,13 +1190,21 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
     }
 
     /// [`commit`](Self::commit) into a [`ShardedStore`], validated by the
-    /// protocol's own state.
-    fn commit_sharded(&mut self, store: &ShardedStore<V>) -> CommitOutcome {
+    /// adapter's own state.
+    fn commit_adapter(&mut self, cc: &dyn ConcurrentCc, store: &ShardedStore<V>) -> CommitOutcome {
+        if !self.epoch_ok(cc) {
+            return CommitOutcome::Aborted;
+        }
         self.lock_order(|item| store.shard_index(item));
         let idxs = &self.scratch.shard_idxs;
         let mut held = HeldShards::lock(idxs, |idx| store.lock_shard(idx));
-        let decision = self.shared.cc.validate_commit(self.id, &self.scratch.items);
-        let skip = match self.accepted(decision) {
+        // A commit granted after an abort-all since begin aborts too.
+        let reason = match cc.validate_commit(self.id, &self.scratch.items) {
+            CommitDecision::Commit { skip } if cc.epoch() == self.epoch => Ok(skip),
+            CommitDecision::Abort => Err(AbortReason::ValidationRejected),
+            CommitDecision::Commit { .. } | CommitDecision::AbortAll => Err(AbortReason::Epoch),
+        };
+        let skip = match reason {
             Ok(skip) => skip,
             Err(reason) => {
                 drop(held);
@@ -1129,25 +1229,31 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
     }
 
     /// [`commit`](Self::commit) on the multiversion path: each write is
-    /// validated against the holders in its item's chain record, and
-    /// installed as a version through the same held guard.
+    /// validated against the holders in its item's chain record — the
+    /// first refusal aborts the commit — and installed as a version
+    /// through the same held guard.
     fn commit_chains(&mut self, mv: &MvState<V>) -> CommitOutcome {
         let store = &*mv.store;
         self.lock_order(|item| store.shard_index(item));
         let (id, idxs) = (self.id, &self.scratch.shard_idxs);
         let mut held = HeldShards::lock(idxs, |idx| store.lock_shard(idx));
-        let decision = validate_writes(&self.scratch.items, |item| {
+        // Writes the Thomas rule ignored are skipped at install.
+        let mut skip = Vec::new();
+        let refused = self.scratch.items.iter().any(|&item| {
             let holders = held.shard(idxs, store.shard_index(item)).holders(item);
-            mv.sched.access_held(id, item, OpKind::Write, holders)
-        });
-        let skip = match self.accepted(decision) {
-            Ok(skip) => skip,
-            Err(reason) => {
-                drop(held);
-                self.cleanup(reason);
-                return CommitOutcome::Aborted;
+            match mv.sched.access_held(id, item, OpKind::Write, holders) {
+                Decision::Accept { ignored } => {
+                    skip.extend(ignored);
+                    false
+                }
+                Decision::Reject(_) => true,
             }
-        };
+        });
+        if refused {
+            drop(held);
+            self.cleanup(AbortReason::ValidationRejected);
+            return CommitOutcome::Aborted;
+        }
         let wal_epoch = self.enqueue_wal(&skip);
         // Saturate this writer's vector into a frozen stamp once, then
         // install one version per applied write: chain append order
@@ -1189,19 +1295,6 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         idxs.dedup();
     }
 
-    /// The writes to skip when `decision` commits this incarnation, or
-    /// why it does not — an abort-all epoch change since begin included.
-    fn accepted(&self, decision: CommitDecision) -> Result<Vec<ItemId>, AbortReason> {
-        match decision {
-            CommitDecision::Commit { .. } if self.shared.cc.epoch() != self.epoch => {
-                Err(AbortReason::Epoch)
-            }
-            CommitDecision::Commit { skip } => Ok(skip),
-            CommitDecision::Abort => Err(AbortReason::ValidationRejected),
-            CommitDecision::AbortAll => Err(AbortReason::Epoch),
-        }
-    }
-
     /// Durable path: emits the commit event *before* framing the record
     /// — the daemon journals and fsyncs the trace slice ahead of the
     /// epoch's WAL fsync, so every WAL-durable transaction's commit event
@@ -1219,10 +1312,10 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
 
     /// Releases a commit applied in memory, its shards already released:
     /// the protocol's bookkeeping, the commit event (the durable path
-    /// emitted it before framing) and the wake.
+    /// emitted it before framing) and, on the adapter path, the wake.
     fn finish_commit(&mut self, wal_epoch: Option<u64>) -> CommitOutcome {
         self.armed = false;
-        self.shared.cc.committed(self.id);
+        self.shared.release(self.id, true);
         if wal_epoch.is_none() {
             let tx = self.id;
             self.shared.trace.emit(|| TraceEvent::Commit { tx });

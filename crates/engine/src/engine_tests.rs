@@ -7,10 +7,8 @@ use mdts_storage::Store;
 
 use mdts_trace::TraceSink;
 
-use crate::cc::{
-    BasicToCc, CompositeCc, ConcurrentCc, IntervalCc, MtCc, MvToCc, OccCc, ShardedMtCc, TwoPlCc,
-};
-use crate::db::{Database, Protocol};
+use crate::cc::{BasicToCc, CompositeCc, IntervalCc, MtCc, MvToCc, OccCc, TwoPlCc};
+use crate::db::{Database, Protocol, ShardedMtCc};
 use crate::workload::{run_bank_mix, run_bank_mix_db, BankConfig};
 
 /// A database over `store` under `protocol`, engine trace off.
@@ -18,16 +16,17 @@ fn open(protocol: impl Into<Protocol>, store: Store<i64>) -> Database<i64> {
     Database::open(protocol, store, TraceSink::disabled())
 }
 
-fn all_protocols() -> Vec<Box<dyn ConcurrentCc>> {
+/// Every mutex adapter, then the multiversion engine.
+fn all_protocols() -> Vec<Protocol> {
     vec![
-        Box::new(ShardedMtCc::new(3)),
-        Box::new(MtCc::new(3)),
-        Box::new(CompositeCc::new(3)),
-        Box::new(TwoPlCc::new()),
-        Box::new(BasicToCc::new(false)),
-        Box::new(BasicToCc::new(true)),
-        Box::new(OccCc::new()),
-        Box::new(IntervalCc::new()),
+        MtCc::new(3).into(),
+        CompositeCc::new(3).into(),
+        TwoPlCc::new().into(),
+        BasicToCc::new(false).into(),
+        BasicToCc::new(true).into(),
+        OccCc::new().into(),
+        IntervalCc::new().into(),
+        Protocol::Multiversion(ShardedMtCc::new(3)),
     ]
 }
 
@@ -315,7 +314,44 @@ fn a_panicking_displaced_drop_leaves_the_mv_commit_whole() {
 
 #[test]
 fn a_panicking_displaced_drop_leaves_the_sharded_commit_whole() {
-    a_panicking_displaced_drop_leaves_the_commit_whole(ShardedMtCc::new(3).into());
+    a_panicking_displaced_drop_leaves_the_commit_whole(MtCc::new(3).into());
+}
+
+/// A body that swallows a refused read and writes on: the outer
+/// transaction reads `x`, a nested transaction on the same thread writes
+/// `x` and `y` and commits, so MT(k) orders the outer one before it and
+/// refuses its read of `y`. The write of `z` that follows is refused too,
+/// and leaves nothing behind: the next incarnation writes nothing, commits,
+/// and `z` keeps its opening value. The abort is counted once.
+#[test]
+fn a_write_after_the_abort_is_refused() {
+    for protocol in [Protocol::Multiversion(ShardedMtCc::new(3)), MtCc::new(3).into()] {
+        let db = open(protocol, Store::with_items(3, 0));
+        let [x, y, z] = [0, 1, 2].map(ItemId);
+        let mut first = true;
+        let outcome = db.run(1, |tx| {
+            tx.read(x)?;
+            if std::mem::take(&mut first) {
+                db.run(0, |nested| nested.write(x, 1).and_then(|()| nested.write(y, 1))).unwrap();
+                assert!(tx.read(y).is_err(), "the read of y is refused");
+                assert!(tx.write(z, 9).is_err(), "the write after the abort is refused");
+            }
+            Ok(())
+        });
+        let (name, m) = (db.protocol_name(), db.metrics());
+        assert_eq!(outcome, Ok(()), "{name}");
+        assert_eq!(db.snapshot().get(&z).copied().unwrap_or(0), 0, "{name}: z was written");
+        assert_eq!((m.commits, m.aborts, m.restarts), (2, 1, 1), "{name}");
+    }
+}
+
+/// A sharded MT(k) is served by the multiversion engine, whichever way it
+/// is handed to [`Database::open`].
+#[test]
+fn a_sharded_mtk_opens_the_multiversion_engine() {
+    let db = open(ShardedMtCc::new(3), Store::with_items(2, 0));
+    assert!(db.has_multiversion());
+    assert_eq!(db.protocol_name(), "MV-MT(k)");
 }
 
 #[test]
@@ -513,9 +549,7 @@ fn chains_hold_one_version_with_no_snapshot_live() {
 #[test]
 fn mv_holders_and_values_live_in_the_chain_records() {
     let accounts = 8u32;
-    let cc = ShardedMtCc::new(3);
-    let sched = cc.scheduler_arc();
-    let db = open(Protocol::Multiversion(cc), Store::with_items(accounts, 100));
+    let db = open(Protocol::Multiversion(ShardedMtCc::new(3)), Store::with_items(accounts, 100));
     let g = db.gauges();
     assert_eq!((g.mv_chains, g.mv_versions), (8, 8), "one seeded floor per account");
     for n in 0..40u32 {
@@ -534,6 +568,7 @@ fn mv_holders_and_values_live_in_the_chain_records() {
     assert_eq!(db.run_read_only(scan), 800);
     let total = db.run(8, |tx| (0..accounts).map(|a| Ok(tx.read(ItemId(a))?.unwrap_or(0))).sum());
     assert_eq!(total, Ok(800));
+    let sched = db.mv_scheduler();
     for a in 0..accounts + 4 {
         let item = ItemId(a);
         assert_eq!((sched.rt(item), sched.wt(item)), (TxId::VIRTUAL, TxId::VIRTUAL), "{item}");
@@ -583,7 +618,7 @@ fn row_slots_follow_live_rows_not_ids() {
 /// by the caller the buffer holds the protocol's `Set` edges next to the
 /// engine's `Begin`s, and attaching the same sink by hand first changes
 /// nothing — the journal of the same single-client run is event for event
-/// the same. A scheduler already shared opens untraced without a panic.
+/// the same.
 #[test]
 fn the_database_owns_the_trace_sink_and_a_second_attach_is_harmless() {
     use mdts_trace::{TraceBuffer, TraceEvent};
@@ -618,11 +653,6 @@ fn the_database_owns_the_trace_sink_and_a_second_attach_is_harmless() {
     let db = Database::open(MtCc::new(3), Store::with_items(4, 100i64), TraceSink::to(&buffer));
     db.run(4, |tx| tx.write(ItemId(0), 1)).unwrap();
     assert!(buffer.drain().events().any(|e| matches!(e, TraceEvent::SetEdge { .. })));
-
-    let cc = ShardedMtCc::new(3);
-    let _shared = cc.scheduler_arc();
-    let db = Database::open(cc, Store::with_items(4, 100i64), TraceSink::disabled());
-    db.run(4, |tx| tx.write(ItemId(0), 1)).unwrap();
 }
 
 #[test]
@@ -704,8 +734,7 @@ mod mv_props {
     use proptest::prelude::*;
 
     use super::open;
-    use crate::cc::ShardedMtCc;
-    use crate::db::{Database, Protocol};
+    use crate::db::{Database, Protocol, ShardedMtCc};
 
     const ITEMS: u32 = 4;
 
@@ -1086,8 +1115,8 @@ mod durability_tests {
     use mdts_storage::{recover, CrashPoint, Recovered, Store};
     use mdts_trace::{audit, TraceBuffer, TraceSink};
 
-    use crate::cc::ShardedMtCc;
-    use crate::db::{Database, Protocol, TxError};
+    use crate::cc::MtCc;
+    use crate::db::{Database, Protocol, ShardedMtCc, TxError};
     use crate::durability::{DurabilityConfig, CHECKPOINT_TX};
 
     /// A scratch directory unique to this test, wiped at entry.
@@ -1107,9 +1136,10 @@ mod durability_tests {
         Database::open_durable(protocol, store, trace, config).expect("durable open")
     }
 
-    /// Sharded MT(3) without the multiversion path.
+    /// Serialized MT(3) over the single-version sharded store: a
+    /// checkpoint encodes the store's shards.
     fn sharded() -> Protocol {
-        ShardedMtCc::new(3).into()
+        MtCc::new(3).into()
     }
 
     /// Sharded MV-MT(3): the version chains are the value store, so a

@@ -1,10 +1,9 @@
 //! The executable transaction engine.
 //!
 //! Where the other crates treat the protocols as *log recognizers*, this
-//! crate runs them: a [`Database`] holds the store and a pluggable
-//! [`ConcurrentCc`] protocol; client threads run closures against
-//! transaction handles; aborted transactions are rolled back and retried
-//! with fresh ids.
+//! crate runs them: a [`Database`] holds the store and a protocol; client
+//! threads run closures against transaction handles; aborted
+//! transactions are rolled back and retried with fresh ids.
 //!
 //! Writes are **deferred** throughout, the paper's preferred scheme
 //! (VI-C-2): every write goes to a transaction-private workspace, is
@@ -13,18 +12,18 @@
 //! no dirty reads, no cascading aborts, and a committed transaction can
 //! never be undone.
 //!
-//! The engine itself has **no global mutex**: values live in a
-//! [`mdts_storage::ShardedStore`] — or, under [`Protocol::Multiversion`],
-//! in the version chains, whose per-item records also hold the MT(k)
-//! holders — write buffers are transaction-local, and every protocol
-//! synchronizes itself: [`ShardedMtCc`] natively, each other adapter with
-//! one mutex of its own around its sequential scheduler.
-//!
-//! Protocols available as [`ConcurrentCc`] implementations:
+//! A database runs one of two engines, and neither has a global mutex.
+//! Under [`Protocol::Multiversion`] (MV-MT(k), III-D-6d) the values live
+//! in version chains whose per-item records also hold the MT(k) holders,
+//! and the engine calls its concurrent sharded MT(k) scheduler
+//! ([`mdts_core::SharedMtScheduler`], built by [`ShardedMtCc`]) directly:
+//! item-sharded timestamp table, O(1) reclamation, and nothing that
+//! waits. Under [`Protocol::Concurrent`] the values live in a
+//! [`mdts_storage::ShardedStore`] and a mutex adapter — a sequential
+//! scheduler behind one mutex of its own — implements [`ConcurrentCc`]:
 //!
 //! | adapter | protocol |
 //! |---|---|
-//! | [`ShardedMtCc`] | MT(k) on [`mdts_core::SharedMtScheduler`] — item-sharded timestamp table, O(1) reclamation |
 //! | [`MtCc`] | MT(k), with all [`mdts_core::MtOptions`] refinements |
 //! | [`CompositeCc`] | MT(k⁺) with the paper's abort-all-and-restart rule |
 //! | [`TwoPlCc`] | strict two-phase locking (blocking, deadlock victims) |
@@ -34,10 +33,9 @@
 //! | [`IntervalCc`] | Bayer-style dynamic timestamp intervals |
 //!
 //! A database is built one way, [`Database::open`] over a [`Protocol`].
-//! Under [`Protocol::Multiversion`] it also serves **read-only snapshot
-//! transactions** from MV-MT(k) version chains
-//! ([`Database::run_read_only`]): they never abort, restart or block
-//! writers.
+//! The multiversion engine also serves **read-only snapshot
+//! transactions** ([`Database::run_read_only`]): they never abort,
+//! restart or block writers.
 //!
 //! [`Database::open_durable`] adds a [`DurabilityConfig`]: commits are
 //! also framed into a group-commit **write-ahead log** and acknowledged
@@ -54,10 +52,10 @@ pub mod wakeseq;
 pub mod workload;
 
 pub use cc::{
-    BasicToCc, CommitDecision, CompositeCc, ConcurrentCc, IntervalCc, MtCc, MvToCc, OccCc,
-    ShardedMtCc, TwoPlCc, Verdict,
+    BasicToCc, CommitDecision, CompositeCc, ConcurrentCc, IntervalCc, MtCc, MvToCc, OccCc, TwoPlCc,
+    Verdict,
 };
-pub use db::{Database, Protocol, SnapshotTx, Tx, TxError};
+pub use db::{Database, Protocol, ShardedMtCc, SnapshotTx, Tx, TxError};
 pub use durability::{DurabilityConfig, CHECKPOINT_TX};
 pub use metrics::{
     EngineGauges, LatencySnapshot, MetricsSnapshot, Phase, PhaseSnapshot, PhaseTimers,

@@ -38,8 +38,8 @@ impl<const N: usize> Default for Counters<N> {
 /// Declares the engine's metrics table (invoked once, below). A counter
 /// row is `cell NAME` — a per-thread `Relaxed` cell of [`MetricCells`],
 /// summed at snapshot time — or `sampled NAME`, a cumulative figure the
-/// database reads from the protocol's `sample` hook or the write-ahead
-/// log. A gauge row is `NAME: TYPE [= SOURCE] => BREAKDOWN.KEY`: a level
+/// database reads from the protocol (an adapter's `sample` hook, or the
+/// MV engine's scheduler) or the write-ahead log. A gauge row is `NAME: TYPE [= SOURCE] => BREAKDOWN.KEY`: a level
 /// (a `u64`, or power-of-two buckets whose registry keys append `2^b` to
 /// `KEY`), filed under `BREAKDOWN` in `mdts-metrics/v1` and under `NAME`
 /// in the `mdts-timeseries/v1` window; `SOURCE` is what `apply_mv` copies

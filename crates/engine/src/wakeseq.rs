@@ -1,7 +1,8 @@
 //! The wake-sequence eventcount behind [`Database`](crate::Database)'s
 //! blocking paths, in its own module so the `cfg(loom)` sync layer can
 //! swap its primitives and `tests/loom_models.rs` can model-check the
-//! lost-wakeup window between [`WakeSeq::current`] and the park.
+//! lost-wakeup window between [`WakeSeq::current`] and the park. Only the
+//! mutex adapters use it: the multiversion engine's MT(k) never waits.
 
 use std::sync::PoisonError;
 
@@ -14,10 +15,10 @@ use crate::sync::{AtomicU64, Condvar, Mutex, Ordering};
 /// a release landing between decision and sleep is never lost.
 ///
 /// The fast paths are lock-free — [`WakeSeq::current`] is one atomic load
-/// (taken before every protocol call) and [`WakeSeq::bump`] is an atomic
-/// increment plus a waiter check (taken on every release); the condvar's
-/// mutex is touched only when somebody actually blocks. The protocols
-/// that never block therefore never contend here.
+/// (taken before every adapter read and write) and [`WakeSeq::bump`] is an
+/// atomic increment plus a waiter check (taken on every adapter commit and
+/// abort); the condvar's mutex is touched only when somebody actually
+/// blocks. The adapters that never block therefore never contend here.
 ///
 /// Lost-wakeup argument (all accesses `SeqCst`; audited in PR 4 and
 /// checked exhaustively by `wakeseq_no_lost_wakeup` in
@@ -32,8 +33,8 @@ use crate::sync::{AtomicU64, Condvar, Mutex, Ordering};
 /// waiter being either not-yet-asleep — then the waiter re-reads the new
 /// `seq` under the gate — or parked in `wait`) and notifies.
 ///
-/// Placement: `seq` is written by every commit and abort and sits alone
-/// on its cache line; `waiters`, which every bump *reads* and only a
+/// Placement: `seq` is written by every adapter commit and abort and sits
+/// alone on its cache line; `waiters`, which every bump *reads* and only a
 /// blocking transaction writes, is on the next one with the gate.
 #[derive(Default)]
 pub struct WakeSeq {

@@ -14,8 +14,8 @@ use mdts_trace::TraceSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cc::{ConcurrentCc, ShardedMtCc};
-use crate::db::{Database, Protocol, TxError};
+use crate::cc::ConcurrentCc;
+use crate::db::{Database, Protocol, ShardedMtCc, TxError};
 use crate::metrics::MetricsSnapshot;
 
 /// Workload parameters.
@@ -110,8 +110,8 @@ pub fn bank_database(cc: Box<dyn ConcurrentCc>, cfg: &BankConfig) -> Database<i6
     Database::open(cc, bank_store(cfg), TraceSink::disabled())
 }
 
-/// [`bank_database`] under sharded MT(k) ([`ShardedMtCc::new`]) with the
-/// multiversion serving path enabled.
+/// The workload's database on the multiversion engine: MV-MT(k) over a
+/// sharded MT(k) scheduler ([`ShardedMtCc::new`]).
 pub fn bank_database_multiversion(k: usize, cfg: &BankConfig) -> Database<i64> {
     let protocol = Protocol::Multiversion(ShardedMtCc::new(k));
     Database::open(protocol, bank_store(cfg), TraceSink::disabled())

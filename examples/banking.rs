@@ -22,7 +22,6 @@ fn protocols() -> Vec<Protocol> {
         BasicToCc::new(true).into(),
         OccCc::new().into(),
         IntervalCc::new().into(),
-        ShardedMtCc::new(3).into(),
         Protocol::Multiversion(ShardedMtCc::new(3)),
     ]
 }

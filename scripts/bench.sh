@@ -24,7 +24,10 @@
 #                                 and admission.batches_per_txn are 0, and
 #                                 storage.mv_max_chain is 1 (no snapshot
 #                                 live, so every chain is pruned to its
-#                                 newest version). Only temp files are
+#                                 newest version); then every example
+#                                 under examples/ runs to completion
+#                                 (banking asserts conservation under
+#                                 every protocol). Only temp files are
 #                                 written.
 #
 # Run from the repo root (or anywhere — the script cd's home first).
@@ -95,6 +98,12 @@ if [[ "${1:-}" == "--smoke" ]]; then
             grep -oE "\"$metric\":\{[^}]*\}" <<<"$line22" >&2 || true
             exit 1
         fi
+    done
+    echo "== bench smoke: examples run to completion =="
+    for example in examples/*.rs; do
+        example=$(basename "$example" .rs)
+        echo "-- $example"
+        cargo run --release -q --example "$example" > /dev/null
     done
     echo "== bench smoke: criterion targets compile =="
     cargo bench -p mdts-bench --bench bench_compare --no-run

@@ -1,8 +1,8 @@
 //! Multi-threaded stress: 8–16 client threads hammer a Zipf hotspot and
 //! the committed history must stay serializable, protocol by protocol —
-//! including MT(k) on the natively concurrent sharded scheduler, and
-//! MV-MT(k), whose transfers and read-only snapshot scans lock the items'
-//! chain records.
+//! including MV-MT(k) on the natively concurrent sharded scheduler, whose
+//! transfers and read-only snapshot scans lock the items' chain records,
+//! with the order cache on and off.
 //!
 //! Beyond the usual total-balance invariant (which a pair of compensating
 //! lost updates could mask), every committed transfer reports the value it
@@ -212,13 +212,14 @@ fn store() -> Store<i64> {
     Store::with_items(ACCOUNTS, INITIAL)
 }
 
-/// A sharded-MT(3) database with the protocol and the engine tracing into
-/// one shared buffer, so the auditor sees the merged decision stream.
+/// An MV-MT(3) database on the sharded scheduler, with the protocol and
+/// the engine tracing into one shared buffer, so the auditor sees the
+/// merged decision stream.
 fn traced_sharded(order_cache: bool) -> (Database<i64>, Arc<TraceBuffer>) {
     let buffer = TraceBuffer::unbounded(16);
     let opts = MtOptions { starvation_flush: true, order_cache, ..MtOptions::new(3) };
-    let cc = ShardedMtCc::with_options(opts);
-    let db = Database::open(cc, store(), TraceSink::to(&buffer));
+    let protocol = Protocol::Multiversion(ShardedMtCc::with_options(opts));
+    let db = Database::open(protocol, store(), TraceSink::to(&buffer));
     (db, buffer)
 }
 
@@ -236,13 +237,7 @@ fn multiversion_mtk_survives_zipf_hotspot_16_threads() {
 #[test]
 fn sharded_mtk_survives_zipf_hotspot_8_threads() {
     let (db, buffer) = traced_sharded(true);
-    stress_with_audit("MT(3)-sharded/8t", db, 8, Some((buffer, 3, CacheExpectation::Hits)));
-}
-
-#[test]
-fn sharded_mtk_survives_zipf_hotspot_16_threads() {
-    let (db, buffer) = traced_sharded(true);
-    stress_with_audit("MT(3)-sharded/16t", db, 16, Some((buffer, 3, CacheExpectation::Hits)));
+    stress_with_audit("MV-MT(3)/8t", db, 8, Some((buffer, 3, CacheExpectation::Hits)));
 }
 
 /// The same hotspot with the order cache switched off: every comparison
@@ -251,12 +246,7 @@ fn sharded_mtk_survives_zipf_hotspot_16_threads() {
 #[test]
 fn sharded_mtk_without_order_cache_survives_zipf_hotspot() {
     let (db, buffer) = traced_sharded(false);
-    stress_with_audit(
-        "MT(3)-sharded-nocache/8t",
-        db,
-        8,
-        Some((buffer, 3, CacheExpectation::Disabled)),
-    );
+    stress_with_audit("MV-MT(3)-nocache/8t", db, 8, Some((buffer, 3, CacheExpectation::Disabled)));
 }
 
 #[test]
