@@ -336,10 +336,17 @@ impl MtScheduler {
         }
     }
 
-    /// Notes a commit and attempts storage reclamation (III-D-6b). Returns
-    /// whether the vector row could be dropped already.
+    /// Notes a commit, journals it, and attempts storage reclamation
+    /// (III-D-6b). Returns whether the vector row could be dropped
+    /// already.
     pub fn commit(&mut self, tx: TxId) -> bool {
         self.trace.emit(|| TraceEvent::Commit { tx });
+        self.commit_unjournaled(tx)
+    }
+
+    /// [`commit`](Self::commit) without the journal record, for a caller
+    /// that journals the commit itself (the engine).
+    pub fn commit_unjournaled(&mut self, tx: TxId) -> bool {
         self.restart_hints.remove(&tx);
         self.footprint.remove(&tx);
         if self.table.reclaim(tx) {

@@ -60,6 +60,18 @@
 //!   slot's write lock alone) and recycles the slot. The III-D-4 restart
 //!   hint must outlive the row, so it lives in a per-stripe cell instead
 //!   (see [`SharedMtScheduler::begin_restarted`]).
+//! * **…and a committed writer's entries need no row at all.** A caller
+//!   that keeps each item's versions beside its holders (the engine's MV
+//!   chains) hands the entry points a stamp lookup: a holder with a
+//!   version of the item on the chain is *stamp-backed* — compared through
+//!   that version's packed stamp, the writer's saturated row cloned once
+//!   it could no longer change, so every decision, element and event is
+//!   the one its row would give. Such an entry holds no reference: the
+//!   install gives the writer's references on the item up
+//!   ([`SharedMtScheduler::version_installed`]), so a writer whose every
+//!   entry is on items it wrote is reclaimed at its `commit`, and no
+//!   compare against it touches the id index, the arena or a row lock
+//!   again. The caller keeps a stamp while an entry names its writer.
 //!
 //! **Lock order** (deadlock freedom): item shard (or the caller's item
 //! lock) → row-slot locks in ascending transaction id → order-cache shard
@@ -67,7 +79,11 @@
 //! one item shard at a time (multi-item operations take them one by one)
 //! and at most two slot locks at a time, always acquired low id first.
 //! Both transactions are pinned while their slots are locked together, so
-//! no slot changes hands while it takes part in that order. The row
+//! no slot changes hands while it takes part in that order. A
+//! stamp-backed holder takes no slot lock: its stamp is read under the
+//! caller's item lock, and a compare or `Set` against it locks only the
+//! other transaction's slot (a stamp is saturated, so `Set` defines none
+//! of its elements). The row
 //! table's sweep lock is taken only in `begin`, before any of these: a
 //! reuse holds it across the new row's slot lock and the `on_reuse` flush
 //! (order cache, hint cell).
@@ -123,7 +139,8 @@ use mdts_model::{ItemId, OpKind, Operation, TxId};
 use mdts_trace::event::{scalar_cost, tree_cost, AccessOutcome, SetEdgeOutcome};
 use mdts_trace::{TraceEvent, TraceSink};
 use mdts_vector::{
-    CachePadded, CmpResult, KthCounters, OrderCache, OrderCacheStats, StampView, Striped, TsVec,
+    CachePadded, CmpResult, KthCounters, OrderCache, OrderCacheStats, Stamp, StampView, Striped,
+    TsVec,
 };
 
 use crate::algo1::{self, Encoding};
@@ -139,8 +156,12 @@ use crate::rowtable::{RowSlot, RowTable};
 /// hand them in under its own lock ([`SharedMtScheduler::access_held`],
 /// [`SharedMtScheduler::snapshot_read_held`]). A fresh pair names `T₀`
 /// twice. Every non-`T₀` holder in a pair counts one reference to its row
-/// (III-D-6b reclamation), so a pair may only be changed by the
-/// scheduler, and dropping one that still names a live row leaks it.
+/// (III-D-6b reclamation) — unless it is *stamp-backed*: a holder whose
+/// version of the item the caller still keeps is compared through that
+/// version's stamp and holds no reference (see
+/// [`SharedMtScheduler::version_installed`]). So a pair may only be
+/// changed by the scheduler, and dropping one that still names a live row
+/// leaks it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct HolderPair {
     rt: TxId,
@@ -150,6 +171,105 @@ pub struct HolderPair {
 impl Default for HolderPair {
     fn default() -> Self {
         HolderPair { rt: TxId::VIRTUAL, wt: TxId::VIRTUAL }
+    }
+}
+
+impl HolderPair {
+    /// `RT(x)`, the item's reader.
+    pub fn rt(&self) -> TxId {
+        self.rt
+    }
+}
+
+/// A holder of an item as the access rule compares it: its transaction,
+/// and — when it is stamp-backed — the stamp of its version of the item,
+/// which stands for its row (a stamp is the writer's saturated row,
+/// cloned once nothing can change it).
+#[derive(Clone, Copy, Debug)]
+struct Holder<'s> {
+    tx: TxId,
+    stamp: Option<&'s Stamp>,
+}
+
+impl Holder<'_> {
+    /// A holder compared through its row.
+    fn row(tx: TxId) -> Self {
+        Holder { tx, stamp: None }
+    }
+}
+
+/// The access rule's view of one item, and the scheduler's one
+/// [`algo1::OrderTable`] instantiation: memo-backed compares and `Set`
+/// under the row locks, called with the item's lock held, with the item's
+/// two holders resolved once — each to its stamp, if the item's caller
+/// keeps a version of theirs, else to its row. Every other transaction,
+/// the accessing one included, is compared through its row.
+struct ItemView<'a, 's> {
+    sched: &'a SharedMtScheduler,
+    rt: Holder<'s>,
+    wt: Holder<'s>,
+}
+
+impl<'a, 's> ItemView<'a, 's> {
+    /// `pair` as `tx` meets it, each holder looked up in `stamps` — but
+    /// never `tx` itself, so a reused id cannot alias an old version, and
+    /// never `T₀`, whose floor stamp is not saturated.
+    fn new(
+        sched: &'a SharedMtScheduler,
+        tx: TxId,
+        pair: HolderPair,
+        stamps: impl Fn(TxId) -> Option<&'s Stamp>,
+    ) -> Self {
+        let resolve = |t: TxId| Holder {
+            tx: t,
+            stamp: if t == tx || t.is_virtual() { None } else { stamps(t) },
+        };
+        let rt = resolve(pair.rt);
+        let wt = if pair.wt == pair.rt { rt } else { resolve(pair.wt) };
+        ItemView { sched, rt, wt }
+    }
+
+    /// How `t` is compared.
+    #[inline]
+    fn holder(&self, t: TxId) -> Holder<'s> {
+        if t == self.rt.tx {
+            self.rt
+        } else if t == self.wt.tx {
+            self.wt
+        } else {
+            Holder::row(t)
+        }
+    }
+
+    /// Makes `tx` the item's reader (line 7) or writer (line 12), moving
+    /// the reference from the previous holder — which has none to give up
+    /// if it is stamp-backed.
+    fn set_holder(&self, pair: &mut HolderPair, kind: OpKind, tx: TxId) {
+        let slot = match kind {
+            OpKind::Read => &mut pair.rt,
+            OpKind::Write => &mut pair.wt,
+        };
+        let prev = std::mem::replace(slot, tx);
+        if prev != tx {
+            self.sched.inc_ref(tx);
+            if self.holder(prev).stamp.is_none() {
+                self.sched.dec_ref(prev);
+            }
+        }
+    }
+}
+
+impl algo1::OrderTable for ItemView<'_, '_> {
+    fn order_of(&mut self, a: TxId, b: TxId) -> CmpResult {
+        self.sched.compare_quick(self.holder(a), self.holder(b))
+    }
+
+    fn set(&mut self, j: TxId, i: TxId) -> Result<(), usize> {
+        self.sched.set_less(self.holder(j), i, false)
+    }
+
+    fn note_reject(&mut self, tx: TxId, against: TxId) {
+        self.sched.note_reject(tx, self.holder(against));
     }
 }
 
@@ -541,11 +661,19 @@ impl SharedMtScheduler {
         }
     }
 
-    /// Notes a commit and attempts reclamation (III-D-6b). Returns whether
-    /// the row could be dropped already; otherwise it is dropped — in O(1)
-    /// — by whoever displaces its last `RT`/`WT` reference.
+    /// Notes a commit, journals it, and attempts reclamation (III-D-6b).
+    /// Returns whether the row could be dropped already; otherwise it is
+    /// dropped — in O(1) — by whoever displaces its last `RT`/`WT`
+    /// reference.
     pub fn commit(&self, tx: TxId) -> bool {
         self.trace.emit(|| TraceEvent::Commit { tx });
+        self.commit_unjournaled(tx)
+    }
+
+    /// [`commit`](Self::commit) without the journal record, for a caller
+    /// that journals the commit itself: the engine, whose durable path
+    /// must journal it before the write-ahead log frames it.
+    pub fn commit_unjournaled(&self, tx: TxId) -> bool {
         self.finish(tx)
     }
 
@@ -594,6 +722,21 @@ impl SharedMtScheduler {
         })
     }
 
+    /// `writer` has just installed its version of an item whose holders
+    /// are `pair`, under the lock every access of the item takes: from
+    /// now on the entries of `pair` naming `writer` are stamp-backed —
+    /// served from that version's stamp, which the caller must keep while
+    /// they name it — and they give up their row references here. With
+    /// no other reference the row is reclaimed at the writer's
+    /// [`commit`](Self::commit) (III-D-6b).
+    pub fn version_installed(&self, writer: TxId, pair: &HolderPair) {
+        for holder in [pair.rt, pair.wt] {
+            if holder == writer {
+                self.dec_ref(writer);
+            }
+        }
+    }
+
     fn inc_ref(&self, tx: TxId) {
         if tx.is_virtual() {
             return; // T₀ is never reclaimed; skip the bookkeeping.
@@ -623,7 +766,7 @@ impl SharedMtScheduler {
     /// `TS(j) < TS(i)`. Returns `false` iff the vectors already say
     /// `TS(j) > TS(i)`.
     pub fn order(&self, j: TxId, i: TxId) -> bool {
-        self.set_less(j, i, false).is_ok()
+        self.set_less(Holder::row(j), i, false).is_ok()
     }
 
     /// Emits a [`TraceEvent::Compare`]. For a fresh comparison the caller
@@ -664,58 +807,91 @@ impl SharedMtScheduler {
     /// `boost` only an open non-last element defined against a holder is
     /// floored that way; the `=` case and the last column keep the paper's
     /// minimal values.
-    fn set_less(&self, j: TxId, i: TxId, boost: bool) -> Result<(), usize> {
-        if j == i {
+    fn set_less(&self, j: Holder<'_>, i: TxId, boost: bool) -> Result<(), usize> {
+        let jt = j.tx;
+        if jt == i {
             return Ok(()); // line 15
         }
         // Cache fast path: a decided order is immutable, so a hit resolves
         // the call without touching any row lock.
-        if let Some(cmp) = self.cache_get(j, i) {
-            self.emit_compare(j, i, cmp, true);
+        if let Some(cmp) = self.cache_get(jt, i) {
+            self.emit_compare(jt, i, cmp, true);
             let outcome = algo1::decided(cmp).expect("the order cache holds decided orders only");
-            return algo1::emit_set(&self.trace, j, i, outcome);
+            return algo1::emit_set(&self.trace, jt, i, outcome);
         }
         // The epoch must be sampled before the vectors are read, so an
         // invalidation racing with this call drops our insert.
         let epoch = self.cache.epoch();
         // Optimistic pass: most Set calls find the order already decided,
-        // and the two read locks let them run in parallel. The memo
-        // insert happens after both the justifying emits (see
-        // emit_compare) and the release of the row locks — the cache must
-        // never be touched while protocol locks are held.
-        let decided = {
-            let (gj, gi) = self.read_pair(j, i);
-            let cmp = vec_of(&gj, j).compare(vec_of(&gi, i));
+        // and the read locks let them run in parallel. The memo insert
+        // happens after both the justifying emits (see emit_compare) and
+        // the release of the row locks — the cache must never be touched
+        // while protocol locks are held.
+        let decided = self.compare_held(j, Holder::row(i), |cmp| {
             algo1::decided(cmp).map(|outcome| {
-                self.emit_compare(j, i, cmp, false);
-                (cmp, algo1::emit_set(&self.trace, j, i, outcome))
+                self.emit_compare(jt, i, cmp, false);
+                (cmp, algo1::emit_set(&self.trace, jt, i, outcome))
             })
-        };
+        });
         if let Some((cmp, result)) = decided {
-            self.cache_put(epoch, j, i, cmp);
+            self.cache_put(epoch, jt, i, cmp);
             return result;
         }
         // The order looked open: re-decide under the write locks (a
         // concurrent encoder may have closed it meanwhile) and encode.
-        let (memo, result) = {
-            let (mut gj, mut gi) = self.write_pair(j, i);
-            let cmp = vec_of(&gj, j).compare(vec_of(&gi, i));
-            self.emit_compare(j, i, cmp, false);
-            let outcome = algo1::set(
-                cmp,
-                (j, vec_of(&gj, j)),
-                (i, vec_of(&gi, i)),
-                |m| self.floor(m),
-                if boost { Encoding::Boosted } else { Encoding::Plain },
-                &self.counters,
-            );
-            let memo = algo1::apply(&outcome, cmp, |t, m, v| {
-                vec_of_mut(if t == j { &mut gj } else { &mut gi }, t).define(m, v)
-            });
-            (memo, algo1::emit_set(&self.trace, j, i, outcome))
+        let encoding = if boost { Encoding::Boosted } else { Encoding::Plain };
+        let encode = |cmp: CmpResult, tj: &TsVec, ti: &TsVec| {
+            self.emit_compare(jt, i, cmp, false);
+            algo1::set(cmp, (jt, tj), (i, ti), |m| self.floor(m), encoding, &self.counters)
         };
-        self.cache_put(epoch, j, i, memo);
+        let (memo, result) = match j.stamp {
+            None => {
+                let (mut gj, mut gi) = self.write_pair(jt, i);
+                let cmp = vec_of(&gj, jt).compare(vec_of(&gi, i));
+                let outcome = encode(cmp, vec_of(&gj, jt), vec_of(&gi, i));
+                let memo = algo1::apply(&outcome, cmp, |t, m, v| {
+                    vec_of_mut(if t == jt { &mut gj } else { &mut gi }, t).define(m, v)
+                });
+                (memo, algo1::emit_set(&self.trace, jt, i, outcome))
+            }
+            // A stamp is saturated, so `Set` can define only `i`'s
+            // elements: `i`'s write lock alone covers the encode.
+            Some(stamp) => {
+                let tj = stamp.to_vec();
+                let mut gi = self.slot_expect(i).write();
+                let cmp = tj.compare(vec_of(&gi, i));
+                let outcome = encode(cmp, &tj, vec_of(&gi, i));
+                let memo = algo1::apply(&outcome, cmp, |t, m, v| {
+                    assert_eq!(t, i, "Set({jt}, {i}) defined an element of stamp-backed {jt}");
+                    vec_of_mut(&mut gi, i).define(m, v)
+                });
+                (memo, algo1::emit_set(&self.trace, jt, i, outcome))
+            }
+        };
+        self.cache_put(epoch, jt, i, memo);
         result
+    }
+
+    /// Runs `f` on Definition 6 of `a` against `b` while the rows it was
+    /// computed from are still read-locked: a stamp-backed holder is
+    /// compared through its stamp, lock-free, and two rows are locked in
+    /// ascending transaction id.
+    fn compare_held<R>(&self, a: Holder<'_>, b: Holder<'_>, f: impl FnOnce(CmpResult) -> R) -> R {
+        match (a.stamp, b.stamp) {
+            (None, None) => {
+                let (ga, gb) = self.read_pair(a.tx, b.tx);
+                f(vec_of(&ga, a.tx).compare(vec_of(&gb, b.tx)))
+            }
+            (Some(sa), None) => {
+                let gb = self.slot_expect(b.tx).read();
+                f(sa.compare_reader(vec_of(&gb, b.tx)))
+            }
+            (None, Some(sb)) => {
+                let ga = self.slot_expect(a.tx).read();
+                f(sb.compare_reader(vec_of(&ga, a.tx)).flip())
+            }
+            (Some(sa), Some(sb)) => f(sa.to_vec().compare(&sb.to_vec())),
+        }
     }
 
     // ---- scheduling ------------------------------------------------------
@@ -723,43 +899,31 @@ impl SharedMtScheduler {
     /// Definition 6 comparison via the cache, else under the two slots'
     /// read locks (inserting any fresh decided result). Does not emit a
     /// trace event — the access rule's `pick` and line 9 consults.
-    fn compare_quick(&self, a: TxId, b: TxId) -> CmpResult {
-        if let Some(cmp) = self.cache_get(a, b) {
+    fn compare_quick(&self, a: Holder<'_>, b: Holder<'_>) -> CmpResult {
+        if let Some(cmp) = self.cache_get(a.tx, b.tx) {
             return cmp;
         }
         let epoch = self.cache.epoch();
-        let cmp = {
-            let (ga, gb) = self.read_pair(a, b);
-            vec_of(&ga, a).compare(vec_of(&gb, b))
-        };
+        let cmp = self.compare_held(a, b, |cmp| cmp);
         // After the row locks are released: a memo insert must never
         // stall a thread that holds protocol state.
-        self.cache_put(epoch, a, b, cmp);
+        self.cache_put(epoch, a.tx, b.tx, cmp);
         cmp
     }
 
-    /// Makes `tx` the item's reader (line 7) or writer (line 12), moving
-    /// the reference from the previous holder.
-    fn set_holder(&self, pair: &mut HolderPair, kind: OpKind, tx: TxId) {
-        let slot = match kind {
-            OpKind::Read => &mut pair.rt,
-            OpKind::Write => &mut pair.wt,
-        };
-        let prev = std::mem::replace(slot, tx);
-        if prev != tx {
-            self.inc_ref(tx);
-            self.dec_ref(prev);
-        }
-    }
-
-    fn note_reject(&self, tx: TxId, against: TxId) {
+    fn note_reject(&self, tx: TxId, against: Holder<'_>) {
         if self.opts.starvation_flush {
             // Blocker's first element is defined whenever Set refused (the
             // deciding column has both elements defined; column 0 is at or
-            // before it).
-            let first = self.with_ts(against, |v| {
-                v.unwrap_or_else(|| panic!("no live timestamp vector for {against}")).get(0)
-            });
+            // before it). A stamp-backed blocker's row may be reclaimed
+            // already: its stamp holds the same element.
+            let first = match against.stamp {
+                Some(stamp) => stamp.get(0),
+                None => self.with_ts(against.tx, |v| {
+                    v.unwrap_or_else(|| panic!("no live timestamp vector for {}", against.tx))
+                        .get(0)
+                }),
+            };
             if let Some(first) = first {
                 *lock(self.hints.mine()) = Some((tx, first + 1));
             }
@@ -805,7 +969,7 @@ impl SharedMtScheduler {
     fn access(&self, tx: TxId, item: ItemId, kind: OpKind) -> Decision {
         self.ensure_tx(tx);
         let (shard, local) = self.shard_of(item);
-        lock(shard).update(local, |pair| self.access_held(tx, item, kind, pair))
+        lock(shard).update(local, |pair| self.access_held(tx, item, kind, pair, |_| None))
     }
 
     /// `algo1::access` on a holder pair the caller keeps: `pair` is
@@ -815,18 +979,26 @@ impl SharedMtScheduler {
     /// and must have [`begin`](Self::begin)-ed `tx`. An item's pair lives
     /// in one place: never mix this with [`read`](Self::read)/
     /// [`write`](Self::write) on the same item.
-    pub fn access_held(
+    ///
+    /// `stamps(w)` is the stamp of `w`'s version of `item` if the caller
+    /// keeps one (the version chain, under the same lock), else `None`; a
+    /// holder it finds is stamp-backed (see
+    /// [`version_installed`](Self::version_installed)). A caller that
+    /// never calls `version_installed` passes `|_| None`.
+    pub fn access_held<'s>(
         &self,
         tx: TxId,
         item: ItemId,
         kind: OpKind,
         pair: &mut HolderPair,
+        stamps: impl Fn(TxId) -> Option<&'s Stamp>,
     ) -> Decision {
         let HolderPair { rt, wt } = *pair;
-        let outcome = algo1::access(&mut &*self, &self.opts, tx, kind, rt, wt);
+        let mut view = ItemView::new(self, tx, *pair, stamps);
+        let outcome = algo1::access(&mut view, &self.opts, tx, kind, rt, wt);
         self.emit_access(tx, item, kind, rt, wt, outcome);
         if outcome == AccessOutcome::Granted {
-            self.set_holder(pair, kind, tx);
+            view.set_holder(pair, kind, tx);
         }
         algo1::decision(tx, item, outcome)
     }
@@ -920,23 +1092,27 @@ impl SharedMtScheduler {
     /// row is allocated up front so this path stays allocation-free.
     pub fn snapshot_read(&self, tx: TxId, item: ItemId) -> SnapshotRead {
         let (shard, local) = self.shard_of(item);
-        lock(shard).update(local, |pair| self.snapshot_read_held(tx, item, pair))
+        lock(shard).update(local, |pair| self.snapshot_read_held(tx, item, pair, |_| None))
     }
 
     /// [`snapshot_read`](Self::snapshot_read) on a holder pair the caller
     /// keeps, under the same contract as
     /// [`access_held`](Self::access_held): one lock held across the call
-    /// that every access of `item` takes, and `tx` begun.
-    pub fn snapshot_read_held(
+    /// that every access of `item` takes, `tx` begun, and `stamps` the
+    /// item's kept versions.
+    pub fn snapshot_read_held<'s>(
         &self,
         tx: TxId,
         item: ItemId,
         pair: &mut HolderPair,
+        stamps: impl Fn(TxId) -> Option<&'s Stamp>,
     ) -> SnapshotRead {
         let HolderPair { rt, wt } = *pair;
+        let mut view = ItemView::new(self, tx, *pair, stamps);
         // Decided `<` is stable over write-once vectors, so a decided
         // `smaller < larger < tx` makes a second `Set` redundant.
-        let (larger, smaller, decided) = algo1::pick(&mut &*self, rt, wt);
+        let (larger, smaller, decided) = algo1::pick(&mut view, rt, wt);
+        let (larger, smaller) = (view.holder(larger), view.holder(smaller));
         // Reader rule (lines 9–10) first: when the larger holder is still
         // *live* — typically a transfer holding `RT` through its think
         // window, or another reader mid-scan — escalating above it would
@@ -946,7 +1122,7 @@ impl SharedMtScheduler {
         // pending writer commits undisturbed no matter how many readers
         // arrive during its think window.
         if self.slip_below_live(tx, larger) {
-            if larger != wt && self.set_less(smaller, tx, true).is_ok() {
+            if larger.tx != wt && self.set_less(smaller, tx, true).is_ok() {
                 // Between `WT` and a live `RT`: the current version is
                 // the newest one below the reader — an invisible Current
                 // read, shielded by the larger holder (every future
@@ -962,7 +1138,7 @@ impl SharedMtScheduler {
             && (decided || self.set_less(smaller, tx, true).is_ok());
         if ordered {
             self.emit_access(tx, item, OpKind::Read, rt, wt, AccessOutcome::Granted);
-            self.set_holder(pair, OpKind::Read, tx); // line 7
+            view.set_holder(pair, OpKind::Read, tx); // line 7
             SnapshotRead::Current
         } else {
             self.emit_access(tx, item, OpKind::Read, rt, wt, AccessOutcome::GrantedStale);
@@ -996,13 +1172,17 @@ impl SharedMtScheduler {
     /// is closed, the holder's deciding element is still undefined, the
     /// order is already decided the other way, or the holder has
     /// finished (an inert anchor nobody revalidates against — escalating
-    /// over it starves no one), returns `false` and the caller escalates
-    /// as before.
+    /// over it starves no one; a stamp-backed holder committed, so it
+    /// counts as finished without a look at its slot), returns `false`
+    /// and the caller escalates as before.
     ///
     /// The holder must be a current `RT`/`WT` entry of a pair the
-    /// caller holds locked: that reference pins its row against
+    /// caller holds locked: that entry's reference pins its row against
     /// reclamation while we look at it.
-    fn slip_below_live(&self, tx: TxId, holder: TxId) -> bool {
+    fn slip_below_live(&self, tx: TxId, holder: Holder<'_>) -> bool {
+        let Holder { tx: holder, stamp: None } = holder else {
+            return false;
+        };
         if holder == tx || holder.is_virtual() {
             return false;
         }
@@ -1159,7 +1339,7 @@ impl SharedMtScheduler {
         if a == b {
             return false;
         }
-        matches!(self.compare_quick(a, b), CmpResult::Less { .. })
+        matches!(self.compare_quick(Holder::row(a), Holder::row(b)), CmpResult::Less { .. })
     }
 
     /// `RT(item)`.
@@ -1250,22 +1430,6 @@ impl SharedMtScheduler {
 /// Mutable form of [`vec_of`].
 fn vec_of_mut(guard: &mut Option<TsVec>, tx: TxId) -> &mut TsVec {
     guard.as_mut().unwrap_or_else(|| panic!("no live timestamp vector for {tx}"))
-}
-
-/// The sharded scheduler as the access rule sees it: memo-backed compares
-/// and `Set` under the row locks, called with the item's shard held.
-impl algo1::OrderTable for &SharedMtScheduler {
-    fn order_of(&mut self, a: TxId, b: TxId) -> CmpResult {
-        self.compare_quick(a, b)
-    }
-
-    fn set(&mut self, j: TxId, i: TxId) -> Result<(), usize> {
-        self.set_less(j, i, false)
-    }
-
-    fn note_reject(&mut self, tx: TxId, against: TxId) {
-        SharedMtScheduler::note_reject(self, tx, against);
-    }
 }
 
 #[cfg(test)]
@@ -1591,7 +1755,7 @@ mod tests {
             let ds = shr.process(op);
             held.begin(op.tx);
             let dh = algo1::process(op, |tx, item, kind| {
-                held.access_held(tx, item, kind, pairs.entry(item).or_default())
+                held.access_held(tx, item, kind, pairs.entry(item).or_default(), |_| None)
             });
             assert_eq!(d, ds, "decision differs at op {pos} of {log}");
             assert_eq!(d, dh, "caller-held pairs decide differently at op {pos} of {log}");
@@ -1618,6 +1782,112 @@ mod tests {
             assert_eq!(seq.table().ts(tx).cloned(), shr.ts(tx), "vectors differ for {tx} on {log}");
             assert_eq!(shr.ts(tx), held.ts(tx), "vectors differ for {tx} over held pairs on {log}");
         }
+    }
+
+    /// Drives `log` through two schedulers over caller-held pairs, each
+    /// transaction committed after its last operation (a writer stamped
+    /// first, as the engine does) and aborted at its first refusal, its
+    /// later operations skipped. Transactions that only read take the
+    /// snapshot path. One scheduler compares every holder through its
+    /// row; the other keeps each committed writer's stamp in a per-item
+    /// chain, calls `version_installed`, and is handed the chain: its
+    /// committed writers are stamp-backed. Stamps stand for rows exactly,
+    /// so both make the same decisions, emit the same `Access`, `Compare`
+    /// and `SetEdge` events and leave the same vectors — and the stamped
+    /// one keeps no more rows.
+    fn run_stamped(log: &Log, opts: MtOptions) {
+        let journals = [(); 2].map(|_| mdts_trace::TraceBuffer::journal());
+        let scheds = [0, 1].map(|i| {
+            let mut s = SharedMtScheduler::new(opts);
+            s.attach_trace(TraceSink::to(&journals[i]));
+            s
+        });
+        let mut pairs: [HashMap<ItemId, HolderPair>; 2] = Default::default();
+        let mut chains: HashMap<ItemId, Vec<(TxId, Stamp)>> = HashMap::new();
+        let ops = log.ops();
+        let last: HashMap<TxId, usize> = ops.iter().enumerate().map(|(p, op)| (op.tx, p)).collect();
+        let writers: std::collections::HashSet<TxId> =
+            ops.iter().filter(|op| op.kind == OpKind::Write).map(|op| op.tx).collect();
+        let mut written: HashMap<TxId, Vec<ItemId>> = HashMap::new();
+        let mut aborted = std::collections::HashSet::new();
+        for (pos, op) in ops.iter().enumerate() {
+            let tx = op.tx;
+            if aborted.contains(&tx) {
+                continue;
+            }
+            let mut decisions = Vec::new();
+            for (side, s) in scheds.iter().enumerate() {
+                s.begin(tx);
+                let kept = |item: ItemId| {
+                    let chain = chains.get(&item).filter(|_| side == 1);
+                    move |w: TxId| chain?.iter().rev().find(|(t, _)| *t == w).map(|(_, s)| s)
+                };
+                let pairs = &mut pairs[side];
+                decisions.push(algo1::process(op, |tx, item, kind| {
+                    let pair = pairs.entry(item).or_default();
+                    if writers.contains(&tx) {
+                        s.access_held(tx, item, kind, pair, kept(item))
+                    } else {
+                        s.snapshot_read_held(tx, item, pair, kept(item));
+                        Decision::accept()
+                    }
+                }));
+            }
+            assert_eq!(decisions[0], decisions[1], "decision differs at op {pos} of {log}");
+            match &decisions[0] {
+                Decision::Accept { ignored } if op.kind == OpKind::Write => {
+                    let items = op.items().iter().filter(|item| !ignored.contains(item));
+                    written.entry(tx).or_default().extend(items);
+                }
+                Decision::Accept { .. } => {}
+                Decision::Reject(_) => {
+                    aborted.insert(tx);
+                    scheds.iter().for_each(|s| s.abort(tx));
+                    continue;
+                }
+            }
+            if last[&tx] != pos {
+                continue;
+            }
+            let mut items = written.remove(&tx).unwrap_or_default();
+            items.sort_unstable();
+            items.dedup();
+            if writers.contains(&tx) {
+                let [a, b] = [0, 1].map(|side| scheds[side].stamp_commit(tx));
+                assert_eq!(a, b, "stamps differ for {tx} on {log}");
+                for item in items {
+                    chains.entry(item).or_default().push((tx, Stamp::from(b.clone())));
+                    scheds[1].version_installed(tx, &pairs[1][&item]);
+                }
+            }
+            scheds.iter().for_each(|s| {
+                s.commit(tx);
+            });
+        }
+        assert_eq!(pairs[0], pairs[1], "holders differ on {log}");
+        let [a, b] = journals.map(|j| {
+            let events: Vec<TraceEvent> = j
+                .snapshot()
+                .events()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        TraceEvent::Access { .. }
+                            | TraceEvent::Compare { .. }
+                            | TraceEvent::SetEdge { .. }
+                    )
+                })
+                .cloned()
+                .collect();
+            events
+        });
+        assert_eq!(a, b, "event streams differ on {log}");
+        for tx in log.transactions() {
+            if let Some(v) = scheds[1].ts(tx) {
+                assert_eq!(scheds[0].ts(tx), Some(v), "vectors differ for {tx} on {log}");
+            }
+        }
+        assert!(scheds[1].live_rows() <= scheds[0].live_rows());
     }
 
     fn arb_log() -> impl Strategy<Value = Log> {
@@ -1665,6 +1935,20 @@ mod tests {
         #[test]
         fn sequential_equivalence_cache_off(log in arb_log(), k in 1usize..6) {
             run_all(&log, MtOptions { order_cache: false, ..MtOptions::new(k) });
+        }
+
+        /// Stamp-backed holders decide, define and emit exactly as rows
+        /// do ([`run_stamped`]), with the refinement options off and on.
+        #[test]
+        fn stamp_backed_holders_stand_for_their_rows(log in arb_log(), k in 1usize..6) {
+            run_stamped(&log, MtOptions::new(k));
+            let refined = MtOptions {
+                relaxed_reader_rule: true,
+                thomas_write_rule: true,
+                starvation_flush: true,
+                ..MtOptions::new(k)
+            };
+            run_stamped(&log, refined);
         }
     }
 

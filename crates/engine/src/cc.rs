@@ -208,7 +208,8 @@ impl ConcurrentCc for MtCc {
     }
 
     fn committed(&self, tx: TxId) {
-        lock(&self.sched).commit(tx);
+        // The engine journals the commit.
+        lock(&self.sched).commit_unjournaled(tx);
     }
 
     fn aborted(&self, tx: TxId) {

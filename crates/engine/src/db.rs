@@ -14,7 +14,9 @@
 //!     value store, and one record per item holds its `RT`/`WT` holders
 //!     beside its version chain. A read, a snapshot read and each item of
 //!     a commit take that record's shard lock and nothing else per item:
-//!     the engine hands the scheduler the record's holder pair. No
+//!     the engine hands the scheduler the record's holder pair, and the
+//!     chain as the stamps its committed holders are compared through
+//!     (a committed writer's row is reclaimed at its commit). No
 //!     `ShardedStore` is built, and the scheduler's own holder tables
 //!     stay empty.
 //!   - Under [`Protocol::Concurrent`] the newest values sit in a
@@ -60,7 +62,7 @@ use std::sync::Arc;
 use mdts_core::{Decision, HolderPair, MtOptions, SharedMtScheduler, SnapshotRead};
 use mdts_model::{ItemId, OpKind, TxId};
 use mdts_storage::{
-    recover, ConcurrentMvStore, CrashPoint, Recovered, ShardedStore, Store, WalValue,
+    recover, ConcurrentMvStore, CrashPoint, MvVersion, Recovered, ShardedStore, Store, WalValue,
     DEFAULT_STORE_SHARDS,
 };
 use mdts_trace::{AbortReason, StallRule, TraceEvent, TraceSink};
@@ -236,11 +238,12 @@ impl<V> Shared<V> {
         }
     }
 
-    /// Releases a finished incarnation at the protocol.
+    /// Releases a finished incarnation at the protocol. The engine
+    /// journals a commit itself, so the scheduler does not.
     fn release(&self, tx: TxId, committed: bool) {
         match &self.engine {
             Engine::Chains(mv) if committed => {
-                mv.sched.commit(tx);
+                mv.sched.commit_unjournaled(tx);
             }
             Engine::Chains(mv) => mv.sched.abort(tx),
             Engine::Adapter { cc, .. } if committed => cc.committed(tx),
@@ -256,6 +259,12 @@ impl<V> Shared<V> {
             self.trace.emit(|| TraceEvent::Wake { wake_seq: seq });
         }
     }
+}
+
+/// The stamp of `writer`'s version on `chain`, if the chain keeps one: a
+/// holder of the item that the scheduler finds here is stamp-backed.
+fn kept_stamp<V>(chain: &[MvVersion<V>], writer: TxId) -> Option<&Stamp> {
+    chain.iter().rev().find(|v| v.writer == writer).map(|v| &v.stamp)
 }
 
 /// Every item's newest committed value on the multiversion path, in
@@ -736,7 +745,7 @@ impl<V: Clone + Send + 'static> Database<V> {
         let out = body(&mut tx);
         tx.armed = false;
         let span = shared.metrics.phases.start();
-        mv.sched.commit(id);
+        mv.sched.commit_unjournaled(id);
         drop(tx); // ends the snapshot's GC registration
         Metrics::bump(&cells.snapshot_txns);
         Metrics::bump(&cells.commits);
@@ -793,7 +802,8 @@ impl<V: Clone + Send + Sync + 'static> SnapshotTx<'_, V> {
         // consistent — the `WT` holder's version *is* the chain tail.
         let mut shard = mv.store.lock_shard(mv.store.shard_index(item));
         let (holders, chain) = shard.holders_and_chain(item);
-        let version = match mv.sched.snapshot_read_held(id, item, holders) {
+        let stamps = |writer| kept_stamp(chain, writer);
+        let version = match mv.sched.snapshot_read_held(id, item, holders, stamps) {
             // Ordered after both holders and now the RT holder (or
             // shielded below a live one): the current committed value is
             // this reader's version, and every future writer is forced
@@ -1091,9 +1101,11 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
     ) -> Result<(usize, Option<V>), Aborted> {
         let idx = mv.store.shard_index(item);
         let mut shard = mv.store.lock_shard(idx);
-        match mv.sched.access_held(self.id, item, OpKind::Read, shard.holders(item)) {
+        let (holders, chain) = shard.holders_and_chain(item);
+        let stamps = |writer| kept_stamp(chain, writer);
+        match mv.sched.access_held(self.id, item, OpKind::Read, holders, stamps) {
             Decision::Accept { .. } => {
-                Ok((idx, shard.chain(item).last().and_then(|newest| newest.value.clone())))
+                Ok((idx, chain.last().and_then(|newest| newest.value.clone())))
             }
             Decision::Reject(_) => {
                 drop(shard);
@@ -1240,8 +1252,10 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         // Writes the Thomas rule ignored are skipped at install.
         let mut skip = Vec::new();
         let refused = self.scratch.items.iter().any(|&item| {
-            let holders = held.shard(idxs, store.shard_index(item)).holders(item);
-            match mv.sched.access_held(id, item, OpKind::Write, holders) {
+            let shard = held.shard(idxs, store.shard_index(item));
+            let (holders, chain) = shard.holders_and_chain(item);
+            let stamps = |writer| kept_stamp(chain, writer);
+            match mv.sched.access_held(id, item, OpKind::Write, holders, stamps) {
                 Decision::Accept { ignored } => {
                     skip.extend(ignored);
                     false
@@ -1258,7 +1272,10 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         // Saturate this writer's vector into a frozen stamp once, then
         // install one version per applied write: chain append order
         // equals write-grant order per item, and Thomas-ignored writes
-        // install nothing.
+        // install nothing. Each install keeps the version the item's `RT`
+        // may be served from (a blind write leaves `RT` naming an older
+        // writer), and turns the entries naming this writer stamp-backed:
+        // they give up their row references, so the row goes at `finish`.
         if !self.scratch.writes.is_empty() {
             let stamp = Stamp::from(mv.sched.stamp_commit(id));
             let trace = &self.shared.trace;
@@ -1269,14 +1286,18 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                 }
                 let idx = store.shard_index(item);
                 let displaced = &mut self.scratch.displaced;
-                held.shard(&self.scratch.shard_idxs, idx).install(
+                let shard = held.shard(&self.scratch.shard_idxs, idx);
+                let rt = shard.holders(item).rt();
+                shard.install(
                     item,
                     id,
                     stamp.clone(),
                     Some(value),
+                    (!rt.is_virtual()).then_some(rt),
                     |old| displaced.push(old),
                     |_seq| trace.emit(|| TraceEvent::VersionInstall { writer: id, item }),
                 );
+                mv.sched.version_installed(id, shard.holders(item));
                 self.cells.bump_shard(idx);
             }
         }

@@ -614,6 +614,208 @@ fn row_slots_follow_live_rows_not_ids() {
     assert!(g.sched_live_rows <= g.sched_row_slots);
 }
 
+/// The row arena's first chunk: the slots it builds before it grows.
+const ARENA_FIRST_CHUNK: u64 = 1024;
+
+/// A committed writer's holder entries are served from its version's
+/// stamp and hold no reference to its row, so on the transfer lanes a row
+/// lives exactly as long as its transaction: after 10,000 transfers over
+/// 4,096 accounts the only row left is `T₀`'s, and the arena never built
+/// more than its first chunk — with one client, and with two (each on a
+/// half of the accounts of its own, so that no refused incarnation is
+/// left behind as an anchor). Were every finished holder still pinned,
+/// ≈ 4,000 rows would be live.
+#[test]
+fn mv_transfers_keep_only_the_live_rows() {
+    use rand::{Rng, SeedableRng};
+
+    const ACCOUNTS: u32 = 4_096;
+    const TRANSFERS: u32 = 10_000;
+    for clients in [1u32, 2] {
+        let cfg = BankConfig { accounts: ACCOUNTS, ..Default::default() };
+        let db = crate::workload::bank_database_multiversion(3, &cfg);
+        let half = ACCOUNTS / clients;
+        std::thread::scope(|scope| {
+            for c in 0..clients {
+                let db = db.clone();
+                scope.spawn(move || {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(u64::from(c));
+                    for _ in 0..TRANSFERS / clients {
+                        let src = rng.gen_range(0..half);
+                        let (src, dst) = (src, (src + rng.gen_range(1..half)) % half);
+                        let (src, dst) = (ItemId(c * half + src), ItemId(c * half + dst));
+                        db.run(cfg.max_restarts, |tx| {
+                            let a = tx.read(src)?.unwrap_or(0);
+                            let b = tx.read(dst)?.unwrap_or(0);
+                            tx.write(src, a - 1)?;
+                            tx.write(dst, b + 1)
+                        })
+                        .expect("a transfer commits");
+                    }
+                });
+            }
+        });
+        let (g, m) = (db.gauges(), db.metrics());
+        assert_eq!(m.commits, u64::from(TRANSFERS));
+        assert!(g.sched_live_rows <= 1 + u64::from(clients), "{clients}: {g:?}");
+        assert!(g.sched_row_slots <= ARENA_FIRST_CHUNK, "{clients}: {g:?}");
+        assert_eq!(g.mv_max_chain, 1, "no blind write, so no kept version");
+        let total = ACCOUNTS as i64 * cfg.initial_balance;
+        assert_eq!(db.snapshot().values().sum::<i64>(), total);
+    }
+}
+
+/// An MV-MT(3) database journaling protocol and engine events into one
+/// buffer, with the Thomas write rule as given.
+fn journaled_mv(
+    thomas: bool,
+    items: u32,
+) -> (Database<i64>, std::sync::Arc<mdts_trace::TraceBuffer>) {
+    let buffer = mdts_trace::TraceBuffer::journal();
+    let opts = mdts_core::MtOptions {
+        thomas_write_rule: thomas,
+        starvation_flush: true,
+        ..mdts_core::MtOptions::new(3)
+    };
+    let db = Database::open(
+        Protocol::Multiversion(ShardedMtCc::with_options(opts)),
+        Store::with_items(items, 100),
+        TraceSink::to(&buffer),
+    );
+    (db, buffer)
+}
+
+/// The auditor's verdict on everything `buffer` journaled: no violation,
+/// and the version reads it checked.
+fn certify(buffer: &mdts_trace::TraceBuffer) -> mdts_trace::Trace {
+    let trace = buffer.drain();
+    let report = mdts_trace::audit(&trace, 3);
+    assert!(report.violations.is_empty(), "audit violations: {:?}", report.violations);
+    assert!(report.version_reads > 0, "no version reads audited");
+    trace
+}
+
+/// The blind-write rule: `T1` reads and writes `x`, so once it commits
+/// `RT(x)` and `WT(x)` are stamp-backed and its row is gone. `T2` then
+/// writes `x` blind: `WT(x)` moves to `T2`, but `RT(x)` still names `T1`,
+/// so the install keeps `T1`'s version on the chain below `T2`'s. A
+/// writer that began before a third blind write is then refused by `WT`
+/// and ordered after `RT` — ignored under the Thomas rule, restarted
+/// without it — and later reads (whose `pick` compares two stamps) and a
+/// snapshot scan stay certified by the auditor.
+#[test]
+fn a_blind_write_keeps_the_version_its_reader_is_served_from() {
+    for thomas in [true, false] {
+        let (db, buffer) = journaled_mv(thomas, 3);
+        let (x, y, z) = (ItemId(0), ItemId(1), ItemId(2));
+        let bump = |item: ItemId| {
+            db.run(0, |tx| {
+                let v = tx.read(item)?.unwrap_or(0);
+                tx.write(item, v + 1)
+            })
+            .unwrap()
+        };
+        bump(x);
+        db.run(0, |tx| tx.write(x, 7)).unwrap();
+        let g = db.gauges();
+        assert_eq!((g.mv_max_chain, g.sched_live_rows), (2, 1), "thomas {thomas}: {g:?}");
+        let mut first = true;
+        db.run(4, |tx| {
+            tx.read(y)?;
+            if std::mem::take(&mut first) {
+                // Raise the published column maximum above this reader's
+                // first element, then write `x` blind above it.
+                bump(z);
+                db.run(0, |t| t.write(x, 9)).unwrap();
+            }
+            tx.write(x, 5)?;
+            tx.write(y, 5)
+        })
+        .unwrap();
+        let m = db.metrics();
+        assert_eq!((m.ignored_writes, m.restarts), if thomas { (1, 0) } else { (0, 1) });
+        assert_eq!(db.run(0, |tx| tx.read(x)).unwrap(), Some(if thomas { 9 } else { 5 }));
+        let scan = db.run_read_only(|tx| [x, y, z].map(|item| tx.read(item)));
+        assert_eq!(scan, [Some(if thomas { 9 } else { 5 }), Some(5), Some(101)]);
+        certify(&buffer);
+    }
+}
+
+/// III-D-4 against a stamp-backed blocker: the refusing holder committed,
+/// so its row is reclaimed, and the restart hint is read from its stamp —
+/// the restarted incarnation begins above the blocker's first element
+/// and commits at its first retry.
+#[test]
+fn a_refusal_against_a_stamp_backed_blocker_sets_the_restart_hint() {
+    use mdts_trace::TraceEvent;
+    let (db, buffer) = journaled_mv(false, 3);
+    let (x, y, z) = (ItemId(0), ItemId(1), ItemId(2));
+    let mut blocker = None;
+    db.run(4, |tx| {
+        // This reader's first element is 1.
+        tx.read(y)?;
+        if blocker.is_none() {
+            // A commit publishes 1 as column 0's maximum, so the blocker's
+            // first element is 2: it refuses this writer at column 0.
+            db.run(0, |t| t.write(z, 1)).unwrap();
+            let id = db
+                .run(0, |t| {
+                    let v = t.read(x)?.unwrap_or(0);
+                    t.write(x, v + 1)?;
+                    Ok(t.id())
+                })
+                .unwrap();
+            assert!(db.mv_scheduler().ts(id).is_none(), "the blocker's row went at its commit");
+            blocker = Some(id);
+        }
+        tx.write(x, 5)
+    })
+    .unwrap();
+    assert_eq!(db.metrics().restarts, 1);
+    assert_eq!(
+        db.run_read_only(|tx| [x, y, z].map(|item| tx.read(item))),
+        [Some(5), Some(100), Some(1)]
+    );
+    let trace = certify(&buffer);
+    let hint = trace.events().find_map(|e| match e {
+        TraceEvent::Restart { hint, .. } => Some(*hint),
+        _ => None,
+    });
+    assert_eq!(hint, Some(Some(3)), "no hint from {blocker:?}'s stamp");
+}
+
+/// A snapshot reader whose larger holder is stamp-backed: the holder has
+/// finished, so the reader does not slip below it. Ordered after it, the
+/// reader takes the current version and becomes `RT`; decided below it —
+/// its first element was defined before a commit raised the column
+/// maximum — it walks down the chain to the version it sits after.
+#[test]
+fn a_snapshot_reader_meets_a_stamp_backed_larger_holder() {
+    let (db, buffer) = journaled_mv(true, 2);
+    let (x, y) = (ItemId(0), ItemId(1));
+    let bump = |item: ItemId| {
+        db.run(0, |tx| {
+            let v = tx.read(item)?.unwrap_or(0);
+            tx.write(item, v + 1)?;
+            Ok(tx.id())
+        })
+        .unwrap()
+    };
+    let writers = [bump(x)];
+    let (current, older, writers) = db.run_read_only(|tx| {
+        let current = tx.read(x);
+        tx.read(y);
+        let writers = [writers[0], bump(y)];
+        (current, tx.read(y), writers)
+    });
+    assert_eq!((current, older), (Some(101), Some(100)));
+    assert_eq!(db.run(0, |tx| tx.read(y)).unwrap(), Some(101));
+    for writer in writers {
+        assert!(db.mv_scheduler().ts(writer).is_none(), "{writer}'s row outlived its commit");
+    }
+    certify(&buffer);
+}
+
 /// The engine hands its sink to the protocol: without any `attach_trace`
 /// by the caller the buffer holds the protocol's `Set` edges next to the
 /// engine's `Begin`s, and attaching the same sink by hand first changes
@@ -1390,6 +1592,53 @@ mod durability_tests {
         for (item, value) in &snapshot {
             assert_eq!(recovered.store.get(*item), Some(value));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every commit is journaled once, by the engine: five commits leave
+    /// five `Commit` records on MV-MT(3) (four transfers and a snapshot
+    /// scan), on durable MV-MT(3) (read from the journal file the daemon
+    /// fsyncs ahead of the log) and on the serialized MT(3) adapter.
+    #[test]
+    fn each_commit_is_journaled_once() {
+        use mdts_trace::TraceEvent;
+        let five = |db: &Database<i64>| {
+            for i in 0..5u32 {
+                let (a, b) = (ItemId(i % 8), ItemId((i + 1) % 8));
+                if i == 2 && db.has_multiversion() {
+                    db.run_read_only(|tx| (tx.read(a), tx.read(b)));
+                    continue;
+                }
+                db.run(4, |tx| {
+                    let (x, y) = (tx.read(a)?.unwrap_or(0), tx.read(b)?.unwrap_or(0));
+                    tx.write(a, x - 1)?;
+                    tx.write(b, y + 1)
+                })
+                .expect("commit acknowledged");
+            }
+        };
+        let commits = |trace: &mdts_trace::Trace| {
+            trace.events().filter(|e| matches!(e, TraceEvent::Commit { .. })).count()
+        };
+        for protocol in [multiversion(), sharded()] {
+            let buffer = TraceBuffer::journal();
+            let db = Database::open(protocol, Store::with_items(8, 100), TraceSink::to(&buffer));
+            five(&db);
+            assert_eq!(commits(&buffer.drain()), 5, "{}", db.protocol_name());
+        }
+        let dir = scratch("journal-once");
+        {
+            let buffer = TraceBuffer::unbounded(4);
+            let config =
+                DurabilityConfig::new(dir.join("wal.log")).journal(dir.join("journal.jsonl"));
+            let trace = TraceSink::to(&buffer);
+            let (db, _) = open(multiversion(), Store::with_items(8, 100i64), trace, &config);
+            five(&db);
+            assert!(db.sync());
+        }
+        let text = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
+        let (trace, _) = mdts_trace::from_jsonl(&text).expect("journal parses");
+        assert_eq!(commits(&trace), 5, "durable MV-MT(3)");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -281,20 +281,24 @@ impl<V: Clone, H: Default> ChainShard<'_, V, H> {
 
     /// Installs a committed version at the tail of `item`'s chain through
     /// this guard, then prunes the chain to what a live or future snapshot
-    /// can reach (DESIGN.md §8). A chain neither seeded nor installed
-    /// before gets a `V::default()` floor first. The values of the
-    /// versions the install overwrites or prunes go to `displaced`, not
-    /// dropped, so the caller can drop them once it has released the
-    /// shard. `installed` runs with the ticket before the version is
-    /// stored: no reader can observe the version before it returns, so an
-    /// event it emits is sequenced before every read of the version.
-    /// Returns the ticket.
+    /// can reach (DESIGN.md §8) — all but `keep`'s version: the one the
+    /// item's protocol state may still be served from, which stays on the
+    /// chain below the new version whatever the watermark says. A chain
+    /// neither seeded nor installed before gets a `V::default()` floor
+    /// first. The values of the versions the install overwrites or prunes
+    /// go to `displaced`, not dropped, so the caller can drop them once it
+    /// has released the shard. `installed` runs with the ticket before the
+    /// version is stored: no reader can observe the version before it
+    /// returns, so an event it emits is sequenced before every read of the
+    /// version. Returns the ticket.
+    #[allow(clippy::too_many_arguments)]
     pub fn install(
         &mut self,
         item: ItemId,
         writer: TxId,
         stamp: impl Into<Stamp>,
         value: V,
+        keep: Option<TxId>,
         displaced: impl FnMut(V),
         installed: impl FnOnce(u64),
     ) -> u64
@@ -304,7 +308,8 @@ impl<V: Clone, H: Default> ChainShard<'_, V, H> {
         let idx = self.local(item);
         let record = self.guard.record_mut(idx);
         let version = (writer, stamp.into(), value);
-        self.store.install_into(&mut record.chain, version, V::default, displaced, installed)
+        let chain = &mut record.chain;
+        self.store.install_into(chain, version, keep, V::default, displaced, installed)
     }
 }
 
@@ -450,15 +455,17 @@ impl<V: Clone, H: Default> ConcurrentMvStore<V, H> {
         let mut shard = self.lock_shard(self.shard_index(item));
         let idx = shard.local(item);
         let chain = &mut shard.guard.record_mut(idx).chain;
-        self.install_into(chain, version, floor_value, drop, |_| {})
+        self.install_into(chain, version, None, floor_value, drop, |_| {})
     }
 
     /// The install itself, into a chain its caller holds locked: the
-    /// values of the versions it overwrites or prunes go to `displaced`.
+    /// values of the versions it overwrites or prunes go to `displaced`,
+    /// and `keep`'s version is never pruned.
     fn install_into(
         &self,
         chain: &mut Chain<V>,
         (writer, stamp, value): (TxId, Stamp, V),
+        keep: Option<TxId>,
         floor_value: impl FnOnce() -> V,
         mut displaced: impl FnMut(V),
         installed: impl FnOnce(u64),
@@ -470,14 +477,17 @@ impl<V: Clone, H: Default> ConcurrentMvStore<V, H> {
         installed(seq);
         let w = self.watermark();
         let version = MvVersion { writer, seq, stamp, value };
+        let kept = |v: &MvVersion<V>| keep == Some(v.writer);
         // The chain is now the kept versions followed by `version`: keep
-        // the newest version with `seq <= w` and everything after it.
+        // the newest version with `seq <= w`, everything after it, and
+        // `keep`'s version.
         if seq <= w {
-            // The watermark keeps the new version alone.
-            match std::mem::replace(chain, Chain::Inline(version)) {
-                Chain::Empty => {}
-                Chain::Inline(old) => displaced(old.value),
-                Chain::Spilled(old) => old.into_iter().for_each(|v| displaced(v.value)),
+            // The watermark keeps the new version alone (beside `keep`'s).
+            match chain {
+                Chain::Inline(old) if !kept(old) => {
+                    displaced(std::mem::replace(old, version).value)
+                }
+                _ => Self::replace_keeping(chain, version, kept, &mut displaced),
             }
             return seq;
         }
@@ -485,10 +495,47 @@ impl<V: Clone, H: Default> ConcurrentMvStore<V, H> {
         // least one older version beside the new one and lives on the heap.
         let versions = chain.spill();
         versions.push(version);
-        let keep_from = versions.partition_point(|v| v.seq <= w).saturating_sub(1);
-        versions.drain(..keep_from).for_each(|v| displaced(v.value));
+        let pivot = versions.partition_point(|v| v.seq <= w).saturating_sub(1);
+        match versions[..pivot].iter().position(kept) {
+            None => versions.drain(..pivot).for_each(|v| displaced(v.value)),
+            Some(held) => {
+                versions.drain(held + 1..pivot).for_each(|v| displaced(v.value));
+                versions.drain(..held).for_each(|v| displaced(v.value));
+            }
+        }
         debug_assert!(versions.len() >= 2, "a one-version chain stays inline");
         seq
+    }
+
+    /// An install the watermark lets keep only the new `version`, into a
+    /// spilled chain or over a kept one: every old version goes to
+    /// `displaced` but the one `kept` picks, which stays below `version`
+    /// on the heap.
+    #[cold]
+    fn replace_keeping(
+        chain: &mut Chain<V>,
+        version: MvVersion<V>,
+        kept: impl Fn(&MvVersion<V>) -> bool,
+        displaced: &mut impl FnMut(V),
+    ) {
+        let mut versions = match std::mem::replace(chain, Chain::Empty) {
+            Chain::Empty => Vec::new(),
+            Chain::Inline(only) => {
+                let mut versions = Vec::with_capacity(2);
+                versions.push(only);
+                versions
+            }
+            Chain::Spilled(versions) => versions,
+        };
+        let held = versions.iter().position(kept).map(|at| versions.remove(at));
+        versions.drain(..).for_each(|v| displaced(v.value));
+        *chain = match held {
+            Some(held) => {
+                versions.extend([held, version]);
+                Chain::Spilled(versions)
+            }
+            None => Chain::Inline(version),
+        };
     }
 
     /// Bytes of one item's record: its holders `H` and its chain.
@@ -669,7 +716,9 @@ mod tests {
         let (mut tickets, mut displaced) = (Vec::new(), Vec::new());
         let mut install = |shard: &mut ChainShard<'_, _, _>, item, value| {
             let push = |old| displaced.push(old);
-            shard.install(item, TxId(4), stamp(2, &[1, 1]), value, push, |seq| tickets.push(seq));
+            shard.install(item, TxId(4), stamp(2, &[1, 1]), value, None, push, |seq| {
+                tickets.push(seq)
+            });
         };
         install(&mut shard, seeded, Some(49));
         install(&mut shard, fresh, Some(1));
@@ -697,7 +746,7 @@ mod tests {
         let mut install = |n: u32| {
             let mut shard = s.lock_shard(s.shard_index(X));
             let push = |old| displaced.push(old);
-            shard.install(X, TxId(n), stamp(1, &[n.into()]), n.into(), push, |_| {});
+            shard.install(X, TxId(n), stamp(1, &[n.into()]), n.into(), None, push, |_| {});
         };
         let snap = s.begin_snapshot();
         (1..4).for_each(&mut install);
@@ -711,6 +760,36 @@ mod tests {
         install(6);
         assert_eq!(s.version_count(X), 1);
         assert_eq!(displaced, [0, 1, 2, 3, 4, 5], "pruned oldest first, then the whole chain");
+    }
+
+    /// `keep`'s version outlives every prune that would take it — inline
+    /// with no snapshot live, and on the heap below a live snapshot's
+    /// pivot — and goes at the first install that no longer keeps it.
+    #[test]
+    fn an_install_keeps_the_kept_writers_version() {
+        let s: ConcurrentMvStore<i64> = ConcurrentMvStore::new();
+        s.seed(X, 0, 1);
+        let mut displaced = Vec::new();
+        let mut install = |n: u32, keep: Option<u32>| {
+            let mut shard = s.lock_shard(s.shard_index(X));
+            let push = |old| displaced.push(old);
+            let keep = keep.map(TxId);
+            shard.install(X, TxId(n), stamp(1, &[n.into()]), n.into(), keep, push, |_| {});
+            shard.chain(X).iter().map(|v| v.writer.0).collect::<Vec<_>>()
+        };
+        assert_eq!(install(1, Some(9)), [1], "no version of 9's to keep");
+        assert_eq!(install(2, Some(1)), [1, 2], "the kept version spills below the new one");
+        assert_eq!(install(3, Some(1)), [1, 3], "a spilled chain keeps it too");
+        let snap = s.begin_snapshot();
+        assert_eq!(install(4, Some(1)), [1, 3, 4], "below the live snapshot's pivot");
+        assert_eq!(install(5, Some(1)), [1, 3, 4, 5]);
+        drop(snap);
+        let snap = s.begin_snapshot();
+        assert_eq!(install(6, Some(1)), [1, 5, 6], "the pivot is 5's, and 1's stays below it");
+        drop(snap);
+        assert_eq!(install(7, Some(6)), [6, 7]);
+        assert_eq!(install(8, None), [8], "an install that keeps nothing goes back inline");
+        assert_eq!(displaced, [0, 2, 3, 4, 1, 5, 6, 7]);
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl Stamp {
 
     /// Element `m` (0-based): defined for every `m < k`, except the
     /// floor's elements past the first.
-    pub(crate) fn get(&self, m: usize) -> Option<i64> {
+    pub fn get(&self, m: usize) -> Option<i64> {
         assert!(m < self.k(), "element {m} out of range for k = {}", self.k());
         match (self.is_floor(), m) {
             (true, 0) => Some(0),

@@ -41,6 +41,12 @@ cargo test --workspace -q
 echo "== alloc + memory-layout gate (release) =="
 cargo test --release -q --test alloc_zero
 
+# The row arena follows the live transactions: 2^20 MV transfers over
+# 131,072 accounts grow the resident set by at most 4 MiB (a single-test
+# binary, so no other test's memory moves the reading).
+echo "== row-arena resident-set gate (release) =="
+cargo test --release -q --test arena_rss
+
 # Likewise the placement tests: a chunk raced by eight begins is built
 # once, and striped cells sum exactly. (The cache-line layout of every
 # de-shared word is a `const` assertion: the build above checked it.)

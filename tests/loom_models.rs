@@ -1,6 +1,7 @@
 //! Exhaustive interleaving models for the engine's three hand-rolled
 //! lock-free protocols: the order-cache seqlock, the row table's chunk
-//! publication / slot recycling / reclamation / index release, and the
+//! publication / slot recycling / reclamation (with the references a
+//! writer gives up when it installs its version) / index release, and the
 //! `WakeSeq` eventcount. Build and run with:
 //!
 //! ```sh
@@ -13,18 +14,20 @@
 //! constants shrink (`ordercache::SLOTS = 1`, `rowtable::BASE = 2`) so
 //! every model collision is forced and state spaces stay exhaustive.
 //!
-//! The suite includes two deliberate failures, kept as `#[should_panic]`
+//! The suite includes four deliberate failures, kept as `#[should_panic]`
 //! witnesses that the models catch the bugs they guard against: the
 //! seqlock writer ordering before its fix (no Release fence between the
-//! version claim and the data stores), and a row lookup that trusts a
-//! recycled slot without re-checking whose it is.
+//! version claim and the data stores), a row lookup that trusts a
+//! recycled slot without re-checking whose it is, an install-time
+//! release run before the install, and a stamp-backed holder released
+//! twice.
 
 #![cfg(loom)]
 
 use loom::model::Builder;
 use loom::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
 use loom::sync::atomic::{fence, AtomicU64};
-use loom::sync::Arc;
+use loom::sync::{Arc, Mutex};
 use loom::thread;
 
 use mdts_core::RowTable;
@@ -281,6 +284,146 @@ fn loom_rowtable_reclaim_dekker() {
         let reclaims = [finisher.join().unwrap(), dereferencer.join().unwrap()];
         assert_eq!(reclaims.iter().filter(|&&r| r).count(), 1, "reclaimed {reclaims:?}");
         assert!(table.slot(1).is_none(), "both parties missed the reclaim: row leaked");
+    });
+}
+
+/// How the install-time release is run in [`install_release`]: as the
+/// engine runs it, or one of the two bugs the model must catch.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum InstallRelease {
+    /// Install, then release the entries naming the writer, in one
+    /// critical section of the item (`commit_chains`).
+    AtInstall,
+    /// The release runs before the version is installed, in a critical
+    /// section of its own.
+    BeforeInstall,
+    /// A displacement gives up the reference of a stamp-backed entry,
+    /// which has none left: the entry is released twice.
+    Twice,
+}
+
+/// One item's holder entries as the model keeps them: `RT` and `WT` by id,
+/// and whether the writer's version is on the chain (which makes an
+/// entry naming it stamp-backed).
+struct Item {
+    rt: usize,
+    wt: usize,
+    installed: bool,
+}
+
+/// Mirrors `SharedMtScheduler::dec_ref`: whether this call reclaimed the
+/// row, or the fault when there was no reference to give up. (A model
+/// thread must not panic while it holds a model lock, so faults are
+/// returned and asserted once every thread is joined.)
+fn dec_ref(table: &RowTable) -> Result<bool, &'static str> {
+    let Some(slot) = table.slot(1) else {
+        return Err("a reference outlived the row");
+    };
+    let prev = slot.refs().fetch_sub(1, SeqCst);
+    if prev == 0 {
+        return Err("refcount underflow");
+    }
+    Ok(prev == 1 && slot.finished().load(SeqCst) && try_reclaim(table))
+}
+
+/// Mirrors `SharedMtScheduler::try_reclaim`.
+fn try_reclaim(table: &RowTable) -> bool {
+    table.reclaim(1, |slot| slot.refs().load(SeqCst) == 0 && slot.finished().load(SeqCst))
+}
+
+/// Releasing a writer's references at install (III-D-6b with stamp-backed
+/// holders, `version_installed`), against the writer's own `finish` and a
+/// concurrent displacement of the same item's `RT`. Writer 1 read `x` and
+/// `y` and wrote `x`: `RT(x)`, `WT(x)` and `RT(y)` name it, three
+/// references. The writer installs its version of `x` and releases the
+/// entries of `x` naming it, then finishes. One thread displaces `RT(x)`
+/// under `x`'s lock — giving up a reference only while the entry is
+/// row-backed — and another displaces `RT(y)`, which stays row-backed.
+/// Whatever the interleaving, every reference is given up once and the
+/// row is reclaimed exactly once.
+#[test]
+fn loom_rowtable_install_release() {
+    install_release(InstallRelease::AtInstall);
+}
+
+/// The must-catch variant: a release outside the install's critical
+/// section, before it, lets the displacement of `RT(x)` see a row-backed
+/// entry whose reference is gone already.
+#[test]
+#[should_panic(expected = "reclaim broken")]
+fn a_release_before_the_install_gives_a_reference_up_twice() {
+    install_release(InstallRelease::BeforeInstall);
+}
+
+/// The must-catch variant: a displacement that gives up a stamp-backed
+/// entry's reference.
+#[test]
+#[should_panic(expected = "reclaim broken")]
+fn a_stamp_backed_holder_released_twice_is_caught() {
+    install_release(InstallRelease::Twice);
+}
+
+fn install_release(release: InstallRelease) {
+    model2(move || {
+        let table = Arc::new(RowTable::new());
+        table.begin(1, || TsVec::undefined(1), || unreachable!()).refs().store(3, SeqCst);
+        let x = Arc::new(Mutex::new(Item { rt: 1, wt: 1, installed: false }));
+        let y = Arc::new(Mutex::new(1usize));
+
+        let (t2, x2) = (Arc::clone(&table), Arc::clone(&x));
+        let displace_x = thread::spawn(move || {
+            let mut x = x2.lock().unwrap();
+            let prev = std::mem::replace(&mut x.rt, 2);
+            let row_backed = !x.installed || release == InstallRelease::Twice;
+            if prev == 1 && row_backed {
+                dec_ref(&t2)
+            } else {
+                Ok(false)
+            }
+        });
+        let (t3, y3) = (Arc::clone(&table), Arc::clone(&y));
+        let displace_y = thread::spawn(move || {
+            let prev = std::mem::replace(&mut *y3.lock().unwrap(), 3);
+            if prev == 1 {
+                dec_ref(&t3)
+            } else {
+                Ok(false)
+            }
+        });
+
+        // The writer: its commit's critical section on `x`, then `finish`.
+        let release_x = |x: &mut Item| -> Result<bool, &'static str> {
+            let mut reclaimed = false;
+            for holder in [x.rt, x.wt] {
+                if holder == 1 {
+                    reclaimed |= dec_ref(&table)?;
+                }
+            }
+            Ok(reclaimed)
+        };
+        let released = if release == InstallRelease::BeforeInstall {
+            let released = release_x(&mut x.lock().unwrap());
+            x.lock().unwrap().installed = true;
+            released
+        } else {
+            let mut x = x.lock().unwrap();
+            x.installed = true;
+            release_x(&mut x)
+        };
+        let writer = released.and_then(|reclaimed| {
+            let slot = table.slot(1).ok_or("the row went before its finish")?;
+            slot.finished().store(true, SeqCst);
+            Ok(reclaimed || (slot.refs().load(SeqCst) == 0 && try_reclaim(&table)))
+        });
+
+        let parties = [writer, displace_x.join().unwrap(), displace_y.join().unwrap()];
+        let reclaims = parties
+            .iter()
+            .map(|p| p.unwrap_or_else(|fault| panic!("reclaim broken: {fault} ({release:?})")))
+            .filter(|&r| r)
+            .count();
+        assert!(reclaims == 1, "reclaim broken: reclaimed {reclaims} times ({release:?})");
+        assert!(table.slot(1).is_none(), "reclaim broken: the row leaked");
     });
 }
 
