@@ -2,17 +2,14 @@
 //! comparison across dimensions, on the protocol's worst case (equal
 //! prefix of length k−1) — plus the ISSUE-5 small-k sweep pitting the
 //! inline (cache-resident) representation against the forced-spilled one
-//! and against a replica of the pre-inline boxed comparator, and the SIMD
-//! sweep: wide-k single compares, scalar vs the [`SimdComparator`]
-//! kernels.
+//! and against a replica of the pre-inline boxed comparator.
 //!
 //! `--json` (e.g. `cargo bench -p mdts-bench --bench bench_compare --
 //! --json`) skips criterion and emits one `mdts-metrics/v1` document
-//! with directly measured per-compare timings and the scalar/SIMD
-//! speedup ratio of the wide-k lane.
+//! with directly measured per-compare timings of the wide-k lane.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use mdts_vector::{CmpResult, ScalarComparator, SimdComparator, TreeComparator, TsVec};
+use mdts_vector::{CmpResult, ScalarComparator, TreeComparator, TsVec};
 
 fn worst_case_pair(k: usize) -> (TsVec, TsVec) {
     let mut a = TsVec::undefined(k);
@@ -201,69 +198,37 @@ fn bench_working_set(c: &mut Criterion) {
     group.finish();
 }
 
-/// SIMD sweep, criterion form: worst-case single compares at the wide
-/// dimensions (one-word boundary and beyond) under the scalar and SIMD
-/// comparators.
-fn bench_simd_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group(format!("compare_simd_{:?}", mdts_vector::simd_tier()));
-    for k in [64usize, 128, 256, 1024] {
-        let (a, b) = worst_case_pair(k);
-        group.bench_with_input(BenchmarkId::new("single_scalar", k), &k, |bench, _| {
-            bench.iter(|| {
-                ScalarComparator::compare(std::hint::black_box(&a), std::hint::black_box(&b))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("single_simd", k), &k, |bench, _| {
-            bench.iter(|| {
-                SimdComparator::compare(std::hint::black_box(&a), std::hint::black_box(&b))
-            })
-        });
-    }
-    group.finish();
-}
-
 mod json_report {
-    //! The `--json` lane: direct `Instant`-timed medians (no criterion
+    //! The `--json` lane: direct `Instant`-timed minima (no criterion
     //! output parsing) rendered as an `mdts-metrics/v1` document, so the
-    //! acceptance ratios land in a machine-checkable artifact
+    //! wide-k figures land in a machine-checkable artifact
     //! (`scripts/bench.sh` writes it to `target/bench/bench_compare.json`).
 
     use std::time::Instant;
 
     use mdts_bench::metrics_document;
     use mdts_trace::MetricsRegistry;
-    use mdts_vector::{CmpResult, ScalarComparator, SimdComparator};
+    use mdts_vector::{CmpResult, ScalarComparator};
 
     use super::worst_case_pair;
 
-    /// Minimum ns/op of two alternatives over `REPS` *interleaved* timed
-    /// passes of `iters` calls each: baseline and contender alternate
-    /// rep by rep, so clock-frequency drift on a busy host hits both
-    /// sides of the ratio, and each side reports its least-disturbed
-    /// pass — the standard microbenchmark estimator, reproducible within
-    /// a few percent on this host where medians still swing with
+    /// Minimum ns/op over `REPS` timed passes of `iters` calls each: each
+    /// lane reports its least-disturbed pass, the standard
+    /// microbenchmark estimator on a host whose medians swing with
     /// co-tenant load.
-    fn time_pair_ns_per_op(
-        iters: usize,
-        mut baseline: impl FnMut() -> usize,
-        mut contender: impl FnMut() -> usize,
-    ) -> (f64, f64) {
+    fn time_ns_per_op(iters: usize, mut f: impl FnMut() -> usize) -> f64 {
         const REPS: usize = 15;
-        let pass = |f: &mut dyn FnMut() -> usize| {
+        let mut best = f64::INFINITY;
+        for _ in 0..REPS {
             let start = Instant::now();
             let mut acc = 0usize;
             for _ in 0..iters {
                 acc = acc.wrapping_add(f());
             }
             std::hint::black_box(acc);
-            start.elapsed().as_nanos() as f64 / iters as f64
-        };
-        let (mut base, mut cont) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..REPS {
-            base = base.min(pass(&mut baseline));
-            cont = cont.min(pass(&mut contender));
+            best = best.min(start.elapsed().as_nanos() as f64 / iters as f64);
         }
-        (base, cont)
+        best
     }
 
     fn sink(r: CmpResult) -> usize {
@@ -274,38 +239,26 @@ mod json_report {
     }
 
     pub fn run() {
-        let tier = format!("{:?}", mdts_vector::simd_tier());
         let mut runs = Vec::new();
-        // Wide-k single compares: the ≥ 2x acceptance lanes (k ≥ 64).
-        // Beyond k = 128 the scalar baseline's per-word `run_a != run_b`
-        // slice equality compiles to the libc AVX2 memcmp, so "scalar"
-        // already streams at vector width there and the ratio tightens
-        // toward the shared load bound (EXPERIMENTS.md has the analysis);
-        // the line-aligned spilled storage keeps even those dimensions
-        // above 2x.
+        // Wide-k single compares. Beyond k = 128 the per-word
+        // `run_a != run_b` slice equality compiles to the libc vectorized
+        // memcmp, so the scalar scan already streams at vector width.
         for k in [64usize, 128, 256, 1024] {
             let (a, b) = worst_case_pair(k);
             let iters = 4_000_000usize / k.max(16);
-            let (scalar, simd) = time_pair_ns_per_op(
-                iters,
-                || sink(ScalarComparator::compare(&a, &b)),
-                || sink(SimdComparator::compare(&a, &b)),
-            );
+            let scalar = time_ns_per_op(iters, || sink(ScalarComparator::compare(&a, &b)));
             runs.push(
                 MetricsRegistry::new()
                     .label("lane", "single_wide_k")
-                    .label("tier", tier.clone())
                     .label("k", k.to_string())
-                    .counter("scalar_ps_per_op", (scalar * 1000.0) as u64)
-                    .counter("simd_ps_per_op", (simd * 1000.0) as u64)
-                    .counter("speedup_x100", (scalar / simd * 100.0) as u64),
+                    .counter("scalar_ps_per_op", (scalar * 1000.0) as u64),
             );
         }
         println!("{}", metrics_document("bench_compare", &runs).render());
     }
 }
 
-criterion_group!(benches, bench_compare, bench_smallk_sweep, bench_working_set, bench_simd_sweep);
+criterion_group!(benches, bench_compare, bench_smallk_sweep, bench_working_set);
 
 fn main() {
     if std::env::args().any(|a| a == "--json") {

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use mdts_model::{ItemId, OpKind, Operation, TxId};
 use mdts_trace::event::{scalar_cost, tree_cost, AccessOutcome};
 use mdts_trace::{TraceEvent, TraceSink};
-use mdts_vector::{CmpResult, OrderCache, OrderCacheStats, TsVec};
+use mdts_vector::{CmpResult, TsVec};
 
 use crate::algo1::{self, Encoding};
 use crate::table::TimestampTable;
@@ -75,11 +75,9 @@ pub struct MtOptions {
     /// Hot-item right-end encoding (III-D-5).
     pub hot_encoding: Option<HotEncoding>,
     /// Memoize *decided* comparisons (`TS(a) < TS(b)` / `>`) in a write-once
-    /// [`OrderCache`]. Sound because decided orders
-    /// are immutable under the write-once element discipline; the cache is
-    /// flushed whenever the table reports a mutation that could break that
-    /// (the III-D-4 in-place flush, reuse of a reclaimed id, raw table
-    /// access). On by default.
+    /// [`OrderCache`](mdts_vector::OrderCache). Read only by
+    /// [`SharedMtScheduler`](crate::SharedMtScheduler); this sequential
+    /// scheduler compares the vectors every time. On by default.
     pub order_cache: bool,
 }
 
@@ -182,14 +180,6 @@ pub struct MtScheduler {
     /// old anchor, so rollback stays disabled for the item's `RT` slot for
     /// good.
     shielded: std::collections::HashSet<ItemId>,
-    /// Write-once order cache: memoized *decided* comparisons, consulted by
-    /// `Set`, `pick` and the reader rule. A clone starts cold (see
-    /// [`OrderCache`]'s `Clone`), which is always valid.
-    cache: OrderCache,
-    /// The table mutation epoch the cache was last synchronized against;
-    /// a table mutation that could flip a decided order advances the
-    /// table's epoch, and the next cache consult flushes.
-    cache_synced_epoch: u64,
     /// Decision-trace sink (disabled by default; see `mdts-trace`).
     /// Cloning the scheduler shares the sink's buffer.
     trace: TraceSink,
@@ -207,8 +197,6 @@ impl MtScheduler {
             footprint: HashMap::new(),
             finished: std::collections::HashSet::new(),
             shielded: std::collections::HashSet::new(),
-            cache: OrderCache::new(),
-            cache_synced_epoch: 0,
             trace: TraceSink::disabled(),
         }
     }
@@ -232,61 +220,8 @@ impl MtScheduler {
     /// distributed protocol, which seed tables with pre-existing vectors
     /// or site-tagged counters. Mutations must respect the write-once
     /// element discipline or the protocol's guarantees are void.
-    ///
-    /// Conservatively advances the table's mutation epoch, flushing the
-    /// order cache on the next consult — raw access could define elements
-    /// behind the cache's back in ways the write-once argument doesn't
-    /// cover (e.g. DMT(k) write-backs of remote vectors).
     pub fn table_mut(&mut self) -> &mut TimestampTable {
-        self.table.bump_mutation_epoch();
         &mut self.table
-    }
-
-    /// Hit/miss/insert/invalidation counters of the write-once order cache.
-    pub fn order_cache_stats(&self) -> OrderCacheStats {
-        self.cache.stats()
-    }
-
-    /// Definition 6 comparison of `TS(a)` and `TS(b)`, served from the
-    /// write-once order cache when it already holds a decided result.
-    /// Returns the result and whether it was a cache hit. Fresh *decided*
-    /// results are inserted on the way out.
-    fn compare_cached(&mut self, a: TxId, b: TxId) -> (CmpResult, bool) {
-        if !self.opts.order_cache {
-            return (self.table.compare(a, b), false);
-        }
-        let table_epoch = self.table.mutation_epoch();
-        if table_epoch != self.cache_synced_epoch {
-            self.cache_synced_epoch = table_epoch;
-            self.cache.invalidate_all();
-        }
-        let epoch = self.cache.epoch();
-        if let Some(hit) = self.cache.get(a.0, b.0) {
-            debug_assert_eq!(
-                hit,
-                self.table.compare(a, b),
-                "order cache diverged from a fresh compare of {a} and {b}"
-            );
-            return (hit, true);
-        }
-        let cmp = self.table.compare(a, b);
-        self.cache.insert(epoch, a.0, b.0, cmp);
-        (cmp, false)
-    }
-
-    /// Notes a just-encoded order `TS(j) < TS(i)` in the cache, so the
-    /// next consult is a hit.
-    fn cache_note_less(&mut self, j: TxId, i: TxId, less: CmpResult) {
-        if !self.opts.order_cache {
-            return;
-        }
-        debug_assert_eq!(
-            self.table.compare(j, i),
-            less,
-            "encoded order for {j} < {i} does not match the vectors"
-        );
-        let epoch = self.cache.epoch();
-        self.cache.insert(epoch, j.0, i.0, less);
     }
 
     /// Installs an explicit vector for `tx`, replacing any existing row —
@@ -461,15 +396,14 @@ impl MtScheduler {
         self.table.ensure_tx(j);
         self.table.ensure_tx(i);
         let k = self.opts.k;
-        let (cmp, cached) = self.compare_cached(j, i);
+        let cmp = self.table.compare(j, i);
         self.trace.emit(|| TraceEvent::Compare {
             a: j,
             b: i,
             result: cmp,
-            // A hit costs one memo-table probe instead of a column walk.
-            scalar_ops: if cached { 1 } else { scalar_cost(cmp, k) },
+            scalar_ops: scalar_cost(cmp, k),
             tree_steps: tree_cost(k),
-            cached,
+            cached: false,
         });
         let outcome = algo1::set(
             cmp,
@@ -479,11 +413,7 @@ impl MtScheduler {
             if hot { Encoding::RightEnd } else { Encoding::Plain },
             self.table.counters(),
         );
-        let now = algo1::apply(&outcome, cmp, |t, m, v| self.table.ts_mut(t).define(m, v));
-        if now != cmp {
-            // An encode closed the order: memoize it.
-            self.cache_note_less(j, i, now);
-        }
+        algo1::apply(&outcome, cmp, |t, m, v| self.table.ts_mut(t).define(m, v));
         algo1::emit_set(&self.trace, j, i, outcome)
     }
 
@@ -554,7 +484,7 @@ impl algo1::OrderTable for Oracle<'_> {
         // referenced), but a defensive ensure keeps the invariant local.
         self.s.table.ensure_tx(a);
         self.s.table.ensure_tx(b);
-        self.s.compare_cached(a, b).0
+        self.s.table.compare(a, b)
     }
 
     fn set(&mut self, j: TxId, i: TxId) -> Result<(), usize> {

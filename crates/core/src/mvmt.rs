@@ -72,21 +72,19 @@ impl MvMtScheduler {
         let n = self.chains[&item].len();
         for idx in (0..n).rev() {
             let writer = self.chains[&item][idx].writer;
-            let successor = (idx + 1 < n).then(|| self.chains[&item][idx + 1].writer);
             // Order after this version's writer…
             if !self.inner.order(writer, tx) {
                 continue; // writer is after tx: version too new
             }
-            // …and before the successor's writer (vacuous for the newest).
-            if let Some(s) = successor {
-                if !self.inner.order(tx, s) {
-                    // tx is already after the successor; the scan already
-                    // rejected the newer versions, so keep descending —
-                    // this situation cannot actually occur (tx > s would
-                    // have made version idx+1 eligible), but stay safe.
-                    continue;
-                }
-            }
+            // …and before the successor's writer (vacuous for the newest):
+            // version idx+1 was skipped because `Set(s, tx)` was refused,
+            // so `TS(tx) < TS(s)` is already decided.
+            debug_assert!(
+                self.chains[&item]
+                    .get(idx + 1)
+                    .is_none_or(|s| self.inner.table().is_less(tx, s.writer)),
+                "{tx} reads below a successor it is not ordered before"
+            );
             self.chains.get_mut(&item).expect("chain exists").index_readers(idx, tx);
             return writer;
         }

@@ -28,15 +28,6 @@ pub struct TimestampTable {
     /// reclamation check of Section III-D-6b O(1) instead of a scan over
     /// every item.
     refs: Vec<u32>,
-    /// Per-slot flag: the row held a vector that was since reclaimed, so a
-    /// fresh vector appearing here reuses the id — any memoized comparison
-    /// involving it must be discarded.
-    reclaimed: Vec<bool>,
-    /// Bumped whenever a change could invalidate a previously *decided*
-    /// comparison: an existing vector is overwritten (the III-D-4 in-place
-    /// flush) or a reclaimed id is reused. Write-once defines never bump it
-    /// — that is exactly what makes the order cache sound.
-    mutations: u64,
     counters: KthCounters,
 }
 
@@ -52,8 +43,6 @@ impl TimestampTable {
             rt: Vec::new(),
             wt: Vec::new(),
             refs: Vec::new(),
-            reclaimed: Vec::new(),
-            mutations: 0,
             counters: KthCounters::new(),
         }
     }
@@ -83,7 +72,6 @@ impl TimestampTable {
             self.vectors.resize(idx + 1, None);
         }
         if self.vectors[idx].is_none() {
-            self.note_fresh_row(idx);
             self.vectors[idx] = Some(TsVec::undefined(self.k));
         }
     }
@@ -97,13 +85,6 @@ impl TimestampTable {
         if idx >= self.vectors.len() {
             self.vectors.resize(idx + 1, None);
         }
-        if self.vectors[idx].is_some() {
-            // Overwriting a live vector (the III-D-4 in-place flush) can
-            // flip a previously decided order.
-            self.mutations += 1;
-        } else {
-            self.note_fresh_row(idx);
-        }
         self.vectors[idx] = Some(vector);
     }
 
@@ -112,8 +93,6 @@ impl TimestampTable {
     /// with `first` when the starvation fix recorded a hint) instead of
     /// allocating a replacement vector. Falls back to
     /// [`install`](Self::install) when the transaction has no live row.
-    /// Like any overwrite of a live vector, it advances the mutation epoch
-    /// so memoized orders naming the old incarnation go stale.
     pub fn flush_in_place(&mut self, tx: TxId, first: Option<i64>) {
         let idx = tx.index();
         if let Some(Some(v)) = self.vectors.get_mut(idx) {
@@ -121,7 +100,6 @@ impl TimestampTable {
                 Some(f) => v.flush(f),
                 None => v.clear(),
             }
-            self.mutations += 1;
             return;
         }
         let mut v = TsVec::undefined(self.k);
@@ -129,33 +107,6 @@ impl TimestampTable {
             v.define(0, f);
         }
         self.install(tx, v);
-    }
-
-    /// Bookkeeping for a vector appearing in slot `idx`: if the slot held a
-    /// since-reclaimed vector, the id is being reused and memoized
-    /// comparisons naming it go stale.
-    fn note_fresh_row(&mut self, idx: usize) {
-        if self.reclaimed.get(idx).copied().unwrap_or(false) {
-            self.reclaimed[idx] = false;
-            self.mutations += 1;
-        }
-    }
-
-    /// An epoch that advances whenever a previously *decided* comparison
-    /// could have been invalidated — by an [`install`](Self::install) over a
-    /// live row, by reuse of a reclaimed id, or by an explicit
-    /// [`bump_mutation_epoch`](Self::bump_mutation_epoch). Under the
-    /// write-once discipline nothing else can flip a decided order, so an
-    /// order cache is valid exactly while this value holds still.
-    pub fn mutation_epoch(&self) -> u64 {
-        self.mutations
-    }
-
-    /// Conservatively advances the mutation epoch — callers with raw mutable
-    /// table access (e.g. experiment drivers poking vectors directly) use
-    /// this to force order-cache invalidation.
-    pub fn bump_mutation_epoch(&mut self) {
-        self.mutations += 1;
     }
 
     /// `TS(tx)`, if the transaction has a live vector.
@@ -277,10 +228,6 @@ impl TimestampTable {
         if let Some(slot) = self.vectors.get_mut(idx) {
             if slot.is_some() {
                 *slot = None;
-                if idx >= self.reclaimed.len() {
-                    self.reclaimed.resize(idx + 1, false);
-                }
-                self.reclaimed[idx] = true;
                 return true;
             }
         }
@@ -370,16 +317,14 @@ mod tests {
     }
 
     #[test]
-    fn flush_in_place_reuses_row_and_bumps_epoch() {
+    fn flush_in_place_reuses_row() {
         // k = 70 forces the spilled representation, so storage reuse is
         // observable: the flushed row must still be the boxed form.
         let mut t = TimestampTable::new(70);
         t.ensure_tx(TxId(1));
         t.ts_mut(TxId(1)).define(0, 3);
         t.ts_mut(TxId(1)).define(7, 9);
-        let before = t.mutation_epoch();
         t.flush_in_place(TxId(1), Some(5));
-        assert!(t.mutation_epoch() > before, "live-row overwrite invalidates memoized orders");
         let v = t.ts_expect(TxId(1));
         assert!(v.is_spilled());
         assert_eq!(v.get(0), Some(5));
@@ -464,29 +409,6 @@ mod tests {
         t.set_rt(ItemId(0), TxId(2));
         assert_eq!(t.ref_count(TxId(1)), 0);
         assert!(t.reclaim(TxId(1)));
-    }
-
-    #[test]
-    fn mutation_epoch_tracks_flushes_and_id_reuse() {
-        let mut t = TimestampTable::new(2);
-        t.ensure_tx(TxId(1));
-        t.ensure_tx(TxId(2));
-        assert_eq!(t.mutation_epoch(), 0, "fresh rows never bump the epoch");
-        t.ts_mut(TxId(1)).define(0, 3);
-        assert_eq!(t.mutation_epoch(), 0, "write-once defines never bump the epoch");
-        // In-place III-D-4 flush: overwriting a live vector bumps.
-        t.install(TxId(1), TsVec::undefined(2));
-        assert_eq!(t.mutation_epoch(), 1);
-        // Reclaim alone doesn't bump — nothing can compare against the row.
-        assert!(t.reclaim(TxId(2)));
-        assert_eq!(t.mutation_epoch(), 1);
-        // Reusing the reclaimed id does, once, whichever path recreates it.
-        t.ensure_tx(TxId(2));
-        assert_eq!(t.mutation_epoch(), 2);
-        t.ensure_tx(TxId(2));
-        assert_eq!(t.mutation_epoch(), 2, "idempotent ensure doesn't re-bump");
-        t.bump_mutation_epoch();
-        assert_eq!(t.mutation_epoch(), 3);
     }
 
     #[test]

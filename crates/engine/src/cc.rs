@@ -219,13 +219,6 @@ impl ConcurrentCc for MtCc {
     fn attach_trace(&mut self, sink: TraceSink) {
         self.sched.get_mut().unwrap_or_else(PoisonError::into_inner).attach_trace(sink);
     }
-
-    fn sample(&self, snap: &mut MetricsSnapshot) {
-        let cache = lock(&self.sched).order_cache_stats();
-        snap.order_cache_hits = cache.hits;
-        snap.order_cache_misses = cache.misses;
-        snap.gauges.order_cache_epoch_flushes = cache.invalidations;
-    }
 }
 
 // ---------------------------------------------------------------------

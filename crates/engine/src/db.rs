@@ -216,14 +216,14 @@ impl<V> Shared<V> {
         None
     }
 
-    /// Registers `tx` with the protocol — as the restart of `prev`, if
-    /// any — and returns the abort-all epoch it starts under (always 0 on
-    /// the multiversion path, which has none).
-    fn begin(&self, tx: TxId, prev: Option<TxId>) -> u64 {
+    /// Registers `tx` with the protocol — as the `attempt`th consecutive
+    /// restart of `prev`, if any — and returns the abort-all epoch it
+    /// starts under (always 0 on the multiversion path, which has none).
+    fn begin(&self, tx: TxId, prev: Option<TxId>, attempt: usize) -> u64 {
         match &self.engine {
             Engine::Chains(mv) => {
                 match prev {
-                    Some(p) => mv.sched.begin_restarted(tx, p),
+                    Some(p) => mv.sched.begin_restarted_nth(tx, p, attempt),
                     None => mv.sched.begin(tx),
                 }
                 0
@@ -653,7 +653,7 @@ impl<V: Clone + Send + 'static> Database<V> {
             let span = shared.metrics.phases.start();
             let id = shared.next_id().ok_or(TxError::IdsExhausted)?;
             shared.trace.emit(|| TraceEvent::Begin { tx: id });
-            let epoch = shared.begin(id, prev);
+            let epoch = shared.begin(id, prev, attempt);
             shared.metrics.phases.record_since(Phase::Admission, span);
             let mut tx = Tx { shared, cells, id, epoch, scratch: &mut *scratch, armed: true };
             if let Ok(value) = body(&mut tx) {

@@ -235,14 +235,15 @@ journal_enum! {
             tx: TxId,
         },
         /// A restarted incarnation replaced an aborted one; `hint` is the
-        /// starvation restart hint `TS(blocker, 1) + 1` installed as the first
-        /// element, if any (Section III-D-4).
+        /// first element it begins with, if any: the starvation restart hint
+        /// `TS(blocker, 1) + 1` (Section III-D-4), raised above the published
+        /// column-0 maximum once a restart chain grows long.
         Restart = "restart" {
             /// The replacement transaction.
             tx: TxId,
             /// The incarnation it replaces.
             aborted: TxId,
-            /// First-element restart hint, if one was recorded.
+            /// First element installed, if a hint was recorded.
             hint: Option<i64>,
         },
         /// A `Set(from, to)` edge: the scheduler tried to order `from < to`.

@@ -216,16 +216,14 @@ pub struct ParallelCost {
 ///    difference;
 /// 5. the order is read off `a_m` vs `b_m` at that position.
 ///
-/// Since ISSUE 8 the decision itself comes from the real data-parallel
-/// kernel ([`SimdComparator`], bit-identical to the scalar scan), and the
-/// phases are *costed* arithmetically rather than simulated with
-/// heap-allocated processor rows: phase 3's Hillis–Steele doubling over k
-/// processors performs exactly ⌈log₂ k⌉ rounds (`shift` doubling from 1
-/// until it covers `k`), and phases 1/2/4/5 are one step each regardless
-/// of the outcome. The reported [`ParallelCost`] is unchanged for every
-/// input — exp09/exp10 depend on that.
-///
-/// [`SimdComparator`]: crate::simd::SimdComparator
+/// The decision itself comes from [`ScalarComparator`] (the paper's claim
+/// is about parallel *steps*, not a host's wall clock), and the phases are
+/// *costed* arithmetically rather than simulated with heap-allocated
+/// processor rows: phase 3's Hillis–Steele doubling over k processors
+/// performs exactly ⌈log₂ k⌉ rounds (`shift` doubling from 1 until it
+/// covers `k`), and phases 1/2/4/5 are one step each regardless of the
+/// outcome. The reported [`ParallelCost`] is unchanged for every input —
+/// exp09/exp10 depend on that.
 pub struct TreeComparator;
 
 impl TreeComparator {
@@ -238,7 +236,7 @@ impl TreeComparator {
     pub fn compare_counted(a: &TsVec, b: &TsVec) -> (CmpResult, ParallelCost) {
         assert_eq!(a.k(), b.k(), "vectors of different dimension are never compared");
         let k = a.k();
-        let result = crate::simd::SimdComparator::compare(a, b);
+        let result = ScalarComparator::compare(a, b);
         // ⌈log₂ k⌉ doubling rounds of the Fig. 7 tree (0 for k = 1).
         let tree_steps = k.next_power_of_two().trailing_zeros() as usize;
         (result, ParallelCost { steps: 4 + tree_steps, processors: k })

@@ -20,13 +20,10 @@
 //!   drawn through `&self` by the sequential and the concurrent scheduler
 //!   alike;
 //! * [`ScalarComparator`] — the O(k) sequential comparison;
-//! * [`TreeComparator`] — the five-phase simulated vector-processor
-//!   comparison of Figs. 6–7, O(log k) parallel steps;
-//! * [`SimdComparator`] — the data-parallel Definition 6 kernels
-//!   (AVX-512/AVX2/SSE2 with a bit-identical scalar fallback), the wide-k
-//!   subject of Figs. 6–7 (exp06, `bench_compare`). Every compare on the
-//!   engine path, the MV chain walk included, is the scalar
-//!   [`TsVec::compare`];
+//! * [`TreeComparator`] — the five-phase vector-processor comparison of
+//!   Figs. 6–7, deciding with the scalar scan and costing its O(log k)
+//!   parallel steps arithmetically. Every compare, the engine's and the MV
+//!   chain walk's included, is the scalar [`TsVec::compare`];
 //! * [`Stamp`] and [`StampView`] — a committed writer's saturated vector
 //!   packed to its k values, and Definition 6 against it from a reader's
 //!   mask alone (the MV chain's version stamps);
@@ -41,25 +38,25 @@ pub mod compare;
 pub mod counters;
 pub mod interval;
 pub mod ordercache;
-pub mod simd;
 pub mod stamp;
 pub mod stripe;
 pub(crate) mod sync;
 pub mod tsvec;
 
+/// The frozen cost-model harness's name for the scalar compare (it times
+/// `SimdComparator::compare`); delete it with that harness's next change
+/// (ROADMAP item 1(c)).
+pub use compare::ScalarComparator as SimdComparator;
 pub use compare::{CmpResult, ParallelCost, ScalarComparator, TreeComparator};
 pub use counters::KthCounters;
 pub use interval::interval_view;
 pub use ordercache::{OrderCache, OrderCacheStats};
-pub use simd::{simd_tier, SimdComparator, SimdTier};
 pub use stamp::{Stamp, StampView, INLINE_STAMP_K};
 pub use stripe::{CachePadded, Striped};
 pub use tsvec::{TsVec, INLINE_K};
 
 #[cfg(test)]
 mod order_props;
-#[cfg(test)]
-mod simd_props;
 #[cfg(test)]
 mod stamp_props;
 #[cfg(test)]

@@ -167,15 +167,6 @@ impl Default for OrderCache {
     }
 }
 
-/// A clone starts *cold* (same configuration, no entries): cached orders
-/// are derived state, and two clones that diverge afterwards must not
-/// share memoized facts.
-impl Clone for OrderCache {
-    fn clone(&self) -> Self {
-        Self::new()
-    }
-}
-
 impl OrderCache {
     /// An empty cache at epoch 0.
     pub fn new() -> Self {
@@ -432,15 +423,6 @@ mod tests {
         let e = cache.epoch();
         cache.insert(e, 10, 11, ScalarComparator::compare(&a, &b));
         assert_eq!(cache.get(10, 11), Some(CmpResult::Greater { at: 0 }));
-    }
-
-    #[test]
-    fn clone_starts_cold() {
-        let cache = OrderCache::new();
-        cache.insert(cache.epoch(), 1, 2, CmpResult::Less { at: 0 });
-        let fork = cache.clone();
-        assert!(fork.is_empty());
-        assert_eq!(fork.stats(), OrderCacheStats::default());
     }
 
     /// Random write-once define steps `(tx, column, value)`, derived from

@@ -76,10 +76,10 @@ union Data {
 
 /// One cache line of spilled values. Spilled storage is a boxed slice of
 /// these, so the value array always starts on (and is padded to) a
-/// 64-byte boundary: the SIMD comparator's 256- and 512-bit loads then
-/// never split a cache line, which is worth ~40% of the k = 64 scan cost
-/// on a `Box<[i64]>`'s 16-byte alignment. The padding tail (up to seven
-/// values) stays zero and is never part of `values_raw`.
+/// 64-byte boundary: the scalar compare's large-k slice equality (libc's
+/// vectorized memcmp) then never splits a cache line, which DESIGN.md §5
+/// measured against a `Box<[i64]>`'s 16-byte alignment. The padding tail
+/// (up to seven values) stays zero and is never part of `values_raw`.
 #[derive(Clone, Copy)]
 #[repr(C, align(64))]
 struct ValChunk([i64; 8]);

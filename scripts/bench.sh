@@ -57,7 +57,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
     cargo run --release -q -p mdts-bench --bin timeseries_check -- "$ts_file"
     echo "== bench smoke: stall-detector regression fixtures =="
     cargo run --release -q -p mdts-bench --bin timeseries_check -- --stall-fixture
-    echo "== bench smoke: bench_compare --json (wide-k SIMD single-compare lane) =="
+    echo "== bench smoke: bench_compare --json (wide-k scalar single-compare lane) =="
     doc_simd=$(cargo bench -q -p mdts-bench --bench bench_compare -- --json)
     if [[ "$doc_simd" != *"\"schema\":\"$SCHEMA\""* ]]; then
         echo "bench smoke: bench_compare document is missing the $SCHEMA stamp" >&2
@@ -141,7 +141,7 @@ fi
 echo "== exp18 (MV acceptance grid) =="
 write_doc exp18 cargo run --release -q -p mdts-bench --bin exp18_multiversion -- --json
 
-echo "== bench_compare (wide-k SIMD lane) =="
+echo "== bench_compare (wide-k scalar lane) =="
 write_doc bench_compare cargo bench -q -p mdts-bench --bench bench_compare -- --json
 
 echo "== exp20 (crash-recovery matrix + auditor certification) =="

@@ -47,6 +47,12 @@ cargo test --release -q --test alloc_zero
 echo "== row-arena resident-set gate (release) =="
 cargo test --release -q --test arena_rss
 
+# Two clients on 16 hot MV accounts (2,000-iteration spin between reads
+# and writes, 256 restarts allowed) give no transfer up: a long restart
+# chain begins above committed history (a single-test binary, ≈ 3 s).
+echo "== hot-set restart gate (release) =="
+cargo test --release -q --test hot_restarts
+
 # Likewise the placement tests: a chunk raced by eight begins is built
 # once, and striped cells sum exactly. (The cache-line layout of every
 # de-shared word is a `const` assertion: the build above checked it.)
