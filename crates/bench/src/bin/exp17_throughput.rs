@@ -23,7 +23,7 @@ use mdts_telemetry::{Sampler, SamplerConfig};
 
 /// The telemetry lane's window length.
 const TELEMETRY_INTERVAL: Duration = Duration::from_millis(10);
-/// The telemetry lane's sampled transactions per client: 21–26 windows on
+/// The telemetry lane's sampled transactions per client: 28–36 windows on
 /// a 2-vCPU host, against the 13 the strict gate asks for. The lane
 /// samples from the database's first transaction: the row table's index
 /// chunks reserve 4 bytes per id, backed only as ids are begun, and its

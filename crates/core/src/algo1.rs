@@ -12,8 +12,6 @@
 //!   `TS(j)` against `TS(i)`, the two vectors, the column floor and the
 //!   k-th-column counters, the element definitions that encode
 //!   `TS(j) < TS(i)` (or that the order is already decided either way).
-//!   [`slip`] is the same rule run the other way round for a snapshot
-//!   reader slipping below a live holder.
 //! * [`access`] — the access rule, generic over an [`OrderTable`] that
 //!   offers the instantiation's compare, its `Set` and its III-D-4 restart
 //!   hint. It returns the [`AccessOutcome`] and leaves the holder update
@@ -54,10 +52,6 @@ pub(crate) enum Encoding {
     /// against a defined one is chosen above the column floor too, so
     /// committed history never refuses a fresh transaction (PR 12).
     Plain,
-    /// Every element `i` gains lies strictly above the column floor: a
-    /// snapshot reader is then never decided below a commit stamp
-    /// published before its element was defined (DESIGN.md §8).
-    Boosted,
     /// III-D-5's right-end encoding: an open order is encoded only after
     /// `TS(j)`'s defined prefix was copied into `TS(i)`.
     RightEnd,
@@ -79,7 +73,6 @@ pub(crate) fn set(
     counters: &KthCounters,
 ) -> SetEdgeOutcome {
     let last = tj.k() - 1;
-    let boost = encoding == Encoding::Boosted;
     let changes = match cmp {
         CmpResult::Less { .. } => return SetEdgeOutcome::AlreadyOrdered,
         CmpResult::Greater { at } => return SetEdgeOutcome::Refused { at },
@@ -90,17 +83,7 @@ pub(crate) fn set(
             return SetEdgeOutcome::Refused { at: last };
         }
         CmpResult::EqualUndefined { at } => {
-            // `j` takes 1 below, so the boosted side needs a floor of at
-            // least 0 even before the first stamp.
-            let floor = if boost { floor(at).max(0) } else { 0 };
-            let (a, b) = if at < last {
-                (1, floor + 2)
-            } else if boost {
-                let a = counters.fresh_upper();
-                (a, counters.fresh_upper_above(a.max(floor)))
-            } else {
-                counters.fresh_pair()
-            };
+            let (a, b) = if at < last { (1, 2) } else { counters.fresh_pair() };
             EncodedChanges::pair((j, at, a), (i, at, b))
         }
         CmpResult::RightUndefined { at }
@@ -126,10 +109,10 @@ pub(crate) fn set(
             // decision at or after this column has involved `i` yet — and
             // choosing it above the floor as well leaves `i` below no
             // writer that committed before this define. The last column's
-            // counter draws are globally fresh already, so only a boosted
-            // `i` floors it.
+            // counter draws are globally fresh already, so it is not
+            // floored.
             let mut bound = tj.get(at).expect("defined by case");
-            if boost || at < last {
+            if at < last {
                 bound = bound.max(floor(at));
             }
             // The bounded draw keeps TS(j,k) < TS(i,k) even when a DMT(k)
@@ -145,31 +128,6 @@ pub(crate) fn set(
         }
     };
     SetEdgeOutcome::Encoded { changes }
-}
-
-/// The reader rule's slip (lines 9–10 on the snapshot path): `Set(j, i)`
-/// for a reader `j` that must stay above the floor — it defines `j`'s open
-/// non-last element just below `i`'s, and only when that value still lies
-/// above `floor` (the window between the floor and the holder is open).
-/// `None` when the order is not open that way or the window is closed.
-/// The last column is excluded: its globally unique counter values cannot
-/// be re-derived from a bound without risking one at or below the floor.
-pub(crate) fn slip(
-    cmp: CmpResult,
-    j: (TxId, &TsVec),
-    i: (TxId, &TsVec),
-    floor: impl Fn(usize) -> i64,
-    counters: &KthCounters,
-) -> Option<EncodedChanges> {
-    if !matches!(cmp, CmpResult::LeftUndefined { at } if at < j.1.k() - 1) {
-        return None;
-    }
-    match set(cmp, j, i, &floor, Encoding::Plain, counters) {
-        SetEdgeOutcome::Encoded { changes } if changes.iter().all(|&(_, m, v)| v > floor(m)) => {
-            Some(changes)
-        }
-        _ => None,
-    }
 }
 
 /// `Some` when `cmp` already decides `Set(j, i)` — no element to define.
@@ -349,8 +307,8 @@ mod tests {
         /// vectors already said `TS(j) > TS(i)`: afterwards
         /// `TS(j) < TS(i)`; only undefined elements were defined; every
         /// non-last element a floored (`Plain`, open against a defined
-        /// element) or boosted `i` gained lies above the floor, a boosted
-        /// one's last element too; and no last-column draw repeats.
+        /// element) `i` gained lies above the floor; and no last-column
+        /// draw repeats.
         #[test]
         fn set_orders_write_once_above_the_floor(
             seed in any::<u64>(),
@@ -372,8 +330,7 @@ mod tests {
                 if tj.is_defined(k - 1) && tj.get(k - 1) == ti.get(k - 1) {
                     continue; // the k-th column is distinct between transactions
                 }
-                let encoding =
-                    [Encoding::Plain, Encoding::Boosted, Encoding::RightEnd][rng.gen_range(0..3usize)];
+                let encoding = [Encoding::Plain, Encoding::RightEnd][rng.gen_range(0..2usize)];
                 let cmp = tj.compare(&ti);
                 let outcome = set(cmp, (j, &tj), (i, &ti), floor, encoding, &counters);
                 if let CmpResult::Greater { at } = cmp {
@@ -391,7 +348,7 @@ mod tests {
                     let floored = encoding == Encoding::Plain
                         && matches!(cmp, CmpResult::RightUndefined { .. })
                         && m < k - 1;
-                    if t == i && (floored || encoding == Encoding::Boosted) {
+                    if t == i && floored {
                         prop_assert!(v > floor(m), "{t}[{m}] = {v} not above {}", floor(m));
                     }
                     if m == k - 1 {

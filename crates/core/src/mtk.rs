@@ -108,12 +108,24 @@ pub struct Reject {
     /// The transaction whose operation was rejected (it must abort).
     pub tx: TxId,
     /// The transaction whose timestamp vector blocked it (`TS(against) >
-    /// TS(tx)` at the deciding column).
+    /// TS(tx)` at the deciding column) — or `T₀` when no holder did: a
+    /// snapshot reader's read bound refused the write (see
+    /// [`by_read_bound`](Self::by_read_bound)).
     pub against: TxId,
     /// The item whose access created the impossible dependency.
     pub item: ItemId,
     /// The vector column whose already-encoded order decided the refusal.
     pub column: usize,
+}
+
+impl Reject {
+    /// Whether a snapshot reader's read bound refused the write rather
+    /// than a holder's vector (`SharedMtScheduler::access_held`). `T₀`'s
+    /// `⟨0, *, …⟩` is below every vector the access rule grants, so it never
+    /// refuses by Definition 6 and can stand for the bound.
+    pub fn by_read_bound(&self) -> bool {
+        self.against.is_virtual()
+    }
 }
 
 /// Scheduler verdict for one operation.

@@ -63,7 +63,10 @@
 //! a reclaimed id, so `begin` treats an entry that is `DEAD`, or `0` below
 //! the cursor, as a reuse, and relinks it under the sweep lock so that no
 //! sweep can release the new link. A fresh id's entry is `0` above the
-//! cursor, and it stops the sweep, so a fresh `begin` takes no lock.
+//! cursor, and it stops the sweep, so a fresh `begin` takes no lock. An id
+//! drawn by a transaction that keeps no row (a snapshot reader) is
+//! [`retire`](RowTable::retire)d instead: its entry goes straight to
+//! `DEAD`, so it never holds the cursor back.
 
 use std::marker::PhantomData;
 use std::sync::PoisonError;
@@ -428,6 +431,21 @@ impl RowTable {
             self.sweep();
         }
         slot
+    }
+
+    /// Marks the fresh `id` reclaimed without giving it a row: an id drawn
+    /// by a transaction that keeps none (a snapshot reader) is retired at
+    /// once, so its entry reads `DEAD` and no sweep stops at it. A later
+    /// `begin` of it is a reuse. Like a fresh `begin`, a retire of a
+    /// multiple of `BASE` runs the sweep step. One thread retires a given
+    /// id, and never one it began.
+    pub fn retire(&self, id: usize) {
+        let entry = self.index.ensure(index_pos(id), &self.grow);
+        let prev = entry.swap(DEAD, Ordering::AcqRel);
+        debug_assert_eq!(prev, 0, "transaction {id} retired after a begin");
+        if id.is_multiple_of(BASE) {
+            self.sweep();
+        }
     }
 
     /// One sweep step: moves the release cursor over the whole blocks of

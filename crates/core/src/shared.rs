@@ -18,13 +18,24 @@
 //! * **…or with the caller.** A caller that already keeps a record and a
 //!   lock per item — the engine's multiversion path keeps each item's
 //!   pair in its version-chain record — passes the pair in under its own
-//!   lock ([`access_held`](SharedMtScheduler::access_held),
-//!   [`snapshot_read_held`](SharedMtScheduler::snapshot_read_held)); the
-//!   caller's lock is then the critical section, and the scheduler's shard
-//!   tables stay empty. [`read`](SharedMtScheduler::read),
-//!   [`write`](SharedMtScheduler::write) and
-//!   [`snapshot_read`](SharedMtScheduler::snapshot_read) are the same
-//!   entry points over the scheduler's own tables.
+//!   lock ([`access_held`](SharedMtScheduler::access_held)); the caller's
+//!   lock is then the critical section, and the scheduler's shard tables
+//!   stay empty. [`read`](SharedMtScheduler::read) and
+//!   [`write`](SharedMtScheduler::write) are the same entry points over
+//!   the scheduler's own tables.
+//! * **Snapshot readers write nothing shared but a read bound.** A
+//!   read-only transaction is no MT(k) transaction: it takes a fixed
+//!   position `b` — column 0's published commit maximum + 1, read once at
+//!   its begin — and reads each item's newest version whose stamp's column
+//!   0 is below `b`, raising the read bound kept beside the item
+//!   (Basic T/O's read timestamp, per lock) to `b`. A write whose column 0
+//!   is below the bound is refused at validation
+//!   ([`access_held`](SharedMtScheduler::access_held)). The reader keeps
+//!   no row, takes no `RT` entry and probes no order memo
+//!   ([`begin_snapshot_reader`](SharedMtScheduler::begin_snapshot_reader),
+//!   [`snapshot_visible`](SharedMtScheduler::snapshot_visible); the
+//!   scheduler's own tables keep a bound per shard for
+//!   [`snapshot_read`](SharedMtScheduler::snapshot_read)).
 //! * **Vector rows live in a recycled [`RowTable`] arena** behind a 4-byte
 //!   id index — slots are addressed lock-free (chunks are published once
 //!   via atomic pointers and never move), and each slot carries its own
@@ -136,7 +147,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use crate::sync::{RwLockReadGuard, RwLockWriteGuard};
 
 use mdts_model::{ItemId, OpKind, Operation, TxId};
-use mdts_trace::event::{scalar_cost, tree_cost, AccessOutcome, SetEdgeOutcome};
+use mdts_trace::event::{scalar_cost, tree_cost, AccessOutcome, RejectRule};
 use mdts_trace::{TraceEvent, TraceSink};
 use mdts_vector::{
     CachePadded, CmpResult, KthCounters, OrderCache, OrderCacheStats, Stamp, StampView, Striped,
@@ -153,11 +164,11 @@ use crate::rowtable::{RowSlot, RowTable};
 ///
 /// The scheduler keeps one per item in its own shard tables, and a caller
 /// may keep them instead, beside whatever else it stores per item, and
-/// hand them in under its own lock ([`SharedMtScheduler::access_held`],
-/// [`SharedMtScheduler::snapshot_read_held`]). A fresh pair names `T₀`
-/// twice. Every non-`T₀` holder in a pair counts one reference to its row
-/// (III-D-6b reclamation) — unless it is *stamp-backed*: a holder whose
-/// version of the item the caller still keeps is compared through that
+/// hand them in under its own lock ([`SharedMtScheduler::access_held`]).
+/// A fresh pair names `T₀` twice. Every non-`T₀` holder in a pair counts
+/// one reference to its row (III-D-6b reclamation) — unless it is
+/// *stamp-backed*: a holder whose version of the item the caller still
+/// keeps is compared through that
 /// version's stamp and holds no reference (see
 /// [`SharedMtScheduler::version_installed`]). So a pair may only be
 /// changed by the scheduler, and dropping one that still names a live row
@@ -265,7 +276,7 @@ impl algo1::OrderTable for ItemView<'_, '_> {
     }
 
     fn set(&mut self, j: TxId, i: TxId) -> Result<(), usize> {
-        self.sched.set_less(self.holder(j), i, false)
+        self.sched.set_less(self.holder(j), i)
     }
 
     fn note_reject(&mut self, tx: TxId, against: TxId) {
@@ -279,9 +290,18 @@ impl algo1::OrderTable for ItemView<'_, '_> {
 /// grows on first touch of an item and never shrinks; untouched entries
 /// read as `T₀` (exactly the absent-key semantics of the old `HashMap`s),
 /// so steady state performs no allocation at all.
-#[derive(Default, Debug)]
+#[derive(Debug)]
 struct ShardItems {
     slots: Vec<HolderPair>,
+    /// The shard's read bound (see
+    /// [`snapshot_read`](SharedMtScheduler::snapshot_read)).
+    read_bound: i64,
+}
+
+impl Default for ShardItems {
+    fn default() -> Self {
+        ShardItems { slots: Vec::new(), read_bound: i64::MIN }
+    }
 }
 
 impl ShardItems {
@@ -307,22 +327,16 @@ impl ShardItems {
     }
 }
 
-/// Which version generation a snapshot read must be served from (the
-/// MV-MT(k) serving path, [`SharedMtScheduler::snapshot_read`]).
+/// Which version a snapshot read over the scheduler's own tables must be
+/// served from ([`SharedMtScheduler::snapshot_read`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SnapshotRead {
-    /// The reader is ordered after both current holders and became the
-    /// item's `RT` holder: it reads the *current* committed value (the
-    /// chain tail). Every future writer of the item is forced above the
-    /// reader by the ordinary holder rule — or refused and aborted
-    /// without installing a version — so the read can never go stale.
+    /// The item's writer sits below the reader's position: the reader
+    /// reads the *current* committed value.
     Current,
-    /// The reader is decided *below* one of the current holders: it must
-    /// be served from an older version on the chain
-    /// ([`SharedMtScheduler::snapshot_order_after`]). Holders only ever
-    /// advance upward and decided `<` is transitive over write-once
-    /// vectors, so every future writer of the item still orders above
-    /// the reader — the stale read stays a consistent cut.
+    /// The item's writer sits at or above the reader's position: the
+    /// reader is served the newest older version below it
+    /// ([`SharedMtScheduler::snapshot_newest_visible`]).
     Older,
 }
 
@@ -382,13 +396,13 @@ pub struct SharedMtScheduler {
     /// `i64::MIN` (no stamp has an element there yet) elsewhere — the
     /// sequential scheduler's floor, so a scheduler that never stamps (the
     /// single-version engine, the sequential-equivalence oracle) chooses
-    /// exactly its values. Snapshot readers
-    /// define their own elements strictly above these maxima, which orders
-    /// every reader after every version published before the reader's
-    /// element was defined — the monotonicity that makes seq-watermark
-    /// version GC sound (DESIGN.md §8). Update transactions floor their
-    /// open non-last elements on it too (`Set`'s `RightUndefined` arm),
-    /// so committed history never refuses a fresh transaction. `SeqCst`,
+    /// exactly its values. A snapshot reader's position is column 0's
+    /// maximum + 1, read after its GC ticket, which places the reader
+    /// after every version published before it began — the monotonicity
+    /// that makes seq-watermark version GC sound (DESIGN.md §8). Update
+    /// transactions floor their open non-last elements on it (`Set`'s
+    /// `RightUndefined` arm), so committed history never refuses a fresh
+    /// transaction. `SeqCst`,
     /// matching the MV store's install/registry counters the soundness
     /// argument chains through. One cache line per column: a commit that
     /// raises one column leaves the others' readers undisturbed.
@@ -791,7 +805,7 @@ impl SharedMtScheduler {
     /// `TS(j) < TS(i)`. Returns `false` iff the vectors already say
     /// `TS(j) > TS(i)`.
     pub fn order(&self, j: TxId, i: TxId) -> bool {
-        self.set_less(Holder::row(j), i, false).is_ok()
+        self.set_less(Holder::row(j), i).is_ok()
     }
 
     /// Emits a [`TraceEvent::Compare`]. For a fresh comparison the caller
@@ -823,16 +837,11 @@ impl SharedMtScheduler {
     }
 
     /// Procedure `Set(j, i)`: [`algo1::set`] under this scheduler's locks
-    /// and memo. `Err` carries the refusing column. With `boost` every
-    /// element defined on `i`'s side is chosen strictly above the published
-    /// per-column maximum (`col_max`), so `i` can never later be decided
-    /// below a transaction whose commit stamp was published before the
-    /// element was defined — the snapshot readers' invariant behind
-    /// chain-walk termination at the GC pivot (DESIGN.md §8). Without
-    /// `boost` only an open non-last element defined against a holder is
-    /// floored that way; the `=` case and the last column keep the paper's
-    /// minimal values.
-    fn set_less(&self, j: Holder<'_>, i: TxId, boost: bool) -> Result<(), usize> {
+    /// and memo. `Err` carries the refusing column. An open non-last
+    /// element defined against a holder is floored on the published
+    /// per-column maximum (`col_max`); the `=` case and the last column
+    /// keep the paper's minimal values.
+    fn set_less(&self, j: Holder<'_>, i: TxId) -> Result<(), usize> {
         let jt = j.tx;
         if jt == i {
             return Ok(()); // line 15
@@ -864,10 +873,9 @@ impl SharedMtScheduler {
         }
         // The order looked open: re-decide under the write locks (a
         // concurrent encoder may have closed it meanwhile) and encode.
-        let encoding = if boost { Encoding::Boosted } else { Encoding::Plain };
         let encode = |cmp: CmpResult, tj: &TsVec, ti: &TsVec| {
             self.emit_compare(jt, i, cmp, false);
-            algo1::set(cmp, (jt, tj), (i, ti), |m| self.floor(m), encoding, &self.counters)
+            algo1::set(cmp, (jt, tj), (i, ti), |m| self.floor(m), Encoding::Plain, &self.counters)
         };
         let (memo, result) = match j.stamp {
             None => {
@@ -994,7 +1002,9 @@ impl SharedMtScheduler {
     fn access(&self, tx: TxId, item: ItemId, kind: OpKind) -> Decision {
         self.ensure_tx(tx);
         let (shard, local) = self.shard_of(item);
-        lock(shard).update(local, |pair| self.access_held(tx, item, kind, pair, |_| None))
+        let mut shard = lock(shard);
+        let bound = shard.read_bound;
+        shard.update(local, |pair| self.access_held(tx, item, kind, pair, bound, |_| None))
     }
 
     /// `algo1::access` on a holder pair the caller keeps: `pair` is
@@ -1004,6 +1014,16 @@ impl SharedMtScheduler {
     /// and must have [`begin`](Self::begin)-ed `tx`. An item's pair lives
     /// in one place: never mix this with [`read`](Self::read)/
     /// [`write`](Self::write) on the same item.
+    ///
+    /// `read_bound` is the read bound that lock guards beside the pair
+    /// (see [`snapshot_visible`](Self::snapshot_visible)): a write the
+    /// access rule grants or ignores is still refused when the writer's
+    /// column 0 lies below it — the write would land below a position a snapshot reader
+    /// already read at. The refusal is a [`Reject`](crate::Reject) against
+    /// `T₀` (see [`Reject::by_read_bound`](crate::Reject::by_read_bound));
+    /// it leaves no restart hint, because a restart that begins undefined
+    /// defines its column 0 above the published maximum, hence at or above
+    /// every bound. A read ignores the bound.
     ///
     /// `stamps(w)` is the stamp of `w`'s version of `item` if the caller
     /// keeps one (the version chain, under the same lock), else `None`; a
@@ -1016,11 +1036,28 @@ impl SharedMtScheduler {
         item: ItemId,
         kind: OpKind,
         pair: &mut HolderPair,
+        read_bound: i64,
         stamps: impl Fn(TxId) -> Option<&'s Stamp>,
     ) -> Decision {
         let HolderPair { rt, wt } = *pair;
         let mut view = ItemView::new(self, tx, *pair, stamps);
-        let outcome = algo1::access(&mut view, &self.opts, tx, kind, rt, wt);
+        let mut outcome = algo1::access(&mut view, &self.opts, tx, kind, rt, wt);
+        // The bound is `i64::MIN` until a snapshot reader raises it, so a
+        // shard no reader touched costs this one compare. A write the
+        // Thomas rule would ignore is held to the bound too: ignoring it
+        // orders the writer before `WT` all the same, and a reader above
+        // the writer that was served an older version would miss it.
+        if read_bound != i64::MIN
+            && kind == OpKind::Write
+            && matches!(outcome, AccessOutcome::Granted | AccessOutcome::GrantedIgnored)
+            && self.first_element(tx) < read_bound
+        {
+            outcome = AccessOutcome::Rejected {
+                against: TxId::VIRTUAL,
+                column: 0,
+                rule: RejectRule::ReadBound,
+            };
+        }
         self.emit_access(tx, item, kind, rt, wt, outcome);
         if outcome == AccessOutcome::Granted {
             view.set_holder(pair, kind, tx);
@@ -1089,251 +1126,135 @@ impl SharedMtScheduler {
         v.clone()
     }
 
-    /// Schedules a snapshot (read-only transaction) read of `item` — the
-    /// MV-MT(k) serving path. Unlike [`read`](Self::read) this never
-    /// rejects: when the reader cannot be ordered after the current
-    /// holders it is served from an older version instead
-    /// ([`SnapshotRead::Older`]).
+    // ---- snapshot readers -------------------------------------------------
+
+    /// Begins the snapshot (read-only) transaction `tx` on a caller that
+    /// keeps each item's versions and a read bound per lock (the engine's
+    /// MV chains) and returns its position `b`: column 0's published
+    /// maximum + 1. The reader sits after every committed stamp whose
+    /// column 0 is below `b` and before every other one — Definition 6
+    /// orders saturated stamps totally, so that is a cut of the commit
+    /// order. It keeps no row, takes no `RT` entry and joins no order:
+    /// `tx`'s id is retired in the row table at once, and the reader is
+    /// journaled as a [`TraceEvent::ReaderBound`].
     ///
-    /// Consistency of a multi-item snapshot rests on one invariant:
-    /// *after this call returns, every future writer of `item` is
-    /// necessarily ordered above the reader* (or refused, aborting
-    /// without installing a version). In the `Current` arm the reader
-    /// becomes the `RT` holder, so future writers order directly above
-    /// it. In the `Older` arm the reader is decided below one of the
-    /// current holders; holders only advance upward, so every future
-    /// writer orders above that holder and — decided `<` being
-    /// transitive over write-once vectors — above the reader. Either
-    /// way the version the reader selects stays the newest one below it
-    /// forever, which is what makes the cut a fixed point of the final
-    /// vector order.
-    ///
-    /// The reader's own elements are *boosted* (defined above
-    /// `col_max`, see `set_less`), so it is
-    /// never decided below any stamp published before its snapshot
-    /// began — the chain walk of the `Older` arm therefore always
-    /// terminates at or above the GC pivot (DESIGN.md §8).
-    /// The caller must have [`begin`](Self::begin)-ed `tx` — the reader's
-    /// row is allocated up front so this path stays allocation-free.
-    pub fn snapshot_read(&self, tx: TxId, item: ItemId) -> SnapshotRead {
-        let (shard, local) = self.shard_of(item);
-        lock(shard).update(local, |pair| self.snapshot_read_held(tx, item, pair, |_| None))
+    /// Call after the reader's GC ticket is drawn
+    /// (`ConcurrentMvStore::begin_snapshot`): every version installed
+    /// before the ticket had its stamp's column 0 published first, so it is
+    /// visible at `b`, and the chain walk ends at or above the GC pivot
+    /// (DESIGN.md §8).
+    pub fn begin_snapshot_reader(&self, tx: TxId) -> i64 {
+        self.rows.retire(tx.index());
+        let bound = self.floor(0) + 1;
+        self.trace.emit(|| TraceEvent::ReaderBound { tx, bound });
+        bound
     }
 
-    /// [`snapshot_read`](Self::snapshot_read) on a holder pair the caller
-    /// keeps, under the same contract as
-    /// [`access_held`](Self::access_held): one lock held across the call
-    /// that every access of `item` takes, `tx` begun, and `stamps` the
-    /// item's kept versions.
-    pub fn snapshot_read_held<'s>(
+    /// A snapshot read at position `bound` of an item whose lock the caller
+    /// holds, with `read_bound` the bound that lock guards and `stamp_of(i)`
+    /// the item's kept versions' stamps, oldest first: raises `read_bound`
+    /// to `bound` and returns the newest version whose stamp's column 0 is
+    /// below `bound` (`None` for an empty chain, or one newer than the
+    /// reader throughout).
+    ///
+    /// The read stays the newest version below the reader for good: a
+    /// writer validates under the same lock ([`access_held`](Self::access_held))
+    /// and is refused if its column 0 is below the raised bound, so no
+    /// version the reader should have seen is installed after the read.
+    /// Basic T/O's read timestamp, taken over committed stamps.
+    pub fn snapshot_visible<'a, S: StampView + 'a>(
         &self,
-        tx: TxId,
-        item: ItemId,
-        pair: &mut HolderPair,
-        stamps: impl Fn(TxId) -> Option<&'s Stamp>,
-    ) -> SnapshotRead {
-        let HolderPair { rt, wt } = *pair;
-        let mut view = ItemView::new(self, tx, *pair, stamps);
-        // Decided `<` is stable over write-once vectors, so a decided
-        // `smaller < larger < tx` makes a second `Set` redundant.
-        let (larger, smaller, decided) = algo1::pick(&mut view, rt, wt);
-        let (larger, smaller) = (view.holder(larger), view.holder(smaller));
-        // Reader rule (lines 9–10) first: when the larger holder is still
-        // *live* — typically a transfer holding `RT` through its think
-        // window, or another reader mid-scan — escalating above it would
-        // steal the slot it must revalidate against. Slip below it
-        // instead (see [`slip_below_live`](Self::slip_below_live)): the
-        // holder's position and the `RT` slot stay untouched, so a
-        // pending writer commits undisturbed no matter how many readers
-        // arrive during its think window.
-        if self.slip_below_live(tx, larger) {
-            if larger.tx != wt && self.set_less(smaller, tx, true).is_ok() {
-                // Between `WT` and a live `RT`: the current version is
-                // the newest one below the reader — an invisible Current
-                // read, shielded by the larger holder (every future
-                // writer orders above it, hence transitively above us).
-                self.emit_access(tx, item, OpKind::Read, rt, wt, AccessOutcome::GrantedInvisible);
-                return SnapshotRead::Current;
-            }
-            // Below the newest version's writer: serve a predecessor.
-            self.emit_access(tx, item, OpKind::Read, rt, wt, AccessOutcome::GrantedStale);
-            return SnapshotRead::Older;
+        bound: i64,
+        read_bound: &mut i64,
+        n: usize,
+        stamp_of: impl Fn(usize) -> &'a S,
+    ) -> Option<usize> {
+        *read_bound = (*read_bound).max(bound);
+        self.newest_below(bound, n, stamp_of)
+    }
+
+    /// The newest of `n` versions whose stamp's column 0 is below `bound`,
+    /// tested newest first; ticks the chain-walk counters.
+    fn newest_below<'a, S: StampView + 'a>(
+        &self,
+        bound: i64,
+        n: usize,
+        stamp_of: impl Fn(usize) -> &'a S,
+    ) -> Option<usize> {
+        if n == 0 {
+            return None;
         }
-        let ordered = self.set_less(larger, tx, true).is_ok()
-            && (decided || self.set_less(smaller, tx, true).is_ok());
-        if ordered {
-            self.emit_access(tx, item, OpKind::Read, rt, wt, AccessOutcome::Granted);
-            view.set_holder(pair, OpKind::Read, tx); // line 7
+        let found = (0..n).rev().find(|&i| stamp_of(i).first() < bound);
+        self.note_walk(n - found.unwrap_or(0));
+        found
+    }
+
+    /// Schedules a snapshot read of `item` by `tx` over the scheduler's own
+    /// tables — the same rule as [`snapshot_visible`](Self::snapshot_visible),
+    /// for a caller that begins its reader's row and keeps its values
+    /// beside the scheduler. The reader's position `b` lives in its row as
+    /// its column 0, defined at its first snapshot read (after the caller
+    /// registered the reader with GC) to column 0's published maximum + 1.
+    /// The read raises the item's shard bound to `b`, and reads the current
+    /// value when the item's writer `WT(x)` sits below `b`
+    /// ([`SnapshotRead::Current`]), else an older version
+    /// ([`SnapshotRead::Older`], served by
+    /// [`snapshot_newest_visible`](Self::snapshot_newest_visible)). Never
+    /// rejects, and leaves the holders as they are.
+    ///
+    /// The caller must install each write's version in the same critical
+    /// section, with respect to this call, as the write's grant (a serial
+    /// caller does), and [`commit`](Self::commit) the reader once done.
+    pub fn snapshot_read(&self, tx: TxId, item: ItemId) -> SnapshotRead {
+        let bound = self.reader_position(tx);
+        let (shard, local) = self.shard_of(item);
+        let mut shard = lock(shard);
+        shard.read_bound = shard.read_bound.max(bound);
+        // The writer is pinned by its `WT` entry while the shard is held
+        // (`T₀`'s row, ⟨0, *, …⟩, is never reclaimed).
+        let wt = shard.pair(local).wt;
+        if self.first_element(wt) < bound {
             SnapshotRead::Current
         } else {
-            self.emit_access(tx, item, OpKind::Read, rt, wt, AccessOutcome::GrantedStale);
             SnapshotRead::Older
         }
     }
 
-    /// The line 9–10 reader rule (remark after Theorem 3) on the
-    /// snapshot path: order
-    /// `tx` strictly *below* a live holder instead of escalating above
-    /// it. Returns `true` iff `TS(tx) < TS(holder)` is decided on exit.
-    ///
-    /// Escalating above a holder that is still running steals the item's
-    /// `RT` slot from under it: a transfer in its think window finds a
-    /// boosted reader above it at validation, restarts, and meets the
-    /// next reader's boost on the retry — under a read-heavy hotspot
-    /// that starvation spiral is unbounded, because snapshot readers
-    /// arrive faster than the writer can revalidate. Slipping below the
-    /// live holder leaves its position untouched; the reader serves the
-    /// newest version below itself as always and is *shielded* by the
-    /// holder — every future writer orders above the item's holders and,
-    /// decided `<` being transitive over write-once vectors, above the
-    /// reader, so the read stays protected without an `RT` update.
-    ///
-    /// The slipped element is defined in the open window strictly
-    /// between the published column maximum and the holder's element
-    /// (`algo1::slip`):
-    /// the boost invariant (no reader element at or below a commit stamp
-    /// published before it was defined) survives, so the chain-walk /
-    /// GC-pivot argument of DESIGN.md §8 is untouched. When the window
-    /// is closed, the holder's deciding element is still undefined, the
-    /// order is already decided the other way, or the holder has
-    /// finished (an inert anchor nobody revalidates against — escalating
-    /// over it starves no one; a stamp-backed holder committed, so it
-    /// counts as finished without a look at its slot), returns `false`
-    /// and the caller escalates as before.
-    ///
-    /// The holder must be a current `RT`/`WT` entry of a pair the
-    /// caller holds locked: that entry's reference pins its row against
-    /// reclamation while we look at it.
-    fn slip_below_live(&self, tx: TxId, holder: Holder<'_>) -> bool {
-        let Holder { tx: holder, stamp: None } = holder else {
-            return false;
-        };
-        if holder == tx || holder.is_virtual() {
-            return false;
-        }
-        let slot = self.slot_expect(holder);
-        if slot.finished().load(Ordering::SeqCst) {
-            return false;
-        }
-        if let Some(cmp) = self.cache_get(tx, holder) {
-            return matches!(cmp, CmpResult::Less { .. });
-        }
-        let epoch = self.cache.epoch();
-        let memo = {
-            let (mut gtx, gh) = self.write_pair(tx, holder);
-            let cmp = vec_of(&gtx, tx).compare(vec_of(&gh, holder));
-            let slip = algo1::slip(
-                cmp,
-                (tx, vec_of(&gtx, tx)),
-                (holder, vec_of(&gh, holder)),
-                |m| self.floor(m),
-                &self.counters,
-            );
-            match slip {
-                Some(changes) => {
-                    self.emit_compare(tx, holder, cmp, false);
-                    let outcome = SetEdgeOutcome::Encoded { changes };
-                    let now = algo1::apply(&outcome, cmp, |_, m, v| {
-                        vec_of_mut(&mut gtx, tx).define(m, v)
-                    });
-                    let _ = algo1::emit_set(&self.trace, tx, holder, outcome);
-                    now
-                }
-                // Decided either way, or no open window below the holder.
-                None => cmp,
-            }
-        };
-        self.cache_put(epoch, tx, holder, memo);
-        matches!(memo, CmpResult::Less { .. })
-    }
-
-    /// The MV-MT(k) gap test for one chain version: orders the snapshot
-    /// reader `reader` (its row vector) against a saturated version
-    /// stamp. Returns `true` when the reader sits *after* the stamp's
-    /// writer (the version is visible), `false` when it sits *before*
-    /// (the walk must descend to an older version). Never refuses or
-    /// blocks: a saturated stamp can only compare `Less`, `Greater` or
-    /// `RightUndefined`, and the open-element case is resolved by
-    /// defining the reader's element above both the per-column maximum
-    /// and the stamp — which also orders the reader after every other
-    /// stamp published before the define (the GC monotonicity
-    /// invariant, DESIGN.md §8).
-    ///
-    /// The stamp is a packed [`Stamp`](mdts_vector::Stamp) or a `TsVec`
-    /// ([`StampView`]); a packed one is compared from the reader's mask
-    /// alone, and built into a vector only for the open case.
-    ///
-    /// Allocation-free for `k ≤ INLINE_K` with tracing disabled.
-    pub fn snapshot_order_after(
-        &self,
-        reader: TxId,
-        stamp: &impl StampView,
-        stamp_writer: TxId,
-    ) -> bool {
-        let slot = self.slot_expect(reader);
-        // Fast path: the reader's existing elements usually already
-        // decide the order, needing only the row's read lock.
-        {
-            let row = slot.read();
-            match stamp.compare_reader(vec_of(&row, reader)) {
-                CmpResult::Less { .. } => return true,
-                CmpResult::Greater { .. } => return false,
-                _ => {}
-            }
-        }
-        // The open case is boosted `Set(stamp_writer, reader)`: the
-        // reader's element goes above both the stamp's and the column
-        // maximum (a last-column draw is globally distinct, so `Identical`
-        // stays impossible even for a fully defined reader).
-        let stamp = stamp.to_vec();
-        let mut row = slot.write();
-        loop {
-            let cmp = stamp.compare(vec_of(&row, reader));
-            let outcome = algo1::set(
-                cmp,
-                (stamp_writer, &stamp),
-                (reader, vec_of(&row, reader)),
-                |m| self.floor(m),
-                Encoding::Boosted,
-                &self.counters,
-            );
-            match outcome {
-                SetEdgeOutcome::AlreadyOrdered => return true,
-                SetEdgeOutcome::Refused { .. } => return false,
-                SetEdgeOutcome::Encoded { .. } => {}
-            }
-            algo1::apply(&outcome, cmp, |t, m, v| {
-                debug_assert_eq!(t, reader, "unsaturated stamp in snapshot walk: {cmp:?}");
-                vec_of_mut(&mut row, reader).define(m, v)
-            });
-            let _ = algo1::emit_set(&self.trace, stamp_writer, reader, outcome);
-        }
-    }
-
-    /// The newest-below-reader walk over an MV chain. `stamp_of(i)`
-    /// yields version `i`'s saturated commit stamp, oldest first — a
-    /// chain's packed [`Stamp`](mdts_vector::Stamp)s or `TsVec`s; returns
-    /// the index of the newest version the reader sits after, or `None`
-    /// when even the oldest is newer.
-    ///
-    /// One gap test ([`snapshot_order_after`](Self::snapshot_order_after))
-    /// per version, newest first, stopping at the first visible one: a
-    /// decided order costs one compare under the row's read lock, and an
-    /// open one is defined in place.
+    /// The newest of `n` chain versions below the own-table snapshot reader
+    /// `reader` (see [`snapshot_read`](Self::snapshot_read)): `stamp_of(i)`
+    /// yields version `i`'s stamp, oldest first — a chain's packed
+    /// [`Stamp`]s or `TsVec`s. `None` when even the oldest is newer. The
+    /// writers are not consulted.
     pub fn snapshot_newest_visible<'a, S: StampView + 'a>(
         &self,
         reader: TxId,
         n: usize,
         stamp_of: impl Fn(usize) -> &'a S,
-        writer_of: impl Fn(usize) -> TxId,
+        _writer_of: impl Fn(usize) -> TxId,
     ) -> Option<usize> {
-        if n == 0 {
-            return None;
+        self.newest_below(self.reader_position(reader), n, stamp_of)
+    }
+
+    /// The own-table snapshot reader `tx`'s position: its row's column 0,
+    /// defined on first use (see [`snapshot_read`](Self::snapshot_read)).
+    fn reader_position(&self, tx: TxId) -> i64 {
+        let slot = self.slot_expect(tx);
+        if let Some(bound) = vec_of(&slot.read(), tx).get(0) {
+            return bound;
         }
-        let found =
-            (0..n).rev().find(|&i| self.snapshot_order_after(reader, stamp_of(i), writer_of(i)));
-        self.note_walk(n - found.unwrap_or(0));
-        found
+        let mut row = slot.write();
+        let v = vec_of_mut(&mut row, tx);
+        let bound = self.floor(0) + 1;
+        v.define(0, bound);
+        self.trace.emit(|| TraceEvent::ReaderBound { tx, bound });
+        bound
+    }
+
+    /// `TS(tx, 1)`, which is defined: `tx` is a holder, or was just granted
+    /// an access.
+    fn first_element(&self, tx: TxId) -> i64 {
+        let row = self.slot_expect(tx).read();
+        vec_of(&row, tx).get(0).unwrap_or_else(|| panic!("{tx}'s column 0 is undefined"))
     }
 
     // ---- inspection ------------------------------------------------------
@@ -1635,19 +1556,19 @@ mod tests {
         assert!(s.with_ts(TxId(1), |v| v.is_none()), "reclaimed row reads as None");
     }
 
-    /// The chain walk serves the newest version the reader sits after,
-    /// testing versions newest first and stopping there: for a reader
-    /// after every writer, one below the newest writer, and one whose
-    /// order against a stamp is still open until the walk defines it —
-    /// over `TsVec` stamps and over the chain's packed ones alike.
+    /// The chain walk serves the newest version whose stamp's column 0
+    /// lies below the reader's position, testing versions newest first
+    /// and stopping there — over `TsVec` stamps and over the chain's
+    /// packed ones alike, for a bounded reader (`snapshot_visible`) and an
+    /// own-table one (`snapshot_read` + `snapshot_newest_visible`).
     #[test]
-    fn snapshot_newest_visible_walks_newest_first() {
+    fn snapshot_walks_serve_the_newest_version_below_the_position() {
         walks_newest_first(|stamp| stamp);
         walks_newest_first(mdts_vector::Stamp::from);
     }
 
-    /// [`snapshot_newest_visible_walks_newest_first`] over the stamps
-    /// `pack` makes of the writers' saturated vectors.
+    /// [`snapshot_walks_serve_the_newest_version_below_the_position`]
+    /// over the stamps `pack` makes of the writers' saturated vectors.
     fn walks_newest_first<S: StampView>(pack: impl Fn(TsVec) -> S) {
         let s = SharedMtScheduler::with_k(3);
         let x = ItemId(0);
@@ -1661,61 +1582,120 @@ mod tests {
             writers.push(w);
         }
         let packed: Vec<S> = stamps.iter().cloned().map(pack).collect();
-        let elem = |i: usize, m: usize| stamps[i].get(m).expect("saturated stamp");
-        assert!(elem(0, 0) < elem(1, 0) && elem(1, 0) < elem(2, 0), "decided at column 0");
-        // A begun reader with the given elements defined in its row.
-        let reader = |id: u32, elems: &[(usize, i64)]| {
-            let r = TxId(id);
-            s.begin(r);
-            let mut row = s.slot_expect(r).write();
-            for &(m, value) in elems {
-                vec_of_mut(&mut row, r).define(m, value);
-            }
-            r
-        };
-        // Walks `r` over the chain: the served index and the versions the
-        // walk compared, which the counters must equal.
-        let walk = |r: TxId, compared: u64| {
+        let first = |i: usize| stamps[i].get(0).expect("saturated stamp");
+        assert!(first(0) < first(1) && first(1) < first(2), "decided at column 0");
+        assert_eq!(s.floor(0), first(2), "column 0's maximum is the newest stamp's");
+        // Walks at `bound`: the served index and the versions the walk
+        // compared, which the counters must equal.
+        let mut read_bound = i64::MIN;
+        let mut walk = |bound: i64, compared: u64| {
             let before = s.batched_compare_stats();
-            let got = s.snapshot_newest_visible(r, 3, |i| &packed[i], |i| writers[i]);
+            let got = s.snapshot_visible(bound, &mut read_bound, 3, |i| &packed[i]);
             let after = s.batched_compare_stats();
-            assert_eq!(after.chain_batches - before.chain_batches, 1, "one walk for {r}");
-            assert_eq!(after.candidates - before.candidates, compared, "versions for {r}");
+            assert_eq!(after.chain_batches - before.chain_batches, 1, "one walk at {bound}");
+            assert_eq!(after.candidates - before.candidates, compared, "versions at {bound}");
             let bucket = (u64::BITS - 1 - compared.leading_zeros()) as usize;
             assert_eq!(after.size_buckets[bucket] - before.size_buckets[bucket], 1);
-            let ts = s.ts(r).expect("live reader");
-            // The served stamp and every older one order below the
-            // reader's final vector, every newer one above it.
-            for (i, stamp) in stamps.iter().enumerate() {
-                let cmp = stamp.compare(&ts);
-                let below = got.is_some_and(|g| i <= g);
-                assert!(matches!(cmp, CmpResult::Less { .. } | CmpResult::Greater { .. }));
-                assert_eq!(
-                    matches!(cmp, CmpResult::Less { .. }),
-                    below,
-                    "stamp {i} of {r}: {cmp:?}"
-                );
+            for (i, stamp) in packed.iter().enumerate() {
+                assert_eq!(got.is_some_and(|g| i <= g), stamp.first() < bound, "stamp {i}");
             }
             got
         };
 
-        // After all three writers: the newest version, one compare.
-        let after_all = reader(4, &[]);
-        assert_eq!(s.snapshot_read(after_all, x), SnapshotRead::Current);
+        // A reader begun after all three writers: the newest version, one
+        // compare.
+        let after_all = s.begin_snapshot_reader(TxId(4));
+        assert_eq!(after_all, first(2) + 1);
+        assert_eq!(s.ts(TxId(4)), None, "a bounded reader keeps no row");
         assert_eq!(walk(after_all, 1), Some(2));
+        // At writer 3's column 0: writer 2's version, after two compares
+        // — a position excludes every stamp at or above it.
+        assert_eq!(walk(first(2), 2), Some(1));
+        assert_eq!(walk(first(1), 3), Some(0));
+        // At or below the oldest: nothing, after all three.
+        assert_eq!(walk(first(0), 3), None);
+        assert_eq!(read_bound, after_all, "the bound is the largest position read at");
 
-        // Decided below writers 3 and 2, after writer 1 (at column 1):
-        // the oldest version, after all three compares.
-        let below = reader(5, &[(0, elem(0, 0)), (1, elem(0, 1) + 1)]);
-        assert_eq!(walk(below, 3), Some(0));
+        // The own-table reader takes the same position in its row, at its
+        // first snapshot read, and reads the current value.
+        let own = TxId(5);
+        s.begin(own);
+        assert_eq!(s.snapshot_read(own, x), SnapshotRead::Current);
+        assert_eq!(s.ts(own).unwrap().get(0), Some(first(2) + 1));
+        assert_eq!(s.snapshot_newest_visible(own, 3, |i| &packed[i], |i| writers[i]), Some(2));
+        assert!(s.commit(own), "the reader's row goes at its commit");
+    }
 
-        // Below writer 3, but open against writer 2 (equal at column 0,
-        // undefined at column 1): the walk defines column 1 above the
-        // stamp and serves writer 2's version.
-        let open = reader(6, &[(0, elem(1, 0))]);
-        assert_eq!(s.ts(open).unwrap().get(1), None);
-        assert_eq!(walk(open, 2), Some(1));
-        assert!(s.ts(open).unwrap().get(1) > Some(elem(1, 1)), "column 1 defined above writer 2");
+    /// A write the access rule grants is refused when its column 0 lies
+    /// below a read bound a snapshot reader raised on the item's shard —
+    /// and only then: the refusal is typed, and a restart is granted.
+    #[test]
+    fn a_write_below_a_read_bound_is_refused() {
+        let s = SharedMtScheduler::with_k(3);
+        let (x, y) = (ItemId(0), ItemId(1));
+        let old = TxId(1);
+        assert!(s.read(old, x).is_accept()); // column 0 defined to 1
+        let w = TxId(2);
+        assert!(s.write(w, y).is_accept());
+        s.stamp_commit(w); // publishes column 0 = 1
+        s.commit(w);
+        let reader = TxId(3);
+        s.begin(reader);
+        assert_eq!(s.snapshot_read(reader, x), SnapshotRead::Current);
+        s.commit(reader);
+        let refused = s.write(old, x);
+        match &refused {
+            Decision::Reject(reject) => assert!(reject.by_read_bound(), "{reject:?}"),
+            accept => panic!("a write below the bound was granted: {accept:?}"),
+        }
+        assert_eq!(s.wt(x), TxId::VIRTUAL, "a refused write takes no WT entry");
+        s.abort(old);
+        let restart = TxId(4);
+        s.begin_restarted(restart, old);
+        assert!(s.read(restart, x).is_accept() && s.write(restart, x).is_accept());
+        assert_eq!(s.ts(restart).unwrap().get(0), Some(2), "at the reader's position");
+    }
+
+    /// A finished snapshot reader constrains no later writer: at one
+    /// client every writer begins after the reader ended, so its column 0,
+    /// defined against a holder above the published maximum, is at or
+    /// above every position taken before — for every k, k = 1 included.
+    #[test]
+    fn a_finished_reader_never_refuses_a_later_writer() {
+        for k in 1..=4 {
+            let s = SharedMtScheduler::with_k(k);
+            let mut read_bounds = [i64::MIN; 4];
+            let mut id = 0u32;
+            let mut fresh = || {
+                id += 1;
+                TxId(id)
+            };
+            for round in 0..200usize {
+                let items = [ItemId((round % 4) as u32), ItemId(((round + 1) % 4) as u32)];
+                let reader = fresh();
+                let bound = s.begin_snapshot_reader(reader);
+                for item in items {
+                    let no_chain: [Stamp; 0] = [];
+                    s.snapshot_visible(bound, &mut read_bounds[item.index()], 0, |i| &no_chain[i]);
+                }
+                let w = fresh();
+                s.begin(w);
+                for item in items {
+                    assert!(s.read(w, item).is_accept(), "k = {k}, round {round}");
+                }
+                for item in items {
+                    let (shard, local) = s.shard_of(item);
+                    let mut shard = lock(shard);
+                    let bound = read_bounds[item.index()];
+                    let d = shard.update(local, |pair| {
+                        s.access_held(w, item, OpKind::Write, pair, bound, |_| None)
+                    });
+                    assert!(d.is_accept(), "k = {k}, round {round}: {d:?}");
+                }
+                s.stamp_commit(w);
+                s.commit(w);
+            }
+        }
     }
 
     /// Repeat consults of a decided order are served by the write-once
@@ -1831,7 +1811,8 @@ mod tests {
             let ds = shr.process(op);
             held.begin(op.tx);
             let dh = algo1::process(op, |tx, item, kind| {
-                held.access_held(tx, item, kind, pairs.entry(item).or_default(), |_| None)
+                let pair = pairs.entry(item).or_default();
+                held.access_held(tx, item, kind, pair, i64::MIN, |_| None)
             });
             assert_eq!(d, ds, "decision differs at op {pos} of {log}");
             assert_eq!(d, dh, "caller-held pairs decide differently at op {pos} of {log}");
@@ -1863,8 +1844,11 @@ mod tests {
     /// Drives `log` through two schedulers over caller-held pairs, each
     /// transaction committed after its last operation (a writer stamped
     /// first, as the engine does) and aborted at its first refusal, its
-    /// later operations skipped. Transactions that only read take the
-    /// snapshot path. One scheduler compares every holder through its
+    /// later operations skipped. Transactions that only read are bounded
+    /// snapshot readers: they take a position at their first read and
+    /// raise a per-item read bound, which the writers' accesses consult;
+    /// both schedulers must serve them the same versions. One scheduler
+    /// compares every holder through its
     /// row; the other keeps each committed writer's stamp in a per-item
     /// chain, calls `version_installed`, and is handed the chain: its
     /// committed writers are stamp-backed. Stamps stand for rows exactly,
@@ -1879,6 +1863,9 @@ mod tests {
             s
         });
         let mut pairs: [HashMap<ItemId, HolderPair>; 2] = Default::default();
+        let mut bounds: [HashMap<ItemId, i64>; 2] = Default::default();
+        let mut positions: HashMap<TxId, [i64; 2]> = HashMap::new();
+        let mut served: [Vec<Option<usize>>; 2] = Default::default();
         let mut chains: HashMap<ItemId, Vec<(TxId, Stamp)>> = HashMap::new();
         let ops = log.ops();
         let last: HashMap<TxId, usize> = ops.iter().enumerate().map(|(p, op)| (op.tx, p)).collect();
@@ -1891,22 +1878,33 @@ mod tests {
             if aborted.contains(&tx) {
                 continue;
             }
+            let reader = !writers.contains(&tx);
+            if reader && !positions.contains_key(&tx) {
+                positions.insert(tx, scheds.each_ref().map(|s| s.begin_snapshot_reader(tx)));
+            }
             let mut decisions = Vec::new();
             for (side, s) in scheds.iter().enumerate() {
-                s.begin(tx);
+                if !reader {
+                    s.begin(tx);
+                }
                 let kept = |item: ItemId| {
                     let chain = chains.get(&item).filter(|_| side == 1);
                     move |w: TxId| chain?.iter().rev().find(|(t, _)| *t == w).map(|(_, s)| s)
                 };
-                let pairs = &mut pairs[side];
+                let (pairs, bounds) = (&mut pairs[side], &mut bounds[side]);
+                let served = &mut served[side];
                 decisions.push(algo1::process(op, |tx, item, kind| {
-                    let pair = pairs.entry(item).or_default();
-                    if writers.contains(&tx) {
-                        s.access_held(tx, item, kind, pair, kept(item))
-                    } else {
-                        s.snapshot_read_held(tx, item, pair, kept(item));
-                        Decision::accept()
+                    let bound = bounds.entry(item).or_insert(i64::MIN);
+                    if reader {
+                        let chain = chains.get(&item).map_or(&[][..], Vec::as_slice);
+                        let position = positions[&tx][side];
+                        served.push(
+                            s.snapshot_visible(position, bound, chain.len(), |i| &chain[i].1),
+                        );
+                        return Decision::accept();
                     }
+                    let pair = pairs.entry(item).or_default();
+                    s.access_held(tx, item, kind, pair, *bound, kept(item))
                 }));
             }
             assert_eq!(decisions[0], decisions[1], "decision differs at op {pos} of {log}");
@@ -1941,6 +1939,8 @@ mod tests {
             });
         }
         assert_eq!(pairs[0], pairs[1], "holders differ on {log}");
+        assert_eq!(positions.values().find(|p| p[0] != p[1]), None, "positions differ on {log}");
+        assert_eq!(served[0], served[1], "snapshot reads differ on {log}");
         let [a, b] = journals.map(|j| {
             let events: Vec<TraceEvent> = j
                 .snapshot()

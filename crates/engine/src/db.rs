@@ -59,7 +59,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use mdts_core::{Decision, HolderPair, MtOptions, SharedMtScheduler, SnapshotRead};
+use mdts_core::{Decision, HolderPair, MtOptions, SharedMtScheduler};
 use mdts_model::{ItemId, OpKind, TxId};
 use mdts_storage::{
     recover, ConcurrentMvStore, CrashPoint, MvVersion, Recovered, ShardedStore, Store, WalValue,
@@ -704,15 +704,18 @@ impl<V: Clone + Send + 'static> Database<V> {
     }
 
     /// Runs `body` as a read-only snapshot transaction on the
-    /// multiversion serving path: every read slots the reader into the
-    /// gap between two chain writers — the MV-MT(k) rule of III-D-6d.
-    /// The reader is a real (visible) transaction: it takes `RT`
-    /// entries like any reader, which is what pins its reads against
-    /// future writers, but a read that cannot be ordered after the
-    /// current holders is served from an *older* version instead of
-    /// rejected. Snapshot transactions therefore **never abort, never
-    /// restart and never block a writer**; `body` runs exactly once and
-    /// its value is returned directly.
+    /// multiversion serving path. The reader takes one position `b` at
+    /// its begin — column 0's published commit maximum + 1
+    /// ([`SharedMtScheduler::begin_snapshot_reader`]) — and each read
+    /// serves the newest version whose writer's column 0 is below `b`
+    /// (III-D-6d's multiversion idea over committed stamps). What pins its
+    /// reads against future writers is the read bound on each item's chain
+    /// shard, which a read raises to `b` and which refuses, at commit, a
+    /// writer whose column 0 is below it. The reader keeps no row, takes no
+    /// `RT` entry and joins no order, so a finished reader constrains no
+    /// later writer. Snapshot transactions **never abort, never restart
+    /// and never block**; `body` runs exactly once and its value is
+    /// returned directly.
     ///
     /// # Panics
     /// Panics if the database was not built with the multiversion path
@@ -731,21 +734,16 @@ impl<V: Clone + Send + 'static> Database<V> {
         let start_tick = shared.metrics.now();
         let id = shared.next_id().unwrap_or_else(|| panic!("{}", TxError::IdsExhausted));
         shared.trace.emit(|| TraceEvent::Begin { tx: id });
-        // Allocate the reader's row up front so the reads themselves
-        // stay allocation-free.
         let span = shared.metrics.phases.start();
-        mv.sched.begin(id);
-        // Register with GC *before* the first read (and therefore before
-        // the reader's first vector element is defined): the captured
-        // ticket is what keeps pruning away from every version this
-        // reader may still descend to.
+        // Register with GC *before* the position is taken: every version
+        // installed before the captured ticket is then visible at the
+        // position, so pruning keeps every version this reader may read.
         let guard = mv.store.begin_snapshot();
+        let bound = mv.sched.begin_snapshot_reader(id);
         shared.metrics.phases.record_since(Phase::Admission, span);
-        let mut tx = SnapshotTx { shared, mv, cells, id, _guard: guard, armed: true };
+        let mut tx = SnapshotTx { shared, mv, cells, id, bound, _guard: guard };
         let out = body(&mut tx);
-        tx.armed = false;
         let span = shared.metrics.phases.start();
-        mv.sched.commit_unjournaled(id);
         drop(tx); // ends the snapshot's GC registration
         Metrics::bump(&cells.snapshot_txns);
         Metrics::bump(&cells.commits);
@@ -758,26 +756,19 @@ impl<V: Clone + Send + 'static> Database<V> {
 }
 
 /// A live read-only snapshot transaction (see
-/// [`Database::run_read_only`]). Reads cannot fail, so there is no
-/// [`Aborted`] plumbing; at `k ≤ 6` a steady-state read makes zero
-/// allocations (shard mutexes, row locks, inline vector elements).
+/// [`Database::run_read_only`]): a position and a GC registration, which
+/// a body that panics drops like any other. Reads cannot fail, so there is
+/// no [`Aborted`] plumbing, and a read makes no allocation (one chain
+/// shard lock and a compare per version walked).
 pub struct SnapshotTx<'a, V> {
     shared: &'a Shared<V>,
     mv: &'a MvState<V>,
     cells: &'a MetricCells,
     id: TxId,
+    /// The reader's position: it reads versions whose writer's column 0 is
+    /// below it.
+    bound: i64,
     _guard: mdts_storage::SnapshotGuard<'a>,
-    /// Set from `begin` until the body returns: a body that panics
-    /// instead has its reader aborted, so its row does not outlive it.
-    armed: bool,
-}
-
-impl<V> Drop for SnapshotTx<'_, V> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.mv.sched.abort(self.id);
-        }
-    }
 }
 
 impl<V: Clone + Send + Sync + 'static> SnapshotTx<'_, V> {
@@ -786,63 +777,36 @@ impl<V: Clone + Send + Sync + 'static> SnapshotTx<'_, V> {
         self.id
     }
 
-    /// Reads `item`: the current committed value when the reader orders
-    /// after the item's holders ([`SnapshotRead::Current`]), else the
-    /// newest chain version whose writer's stamp orders before this
-    /// reader. `None` means the item had never been written below the
-    /// reader's position.
+    /// Reads `item`: the newest committed version whose writer's column 0
+    /// is below this reader's position. `None` means the item had never
+    /// been written below it.
     pub fn read(&mut self, item: ItemId) -> Option<V> {
         let (shared, mv, id) = (self.shared, self.mv, self.id);
         Metrics::bump(&self.cells.snapshot_reads);
         self.cells.tick();
-        // One lock for the decision and the version: the item's chain
-        // record holds its `RT`/`WT` holders and its chain, and commits
-        // hold every write-set chain shard across validate + install, so
-        // under this lock the holders and the chain are mutually
-        // consistent — the `WT` holder's version *is* the chain tail.
+        // One lock for the bound and the version: commits hold every
+        // write-set chain shard across validation and install, so a writer
+        // below the raised bound is refused, and one that validated before
+        // the raise has installed already.
         let mut shard = mv.store.lock_shard(mv.store.shard_index(item));
-        let (holders, chain) = shard.holders_and_chain(item);
-        let stamps = |writer| kept_stamp(chain, writer);
-        let version = match mv.sched.snapshot_read_held(id, item, holders, stamps) {
-            // Ordered after both holders and now the RT holder (or
-            // shielded below a live one): the current committed value is
-            // this reader's version, and every future writer is forced
-            // above the reader (or refused without installing), so the
-            // read stays the newest one below the reader forever.
-            SnapshotRead::Current => chain.last(),
-            SnapshotRead::Older => {
-                // Decided below one of the current holders — protected
-                // transitively, but the current value may be too new.
-                // Walk the chain newest → oldest: the first version
-                // whose (saturated) stamp orders before the reader is
-                // the one to serve; every newer version's stamp was
-                // decided *greater*, and write-once vectors keep those
-                // decisions stable. The walk always selects: the
-                // reader's pivot — the newest version installed before
-                // its begin ticket, which GC never reclaims —
-                // fetch-maxed its stamp into the column maxima before
-                // the reader's first (boosted) element was defined, so
-                // the reader orders strictly after it (the T₀ floor,
-                // stamped ⟨0,*,…⟩, is the degenerate case). An empty
-                // chain is an item never written: no version, `None`.
-                let span = shared.metrics.phases.start();
-                let visible = mv.sched.snapshot_newest_visible(
-                    id,
-                    chain.len(),
-                    |i| &chain[i].stamp,
-                    |i| chain[i].writer,
-                );
-                shared.metrics.phases.record_since(Phase::ChainWalk, span);
-                visible.map(|i| &chain[i]).or_else(|| {
-                    // Unreachable per the GC contract; serve the oldest
-                    // retained version, attributed truthfully so an
-                    // audit flags the ordering breach instead of
-                    // masking it.
-                    debug_assert!(chain.is_empty(), "snapshot walk descended past its pivot");
-                    chain.first()
-                })
-            }
-        };
+        let (read_bound, chain) = shard.read_bound_and_chain(item);
+        let span = shared.metrics.phases.start();
+        let visible =
+            mv.sched.snapshot_visible(self.bound, read_bound, chain.len(), |i| &chain[i].stamp);
+        shared.metrics.phases.record_since(Phase::ChainWalk, span);
+        // The walk always selects from a non-empty chain: the reader's GC
+        // pivot — the newest version installed before its ticket, which
+        // pruning keeps — published its stamp's column 0 before the
+        // reader's position was read, so it lies below the position (the
+        // T₀ floor, column 0 = 0, is the degenerate case). An empty chain
+        // is an item never written: no version, `None`.
+        let version = visible.map(|i| &chain[i]).or_else(|| {
+            // Unreachable per the GC contract; serve the oldest retained
+            // version, attributed truthfully so an audit flags the breach
+            // instead of masking it.
+            debug_assert!(chain.is_empty(), "snapshot walk descended past its pivot");
+            chain.first()
+        });
         let writer = version.map_or(TxId::VIRTUAL, |v| v.writer);
         shared.trace.emit(|| TraceEvent::VersionRead { tx: id, item, writer });
         version.and_then(|v| v.value.clone())
@@ -1041,7 +1005,10 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         Metrics::bump(&self.cells.aborts);
         Metrics::bump(match reason {
             AbortReason::AccessRejected => &self.cells.access_aborts,
-            AbortReason::ValidationRejected => &self.cells.validation_aborts,
+            // A read-bound refusal is a commit-time validation abort.
+            AbortReason::ValidationRejected | AbortReason::ReadBound => {
+                &self.cells.validation_aborts
+            }
             AbortReason::Epoch => &self.cells.epoch_aborts,
         });
         let tx = self.id;
@@ -1101,9 +1068,10 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
     ) -> Result<(usize, Option<V>), Aborted> {
         let idx = mv.store.shard_index(item);
         let mut shard = mv.store.lock_shard(idx);
+        let bound = shard.read_bound();
         let (holders, chain) = shard.holders_and_chain(item);
         let stamps = |writer| kept_stamp(chain, writer);
-        match mv.sched.access_held(self.id, item, OpKind::Read, holders, stamps) {
+        match mv.sched.access_held(self.id, item, OpKind::Read, holders, bound, stamps) {
             Decision::Accept { .. } => {
                 Ok((idx, chain.last().and_then(|newest| newest.value.clone())))
             }
@@ -1251,21 +1219,23 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         let mut held = HeldShards::lock(idxs, |idx| store.lock_shard(idx));
         // Writes the Thomas rule ignored are skipped at install.
         let mut skip = Vec::new();
-        let refused = self.scratch.items.iter().any(|&item| {
+        let refused = self.scratch.items.iter().find_map(|&item| {
             let shard = held.shard(idxs, store.shard_index(item));
+            let bound = shard.read_bound();
             let (holders, chain) = shard.holders_and_chain(item);
             let stamps = |writer| kept_stamp(chain, writer);
-            match mv.sched.access_held(id, item, OpKind::Write, holders, stamps) {
+            match mv.sched.access_held(id, item, OpKind::Write, holders, bound, stamps) {
                 Decision::Accept { ignored } => {
                     skip.extend(ignored);
-                    false
+                    None
                 }
-                Decision::Reject(_) => true,
+                Decision::Reject(reject) if reject.by_read_bound() => Some(AbortReason::ReadBound),
+                Decision::Reject(_) => Some(AbortReason::ValidationRejected),
             }
         });
-        if refused {
+        if let Some(reason) = refused {
             drop(held);
-            self.cleanup(AbortReason::ValidationRejected);
+            self.cleanup(reason);
             return CommitOutcome::Aborted;
         }
         let wal_epoch = self.enqueue_wal(&skip);

@@ -253,15 +253,30 @@ fn a_panicking_body_releases_its_row() {
     assert_eq!(after, before);
 }
 
+/// A snapshot reader keeps no row, so a body that panics leaves the
+/// scheduler's rows as they were; its GC registration ends with the
+/// unwinding, so the next install prunes the chain to one version.
 #[test]
-fn a_panicking_snapshot_body_releases_its_row() {
+fn a_panicking_snapshot_body_ends_its_snapshot() {
     let (before, after) = live_rows_across_a_panic(|db| {
         db.run_read_only(|tx| {
             tx.read(ItemId(0));
+            assert_eq!(db.gauges().mv_active_snapshots, 1);
             panic!("the snapshot body fails after a read")
         });
     });
     assert_eq!(after, before);
+    let db = open(Protocol::Multiversion(ShardedMtCc::new(3)), Store::with_items(2, 0));
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        db.run_read_only(|tx| -> () {
+            tx.read(ItemId(0));
+            panic!("the snapshot body fails after a read")
+        })
+    }));
+    assert!(caught.is_err());
+    db.run(0, |tx| tx.write(ItemId(0), 1)).expect("a lone writer commits");
+    let g = db.gauges();
+    assert_eq!((g.mv_active_snapshots, g.mv_max_chain, g.sched_live_rows), (0, 1, 1), "{g:?}");
 }
 
 std::thread_local! {
@@ -784,13 +799,14 @@ fn a_refusal_against_a_stamp_backed_blocker_sets_the_restart_hint() {
     assert_eq!(hint, Some(Some(3)), "no hint from {blocker:?}'s stamp");
 }
 
-/// A snapshot reader whose larger holder is stamp-backed: the holder has
-/// finished, so the reader does not slip below it. Ordered after it, the
-/// reader takes the current version and becomes `RT`; decided below it —
-/// its first element was defined before a commit raised the column
-/// maximum — it walks down the chain to the version it sits after.
+/// A snapshot reader reads below its position: a version committed before
+/// it began is current to it, and one a writer commits while it runs —
+/// whose column 0 is defined above the published maximum, hence at or
+/// above the position — is not; the reader walks down the chain to the
+/// version below. The writer commits at its first attempt: a reader
+/// refuses no writer that began after it, and keeps no row of its own.
 #[test]
-fn a_snapshot_reader_meets_a_stamp_backed_larger_holder() {
+fn a_snapshot_reader_reads_below_its_position() {
     let (db, buffer) = journaled_mv(true, 2);
     let (x, y) = (ItemId(0), ItemId(1));
     let bump = |item: ItemId| {
@@ -809,11 +825,121 @@ fn a_snapshot_reader_meets_a_stamp_backed_larger_holder() {
         (current, tx.read(y), writers)
     });
     assert_eq!((current, older), (Some(101), Some(100)));
+    let m = db.metrics();
+    assert_eq!((m.aborts, m.restarts, db.gauges().sched_live_rows), (0, 0, 1), "T₀'s row alone");
     assert_eq!(db.run(0, |tx| tx.read(y)).unwrap(), Some(101));
     for writer in writers {
         assert!(db.mv_scheduler().ts(writer).is_none(), "{writer}'s row outlived its commit");
     }
     certify(&buffer);
+}
+
+/// The read bound at work: a writer whose column 0 was defined before a
+/// snapshot reader took its position, and who writes an item the reader
+/// has read since, is refused at commit — a typed `read_bound`
+/// validation abort — and commits at its restart, which begins above the
+/// position. The reader's scan and the journal stay certified.
+#[test]
+fn a_writer_below_a_snapshot_readers_position_restarts() {
+    use mdts_trace::event::AbortReason;
+    use mdts_trace::TraceEvent;
+    let (db, buffer) = journaled_mv(true, 3);
+    let (x, y, z) = (ItemId(0), ItemId(1), ItemId(2));
+    let mut first = true;
+    let mut scan = None;
+    db.run(4, |tx| {
+        let v = tx.read(y)?.unwrap_or(0); // column 0 defined to 1
+        if std::mem::take(&mut first) {
+            // A commit publishes column 0's maximum 1: the reader's
+            // position is 2, and it reads `x` at it.
+            db.run(0, |t| t.write(z, 7)).unwrap();
+            scan = Some(db.run_read_only(|r| [x, y, z].map(|item| r.read(item))));
+        }
+        tx.write(x, v)?;
+        tx.write(y, v + 1)
+    })
+    .unwrap();
+    assert_eq!(scan, Some([Some(100), Some(100), Some(7)]));
+    let m = db.metrics();
+    assert_eq!((m.restarts, m.validation_aborts), (1, 1));
+    let trace = certify(&buffer);
+    let reasons: Vec<AbortReason> = trace
+        .events()
+        .filter_map(|e| match e {
+            TraceEvent::EngineAbort { reason, .. } => Some(*reason),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(reasons, [AbortReason::ReadBound]);
+}
+
+/// The read bound holds a write the Thomas rule would ignore, too. `W`'s
+/// column 0 is defined, then a commit publishes it as the maximum and a
+/// snapshot reader takes its position above `W`. Inside the reader, `X`
+/// writes `x` blind above the position, and the reader is served the older
+/// version of `x`. `W`'s write of `x` lands below `WT(x) = X` and above
+/// `RT(x)`: ignoring it would let `W` commit below the reader, and the
+/// reader's later read of `u` — in a shard it had not read — would see
+/// `W`'s value there while it missed `W`'s `x`. `W` is refused instead,
+/// and its restart commits above the reader.
+#[test]
+fn an_ignored_write_below_a_read_bound_is_refused() {
+    use mdts_trace::event::AbortReason;
+    use mdts_trace::TraceEvent;
+    use std::sync::mpsc;
+    let (db, buffer) = journaled_mv(true, 4);
+    let (x, y, z, u) = (ItemId(0), ItemId(1), ItemId(2), ItemId(3));
+    let bump = |item: ItemId| {
+        db.run(0, |tx| {
+            let v = tx.read(item)?.unwrap_or(0);
+            tx.write(item, v + 1)
+        })
+        .unwrap()
+    };
+    bump(x);
+    let (defined_tx, defined) = mpsc::channel();
+    let (go_tx, go) = mpsc::channel::<()>();
+    let (done_tx, done) = mpsc::channel();
+    let scan = std::thread::scope(|scope| {
+        let writer_db = db.clone();
+        scope.spawn(move || {
+            let mut first = true;
+            writer_db
+                .run(4, |tx| {
+                    tx.read(y)?; // column 0 defined
+                    if std::mem::take(&mut first) {
+                        defined_tx.send(()).unwrap();
+                        go.recv().unwrap();
+                    }
+                    tx.write(x, 5)?;
+                    tx.write(u, 5)
+                })
+                .unwrap();
+            done_tx.send(()).unwrap();
+        });
+        defined.recv().unwrap();
+        bump(z); // publishes W's column 0 as the maximum
+        db.run_read_only(|r| {
+            db.run(0, |t| t.write(x, 9)).unwrap(); // X: blind, above the position
+            let vx = r.read(x);
+            go_tx.send(()).unwrap();
+            done.recv().unwrap();
+            (vx, r.read(u))
+        })
+    });
+    assert_eq!(scan, (Some(101), Some(100)), "the reader saw W's u but not W's x");
+    let m = db.metrics();
+    assert_eq!((m.ignored_writes, m.restarts), (0, 1));
+    assert_eq!(db.run(0, |tx| Ok([tx.read(x)?, tx.read(u)?])).unwrap(), [Some(5), Some(5)]);
+    let trace = certify(&buffer);
+    let reasons: Vec<AbortReason> = trace
+        .events()
+        .filter_map(|e| match e {
+            TraceEvent::EngineAbort { reason, .. } => Some(*reason),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(reasons, [AbortReason::ReadBound]);
 }
 
 /// The engine hands its sink to the protocol: without any `attach_trace`
@@ -981,8 +1107,8 @@ mod mv_props {
             // equality is NOT required — which gap a reader slots into
             // depends on incidental `Set` value choices, and the two
             // schedulers pick values differently. The concurrent path is
-            // pinned tighter: its boosted reader defines always order it
-            // above every committed stamp, so quiescent scans must serve
+            // pinned tighter: a reader's position lies above every stamp
+            // committed before it began, so quiescent scans must serve
             // exactly the newest committed version.
             let mut log = Log::new();
             for (i, op) in ops.iter().enumerate() {

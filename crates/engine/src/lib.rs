@@ -35,7 +35,9 @@
 //! A database is built one way, [`Database::open`] over a [`Protocol`].
 //! The multiversion engine also serves **read-only snapshot
 //! transactions** ([`Database::run_read_only`]): they never abort,
-//! restart or block writers.
+//! restart or block, and keep no protocol state but a read bound per
+//! chain shard, which refuses at commit a writer ordered below a position
+//! a reader already read at.
 //!
 //! [`Database::open_durable`] adds a [`DurabilityConfig`]: commits are
 //! also framed into a group-commit **write-ahead log** and acknowledged

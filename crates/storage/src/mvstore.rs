@@ -29,6 +29,14 @@
 //! and never moved or regrown, so the table costs one record per item
 //! touched rather than a `Vec` header plus a heap block.
 //!
+//! **A read bound per shard.** Each shard also holds one `i64` the
+//! protocol keeps for its snapshot readers (Basic T/O's read timestamp,
+//! per shard rather than per item, since a record is one line already):
+//! a reader raises it and a writer's validation consults it under the
+//! same lock ([`ChainShard::read_bound_and_chain`],
+//! [`ChainShard::read_bound`]). The lock, the page list and the bound
+//! share one cache line per shard.
+//!
 //! **One record, one line.** A record is 64-byte aligned, and at k ≤ 3
 //! with an `Option<i64>` value and two 4-byte holder ids it is exactly one
 //! 64-byte line: holders 8, writer 4, ticket 8, stamp 28 (k's 24 bytes
@@ -37,7 +45,14 @@
 //! the record stays one line at any k.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::PoisonError;
+
+// The shard lock comes from the loom shim under `cfg(loom)`, so
+// `tests/loom_models.rs` can drive a real shard against the scheduler.
+#[cfg(loom)]
+use loom::sync::{Mutex, MutexGuard};
+#[cfg(not(loom))]
+use std::sync::{Mutex, MutexGuard};
 
 use mdts_model::{ItemId, TxId};
 use mdts_vector::{CachePadded, Stamp};
@@ -123,6 +138,8 @@ const _: () = {
     assert!(size_of::<Chain<Option<i64>>>() == size_of::<Version>());
     assert!(size_of::<MvRecord<Option<i64>, [TxId; 2]>>() == 64);
     assert!(align_of::<MvRecord<Option<i64>, [TxId; 2]>>() == 64);
+    #[cfg(not(loom))]
+    assert!(size_of::<ShardLock<Option<i64>, [TxId; 2]>>() == 64);
 };
 
 /// A page of records, built whole.
@@ -134,7 +151,20 @@ struct MvShard<V, H> {
     /// boxed, so growing the page list never moves a record, and a page
     /// nobody touched is not built.
     pages: Vec<Option<Page<V, H>>>,
+    /// The shard's read bound: Basic T/O's read timestamp, kept per shard
+    /// for the snapshot readers of all its items (`i64::MIN` until one
+    /// reads). The protocol raises and consults it under the shard lock
+    /// ([`ChainShard::read_bound`], [`ChainShard::read_bound_and_chain`]);
+    /// it sits here, beside the page list on the lock's own line, because
+    /// a record is exactly one line already.
+    read_bound: i64,
 }
+
+/// A shard's lock and what it guards, on a cache line of its own: the
+/// lock word, the page list and the read bound share the line every
+/// access of the shard dirties, and no other shard's.
+#[repr(align(64))]
+struct ShardLock<V, H>(Mutex<MvShard<V, H>>);
 
 impl<V, H: Default> MvShard<V, H> {
     fn record(&self, idx: usize) -> Option<&MvRecord<V, H>> {
@@ -213,7 +243,7 @@ impl Drop for SnapshotGuard<'_> {
 /// soundness argument leans on the single total order over those
 /// operations — see DESIGN.md §8.
 pub struct ConcurrentMvStore<V, H = ()> {
-    shards: Box<[Mutex<MvShard<V, H>>]>,
+    shards: Box<[ShardLock<V, H>]>,
     shard_bits: u32,
     mask: u32,
     /// Monotone install ticket source. Incremented under the chain-shard
@@ -279,6 +309,23 @@ impl<V: Clone, H: Default> ChainShard<'_, V, H> {
         (&mut record.holders, record.chain.versions())
     }
 
+    /// The shard's read bound: the largest position a snapshot reader of
+    /// any of its items has raised it to (`i64::MIN` before the first).
+    #[inline]
+    pub fn read_bound(&self) -> i64 {
+        self.guard.read_bound
+    }
+
+    /// The shard's read bound, to raise, and `item`'s chain, oldest first
+    /// (empty if it was never installed; no record is built): a snapshot
+    /// read raises the one and selects from the other under one lock.
+    pub fn read_bound_and_chain(&mut self, item: ItemId) -> (&mut i64, &[MvVersion<V>]) {
+        let idx = self.local(item);
+        let MvShard { pages, read_bound } = &mut *self.guard;
+        let record = pages.get(idx / PAGE).and_then(Option::as_ref).map(|page| &page[idx % PAGE]);
+        (read_bound, record.map_or(&[], |record| record.chain.versions()))
+    }
+
     /// Installs a committed version at the tail of `item`'s chain through
     /// this guard, then prunes the chain to what a live or future snapshot
     /// can reach (DESIGN.md §8) — all but `keep`'s version: the one the
@@ -323,7 +370,7 @@ impl<V: Clone, H: Default> ConcurrentMvStore<V, H> {
     pub fn with_shards(shards: usize) -> Self {
         assert!(shards.is_power_of_two(), "shard count must be a power of two");
         let table = (0..shards)
-            .map(|_| Mutex::new(MvShard { pages: Vec::new() }))
+            .map(|_| ShardLock(Mutex::new(MvShard { pages: Vec::new(), read_bound: i64::MIN })))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         ConcurrentMvStore {
@@ -350,7 +397,7 @@ impl<V: Clone, H: Default> ConcurrentMvStore<V, H> {
     /// Locks one shard. Several are locked in ascending index order — the
     /// engine's deadlock-freedom order.
     pub fn lock_shard(&self, index: usize) -> ChainShard<'_, V, H> {
-        let guard = self.shards[index].lock().unwrap_or_else(PoisonError::into_inner);
+        let guard = self.shards[index].0.lock().unwrap_or_else(PoisonError::into_inner);
         ChainShard { store: self, index, guard }
     }
 

@@ -22,6 +22,13 @@
 //!   and the reader really is ordered after WT;
 //! * a Thomas-ignored write → WT really is ordered after the writer and
 //!   the writer after RT;
+//! * a snapshot reader at position `b` (a `ReaderBound` record) → the
+//!   version it read has a writer whose column 0 is below `b`, and every
+//!   later writer on the chain, then or installed afterwards, has column 0
+//!   at or above `b` (the auditor keeps the largest bound read per item,
+//!   stricter than the engine's per-lock bound), and so has every writer
+//!   the Thomas rule ignores on the item afterwards; a write refused by the
+//!   read bound → its column 0 is below some bound a reader took;
 //! * every recorded element definition respects write-once.
 //!
 //! Checks that would involve a *not yet decided* order (anything passing
@@ -40,7 +47,7 @@ use std::collections::{HashMap, HashSet};
 use mdts_model::{ItemId, OpKind, TxId};
 use mdts_vector::{CmpResult, TsVec};
 
-use crate::event::{AccessOutcome, SetEdgeOutcome, TraceEvent};
+use crate::event::{AccessOutcome, RejectRule, SetEdgeOutcome, TraceEvent};
 use crate::sink::Trace;
 
 /// What the auditor verified and what it found.
@@ -109,6 +116,12 @@ struct Auditor {
     /// Per item: the version chain's writers in append order, replayed
     /// from `VersionInstall` events (the floor T₀ version is implicit).
     chains: HashMap<ItemId, Vec<TxId>>,
+    /// Each bounded snapshot reader's position (`ReaderBound` events).
+    reader_bounds: HashMap<u32, i64>,
+    /// Per item: the largest position a bounded reader read it at.
+    item_bounds: HashMap<ItemId, i64>,
+    /// The largest position any bounded reader took.
+    max_bound: i64,
     report: AuditReport,
 }
 
@@ -120,6 +133,9 @@ impl Auditor {
             committed: HashSet::new(),
             accesses: HashMap::new(),
             chains: HashMap::new(),
+            reader_bounds: HashMap::new(),
+            item_bounds: HashMap::new(),
+            max_bound: i64::MIN,
             report: AuditReport::default(),
         }
     }
@@ -266,6 +282,10 @@ impl Auditor {
     fn check_version_read(&mut self, tx: TxId, item: ItemId, writer: TxId) {
         self.report.decisions += 1;
         self.report.version_reads += 1;
+        if let Some(&bound) = self.reader_bounds.get(&tx.0) {
+            self.check_bounded_read(tx, item, writer, bound);
+            return;
+        }
         let chain = self.chains.get(&item).cloned().unwrap_or_default();
         let from = if writer.is_virtual() {
             // Floor (or never-written base value): the reader descended
@@ -306,6 +326,67 @@ impl Auditor {
                 ));
             }
         }
+    }
+
+    /// `TS(tx, 1)` as replayed, if defined.
+    fn first(&mut self, tx: TxId) -> Option<i64> {
+        self.vec_of(tx).get(0)
+    }
+
+    /// A read by the snapshot reader `tx` at position `bound`: the
+    /// selected writer's column 0 is below `bound`, every later chain
+    /// writer's is at or above it, and the item's read bound rises to
+    /// `bound` for the installs that follow.
+    fn check_bounded_read(&mut self, tx: TxId, item: ItemId, writer: TxId, bound: i64) {
+        let chain = self.chains.get(&item).cloned().unwrap_or_default();
+        let from = if writer.is_virtual() {
+            0
+        } else {
+            let Some(p) = chain.iter().position(|&w| w == writer) else {
+                self.violation(format!(
+                    "R{}[{}] selected T{}'s version but T{} never installed one",
+                    tx.0, item.0, writer.0, writer.0
+                ));
+                return;
+            };
+            let first = self.first(writer);
+            if first.is_none_or(|c| c >= bound) {
+                self.violation(format!(
+                    "R{}[{}] at position {bound} selected T{}'s version, whose column 0 is \
+                     {first:?}",
+                    tx.0, item.0, writer.0
+                ));
+            }
+            p + 1
+        };
+        for &succ in &chain[from..] {
+            let first = self.first(succ);
+            if first.is_none_or(|c| c < bound) {
+                self.violation(format!(
+                    "R{}[{}] at position {bound} passed over T{}'s version, whose column 0 is \
+                     {first:?}",
+                    tx.0, item.0, succ.0
+                ));
+            }
+        }
+        let raised = self.item_bounds.entry(item).or_insert(bound);
+        *raised = (*raised).max(bound);
+    }
+
+    /// `writer` installed a version of `item`: it must sit at or above
+    /// every position a bounded reader read the item at.
+    fn check_install(&mut self, writer: TxId, item: ItemId) {
+        if let Some(&bound) = self.item_bounds.get(&item) {
+            self.report.decisions += 1;
+            let first = self.first(writer);
+            if first.is_none_or(|c| c < bound) {
+                self.violation(format!(
+                    "W{}[{}] installed below the read bound {bound}: column 0 is {first:?}",
+                    writer.0, item.0
+                ));
+            }
+        }
+        self.chains.entry(item).or_default().push(writer);
     }
 
     fn check_compare(
@@ -397,24 +478,6 @@ impl Auditor {
                     ));
                 }
             }
-            AccessOutcome::GrantedStale => {
-                // MV-MT(k) stale read: the snapshot reader is served from
-                // an older version. The cut stays consistent only if some
-                // current holder is decided *after* the reader — holders
-                // advance monotonically, so every future writer of the
-                // item then orders above the reader transitively.
-                let below_rt = matches!(self.compare(rt, tx), CmpResult::Greater { .. });
-                let below_wt = matches!(self.compare(wt, tx), CmpResult::Greater { .. });
-                if !below_rt && !below_wt {
-                    let cr = self.compare(rt, tx);
-                    let cw = self.compare(wt, tx);
-                    self.violation(format!(
-                        "R{}[{}] served stale but neither holder is ordered after it \
-                         (RT = T{}: {cr:?}, WT = T{}: {cw:?})",
-                        tx.0, item.0, rt.0, wt.0
-                    ));
-                }
-            }
             AccessOutcome::GrantedIgnored => {
                 // Thomas write rule: the write is stale (WT after the
                 // writer) and safe to discard (RT before the writer).
@@ -430,6 +493,31 @@ impl Auditor {
                     self.violation(format!(
                         "W{}[{}] ignored but RT = T{} is not ordered before it ({c:?})",
                         tx.0, item.0, rt.0
+                    ));
+                }
+                // An ignored write installs nothing, yet its writer still
+                // sits before `WT`: a bounded reader above it, served an
+                // older version, would have missed it.
+                if let Some(&bound) = self.item_bounds.get(&item) {
+                    let first = self.first(tx);
+                    if first.is_none_or(|c| c < bound) {
+                        self.violation(format!(
+                            "W{}[{}] ignored below the read bound {bound}: column 0 is {first:?}",
+                            tx.0, item.0
+                        ));
+                    }
+                }
+            }
+            AccessOutcome::Rejected { against, rule: RejectRule::ReadBound, .. } => {
+                // No holder refused it: some reader's position lies above
+                // the writer's column 0.
+                let first = self.first(tx);
+                let max_bound = self.max_bound;
+                if !against.is_virtual() || first.is_none_or(|c| c >= max_bound) {
+                    self.violation(format!(
+                        "W{}[{}] refused by the read bound against T{} with column 0 {first:?}, \
+                         but no reader took a position above it (largest {max_bound})",
+                        tx.0, item.0, against.0
                     ));
                 }
             }
@@ -510,8 +598,10 @@ pub fn audit(trace: &Trace, k: usize) -> AuditReport {
                 a.vectors.insert(tx.0, v);
             }
             TraceEvent::StampFill { tx, changes } => a.apply_stamp_fill(*tx, changes),
-            TraceEvent::VersionInstall { writer, item } => {
-                a.chains.entry(*item).or_default().push(*writer);
+            TraceEvent::VersionInstall { writer, item } => a.check_install(*writer, *item),
+            TraceEvent::ReaderBound { tx, bound } => {
+                a.reader_bounds.insert(tx.0, *bound);
+                a.max_bound = a.max_bound.max(*bound);
             }
             TraceEvent::VersionRead { tx, item, writer } => {
                 a.check_version_read(*tx, *item, *writer);
@@ -658,6 +748,45 @@ mod tests {
         let report = audit(&trace, 2);
         assert!(!report.is_clean());
         assert!(report.violations[0].contains("not ordered before"), "{}", report.summary());
+    }
+
+    #[test]
+    fn an_ignored_write_below_a_read_bound_is_flagged() {
+        // T3 ([3,1]) wrote item 0 blind over T1 ([1,1]); reader T5 at
+        // position 3 was served T1's version. A writer the Thomas rule then
+        // ignores under WT = T3 sits between T1 and T3: at column 0 = 2 it
+        // is below the reader, whose read missed it; at [3,0] it is above.
+        let history = |writer_first: Vec<(u32, usize, i64)>| {
+            Trace::from_records(vec![
+                encode(0, 0, 1, vec![(1, 0, 1), (1, 1, 1)]),
+                rec(1, TraceEvent::VersionInstall { writer: TxId(1), item: ItemId(0) }),
+                encode(2, 0, 3, vec![(3, 0, 3), (3, 1, 1)]),
+                rec(3, TraceEvent::VersionInstall { writer: TxId(3), item: ItemId(0) }),
+                rec(4, TraceEvent::ReaderBound { tx: TxId(5), bound: 3 }),
+                rec(5, TraceEvent::VersionRead { tx: TxId(5), item: ItemId(0), writer: TxId(1) }),
+                encode(6, 0, 2, writer_first),
+                rec(
+                    7,
+                    TraceEvent::Access {
+                        tx: TxId(2),
+                        item: ItemId(0),
+                        kind: OpKind::Write,
+                        rt: TxId(0),
+                        wt: TxId(3),
+                        outcome: AccessOutcome::GrantedIgnored,
+                    },
+                ),
+            ])
+        };
+        let above = audit(&history(vec![(2, 0, 3), (2, 1, 0)]), 2);
+        assert!(above.is_clean(), "{}", above.summary());
+        let below = audit(&history(vec![(2, 0, 2)]), 2);
+        assert!(!below.is_clean());
+        assert!(
+            below.violations[0].contains("ignored below the read bound"),
+            "{}",
+            below.summary()
+        );
     }
 
     #[test]

@@ -32,6 +32,10 @@ journal_enum! {
         /// The Thomas write rule was attempted (the write was rejected by
         /// WT) but the requester could not be ordered after the reader.
         ThomasRule = "thomas_rule",
+        /// A write the access rule granted lands below the read bound a
+        /// snapshot reader raised (`against` is `T₀`): the reader already
+        /// read the item at a position above the writer's column 0.
+        ReadBound = "read_bound",
     }
 }
 
@@ -45,6 +49,9 @@ journal_enum! {
         ValidationRejected = "validation_rejected",
         /// The transaction straddled an `AbortAll` epoch fence.
         Epoch = "epoch",
+        /// Commit-time validation found a write below the read bound a
+        /// snapshot reader raised on the item's lock.
+        ReadBound = "read_bound",
     }
 }
 
@@ -185,11 +192,6 @@ journal_enum! {
         /// Accepted with the write discarded by the Thomas write rule
         /// (Section III-D-6c).
         GrantedIgnored = "granted_ignored",
-        /// A snapshot read served from an *older* version (MV-MT(k) serving
-        /// path): the reader is decided below one of the current holders,
-        /// so it walks the version chain instead of reading the current
-        /// value.
-        GrantedStale = "granted_stale",
         /// Rejected: the holder `against` is already ordered after the
         /// requester, decided at `column`.
         Rejected = "rejected" {
@@ -390,10 +392,11 @@ journal_enum! {
             /// The item whose chain grew.
             item: ItemId,
         },
-        /// A snapshot read selected a version: reader `tx` was slotted into the
-        /// gap above `writer`'s version of `item` (below every later chain
-        /// writer). `writer` is [`TxId::VIRTUAL`] when the floor version (or the
-        /// never-written base value) was read.
+        /// A snapshot read selected a version: reader `tx` sits above
+        /// `writer`'s version of `item` and below every later chain writer —
+        /// by its position (a `ReaderBound` record) or, without one, by the
+        /// vector order. `writer` is [`TxId::VIRTUAL`] when the floor version
+        /// (or the never-written base value) was read.
         VersionRead = "version_read" {
             /// The snapshot reader.
             tx: TxId,
@@ -401,6 +404,16 @@ journal_enum! {
             item: ItemId,
             /// Writer of the selected version.
             writer: TxId,
+        },
+        /// A snapshot reader began at position `bound`: it reads, of every
+        /// item, the newest version whose writer's column 0 is below
+        /// `bound`, and raises the item's read bound to `bound`, so no
+        /// writer whose column 0 is below it installs afterwards.
+        ReaderBound = "reader_bound" {
+            /// The snapshot reader.
+            tx: TxId,
+            /// Its position: column 0's published commit maximum + 1.
+            bound: i64,
         },
         /// The online stall detector fired on a telemetry window: `value` is
         /// the offending per-window figure, `baseline` the trailing mean it

@@ -206,10 +206,14 @@ mod tests {
             TraceEvent::Access {
                 tx: TxId(5),
                 item: ItemId(5),
-                kind: OpKind::Read,
+                kind: OpKind::Write,
                 rt: TxId(4),
                 wt: TxId(4),
-                outcome: AccessOutcome::GrantedStale,
+                outcome: AccessOutcome::Rejected {
+                    against: TxId(0),
+                    column: 0,
+                    rule: RejectRule::ReadBound,
+                },
             },
             TraceEvent::Access {
                 tx: TxId(5),
@@ -255,6 +259,8 @@ mod tests {
                 value: 0.0,
                 baseline: 1e-3,
             },
+            TraceEvent::ReaderBound { tx: TxId(8), bound: 12 },
+            TraceEvent::EngineAbort { tx: TxId(5), reason: AbortReason::ReadBound },
         ];
         Trace::from_records(
             events

@@ -74,7 +74,6 @@ pub fn render_decision_table(
                     AccessOutcome::Granted => "",
                     AccessOutcome::GrantedInvisible => " (invisible)",
                     AccessOutcome::GrantedIgnored => " (ignored)",
-                    AccessOutcome::GrantedStale => " (stale)",
                     AccessOutcome::Rejected { .. } => " (rejected)",
                 };
                 let mut row =

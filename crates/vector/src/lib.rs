@@ -24,9 +24,10 @@
 //!   Figs. 6–7, deciding with the scalar scan and costing its O(log k)
 //!   parallel steps arithmetically. Every compare, the engine's and the MV
 //!   chain walk's included, is the scalar [`TsVec::compare`];
-//! * [`Stamp`] and [`StampView`] — a committed writer's saturated vector
-//!   packed to its k values, and Definition 6 against it from a reader's
-//!   mask alone (the MV chain's version stamps);
+//! * [`Stamp`] — a committed writer's saturated vector packed to its k
+//!   values, and Definition 6 against it from a reader's mask alone (the
+//!   MV chain's version stamps); [`StampView`] is its column 0, which the
+//!   snapshot chain walk reads;
 //! * [`interval_view`] — the Section VI-A reading of a vector as a shrinking
 //!   timestamp interval;
 //! * [`OrderCache`] — a concurrent memo table for *decided* strict orders,

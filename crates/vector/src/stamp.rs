@@ -5,7 +5,9 @@
 //! so a version's stamp has no undefined element and needs no definedness
 //! bitmap: Definition 6 between a saturated stamp and a reader stops at
 //! the first value that differs or at the first element the *reader*
-//! leaves open, so the reader's mask decides alone ([`StampView`]).
+//! leaves open, so the reader's mask decides alone
+//! ([`Stamp::compare_reader`]). A snapshot reader compares a stamp's
+//! column 0 alone ([`StampView`]).
 //!
 //! # Layout
 //!
@@ -24,7 +26,6 @@
 //!   bit there, and no other constructor does. Its payload is unused (the
 //!   one defined element is 0), so a floor never allocates.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::mem::size_of;
 use std::num::NonZeroU32;
@@ -201,38 +202,28 @@ impl fmt::Debug for Stamp {
     }
 }
 
-/// A committed writer's stamp as the MV snapshot walk reads it: Definition
-/// 6 against a reader, and the stamp as a vector for the rare open case
-/// that defines a reader element against it. Implemented by the packed
-/// [`Stamp`] and by [`TsVec`] itself.
+/// A committed writer's stamp as the snapshot chain walk reads it: its
+/// column 0, which a reader's position is compared with. Implemented by
+/// the packed [`Stamp`] and by [`TsVec`] itself.
 pub trait StampView {
-    /// Definition 6 with the stamp on the left: `TS(stamp)` against
-    /// `TS(reader)`, both of the same dimension.
-    fn compare_reader(&self, reader: &TsVec) -> CmpResult;
-
-    /// The stamp as a vector: borrowed from a `TsVec`, built for a packed
-    /// stamp (on the stack for `k ≤ INLINE_K`).
-    fn to_vec(&self) -> Cow<'_, TsVec>;
+    /// Column 0, which every stamp defines (the floor's is 0).
+    fn first(&self) -> i64;
 }
 
 impl StampView for TsVec {
-    #[inline]
-    fn compare_reader(&self, reader: &TsVec) -> CmpResult {
-        self.compare(reader)
-    }
-
-    fn to_vec(&self) -> Cow<'_, TsVec> {
-        Cow::Borrowed(self)
+    fn first(&self) -> i64 {
+        self.get(0).expect("a stamp defines column 0")
     }
 }
 
-impl StampView for Stamp {
-    /// Only the reader's mask is consulted: the stamp's values are all
-    /// defined (the floor's past the first are not, and are decided by
-    /// hand), so the scan stops at the first differing value or at the
-    /// reader's first open element.
+impl Stamp {
+    /// Definition 6 with the stamp on the left: `TS(stamp)` against
+    /// `TS(reader)`, both of the same dimension. Only the reader's mask is
+    /// consulted: the stamp's values are all defined (the floor's past the
+    /// first are not, and are decided by hand), so the scan stops at the
+    /// first differing value or at the reader's first open element.
     #[inline]
-    fn compare_reader(&self, reader: &TsVec) -> CmpResult {
+    pub fn compare_reader(&self, reader: &TsVec) -> CmpResult {
         let k = self.k();
         debug_assert_eq!(k, reader.k(), "vectors of different dimension are never compared");
         let open = reader.first_undefined().unwrap_or(k);
@@ -265,13 +256,26 @@ impl StampView for Stamp {
         })
     }
 
-    fn to_vec(&self) -> Cow<'_, TsVec> {
+    /// The stamp as a vector, for the rare open case where `Set` defines
+    /// an element against it (on the stack for `k ≤ INLINE_K`).
+    pub fn to_vec(&self) -> TsVec {
         let k = self.k();
         if self.is_floor() {
-            return Cow::Owned(TsVec::origin(k));
+            return TsVec::origin(k);
         }
         let mut v = TsVec::undefined(k);
         self.with_values(|values| values.iter().enumerate().for_each(|(m, &x)| v.define(m, x)));
-        Cow::Owned(v)
+        v
+    }
+}
+
+impl StampView for Stamp {
+    #[inline]
+    fn first(&self) -> i64 {
+        if self.is_floor() {
+            0
+        } else {
+            self.with_values(|values| values[0])
+        }
     }
 }

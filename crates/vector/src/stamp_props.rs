@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use crate::stamp::{Stamp, StampView, INLINE_STAMP_K};
+use crate::stamp::{Stamp, INLINE_STAMP_K};
 use crate::tsvec::TsVec;
 
 /// Inline dimensions, and one past the inline capacity.
@@ -31,10 +31,10 @@ proptest! {
         for k in KS {
             let saturated = prefix(k, k, &stamp_values);
             let packed = Stamp::from(saturated.clone());
-            prop_assert_eq!(&*packed.to_vec(), &saturated);
+            prop_assert_eq!(&packed.to_vec(), &saturated);
             prop_assert_eq!(&packed.clone(), &packed);
             let floor = Stamp::floor(k);
-            prop_assert_eq!(&*floor.to_vec(), &TsVec::origin(k));
+            prop_assert_eq!(&floor.to_vec(), &TsVec::origin(k));
             for defined in 0..=k {
                 let reader = prefix(k, defined, &reader_values);
                 prop_assert_eq!(

@@ -208,12 +208,15 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
         "steady-state begin/read/write/commit/abort/restart must not allocate for k = {INLINE_K}"
     );
 
-    // The MV-MT(k) snapshot serving path (ISSUE 6): a read-only
-    // transaction's row is allocated by `begin`, after which
-    // `snapshot_read` (boosted reader defines + RT registration) and the
-    // chain-walk comparator `snapshot_order_after` work entirely in
-    // already-materialized storage. Build a frozen commit stamp in
-    // warmup, then measure whole read-only rounds.
+    // The snapshot serving path: a read-only transaction takes a position
+    // and raises read bounds. Over the scheduler's own tables its row is
+    // allocated by `begin`, after which `snapshot_read` (the position
+    // defined in the row, the shard bound raised) and the chain walk
+    // `snapshot_newest_visible` work entirely in already-materialized
+    // storage; a reader over caller-kept chains
+    // (`begin_snapshot_reader` + `snapshot_visible`) keeps no row at all.
+    // Build frozen commit stamps in warmup, then measure whole read-only
+    // rounds.
     let mut stamps = Vec::new();
     let mut writers = Vec::new();
     for _ in 0..3 {
@@ -225,7 +228,6 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
         writers.push(w);
         id += 1;
     }
-    let (stamp, stamp_writer) = (stamps[0].clone(), writers[0]);
     // The MV commit itself: a write → `stamp_commit` → `commit` round
     // saturates the open columns and publishes the column maxima without
     // touching the heap — the fill's change list is built only for an
@@ -242,20 +244,22 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
     });
     assert_eq!(stamping, 0, "stamp_commit must not allocate for k = {INLINE_K}");
     let snapshot = allocations(|| {
+        let mut read_bound = i64::MIN;
         while id < 1015 {
             let reader = TxId(id);
             s.begin(reader);
             for n in 0..8usize {
                 let _ = s.snapshot_read(reader, item(n * 67));
             }
-            // Chain-walk comparison against a frozen version stamp (the
-            // `Older` serving path's per-version test).
-            let _ = s.snapshot_order_after(reader, &stamp, stamp_writer);
-            // And the newest-first chain walk over all three frozen
-            // stamps, its first call included: the walk keeps no state
-            // that could grow lazily.
+            // The newest-first chain walk over all three frozen stamps,
+            // its first call included: the walk keeps no state that could
+            // grow lazily.
             let _ = s.snapshot_newest_visible(reader, stamps.len(), |i| &stamps[i], |i| writers[i]);
             s.commit(reader);
+            id += 1;
+            let bounded = TxId(id);
+            let bound = s.begin_snapshot_reader(bounded);
+            let _ = s.snapshot_visible(bound, &mut read_bound, stamps.len(), |i| &stamps[i]);
             id += 1;
         }
     });

@@ -276,3 +276,74 @@ fn two_phase_locking_survives_zipf_hotspot() {
 fn basic_timestamp_ordering_survives_zipf_hotspot() {
     stress("TO(1)/8t", Database::open(BasicToCc::new(true), store(), TraceSink::disabled()), 8);
 }
+
+/// A read-heavy MV-MT(3) mix: 6 threads run snapshot scans of all 64
+/// items while 2 run uniform transfers with a pause between their reads
+/// and their writes. Each scan raises the read bound of every chain shard
+/// it reads, so a transfer whose column 0 was defined before another
+/// transfer's commit and a scan's begin is refused at validation — the
+/// check this test exercises, and counts from the journal. Every scan
+/// must see the conserved total, and the merged journal must audit clean:
+/// each read below its reader's position, and no install below a
+/// position already read.
+#[test]
+fn read_heavy_scans_audit_clean_and_exercise_the_read_bound() {
+    use mdts::trace::{AbortReason, TraceEvent};
+    use rand::Rng;
+
+    const SCANNERS: usize = 6;
+    const SCANS: usize = 150;
+    const TRANSFERRERS: usize = 2;
+    const TRANSFERS: usize = 200;
+    let buffer = TraceBuffer::unbounded(16);
+    let opts = MtOptions { starvation_flush: true, ..MtOptions::new(3) };
+    let protocol = Protocol::Multiversion(ShardedMtCc::with_options(opts));
+    let db = Database::open(protocol, store(), TraceSink::to(&buffer));
+    let expected = ACCOUNTS as i64 * INITIAL;
+    std::thread::scope(|scope| {
+        for _ in 0..SCANNERS {
+            let db = db.clone();
+            scope.spawn(move || {
+                for _ in 0..SCANS {
+                    let total: i64 = db.run_read_only(|tx| {
+                        (0..ACCOUNTS).map(|i| tx.read(ItemId(i)).unwrap_or(0)).sum()
+                    });
+                    assert_eq!(total, expected, "a snapshot scan saw a torn state");
+                }
+            });
+        }
+        for t in 0..TRANSFERRERS {
+            let db = db.clone();
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0x5CA7 + t as u64);
+                for _ in 0..TRANSFERS {
+                    let src = ItemId(rng.gen_range(0..ACCOUNTS));
+                    let dst = ItemId((src.0 + rng.gen_range(1..ACCOUNTS)) % ACCOUNTS);
+                    db.run(MAX_RESTARTS, |tx| {
+                        let (a, b) = (tx.read(src)?.unwrap_or(0), tx.read(dst)?.unwrap_or(0));
+                        std::thread::sleep(Duration::from_micros(20));
+                        tx.write(src, a - 1)?;
+                        tx.write(dst, b + 1)
+                    })
+                    .expect("a transfer commits within its restarts");
+                }
+            });
+        }
+    });
+    assert_eq!(db.snapshot().values().sum::<i64>(), expected, "total drifted");
+    assert_eq!(buffer.dropped(), 0, "the audit needs the complete trace");
+    let trace = buffer.snapshot();
+    let report = audit(&trace, 3);
+    assert!(report.is_clean(), "{}", report.summary());
+    assert!(report.version_reads >= SCANNERS * SCANS * ACCOUNTS as usize);
+    let refused = trace
+        .events()
+        .filter(|e| matches!(e, TraceEvent::EngineAbort { reason: AbortReason::ReadBound, .. }))
+        .count();
+    println!(
+        "read bound refused {refused} writers over {} transfers ({} restarts)",
+        TRANSFERRERS * TRANSFERS,
+        db.metrics().restarts
+    );
+    assert!(refused > 0, "no writer met a read bound: the check went unexercised");
+}

@@ -2,7 +2,10 @@
 //! lock-free protocols: the order-cache seqlock, the row table's chunk
 //! publication / slot recycling / reclamation (with the references a
 //! writer gives up when it installs its version) / index release, and the
-//! `WakeSeq` eventcount. Build and run with:
+//! `WakeSeq` eventcount — and of the snapshot read bound against a
+//! writer's validation and install under one chain-shard lock, driven
+//! through the real `ConcurrentMvStore` shard and `SharedMtScheduler`
+//! calls the engine makes. Build and run with:
 //!
 //! ```sh
 //! RUSTFLAGS="--cfg loom" cargo test --test loom_models --release
@@ -10,17 +13,19 @@
 //!
 //! (`scripts/race.sh` and `scripts/verify.sh --full` do exactly that.)
 //! Under `--cfg loom` the modules under test compile against the loom
-//! shim's instrumented primitives via their `sync` layers, and the table
+//! shim's instrumented primitives via their `sync` layers (the MV store's
+//! shard lock included), and the table
 //! constants shrink (`ordercache::SLOTS = 1`, `rowtable::BASE = 2`) so
 //! every model collision is forced and state spaces stay exhaustive.
 //!
-//! The suite includes four deliberate failures, kept as `#[should_panic]`
+//! The suite includes six deliberate failures, kept as `#[should_panic]`
 //! witnesses that the models catch the bugs they guard against: the
 //! seqlock writer ordering before its fix (no Release fence between the
 //! version claim and the data stores), a row lookup that trusts a
 //! recycled slot without re-checking whose it is, an install-time
-//! release run before the install, and a stamp-backed holder released
-//! twice.
+//! release run before the install, a stamp-backed holder released
+//! twice, a writer that checks the read bound outside the shard lock, and
+//! a snapshot reader that does not raise the bound.
 
 #![cfg(loom)]
 
@@ -30,9 +35,13 @@ use loom::sync::atomic::{fence, AtomicU64};
 use loom::sync::{Arc, Mutex};
 use loom::thread;
 
-use mdts_core::RowTable;
+use mdts_core::{Decision, HolderPair, MtOptions, RowTable, SharedMtScheduler};
 use mdts_engine::wakeseq::WakeSeq;
-use mdts_vector::{CmpResult, OrderCache, TsVec};
+use mdts_model::{ItemId, OpKind, TxId};
+use mdts_storage::ConcurrentMvStore;
+use mdts_trace::event::AbortReason;
+use mdts_trace::{TraceBuffer, TraceEvent, TraceSink};
+use mdts_vector::{CmpResult, OrderCache, Stamp, TsVec};
 
 /// A model with bounded preemptions: forced switches and weak-memory
 /// read-from choices stay exhaustive, voluntary context switches are
@@ -463,6 +472,163 @@ fn loom_rowtable_release_vs_reuse() {
         }
         assert!(table.slot(3).is_none(), "a reclaimed id regained a link");
     });
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot read bound vs. validation and install
+// ---------------------------------------------------------------------------
+
+/// How the parties of [`bound_vs_install`] keep the protocol.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum BoundRace {
+    /// As the engine does: the reader raises the bound and reads under the
+    /// shard lock, the writer validates and installs under it.
+    Locked,
+    /// The writer validates, releases the lock, and installs later.
+    CheckOutsideTheLock,
+    /// The reader raises a bound of its own instead of the shard's.
+    ReaderRaisesNothing,
+}
+
+/// The engine's snapshot read: the shard's bound raised to `bound` and the
+/// newest version below it served, under the shard lock, journaled as the
+/// engine journals it.
+fn bounded_read(
+    store: &ConcurrentMvStore<Option<i64>, HolderPair>,
+    sched: &SharedMtScheduler,
+    trace: &TraceSink,
+    reader: TxId,
+    bound: i64,
+    item: ItemId,
+    raise: bool,
+) {
+    let mut shard = store.lock_shard(store.shard_index(item));
+    let (read_bound, chain) = shard.read_bound_and_chain(item);
+    let mut own = i64::MIN;
+    let read_bound = if raise { read_bound } else { &mut own };
+    let seen = sched.snapshot_visible(bound, read_bound, chain.len(), |i| &chain[i].stamp);
+    let writer = seen.map_or(TxId::VIRTUAL, |i| chain[i].writer);
+    trace.emit(|| TraceEvent::VersionRead { tx: reader, item, writer });
+}
+
+/// The engine's commit of a one-item write set: validation against the
+/// holders and the shard's bound, then the stamp and the install — under
+/// one hold of the shard lock, or (`split`) under two. Returns whether
+/// the write committed; a refusal is journaled as the engine journals it.
+fn validate_and_install(
+    store: &ConcurrentMvStore<Option<i64>, HolderPair>,
+    sched: &SharedMtScheduler,
+    trace: &TraceSink,
+    writer: TxId,
+    item: ItemId,
+    split: bool,
+) -> bool {
+    let idx = store.shard_index(item);
+    let mut shard = store.lock_shard(idx);
+    let bound = shard.read_bound();
+    let (holders, chain) = shard.holders_and_chain(item);
+    let stamps = |w| chain.iter().rev().find(|v| v.writer == w).map(|v| &v.stamp);
+    if let Decision::Reject(reject) =
+        sched.access_held(writer, item, OpKind::Write, holders, bound, stamps)
+    {
+        drop(shard);
+        let reason = if reject.by_read_bound() {
+            AbortReason::ReadBound
+        } else {
+            AbortReason::ValidationRejected
+        };
+        trace.emit(|| TraceEvent::EngineAbort { tx: writer, reason });
+        sched.abort(writer);
+        return false;
+    }
+    if split {
+        drop(shard);
+        shard = store.lock_shard(idx);
+    }
+    let stamp = Stamp::from(sched.stamp_commit(writer));
+    let rt = shard.holders(item).rt();
+    let keep = (!rt.is_virtual()).then_some(rt);
+    let installed = |_seq| trace.emit(|| TraceEvent::VersionInstall { writer, item });
+    shard.install(item, writer, stamp, Some(1), keep, drop, installed);
+    sched.version_installed(writer, shard.holders(item));
+    drop(shard);
+    sched.commit_unjournaled(writer);
+    trace.emit(|| TraceEvent::Commit { tx: writer });
+    true
+}
+
+/// The real MV chain shard and scheduler, k = 1, one shard for items
+/// `x`, `y`, `z`. Writer `W` reads `y`, defining its column 0; `T_z`
+/// commits a write of `z` and publishes that column 0 as the maximum;
+/// then snapshot reader `R` takes its position above `W`. Now `R` reads
+/// `x` while `W` validates and installs its write of `x`. Kept as the
+/// engine keeps it, every interleaving journals a history the auditor
+/// certifies: `W` installs before the read, and `R` reads its version, or
+/// `R` raises the bound first and `W` is refused. Each must-catch variant
+/// has an interleaving whose journal the auditor refuses.
+fn bound_vs_install(race: BoundRace) {
+    let (x, y, z) = (ItemId(0), ItemId(1), ItemId(2));
+    let (w, t_z, r) = (TxId(1), TxId(2), TxId(3));
+    model2(move || {
+        let buffer = TraceBuffer::journal();
+        let trace = TraceSink::to(&buffer);
+        let mut sched = SharedMtScheduler::new(MtOptions::new(1));
+        sched.attach_trace(trace.clone());
+        let store = Arc::new(ConcurrentMvStore::<Option<i64>, HolderPair>::with_shards(1));
+        for item in [x, y, z] {
+            store.seed(item, Some(0), 1);
+        }
+        sched.begin(w);
+        {
+            let mut shard = store.lock_shard(store.shard_index(y));
+            let bound = shard.read_bound();
+            let (holders, _) = shard.holders_and_chain(y);
+            let read = sched.access_held(w, y, OpKind::Read, holders, bound, |_| None);
+            assert!(matches!(read, Decision::Accept { .. }));
+        }
+        sched.begin(t_z);
+        assert!(validate_and_install(&store, &sched, &trace, t_z, z, false));
+        let _snapshot = store.begin_snapshot();
+        let position = sched.begin_snapshot_reader(r);
+
+        let sched = Arc::new(sched);
+        let (s2, sc2, tr2) = (Arc::clone(&store), Arc::clone(&sched), trace.clone());
+        let raise = race != BoundRace::ReaderRaisesNothing;
+        let reader = thread::spawn(move || bounded_read(&s2, &sc2, &tr2, r, position, x, raise));
+        let split = race == BoundRace::CheckOutsideTheLock;
+        validate_and_install(&store, &sched, &trace, w, x, split);
+        reader.join().unwrap();
+
+        let report = mdts_trace::audit(&buffer.snapshot(), 1);
+        assert!(
+            report.is_clean(),
+            "the auditor refused the history ({race:?}): {}",
+            report.summary()
+        );
+        assert_eq!(report.version_reads, 1);
+    });
+}
+
+#[test]
+fn loom_read_bound_vs_install() {
+    bound_vs_install(BoundRace::Locked);
+}
+
+/// The must-catch variant: a writer that validates against the bound
+/// outside the lock it installs under installs below a position read in
+/// between.
+#[test]
+#[should_panic(expected = "the auditor refused the history")]
+fn a_bound_checked_outside_the_lock_lets_a_writer_under_a_reader() {
+    bound_vs_install(BoundRace::CheckOutsideTheLock);
+}
+
+/// The must-catch variant: a reader that does not raise the bound lets
+/// the writer install below its position after the read.
+#[test]
+#[should_panic(expected = "the auditor refused the history")]
+fn a_reader_that_raises_no_bound_is_caught() {
+    bound_vs_install(BoundRace::ReaderRaisesNothing);
 }
 
 // ---------------------------------------------------------------------------
