@@ -137,7 +137,7 @@
 //!
 //! [`OrderCache`]: mdts_vector::OrderCache
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 // The row-slot guards come from the cfg(loom)-switched layer so this
@@ -150,8 +150,8 @@ use mdts_model::{ItemId, OpKind, Operation, TxId};
 use mdts_trace::event::{scalar_cost, tree_cost, AccessOutcome, RejectRule};
 use mdts_trace::{TraceEvent, TraceSink};
 use mdts_vector::{
-    CachePadded, CmpResult, KthCounters, OrderCache, OrderCacheStats, Stamp, StampView, Striped,
-    TsVec,
+    CachePadded, CmpResult, Count, KthCounters, OrderCache, OrderCacheStats, Stamp, StampView,
+    Striped, TsVec,
 };
 
 use crate::algo1::{self, Encoding};
@@ -359,12 +359,12 @@ pub struct BatchedCompareStats {
     pub size_buckets: [u64; BATCH_SIZE_BUCKETS],
 }
 
-/// Atomic backing of [`BatchedCompareStats`]: one stripe's cells.
+/// Backing of [`BatchedCompareStats`]: one stripe's cells.
 #[derive(Debug, Default)]
 struct BatchedCounters {
-    chain_batches: AtomicU64,
-    candidates: AtomicU64,
-    size_buckets: [AtomicU64; BATCH_SIZE_BUCKETS],
+    chain_batches: Count,
+    candidates: Count,
+    size_buckets: [Count; BATCH_SIZE_BUCKETS],
 }
 
 /// The concurrent MT(k) scheduler. All methods take `&self`; the type is
@@ -521,13 +521,10 @@ impl SharedMtScheduler {
 
     /// Counters of the MV snapshot chain walk.
     pub fn batched_compare_stats(&self) -> BatchedCompareStats {
-        let sum = |f: &dyn Fn(&BatchedCounters) -> &AtomicU64| {
-            self.batched.sum(|b| f(b).load(Ordering::Relaxed))
-        };
         BatchedCompareStats {
-            chain_batches: sum(&|b| &b.chain_batches),
-            candidates: sum(&|b| &b.candidates),
-            size_buckets: std::array::from_fn(|i| sum(&|b| &b.size_buckets[i])),
+            chain_batches: self.batched.sum(|b| &b.chain_batches),
+            candidates: self.batched.sum(|b| &b.candidates),
+            size_buckets: std::array::from_fn(|i| self.batched.sum(|b| &b.size_buckets[i])),
         }
     }
 
@@ -537,10 +534,10 @@ impl SharedMtScheduler {
     fn note_walk(&self, n: usize) {
         debug_assert!(n >= 1);
         let b = self.batched.mine();
-        b.chain_batches.fetch_add(1, Ordering::Relaxed);
-        b.candidates.fetch_add(n as u64, Ordering::Relaxed);
+        b.add(|b| &b.chain_batches, 1);
+        b.add(|b| &b.candidates, n as u64);
         let bucket = (usize::BITS - 1 - n.leading_zeros()) as usize;
-        b.size_buckets[bucket.min(BATCH_SIZE_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        b.add(|b| &b.size_buckets[bucket.min(BATCH_SIZE_BUCKETS - 1)], 1);
     }
 
     /// The shard owning `item` and the item's dense index within it.
@@ -648,11 +645,12 @@ impl SharedMtScheduler {
     /// the refusing thread's stripe cell, and the restart looks there. The
     /// refusal and the restart both run on the thread driving the
     /// transaction (the engine's retry loop), which restarts before it can
-    /// be refused again, so with at most one thread per stripe the hint is
-    /// always found. A restart issued from another thread, or a refusal on
-    /// a thread sharing the stripe in between, finds no hint; that costs
-    /// the new incarnation the boost and nothing else — it begins
-    /// undefined, as without the fix.
+    /// be refused again, and a live thread's stripe is its own
+    /// ([`mdts_vector::stripe`]), so the hint is found. Two cases find
+    /// none: a restart issued from another thread, and a refusal in between
+    /// on another thread of the shared stripe, which the threads beyond
+    /// `STRIPES - 1` live ones write. That costs the new incarnation the
+    /// boost and nothing else — it begins undefined, as without the fix.
     pub fn begin_restarted(&self, new_tx: TxId, aborted: TxId) {
         self.begin_restarted_nth(new_tx, aborted, 1);
     }
@@ -690,7 +688,7 @@ impl SharedMtScheduler {
 
     /// Takes the restart hint this thread's stripe holds for `aborted`.
     fn take_hint(&self, aborted: TxId) -> Option<i64> {
-        let mut cell = lock(self.hints.mine());
+        let mut cell = lock(self.hints.mine().cell());
         match *cell {
             Some((tx, first)) if tx == aborted => {
                 *cell = None;
@@ -958,7 +956,7 @@ impl SharedMtScheduler {
                 }),
             };
             if let Some(first) = first {
-                *lock(self.hints.mine()) = Some((tx, first + 1));
+                *lock(self.hints.mine().cell()) = Some((tx, first + 1));
             }
         }
     }
@@ -1731,11 +1729,11 @@ mod tests {
             assert!(s.commit(TxId(id)), "an unreferenced commit is reclaimed at once");
         }
         assert!(s.released_index_ids() >= 6 * 1024, "the sweep passed {}", s.released_index_ids());
-        *lock(s.hints.mine()) = Some((TxId(2048), 7));
+        *lock(s.hints.mine().cell()) = Some((TxId(2048), 7));
         let flushes = s.order_cache_stats().invalidations;
         s.begin(TxId(2048));
         assert_eq!(s.order_cache_stats().invalidations, flushes + 1, "reuse must invalidate");
-        assert_eq!(*lock(s.hints.mine()), None, "reuse must take the hint");
+        assert_eq!(*lock(s.hints.mine().cell()), None, "reuse must take the hint");
         assert_eq!(s.ts(TxId(2048)).map(|v| v.to_string()).as_deref(), Some("<*,*>"));
     }
 

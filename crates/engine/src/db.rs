@@ -66,7 +66,7 @@ use mdts_storage::{
     DEFAULT_STORE_SHARDS,
 };
 use mdts_trace::{AbortReason, StallRule, TraceEvent, TraceSink};
-use mdts_vector::{CachePadded, Stamp};
+use mdts_vector::{CachePadded, Mine, Stamp};
 
 use crate::cc::{CommitDecision, ConcurrentCc, Verdict};
 use crate::durability::{CheckpointFn, Durability, DurabilityConfig, CHECKPOINT_TX};
@@ -661,9 +661,9 @@ impl<V: Clone + Send + 'static> Database<V> {
                 let outcome = tx.commit();
                 shared.metrics.phases.record_since(Phase::Commit, span);
                 if let CommitOutcome::Committed { wal_epoch } = outcome {
-                    Metrics::bump(&cells.commits);
+                    cells.add(|c| &c.commits, 1);
                     let end_tick = shared.metrics.now();
-                    cells.latency.record(end_tick.saturating_sub(start_tick));
+                    cells.add(|c| c.latency.bucket(end_tick.saturating_sub(start_tick)), 1);
                     let durable = match wal_epoch {
                         None => true,
                         Some(epoch) => {
@@ -681,7 +681,7 @@ impl<V: Clone + Send + 'static> Database<V> {
                     // Applied in memory but never acknowledged: surface
                     // the uncertainty instead of retrying — a retry
                     // would apply the transaction twice.
-                    Metrics::bump(&cells.wal_unacked);
+                    cells.add(|c| &c.wal_unacked, 1);
                     return Err(TxError::DurabilityUnknown);
                 }
             }
@@ -689,13 +689,13 @@ impl<V: Clone + Send + 'static> Database<V> {
             drop(tx);
             prev = Some(id);
             if attempt < max_restarts {
-                Metrics::bump(&cells.restarts);
+                cells.add(|c| &c.restarts, 1);
                 let span = shared.metrics.phases.start();
                 restart_backoff(attempt, id.0);
                 shared.metrics.phases.record_since(Phase::Backoff, span);
             }
         }
-        Metrics::bump(&cells.gave_up);
+        cells.add(|c| &c.gave_up, 1);
         shared.trace.emit(|| TraceEvent::GaveUp {
             tx: prev.expect("at least one attempt ran"),
             restarts: max_restarts as u64,
@@ -745,10 +745,10 @@ impl<V: Clone + Send + 'static> Database<V> {
         let out = body(&mut tx);
         let span = shared.metrics.phases.start();
         drop(tx); // ends the snapshot's GC registration
-        Metrics::bump(&cells.snapshot_txns);
-        Metrics::bump(&cells.commits);
+        cells.add(|c| &c.snapshot_txns, 1);
+        cells.add(|c| &c.commits, 1);
         let end_tick = shared.metrics.now();
-        cells.latency.record(end_tick.saturating_sub(start_tick));
+        cells.add(|c| c.latency.bucket(end_tick.saturating_sub(start_tick)), 1);
         shared.trace.emit(|| TraceEvent::Commit { tx: id });
         shared.metrics.phases.record_since(Phase::Commit, span);
         out
@@ -763,7 +763,7 @@ impl<V: Clone + Send + 'static> Database<V> {
 pub struct SnapshotTx<'a, V> {
     shared: &'a Shared<V>,
     mv: &'a MvState<V>,
-    cells: &'a MetricCells,
+    cells: Mine<'a, MetricCells>,
     id: TxId,
     /// The reader's position: it reads versions whose writer's column 0 is
     /// below it.
@@ -782,8 +782,8 @@ impl<V: Clone + Send + Sync + 'static> SnapshotTx<'_, V> {
     /// been written below it.
     pub fn read(&mut self, item: ItemId) -> Option<V> {
         let (shared, mv, id) = (self.shared, self.mv, self.id);
-        Metrics::bump(&self.cells.snapshot_reads);
-        self.cells.tick();
+        self.cells.add(|c| &c.snapshot_reads, 1);
+        self.cells.add(|c| &c.clock, 1);
         // One lock for the bound and the version: commits hold every
         // write-set chain shard across validation and install, so a writer
         // below the raised bound is refused, and one that validated before
@@ -952,7 +952,7 @@ impl<G> HeldShards<G> {
 pub struct Tx<'a, V> {
     shared: &'a Shared<V>,
     /// The running thread's metric cells (looked up once per `run`).
-    cells: &'a MetricCells,
+    cells: Mine<'a, MetricCells>,
     id: TxId,
     epoch: u64,
     scratch: &'a mut TxScratch<V>,
@@ -984,7 +984,7 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
     /// histogram (two clock readings), its wall time to the `BlockWait`
     /// phase span when timing is enabled.
     fn blocked_wait(&self, item: ItemId, kind: OpKind, seen: u64) {
-        Metrics::bump(&self.cells.blocked_waits);
+        self.cells.add(|c| &c.blocked_waits, 1);
         let tx = self.id;
         self.shared.trace.emit(|| TraceEvent::Blocked { tx, item, kind, wake_seen: seen });
         let t0 = self.shared.metrics.now();
@@ -992,7 +992,7 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         self.shared.wake.wait_past(seen);
         self.shared.metrics.phases.record_since(Phase::BlockWait, span);
         let t1 = self.shared.metrics.now();
-        self.cells.block_wait_ticks.record(t1.saturating_sub(t0));
+        self.cells.add(|c| c.block_wait_ticks.bucket(t1.saturating_sub(t0)), 1);
     }
 
     /// Abort bookkeeping for this incarnation, attributed to `reason`
@@ -1002,15 +1002,16 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         self.armed = false;
         self.scratch.writes.clear();
         self.shared.release(self.id, false);
-        Metrics::bump(&self.cells.aborts);
-        Metrics::bump(match reason {
-            AbortReason::AccessRejected => &self.cells.access_aborts,
-            // A read-bound refusal is a commit-time validation abort.
-            AbortReason::ValidationRejected | AbortReason::ReadBound => {
-                &self.cells.validation_aborts
-            }
-            AbortReason::Epoch => &self.cells.epoch_aborts,
-        });
+        self.cells.add(|c| &c.aborts, 1);
+        self.cells.add(
+            |c| match reason {
+                AbortReason::AccessRejected => &c.access_aborts,
+                // A read-bound refusal is a commit-time validation abort.
+                AbortReason::ValidationRejected | AbortReason::ReadBound => &c.validation_aborts,
+                AbortReason::Epoch => &c.epoch_aborts,
+            },
+            1,
+        );
         let tx = self.id;
         self.shared.trace.emit(|| TraceEvent::EngineAbort { tx, reason });
         self.shared.wake_all();
@@ -1050,9 +1051,9 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                 (idx, stored)
             }
         };
-        Metrics::bump(&self.cells.reads);
-        self.cells.bump_shard(shard_idx);
-        self.cells.tick();
+        self.cells.add(|c| &c.reads, 1);
+        self.cells.add(|c| c.shard(shard_idx), 1);
+        self.cells.add(|c| &c.clock, 1);
         let own =
             self.scratch.writes.iter().rev().find(|(i, _)| *i == item).map(|(_, v)| v.clone());
         Ok(own.or(stored))
@@ -1128,12 +1129,12 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         }
         if let Engine::Adapter { cc, .. } = &self.shared.engine {
             if !self.adapter_access(&**cc, item, OpKind::Write, |tx| cc.write(tx, item))? {
-                Metrics::bump(&self.cells.ignored_writes);
+                self.cells.add(|c| &c.ignored_writes, 1);
                 return Ok(());
             }
         }
-        Metrics::bump(&self.cells.writes);
-        self.cells.tick();
+        self.cells.add(|c| &c.writes, 1);
+        self.cells.add(|c| &c.clock, 1);
         match self.scratch.writes.iter_mut().find(|(i, _)| *i == item) {
             Some(slot) => slot.1 = value,
             None => self.scratch.writes.push((item, value)),
@@ -1195,15 +1196,15 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
         let wal_epoch = self.enqueue_wal(&skip);
         for (item, value) in self.scratch.writes.drain(..) {
             if skip.contains(&item) {
-                Metrics::bump(&self.cells.ignored_writes);
+                self.cells.add(|c| &c.ignored_writes, 1);
                 continue;
             }
             let idx = store.shard_index(item);
             let old = held.shard(&self.scratch.shard_idxs, idx).insert(item, value);
             self.scratch.displaced.push(old);
-            self.cells.bump_shard(idx);
+            self.cells.add(|c| c.shard(idx), 1);
         }
-        self.cells.tick();
+        self.cells.add(|c| &c.clock, 1);
         drop(held);
         self.finish_commit(wal_epoch)
     }
@@ -1251,7 +1252,7 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
             let trace = &self.shared.trace;
             for (item, value) in self.scratch.writes.drain(..) {
                 if skip.contains(&item) {
-                    Metrics::bump(&self.cells.ignored_writes);
+                    self.cells.add(|c| &c.ignored_writes, 1);
                     continue;
                 }
                 let idx = store.shard_index(item);
@@ -1268,10 +1269,10 @@ impl<V: Clone + Send + 'static> Tx<'_, V> {
                     |_seq| trace.emit(|| TraceEvent::VersionInstall { writer: id, item }),
                 );
                 mv.sched.version_installed(id, shard.holders(item));
-                self.cells.bump_shard(idx);
+                self.cells.add(|c| c.shard(idx), 1);
             }
         }
-        self.cells.tick();
+        self.cells.add(|c| &c.clock, 1);
         drop(held);
         self.finish_commit(wal_epoch)
     }

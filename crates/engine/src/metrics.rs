@@ -8,10 +8,12 @@
 //! snapshot, its arithmetic and both documents are generated from it.
 //!
 //! Everything a transaction writes here — the counters, the logical
-//! clock, the histograms' buckets — is a per-thread cell
-//! ([`mdts_vector::Striped`]), `Relaxed` and summed on read: two clients
-//! that never conflict write no common cache line on account of being
-//! counted.
+//! clock, the histograms' buckets — is a per-thread [`Count`]
+//! ([`mdts_vector::Striped`]), summed on read: two clients that never
+//! conflict write no common cache line on account of being counted, and
+//! a thread that owns its stripe bumps with a plain load and store. Only
+//! the phase-span histograms are shared by every thread, so they stay
+//! `fetch_add`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -19,24 +21,25 @@ use std::time::Instant;
 use mdts_core::BATCH_SIZE_BUCKETS;
 use mdts_storage::{MvStoreStats, MV_CHAIN_LEN_BUCKETS};
 use mdts_trace::{HistogramExport, Json, MetricsRegistry};
-use mdts_vector::Striped;
+use mdts_vector::{Count, Mine, Striped};
 
 /// Number of per-shard access counters (accesses are striped by store
 /// shard index modulo this, matching the store's default shard count).
 pub const SHARD_SLOTS: usize = 64;
 
-/// `N` zeroed `Relaxed` counters (arrays this long have no `Default`).
+/// `N` zeroed counters (arrays this long have no `Default`): per-thread
+/// [`Count`]s, or `AtomicU64`s that every thread bumps.
 #[derive(Debug)]
-pub(crate) struct Counters<const N: usize>([AtomicU64; N]);
+pub(crate) struct Counters<const N: usize, C>([C; N]);
 
-impl<const N: usize> Default for Counters<N> {
+impl<const N: usize, C: Default> Default for Counters<N, C> {
     fn default() -> Self {
-        Counters(std::array::from_fn(|_| AtomicU64::new(0)))
+        Counters(std::array::from_fn(|_| C::default()))
     }
 }
 
 /// Declares the engine's metrics table (invoked once, below). A counter
-/// row is `cell NAME` — a per-thread `Relaxed` cell of [`MetricCells`],
+/// row is `cell NAME` — a per-thread [`Count`] of [`MetricCells`],
 /// summed at snapshot time — or `sampled NAME`, a cumulative figure the
 /// database reads from the protocol (an adapter's `sample` hook, or the
 /// MV engine's scheduler) or the write-ahead log. A gauge row is `NAME: TYPE [= SOURCE] => BREAKDOWN.KEY`: a level
@@ -101,10 +104,8 @@ macro_rules! metrics_table {
             /// sampled counters and gauges are left 0 for the database to
             /// fill.
             pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-                let sum = |f: &dyn Fn(&MetricCells) -> &AtomicU64| {
-                    self.cells.sum(|c| f(c).load(Ordering::Relaxed))
-                };
-                let histogram = |f: fn(&MetricCells) -> &LatencyHistogram| {
+                let sum = |f: &dyn Fn(&MetricCells) -> &Count| self.cells.sum(f);
+                let histogram = |f: fn(&MetricCells) -> &LatencyHistogram<Count>| {
                     LatencySnapshot::from_buckets(std::array::from_fn(|b| {
                         sum(&|c| &f(c).buckets.0[b])
                     }))
@@ -158,7 +159,7 @@ macro_rules! metrics_table {
     };
 }
 
-/// Emits [`MetricCells`]: one `AtomicU64` per `cell` row of the table, in
+/// Emits [`MetricCells`]: one [`Count`] per `cell` row of the table, in
 /// table order, then the clock, the histograms and the shard counters.
 macro_rules! metric_cells {
     ([$($field:tt)*]) => {
@@ -169,17 +170,17 @@ macro_rules! metric_cells {
         pub(crate) struct MetricCells {
             $($field)*
             /// This thread's share of the logical clock (see [`Metrics::now`]).
-            clock: AtomicU64,
-            pub latency: LatencyHistogram,
+            pub clock: Count,
+            pub latency: LatencyHistogram<Count>,
             /// Blocked-wait *durations* in logical ticks (one sample per
             /// `blocked_waits` event), not just the event count.
-            pub block_wait_ticks: LatencyHistogram,
+            pub block_wait_ticks: LatencyHistogram<Count>,
             /// Granted accesses per store shard (reads at fetch, writes at apply).
-            shard_accesses: Counters<SHARD_SLOTS>,
+            shard_accesses: Counters<SHARD_SLOTS, Count>,
         }
     };
     ([$($field:tt)*] $(#[$doc:meta])* cell $name:ident, $($rest:tt)*) => {
-        metric_cells!([$($field)* $(#[$doc])* pub $name: AtomicU64,] $($rest)*);
+        metric_cells!([$($field)* $(#[$doc])* pub $name: Count,] $($rest)*);
     };
     ([$($field:tt)*] $(#[$doc:meta])* sampled $name:ident, $($rest:tt)*) => {
         metric_cells!([$($field)*] $($rest)*);
@@ -320,13 +321,9 @@ metrics_table! {
 const _: () = assert!(std::mem::size_of::<MetricCells>() == 1656);
 
 impl MetricCells {
-    pub(crate) fn bump_shard(&self, shard: usize) {
-        self.shard_accesses.0[shard % SHARD_SLOTS].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Advances the logical clock by one tick.
-    pub(crate) fn tick(&self) {
-        self.clock.fetch_add(1, Ordering::Relaxed);
+    /// The access counter of store shard `shard`.
+    pub(crate) fn shard(&self, shard: usize) -> &Count {
+        &self.shard_accesses.0[shard % SHARD_SLOTS]
     }
 }
 
@@ -344,18 +341,14 @@ impl Metrics {
     /// database resumes from its log's last sequence number).
     pub(crate) fn starting_at(clock: u64) -> Self {
         let metrics = Metrics::default();
-        metrics.cells().clock.store(clock, Ordering::Relaxed);
+        metrics.cells().add(|c| &c.clock, clock);
         metrics
     }
 
     /// The calling thread's cells.
     #[inline]
-    pub(crate) fn cells(&self) -> &MetricCells {
+    pub(crate) fn cells(&self) -> Mine<'_, MetricCells> {
         self.cells.mine()
-    }
-
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The logical clock: one tick per granted access and per applied
@@ -364,7 +357,7 @@ impl Metrics {
     /// its own cell, so a reading is a sum over the stripes — monotone,
     /// and exact whenever no other thread is mid-tick.
     pub(crate) fn now(&self) -> u64 {
-        self.cells.sum(|c| c.clock.load(Ordering::Relaxed))
+        self.cells.sum(|c| &c.clock)
     }
 }
 
@@ -417,14 +410,15 @@ impl Phase {
 /// Lock-free wall-time phase spans. Always compiled in; when disabled
 /// (the default) [`PhaseTimers::start`] returns `None` without reading
 /// the clock, so the hot path pays one relaxed load per span. Recording
-/// is a handful of relaxed `fetch_add`s into striped cells and a
-/// fixed-size histogram — no locks, no allocation.
+/// is an add into this thread's striped total and a relaxed `fetch_add`
+/// into the phase's fixed-size histogram — no locks, no allocation.
 #[derive(Debug, Default)]
 pub struct PhaseTimers {
     enabled: AtomicBool,
     /// Running total nanoseconds per phase, one cell block per thread.
-    total_ns: Striped<[AtomicU64; PHASE_COUNT]>,
-    /// Span-duration histograms, in nanoseconds.
+    total_ns: Striped<[Count; PHASE_COUNT]>,
+    /// Span-duration histograms, in nanoseconds: one per phase, written
+    /// by every thread.
     spans: [LatencyHistogram; PHASE_COUNT],
 }
 
@@ -461,7 +455,7 @@ impl PhaseTimers {
     /// Records a span duration directly (testing and replay).
     pub fn record_ns(&self, phase: Phase, ns: u64) {
         let p = phase as usize;
-        self.total_ns.mine()[p].fetch_add(ns, Ordering::Relaxed);
+        self.total_ns.mine().add(|c| &c[p], ns);
         self.spans[p].record(ns);
     }
 
@@ -469,7 +463,7 @@ impl PhaseTimers {
     pub fn snapshot(&self) -> PhaseSnapshot {
         let mut out = PhaseSnapshot { enabled: self.enabled(), ..PhaseSnapshot::default() };
         for p in 0..PHASE_COUNT {
-            out.total_ns[p] = self.total_ns.sum(|c| c[p].load(Ordering::Relaxed));
+            out.total_ns[p] = self.total_ns.sum(|c| &c[p]);
             out.spans[p] = self.spans[p].snapshot();
         }
         out
@@ -572,17 +566,30 @@ pub const LATENCY_BUCKETS: usize = 64;
 /// which is exactly the starvation behaviour worth measuring.
 ///
 /// Buckets are powers of two (bucket `b` holds latencies in
-/// `[2^(b-1), 2^b)`), recorded with one relaxed `fetch_add` — no lock on
-/// the commit path.
+/// `[2^(b-1), 2^b)`), recorded with one add — no lock on the commit path.
+/// A thread's own histogram holds [`Count`]s, bumped through its
+/// [`Mine`] handle; a histogram every thread records into holds
+/// `AtomicU64`s, bumped with `fetch_add`.
 #[derive(Debug, Default)]
-pub(crate) struct LatencyHistogram {
-    buckets: Counters<LATENCY_BUCKETS>,
+pub(crate) struct LatencyHistogram<C = AtomicU64> {
+    buckets: Counters<LATENCY_BUCKETS, C>,
+}
+
+/// The bucket a sample of `ticks` lands in.
+fn bucket(ticks: u64) -> usize {
+    ((u64::BITS - ticks.leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
+}
+
+impl LatencyHistogram<Count> {
+    /// The count a sample of `ticks` bumps.
+    pub(crate) fn bucket(&self, ticks: u64) -> &Count {
+        &self.buckets.0[bucket(ticks)]
+    }
 }
 
 impl LatencyHistogram {
     pub(crate) fn record(&self, ticks: u64) {
-        let idx = (u64::BITS - ticks.leading_zeros()) as usize;
-        self.buckets.0[idx.min(LATENCY_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        self.buckets.0[bucket(ticks)].fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn snapshot(&self) -> LatencySnapshot {
@@ -990,18 +997,40 @@ mod tests {
         assert_eq!(s.spans[Phase::Admission as usize].count, 0);
     }
 
+    /// Every thread records into the same per-phase histogram, so its
+    /// buckets keep `fetch_add`: a plain load and store there would lose
+    /// spans. The striped totals beside them stay exact too.
+    #[test]
+    fn eight_threads_record_every_span_into_the_shared_histograms() {
+        const THREADS: u64 = 8;
+        const SPANS: u64 = 20_000;
+        let t = PhaseTimers::default();
+        t.set_enabled(true);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    for _ in 0..SPANS {
+                        t.record_ns(Phase::Commit, 100);
+                    }
+                });
+            }
+        });
+        let s = t.snapshot();
+        assert_eq!(s.spans[Phase::Commit as usize].count, THREADS * SPANS, "spans were lost");
+        assert_eq!(s.total_ns[Phase::Commit as usize], THREADS * SPANS * 100);
+    }
+
     #[test]
     fn snapshot_delta_subtracts_counters_and_keeps_gauges() {
         let m = Metrics::default();
         let cells = m.cells();
-        Metrics::bump(&cells.commits);
-        Metrics::bump(&cells.commits);
-        cells.latency.record(3);
-        cells.block_wait_ticks.record(9);
+        cells.add(|c| &c.commits, 2);
+        cells.add(|c| c.latency.bucket(3), 1);
+        cells.add(|c| c.block_wait_ticks.bucket(9), 1);
         let prev = m.snapshot();
-        Metrics::bump(&cells.commits);
-        Metrics::bump(&cells.aborts);
-        cells.latency.record(700);
+        cells.add(|c| &c.commits, 1);
+        cells.add(|c| &c.aborts, 1);
+        cells.add(|c| c.latency.bucket(700), 1);
         let mut cur = m.snapshot();
         cur.gauges.mv_versions = 5;
         let d = cur.delta(&prev);

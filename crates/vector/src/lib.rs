@@ -53,7 +53,7 @@ pub use counters::KthCounters;
 pub use interval::interval_view;
 pub use ordercache::{OrderCache, OrderCacheStats};
 pub use stamp::{Stamp, StampView, INLINE_STAMP_K};
-pub use stripe::{CachePadded, Striped};
+pub use stripe::{CachePadded, Count, Mine, Striped};
 pub use tsvec::{TsVec, INLINE_K};
 
 #[cfg(test)]

@@ -63,7 +63,7 @@
 use std::sync::atomic::AtomicU64 as StatCell;
 
 use crate::compare::CmpResult;
-use crate::stripe::{CachePadded, Striped};
+use crate::stripe::{CachePadded, Count, Striped};
 use crate::sync::{fence, AtomicU64, Ordering};
 
 /// Direct-mapped slot count (power of two). The cache holds at most this
@@ -146,19 +146,19 @@ pub struct OrderCache {
     /// Per-thread probe/insert counts, summed by [`stats`](Self::stats)
     /// — a probe writes no line another thread's probe writes.
     counts: Striped<Counts>,
+    /// Bumped by whichever thread invalidates, so a shared `fetch_add`.
     invalidations: StatCell,
 }
 
 // The epoch starts a cache line of its own.
 const _: () = assert!(std::mem::offset_of!(OrderCache, epoch).is_multiple_of(128));
 
-/// One stripe of the traffic counters. Plain statistics (`Relaxed`, they
-/// publish nothing), so they stay on `std` atomics under `cfg(loom)`.
+/// One stripe of the traffic counters.
 #[derive(Debug, Default)]
 struct Counts {
-    hits: StatCell,
-    misses: StatCell,
-    inserts: StatCell,
+    hits: Count,
+    misses: Count,
+    inserts: Count,
 }
 
 impl Default for OrderCache {
@@ -246,7 +246,7 @@ impl OrderCache {
 
         let (stored_epoch, at, lo_less) = unpack(payload);
         if consistent && stored_key == key && stored_epoch == epoch {
-            self.counts.mine().hits.fetch_add(1, Ordering::Relaxed);
+            self.counts.mine().add(|c| &c.hits, 1);
             let at = at as usize;
             Some(if lo_less != swapped {
                 CmpResult::Less { at }
@@ -254,7 +254,7 @@ impl OrderCache {
                 CmpResult::Greater { at }
             })
         } else {
-            self.counts.mine().misses.fetch_add(1, Ordering::Relaxed);
+            self.counts.mine().add(|c| &c.misses, 1);
             None
         }
     }
@@ -315,7 +315,7 @@ impl OrderCache {
         slot.key.store(key, Ordering::Relaxed);
         slot.payload.store(payload, Ordering::Relaxed);
         slot.version.store(v + 2, Ordering::Release);
-        self.counts.mine().inserts.fetch_add(1, Ordering::Relaxed);
+        self.counts.mine().add(|c| &c.inserts, 1);
     }
 
     /// Invalidates every entry by bumping the epoch. Required after any
@@ -328,11 +328,10 @@ impl OrderCache {
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> OrderCacheStats {
-        let sum = |f: fn(&Counts) -> &StatCell| self.counts.sum(|c| f(c).load(Ordering::Relaxed));
         OrderCacheStats {
-            hits: sum(|c| &c.hits),
-            misses: sum(|c| &c.misses),
-            inserts: sum(|c| &c.inserts),
+            hits: self.counts.sum(|c| &c.hits),
+            misses: self.counts.sum(|c| &c.misses),
+            inserts: self.counts.sum(|c| &c.inserts),
             invalidations: self.invalidations.load(Ordering::Relaxed),
         }
     }

@@ -23,7 +23,7 @@ cd "$(dirname "$0")/.."
 echo "== loom: shim litmus certification =="
 cargo test -q -p loom --release --test litmus
 
-echo "== loom: ordercache / rowtable / WakeSeq interleaving models =="
+echo "== loom: ordercache / rowtable / read bound / stripe handoff / WakeSeq interleaving models =="
 RUSTFLAGS="--cfg loom" cargo test -q --release --test loom_models
 
 if rustup component list --toolchain nightly 2>/dev/null | grep -q '^miri.*(installed)'; then

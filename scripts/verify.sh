@@ -7,7 +7,8 @@
 #            on diff (scripts/expout.sh — stale fixtures can't silently
 #            mask behavior changes), then run the loom model-checking
 #            suite (the shim's litmus certification plus the ordercache /
-#            rowtable / WakeSeq interleaving models) — see
+#            rowtable / read-bound / stripe-handoff / WakeSeq interleaving
+#            models) — see
 #            scripts/race.sh for the standalone race-hunting entry point.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -267,10 +267,12 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
 
     // The phase-timing cells (ISSUE 7). Disabled — the compiled-in
     // default — a span start is one relaxed load and recording is a
-    // no-op; enabled, recording is striped atomic adds into fixed
-    // arrays. Neither side may touch the heap: the thread's stripe
-    // assignment is a const-initialized thread local, warmed here by
-    // the first enabled record before the window opens.
+    // no-op; enabled, recording is an add into this thread's stripe and
+    // a `fetch_add` into the phase's shared histogram, both fixed arrays.
+    // Neither side may touch the heap: the thread's stripe claim is a
+    // const-initialized thread local, made here by the first enabled
+    // record before the window opens (the fresh-thread leg below counts
+    // what a claim itself allocates).
     let timers = PhaseTimers::default();
     let disabled = allocations(|| {
         for _ in 0..256 {
@@ -370,6 +372,41 @@ fn steady_state_scheduler_path_is_allocation_free_for_inline_k() {
         let m = db.metrics();
         assert!(m.commits - before.commits >= 290, "the windows must have committed their work");
         assert_eq!((m.aborts, m.restarts), (0, 0));
+
+        // A fresh thread: its first statistic claims a stripe, which
+        // registers the thread-local destructor that gives the stripe
+        // back at exit. On Linux with glibc the standard library registers
+        // it with `__cxa_thread_atexit_impl`, whose bookkeeping comes from
+        // libc's `malloc`, not this process's global allocator: the claim
+        // makes 0 counted allocations. After one warming `run` and
+        // `run_read_only` (the thread's workspace is built by the first),
+        // the thread's transactions allocate nothing. Its windows stay
+        // inside one id-index chunk: first move the ids past chunk 0.
+        let chunks = db.metrics().gauges.sched_row_chunks;
+        let mut n = 500;
+        while db.metrics().gauges.sched_row_chunks == chunks {
+            transfer(n);
+            n += 1;
+        }
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let claim = allocations(|| {
+                        std::hint::black_box(mdts::vector::stripe::stripe());
+                    });
+                    if cfg!(all(target_os = "linux", target_env = "gnu")) {
+                        assert_eq!(claim, 0, "a stripe claim allocated");
+                    }
+                    transfer(0);
+                    scan(0);
+                    let transfers = allocations(|| (0..256).for_each(transfer));
+                    assert_eq!(transfers, 0, "a fresh thread's warmed run must not allocate");
+                    let scans = allocations(|| (0..256).for_each(scan));
+                    assert_eq!(scans, 0, "a fresh thread's warmed run_read_only must not allocate");
+                })
+                .join()
+                .expect("the fresh thread's windows pass");
+        });
     }
 
     // Sanity check that the counter actually observes the scheduler: one

@@ -2,10 +2,11 @@
 //! lock-free protocols: the order-cache seqlock, the row table's chunk
 //! publication / slot recycling / reclamation (with the references a
 //! writer gives up when it installs its version) / index release, and the
-//! `WakeSeq` eventcount — and of the snapshot read bound against a
-//! writer's validation and install under one chain-shard lock, driven
-//! through the real `ConcurrentMvStore` shard and `SharedMtScheduler`
-//! calls the engine makes. Build and run with:
+//! `WakeSeq` eventcount — of the snapshot read bound against a writer's
+//! validation and install under one chain-shard lock, driven through the
+//! real `ConcurrentMvStore` shard and `SharedMtScheduler` calls the
+//! engine makes, and of a statistics stripe handed from one owner thread
+//! to the next through `stripe::claim`/`release`. Build and run with:
 //!
 //! ```sh
 //! RUSTFLAGS="--cfg loom" cargo test --test loom_models --release
@@ -18,14 +19,15 @@
 //! constants shrink (`ordercache::SLOTS = 1`, `rowtable::BASE = 2`) so
 //! every model collision is forced and state spaces stay exhaustive.
 //!
-//! The suite includes six deliberate failures, kept as `#[should_panic]`
+//! The suite includes seven deliberate failures, kept as `#[should_panic]`
 //! witnesses that the models catch the bugs they guard against: the
 //! seqlock writer ordering before its fix (no Release fence between the
 //! version claim and the data stores), a row lookup that trusts a
 //! recycled slot without re-checking whose it is, an install-time
 //! release run before the install, a stamp-backed holder released
-//! twice, a writer that checks the read bound outside the shard lock, and
-//! a snapshot reader that does not raise the bound.
+//! twice, a writer that checks the read bound outside the shard lock, a
+//! snapshot reader that does not raise the bound, and a stripe given back
+//! with a `Relaxed` release.
 
 #![cfg(loom)]
 
@@ -41,7 +43,7 @@ use mdts_model::{ItemId, OpKind, TxId};
 use mdts_storage::ConcurrentMvStore;
 use mdts_trace::event::AbortReason;
 use mdts_trace::{TraceBuffer, TraceEvent, TraceSink};
-use mdts_vector::{CmpResult, OrderCache, Stamp, TsVec};
+use mdts_vector::{stripe, CmpResult, OrderCache, Stamp, TsVec};
 
 /// A model with bounded preemptions: forced switches and weak-memory
 /// read-from choices stay exhaustive, voluntary context switches are
@@ -629,6 +631,72 @@ fn a_bound_checked_outside_the_lock_lets_a_writer_under_a_reader() {
 #[should_panic(expected = "the auditor refused the history")]
 fn a_reader_that_raises_no_bound_is_caught() {
     bound_vs_install(BoundRace::ReaderRaisesNothing);
+}
+
+// ---------------------------------------------------------------------------
+// Stripe ownership handoff
+// ---------------------------------------------------------------------------
+
+/// A release that publishes nothing: the must-catch variant of
+/// `stripe::release`.
+fn release_relaxed(owned: &AtomicU64, s: usize) {
+    owned.fetch_sub(1 << s, Relaxed);
+}
+
+/// Two threads each bump a statistic once, as `Mine::add` does: a plain
+/// load and store on a stripe claimed from the ownership bitmask (given
+/// back afterwards with `release`), or `fetch_add` on the shared stripe
+/// if the claim finds none free. Only stripe 0 is free, so whichever
+/// thread claims second either finds it held and takes the shared stripe,
+/// or claims it after the first thread gave it back and must see the
+/// first thread's count. The model drives `stripe::claim` on an explicit
+/// mask (the shim has no thread-locals for `stripe()`), and its cells are
+/// the shim's atomics, so a load that misses the previous owner's store
+/// shows as a lost count.
+fn stripe_handoff(release: fn(&AtomicU64, usize)) {
+    model2(move || {
+        let all_but_0 = ((1u64 << stripe::SHARED) - 1) & !1;
+        let owned = Arc::new(AtomicU64::new(all_but_0));
+        let owned_cell = Arc::new(AtomicU64::new(0));
+        let shared_cell = Arc::new(AtomicU64::new(0));
+        let bump = {
+            let (owned, owned_cell, shared_cell) =
+                (Arc::clone(&owned), Arc::clone(&owned_cell), Arc::clone(&shared_cell));
+            move || match stripe::claim(&owned) {
+                Some(s) => {
+                    assert_eq!(s, 0, "the one free stripe");
+                    owned_cell.store(owned_cell.load(Relaxed) + 1, Relaxed);
+                    release(&owned, s);
+                }
+                None => {
+                    shared_cell.fetch_add(1, Relaxed);
+                }
+            }
+        };
+        let other = thread::spawn(bump.clone());
+        bump();
+        other.join().unwrap();
+        assert_eq!(
+            owned_cell.load(Relaxed) + shared_cell.load(Relaxed),
+            2,
+            "a count was lost in the stripe handoff"
+        );
+        assert_eq!(owned.load(Relaxed), all_but_0, "both claims were given back");
+    });
+}
+
+#[test]
+fn loom_stripe_handoff_keeps_every_count() {
+    stripe_handoff(stripe::release);
+}
+
+/// The must-catch variant: a `Relaxed` give-back does not order the
+/// owner's store before the next owner's load, which may read the stale
+/// count and overwrite the first.
+#[test]
+#[should_panic(expected = "a count was lost in the stripe handoff")]
+fn a_relaxed_release_loses_a_count() {
+    stripe_handoff(release_relaxed);
 }
 
 // ---------------------------------------------------------------------------
