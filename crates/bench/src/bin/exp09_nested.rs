@@ -5,7 +5,7 @@
 //! and sweeps acceptance against partition granularity.
 
 use mdts_bench::{print_table, Table};
-use mdts_core::{recognize as core_recognize, MtOptions, MtScheduler};
+use mdts_core::{recognize, MtOptions, MtScheduler};
 use mdts_model::{ItemId, Log, MultiStepConfig, TxId};
 use mdts_nested::{GroupId, NestedScheduler, Partition};
 use rand::rngs::StdRng;
@@ -67,7 +67,7 @@ fn main() {
             "flat MT(3) (reference)",
             Box::new(|log: &Log| {
                 let mut s = MtScheduler::new(MtOptions::for_composite(3));
-                core_recognize(&mut s, log).accepted
+                recognize(&mut s, log).accepted
             }),
         ),
         (
@@ -76,7 +76,7 @@ fn main() {
                 let p = Partition::from_pairs(
                     log.transactions().into_iter().map(|t| (t, GroupId(t.0))),
                 );
-                NestedScheduler::new(2, 3, p).recognize(log).is_ok()
+                recognize(&mut NestedScheduler::new(2, 3, p), log).accepted
             }),
         ),
         (
@@ -85,7 +85,7 @@ fn main() {
                 let p = Partition::from_pairs(
                     log.transactions().into_iter().map(|t| (t, GroupId(1 + t.0 % 2))),
                 );
-                NestedScheduler::new(3, 3, p).recognize(log).is_ok()
+                recognize(&mut NestedScheduler::new(3, 3, p), log).accepted
             }),
         ),
         (
@@ -93,7 +93,7 @@ fn main() {
             Box::new(|log: &Log| {
                 let p =
                     Partition::from_pairs(log.transactions().into_iter().map(|t| (t, GroupId(1))));
-                NestedScheduler::new(3, 2, p).recognize(log).is_ok()
+                recognize(&mut NestedScheduler::new(3, 2, p), log).accepted
             }),
         ),
     ];

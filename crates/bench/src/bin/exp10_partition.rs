@@ -6,6 +6,7 @@
 //! Example 5.
 
 use mdts_bench::{print_table, Table};
+use mdts_core::recognize;
 use mdts_model::{Log, TxId};
 use mdts_nested::{partition_by_rw_sets, partition_by_site, GroupId, NestedScheduler};
 
@@ -39,8 +40,8 @@ fn main() {
     // antisymmetric inter-group order the paper says is "sometimes
     // semantically required".
     let mut sched = NestedScheduler::new(2, 2, partition);
-    match sched.recognize(&log) {
-        Ok(()) => {
+    match recognize(&mut sched, &log).rejected_at {
+        None => {
             println!("\nthe workload itself is accepted; group order fixed as:");
             for g in 1..=2u32 {
                 if let Some(ts) = sched.group_ts(GroupId(g)) {
@@ -48,7 +49,9 @@ fn main() {
                 }
             }
         }
-        Err(pos) => println!("\nrejected at {pos}: the interleaving crossed the group order twice"),
+        Some(pos) => {
+            println!("\nrejected at {pos}: the interleaving crossed the group order twice")
+        }
     }
 
     // Example 5: by initiation site.

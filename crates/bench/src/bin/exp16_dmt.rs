@@ -46,7 +46,7 @@ fn main() {
                     sync_interval: sync,
                     ..DmtConfig::new(5, n_sites)
                 });
-                let accepted = dmt.recognize(&log).is_ok();
+                let accepted = recognize(&mut dmt, &log).accepted;
                 let s = dmt.stats();
                 t.row(&[
                     n_sites.to_string(),
@@ -73,7 +73,7 @@ fn main() {
     let buffer = TraceBuffer::journal();
     let mut dmt = DmtScheduler::new(DmtConfig::new(5, 4));
     dmt.attach_trace(TraceSink::to(&buffer));
-    let _ = dmt.recognize(&log);
+    let _ = recognize(&mut dmt, &log);
     println!("\nper-site breakdown (4 sites, retention on, sync every 16):\n");
     let mut ps = Table::new(&[
         "site", "ops", "messages", "fetches", "retained", "local", "assigns", "wbacks",
@@ -114,14 +114,14 @@ fn main() {
     // Single-site equivalence with centralized MT(k).
     let mut dmt = DmtScheduler::new(DmtConfig { sync_interval: 0, ..DmtConfig::new(5, 1) });
     let mut central = MtScheduler::with_k(5);
-    let d = dmt.recognize(&log).is_ok();
+    let d = recognize(&mut dmt, &log).accepted;
     let c = recognize(&mut central, &log).accepted;
     assert_eq!(d, c);
     println!("\nsingle-site DMT(5) and centralized MT(5) agree (both accept = {d})");
 
     // Global uniqueness of k-th column values across sites.
     let mut dmt = DmtScheduler::new(DmtConfig::new(2, 4));
-    let _ = dmt.recognize(&log);
+    let _ = recognize(&mut dmt, &log);
     let mut seen = std::collections::HashSet::new();
     for tx in log.transactions() {
         if let Some(ts) = dmt.inner().table().ts(tx) {

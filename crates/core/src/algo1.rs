@@ -5,17 +5,21 @@
 //! 15–20), and on success make the requester the item's reader or writer
 //! (lines 7 and 12) — with the line 9–10 reader rule and the Thomas write
 //! rule (III-D-6c) as the two ways a refused access may still proceed.
-//! This module is that procedure, in two pure pieces both schedulers
-//! instantiate:
+//! This module is that procedure, and every MT variant decides through
+//! it:
 //!
-//! * [`set`] — `Set`'s element choice: given the Definition 6 result of
-//!   `TS(j)` against `TS(i)`, the two vectors, the column floor and the
+//! * `Set`'s element choice — given the Definition 6 result of `TS(j)`
+//!   against `TS(i)`, the two vectors, the column floor and the
 //!   k-th-column counters, the element definitions that encode
 //!   `TS(j) < TS(i)` (or that the order is already decided either way).
+//!   It is crate-private: the two MT(k) tables call it inside their own
+//!   `Set`, and everyone else reaches it through
+//!   [`MtScheduler::order`](crate::MtScheduler::order).
 //! * [`access`] — the access rule, generic over an [`OrderTable`] that
 //!   offers the instantiation's compare, its `Set` and its III-D-4 restart
 //!   hint. It returns the [`AccessOutcome`] and leaves the holder update
-//!   to the caller.
+//!   to the caller; [`decision`] turns the outcome into the verdict and
+//!   [`process`] runs a multi-item operation.
 //!
 //! What the instantiations own is everything around the rule:
 //! [`MtScheduler`](crate::MtScheduler) its footprint rollback, shielded `RT`
@@ -23,7 +27,10 @@
 //! [`SharedMtScheduler`](crate::SharedMtScheduler) the shard guard it holds
 //! across the whole access, the row locks (an optimistic read-locked
 //! compare, then a re-decide under the write locks), the order memo and the
-//! refcounts.
+//! refcounts. MT(k₁, …, k_l) (`mdts-nested`'s `HierarchyScheduler`) is an
+//! [`OrderTable`] over one `MtScheduler` per level, deciding each pair in
+//! the table of the level where the two paths diverge; DMT(k)
+//! (`mdts-dist`) runs an `MtScheduler` over its logically shared table.
 
 use mdts_model::{ItemId, OpKind, Operation, TxId};
 use mdts_trace::event::{AccessOutcome, Change, EncodedChanges, RejectRule, SetEdgeOutcome};
@@ -175,7 +182,7 @@ pub(crate) fn emit_set(
 }
 
 /// What an instantiation offers the access rule.
-pub(crate) trait OrderTable {
+pub trait OrderTable {
     /// Definition 6 of `TS(a)` against `TS(b)`, with no side effect on the
     /// vectors (`pick` and the line 9 condition).
     fn order_of(&mut self, a: TxId, b: TxId) -> CmpResult;
@@ -209,7 +216,7 @@ pub(crate) fn pick(t: &mut impl OrderTable, rt: TxId, wt: TxId) -> (TxId, TxId, 
 /// after `RT(x)`, refused by a distinct `WT(x)`: granted and ignored).
 /// The caller makes `tx` the item's reader or writer on
 /// [`AccessOutcome::Granted`].
-pub(crate) fn access(
+pub fn access(
     t: &mut impl OrderTable,
     opts: &MtOptions,
     tx: TxId,
@@ -252,7 +259,7 @@ pub(crate) fn access(
 }
 
 /// The scheduler verdict an access outcome stands for.
-pub(crate) fn decision(tx: TxId, item: ItemId, outcome: AccessOutcome) -> Decision {
+pub fn decision(tx: TxId, item: ItemId, outcome: AccessOutcome) -> Decision {
     match outcome {
         AccessOutcome::Rejected { against, column, .. } => {
             Decision::Reject(Reject { tx, against, item, column })
@@ -264,7 +271,7 @@ pub(crate) fn decision(tx: TxId, item: ItemId, outcome: AccessOutcome) -> Decisi
 
 /// Runs `access` over the operation's items in order; the first rejection
 /// rejects the operation, and the ignored writes of the rest are gathered.
-pub(crate) fn process(
+pub fn process(
     op: &Operation,
     mut access: impl FnMut(TxId, ItemId, OpKind) -> Decision,
 ) -> Decision {

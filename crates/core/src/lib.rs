@@ -25,9 +25,12 @@
 //!   optional refinements ([`MtOptions`]): the Thomas write rule
 //!   (III-D-6c), the starvation-avoidance flush (III-D-4), the relaxed
 //!   reader rule (noted after Theorem 3), and the hot-item right-end
-//!   encoding (III-D-5). It and [`SharedMtScheduler`] are the two
-//!   instantiations of one statement of Algorithm 1 (the private `algo1`
-//!   module: `Set`'s element choice and the access rule).
+//!   encoding (III-D-5). It and [`SharedMtScheduler`] instantiate the one
+//!   statement of Algorithm 1, the [`algo1`] module: `Set`'s element
+//!   choice and the access rule. Its [`OrderTable`](algo1::OrderTable),
+//!   [`access`](algo1::access) and [`process`](algo1::process) are public,
+//!   so the hierarchical MT(k₁, …, k_l) (`mdts-nested`) decides through
+//!   the same rule over its per-level tables.
 //! * [`NaiveComposite`] and [`SharedPrefixComposite`] — MT(k\*) both as the
 //!   specification (k independent subprotocols) and as Algorithm 2's
 //!   shared PREFIX/LASTCOL implementation; Theorem 5 says they coincide,
@@ -44,7 +47,7 @@
 //!
 //! [`OrderCache`]: mdts_vector::OrderCache
 
-mod algo1;
+pub mod algo1;
 pub mod composite;
 pub mod mtk;
 pub mod mvmt;

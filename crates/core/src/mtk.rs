@@ -377,12 +377,13 @@ impl MtScheduler {
 
     /// Public form of procedure `Set(j, i)`: try to establish (or verify)
     /// `TS(j) < TS(i)`, encoding a new dependency if the order is open.
-    /// Returns `false` iff the vectors already say `TS(j) > TS(i)`.
+    /// `Err` carries the column at which the vectors already say
+    /// `TS(j) > TS(i)`.
     ///
-    /// This is the building block the hierarchical protocol MT(k₁,k₂) and
-    /// the decentralized DMT(k) reuse for their own tables.
-    pub fn order(&mut self, j: TxId, i: TxId) -> bool {
-        self.set_less(j, i, false).is_ok()
+    /// This is the `Set` the hierarchical MT(k₁, …, k_l) runs in each
+    /// level's table and the multiversion scheduler orders versions with.
+    pub fn order(&mut self, j: TxId, i: TxId) -> Result<(), usize> {
+        self.set_less(j, i, false)
     }
 
     fn bump_access(&mut self, item: ItemId) -> bool {

@@ -73,7 +73,7 @@ impl MvMtScheduler {
         for idx in (0..n).rev() {
             let writer = self.chains[&item][idx].writer;
             // Order after this version's writer…
-            if !self.inner.order(writer, tx) {
+            if self.inner.order(writer, tx).is_err() {
                 continue; // writer is after tx: version too new
             }
             // …and before the successor's writer (vacuous for the newest):
@@ -97,11 +97,11 @@ impl MvMtScheduler {
         self.inner.begin(tx);
         self.chain(item);
         let newest = self.chains[&item].last().expect("floor exists").clone();
-        if newest.writer != tx && !self.inner.order(newest.writer, tx) {
+        if newest.writer != tx && self.inner.order(newest.writer, tx).is_err() {
             return false;
         }
         for r in &newest.readers {
-            if *r != tx && !self.inner.order(*r, tx) {
+            if *r != tx && self.inner.order(*r, tx).is_err() {
                 return false;
             }
         }

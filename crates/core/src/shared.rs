@@ -402,7 +402,8 @@ pub struct SharedMtScheduler {
     /// that makes seq-watermark version GC sound (DESIGN.md §8). Update
     /// transactions floor their open non-last elements on it (`Set`'s
     /// `RightUndefined` arm), so committed history never refuses a fresh
-    /// transaction. `SeqCst`,
+    /// transaction. Nothing reads the last column when k ≥ 2, so it is
+    /// never published and stays at `i64::MIN`. `SeqCst`,
     /// matching the MV store's install/registry counters the soundness
     /// argument chains through. One cache line per column: a commit that
     /// raises one column leaves the others' readers undisturbed.
@@ -1079,7 +1080,8 @@ impl SharedMtScheduler {
     /// to `0` (column 0 is never open here: a committing writer was
     /// granted at least one access, which ordered it after `T₀`), the
     /// k-th column to a fresh upper counter draw — and the per-column
-    /// maxima are advanced to cover the final vector. A fully defined row
+    /// maxima of the columns anyone reads are advanced to cover the final
+    /// vector (see the loop). A fully defined row
     /// can never gain elements, so the returned clone *is* the writer's
     /// final vector forever: every later comparison against the stamp is
     /// decidable, which is what lets snapshot readers walk version chains
@@ -1111,7 +1113,10 @@ impl SharedMtScheduler {
                 }
             }
         }
-        for m in 0..k {
+        // Only the columns someone reads are published: `Set` floors the
+        // columns below the last, and restarts and snapshot positions read
+        // column 0 — which is the last one when k = 1.
+        for m in 0..(k - 1).max(1) {
             let value = v.get(m).expect("saturated above");
             // The maximum is monotone, so a load that already covers
             // `value` stands for the `fetch_max` in the SeqCst order and
@@ -1337,12 +1342,11 @@ impl SharedMtScheduler {
     }
 
     /// A serial order consistent with the final vectors: the given
-    /// transactions (all of which must have live rows) sorted by the total
-    /// key `(defined < undefined, value)` per column — a linear extension
-    /// of the strict vector order, cf.
+    /// transactions (all of which must have live rows) sorted by
+    /// [`TsVec::serial_cmp`] — a linear extension of the strict vector
+    /// order, cf.
     /// [`TimestampTable::serial_order`](crate::TimestampTable::serial_order).
     pub fn serial_order(&self, txns: &[TxId]) -> Vec<TxId> {
-        let k = self.opts.k;
         // Snapshot the vectors slot by slot: decided prefixes are stable
         // (write-once), so any interleaving of concurrent defines yields a
         // valid linear extension of the orders decided so far.
@@ -1350,13 +1354,7 @@ impl SharedMtScheduler {
             .iter()
             .map(|&t| (t, self.ts(t).unwrap_or_else(|| panic!("no live timestamp vector for {t}"))))
             .collect();
-        let key_at = |v: &TsVec, m: usize| match v.get(m) {
-            Some(x) => (0u8, x),
-            None => (1u8, 0),
-        };
-        pairs.sort_by(|(_, va), (_, vb)| {
-            (0..k).map(|m| key_at(va, m)).cmp((0..k).map(|m| key_at(vb, m)))
-        });
+        pairs.sort_by(|(_, va), (_, vb)| va.serial_cmp(vb));
         // The O(n²) pairwise verification the sort replaced; debug-only.
         // Goes through the cache-accelerated is_less on purpose — it
         // cross-checks the cache against the final vectors too.

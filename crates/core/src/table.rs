@@ -244,28 +244,16 @@ impl TimestampTable {
     /// of the strict vector order (Theorem 2's witness). Returns `None` if
     /// some needed vector is missing.
     ///
-    /// One stable O(n log n · k) sort by a total-order key that linearly
-    /// extends the strict vector order: each element maps to
-    /// `(0, value)` when defined and `(1, 0)` when undefined, compared
-    /// lexicographically. If `TS(a) < TS(b)` strictly at deciding index `m`,
-    /// the two keys share the prefix before `m` (both-defined-equal there)
-    /// and differ at `m` with `(0, a_m) < (0, b_m)` — so every strictly
-    /// ordered pair sorts correctly, and unordered pairs land in key (or,
-    /// for equal keys, input) order, which the partial order leaves free.
+    /// One stable O(n log n · k) sort by [`TsVec::serial_cmp`], a total
+    /// order that linearly extends the strict vector order; unordered pairs
+    /// land in key (or, for equal keys, input) order, which the partial
+    /// order leaves free.
     pub fn serial_order(&self, txns: &[TxId]) -> Option<Vec<TxId>> {
         for &t in txns {
             self.ts(t)?;
         }
-        let key_at = |t: TxId, m: usize| -> (u8, i64) {
-            match self.ts_expect(t).get(m) {
-                Some(v) => (0, v),
-                None => (1, 0),
-            }
-        };
         let mut order: Vec<TxId> = txns.to_vec();
-        order.sort_by(|&a, &b| {
-            (0..self.k).map(|m| key_at(a, m)).cmp((0..self.k).map(|m| key_at(b, m)))
-        });
+        order.sort_by(|&a, &b| self.ts_expect(a).serial_cmp(self.ts_expect(b)));
         // The O(n²) pairwise verification the sort replaced; debug-only.
         debug_assert!(
             (0..order.len())

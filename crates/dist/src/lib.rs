@@ -1,8 +1,10 @@
 //! **DMT(k)** — the decentralized concurrency controller of Section V-B.
 //!
-//! Each site runs the MT(k) machinery; the timestamp table is logically
-//! one table whose rows (vectors) and item records live on *home sites*.
-//! The coordination rules of the paper are modeled explicitly:
+//! Each site runs the MT(k) machinery — `mdts-core`'s one statement of
+//! Algorithm 1, through an inner `MtScheduler` — over a timestamp table
+//! that is logically one table whose rows (vectors) and item records live
+//! on *home sites*. The coordination rules of the paper are modeled
+//! explicitly:
 //!
 //! 1. **Globally unique k-th elements** (V-B-1): the k-th column values are
 //!    drawn from the scheduling site's counters with the site number
@@ -20,6 +22,8 @@
 //!    synchronization is needed. Message costs are counted per remote
 //!    fetch and write-back, including the paper's lock-retention
 //!    optimization for consecutive operations touching the same objects.
+//!    `Set` defines elements only of the vectors the access locked, so a
+//!    vector is written back when its defined count rose.
 //!
 //! The simulation is sequential and deterministic (the protocol itself is
 //! what is distributed, not the test harness); [`DmtStats`] exposes the

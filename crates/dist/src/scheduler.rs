@@ -1,22 +1,23 @@
 //! The DMT(k) scheduler: MT(k) over a logically shared table, with
 //! per-site counters, ordered locking and message accounting.
 //!
-//! Observability: the scheduler keeps an internal journal of the inner
-//! MT(k) scheduler's events (the write-back accounting is driven off the
-//! `Set` encodes each access performed), and an optional external
-//! [`TraceSink`] attached with [`DmtScheduler::attach_trace`] receives the
-//! full merged stream — each operation's `DmtOp`/`DmtLock` hops, the
-//! protocol decision events forwarded from the inner scheduler, then the
+//! Each access decides through the inner MT(k) scheduler, and so through
+//! `mdts-core`'s one statement of Algorithm 1. `Set` defines elements only
+//! of `RT(x)`, `WT(x)` and the issuer — the vectors the access locked — so
+//! the write-back accounting reads each locked vector's defined count
+//! before and after the decision.
+//!
+//! Observability: a [`TraceSink`] attached with
+//! [`DmtScheduler::attach_trace`] receives the merged stream — each
+//! operation's `DmtOp`/`DmtLock` hops, the inner scheduler's decision
+//! events (the sink is attached to it too), then the
 //! `DmtWriteBack`/`DmtSync` message traffic.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use mdts_core::{Decision, MtOptions, MtScheduler};
+use mdts_core::{algo1, Decision, LogScheduler, MtOptions, MtScheduler};
 use mdts_model::{ItemId, OpKind, Operation, TxId};
-use mdts_trace::{
-    DmtObj, DmtSource, SetEdgeOutcome, TraceBuffer, TraceEvent, TraceRecord, TraceSink,
-};
+use mdts_trace::{DmtObj, DmtSource, TraceEvent, TraceSink};
 use mdts_vector::KthCounters;
 
 use crate::topology::Topology;
@@ -117,9 +118,6 @@ pub struct DmtScheduler {
     /// The logically shared MT(k) table. Per-operation, the scheduling
     /// site's counters are swapped in so k-th column values carry its tag.
     inner: MtScheduler,
-    /// Journal the inner scheduler emits into; each access reads its own
-    /// encodes back out of it for write-back accounting.
-    journal: Arc<TraceBuffer>,
     site_counters: Vec<KthCounters>,
     topology: Topology,
     config: DmtConfig,
@@ -135,13 +133,8 @@ impl DmtScheduler {
     /// Builds DMT(k) over `n_sites` sites.
     pub fn new(config: DmtConfig) -> Self {
         let n = config.n_sites;
-        let journal = TraceBuffer::journal();
-        let mut inner = MtScheduler::new(MtOptions::new(config.k));
-        // Vector modifications must be visible for write-back accounting.
-        inner.attach_trace(TraceSink::to(&journal));
         DmtScheduler {
-            inner,
-            journal,
+            inner: MtScheduler::new(MtOptions::new(config.k)),
             site_counters: (0..n).map(|s| KthCounters::site_tagged(n as i64, s as i64)).collect(),
             topology: Topology::new(n),
             config,
@@ -155,6 +148,7 @@ impl DmtScheduler {
     /// Routes the merged decision trace — site/lock/message hops plus the
     /// inner protocol's events, interleaved per operation — to `sink`.
     pub fn attach_trace(&mut self, sink: TraceSink) {
+        self.inner.attach_trace(sink.clone());
         self.trace = sink;
     }
 
@@ -212,32 +206,28 @@ impl DmtScheduler {
         }
     }
 
-    /// Write-backs for the objects this access modified: the item record if
-    /// `RT`/`WT` changed, plus every vector whose elements were defined
-    /// (read back out of the inner scheduler's journal slice for this
-    /// operation).
-    fn write_back(&mut self, site: u32, item_changed: bool, item: ItemId, ops: &[TraceRecord]) {
-        let mut touched: Vec<ObjectId> = Vec::new();
-        let mut assignments = 0u64;
-        for r in ops {
-            if let TraceEvent::SetEdge { outcome: SetEdgeOutcome::Encoded { changes }, .. } =
-                &r.event
-            {
-                assignments += changes.len() as u64;
-                for &(tx, _, _) in changes.iter() {
-                    let obj = ObjectId::Vector(tx);
-                    if !touched.contains(&obj) {
-                        touched.push(obj);
-                    }
-                }
-            }
-        }
+    /// Defined elements per vector of `objs` (0 for a vector with no row).
+    fn defined_counts(&self, objs: &[ObjectId]) -> Vec<usize> {
+        let table = self.inner.table();
+        let count = |obj| match obj {
+            ObjectId::Vector(tx) => table.ts(tx).map_or(0, |v| v.defined_count()),
+            ObjectId::Item(_) => 0,
+        };
+        objs.iter().map(|&obj| count(obj)).collect()
+    }
+
+    /// Write-backs for the objects this access modified: every locked
+    /// vector that gained elements (`before`: the defined counts ahead of
+    /// the decision), then the item record if `RT`/`WT` changed.
+    fn write_back(&mut self, site: u32, objs: &[ObjectId], before: &[usize], item_changed: bool) {
+        let after = self.defined_counts(objs);
+        let gained: Vec<u64> = after.iter().zip(before).map(|(a, b)| (a - b) as u64).collect();
+        let assignments = gained.iter().sum::<u64>();
         self.stats.assignments += assignments;
         self.site_stats[site as usize].assignments += assignments;
-        if item_changed {
-            touched.push(ObjectId::Item(item));
-        }
-        for obj in touched {
+        let dirty = objs.iter().zip(&gained).filter(|&(_, &g)| g > 0).map(|(&obj, _)| obj);
+        // The item record leads the lock order.
+        for obj in dirty.chain(item_changed.then_some(objs[0])) {
             let remote = self.topology.site_of_object(obj) != site;
             if remote {
                 self.stats.messages += 1; // combined write-back + unlock
@@ -275,7 +265,7 @@ impl DmtScheduler {
         self.acquire(site, &objs);
 
         // Run the MT(k) decision with this site's counters swapped in.
-        let mark = self.journal.next_seq();
+        let before = self.defined_counts(&objs);
         self.inner.table_mut().swap_counters(&mut self.site_counters[site as usize]);
         let before_rt = self.inner.table().rt(item);
         let before_wt = self.inner.table().wt(item);
@@ -284,17 +274,9 @@ impl DmtScheduler {
             OpKind::Write => self.inner.write(tx, item),
         };
         self.inner.table_mut().swap_counters(&mut self.site_counters[site as usize]);
-
-        // This operation's slice of the protocol journal: forwarded to the
-        // external trace (merged stream) and mined for write-backs.
-        let ops = self.journal.records_since(mark);
-        for r in &ops {
-            let event = r.event.clone();
-            self.trace.emit(move || event);
-        }
         let item_changed =
             self.inner.table().rt(item) != before_rt || self.inner.table().wt(item) != before_wt;
-        self.write_back(site, item_changed, item, &ops);
+        self.write_back(site, &objs, &before, item_changed);
 
         self.stats.ops += 1;
         self.site_stats[site as usize].ops += 1;
@@ -314,23 +296,13 @@ impl DmtScheduler {
 
     /// Schedules a whole operation.
     pub fn process(&mut self, op: &Operation) -> Decision {
-        for &item in op.items() {
-            let d = self.access(op.tx, item, op.kind);
-            if !d.is_accept() {
-                return d;
-            }
-        }
-        Decision::accept()
+        algo1::process(op, |tx, item, kind| self.access(tx, item, kind))
     }
+}
 
-    /// Runs a whole log; `Err(pos)` = first rejected operation.
-    pub fn recognize(&mut self, log: &mdts_model::Log) -> Result<(), usize> {
-        for (pos, op) in log.ops().iter().enumerate() {
-            if !self.process(op).is_accept() {
-                return Err(pos);
-            }
-        }
-        Ok(())
+impl LogScheduler for DmtScheduler {
+    fn process_op(&mut self, op: &Operation) -> Decision {
+        self.process(op)
     }
 }
 
@@ -340,6 +312,7 @@ mod tests {
     use mdts_core::recognize;
     use mdts_graph::{dependency_graph, is_dsr};
     use mdts_model::{Log, MultiStepConfig};
+    use mdts_trace::{SetEdgeOutcome, TraceBuffer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -357,10 +330,10 @@ mod tests {
             let log = random_log(seed);
             let mut dmt = DmtScheduler::new(DmtConfig { sync_interval: 0, ..DmtConfig::new(3, 1) });
             let mut central = MtScheduler::with_k(3);
-            let d = dmt.recognize(&log);
+            let d = recognize(&mut dmt, &log).accepted;
             let c = recognize(&mut central, &log);
-            assert_eq!(d.is_ok(), c.accepted, "seed {seed}: {log}");
-            if d.is_ok() {
+            assert_eq!(d, c.accepted, "seed {seed}: {log}");
+            if d {
                 for tx in log.transactions() {
                     assert_eq!(
                         dmt.inner().table().ts(tx),
@@ -376,7 +349,7 @@ mod tests {
     fn single_site_sends_no_messages_except_syncs() {
         let log = random_log(7);
         let mut dmt = DmtScheduler::new(DmtConfig { sync_interval: 0, ..DmtConfig::new(2, 1) });
-        let _ = dmt.recognize(&log);
+        let _ = recognize(&mut dmt, &log);
         assert_eq!(dmt.stats().messages, 0);
         assert_eq!(dmt.stats().remote_fetches, 0);
         assert!(dmt.stats().local_hits > 0);
@@ -388,7 +361,7 @@ mod tests {
         for seed in 0..200 {
             let log = random_log(seed);
             let mut dmt = DmtScheduler::new(DmtConfig::new(3, 4));
-            if dmt.recognize(&log).is_ok() {
+            if recognize(&mut dmt, &log).accepted {
                 accepted += 1;
                 assert!(is_dsr(&log), "seed {seed}: accepted non-DSR log {log}");
                 // Vector order must cover every dependency edge.
@@ -412,7 +385,7 @@ mod tests {
         for seed in 0..50 {
             let log = random_log(seed);
             let mut dmt = DmtScheduler::new(DmtConfig::new(2, 3));
-            let _ = dmt.recognize(&log);
+            let _ = recognize(&mut dmt, &log);
             for tx in log.transactions() {
                 if let Some(ts) = dmt.inner().table().ts(tx) {
                     if let Some(v) = ts.get(1) {
@@ -428,7 +401,7 @@ mod tests {
     fn lock_sets_are_small_and_ordered() {
         let log = random_log(3);
         let mut dmt = DmtScheduler::new(DmtConfig::new(2, 3));
-        let _ = dmt.recognize(&log);
+        let _ = recognize(&mut dmt, &log);
         assert!(dmt.stats().max_locks_per_op <= 4, "paper: at most 3–4 objects");
     }
 
@@ -445,8 +418,8 @@ mod tests {
             sync_interval: 0,
             ..DmtConfig::new(2, 3)
         });
-        let _ = with.recognize(&log);
-        let _ = without.recognize(&log);
+        let _ = recognize(&mut with, &log);
+        let _ = recognize(&mut without, &log);
         assert!(with.stats().messages <= without.stats().messages);
         assert!(with.stats().retained > 0, "some lock was retained");
     }
@@ -455,7 +428,7 @@ mod tests {
     fn sync_rounds_are_counted_and_bound_fairness() {
         let log = random_log(5);
         let mut dmt = DmtScheduler::new(DmtConfig { sync_interval: 4, ..DmtConfig::new(2, 3) });
-        let _ = dmt.recognize(&log);
+        let _ = recognize(&mut dmt, &log);
         assert!(dmt.stats().syncs > 0);
     }
 
@@ -469,7 +442,7 @@ mod tests {
         let buffer = TraceBuffer::journal();
         let mut dmt = DmtScheduler::new(DmtConfig::new(2, 3));
         dmt.attach_trace(TraceSink::to(&buffer));
-        let _ = dmt.recognize(&log);
+        let _ = recognize(&mut dmt, &log);
 
         let stats = dmt.stats();
         let per_site = dmt.site_stats();
@@ -499,6 +472,34 @@ mod tests {
         let report = mdts_trace::audit(&trace, 2);
         assert!(report.is_clean(), "{}", report.summary());
         assert!(report.decisions > 0 && report.assignments > 0);
+    }
+
+    /// The lock-set accounting bills exactly the elements the inner
+    /// scheduler's `Set` encodes define, as the merged trace shows them.
+    #[test]
+    fn assignments_match_the_encodes_in_the_merged_trace() {
+        for k in 1..=3 {
+            for seed in 0..40 {
+                let log = random_log(seed);
+                let buffer = TraceBuffer::journal();
+                let mut dmt = DmtScheduler::new(DmtConfig::new(k, 3));
+                dmt.attach_trace(TraceSink::to(&buffer));
+                let _ = recognize(&mut dmt, &log);
+                let encoded: usize = buffer
+                    .snapshot()
+                    .events()
+                    .map(|e| match e {
+                        TraceEvent::SetEdge {
+                            outcome: SetEdgeOutcome::Encoded { changes },
+                            ..
+                        } => changes.len(),
+                        _ => 0,
+                    })
+                    .sum();
+                assert!(encoded > 0, "k = {k}, seed {seed}: nothing encoded");
+                assert_eq!(dmt.stats().assignments, encoded as u64, "k = {k}, seed {seed}");
+            }
+        }
     }
 
     /// Unbalanced load with lagging clocks still encodes correct orders —

@@ -15,9 +15,10 @@
 
 use std::collections::BTreeMap;
 
-use mdts_core::{Decision, MtOptions, MtScheduler, Reject};
+use mdts_core::algo1::{self, OrderTable};
+use mdts_core::{Decision, LogScheduler, MtOptions, MtScheduler};
 use mdts_model::{ItemId, OpKind, Operation, TxId};
-use mdts_vector::TsVec;
+use mdts_vector::{CmpResult, TsVec};
 
 use crate::partition::{GroupId, Partition};
 
@@ -95,68 +96,30 @@ impl HierarchyScheduler {
         self.engines[level].table().ts(TxId(id))
     }
 
-    /// First level at which the two paths diverge (`None` = same path).
-    fn divergence(a: &[u32], b: &[u32]) -> Option<usize> {
-        a.iter().zip(b).position(|(x, y)| x != y)
+    /// The level whose table orders `a` against `b` — the first at which
+    /// their paths diverge — and their two nodes there (`None` = same path).
+    fn nodes(&mut self, a: TxId, b: TxId) -> Option<(usize, TxId, TxId)> {
+        let (pa, pb) = (self.path_of(a), self.path_of(b));
+        let v = pa.iter().zip(&pb).position(|(x, y)| x != y)?;
+        Some((v, TxId(pa[v]), TxId(pb[v])))
     }
 
-    /// Strict "a before b" under the hierarchy: decided at the divergence
-    /// level's table.
-    fn effective_less(&mut self, a: TxId, b: TxId) -> bool {
-        if a == b {
-            return false;
-        }
-        let pa = self.path_of(a);
-        let pb = self.path_of(b);
-        match Self::divergence(&pa, &pb) {
-            None => false,
-            Some(v) => {
-                let engine = &mut self.engines[v];
-                engine.begin(TxId(pa[v]));
-                engine.begin(TxId(pb[v]));
-                engine.table().is_less(TxId(pa[v]), TxId(pb[v]))
-            }
-        }
-    }
-
-    fn pick(&mut self, item: ItemId) -> TxId {
+    /// Schedules one access of `tx` to `item`: [`algo1::access`] over the
+    /// hierarchy's tables with the composite options every level runs, then
+    /// line 7 or 12. With the reader and Thomas rules off, every accepted
+    /// access is a plain grant.
+    fn access(&mut self, tx: TxId, item: ItemId, kind: OpKind) -> Decision {
         let rt = self.rt.get(&item).copied().unwrap_or(TxId::VIRTUAL);
         let wt = self.wt.get(&item).copied().unwrap_or(TxId::VIRTUAL);
-        if rt == wt {
-            return rt;
+        let opts = *self.engines[0].options();
+        let decision = algo1::decision(tx, item, algo1::access(self, &opts, tx, kind, rt, wt));
+        if decision.is_accept() {
+            match kind {
+                OpKind::Read => self.rt.insert(item, tx),
+                OpKind::Write => self.wt.insert(item, tx),
+            };
         }
-        if self.effective_less(rt, wt) {
-            wt
-        } else {
-            rt
-        }
-    }
-
-    /// Encode the dependency `j → i` at the divergence level. Returns
-    /// whether the order could be established.
-    fn order(&mut self, j: TxId, i: TxId) -> bool {
-        if j == i {
-            return true;
-        }
-        let pj = self.path_of(j);
-        let pi = self.path_of(i);
-        match Self::divergence(&pj, &pi) {
-            None => true,
-            Some(v) => self.engines[v].order(TxId(pj[v]), TxId(pi[v])),
-        }
-    }
-
-    /// Schedules one access of `tx` to `item`.
-    fn access(&mut self, tx: TxId, item: ItemId, kind: OpKind) -> Decision {
-        let j = self.pick(item);
-        if !self.order(j, tx) {
-            return Decision::Reject(Reject { tx, against: j, item, column: 0 });
-        }
-        match kind {
-            OpKind::Read => self.rt.insert(item, tx),
-            OpKind::Write => self.wt.insert(item, tx),
-        };
-        Decision::accept()
+        decision
     }
 
     /// Schedules a read.
@@ -171,14 +134,35 @@ impl HierarchyScheduler {
 
     /// Schedules a whole operation (first rejection rejects it).
     pub fn process(&mut self, op: &Operation) -> Decision {
-        for &item in op.items() {
-            let d = self.access(op.tx, item, op.kind);
-            if !d.is_accept() {
-                return d;
+        algo1::process(op, |tx, item, kind| self.access(tx, item, kind))
+    }
+}
+
+/// The hierarchy as Algorithm 1 sees it: each pair is ordered in the table
+/// of the level where the two paths diverge (Section V-A).
+impl OrderTable for HierarchyScheduler {
+    fn order_of(&mut self, a: TxId, b: TxId) -> CmpResult {
+        match self.nodes(a, b) {
+            // One path is one transaction: the same vector.
+            None => CmpResult::Identical,
+            Some((v, a, b)) => {
+                let table = self.engines[v].table_mut();
+                table.ensure_tx(a);
+                table.ensure_tx(b);
+                table.compare(a, b)
             }
         }
-        Decision::accept()
     }
+
+    fn set(&mut self, j: TxId, i: TxId) -> Result<(), usize> {
+        match self.nodes(j, i) {
+            None => Ok(()),
+            Some((v, j, i)) => self.engines[v].order(j, i),
+        }
+    }
+
+    /// The hierarchy keeps no restart hints.
+    fn note_reject(&mut self, _tx: TxId, _against: TxId) {}
 }
 
 /// The paper's MT(k₁, k₂): transactions inside groups.
@@ -233,21 +217,18 @@ impl NestedScheduler {
         self.ensure(op.tx);
         self.inner.process(op)
     }
+}
 
-    /// Runs a whole log; `Err(pos)` = first rejected operation.
-    pub fn recognize(&mut self, log: &mdts_model::Log) -> Result<(), usize> {
-        for (pos, op) in log.ops().iter().enumerate() {
-            if !self.process(op).is_accept() {
-                return Err(pos);
-            }
-        }
-        Ok(())
+impl LogScheduler for NestedScheduler {
+    fn process_op(&mut self, op: &Operation) -> Decision {
+        self.process(op)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdts_core::recognize;
     use mdts_model::Log;
 
     /// Example 4 / Table III: G₁ = {T₁, T₂}, G₂ = {T₃}, k₁ = k₂ = 2.
@@ -263,7 +244,7 @@ mod tests {
         // c: W2[x] → T1→T2 within G1 (transaction encode);
         // d: R3[x] → G1→G2 (group encode).
         let log = Log::parse("R1[x] R2[y] W2[x] R3[x]").unwrap();
-        assert_eq!(s.recognize(&log), Ok(()));
+        assert!(recognize(&mut s, &log).accepted);
 
         assert_eq!(s.group_ts(GroupId::VIRTUAL).unwrap().to_string(), "<0,*>");
         assert_eq!(s.group_ts(GroupId(1)).unwrap().to_string(), "<1,*>");
@@ -285,7 +266,7 @@ mod tests {
         ]);
         let mut s = NestedScheduler::new(2, 2, partition);
         let log = Log::parse("R1[x] R2[y] W2[x] R3[x]").unwrap();
-        assert_eq!(s.recognize(&log), Ok(()));
+        assert!(recognize(&mut s, &log).accepted);
         // T3 reads z, then T2 writes z: would need T3 → T2 i.e. G2 → G1.
         assert!(s.read(TxId(3), ItemId(9)).is_accept());
         let d = s.write(TxId(2), ItemId(9));
@@ -329,7 +310,7 @@ mod tests {
             let partition =
                 Partition::from_pairs(log.transactions().into_iter().map(|t| (t, GroupId(1))));
             let mut nested = NestedScheduler::new(3, 2, partition);
-            if nested.recognize(&log).is_ok() {
+            if recognize(&mut nested, &log).accepted {
                 accepted += 1;
                 assert!(is_dsr(&log), "accepted non-DSR log: {log}");
             }
@@ -339,14 +320,13 @@ mod tests {
         let serial = Log::parse("R1[x] W1[y] R2[y] W2[x]").unwrap();
         let partition =
             Partition::from_pairs(serial.transactions().into_iter().map(|t| (t, GroupId(1))));
-        assert_eq!(NestedScheduler::new(3, 2, partition).recognize(&serial), Ok(()));
+        assert!(recognize(&mut NestedScheduler::new(3, 2, partition), &serial).accepted);
     }
 
     /// With one transaction per group, MT(k₁, k₂) reduces to MT(k₂) over
     /// the groups.
     #[test]
     fn singleton_groups_reduce_to_group_mtk() {
-        use mdts_core::{recognize, MtScheduler};
         use mdts_model::MultiStepConfig;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -359,11 +339,39 @@ mod tests {
             let mut nested = NestedScheduler::new(2, 3, partition);
             let mut flat = MtScheduler::new(MtOptions::for_composite(3));
             assert_eq!(
-                nested.recognize(&log).is_ok(),
+                recognize(&mut nested, &log).accepted,
                 recognize(&mut flat, &log).accepted,
                 "log: {log}"
             );
         }
+    }
+
+    /// A one-level hierarchy is MT(k) with the composite options: the same
+    /// kernel over one table, so the same verdict on every operation —
+    /// the refusing holder and column included — and the same vectors.
+    #[test]
+    fn one_level_hierarchy_is_composite_mtk_decision_for_decision() {
+        use mdts_model::MultiStepConfig;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut rejections = 0;
+        for round in 0..3000 {
+            let k = 1 + round % 4;
+            let log =
+                MultiStepConfig { n_txns: 4, n_items: 4, ..Default::default() }.generate(&mut rng);
+            let mut hierarchy = HierarchyScheduler::new(&[k]);
+            let mut flat = MtScheduler::new(MtOptions::for_composite(k));
+            for op in log.ops() {
+                let d = hierarchy.process(op);
+                assert_eq!(d, flat.process(op), "k = {k}, {op} in {log}");
+                rejections += usize::from(!d.is_accept());
+            }
+            for tx in log.transactions() {
+                assert_eq!(hierarchy.level_ts(0, tx.0), flat.table().ts(tx), "k = {k}, {tx}");
+            }
+        }
+        assert!(rejections > 100, "only {rejections} rejections");
     }
 
     /// Accepted logs are serializable (nested soundness).
@@ -388,7 +396,7 @@ mod tests {
                 log.transactions().into_iter().map(|t| (t, GroupId(1 + t.0 % 2))),
             );
             let mut nested = NestedScheduler::new(2, 2, partition);
-            if nested.recognize(&log).is_ok() {
+            if recognize(&mut nested, &log).accepted {
                 accepted += 1;
                 assert!(is_dsr(&log), "round {round}: accepted non-DSR log {log}");
             }

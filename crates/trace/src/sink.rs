@@ -148,8 +148,8 @@ impl TraceBuffer {
     }
 
     /// Copies out the records with `seq >= mark`, in sequence order — the
-    /// "what happened during this call" slice the distributed scheduler
-    /// uses for write-back accounting.
+    /// "what happened since" slice the durability daemon appends to its
+    /// journal.
     pub fn records_since(&self, mark: u64) -> Vec<TraceRecord> {
         let mut records: Vec<TraceRecord> = Vec::new();
         for lane in self.lanes.iter() {

@@ -373,6 +373,18 @@ impl TsVec {
     pub fn is_less(&self, other: &TsVec) -> bool {
         matches!(self.compare(other), CmpResult::Less { .. })
     }
+
+    /// A total order that linearly extends the strict one, for serial
+    /// orders: column by column, each element keyed `(0, value)` when
+    /// defined and `(1, 0)` when undefined. If `TS(a) < TS(b)` strictly at
+    /// deciding index `m`, the two keys share the prefix before `m`
+    /// (both-defined-equal there) and differ at `m` with
+    /// `(0, a_m) < (0, b_m)`, so every strictly ordered pair sorts the same
+    /// way.
+    pub fn serial_cmp(&self, other: &TsVec) -> std::cmp::Ordering {
+        let key = |v: &TsVec, m: usize| v.get(m).map_or((1u8, 0), |x| (0u8, x));
+        (0..self.k()).map(|m| key(self, m)).cmp((0..other.k()).map(|m| key(other, m)))
+    }
 }
 
 impl Drop for TsVec {

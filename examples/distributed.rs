@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example distributed`
 
+use mdts::core::recognize;
 use mdts::dist::{DmtConfig, DmtScheduler};
 use mdts::model::MultiStepConfig;
 use rand::rngs::StdRng;
@@ -26,7 +27,7 @@ fn main() {
         for retain in [false, true] {
             let mut dmt =
                 DmtScheduler::new(DmtConfig { retain_locks: retain, ..DmtConfig::new(3, n_sites) });
-            let accepted = dmt.recognize(&log).is_ok();
+            let accepted = recognize(&mut dmt, &log).accepted;
             let s = dmt.stats();
             println!(
                 "{:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9}{}",

@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --example nested_workflow`
 
+use mdts::core::recognize;
 use mdts::model::{ItemId, Log, TxId};
 use mdts::nested::{GroupId, NestedScheduler, Partition};
 
@@ -26,9 +27,9 @@ fn main() {
         .expect("valid notation");
     println!("workflow log: {log}\n");
 
-    match sched.recognize(&log) {
-        Ok(()) => println!("accepted: departments serialize cleanly"),
-        Err(pos) => println!("rejected at {pos}"),
+    match recognize(&mut sched, &log).rejected_at {
+        None => println!("accepted: departments serialize cleanly"),
+        Some(pos) => println!("rejected at {pos}"),
     }
 
     println!("\ngroup timestamps:");

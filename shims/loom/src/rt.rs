@@ -498,6 +498,16 @@ impl Rt {
 
     // -- atomics ----------------------------------------------------------
 
+    /// An atomic operation's scheduling point. A thread unwinding an ended
+    /// execution (a destructor's store) applies it without scheduling, as
+    /// the unlocks do: `yield_point` would panic again mid-unwind.
+    fn atomic_point(&self, me: usize) -> Guard<'_> {
+        if std::thread::panicking() {
+            return self.lock();
+        }
+        self.yield_point(me)
+    }
+
     pub(crate) fn register_atomic(&self, cell: &ObjCell, init: u64) {
         let mut st = self.lock();
         let me = st.current;
@@ -518,7 +528,7 @@ impl Rt {
             !matches!(ord, Ordering::Release | Ordering::AcqRel),
             "invalid ordering for an atomic load"
         );
-        let mut st = self.yield_point(me);
+        let mut st = self.atomic_point(me);
         let id = cell.resolve(&mut st, me, make_atomic(init));
         let clock = st.threads[me].clock.clone();
         let seen = st.threads[me].last_seen.get(&id).copied();
@@ -544,8 +554,13 @@ impl Rt {
             }
             (floor, a.stores.len() - floor)
         };
-        // Which visible store to read is a genuine branch point.
-        let pick = if n == 1 { floor } else { floor + st.path.branch(n) };
+        // Which visible store to read is a genuine branch point, except
+        // while unwinding: that execution is over, so the newest is read.
+        let pick = if n == 1 || std::thread::panicking() {
+            floor + n - 1
+        } else {
+            floor + st.path.branch(n)
+        };
         let (val, rel) = {
             let a = obj!(st, id, Atomic);
             (a.stores[pick].val, a.stores[pick].rel.clone())
@@ -573,7 +588,7 @@ impl Rt {
             !matches!(ord, Ordering::Acquire | Ordering::AcqRel),
             "invalid ordering for an atomic store"
         );
-        let mut st = self.yield_point(me);
+        let mut st = self.atomic_point(me);
         let id = cell.resolve(&mut st, me, make_atomic(init));
         if ord == Ordering::SeqCst {
             Self::sc_sync(&mut st, me);
@@ -602,7 +617,7 @@ impl Rt {
         ord: Ordering,
         f: impl FnOnce(u64) -> u64,
     ) -> u64 {
-        let mut st = self.yield_point(me);
+        let mut st = self.atomic_point(me);
         let id = cell.resolve(&mut st, me, make_atomic(init));
         if ord == Ordering::SeqCst {
             Self::sc_sync(&mut st, me);
@@ -646,7 +661,7 @@ impl Rt {
         success: Ordering,
         failure: Ordering,
     ) -> Result<u64, u64> {
-        let mut st = self.yield_point(me);
+        let mut st = self.atomic_point(me);
         let id = cell.resolve(&mut st, me, make_atomic(init));
         let (old, prev_rel, idx) = {
             let a = obj!(st, id, Atomic);
@@ -690,7 +705,7 @@ impl Rt {
 
     pub(crate) fn fence(&self, me: usize, ord: Ordering) {
         assert!(ord != Ordering::Relaxed, "fence(Relaxed) is invalid");
-        let mut st = self.yield_point(me);
+        let mut st = self.atomic_point(me);
         if matches!(ord, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst) {
             let pending = std::mem::take(&mut st.threads[me].acq_pending);
             st.threads[me].clock.join(&pending);

@@ -29,13 +29,13 @@ fn example1_through_the_whole_stack() {
     // DMT(2) at four sites also schedules it (the same dependencies are
     // encodable whatever the counter tags).
     let mut dmt = DmtScheduler::new(DmtConfig::new(2, 4));
-    assert!(dmt.recognize(&log).is_ok());
+    assert!(recognize(&mut dmt, &log).accepted);
 
     // Nested with each transaction its own group behaves like MT over
     // groups and accepts too.
     let p = Partition::from_pairs(log.transactions().into_iter().map(|t| (t, GroupId(t.0))));
     let mut nested = NestedScheduler::new(2, 2, p);
-    assert!(nested.recognize(&log).is_ok());
+    assert!(recognize(&mut nested, &log).accepted);
 }
 
 #[test]
